@@ -32,6 +32,7 @@ fn main() {
         .map(|&n| n * scale)
         .collect();
     let mut ns = Vec::new();
+    let mut nds = Vec::new();
     let mut classical_rounds = Vec::new();
     let mut quantum_rounds = Vec::new();
     let mut n_rows = Vec::new();
@@ -61,6 +62,7 @@ fn main() {
             c_active
         );
         ns.push(n as f64);
+        nds.push(n as f64 * f64::from(d));
         classical_rounds.push(c);
         quantum_rounds.push(q);
         n_rows.push(Json::obj([
@@ -77,13 +79,6 @@ fn main() {
     println!("\nfitted exponents: classical {c_slope:.2} (paper: 1), quantum {q_slope:.2} (paper: 0.5 + D drift)");
     // Correct for the slow diameter growth of the sparse family by fitting
     // against n·D, the paper's actual scale variable.
-    let nds: Vec<f64> = sizes
-        .iter()
-        .map(|&n| {
-            let (g, _) = sparse_instance(n, 1);
-            n as f64 * f64::from(graphs::metrics::diameter(&g).unwrap())
-        })
-        .collect();
     println!(
         "fitted quantum exponent against n·D: {:.2} (paper: 0.5, from √(nD))",
         loglog_slope(&nds, &quantum_rounds)

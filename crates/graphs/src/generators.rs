@@ -381,6 +381,7 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
         } else {
             // Iterate pairs (i, j), i < j, in a flattened index with skips.
             let total = n * (n - 1) / 2;
+            let mut rows = PairRows::new(n);
             let mut idx: f64 = -1.0;
             loop {
                 let u: f64 = rng.random();
@@ -388,7 +389,7 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
                 if idx >= total as f64 {
                     break;
                 }
-                let (i, j) = unflatten_pair(idx as usize, n);
+                let (i, j) = rows.locate(idx as usize);
                 b.edge_if_absent(i, j);
             }
         }
@@ -397,17 +398,37 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// Maps a flattened pair index to `(i, j)` with `i < j` over `n` nodes.
-fn unflatten_pair(mut idx: usize, n: usize) -> (usize, usize) {
-    // Row i owns (n - 1 - i) pairs.
-    let mut i = 0;
-    loop {
-        let row = n - 1 - i;
-        if idx < row {
-            return (i, i + 1 + idx);
+/// Maps flattened pair indices to `(i, j)` with `i < j` over `n` nodes,
+/// for indices visited in non-decreasing order.
+///
+/// Pairs are flattened row by row, and row `i` owns the `n − 1 − i` pairs
+/// `(i, i + 1..n)`. The cursor keeps the row it last found, so a whole
+/// ascending sweep costs `O(n + queries)` rather than a rescan from row 0
+/// per query.
+struct PairRows {
+    n: usize,
+    row: usize,
+    row_start: usize,
+}
+
+impl PairRows {
+    fn new(n: usize) -> Self {
+        PairRows {
+            n,
+            row: 0,
+            row_start: 0,
         }
-        idx -= row;
-        i += 1;
+    }
+
+    /// The pair at flattened index `idx`; `idx` must not be below the
+    /// previous query's.
+    fn locate(&mut self, idx: usize) -> (usize, usize) {
+        debug_assert!(idx >= self.row_start, "pair indices must not decrease");
+        while idx >= self.row_start + (self.n - 1 - self.row) {
+            self.row_start += self.n - 1 - self.row;
+            self.row += 1;
+        }
+        (self.row, self.row + 1 + (idx - self.row_start))
     }
 }
 
@@ -559,13 +580,34 @@ mod tests {
     }
 
     #[test]
-    fn unflatten_pair_enumerates_upper_triangle() {
+    fn pair_rows_enumerate_upper_triangle_in_order() {
         let n = 6;
-        let mut seen = std::collections::HashSet::new();
-        for idx in 0..n * (n - 1) / 2 {
-            let (i, j) = unflatten_pair(idx, n);
-            assert!(i < j && j < n);
-            assert!(seen.insert((i, j)));
-        }
+        let mut rows = PairRows::new(n);
+        let all: Vec<(usize, usize)> = (0..n * (n - 1) / 2).map(|k| rows.locate(k)).collect();
+        let expect: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect();
+        assert_eq!(all, expect);
+    }
+
+    #[test]
+    fn pair_rows_skip_whole_rows() {
+        // Row starts for n = 6: 0, 5, 9, 12, 14.
+        let mut rows = PairRows::new(6);
+        assert_eq!(rows.locate(4), (0, 5));
+        assert_eq!(rows.locate(4), (0, 5));
+        assert_eq!(rows.locate(12), (3, 4));
+        assert_eq!(rows.locate(14), (4, 5));
+    }
+
+    #[test]
+    fn random_sparse_builds_a_large_graph() {
+        // Sampling is O(n + m) with the running row pointer; a row rescan
+        // per sampled edge would make it O(n·m) at this size.
+        let g = random_sparse(100_000, 8.0, 1);
+        assert_eq!(g.len(), 100_000);
+        assert!(is_connected(&g));
+        let avg = 2.0 * g.num_edges() as f64 / g.len() as f64;
+        assert!((7.5..=8.5).contains(&avg), "average degree {avg}");
     }
 }

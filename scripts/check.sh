@@ -30,6 +30,12 @@ cargo test -q --offline || status=1
 echo "=== workspace tests ==="
 cargo test -q --offline --workspace || status=1
 
+echo "=== perfbench unit tests ==="
+# perfbench is its own workspace. Its gen::tests::matches_the_sparse_family
+# is the check that graphs::generators::random_sparse returns the same graph
+# as an independent sampler.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml || status=1
+
 echo "=== shard + scheduling equivalence (QD_TEST_SHARDS=4) ==="
 QD_TEST_SHARDS=4 cargo test -q --offline -p congest-diameter \
   --test property -- sharded scheduling || status=1
