@@ -837,6 +837,57 @@ fn bench_flight_overhead(c: &mut Criterion) {
     );
 }
 
+/// `Graph::from_edges`'s performance contract: the bulk CSR build (degree
+/// count, prefix sum, scatter, per-row sort) must build the same graph as
+/// the incremental `GraphBuilder` loop it replaced, at least 2× faster on
+/// an n = 10⁵ sparse edge list. The gate asserts on the median of
+/// per-pair ratios from interleaved runs.
+fn bench_graph_build(c: &mut Criterion) {
+    let n = 100_000;
+    let edges: Vec<(usize, usize)> = graphs::generators::random_sparse(n, 8.0, 3)
+        .edges()
+        .map(|(u, v)| (u.index(), v.index()))
+        .collect();
+    let bulk = || Graph::from_edges(n, edges.iter().copied()).expect("simple graph");
+    let incremental = || {
+        let mut builder = graphs::GraphBuilder::new(n);
+        for &(u, v) in &edges {
+            builder.edge(u, v);
+        }
+        builder.build()
+    };
+    assert_eq!(bulk(), incremental(), "bulk and incremental builds diverge");
+
+    let mut group = c.benchmark_group("graph_build");
+    group.sample_size(10);
+    group.bench_function("from_edges", |b| b.iter(|| black_box(bulk())));
+    group.bench_function("incremental_builder", |b| {
+        b.iter(|| black_box(incremental()))
+    });
+    group.finish();
+
+    let (bulk_med, incremental_med, ratio) = timed_pair(
+        15,
+        || {
+            black_box(bulk());
+        },
+        || {
+            black_box(incremental());
+        },
+    );
+    println!(
+        "graph build at n = 10^5, m = {}: from_edges {:.2} ms, incremental builder \
+         {:.2} ms, median per-pair ratio {ratio:.2}x",
+        edges.len(),
+        bulk_med * 1e3,
+        incremental_med * 1e3
+    );
+    assert!(
+        ratio >= 2.0,
+        "from_edges is only {ratio:.2}x faster than the incremental builder (gate: 2x)"
+    );
+}
+
 criterion_group!(
     benches,
     bench_girth,
@@ -845,6 +896,7 @@ criterion_group!(
     bench_metrics_overhead,
     bench_scheduler_hot_loop,
     bench_scheduler_sparse,
-    bench_flight_overhead
+    bench_flight_overhead,
+    bench_graph_build
 );
 criterion_main!(benches);

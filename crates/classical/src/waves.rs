@@ -14,7 +14,7 @@
 //! pairwise distance `d(u, v)` was recorded at `v`).
 //!
 //! The figure's Lemma 3 identity — a wave from `u` first reaches `v` exactly
-//! at round `2τ'(u) + d(u, v)` — is asserted at runtime on every receipt,
+//! at round `2τ'(u) + d(u, v)` — is checked at runtime on every receipt,
 //! and wave collisions at a starting source are rejected. (A schedule
 //! violating Lemma 2 can also silently *block* a wave — an inherently
 //! undetectable condition with `O(log n)` memory — so correctness is
@@ -57,11 +57,11 @@ struct WaveProgram {
     /// every node ends at `|sources|` minus one if it is itself a source.
     processed: u64,
     tau_bits: usize,
-    /// With a fault plan active, Lemma violations are *recorded* (first
-    /// one wins) instead of panicking: degraded schedules are an expected
-    /// outcome there, and the driver turns the record into a typed
-    /// [`AlgoError::FaultDetected`].
-    fault_aware: bool,
+    /// The first Lemma violation this node saw. The driver turns the
+    /// earliest one into a typed error: [`AlgoError::FaultDetected`] under
+    /// a fault plan, where degraded schedules are an expected outcome, and
+    /// [`AlgoError::Protocol`] otherwise, where only an invalid schedule
+    /// causes one.
     violation: Option<(Round, String)>,
 }
 
@@ -74,11 +74,8 @@ struct WaveNodeOutcome {
 }
 
 impl WaveProgram {
-    /// Records (fault-aware) or panics on (fault-free) a Lemma violation.
+    /// Records a Lemma violation; the first one wins.
     fn flag(&mut self, round: Round, detail: String) {
-        if !self.fault_aware {
-            panic!("{detail}");
-        }
         if self.violation.is_none() {
             self.violation = Some((round, detail));
         }
@@ -91,8 +88,8 @@ impl NodeProgram for WaveProgram {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, WaveMsg>) -> Status {
         // Telemetry for the Lemmas 2–4 congestion argument, emitted before
-        // the assertions below so a violating schedule is visible in the
-        // trace (`distinct > 1`) and not only as a panic. Nodes with empty
+        // the checks below so a violating schedule is visible in the trace
+        // (`distinct > 1`) and not only as an error. Nodes with empty
         // inboxes stay silent to bound trace volume.
         if !ctx.inbox().is_empty() {
             trace::emit_with(|| {
@@ -265,7 +262,7 @@ impl WaveOutcome {
 /// starts at round `2τ'`. The schedule must satisfy Lemma 2
 /// (`d(u, v) ≤ τ'(v) − τ'(u)` for sources `u, v` with `τ'(u) < τ'(v)`),
 /// which holds whenever the positions come from a DFS walk
-/// ([`dfs_walk`](crate::dfs_walk)); violations trip runtime assertions.
+/// ([`dfs_walk`](crate::dfs_walk)); violations are detected at runtime.
 ///
 /// `duration` must cover `2·max τ' + max ecc(source)`; Figure 2 uses `6d`
 /// (with `τ' ≤ 2d` and eccentricities at most `D ≤ 2d`).
@@ -273,9 +270,10 @@ impl WaveOutcome {
 /// # Errors
 ///
 /// Returns a wrapped simulator error; `Protocol` on malformed inputs.
-/// When `config` carries a fault plan, schedule invariants (Lemmas 3–4,
-/// source collisions) are detected instead of asserted and surface as
-/// [`AlgoError::FaultDetected`] naming the first offending round.
+/// A broken schedule invariant (Lemmas 3–4, source collisions) surfaces
+/// as [`AlgoError::Protocol`] naming the earliest violation, or, when
+/// `config` carries a fault plan, as [`AlgoError::FaultDetected`] naming
+/// the first offending round.
 pub fn run(
     graph: &Graph,
     sources: &[(NodeId, u64)],
@@ -307,29 +305,35 @@ pub fn run(
         max_dist: 0,
         processed: 0,
         tau_bits,
-        fault_aware,
         violation: None,
     });
-    let stats = net
-        .run_rounds(duration)
-        .map_err(|e| AlgoError::from_congest(e, fault_aware))?;
+    let run = net.run_rounds(duration);
+    let quiet_violation = net.quiet_violation();
+    let outcomes = net.into_outputs();
+    let violation = outcomes
+        .iter()
+        .filter_map(|o| o.violation.clone())
+        .min_by_key(|&(round, _)| round);
+    if !fault_aware {
+        // Fault-free, only an invalid schedule violates a Lemma, and the
+        // violation comes no later than any simulator error it causes (a
+        // collision makes its source send twice), so it is reported first.
+        if let Some((_, reason)) = violation {
+            return Err(AlgoError::Protocol { reason });
+        }
+    }
+    let stats = run.map_err(|e| AlgoError::from_congest(e, fault_aware))?;
     // The scheduler cross-checks the quiet declarations above against the
     // committed sends; a recorded violation means the schedule lied about
     // its silent stretches, so degrade to a typed fault rather than return
     // a result a fast-forwarded run could disagree on.
-    if let Some((round, node)) = net.quiet_violation() {
+    if let Some((round, node)) = quiet_violation {
         return Err(AlgoError::FaultDetected {
             round,
             detail: format!("{node} sent inside its declared quiet phase"),
         });
     }
-    let outcomes = net.into_outputs();
-    // Surface the earliest recorded Lemma violation as a typed error.
-    if let Some((round, detail)) = outcomes
-        .iter()
-        .filter_map(|o| o.violation.clone())
-        .min_by_key(|&(round, _)| round)
-    {
+    if let Some((round, detail)) = violation {
         return Err(AlgoError::FaultDetected { round, detail });
     }
     let (max_dist, processed) = outcomes
@@ -478,14 +482,19 @@ mod tests {
 
     /// An invalid schedule violating Lemma 2 (`d(u,v) ≤ τ'(v) − τ'(u)` fails
     /// for the pair below: d = 4 > 2 − 0) makes an earlier wave collide with
-    /// a source's own start and must trip the runtime invariant.
+    /// a source's own start, which a fault-free run reports as a typed
+    /// protocol error.
     #[test]
-    #[should_panic(expected = "wave collision")]
     fn invalid_schedule_trips_lemma_assertions() {
         let g = generators::path(5);
         let cfg = Config::for_graph(&g);
         // Wave of node 0 (τ'=0) reaches node 4 at round 4 — exactly when
         // node 4 (τ'=2) starts its own wave.
-        let _ = run(&g, &[(NodeId::new(0), 0), (NodeId::new(4), 2)], 20, cfg);
+        match run(&g, &[(NodeId::new(0), 0), (NodeId::new(4), 2)], 20, cfg) {
+            Err(AlgoError::Protocol { reason }) => {
+                assert!(reason.contains("wave collision"), "{reason}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 }

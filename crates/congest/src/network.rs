@@ -1187,6 +1187,9 @@ where
         // exhaustive by construction, so messages stage in sender-id order
         // and each sealed inbox segment comes out sorted for free.
         let budget = self.config.bandwidth_bits;
+        // With every node already queued for next round (an all-active
+        // round), no delivery can wake anyone: skip the per-message check.
+        let wake = sparse && self.next_active.len() < n;
         let commit_started = meter.as_ref().map(|_| std::time::Instant::now());
         for idx in 0..self.senders.len() {
             let i = self.senders[idx] as usize;
@@ -1242,7 +1245,7 @@ where
                     // A delivery wakes the receiver: it joins the next
                     // round's active set once — the round-stamped mark
                     // dedups repeat deliveries and the receiver's own vote.
-                    if sparse && self.active_mark[to.index()] != round + 1 {
+                    if wake && self.active_mark[to.index()] != round + 1 {
                         self.active_mark[to.index()] = round + 1;
                         if self
                             .next_active
@@ -1286,7 +1289,7 @@ where
                 }
                 match f.plan.fate(round, node.index(), to.index()) {
                     MessageFate::Delivered => {
-                        if sparse && self.active_mark[to.index()] != round + 1 {
+                        if wake && self.active_mark[to.index()] != round + 1 {
                             self.active_mark[to.index()] = round + 1;
                             if self
                                 .next_active
@@ -1613,11 +1616,44 @@ where
     /// under `Enforce`) without committing anything. The execute phase
     /// records every node with a non-empty outbox in `senders`, so walking
     /// that list (ascending, like the active list it filters) is exhaustive.
+    ///
+    /// An outbox whose destinations strictly ascend — what `broadcast` and
+    /// `broadcast_except` stage — holds no duplicate and is checked by one
+    /// merge walk over the sorted neighbour list; any other outbox takes a
+    /// binary search and a `seen` stamp per message. Both report the first
+    /// offending message in staging order.
     fn validate_staged(&mut self, round: Round) -> Result<(), CongestError> {
+        let budget = self.config.bandwidth_bits;
+        let enforce = self.config.policy == BandwidthPolicy::Enforce;
+        let check_bits = |from: NodeId, to: NodeId, msg: &P::Msg| {
+            if enforce {
+                let bits = msg.size_bits();
+                if bits > budget {
+                    return Err(CongestError::BandwidthExceeded {
+                        from,
+                        to,
+                        round,
+                        bits,
+                        budget,
+                    });
+                }
+            }
+            Ok(())
+        };
         for idx in 0..self.senders.len() {
             let i = self.senders[idx] as usize;
             let outbox = &self.staged[i];
             let node = NodeId::new(i);
+            if outbox.windows(2).all(|w| w[0].0 < w[1].0) {
+                let mut neighbors = self.graph.neighbors(node).iter();
+                for &(to, ref msg) in outbox {
+                    if !neighbors.any(|&w| w == to) {
+                        return Err(CongestError::NotANeighbor { from: node, to });
+                    }
+                    check_bits(node, to, msg)?;
+                }
+                continue;
+            }
             self.seen_epoch += 1;
             for &(to, ref msg) in outbox {
                 if !self.graph.has_edge(node, to) {
@@ -1632,18 +1668,7 @@ where
                     });
                 }
                 *slot = self.seen_epoch;
-                if self.config.policy == BandwidthPolicy::Enforce {
-                    let bits = msg.size_bits();
-                    if bits > self.config.bandwidth_bits {
-                        return Err(CongestError::BandwidthExceeded {
-                            from: node,
-                            to,
-                            round,
-                            bits,
-                            budget: self.config.bandwidth_bits,
-                        });
-                    }
-                }
+                check_bits(node, to, msg)?;
             }
         }
         Ok(())
@@ -2111,6 +2136,71 @@ mod tests {
                 to: NodeId::new(3)
             }
         );
+    }
+
+    /// Ascending outboxes take the merge walk and all others the per-message
+    /// search; both must report the first offending message in staging
+    /// order, with the neighbour check before the bandwidth check.
+    #[test]
+    fn outbox_validation_reports_the_first_offending_message() {
+        struct Scripted(Vec<(usize, usize)>);
+        impl NodeProgram for Scripted {
+            type Msg = Sized;
+            type Output = ();
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Sized>) -> Status {
+                if ctx.node() == NodeId::new(0) {
+                    for &(to, bits) in &self.0 {
+                        ctx.send(NodeId::new(to), Sized(bits));
+                    }
+                }
+                Status::Halted
+            }
+            fn finish(self, _node: NodeId) {}
+        }
+        // Node 0 sends; its neighbours are 1, 2 and 4.
+        let g = Graph::from_edges(6, [(0, 1), (0, 2), (0, 4), (3, 5)]).unwrap();
+        let v = NodeId::new;
+        let not_neighbor = |to| {
+            Err(CongestError::NotANeighbor {
+                from: v(0),
+                to: v(to),
+            })
+        };
+        let too_wide = |to| {
+            Err(CongestError::BandwidthExceeded {
+                from: v(0),
+                to: v(to),
+                round: 0,
+                bits: 17,
+                budget: 16,
+            })
+        };
+        let cases = [
+            (vec![(1, 8), (2, 8), (4, 8)], Ok(())),
+            (vec![(1, 8), (3, 8), (4, 8)], not_neighbor(3)),
+            (vec![(1, 8), (4, 8), (5, 8)], not_neighbor(5)),
+            (vec![(0, 8), (1, 8)], not_neighbor(0)),
+            (vec![(1, 8), (7, 8)], not_neighbor(7)),
+            (vec![(1, 8), (2, 17), (3, 8)], too_wide(2)),
+            (vec![(1, 8), (3, 17)], not_neighbor(3)),
+            (vec![(4, 8), (1, 8), (2, 17)], too_wide(2)),
+            (vec![(4, 8), (3, 8), (2, 17)], not_neighbor(3)),
+            (
+                vec![(1, 8), (2, 8), (1, 8)],
+                Err(CongestError::DuplicateSend {
+                    from: v(0),
+                    to: v(1),
+                    round: 0,
+                }),
+            ),
+        ];
+        for (sends, expect) in cases {
+            let mut net = Network::new(&g, Config::new(16), |_| Scripted(sends.clone()));
+            assert_eq!(net.step(), expect, "sends {sends:?}");
+        }
+        let track = Config::new(16).with_policy(BandwidthPolicy::Track);
+        let mut net = Network::new(&g, track, |_| Scripted(vec![(1, 8), (2, 17)]));
+        assert_eq!(net.step(), Ok(()));
     }
 
     #[test]

@@ -343,16 +343,15 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
     assert!(n > 0, "graph requires at least one node");
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.random_bool(p) {
-                b.edge(i, j);
+                edges.push((i, j));
             }
         }
     }
-    patch_connectivity(&mut b, &mut rng);
-    b.build()
+    connect_components(n, edges, &mut rng)
 }
 
 /// Random graph with expected degree `deg` (i.e. `G(n, deg/(n-1))`),
@@ -367,16 +366,14 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
     let p = (deg / (n as f64 - 1.0)).clamp(0.0, 1.0);
     // Sample via geometric skips for large sparse graphs.
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     if p > 0.0 {
         let logq = (1.0 - p).ln();
         if logq == 0.0 {
             // p == 0 after clamping; nothing to sample.
         } else if p >= 1.0 {
             for i in 0..n {
-                for j in (i + 1)..n {
-                    b.edge(i, j);
-                }
+                edges.extend(((i + 1)..n).map(|j| (i, j)));
             }
         } else {
             // Iterate pairs (i, j), i < j, in a flattened index with skips.
@@ -389,13 +386,12 @@ pub fn random_sparse(n: usize, deg: f64, seed: u64) -> Graph {
                 if idx >= total as f64 {
                     break;
                 }
-                let (i, j) = rows.locate(idx as usize);
-                b.edge_if_absent(i, j);
+                // `idx` grows by at least 1 per draw, so every pair is new.
+                edges.push(rows.locate(idx as usize));
             }
         }
     }
-    patch_connectivity(&mut b, &mut rng);
-    b.build()
+    connect_components(n, edges, &mut rng)
 }
 
 /// Maps flattened pair indices to `(i, j)` with `i < j` over `n` nodes,
@@ -432,19 +428,17 @@ impl PairRows {
     }
 }
 
-/// Connects the components of the graph under construction with uniformly
+/// The graph on `edges`, with its components connected by uniformly
 /// random inter-component edges (one per merge), using a shuffled node
 /// permutation so the patch edges are unbiased.
-fn patch_connectivity(b: &mut GraphBuilder, rng: &mut StdRng) {
-    let n = b.len();
-    if n <= 1 {
-        return;
-    }
-    // Union-find over current edges.
-    let snapshot = b.clone().build();
-    let (labels, count) = crate::traversal::connected_components(&snapshot);
+///
+/// `edges` must be distinct and free of self-loops. The patch only joins
+/// different components, so the second build cannot meet a duplicate.
+fn connect_components(n: usize, mut edges: Vec<(usize, usize)>, rng: &mut StdRng) -> Graph {
+    let graph = Graph::from_edges(n, edges.iter().copied()).expect("sampled edges are distinct");
+    let (labels, count) = crate::traversal::connected_components(&graph);
     if count <= 1 {
-        return;
+        return graph;
     }
     // Pick one random representative per component, shuffle, chain them.
     let mut reps: Vec<Vec<usize>> = vec![Vec::new(); count];
@@ -456,9 +450,8 @@ fn patch_connectivity(b: &mut GraphBuilder, rng: &mut StdRng) {
         .map(|members| members[rng.random_range(0..members.len())])
         .collect();
     chosen.shuffle(rng);
-    for w in chosen.windows(2) {
-        b.edge_if_absent(w[0], w[1]);
-    }
+    edges.extend(chosen.windows(2).map(|w| (w[0], w[1])));
+    Graph::from_edges(n, edges).expect("patch edges join distinct components")
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use crate::{GraphBuilder, GraphError, NodeId};
 /// makes iteration deterministic — important because the CONGEST simulator
 /// and all experiments must be reproducible from a seed.
 ///
-/// Use [`GraphBuilder`] to construct a graph, or one of the family
-/// constructors in [`generators`](crate::generators).
+/// Use [`Graph::from_edges`] or [`GraphBuilder`] to construct a graph, or
+/// one of the family constructors in [`generators`](crate::generators).
 ///
 /// # Example
 ///
@@ -34,19 +34,89 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph with `n` nodes from an iterator of undirected edges.
     ///
+    /// The CSR arrays are built in bulk: one validating pass collects the
+    /// edges and counts degrees, a prefix sum places the rows, one scatter
+    /// writes both directions of every edge, and each row is sorted, which
+    /// puts a repeated edge's two entries side by side. The cost is
+    /// `O(n + m + Σ deg·log deg)` time and a fixed set of allocations (the
+    /// CSR arrays, the edge list and one row cursor per node).
+    ///
     /// # Errors
     ///
     /// Returns an error if an endpoint is out of range, an edge is a
-    /// self-loop, or an edge appears twice.
+    /// self-loop, or an edge appears twice, and [`GraphError::TooLarge`]
+    /// if the valid edges overflow the `u32` CSR offsets. The error is the
+    /// one a [`GraphBuilder`] reports when fed the edges one by one: that
+    /// of the first offending edge in input order, so a duplicate beats any
+    /// later out-of-range edge or self-loop, and `TooLarge` comes only when
+    /// no edge is invalid.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut builder = GraphBuilder::new(n);
+        let edges = edges.into_iter();
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.size_hint().0);
+        let mut offsets = vec![0u32; n + 1];
         for (u, v) in edges {
-            builder.try_edge(u, v)?;
+            if u >= n || v >= n || u == v {
+                return Err(Graph::first_error(n, &pairs, Some((u, v))));
+            }
+            // A count wraps only past `u32::MAX` entries, which the size
+            // check below rejects before any count is read.
+            offsets[u + 1] = offsets[u + 1].wrapping_add(1);
+            offsets[v + 1] = offsets[v + 1].wrapping_add(1);
+            pairs.push((NodeId::new(u), NodeId::new(v)));
         }
-        builder.try_build()
+        let total = 2 * pairs.len();
+        if Graph::check_csr_size(total).is_err() {
+            return Err(Graph::first_error(n, &pairs, None));
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut neighbors = vec![NodeId::default(); total];
+        for &(u, v) in &pairs {
+            let cu = &mut cursor[u.index()];
+            neighbors[*cu as usize] = v;
+            *cu += 1;
+            let cv = &mut cursor[v.index()];
+            neighbors[*cv as usize] = u;
+            *cv += 1;
+        }
+        let mut duplicate = false;
+        for w in offsets.windows(2) {
+            let row = &mut neighbors[w[0] as usize..w[1] as usize];
+            row.sort_unstable();
+            duplicate |= row.windows(2).any(|p| p[0] == p[1]);
+        }
+        if duplicate {
+            return Err(Graph::first_error(n, &pairs, None));
+        }
+        Ok(Graph { offsets, neighbors })
+    }
+
+    /// The error [`Graph::from_edges`] reports when its bulk build fails:
+    /// the first error of a [`GraphBuilder`] fed the accepted edges and then
+    /// `offending`, the edge that stopped the validating pass, if any. With
+    /// neither an offending edge nor a duplicate, the edges overflow the CSR
+    /// offsets.
+    #[cold]
+    fn first_error(
+        n: usize,
+        accepted: &[(NodeId, NodeId)],
+        offending: Option<(usize, usize)>,
+    ) -> GraphError {
+        let mut builder = GraphBuilder::new(n);
+        let replay = accepted.iter().map(|&(u, v)| (u.index(), v.index()));
+        for (u, v) in replay.chain(offending) {
+            if let Err(e) = builder.try_edge(u, v) {
+                return e;
+            }
+        }
+        GraphError::TooLarge {
+            entries: 2 * accepted.len(),
+        }
     }
 
     /// Checks that `entries` directed adjacency entries fit the `u32` CSR
