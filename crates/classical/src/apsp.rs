@@ -124,22 +124,7 @@ pub fn exact_diameter(graph: &Graph, config: Config) -> Result<ExactDiameterOutc
     ledger.add("dfs numbering", dfs.stats);
 
     // Phase 3: pipelined waves from every node.
-    let mut sources: Vec<(NodeId, u64)> = Vec::with_capacity(dfs.tau.len());
-    for (i, t) in dfs.tau.iter().enumerate() {
-        match t {
-            Some(t) => sources.push((NodeId::new(i), *t)),
-            // The completed full tour visits every node; dfs_walk already
-            // errors on a lost token, so a hole here can only be fault
-            // degradation it could not see (e.g. a crashed node).
-            None if fault_aware => {
-                return Err(AlgoError::FaultDetected {
-                    round: dfs.stats.rounds,
-                    detail: format!("DFS tour never visited node {i}: no wave offset for it"),
-                })
-            }
-            None => panic!("full tour visits every node"),
-        }
-    }
+    let sources = wave_sources(&dfs.tau, fault_aware, dfs.stats.rounds)?;
     let duration = 2 * steps + u64::from(b.depth) + 2;
     let wave = waves::run(graph, &sources, duration, config)?;
     ledger.add("eccentricity waves", wave.stats);
@@ -181,10 +166,54 @@ pub fn exact_diameter(graph: &Graph, config: Config) -> Result<ExactDiameterOutc
     })
 }
 
+/// The wave sources of Figure 2: every node with its DFS tour offset τ(u).
+///
+/// The completed full tour visits every node, and `dfs_walk` already
+/// errors on a lost token, so a node without an offset is fault
+/// degradation the walk could not see (e.g. a crashed node) when a fault
+/// plan is attached — [`AlgoError::FaultDetected`] at `round` — and a
+/// broken protocol invariant otherwise ([`AlgoError::Protocol`]).
+pub(crate) fn wave_sources(
+    tau: &[Option<u64>],
+    fault_aware: bool,
+    round: u64,
+) -> Result<Vec<(NodeId, u64)>, AlgoError> {
+    tau.iter()
+        .enumerate()
+        .map(|(i, t)| match t {
+            Some(t) => Ok((NodeId::new(i), *t)),
+            None if fault_aware => Err(AlgoError::FaultDetected {
+                round,
+                detail: format!("DFS tour never visited node {i}: no wave offset for it"),
+            }),
+            None => Err(AlgoError::Protocol {
+                reason: format!("the full DFS tour never visited node {i}"),
+            }),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphs::{generators, metrics};
+
+    #[test]
+    fn an_unvisited_node_is_a_typed_error_not_a_panic() {
+        let tau = [Some(0), None, Some(2)];
+        assert_eq!(
+            wave_sources(&tau[..1], false, 9),
+            Ok(vec![(NodeId::new(0), 0)])
+        );
+        let Err(AlgoError::Protocol { reason }) = wave_sources(&tau, false, 9) else {
+            panic!("fault-free hole must be a protocol error");
+        };
+        assert!(reason.contains("node 1"), "{reason}");
+        assert!(matches!(
+            wave_sources(&tau, true, 9),
+            Err(AlgoError::FaultDetected { round: 9, .. })
+        ));
+    }
 
     #[test]
     fn matches_reference_on_families() {

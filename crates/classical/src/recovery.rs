@@ -283,22 +283,8 @@ fn attempt_pipeline(
     ledger.add("dfs numbering", dfs.stats);
     spent.absorb(&dfs.stats);
 
-    let mut sources: Vec<(NodeId, u64)> = Vec::with_capacity(dfs.tau.len());
-    for (i, t) in dfs.tau.iter().enumerate() {
-        match t {
-            Some(t) => sources.push((NodeId::new(i), *t)),
-            None if fault_aware => {
-                return Err((
-                    AlgoError::FaultDetected {
-                        round: dfs.stats.rounds,
-                        detail: format!("DFS tour never visited node {i}: no wave offset for it"),
-                    },
-                    spent,
-                ))
-            }
-            None => panic!("full tour visits every node"),
-        }
-    }
+    let sources = crate::apsp::wave_sources(&dfs.tau, fault_aware, dfs.stats.rounds)
+        .map_err(|e| (e, spent))?;
 
     let max_dist = if policy.checkpoint() == 0 {
         // Monolithic wave schedule, exactly as the fail-stop driver.

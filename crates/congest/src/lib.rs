@@ -14,9 +14,11 @@
 //! * [`NodeProgram`] — the per-node state machine an algorithm implements.
 //! * [`Network`] — the synchronous scheduler: delivers messages, enforces or
 //!   tracks the per-edge bandwidth budget, detects quiescence, and collects
-//!   [`RunStats`]. Rounds run allocation-free over double-buffered inbox
-//!   arenas; [`Config::with_shards`] opts into multi-threaded execution
-//!   with byte-identical results.
+//!   [`RunStats`]. Rounds run allocation-free over a double-buffered
+//!   message path: each payload is stored once when sent, and an
+//!   [`Inbox`] is a view of entry indices into last round's send buffer;
+//!   [`Config::with_shards`] opts into multi-threaded execution with
+//!   byte-identical results.
 //! * [`Payload`] — messages declare their size in bits; the [`bits`] module
 //!   has helpers for honest field sizes.
 //! * [`RoundsLedger`] — accumulates round/bit accounting across the phases of
@@ -87,7 +89,7 @@ pub use faults::{FaultPlan, FaultStats};
 pub use ledger::RoundsLedger;
 pub use message::Payload;
 pub use network::{BandwidthPolicy, Config, CriticalPath, Network, RunStats, Scheduling};
-pub use program::{NodeProgram, RoundCtx, Status};
+pub use program::{Inbox, InboxIter, NodeProgram, RoundCtx, Status};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 
 /// Round counter type. Rounds are numbered from 0.

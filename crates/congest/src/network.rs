@@ -4,6 +4,7 @@ use std::collections::BinaryHeap;
 use graphs::{BitSet, Graph, NodeId};
 
 use crate::faults::{FaultPlan, FaultStats, FaultsId, MessageFate};
+use crate::program::{Dest, Inbox, SendBuf};
 use crate::recovery::RecoveryPolicy;
 use crate::{CongestError, NodeProgram, Payload, Round, RoundCtx, Status};
 
@@ -333,26 +334,34 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    last round's [`Status::Active`] voters and message receivers, plus
 ///    [`Status::Sleep`] wakeups that have come due. Dense mode runs every
 ///    node every round instead; see [`Scheduling`].
-/// 1. **seal** — the two halves of the columnar message arena swap:
-///    messages staged last round (one flat `(sender, payload)` buffer, one
-///    destination column) are sealed into per-receiver inbox segments by a
-///    stable in-place counting sort costing O(messages + receivers). No
-///    per-node `Vec`s, no per-round allocation after warm-up.
-/// 2. **execute** — every scheduled program runs against its inbox segment
-///    and stages an outbox into a per-node scratch buffer; nodes that
-///    staged anything are collected into a sender list. With
+/// 1. **seal** — the two send buffers swap: the one committed last round
+///    becomes the read-only store this round's inboxes index into. The
+///    `(receiver, entry)` pairs the commit staged are turned into
+///    per-receiver segments of entry indices by a prefix sum over the
+///    receivers and one stable scatter, costing O(messages + receivers).
+///    An inbox is an [`Inbox`] view of its segment; no payload moves.
+/// 2. **execute** — every scheduled program runs against its inbox view
+///    and appends its sends to the round's shared send buffer: one entry
+///    per `send`, and one per `broadcast`/`broadcast_except` however many
+///    neighbours it reaches. Nodes that staged anything are collected into
+///    a sender list with the end of their run of entries. With
 ///    [`Config::with_shards`]` > 1` this phase fans out across scoped
-///    worker threads (contiguous node-id ranges); trace events emitted by
+///    worker threads (contiguous node-id ranges, one send buffer per
+///    shard, concatenated in node-id order); trace events emitted by
 ///    programs on worker threads are captured per shard and replayed in
 ///    node-id order.
-/// 3. **validate** — every staged outbox is checked (neighbor, one message
-///    per directed edge per round, bandwidth under
+/// 3. **validate** — every sender's entries are checked (neighbour, one
+///    message per directed edge per round, bandwidth under
 ///    [`BandwidthPolicy::Enforce`]) *before any effect commits*: a failed
 ///    `step()` leaves [`RunStats`], the round counter, and the next round's
-///    inboxes untouched.
+///    inboxes untouched. A sender whose only entry is a broadcast reaches
+///    distinct neighbours by construction, so only its bandwidth is
+///    checked.
 /// 4. **commit** — sequential in node-id order regardless of shard count:
-///    statistics, observers, trace events, and staging into the pending
-///    half of the arena. Only the sender list is walked — edge-level
+///    each entry's receivers are walked once, and statistics, observers,
+///    trace events and fault fates are charged per delivered message. A
+///    delivery appends a `(receiver, entry)` pair and counts the
+///    receiver's next inbox; only the sender list is walked — edge-level
 ///    sparsity on top of the active set's node-level kind.
 ///
 /// Node iteration order is fixed (by id) and inboxes arrive sorted by
@@ -371,43 +380,29 @@ pub struct Network<'g, P: NodeProgram> {
     /// is O(1) instead of scanning all n statuses every round — that scan
     /// made long-frontier runs (e.g. flooding a path) quadratic.
     halted: usize,
-    /// The sealed half of the columnar inbox arena: this round's messages
-    /// as one contiguous `(sender, payload)` buffer, segmented per receiver
-    /// by `inbox_start`/`inbox_len` (see [`Network::seal_inboxes`]).
-    inbox: ColumnBuf<P::Msg>,
-    /// The staging half of the double buffer: messages committed this round
-    /// accumulate here in columnar form (`dest[k]` receives `data[k]`) and
-    /// are sealed into per-receiver segments at the next round's flip. The
-    /// two halves swap each round, so no per-round allocation after warm-up.
-    pending: ColumnBuf<P::Msg>,
-    /// Per-node segment start into `inbox.data`, valid iff
-    /// `inbox_mark[i] == inbox_epoch`.
-    inbox_start: Vec<u32>,
-    /// Per-node segment length, same validity rule.
-    inbox_len: Vec<u32>,
-    /// Epoch stamps making the segment index O(receivers) to rebuild: a
-    /// stale stamp *is* the empty inbox, so idle nodes cost nothing at the
-    /// flip.
-    inbox_mark: Vec<u64>,
-    inbox_epoch: u64,
-    /// Distinct receivers of the sealed buffer, in first-staged order;
-    /// scratch reused across rounds.
-    receivers: Vec<u32>,
-    /// Scratch for the seal's in-place slot permutation.
-    perm: Vec<u32>,
-    /// Set when a delayed-message merge staged a sender out of ascending
-    /// order (fault plans only); the next seal then sorts each affected
-    /// round's segments to restore the sorted-inbox invariant.
-    pending_unsorted: bool,
-    /// Per-node staged outboxes, reused across rounds.
-    staged: Vec<Vec<(NodeId, P::Msg)>>,
-    /// Nodes that staged at least one message this round (ascending). The
-    /// commit and validate phases walk this instead of the full active set
-    /// — edge-level sparsity on top of the active set's node-level kind.
-    senders: Vec<u32>,
-    /// Per-shard sender scratch for the sharded execute phase, concatenated
-    /// into `senders` in chunk (= node-id) order.
-    shard_senders: Vec<Vec<u32>>,
+    /// This round's send buffer: every executed node appends its sends
+    /// here, and after commit it holds the payloads of the next round's
+    /// inboxes (plus any delayed messages merged in).
+    sent: SendBuf<P::Msg>,
+    /// Last round's send buffer, read-only this round: the store every
+    /// inbox view indexes into. The two buffers swap at each seal, so no
+    /// per-round allocation after warm-up.
+    prev: SendBuf<P::Msg>,
+    /// Staged deliveries and the sealed per-receiver index segments.
+    arena: InboxArena,
+    /// Per-shard send buffers for the sharded execute phase (worker chunks
+    /// only; the first chunk appends to `sent`), concatenated into `sent`
+    /// in chunk (= node-id) order.
+    shard_bufs: Vec<SendBuf<P::Msg>>,
+    /// Nodes that staged at least one entry this round (ascending), each
+    /// with the end of its run of entries in `sent` (the run starts where
+    /// the previous sender's ends). The commit and validate phases walk
+    /// this instead of the full active set — edge-level sparsity on top of
+    /// the active set's node-level kind.
+    senders: Vec<(u32, u32)>,
+    /// Per-shard sender scratch for the sharded execute phase (worker
+    /// chunks only), with ends relative to the shard's own buffer.
+    shard_senders: Vec<Vec<(u32, u32)>>,
     /// Epoch-stamped duplicate-send marks, one slot per destination node.
     /// `seen[to] == seen_epoch` means the sender currently being validated
     /// already sent to `to` this round — an O(1) check replacing the seed
@@ -431,11 +426,14 @@ pub struct Network<'g, P: NodeProgram> {
     /// O(k log k) sort — identical output either way.
     frontier: BitSet,
     /// Round-stamped membership marks: node `i` is queued for round `r`
-    /// iff `active_mark[i] == r`. Stamps only grow, so stale entries (from
-    /// earlier rounds or across a fast-forward jump) never collide;
-    /// `Round::MAX` is the never-stamped sentinel. The marks keep both
-    /// `next_active` and the wakeup merge duplicate-free, so the assembled
-    /// active list never needs a dedup pass.
+    /// iff `active_mark[i] == r`, with one exception — when every node is
+    /// queued by its vote (an all-active round), plain `Active` voters stay
+    /// unstamped: no delivery can wake anyone then, and such a voter holds
+    /// no live wakeup, so no reader looks. Stamps only grow, so stale
+    /// entries (from earlier rounds or across a fast-forward jump) never
+    /// collide; `Round::MAX` is the never-stamped sentinel. The marks keep
+    /// both `next_active` and the wakeup merge duplicate-free, so the
+    /// assembled active list never needs a dedup pass.
     active_mark: Vec<Round>,
     /// Whether `next_active` is currently in ascending node-id order. The
     /// vote scan pushes in ascending order from an empty list, so only
@@ -490,8 +488,8 @@ pub struct Network<'g, P: NodeProgram> {
     /// [`Config::with_critical_path`] enabled it. Boxed: four `Vec`s the
     /// common unprofiled path should not pay struct size for.
     crit: Option<Box<CritState>>,
-    /// High-water bytes held by the columnar arena halves (capacities of
-    /// both `ColumnBuf`s), refreshed at round end whenever a metrics
+    /// High-water bytes held by the message path (capacities of both send
+    /// buffers and of the arena's pair and index lists), refreshed at round end whenever a metrics
     /// registry or flight recorder is installed.
     arena_highwater: u64,
     /// The thread's flight recorder, bound once at construction (unlike
@@ -512,68 +510,130 @@ const FRONTIER_MIN_NODES: usize = 256;
 /// bitmap set-and-scan instead of sorting.
 const FRONTIER_DENSITY_SHIFT: usize = 5;
 
-/// One half of the columnar message double buffer: message `k` is
-/// `data[k]`, destined for node `dest[k]`. Two flat vectors instead of
-/// per-node `Vec<Vec<_>>` keep the arena contiguous, cache-friendly at
-/// n ≈ 10⁶, and allocation-free across rounds after warm-up.
-struct ColumnBuf<M> {
-    dest: Vec<u32>,
-    data: Vec<(NodeId, M)>,
+/// The index side of the message path: which staged entries each node
+/// receives. The commit phase appends one `(receiver, entry)` pair per
+/// delivered message and counts the receiver's next-round segment; the
+/// seal turns the pairs into per-receiver segments of entry indices. Pairs
+/// are staged in ascending sender order (the commit walks senders in
+/// order, and a receiver gets at most one entry per sender), so a stable
+/// scatter leaves every segment sorted by sender.
+struct InboxArena {
+    /// Deliveries staged for the next round, in commit order.
+    pairs: Vec<(u32, u32)>,
+    /// Distinct receivers of `pairs`, in first-staged order.
+    receivers: Vec<u32>,
+    /// The sealed segments: node `i`'s inbox is `idx[start[i]..][..len[i]]`,
+    /// valid iff `mark[i] == epoch`. A stale stamp *is* the empty inbox,
+    /// so idle nodes cost nothing at the seal. While the commit counts the
+    /// next round, `mark[i] == epoch + 1` flags a receiver already counted.
+    idx: Vec<u32>,
+    start: Vec<u32>,
+    len: Vec<u32>,
+    mark: Vec<u64>,
+    epoch: u64,
+    /// Set when a delayed-message merge staged a sender out of ascending
+    /// order (fault plans only); the next seal then sorts each segment to
+    /// restore the sorted-inbox invariant.
+    unsorted: bool,
 }
 
-impl<M> ColumnBuf<M> {
-    fn new() -> Self {
-        ColumnBuf {
-            dest: Vec::new(),
-            data: Vec::new(),
+impl InboxArena {
+    fn new(n: usize) -> Self {
+        InboxArena {
+            pairs: Vec::new(),
+            receivers: Vec::new(),
+            idx: Vec::new(),
+            start: vec![0; n],
+            len: vec![0; n],
+            mark: vec![0; n],
+            epoch: 0,
+            unsorted: false,
         }
     }
 
-    fn len(&self) -> usize {
-        self.data.len()
+    /// Stages entry `entry` of the current send buffer for node `to`'s
+    /// next inbox.
+    #[inline]
+    fn stage(&mut self, to: usize, entry: u32) {
+        let next = self.epoch + 1;
+        if self.mark[to] != next {
+            self.mark[to] = next;
+            self.len[to] = 0;
+            self.receivers.push(to as u32);
+        }
+        self.len[to] += 1;
+        self.pairs.push((to as u32, entry));
     }
 
-    fn clear(&mut self) {
-        self.dest.clear();
-        self.data.clear();
+    /// Seals the staged pairs into this round's segments over `msgs`, the
+    /// send buffer they index into: a prefix sum puts each segment's end in
+    /// `start`, and a reverse walk over the pairs scatters every entry into
+    /// the last free slot of its segment, which leaves `start` at the
+    /// segment start and the pairs' order intact.
+    fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
+        self.epoch += 1;
+        self.idx.clear();
+        self.idx.resize(self.pairs.len(), 0);
+        let mut end = 0u32;
+        for &t in &self.receivers {
+            end += self.len[t as usize];
+            self.start[t as usize] = end;
+        }
+        for &(t, k) in self.pairs.iter().rev() {
+            let slot = &mut self.start[t as usize];
+            *slot -= 1;
+            self.idx[*slot as usize] = k;
+        }
+        if self.unsorted {
+            self.unsorted = false;
+            for &t in &self.receivers {
+                let start = self.start[t as usize] as usize;
+                let len = self.len[t as usize] as usize;
+                self.idx[start..start + len].sort_unstable_by_key(|&k| msgs[k as usize].0);
+            }
+        }
+        self.pairs.clear();
+        self.receivers.clear();
     }
 
-    fn push(&mut self, to: u32, from: NodeId, msg: M) {
-        self.dest.push(to);
-        self.data.push((from, msg));
+    /// Whether node `i` has a sealed segment this round.
+    fn received(&self, i: usize) -> bool {
+        self.mark[i] == self.epoch
+    }
+
+    /// Empties this round's sealed segments.
+    fn discard(&mut self) {
+        self.epoch += 1;
+        self.idx.clear();
     }
 }
 
-/// A shared view of the sealed inbox arena handed to execute-phase chunks
-/// (including worker threads): node `i`'s inbox is the slice
-/// `data[start[i]..][..len[i]]`, valid only while `mark[i] == epoch` — a
-/// stale mark *is* the empty inbox.
-struct InboxRef<'a, M> {
-    data: &'a [(NodeId, M)],
-    start: &'a [u32],
-    len: &'a [u32],
-    mark: &'a [u64],
-    epoch: u64,
+/// A shared view of this round's inboxes handed to execute-phase chunks
+/// (including worker threads).
+struct Inboxes<'a, M> {
+    msgs: &'a [(NodeId, M)],
+    arena: &'a InboxArena,
 }
 
 // Manual impls: `M` itself need not be `Clone`/`Copy` for shared
 // references to it to be.
-impl<M> Clone for InboxRef<'_, M> {
+impl<M> Clone for Inboxes<'_, M> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<M> Copy for InboxRef<'_, M> {}
+impl<M> Copy for Inboxes<'_, M> {}
 
-impl<'a, M> InboxRef<'a, M> {
-    /// The inbox slice of node `i` — empty unless a segment was sealed for
-    /// it this round.
-    fn of(&self, i: usize) -> &'a [(NodeId, M)] {
-        if self.mark[i] != self.epoch {
-            return &[];
+impl<'a, M> Inboxes<'a, M> {
+    /// The inbox of node `i` — empty unless a segment was sealed for it
+    /// this round.
+    fn of(&self, i: usize) -> Inbox<'a, M> {
+        let a = self.arena;
+        if !a.received(i) {
+            return Inbox::new(self.msgs, &[]);
         }
-        let start = self.start[i] as usize;
-        &self.data[start..start + self.len[i] as usize]
+        let start = a.start[i] as usize;
+        Inbox::new(self.msgs, &a.idx[start..start + a.len[i] as usize])
     }
 }
 
@@ -698,16 +758,10 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             config,
             statuses: vec![Status::Active; n],
             halted: 0,
-            inbox: ColumnBuf::new(),
-            pending: ColumnBuf::new(),
-            inbox_start: vec![0; n],
-            inbox_len: vec![0; n],
-            inbox_mark: vec![0; n],
-            inbox_epoch: 0,
-            receivers: Vec::new(),
-            perm: Vec::new(),
-            pending_unsorted: false,
-            staged: (0..n).map(|_| Vec::new()).collect(),
+            sent: SendBuf::default(),
+            prev: SendBuf::default(),
+            arena: InboxArena::new(n),
+            shard_bufs: Vec::new(),
             senders: Vec::new(),
             shard_senders: Vec::new(),
             seen: vec![0; n],
@@ -846,15 +900,41 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         })
     }
 
-    /// Takes a fresh reading of the columnar arena's capacity bytes into
+    /// Takes a fresh reading of the message path's capacity bytes into
     /// the high-water mark. The capacities only grow, so any call sees a
     /// value at least as large as every earlier round's.
     fn refresh_arena_highwater(&mut self) {
-        let columns = (self.inbox.dest.capacity() + self.pending.dest.capacity()) as u64;
-        let slots = (self.inbox.data.capacity() + self.pending.data.capacity()) as u64;
-        let bytes = columns * std::mem::size_of::<u32>() as u64
-            + slots * std::mem::size_of::<(NodeId, P::Msg)>() as u64;
-        self.arena_highwater = self.arena_highwater.max(bytes);
+        use std::mem::size_of;
+        let (sent, prev, arena) = (&self.sent, &self.prev, &self.arena);
+        let entries = (sent.msgs.capacity() + prev.msgs.capacity()) * size_of::<(NodeId, P::Msg)>()
+            + (sent.dest.capacity() + prev.dest.capacity()) * size_of::<Dest>();
+        let index = arena.pairs.capacity() * size_of::<(u32, u32)>()
+            + arena.idx.capacity() * size_of::<u32>();
+        self.arena_highwater = self.arena_highwater.max((entries + index) as u64);
+    }
+
+    /// Stages entry `entry` of this round's send buffer for delivery to
+    /// `to` at the start of the next round, carrying causal depth `depth`.
+    /// With `wake`, the delivery also queues the receiver for next round
+    /// once — the round-stamped mark dedups repeat deliveries and the
+    /// receiver's own vote.
+    #[inline]
+    fn deliver(&mut self, to: usize, entry: u32, depth: u64, round: Round, wake: bool) {
+        if wake && self.active_mark[to] != round + 1 {
+            self.active_mark[to] = round + 1;
+            if self
+                .next_active
+                .last()
+                .is_some_and(|&last| last as usize > to)
+            {
+                self.next_sorted = false;
+            }
+            self.next_active.push(to as u32);
+        }
+        if let Some(c) = self.crit.as_deref_mut() {
+            c.stage(to, depth);
+        }
+        self.arena.stage(to, entry);
     }
 
     /// Charged-fault total for flight-recorder deltas: every event the
@@ -1020,14 +1100,16 @@ where
         }
         self.executed += self.active.len() as u64;
 
-        // Phase 1: flip the columnar double buffer and seal last round's
-        // staged traffic into per-receiver inbox segments.
-        self.seal_inboxes();
+        // Phase 1: swap the send buffers and seal last round's staged
+        // deliveries into per-receiver index segments.
+        std::mem::swap(&mut self.sent, &mut self.prev);
+        self.sent.clear();
+        self.arena.seal(&self.prev.msgs);
 
-        // Phase 2: execute every runnable program, staging outboxes and
-        // collecting the ids that staged anything. (When the active set is
-        // a single node, sharding buys nothing — run it on the calling
-        // thread.)
+        // Phase 2: execute every runnable program, appending sends to the
+        // round's send buffer and collecting the ids that staged anything.
+        // (When the active set is a single node, sharding buys nothing —
+        // run it on the calling thread.)
         let shards = self.config.shards.clamp(1, n.max(1));
         let execute_started = meter.as_ref().map(|_| std::time::Instant::now());
         // The scheduled nodes are about to overwrite their status votes:
@@ -1048,16 +1130,13 @@ where
                 num_nodes: n,
                 base: 0,
                 active: &self.active,
-                inboxes: InboxRef {
-                    data: &self.inbox.data,
-                    start: &self.inbox_start,
-                    len: &self.inbox_len,
-                    mark: &self.inbox_mark,
-                    epoch: self.inbox_epoch,
+                inboxes: Inboxes {
+                    msgs: &self.prev.msgs,
+                    arena: &self.arena,
                 },
                 programs: &mut self.programs,
                 statuses: &mut self.statuses,
-                staged: &mut self.staged,
+                out: &mut self.sent,
                 senders: &mut self.senders,
                 crashed,
             });
@@ -1071,18 +1150,16 @@ where
                 .record_span("congest/execute", span_nanos(started));
         }
 
-        // Phase 3: validate every staged outbox before committing any
+        // Phase 3: validate every sender's entries before committing any
         // effect, so an error leaves the accounting of this round as if the
         // step never ran.
         if let Err(e) = self.validate_staged(round) {
-            for &i in &self.senders {
-                self.staged[i as usize].clear();
-            }
+            self.sent.clear();
             self.senders.clear();
             // Drop this round's sealed inboxes too; bumping the epoch turns
             // every stale segment mark into an empty inbox.
-            self.inbox.clear();
-            self.inbox_epoch += 1;
+            self.prev.clear();
+            self.arena.discard();
             self.fault = fault;
             return Err(e);
         }
@@ -1098,9 +1175,9 @@ where
         // changing the protocol. Under active-set scheduling a
         // declared-quiet node is simply never executed early, so this
         // check bites on the dense reference runs that execute every node.
-        for &i in &self.senders {
+        for &(i, _) in &self.senders {
             let iu = i as usize;
-            if self.declared[iu] > round && self.inbox_mark[iu] != self.inbox_epoch {
+            if self.declared[iu] > round && !self.arena.received(iu) {
                 self.quiet_violations += 1;
                 if self.first_quiet_violation.is_none() {
                     self.first_quiet_violation = Some((round, i));
@@ -1124,9 +1201,20 @@ where
         // reference for the cross-check above). Inert declarations are
         // normalized to 0 so the vote scan and heap liveness never see
         // them; crashed nodes stage nothing and need no declaration.
+        //
+        // Phase 3b (active-set mode), in the same pass: record this
+        // round's votes. `Active` voters and past-due sleepers run again
+        // next round; future wakeups go to the heap — including `Active`
+        // voters with a declared quiet phase, which park until their
+        // declared round exactly like `Sleep(declared)`; `Halted` voters
+        // drop out until a message arrives. Recording votes *before*
+        // commit keeps `next_active` ascending in the common case (the
+        // active list is sorted, and delivery wakes during commit then
+        // mostly hit already-marked nodes), which lets the next round skip
+        // its sort.
         for &i in &self.active {
             let iu = i as usize;
-            self.declared[iu] = if crashed.is_some_and(|c| c[iu]) {
+            let quiet = if crashed.is_some_and(|c| c[iu]) {
                 0
             } else {
                 match self.programs[iu].quiet_until(NodeId::new(iu), round) {
@@ -1134,215 +1222,200 @@ where
                     _ => 0,
                 }
             };
-        }
-
-        // Phase 3b (active-set mode): record this round's votes. `Active`
-        // voters and past-due sleepers run again next round; future wakeups
-        // go to the heap — including `Active` voters with a declared quiet
-        // phase, which park until their declared round exactly like
-        // `Sleep(declared)`; `Halted` voters drop out until a message
-        // arrives. Running this as its own pass *before* commit keeps
-        // `next_active` ascending in the common case (the active list is
-        // sorted, and delivery wakes during commit then mostly hit
-        // already-marked nodes), which lets the next round skip its sort.
-        if sparse {
-            for &i in &self.active {
-                let iu = i as usize;
-                match self.statuses[iu] {
-                    Status::Active => {
-                        let quiet = self.declared[iu];
-                        if quiet > round + 1 {
-                            if self.queued_wake[iu] != quiet {
-                                self.queued_wake[iu] = quiet;
-                                self.wakeups.push(Reverse((quiet, i)));
-                            }
-                        } else {
-                            self.active_mark[iu] = round + 1;
-                            self.next_active.push(i);
-                        }
+            self.declared[iu] = quiet;
+            if !sparse {
+                continue;
+            }
+            match self.statuses[iu] {
+                Status::Active if quiet > round + 1 => {
+                    if self.queued_wake[iu] != quiet {
+                        self.queued_wake[iu] = quiet;
+                        self.wakeups.push(Reverse((quiet, i)));
                     }
-                    Status::Sleep(wake) if wake <= round + 1 => {
-                        self.active_mark[iu] = round + 1;
-                        self.next_active.push(i);
-                    }
-                    Status::Sleep(wake) => {
-                        if self.queued_wake[iu] != wake {
-                            self.queued_wake[iu] = wake;
-                            self.wakeups.push(Reverse((wake, i)));
-                        }
-                    }
-                    Status::Halted => {}
                 }
+                // Stamped below, and only when a delivery could still wake
+                // someone.
+                Status::Active => self.next_active.push(i),
+                Status::Sleep(wake) if wake <= round + 1 => {
+                    self.active_mark[iu] = round + 1;
+                    self.next_active.push(i);
+                }
+                Status::Sleep(wake) => {
+                    if self.queued_wake[iu] != wake {
+                        self.queued_wake[iu] = wake;
+                        self.wakeups.push(Reverse((wake, i)));
+                    }
+                }
+                Status::Halted => {}
             }
         }
 
         // Phase 4: commit, sequentially in node-id order (this is what
-        // keeps sharded runs byte-identical to sequential ones). Inboxes
-        // are filled in ascending sender order — the invariant behind the
-        // sorted-inbox contract of `NodeProgram::on_round`. Fault fates are
-        // decided here too: each is a pure function of the message's
-        // `(round, from, to)` coordinates, so sharding the execute phase
-        // cannot change them. Only the sender list is walked — nodes whose
-        // outbox stayed empty cost nothing here — and it is ascending and
-        // exhaustive by construction, so messages stage in sender-id order
-        // and each sealed inbox segment comes out sorted for free.
+        // keeps sharded runs byte-identical to sequential ones). Each entry's
+        // receivers are walked once, in neighbour order, and charged per
+        // delivered message. Fault fates are decided here too: each is a
+        // pure function of the message's `(round, from, to)` coordinates,
+        // so sharding the execute phase cannot change them. Only the
+        // sender list is walked — nodes that staged nothing cost nothing
+        // here — and it is ascending and exhaustive by construction, so
+        // deliveries stage in sender-id order and each sealed inbox segment
+        // comes out sorted for free.
         let budget = self.config.bandwidth_bits;
         // With every node already queued for next round (an all-active
-        // round), no delivery can wake anyone: skip the per-message check.
+        // round), no delivery can wake anyone: skip the per-message check,
+        // and leave the `Active` voters unstamped — a plain `Active` vote
+        // holds no live wakeup, so nothing else reads their marks.
         let wake = sparse && self.next_active.len() < n;
+        if wake {
+            for &i in &self.next_active {
+                self.active_mark[i as usize] = round + 1;
+            }
+        }
         let commit_started = meter.as_ref().map(|_| std::time::Instant::now());
-        for idx in 0..self.senders.len() {
-            let i = self.senders[idx] as usize;
+        let graph = self.graph;
+        // Taken out of `self` for the walk, so delivering (a `&mut self`
+        // method) can run while the entries are borrowed.
+        let mut sent = std::mem::take(&mut self.sent);
+        let senders = std::mem::take(&mut self.senders);
+        let mut first = 0;
+        for &(i, end) in &senders {
+            let (i, end) = (i as usize, end as usize);
             let node = NodeId::new(i);
             // Chain length every message from this sender extends: its
             // settled causal depth (deliveries up to this round's start
             // were folded in at the end of the previous step) plus one.
             let link_depth = self.crit.as_deref().map_or(0, |c| c.depth[i] + 1);
-            let mut outbox = std::mem::take(&mut self.staged[i]);
-            for (to, msg) in outbox.drain(..) {
+            let neighbors = graph.neighbors(node);
+            for k in first..end {
+                let msg = &sent.msgs[k].1;
                 let bits = msg.size_bits();
-                if bits > budget {
-                    // `Enforce` was rejected during validation, so an
-                    // over-budget message here is tracked, not fatal.
-                    self.stats.bandwidth_violations += 1;
+                // `Enforce` was rejected during validation, so an
+                // over-budget message here is tracked, not fatal.
+                let over = bits > budget;
+                let (targets, skip) = sent.dest[k].targets(neighbors);
+                let mut count = 0u64;
+                for &to in targets {
+                    if Some(to) == skip {
+                        continue;
+                    }
+                    count += 1;
+                    if over {
+                        if let Some(meter) = &meter {
+                            meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
+                        }
+                        if let Some(sink) = &tracer {
+                            sink.borrow_mut().record(&trace::TraceEvent::Violation {
+                                round,
+                                from: i as u64,
+                                to: to.index() as u64,
+                                bits: bits as u64,
+                                budget: budget as u64,
+                            });
+                        }
+                    }
+                    // Sends are accounted (and observed/traced) whether or
+                    // not the message survives the fault layer: a lost
+                    // message still spent the sender's bandwidth.
                     if let Some(meter) = &meter {
-                        meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
+                        // Charged at the same accounting point as the trace
+                        // event, so the cost model's payload-bit total
+                        // always reconciles with the trace layer's
+                        // delivered totals.
+                        meter.borrow_mut().charge_message(bits as u64);
+                    }
+                    if let Some(observer) = &mut self.observer {
+                        observer(round, node, to, bits);
                     }
                     if let Some(sink) = &tracer {
-                        sink.borrow_mut().record(&trace::TraceEvent::Violation {
+                        sink.borrow_mut().record(&trace::TraceEvent::Message {
                             round,
-                            from: node.index() as u64,
+                            from: i as u64,
                             to: to.index() as u64,
                             bits: bits as u64,
-                            budget: budget as u64,
                         });
                     }
-                }
-                // Sends are accounted (and observed/traced) whether or not
-                // the message survives the fault layer: a lost message
-                // still spent the sender's bandwidth.
-                self.stats.messages += 1;
-                self.stats.total_bits += bits as u64;
-                self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-                if let Some(meter) = &meter {
-                    // Charged at the same accounting point as the trace
-                    // event, so the cost model's payload-bit total always
-                    // reconciles with the trace layer's delivered totals.
-                    meter.borrow_mut().charge_message(bits as u64);
-                }
-                if let Some(observer) = &mut self.observer {
-                    observer(round, node, to, bits);
-                }
-                if let Some(sink) = &tracer {
-                    sink.borrow_mut().record(&trace::TraceEvent::Message {
-                        round,
-                        from: node.index() as u64,
-                        to: to.index() as u64,
-                        bits: bits as u64,
-                    });
-                }
-                let Some(f) = fault.as_mut() else {
-                    // A delivery wakes the receiver: it joins the next
-                    // round's active set once — the round-stamped mark
-                    // dedups repeat deliveries and the receiver's own vote.
-                    if wake && self.active_mark[to.index()] != round + 1 {
-                        self.active_mark[to.index()] = round + 1;
-                        if self
-                            .next_active
-                            .last()
-                            .is_some_and(|&last| last as usize > to.index())
-                        {
-                            self.next_sorted = false;
+                    let Some(f) = fault.as_mut() else {
+                        self.deliver(to.index(), k as u32, link_depth, round, wake);
+                        continue;
+                    };
+                    let emit = |kind: trace::FaultKind, delay: u64| {
+                        // Injected faults are charged to the cost model at
+                        // the same point they are traced, mirroring the
+                        // message accounting above, so `qd_faults_total`
+                        // reconciles with both `FaultStats` and the trace
+                        // summary.
+                        if let Some(meter) = &meter {
+                            meter.borrow_mut().add(metrics::names::FAULTS, 1);
                         }
-                        self.next_active.push(to.index() as u32);
+                        if let Some(sink) = &tracer {
+                            sink.borrow_mut().record(&trace::TraceEvent::Fault {
+                                round,
+                                kind,
+                                from: i as u64,
+                                to: to.index() as u64,
+                                delay,
+                            });
+                        }
+                    };
+                    if f.crashed[to.index()] {
+                        // A message to a crashed node is discarded;
+                        // `from != to` distinguishes this from the
+                        // crash-stop event itself.
+                        f.stats.crash_dropped += 1;
+                        emit(trace::FaultKind::Crash, 0);
+                        continue;
                     }
-                    if let Some(c) = self.crit.as_deref_mut() {
-                        c.stage(to.index(), link_depth);
+                    match f.plan.fate(round, i, to.index()) {
+                        MessageFate::Delivered => {
+                            self.deliver(to.index(), k as u32, link_depth, round, wake);
+                        }
+                        MessageFate::Dropped => {
+                            f.stats.dropped += 1;
+                            emit(trace::FaultKind::Drop, 0);
+                        }
+                        MessageFate::Corrupted => {
+                            f.stats.corrupted += 1;
+                            emit(trace::FaultKind::Corrupt, 0);
+                        }
+                        MessageFate::LinkDropped => {
+                            f.stats.link_dropped += 1;
+                            emit(trace::FaultKind::LinkDown, 0);
+                        }
+                        MessageFate::Delayed(extra) => {
+                            f.stats.delayed += 1;
+                            emit(trace::FaultKind::Delay, extra);
+                            f.queue.push(Delayed {
+                                due: round + 1 + extra,
+                                from: node,
+                                to,
+                                msg: msg.clone(),
+                                depth: link_depth,
+                            });
+                        }
                     }
-                    self.pending.push(to.index() as u32, node, msg);
-                    continue;
-                };
-                let emit = |kind: trace::FaultKind, delay: u64| {
-                    // Injected faults are charged to the cost model at the
-                    // same point they are traced, mirroring the message
-                    // accounting above, so `qd_faults_total` reconciles
-                    // with both `FaultStats` and the trace summary.
-                    if let Some(meter) = &meter {
-                        meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                    }
-                    if let Some(sink) = &tracer {
-                        sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                            round,
-                            kind,
-                            from: node.index() as u64,
-                            to: to.index() as u64,
-                            delay,
-                        });
-                    }
-                };
-                if f.crashed[to.index()] {
-                    // A message to a crashed node is discarded; `from != to`
-                    // distinguishes this from the crash-stop event itself.
-                    f.stats.crash_dropped += 1;
-                    emit(trace::FaultKind::Crash, 0);
-                    continue;
                 }
-                match f.plan.fate(round, node.index(), to.index()) {
-                    MessageFate::Delivered => {
-                        if wake && self.active_mark[to.index()] != round + 1 {
-                            self.active_mark[to.index()] = round + 1;
-                            if self
-                                .next_active
-                                .last()
-                                .is_some_and(|&last| last as usize > to.index())
-                            {
-                                self.next_sorted = false;
-                            }
-                            self.next_active.push(to.index() as u32);
-                        }
-                        if let Some(c) = self.crit.as_deref_mut() {
-                            c.stage(to.index(), link_depth);
-                        }
-                        self.pending.push(to.index() as u32, node, msg);
-                    }
-                    MessageFate::Dropped => {
-                        f.stats.dropped += 1;
-                        emit(trace::FaultKind::Drop, 0);
-                    }
-                    MessageFate::Corrupted => {
-                        f.stats.corrupted += 1;
-                        emit(trace::FaultKind::Corrupt, 0);
-                    }
-                    MessageFate::LinkDropped => {
-                        f.stats.link_dropped += 1;
-                        emit(trace::FaultKind::LinkDown, 0);
-                    }
-                    MessageFate::Delayed(extra) => {
-                        f.stats.delayed += 1;
-                        emit(trace::FaultKind::Delay, extra);
-                        f.queue.push(Delayed {
-                            due: round + 1 + extra,
-                            from: node,
-                            to,
-                            msg,
-                            depth: link_depth,
-                        });
+                if count > 0 {
+                    self.stats.messages += count;
+                    self.stats.total_bits += count * bits as u64;
+                    self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
+                    if over {
+                        self.stats.bandwidth_violations += count;
                     }
                 }
             }
-            self.staged[i] = outbox;
+            first = end;
         }
+        self.senders = senders;
 
         // Phase 4b (fault plans only): merge jittered messages due at the
-        // start of the next round into the staged buffer, preserving the
+        // start of the next round into the send buffer, preserving the
         // one-message-per-directed-edge invariant. A collision with a fresh
         // message from the same sender defers the delayed one
-        // deterministically by one more round. The staged buffer is
-        // columnar and unsegmented until the next seal, so the collision
-        // check is a linear scan — fault plans only, never on the hot path
-        // — and the merge marks the buffer for a per-segment sort at seal
-        // time, which restores exactly the order the old sorted insert
-        // produced.
+        // deterministically by one more round. The staged pairs are
+        // unsegmented until the next seal, so the collision check is a
+        // linear scan — fault plans only, never on the hot path — and the
+        // merge flags the arena for a per-segment sort at seal time, which
+        // restores sender order.
         if let Some(f) = fault.as_mut() {
             let mut i = 0;
             while i < f.queue.len() {
@@ -1370,11 +1443,10 @@ where
                 }
                 let t = to.index() as u32;
                 let collides = self
-                    .pending
-                    .dest
+                    .arena
+                    .pairs
                     .iter()
-                    .zip(&self.pending.data)
-                    .any(|(&d, &(sender, _))| d == t && sender == from);
+                    .any(|&(d, k)| d == t && sent.msgs[k as usize].0 == from);
                 if collides {
                     f.queue[i].due = round + 2;
                     f.stats.deferred += 1;
@@ -1388,27 +1460,16 @@ where
                     depth,
                     ..
                 } = f.queue.remove(i);
-                if sparse && self.active_mark[to.index()] != round + 1 {
-                    self.active_mark[to.index()] = round + 1;
-                    if self
-                        .next_active
-                        .last()
-                        .is_some_and(|&last| last as usize > to.index())
-                    {
-                        self.next_sorted = false;
-                    }
-                    self.next_active.push(to.index() as u32);
-                }
-                if let Some(c) = self.crit.as_deref_mut() {
-                    // The chain length was fixed when the message was sent;
-                    // the jitter only moved its delivery round.
-                    c.stage(to.index(), depth);
-                }
-                self.pending.push(to.index() as u32, from, msg);
-                self.pending_unsorted = true;
+                let entry = sent.len() as u32;
+                sent.push(from, msg, Dest::One(to));
+                // The chain length was fixed when the message was sent; the
+                // jitter only moved its delivery round.
+                self.deliver(to.index(), entry, depth, round, wake);
+                self.arena.unsorted = true;
             }
         }
-        self.in_flight = self.pending.len();
+        self.sent = sent;
+        self.in_flight = self.arena.pairs.len();
         self.fault = fault;
 
         // Fold this round's staged deliveries into the settled causal
@@ -1419,7 +1480,7 @@ where
             self.stats.critical_depth = c.max_depth;
         }
 
-        // Arena telemetry: the columnar double buffer only ever grows, so
+        // Arena telemetry: the message-path buffers only ever grow, so
         // the capacity sum is the run's memory high-water. Refreshed only
         // when someone is listening — the untraced hot path skips even
         // these few loads.
@@ -1481,9 +1542,9 @@ where
             );
         }
 
-        // No recycle pass: the consumed inbox half of the arena is cleared
-        // wholesale (capacity kept) when the next seal flips it back into
-        // the staging role.
+        // No recycle pass: the consumed send buffer is cleared wholesale
+        // (capacity kept) when the next seal swaps it back into the
+        // staging role.
 
         self.round += 1;
         self.stats.rounds = self.round;
@@ -1513,25 +1574,25 @@ where
         let n = self.programs.len();
         let chunk_len = n.div_ceil(shards);
         let num_chunks = n.div_ceil(chunk_len);
-        // Per-chunk sender scratch, concatenated into `senders` afterwards
-        // in chunk (= ascending node-id) order.
-        self.shard_senders.resize_with(num_chunks, Vec::new);
+        // Per-worker-chunk send buffers and sender scratch, appended to
+        // `sent`/`senders` afterwards in chunk (= ascending node-id) order;
+        // the first chunk writes to `sent` directly.
+        self.shard_bufs
+            .resize_with(num_chunks - 1, SendBuf::default);
+        self.shard_senders.resize_with(num_chunks - 1, Vec::new);
         for buf in &mut self.shard_senders {
             buf.clear();
         }
         let graph = self.graph;
-        let inboxes = InboxRef {
-            data: &self.inbox.data,
-            start: &self.inbox_start,
-            len: &self.inbox_len,
-            mark: &self.inbox_mark,
-            epoch: self.inbox_epoch,
+        let inboxes = Inboxes {
+            msgs: &self.prev.msgs,
+            arena: &self.arena,
         };
         let capture = tracer.is_some();
         let (head_p, mut rest_p) = self.programs.split_at_mut(chunk_len);
         let (head_s, mut rest_s) = self.statuses.split_at_mut(chunk_len);
-        let (head_o, mut rest_o) = self.staged.split_at_mut(chunk_len);
-        let (head_send, mut rest_send) = self.shard_senders.split_at_mut(1);
+        let mut rest_o = &mut self.shard_bufs[..];
+        let mut rest_send = &mut self.shard_senders[..];
         let active: &[u32] = &self.active;
         let head_split = active.partition_point(|&i| (i as usize) < chunk_len);
         let (head_a, mut rest_a) = active.split_at(head_split);
@@ -1542,7 +1603,7 @@ where
                 let take = chunk_len.min(rest_p.len());
                 let (p, pr) = rest_p.split_at_mut(take);
                 let (s, sr) = rest_s.split_at_mut(take);
-                let (o, or) = rest_o.split_at_mut(take);
+                let (o, or) = rest_o.split_at_mut(1);
                 let (send, send_r) = rest_send.split_at_mut(1);
                 rest_p = pr;
                 rest_s = sr;
@@ -1556,7 +1617,7 @@ where
                 if a.is_empty() {
                     continue;
                 }
-                let send = &mut send[0];
+                let (out, send) = (&mut o[0], &mut send[0]);
                 handles.push(scope.spawn(move || {
                     let recorder = capture.then(trace::Recorder::shared);
                     let _guard = recorder.clone().map(|r| trace::install(r));
@@ -1569,7 +1630,7 @@ where
                         inboxes,
                         programs: p,
                         statuses: s,
-                        staged: o,
+                        out,
                         senders: send,
                         crashed,
                     });
@@ -1588,8 +1649,8 @@ where
                 inboxes,
                 programs: head_p,
                 statuses: head_s,
-                staged: head_o,
-                senders: &mut head_send[0],
+                out: &mut self.sent,
+                senders: &mut self.senders,
                 crashed,
             });
             for handle in handles {
@@ -1606,150 +1667,83 @@ where
             }
         });
         // Chunks cover ascending disjoint id ranges and each chunk pushes
-        // ascending ids, so plain concatenation keeps `senders` sorted.
-        for buf in &mut self.shard_senders {
-            self.senders.append(buf);
+        // ascending ids, so plain concatenation keeps `senders` sorted; a
+        // worker's entry ends shift by what earlier chunks staged.
+        for (buf, senders) in self.shard_bufs.iter_mut().zip(&mut self.shard_senders) {
+            let offset = self.sent.len() as u32;
+            self.senders
+                .extend(senders.drain(..).map(|(i, end)| (i, end + offset)));
+            self.sent.append(buf);
         }
     }
 
-    /// Checks every staged outbox (neighbor, duplicate-send, bandwidth
+    /// Checks every sender's entries (neighbour, duplicate-send, bandwidth
     /// under `Enforce`) without committing anything. The execute phase
-    /// records every node with a non-empty outbox in `senders`, so walking
-    /// that list (ascending, like the active list it filters) is exhaustive.
+    /// records every node that staged an entry in `senders`, so walking
+    /// that list (ascending, like the active list it filters) is
+    /// exhaustive.
     ///
-    /// An outbox whose destinations strictly ascend — what `broadcast` and
-    /// `broadcast_except` stage — holds no duplicate and is checked by one
-    /// merge walk over the sorted neighbour list; any other outbox takes a
-    /// binary search and a `seen` stamp per message. Both report the first
-    /// offending message in staging order.
+    /// A sender whose only entry is a broadcast reaches distinct
+    /// neighbours by construction, so only its bandwidth is checked (and
+    /// reported against its first receiver). Any other sender's entries
+    /// are expanded in staging order: a neighbour check on `send` entries,
+    /// a `seen` stamp per receiver, then the bandwidth check — so the error
+    /// is always the first offending message in staging order.
     fn validate_staged(&mut self, round: Round) -> Result<(), CongestError> {
         let budget = self.config.bandwidth_bits;
         let enforce = self.config.policy == BandwidthPolicy::Enforce;
-        let check_bits = |from: NodeId, to: NodeId, msg: &P::Msg| {
-            if enforce {
-                let bits = msg.size_bits();
-                if bits > budget {
-                    return Err(CongestError::BandwidthExceeded {
-                        from,
-                        to,
-                        round,
-                        bits,
-                        budget,
-                    });
-                }
-            }
-            Ok(())
+        let too_wide = |from: NodeId, to: NodeId, bits: usize| CongestError::BandwidthExceeded {
+            from,
+            to,
+            round,
+            bits,
+            budget,
         };
-        for idx in 0..self.senders.len() {
-            let i = self.senders[idx] as usize;
-            let outbox = &self.staged[i];
-            let node = NodeId::new(i);
-            if outbox.windows(2).all(|w| w[0].0 < w[1].0) {
-                let mut neighbors = self.graph.neighbors(node).iter();
-                for &(to, ref msg) in outbox {
-                    if !neighbors.any(|&w| w == to) {
-                        return Err(CongestError::NotANeighbor { from: node, to });
+        let sent = &self.sent;
+        let mut first = 0;
+        for &(i, end) in &self.senders {
+            let (start, end) = (first, end as usize);
+            first = end;
+            let node = NodeId::new(i as usize);
+            let neighbors = self.graph.neighbors(node);
+            if end - start == 1 && !matches!(sent.dest[start], Dest::One(_)) {
+                let bits = sent.msgs[start].1.size_bits();
+                if enforce && bits > budget {
+                    let (targets, skip) = sent.dest[start].targets(neighbors);
+                    if let Some(&to) = targets.iter().find(|&&to| Some(to) != skip) {
+                        return Err(too_wide(node, to, bits));
                     }
-                    check_bits(node, to, msg)?;
                 }
                 continue;
             }
             self.seen_epoch += 1;
-            for &(to, ref msg) in outbox {
-                if !self.graph.has_edge(node, to) {
-                    return Err(CongestError::NotANeighbor { from: node, to });
+            for k in start..end {
+                let bits = sent.msgs[k].1.size_bits();
+                let dest = &sent.dest[k];
+                let (targets, skip) = dest.targets(neighbors);
+                for &to in targets {
+                    if Some(to) == skip {
+                        continue;
+                    }
+                    if matches!(dest, Dest::One(_)) && !self.graph.has_edge(node, to) {
+                        return Err(CongestError::NotANeighbor { from: node, to });
+                    }
+                    let slot = &mut self.seen[to.index()];
+                    if *slot == self.seen_epoch {
+                        return Err(CongestError::DuplicateSend {
+                            from: node,
+                            to,
+                            round,
+                        });
+                    }
+                    *slot = self.seen_epoch;
+                    if enforce && bits > budget {
+                        return Err(too_wide(node, to, bits));
+                    }
                 }
-                let slot = &mut self.seen[to.index()];
-                if *slot == self.seen_epoch {
-                    return Err(CongestError::DuplicateSend {
-                        from: node,
-                        to,
-                        round,
-                    });
-                }
-                *slot = self.seen_epoch;
-                check_bits(node, to, msg)?;
             }
         }
         Ok(())
-    }
-
-    /// Phase 1: flips the columnar double buffer and seals last round's
-    /// staged traffic into per-receiver inbox segments.
-    ///
-    /// The staged half is columnar — `data[k]` goes to node `dest[k]` — so
-    /// sealing is a stable counting sort: count per receiver, prefix-sum
-    /// the segment starts, then permute the payloads in place by walking
-    /// the permutation's cycles (no scratch payload buffer, no `unsafe`).
-    /// All index state is epoch-stamped, so the cost is
-    /// O(messages + receivers) with idle nodes contributing nothing.
-    fn seal_inboxes(&mut self) {
-        std::mem::swap(&mut self.inbox, &mut self.pending);
-        self.pending.clear();
-        self.inbox_epoch += 1;
-        let epoch = self.inbox_epoch;
-        self.receivers.clear();
-        if self.inbox.data.is_empty() {
-            self.pending_unsorted = false;
-            return;
-        }
-        // Pass 1: per-receiver message counts; the epoch stamp doubles as
-        // the "already counted" flag, so no per-round zeroing of `inbox_len`.
-        for &t in &self.inbox.dest {
-            let t = t as usize;
-            if self.inbox_mark[t] != epoch {
-                self.inbox_mark[t] = epoch;
-                self.inbox_len[t] = 0;
-                self.receivers.push(t as u32);
-            }
-            self.inbox_len[t] += 1;
-        }
-        // Pass 2: segment starts by prefix sum. Receiver order is
-        // irrelevant — each node only ever reads its own segment.
-        let mut cursor = 0u32;
-        for &t in &self.receivers {
-            let t = t as usize;
-            self.inbox_start[t] = cursor;
-            cursor += self.inbox_len[t];
-        }
-        // Pass 3: the destination slot of every staged message, advancing
-        // each segment cursor in staging order (this is what makes the sort
-        // stable); then rewind the cursors to the segment starts.
-        self.perm.clear();
-        for &t in &self.inbox.dest {
-            let t = t as usize;
-            self.perm.push(self.inbox_start[t]);
-            self.inbox_start[t] += 1;
-        }
-        for &t in &self.receivers {
-            let t = t as usize;
-            self.inbox_start[t] -= self.inbox_len[t];
-        }
-        // Pass 4: apply the permutation in place by walking its cycles —
-        // `perm[k]` is where payload `k` must land. `dest` is left
-        // unpermuted; it is never read again before the next `clear`.
-        let data = &mut self.inbox.data;
-        let perm = &mut self.perm;
-        for k in 0..data.len() {
-            while perm[k] as usize != k {
-                let j = perm[k] as usize;
-                data.swap(k, j);
-                perm.swap(k, j);
-            }
-        }
-        // The commit phase stages in ascending sender order, so every
-        // sealed segment is already sorted by sender — except after a
-        // delayed-message merge (fault plans only), which appends out of
-        // order and flags the buffer here.
-        if self.pending_unsorted {
-            self.pending_unsorted = false;
-            for &t in &self.receivers {
-                let t = t as usize;
-                let start = self.inbox_start[t] as usize;
-                let len = self.inbox_len[t] as usize;
-                data[start..start + len].sort_unstable_by_key(|&(from, _)| from);
-            }
-        }
     }
 
     /// Executes exactly `rounds` rounds (fully quiescent stretches may be
@@ -1926,23 +1920,23 @@ struct ChunkCtx<'a, 'g, P: NodeProgram> {
     base: usize,
     /// Node ids to execute; every id lies in `base..base + programs.len()`.
     active: &'a [u32],
-    inboxes: InboxRef<'a, P::Msg>,
+    inboxes: Inboxes<'a, P::Msg>,
     programs: &'a mut [P],
     statuses: &'a mut [Status],
-    staged: &'a mut [Vec<(NodeId, P::Msg)>],
-    /// Records every executed node whose outbox came back non-empty, in
-    /// execution (= ascending id) order; the validate and commit phases
-    /// walk only this list.
-    senders: &'a mut Vec<u32>,
+    /// The send buffer this chunk's programs append to.
+    out: &'a mut SendBuf<P::Msg>,
+    /// Records every executed node that staged an entry, with the end of
+    /// its run in `out`, in execution (= ascending id) order; the validate
+    /// and commit phases walk only this list.
+    senders: &'a mut Vec<(u32, u32)>,
     /// Per-node crash-stop flags from the fault layer (`None` when no
     /// fault plan is active); crashed nodes are skipped entirely.
     crashed: Option<&'a [bool]>,
 }
 
 /// Runs the execute phase for one contiguous chunk of nodes: hand each
-/// scheduled program its inbox segment, collect its outbox into the
-/// reusable staging buffer, and note the node as a sender if it staged
-/// anything.
+/// scheduled program its inbox view, let it append to the chunk's send
+/// buffer, and note the node as a sender if it staged anything.
 fn run_chunk<P: NodeProgram>(ctx: ChunkCtx<'_, '_, P>) {
     let ChunkCtx {
         graph,
@@ -1953,7 +1947,7 @@ fn run_chunk<P: NodeProgram>(ctx: ChunkCtx<'_, '_, P>) {
         inboxes,
         programs,
         statuses,
-        staged,
+        out,
         senders,
         crashed,
     } = ctx;
@@ -1972,21 +1966,17 @@ fn run_chunk<P: NodeProgram>(ctx: ChunkCtx<'_, '_, P>) {
         // `NodeProgram::on_round`), so enforce it where a future scheduler
         // change would first break it.
         debug_assert!(
-            inbox.windows(2).all(|w| w[0].0 < w[1].0),
+            inbox
+                .iter()
+                .zip(inbox.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0),
             "inbox of {node} is not strictly sorted by sender id"
         );
-        let mut ctx = RoundCtx::new(
-            node,
-            round,
-            num_nodes,
-            graph.neighbors(node),
-            inbox,
-            std::mem::take(&mut staged[j]),
-        );
+        let staged = out.len();
+        let mut ctx = RoundCtx::new(node, round, num_nodes, graph.neighbors(node), inbox, out);
         statuses[j] = programs[j].on_round(&mut ctx);
-        staged[j] = ctx.into_outbox();
-        if !staged[j].is_empty() {
-            senders.push(i);
+        if out.len() > staged {
+            senders.push((i, out.len() as u32));
         }
     }
 }
@@ -2138,9 +2128,9 @@ mod tests {
         );
     }
 
-    /// Ascending outboxes take the merge walk and all others the per-message
-    /// search; both must report the first offending message in staging
-    /// order, with the neighbour check before the bandwidth check.
+    /// Validation must report the first offending message in staging
+    /// order, with the neighbour check before the bandwidth check, whether
+    /// the sends ascend or not.
     #[test]
     fn outbox_validation_reports_the_first_offending_message() {
         struct Scripted(Vec<(usize, usize)>);

@@ -1,3 +1,5 @@
+use std::fmt;
+
 use graphs::NodeId;
 
 use crate::{Payload, Round};
@@ -38,38 +40,218 @@ pub enum Status {
     Sleep(Round),
 }
 
+/// Where one staged send goes: the receivers are resolved against the
+/// sender's sorted neighbour list only when the round commits, so a
+/// broadcast stores its payload once instead of once per neighbour.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Dest {
+    /// One node ([`RoundCtx::send`]); the network checks it is a neighbour.
+    One(NodeId),
+    /// Every neighbour ([`RoundCtx::broadcast`]).
+    All,
+    /// Every neighbour except the given node
+    /// ([`RoundCtx::broadcast_except`]).
+    AllBut(NodeId),
+}
+
+impl Dest {
+    /// The receivers of this entry when sent by a node with sorted
+    /// `neighbors`: a slice walked in order, minus the one id to skip.
+    pub(crate) fn targets<'a>(&'a self, neighbors: &'a [NodeId]) -> (&'a [NodeId], Option<NodeId>) {
+        match self {
+            Dest::One(to) => (std::slice::from_ref(to), None),
+            Dest::All => (neighbors, None),
+            Dest::AllBut(skip) => (neighbors, Some(*skip)),
+        }
+    }
+}
+
+/// One round's staged traffic: entry `k` is the payload `msgs[k]`, stored
+/// once with its sender, bound for `dest[k]`. Every node that runs in a
+/// round appends to the same buffer (one per shard, concatenated in node-id
+/// order), so each sender's entries are one contiguous run. After the
+/// round commits, the buffer becomes the storage the next round's inboxes
+/// index into.
+#[derive(Debug)]
+pub(crate) struct SendBuf<M> {
+    pub(crate) msgs: Vec<(NodeId, M)>,
+    pub(crate) dest: Vec<Dest>,
+}
+
+impl<M> Default for SendBuf<M> {
+    fn default() -> Self {
+        SendBuf {
+            msgs: Vec::new(),
+            dest: Vec::new(),
+        }
+    }
+}
+
+impl<M> SendBuf<M> {
+    pub(crate) fn len(&self) -> usize {
+        self.msgs.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.msgs.clear();
+        self.dest.clear();
+    }
+
+    pub(crate) fn push(&mut self, from: NodeId, msg: M, dest: Dest) {
+        self.msgs.push((from, msg));
+        self.dest.push(dest);
+    }
+
+    /// Moves every entry of `other` to the end of this buffer, keeping
+    /// `other`'s capacity.
+    pub(crate) fn append(&mut self, other: &mut Self) {
+        self.msgs.append(&mut other.msgs);
+        self.dest.append(&mut other.dest);
+    }
+}
+
+/// A node's inbox for one round: `(sender, message)` pairs strictly sorted
+/// by sender id, at most one per directed edge.
+///
+/// The view holds no messages of its own. It is a list of entry indices
+/// into the buffer the senders staged into last round, so a broadcast
+/// payload is stored once however many neighbours receive it. The view
+/// borrows that buffer for the lifetime of the round's [`RoundCtx`]: it is
+/// `Copy`, it may be held while the program sends, and it cannot outlive
+/// the round.
+pub struct Inbox<'a, M> {
+    msgs: &'a [(NodeId, M)],
+    idx: &'a [u32],
+}
+
+// Manual impls: `M` itself need not be `Clone`/`Copy` for the view to be.
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M> Copy for Inbox<'_, M> {}
+
+impl<'a, M> Inbox<'a, M> {
+    /// The inbox whose `k`-th message is `msgs[idx[k]]`.
+    pub(crate) fn new(msgs: &'a [(NodeId, M)], idx: &'a [u32]) -> Self {
+        Inbox { msgs, idx }
+    }
+
+    /// The messages in ascending sender order.
+    pub fn iter(&self) -> InboxIter<'a, M> {
+        InboxIter {
+            msgs: self.msgs,
+            idx: self.idx.iter(),
+        }
+    }
+
+    /// The message from the smallest sender id, if any.
+    pub fn first(&self) -> Option<&'a (NodeId, M)> {
+        self.iter().next()
+    }
+
+    /// Number of messages received this round.
+    pub fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// True when nothing arrived this round.
+    pub fn is_empty(&self) -> bool {
+        self.idx.is_empty()
+    }
+}
+
+impl<M: fmt::Debug> fmt::Debug for Inbox<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a, M> IntoIterator for Inbox<'a, M> {
+    type Item = &'a (NodeId, M);
+    type IntoIter = InboxIter<'a, M>;
+    fn into_iter(self) -> InboxIter<'a, M> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Inbox`], in ascending sender order.
+pub struct InboxIter<'a, M> {
+    msgs: &'a [(NodeId, M)],
+    idx: std::slice::Iter<'a, u32>,
+}
+
+impl<M> Clone for InboxIter<'_, M> {
+    fn clone(&self) -> Self {
+        InboxIter {
+            msgs: self.msgs,
+            idx: self.idx.clone(),
+        }
+    }
+}
+
+impl<M: fmt::Debug> fmt::Debug for InboxIter<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = &'a (NodeId, M);
+    fn next(&mut self) -> Option<Self::Item> {
+        self.idx.next().map(|&k| &self.msgs[k as usize])
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.idx.size_hint()
+    }
+}
+
+impl<M> DoubleEndedIterator for InboxIter<'_, M> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.idx.next_back().map(|&k| &self.msgs[k as usize])
+    }
+}
+
+impl<M> ExactSizeIterator for InboxIter<'_, M> {}
+impl<M> std::iter::FusedIterator for InboxIter<'_, M> {}
+
 /// Per-round context handed to [`NodeProgram::on_round`]: the node's
 /// identity, the inbox of the current round, and the outbox.
-#[derive(Debug)]
 pub struct RoundCtx<'a, M: Payload> {
     node: NodeId,
     round: Round,
     num_nodes: usize,
     neighbors: &'a [NodeId],
-    inbox: &'a [(NodeId, M)],
-    outbox: Vec<(NodeId, M)>,
+    inbox: Inbox<'a, M>,
+    /// The round's shared send buffer; this node's entries start at
+    /// `first`.
+    out: &'a mut SendBuf<M>,
+    first: usize,
 }
 
 impl<'a, M: Payload> RoundCtx<'a, M> {
-    /// `outbox` is a recycled staging buffer owned by the scheduler: handed
-    /// in empty (capacity retained across rounds) and reclaimed via
-    /// [`RoundCtx::into_outbox`], so steady-state rounds allocate nothing.
+    /// `out` is the round's send buffer, shared by every node the scheduler
+    /// runs on this thread: the node's sends are appended after whatever
+    /// earlier nodes staged, and its capacity is kept across rounds, so
+    /// steady-state rounds allocate nothing.
     pub(crate) fn new(
         node: NodeId,
         round: Round,
         num_nodes: usize,
         neighbors: &'a [NodeId],
-        inbox: &'a [(NodeId, M)],
-        outbox: Vec<(NodeId, M)>,
+        inbox: Inbox<'a, M>,
+        out: &'a mut SendBuf<M>,
     ) -> Self {
-        debug_assert!(outbox.is_empty(), "staging buffer handed in non-empty");
+        let first = out.len();
         RoundCtx {
             node,
             round,
             num_nodes,
             neighbors,
             inbox,
-            outbox,
+            out,
+            first,
         }
     }
 
@@ -102,7 +284,12 @@ impl<'a, M: Payload> RoundCtx<'a, M> {
     /// sorted by sender id (at most one message per directed edge per
     /// round — see [`NodeProgram::on_round`](crate::NodeProgram::on_round)
     /// for why programs may rely on this).
-    pub fn inbox(&self) -> &[(NodeId, M)] {
+    ///
+    /// The [`Inbox`] is a view into the buffer last round's senders staged
+    /// into. It borrows nothing from the context itself, so a program may
+    /// keep iterating it while it sends, but it lives no longer than the
+    /// round.
+    pub fn inbox(&self) -> Inbox<'a, M> {
         self.inbox
     }
 
@@ -112,27 +299,42 @@ impl<'a, M: Payload> RoundCtx<'a, M> {
     /// Validity (neighbour check, one message per directed edge per round,
     /// bandwidth budget) is checked by the network when the round commits.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.outbox.push((to, msg));
+        self.out.push(self.node, msg, Dest::One(to));
     }
 
-    /// Queues `msg` to every neighbour.
+    /// Queues `msg` to every neighbour. The payload is stored once, however
+    /// many neighbours receive it; an isolated node stages nothing.
     pub fn broadcast(&mut self, msg: M) {
-        for &to in self.neighbors {
-            self.outbox.push((to, msg.clone()));
+        if !self.neighbors.is_empty() {
+            self.out.push(self.node, msg, Dest::All);
         }
     }
 
-    /// Queues `msg` to every neighbour except `skip`.
+    /// Queues `msg` to every neighbour except `skip` (which need not be a
+    /// neighbour). The payload is stored once; nothing is staged when no
+    /// neighbour is left.
     pub fn broadcast_except(&mut self, skip: NodeId, msg: M) {
-        for &to in self.neighbors {
-            if to != skip {
-                self.outbox.push((to, msg.clone()));
-            }
+        let reaches_someone = match self.neighbors {
+            [] => false,
+            [only] => *only != skip,
+            _ => true,
+        };
+        if reaches_someone {
+            self.out.push(self.node, msg, Dest::AllBut(skip));
         }
     }
+}
 
-    pub(crate) fn into_outbox(self) -> Vec<(NodeId, M)> {
-        self.outbox
+impl<M: Payload> fmt::Debug for RoundCtx<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RoundCtx")
+            .field("node", &self.node)
+            .field("round", &self.round)
+            .field("num_nodes", &self.num_nodes)
+            .field("neighbors", &self.neighbors)
+            .field("inbox", &self.inbox)
+            .field("staged", &&self.out.msgs[self.first..])
+            .finish()
     }
 }
 
@@ -198,19 +400,57 @@ mod tests {
 
     #[test]
     fn ctx_send_and_broadcast_fill_outbox() {
-        let neighbors = [NodeId::new(1), NodeId::new(2)];
-        let inbox: Vec<(NodeId, bool)> = vec![(NodeId::new(1), true)];
-        let mut ctx = RoundCtx::new(NodeId::new(0), 3, 5, &neighbors, &inbox, Vec::new());
-        assert_eq!(ctx.node(), NodeId::new(0));
+        let v = NodeId::new;
+        let neighbors = [v(1), v(2)];
+        let msgs = [(v(2), false), (v(1), true)];
+        let mut out = SendBuf::default();
+        out.push(v(4), true, Dest::All);
+        let mut ctx = RoundCtx::new(v(0), 3, 5, &neighbors, Inbox::new(&msgs, &[1]), &mut out);
+        assert_eq!(ctx.node(), v(0));
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.num_nodes(), 5);
         assert_eq!(ctx.degree(), 2);
         assert_eq!(ctx.inbox().len(), 1);
-        ctx.send(NodeId::new(1), false);
+        assert_eq!(ctx.inbox().first(), Some(&(v(1), true)));
+        ctx.send(v(1), false);
         ctx.broadcast(true);
-        ctx.broadcast_except(NodeId::new(2), false);
-        let outbox = ctx.into_outbox();
-        assert_eq!(outbox.len(), 1 + 2 + 1);
+        ctx.broadcast_except(v(2), false);
+        // One entry per call: broadcasts store their payload once.
+        assert_eq!(
+            out.dest[1..],
+            [Dest::One(v(1)), Dest::All, Dest::AllBut(v(2))]
+        );
+        assert!(out.msgs[1..].iter().all(|&(from, _)| from == v(0)));
+    }
+
+    #[test]
+    fn broadcasts_that_reach_nobody_stage_nothing() {
+        let v = NodeId::new;
+        let mut out: SendBuf<bool> = SendBuf::default();
+        let empty = Inbox::new(&[], &[]);
+        let mut isolated = RoundCtx::new(v(0), 0, 3, &[], empty, &mut out);
+        isolated.broadcast(true);
+        isolated.broadcast_except(v(1), true);
+        let leaf = [v(1)];
+        let mut ctx = RoundCtx::new(v(2), 0, 3, &leaf, empty, &mut out);
+        ctx.broadcast_except(v(1), true);
+        assert_eq!(out.len(), 0);
+        let mut ctx = RoundCtx::new(v(2), 0, 3, &leaf, empty, &mut out);
+        ctx.broadcast_except(v(0), true);
+        assert_eq!(out.dest, [Dest::AllBut(v(0))]);
+    }
+
+    #[test]
+    fn inbox_view_follows_its_index_list() {
+        let v = NodeId::new;
+        let msgs = [(v(3), 'c'), (v(1), 'a'), (v(2), 'b')];
+        let inbox = Inbox::new(&msgs, &[1, 2, 0]);
+        let seen: Vec<_> = inbox.into_iter().copied().collect();
+        assert_eq!(seen, [(v(1), 'a'), (v(2), 'b'), (v(3), 'c')]);
+        assert_eq!(inbox.iter().next_back(), Some(&(v(3), 'c')));
+        assert_eq!(inbox.iter().len(), 3);
+        assert_eq!(format!("{inbox:?}"), format!("{:?}", seen));
+        assert!(Inbox::<char>::new(&msgs, &[]).is_empty());
     }
 
     #[test]

@@ -1,0 +1,614 @@
+//! Differential suite for the simulator's message path: `Network` against a
+//! reference simulator written here, sharing no code with it.
+//!
+//! The reference keeps one `Vec<(NodeId, Pay)>` inbox per node, expands
+//! every `send`, `broadcast` and `broadcast_except` into one message per
+//! receiver, validates with a `HashSet` per sender, and sorts each inbox by
+//! sender after the round. It runs every node every round; the scripted
+//! programs keep the `Status::Halted` contract (a halted node with an empty
+//! inbox does nothing), so active-set scheduling must agree with it.
+//!
+//! Compared per run: every round's inbox contents and order at every node,
+//! `RunStats`, the fault counters, and the first error.
+
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use congest::faults::MessageFate;
+use congest::{
+    BandwidthPolicy, Config, CongestError, FaultPlan, FaultStats, Network, NodeProgram, Payload,
+    Round, RoundCtx, RunStats, Scheduling, Status,
+};
+use graphs::{Graph, NodeId};
+use proptest::prelude::*;
+
+/// Rounds every run lasts.
+const ROUNDS: Round = 12;
+/// Per-edge budget of every run.
+const BUDGET: usize = 24;
+
+/// A payload with an explicit wire size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Pay {
+    val: u32,
+    bits: u16,
+}
+
+impl Payload for Pay {
+    fn size_bits(&self) -> usize {
+        usize::from(self.bits)
+    }
+}
+
+/// One call a program makes on its `RoundCtx`.
+#[derive(Clone, Copy, Debug)]
+enum Action {
+    Send(NodeId, Pay),
+    Broadcast(Pay),
+    Except(NodeId, Pay),
+}
+
+/// SplitMix64 step.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A stream of pseudo-random draws.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = mix(self.0);
+        self.0
+    }
+
+    fn below(&mut self, k: usize) -> usize {
+        (self.next() % k.max(1) as u64) as usize
+    }
+
+    fn chance(&mut self, per_mille: u32) -> bool {
+        self.next() % 1000 < u64::from(per_mille)
+    }
+}
+
+/// What each node does, as a pure function of its node id, the round, its
+/// inbox and whether it voted `Halted` last time it ran.
+#[derive(Clone)]
+enum Script {
+    /// Pseudo-random sends, broadcasts and skips; with probability
+    /// `chaos`/1000 per acting node, one misbehaving call as well.
+    Random { seed: u64, chaos: u32 },
+    /// Fixed calls per `(node, round)`; every node stays `Active`.
+    Table(Arc<Vec<(usize, Round, Vec<Action>)>>),
+}
+
+impl Script {
+    fn act(
+        &self,
+        v: NodeId,
+        round: Round,
+        halted: bool,
+        inbox: &[(NodeId, Pay)],
+        neighbors: &[NodeId],
+        n: usize,
+    ) -> (Vec<Action>, Status) {
+        let (seed, chaos) = match self {
+            Script::Table(table) => {
+                let acts = table
+                    .iter()
+                    .filter(|(u, r, _)| *u == v.index() && *r == round)
+                    .flat_map(|(_, _, acts)| acts.iter().copied())
+                    .collect();
+                return (acts, Status::Active);
+            }
+            Script::Random { seed, chaos } => (*seed, *chaos),
+        };
+        if halted && inbox.is_empty() {
+            return (Vec::new(), Status::Halted);
+        }
+        let folded = inbox.iter().fold(0u64, |acc, &(from, m)| {
+            mix(acc ^ ((from.index() as u64) << 32) ^ u64::from(m.val))
+        });
+        let mut d = Draws(mix(seed ^ mix(v.index() as u64 ^ mix(round ^ folded))));
+        let pay = |d: &mut Draws| Pay {
+            val: d.next() as u32,
+            bits: 1 + d.below(BUDGET) as u16,
+        };
+        let deg = neighbors.len();
+        let mut acts = Vec::new();
+        match d.below(6) {
+            0 => {}
+            1 => acts.push(Action::Broadcast(pay(&mut d))),
+            2 => {
+                // Skip a neighbour, or a node that is not one (possibly
+                // this node itself, possibly out of range).
+                let skip = if deg > 0 && d.chance(700) {
+                    neighbors[d.below(deg)]
+                } else {
+                    NodeId::new(d.below(n + 2))
+                };
+                acts.push(Action::Except(skip, pay(&mut d)));
+            }
+            3 => {
+                // Distinct neighbours in a scrambled order.
+                let mut picks: Vec<NodeId> = neighbors
+                    .iter()
+                    .copied()
+                    .filter(|_| d.chance(500))
+                    .collect();
+                for i in (1..picks.len()).rev() {
+                    picks.swap(i, d.below(i + 1));
+                }
+                acts.extend(picks.into_iter().map(|to| Action::Send(to, pay(&mut d))));
+            }
+            4 if deg > 0 => {
+                // Broadcast past one neighbour, then send it its own
+                // message: a broadcast and a send that do not collide.
+                let skip = neighbors[d.below(deg)];
+                acts.push(Action::Except(skip, pay(&mut d)));
+                acts.push(Action::Send(skip, pay(&mut d)));
+            }
+            _ => {
+                if deg > 0 {
+                    acts.push(Action::Send(neighbors[d.below(deg)], pay(&mut d)));
+                }
+                acts.push(Action::Except(v, pay(&mut d)));
+            }
+        }
+        if d.chance(chaos) {
+            let wide = Pay {
+                val: 7,
+                bits: (BUDGET + 1 + d.below(8)) as u16,
+            };
+            match d.below(4) {
+                0 if deg > 0 => {
+                    acts.push(Action::Broadcast(pay(&mut d)));
+                    acts.push(Action::Send(neighbors[d.below(deg)], pay(&mut d)));
+                }
+                1 => {
+                    let to = NodeId::new(d.below(n + 2));
+                    if !neighbors.contains(&to) {
+                        acts.push(Action::Send(to, pay(&mut d)));
+                    }
+                }
+                2 if deg > 0 => {
+                    let to = neighbors[d.below(deg)];
+                    acts.push(Action::Send(to, pay(&mut d)));
+                    acts.push(Action::Send(to, pay(&mut d)));
+                }
+                _ => {
+                    let at = d.below(acts.len() + 1);
+                    let act = if deg > 0 && d.chance(500) {
+                        Action::Send(neighbors[d.below(deg)], wide)
+                    } else {
+                        Action::Broadcast(wide)
+                    };
+                    acts.insert(at, act);
+                }
+            }
+        }
+        let vote = if d.chance(350) {
+            Status::Halted
+        } else {
+            Status::Active
+        };
+        (acts, vote)
+    }
+}
+
+/// Every non-empty inbox a node saw: `(round, inbox)`.
+type Seen = Vec<(Round, Vec<(NodeId, Pay)>)>;
+
+/// The scripted program as `Network` runs it.
+struct Scripted {
+    script: Script,
+    halted: bool,
+    seen: Seen,
+}
+
+impl NodeProgram for Scripted {
+    type Msg = Pay;
+    type Output = Seen;
+
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, Pay>) -> Status {
+        let view = ctx.inbox();
+        let inbox: Vec<(NodeId, Pay)> = view.into_iter().copied().collect();
+        assert_eq!(view.len(), inbox.len());
+        assert_eq!(view.is_empty(), inbox.is_empty());
+        assert_eq!(view.first(), inbox.first());
+        assert!(view.iter().rev().eq(inbox.iter().rev()));
+        if !inbox.is_empty() {
+            self.seen.push((ctx.round(), inbox.clone()));
+        }
+        let (acts, vote) = self.script.act(
+            ctx.node(),
+            ctx.round(),
+            self.halted,
+            &inbox,
+            ctx.neighbors(),
+            ctx.num_nodes(),
+        );
+        for act in acts {
+            match act {
+                Action::Send(to, m) => ctx.send(to, m),
+                Action::Broadcast(m) => ctx.broadcast(m),
+                Action::Except(skip, m) => ctx.broadcast_except(skip, m),
+            }
+        }
+        self.halted = vote == Status::Halted;
+        vote
+    }
+
+    fn finish(self, _node: NodeId) -> Seen {
+        self.seen
+    }
+}
+
+/// What a run produced.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    seen: Vec<Seen>,
+    stats: RunStats,
+    faults: FaultStats,
+    error: Option<CongestError>,
+}
+
+fn network_run(g: &Graph, script: &Script, cfg: Config) -> Outcome {
+    let mut net = Network::new(g, cfg, |_| Scripted {
+        script: script.clone(),
+        halted: false,
+        seen: Vec::new(),
+    });
+    let error = net.run_rounds(ROUNDS).err();
+    let (stats, faults) = (*net.stats(), net.fault_stats());
+    Outcome {
+        seen: net.into_outputs(),
+        stats,
+        faults,
+        error,
+    }
+}
+
+/// The reference simulator.
+fn reference_run(
+    g: &Graph,
+    script: &Script,
+    policy: BandwidthPolicy,
+    plan: Option<&FaultPlan>,
+) -> Outcome {
+    let n = g.len();
+    let mut inbox: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
+    let mut halted = vec![false; n];
+    let mut seen: Vec<Seen> = vec![Vec::new(); n];
+    let mut delayed: Vec<(Round, NodeId, NodeId, Pay)> = Vec::new();
+    let mut stats = RunStats::default();
+    let mut faults = FaultStats::default();
+    for round in 0..ROUNDS {
+        let mut out: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
+        for v in g.nodes() {
+            let i = v.index();
+            if !inbox[i].is_empty() {
+                seen[i].push((round, inbox[i].clone()));
+            }
+            let nbrs = g.neighbors(v);
+            let (acts, vote) = script.act(v, round, halted[i], &inbox[i], nbrs, n);
+            halted[i] = vote == Status::Halted;
+            for act in acts {
+                match act {
+                    Action::Send(to, m) => out[i].push((to, m)),
+                    Action::Broadcast(m) => out[i].extend(nbrs.iter().map(|&to| (to, m))),
+                    Action::Except(skip, m) => {
+                        out[i].extend(nbrs.iter().filter(|&&to| to != skip).map(|&to| (to, m)))
+                    }
+                }
+            }
+        }
+        for v in g.nodes() {
+            let mut used = HashSet::new();
+            for &(to, m) in &out[v.index()] {
+                let error = if !g.neighbors(v).contains(&to) {
+                    Some(CongestError::NotANeighbor { from: v, to })
+                } else if !used.insert(to) {
+                    Some(CongestError::DuplicateSend { from: v, to, round })
+                } else if policy == BandwidthPolicy::Enforce && m.size_bits() > BUDGET {
+                    Some(CongestError::BandwidthExceeded {
+                        from: v,
+                        to,
+                        round,
+                        bits: m.size_bits(),
+                        budget: BUDGET,
+                    })
+                } else {
+                    None
+                };
+                if error.is_some() {
+                    return Outcome {
+                        seen,
+                        stats,
+                        faults,
+                        error,
+                    };
+                }
+            }
+        }
+        let mut next: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
+        for v in g.nodes() {
+            for &(to, m) in &out[v.index()] {
+                let bits = m.size_bits();
+                stats.messages += 1;
+                stats.total_bits += bits as u64;
+                stats.max_message_bits = stats.max_message_bits.max(bits);
+                stats.bandwidth_violations += u64::from(bits > BUDGET);
+                let fate = plan.map_or(MessageFate::Delivered, |p| {
+                    p.fate(round, v.index(), to.index())
+                });
+                match fate {
+                    MessageFate::Delivered => next[to.index()].push((v, m)),
+                    MessageFate::Dropped => faults.dropped += 1,
+                    MessageFate::Corrupted => faults.corrupted += 1,
+                    MessageFate::LinkDropped => faults.link_dropped += 1,
+                    MessageFate::Delayed(extra) => {
+                        faults.delayed += 1;
+                        delayed.push((round + 1 + extra, v, to, m));
+                    }
+                }
+            }
+        }
+        // Delayed messages due next round join in queue order, unless the
+        // same sender already has a message for the same receiver: then
+        // they wait one more round.
+        let mut k = 0;
+        while k < delayed.len() {
+            let (due, from, to, m) = delayed[k];
+            if due > round + 1 {
+                k += 1;
+            } else if next[to.index()].iter().any(|&(s, _)| s == from) {
+                delayed[k].0 = round + 2;
+                faults.deferred += 1;
+                k += 1;
+            } else {
+                next[to.index()].push((from, m));
+                delayed.remove(k);
+            }
+        }
+        for list in &mut next {
+            list.sort_by_key(|&(from, _)| from);
+        }
+        inbox = next;
+        stats.rounds = round + 1;
+    }
+    Outcome {
+        seen,
+        stats,
+        faults,
+        error: None,
+    }
+}
+
+/// Compares `Network` under `cfg` (and its sharded and dense variants)
+/// with the reference.
+fn agree(g: &Graph, script: &Script, cfg: Config) -> Result<(), TestCaseError> {
+    let plan = cfg.faults();
+    let expect = reference_run(g, script, cfg.policy(), plan.as_ref());
+    for variant in [
+        cfg,
+        cfg.with_shards(4),
+        cfg.with_scheduling(Scheduling::Dense),
+    ] {
+        let got = network_run(g, script, variant);
+        prop_assert_eq!(&got.error, &expect.error, "first error, {:?}", variant);
+        prop_assert_eq!(&got.stats, &expect.stats, "run stats, {:?}", variant);
+        prop_assert_eq!(&got.faults, &expect.faults, "fault stats, {:?}", variant);
+        for (v, (a, b)) in got.seen.iter().zip(&expect.seen).enumerate() {
+            prop_assert_eq!(a, b, "inboxes of node {}, {:?}", v, variant);
+        }
+    }
+    Ok(())
+}
+
+/// A graph on `n` nodes with each pair joined with probability
+/// `per_mille`/1000: isolated nodes, leaves and several components are
+/// all common at the low densities.
+fn sampled_graph(n: usize, per_mille: u32, seed: u64) -> Graph {
+    let mut d = Draws(seed);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for v in u + 1..n {
+            if d.chance(per_mille) {
+                edges.push((u, v));
+            }
+        }
+    }
+    Graph::from_edges(n, edges).expect("simple edge list")
+}
+
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (1usize..24, 0usize..4, any::<u64>())
+        .prop_map(|(n, density, seed)| sampled_graph(n, [30, 100, 250, 600][density], seed))
+}
+
+fn cfg() -> Config {
+    Config::new(BUDGET)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Well-behaved programs: identical inboxes, stats and no error.
+    #[test]
+    fn valid_traffic_matches_the_reference(g in arb_graph(), seed in any::<u64>()) {
+        agree(&g, &Script::Random { seed, chaos: 0 }, cfg())?;
+    }
+
+    /// Drops and delays: delayed messages rejoin out of sender order and
+    /// collide with fresh ones, so segments must be re-sorted and
+    /// deferrals must match.
+    #[test]
+    fn faulty_traffic_matches_the_reference(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        plan_seed in any::<u64>(),
+        delay in 1u64..4,
+    ) {
+        let plan = FaultPlan::new(plan_seed).with_drop(0.1).with_delay(0.3, delay);
+        agree(&g, &Script::Random { seed, chaos: 0 }, cfg().with_faults(plan))?;
+    }
+
+    /// Misbehaving programs: the same first error (neighbour, duplicate,
+    /// bandwidth) in the same round, after the same accounting.
+    #[test]
+    fn invalid_traffic_fails_like_the_reference(g in arb_graph(), seed in any::<u64>()) {
+        agree(&g, &Script::Random { seed, chaos: 150 }, cfg())?;
+    }
+
+    /// Under `Track`, over-budget payloads are delivered and counted.
+    #[test]
+    fn tracked_violations_match_the_reference(g in arb_graph(), seed in any::<u64>()) {
+        let track = cfg().with_policy(BandwidthPolicy::Track);
+        agree(&g, &Script::Random { seed, chaos: 150 }, track)?;
+    }
+}
+
+/// Runs a fixed table of calls and checks it against the reference.
+fn table_run(g: &Graph, table: Vec<(usize, Round, Vec<Action>)>) -> Outcome {
+    let script = Script::Table(Arc::new(table));
+    agree(g, &script, cfg()).unwrap();
+    network_run(g, &script, cfg())
+}
+
+fn pay(bits: u16) -> Pay {
+    Pay {
+        val: u32::from(bits),
+        bits,
+    }
+}
+
+/// The star 0–{1, 2, 3} plus the edge 3–4 and the isolated node 5.
+fn star() -> Graph {
+    Graph::from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap()
+}
+
+#[test]
+fn skipping_a_non_neighbour_reaches_every_neighbour() {
+    let v = NodeId::new;
+    let out = table_run(&star(), vec![(0, 0, vec![Action::Except(v(4), pay(3))])]);
+    assert_eq!(out.error, None);
+    assert_eq!(out.stats.messages, 3);
+    for i in 1..=3 {
+        assert_eq!(out.seen[i], vec![(1, vec![(v(0), pay(3))])]);
+    }
+}
+
+#[test]
+fn skipping_the_only_neighbour_sends_nothing() {
+    let v = NodeId::new;
+    let out = table_run(
+        &star(),
+        vec![
+            (1, 0, vec![Action::Except(v(0), pay(3))]),
+            (4, 0, vec![Action::Except(v(3), pay(3))]),
+        ],
+    );
+    assert_eq!(out.error, None);
+    assert_eq!(out.stats.messages, 0);
+}
+
+#[test]
+fn isolated_nodes_broadcast_nothing() {
+    let v = NodeId::new;
+    let out = table_run(
+        &star(),
+        vec![(
+            5,
+            0,
+            vec![Action::Broadcast(pay(3)), Action::Except(v(0), pay(3))],
+        )],
+    );
+    assert_eq!(out.error, None);
+    assert_eq!(out.stats.messages, 0);
+}
+
+#[test]
+fn broadcast_and_send_to_one_neighbour_is_a_duplicate() {
+    let v = NodeId::new;
+    for acts in [
+        vec![Action::Broadcast(pay(3)), Action::Send(v(2), pay(4))],
+        vec![Action::Send(v(2), pay(4)), Action::Broadcast(pay(3))],
+        vec![Action::Except(v(1), pay(3)), Action::Send(v(3), pay(4))],
+        vec![Action::Except(v(4), pay(3)), Action::Except(v(4), pay(3))],
+    ] {
+        let out = table_run(&star(), vec![(0, 2, acts.clone())]);
+        let to = match acts[..] {
+            [Action::Except(_, _), Action::Except(_, _)] => v(1),
+            [_, Action::Send(to, _)] | [Action::Send(to, _), _] => to,
+            _ => unreachable!(),
+        };
+        assert_eq!(
+            out.error,
+            Some(CongestError::DuplicateSend {
+                from: v(0),
+                to,
+                round: 2
+            }),
+            "{acts:?}"
+        );
+        assert_eq!(out.stats.rounds, 2);
+    }
+}
+
+#[test]
+fn a_send_to_a_non_neighbour_is_rejected() {
+    let v = NodeId::new;
+    // Node 0's neighbours are 1, 2 and 3; 5 is isolated and 9 is no node.
+    for to in [4, 0, 5, 9] {
+        let out = table_run(
+            &star(),
+            vec![(
+                0,
+                1,
+                vec![Action::Broadcast(pay(3)), Action::Send(v(to), pay(3))],
+            )],
+        );
+        assert_eq!(
+            out.error,
+            Some(CongestError::NotANeighbor {
+                from: v(0),
+                to: v(to)
+            })
+        );
+    }
+}
+
+#[test]
+fn over_budget_payloads_fail_on_their_first_receiver() {
+    let v = NodeId::new;
+    let wide = pay(BUDGET as u16 + 1);
+    for (acts, to) in [
+        (vec![Action::Broadcast(wide)], 1),
+        (vec![Action::Except(v(1), wide)], 2),
+        (
+            vec![Action::Send(v(3), pay(2)), Action::Except(v(3), wide)],
+            1,
+        ),
+        (
+            vec![Action::Except(v(1), pay(2)), Action::Send(v(1), wide)],
+            1,
+        ),
+    ] {
+        let out = table_run(&star(), vec![(0, 0, acts)]);
+        assert_eq!(
+            out.error,
+            Some(CongestError::BandwidthExceeded {
+                from: v(0),
+                to: v(to),
+                round: 0,
+                bits: BUDGET + 1,
+                budget: BUDGET,
+            })
+        );
+        assert_eq!(out.stats, RunStats::default());
+    }
+}
