@@ -174,7 +174,8 @@ pub struct BfsOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`AlgoError::Disconnected`] if some node is not reached, or a
+/// Returns [`AlgoError::InvalidParameter`] if `root` is not a node of
+/// `graph`, [`AlgoError::Disconnected`] if some node is not reached, or a
 /// wrapped simulator error.
 ///
 /// # Example
@@ -192,7 +193,11 @@ pub struct BfsOutcome {
 /// # Ok::<(), classical::AlgoError>(())
 /// ```
 pub fn build(graph: &Graph, root: NodeId, config: Config) -> Result<BfsOutcome, AlgoError> {
-    assert!(root.index() < graph.len(), "root out of range");
+    if root.index() >= graph.len() {
+        return Err(AlgoError::InvalidParameter {
+            reason: format!("root {root} out of range for {} nodes", graph.len()),
+        });
+    }
     let fault_aware = config.has_faults();
     let resend = config.recovery().retransmit();
     let mut net = Network::new(graph, config, |_| BfsProgram {
@@ -354,6 +359,18 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let err = build(&g, NodeId::new(0), Config::for_graph(&g)).unwrap_err();
         assert_eq!(err, AlgoError::Disconnected);
+    }
+
+    #[test]
+    fn out_of_range_root_is_a_typed_error_not_a_panic() {
+        for (n, root) in [(4, 4), (4, 100), (0, 0)] {
+            let g = Graph::from_edges(n, (1..n).map(|i| (i - 1, i))).unwrap();
+            let err = build(&g, NodeId::new(root), Config::for_graph(&g)).unwrap_err();
+            assert!(
+                matches!(err, AlgoError::InvalidParameter { .. }),
+                "n {n}, root {root}: {err:?}"
+            );
+        }
     }
 
     #[test]

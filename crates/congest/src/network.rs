@@ -335,11 +335,12 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    [`Status::Sleep`] wakeups that have come due. Dense mode runs every
 ///    node every round instead; see [`Scheduling`].
 /// 1. **seal** — the two send buffers swap: the one committed last round
-///    becomes the read-only store this round's inboxes index into. The
-///    `(receiver, entry)` pairs the commit staged are turned into
-///    per-receiver segments of entry indices by a prefix sum over the
-///    receivers and one stable scatter, costing O(messages + receivers).
-///    An inbox is an [`Inbox`] view of its segment; no payload moves.
+///    becomes the read-only store this round's inboxes index into. Every
+///    inbox already sits in its node's row of the graph's CSR layout (one
+///    entry-index slot per incident edge), written there by the commit, so
+///    sealing only swaps the staged and sealed per-node counts and zeroes
+///    the counts of last round's receivers, O(receivers). An inbox is an
+///    [`Inbox`] view of its row; no payload moves.
 /// 2. **execute** — every scheduled program runs against its inbox view
 ///    and appends its sends to the round's shared send buffer: one entry
 ///    per `send`, and one per `broadcast`/`broadcast_except` however many
@@ -358,11 +359,19 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    distinct neighbours by construction, so only its bandwidth is
 ///    checked.
 /// 4. **commit** — sequential in node-id order regardless of shard count:
-///    each entry's receivers are walked once, and statistics, observers,
-///    trace events and fault fates are charged per delivered message. A
-///    delivery appends a `(receiver, entry)` pair and counts the
-///    receiver's next inbox; only the sender list is walked — edge-level
-///    sparsity on top of the active set's node-level kind.
+///    each entry's receivers are walked once, and statistics and fault
+///    fates are charged per delivered message (observers, trace events and
+///    registry charges too, when any is installed). A delivery writes the
+///    entry index straight into the next free slot of its receiver's row;
+///    a receiver's first delivery also appends it to the round's receiver
+///    list, which after the commit queues the receivers for the next round
+///    in one pass. Only the sender list is walked — edge-level sparsity on
+///    top of the active set's node-level kind.
+///
+/// With a metrics registry installed, each phase is timed into the
+/// `congest/assemble`, `congest/seal`, `congest/execute`,
+/// `congest/validate`, `congest/vote` (the quiet cross-check and the vote
+/// scan between validate and commit) and `congest/commit` profiler spans.
 ///
 /// Node iteration order is fixed (by id) and inboxes arrive sorted by
 /// sender id (an invariant the scheduler `debug_assert!`s), so runs are
@@ -388,8 +397,9 @@ pub struct Network<'g, P: NodeProgram> {
     /// inbox view indexes into. The two buffers swap at each seal, so no
     /// per-round allocation after warm-up.
     prev: SendBuf<P::Msg>,
-    /// Staged deliveries and the sealed per-receiver index segments.
-    arena: InboxArena,
+    /// The sealed inboxes and the next round's staged deliveries, as entry
+    /// indices in the graph's CSR rows.
+    arena: InboxArena<'g>,
     /// Per-shard send buffers for the sharded execute phase (worker chunks
     /// only; the first chunk appends to `sent`), concatenated into `sent`
     /// in chunk (= node-id) order.
@@ -489,8 +499,9 @@ pub struct Network<'g, P: NodeProgram> {
     /// common unprofiled path should not pay struct size for.
     crit: Option<Box<CritState>>,
     /// High-water bytes held by the message path (capacities of both send
-    /// buffers and of the arena's pair and index lists), refreshed at round end whenever a metrics
-    /// registry or flight recorder is installed.
+    /// buffers, plus the arena's fixed one-slot-per-directed-edge index
+    /// array), refreshed at round end whenever a metrics registry or flight
+    /// recorder is installed.
     arena_highwater: u64,
     /// The thread's flight recorder, bound once at construction (unlike
     /// the per-round `trace::current()` / `metrics::current()` fetches):
@@ -511,42 +522,58 @@ const FRONTIER_MIN_NODES: usize = 256;
 const FRONTIER_DENSITY_SHIFT: usize = 5;
 
 /// The index side of the message path: which staged entries each node
-/// receives. The commit phase appends one `(receiver, entry)` pair per
-/// delivered message and counts the receiver's next-round segment; the
-/// seal turns the pairs into per-receiver segments of entry indices. Pairs
-/// are staged in ascending sender order (the commit walks senders in
-/// order, and a receiver gets at most one entry per sender), so a stable
-/// scatter leaves every segment sorted by sender.
-struct InboxArena {
-    /// Deliveries staged for the next round, in commit order.
-    pairs: Vec<(u32, u32)>,
-    /// Distinct receivers of `pairs`, in first-staged order.
-    receivers: Vec<u32>,
-    /// The sealed segments: node `i`'s inbox is `idx[start[i]..][..len[i]]`,
-    /// valid iff `mark[i] == epoch`. A stale stamp *is* the empty inbox,
-    /// so idle nodes cost nothing at the seal. While the commit counts the
-    /// next round, `mark[i] == epoch + 1` flags a receiver already counted.
+/// receives, laid out in the graph's own CSR rows. CONGEST allows one
+/// message per directed edge per round, so node `t` never receives more
+/// than `deg(t)` entries, and row `t` — the slots `row[t]..row[t + 1]`, one
+/// per incident edge — holds its whole inbox. The commit writes each
+/// delivery straight into the next free slot of its receiver's row, in
+/// ascending sender order (the commit walks senders in order, and a
+/// receiver gets at most one entry per sender), so every row comes out
+/// sorted without a scatter.
+///
+/// A row holds this round's inbox until the commit overwrites it with the
+/// next round's: the execute phase reads the sealed counts before any
+/// commit starts. The seal only swaps the two count arrays and zeroes the
+/// counts of the receivers it retires, O(receivers).
+struct InboxArena<'g> {
+    /// The graph's CSR row offsets (length `n + 1`).
+    row: &'g [u32],
+    /// One entry-index slot per directed edge, allocated once.
     idx: Vec<u32>,
-    start: Vec<u32>,
+    /// Deliveries staged in each node's row for the next round.
     len: Vec<u32>,
-    mark: Vec<u64>,
-    epoch: u64,
+    /// This round's inbox sizes: node `t`'s inbox is the first `sealed[t]`
+    /// slots of its row, and 0 is the empty inbox.
+    sealed: Vec<u32>,
+    /// The next round's distinct receivers, in first-delivery order, in the
+    /// first `staged` slots. The buffer has a fixed `n + 1` slots, so the
+    /// staging append can write unconditionally and only advance on a
+    /// receiver's first delivery.
+    receivers: Vec<u32>,
+    staged: usize,
+    /// This round's receivers (every node with `sealed[t] > 0`), in the
+    /// first `num_sealed` slots — the counts the next seal zeroes.
+    sealed_receivers: Vec<u32>,
+    num_sealed: usize,
     /// Set when a delayed-message merge staged a sender out of ascending
-    /// order (fault plans only); the next seal then sorts each segment to
-    /// restore the sorted-inbox invariant.
+    /// order (fault plans only); the next seal then sorts each row's inbox
+    /// to restore the sorted-inbox invariant.
     unsorted: bool,
 }
 
-impl InboxArena {
-    fn new(n: usize) -> Self {
+impl<'g> InboxArena<'g> {
+    fn new(graph: &'g Graph) -> Self {
+        let row = graph.offsets();
+        let n = graph.len();
         InboxArena {
-            pairs: Vec::new(),
-            receivers: Vec::new(),
-            idx: Vec::new(),
-            start: vec![0; n],
+            row,
+            idx: vec![0; row[n] as usize],
             len: vec![0; n],
-            mark: vec![0; n],
-            epoch: 0,
+            sealed: vec![0; n],
+            receivers: vec![0; n + 1],
+            staged: 0,
+            sealed_receivers: vec![0; n + 1],
+            num_sealed: 0,
             unsorted: false,
         }
     }
@@ -555,56 +582,66 @@ impl InboxArena {
     /// next inbox.
     #[inline]
     fn stage(&mut self, to: usize, entry: u32) {
-        let next = self.epoch + 1;
-        if self.mark[to] != next {
-            self.mark[to] = next;
-            self.len[to] = 0;
-            self.receivers.push(to as u32);
-        }
-        self.len[to] += 1;
-        self.pairs.push((to as u32, entry));
+        let l = self.len[to];
+        let slot = (self.row[to] + l) as usize;
+        debug_assert!(
+            slot < self.row[to + 1] as usize,
+            "node {to} was staged more messages than it has neighbours"
+        );
+        self.idx[slot] = entry;
+        self.len[to] = l + 1;
+        self.receivers[self.staged] = to as u32;
+        self.staged += (l == 0) as usize;
     }
 
-    /// Seals the staged pairs into this round's segments over `msgs`, the
-    /// send buffer they index into: a prefix sum puts each segment's end in
-    /// `start`, and a reverse walk over the pairs scatters every entry into
-    /// the last free slot of its segment, which leaves `start` at the
-    /// segment start and the pairs' order intact.
+    /// The entries staged so far for node `t`'s next inbox.
+    fn staged_row(&self, t: usize) -> &[u32] {
+        let lo = self.row[t] as usize;
+        &self.idx[lo..lo + self.len[t] as usize]
+    }
+
+    /// The next round's distinct receivers, in first-delivery order.
+    fn receivers(&self) -> &[u32] {
+        &self.receivers[..self.staged]
+    }
+
+    /// Deliveries staged for the next round.
+    fn in_flight(&self) -> usize {
+        self.receivers()
+            .iter()
+            .map(|&t| self.len[t as usize] as usize)
+            .sum()
+    }
+
+    /// Seals the staged rows as this round's inboxes over `msgs`, the send
+    /// buffer they index into: the retiring round's counts are zeroed, and
+    /// the staged counts and receivers become the sealed ones.
     fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
-        self.epoch += 1;
-        self.idx.clear();
-        self.idx.resize(self.pairs.len(), 0);
-        let mut end = 0u32;
-        for &t in &self.receivers {
-            end += self.len[t as usize];
-            self.start[t as usize] = end;
+        for &t in &self.sealed_receivers[..self.num_sealed] {
+            self.sealed[t as usize] = 0;
         }
-        for &(t, k) in self.pairs.iter().rev() {
-            let slot = &mut self.start[t as usize];
-            *slot -= 1;
-            self.idx[*slot as usize] = k;
-        }
+        std::mem::swap(&mut self.len, &mut self.sealed);
+        std::mem::swap(&mut self.receivers, &mut self.sealed_receivers);
+        self.num_sealed = std::mem::replace(&mut self.staged, 0);
         if self.unsorted {
             self.unsorted = false;
-            for &t in &self.receivers {
-                let start = self.start[t as usize] as usize;
-                let len = self.len[t as usize] as usize;
-                self.idx[start..start + len].sort_unstable_by_key(|&k| msgs[k as usize].0);
+            for &t in &self.sealed_receivers[..self.num_sealed] {
+                let lo = self.row[t as usize] as usize;
+                let hi = lo + self.sealed[t as usize] as usize;
+                self.idx[lo..hi].sort_unstable_by_key(|&k| msgs[k as usize].0);
             }
         }
-        self.pairs.clear();
-        self.receivers.clear();
     }
 
-    /// Whether node `i` has a sealed segment this round.
+    /// This round's inbox of node `i`, as entry indices.
+    fn inbox(&self, i: usize) -> &[u32] {
+        let lo = self.row[i] as usize;
+        &self.idx[lo..lo + self.sealed[i] as usize]
+    }
+
+    /// Whether node `i` received anything this round.
     fn received(&self, i: usize) -> bool {
-        self.mark[i] == self.epoch
-    }
-
-    /// Empties this round's sealed segments.
-    fn discard(&mut self) {
-        self.epoch += 1;
-        self.idx.clear();
+        self.sealed[i] > 0
     }
 }
 
@@ -612,7 +649,7 @@ impl InboxArena {
 /// (including worker threads).
 struct Inboxes<'a, M> {
     msgs: &'a [(NodeId, M)],
-    arena: &'a InboxArena,
+    arena: &'a InboxArena<'a>,
 }
 
 // Manual impls: `M` itself need not be `Clone`/`Copy` for shared
@@ -625,15 +662,9 @@ impl<M> Clone for Inboxes<'_, M> {
 impl<M> Copy for Inboxes<'_, M> {}
 
 impl<'a, M> Inboxes<'a, M> {
-    /// The inbox of node `i` — empty unless a segment was sealed for it
-    /// this round.
+    /// The inbox of node `i`.
     fn of(&self, i: usize) -> Inbox<'a, M> {
-        let a = self.arena;
-        if !a.received(i) {
-            return Inbox::new(self.msgs, &[]);
-        }
-        let start = a.start[i] as usize;
-        Inbox::new(self.msgs, &a.idx[start..start + a.len[i] as usize])
+        Inbox::new(self.msgs, self.arena.inbox(i))
     }
 }
 
@@ -760,7 +791,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             halted: 0,
             sent: SendBuf::default(),
             prev: SendBuf::default(),
-            arena: InboxArena::new(n),
+            arena: InboxArena::new(graph),
             shard_bufs: Vec::new(),
             senders: Vec::new(),
             shard_senders: Vec::new(),
@@ -908,33 +939,43 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let (sent, prev, arena) = (&self.sent, &self.prev, &self.arena);
         let entries = (sent.msgs.capacity() + prev.msgs.capacity()) * size_of::<(NodeId, P::Msg)>()
             + (sent.dest.capacity() + prev.dest.capacity()) * size_of::<Dest>();
-        let index = arena.pairs.capacity() * size_of::<(u32, u32)>()
-            + arena.idx.capacity() * size_of::<u32>();
+        let index = arena.idx.capacity() * size_of::<u32>();
         self.arena_highwater = self.arena_highwater.max((entries + index) as u64);
     }
 
     /// Stages entry `entry` of this round's send buffer for delivery to
     /// `to` at the start of the next round, carrying causal depth `depth`.
-    /// With `wake`, the delivery also queues the receiver for next round
-    /// once — the round-stamped mark dedups repeat deliveries and the
-    /// receiver's own vote.
     #[inline]
-    fn deliver(&mut self, to: usize, entry: u32, depth: u64, round: Round, wake: bool) {
-        if wake && self.active_mark[to] != round + 1 {
-            self.active_mark[to] = round + 1;
-            if self
-                .next_active
-                .last()
-                .is_some_and(|&last| last as usize > to)
-            {
-                self.next_sorted = false;
-            }
-            self.next_active.push(to as u32);
-        }
+    fn deliver(&mut self, to: usize, entry: u32, depth: u64) {
         if let Some(c) = self.crit.as_deref_mut() {
             c.stage(to, depth);
         }
         self.arena.stage(to, entry);
+    }
+
+    /// Queues this round's first-time receivers for the next round, after
+    /// the votes and in first-delivery order. The round-stamped mark skips
+    /// the receivers a vote (or an earlier delivery) already queued.
+    /// Branch-free: every receiver is written, and the list only advances
+    /// past a fresh one.
+    fn wake_receivers(&mut self, round: Round) {
+        let stamp = round + 1;
+        let receivers = self.arena.receivers();
+        let base = self.next_active.len();
+        let mut last = self.next_active.last().copied().unwrap_or(0);
+        let mut sorted = self.next_sorted;
+        self.next_active.resize(base + receivers.len(), 0);
+        let mut end = base;
+        for &t in receivers {
+            let fresh = self.active_mark[t as usize] != stamp;
+            self.active_mark[t as usize] = stamp;
+            self.next_active[end] = t;
+            end += fresh as usize;
+            sorted &= !fresh | (last <= t);
+            last = if fresh { t } else { last };
+        }
+        self.next_active.truncate(end);
+        self.next_sorted = sorted;
     }
 
     /// Charged-fault total for flight-recorder deltas: every event the
@@ -993,6 +1034,9 @@ where
         // registry follows the same discipline.
         let tracer = trace::current();
         let meter = metrics::current();
+        // With a registry installed, each phase below is charged to its
+        // `congest/<phase>` profiler span by one lap of this clock.
+        let mut clock = meter.as_ref().map(|_| std::time::Instant::now());
         // The flight recorder is charged once per round, by deltas against
         // the same RunStats/FaultStats accounting the commit phase feeds —
         // zero per-message cost, and totals reconcile with the cost model
@@ -1099,19 +1143,20 @@ where
             debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
         }
         self.executed += self.active.len() as u64;
+        lap(&meter, &mut clock, "congest/assemble");
 
-        // Phase 1: swap the send buffers and seal last round's staged
-        // deliveries into per-receiver index segments.
+        // Phase 1: swap the send buffers and seal last round's staged rows
+        // as this round's inboxes.
         std::mem::swap(&mut self.sent, &mut self.prev);
         self.sent.clear();
         self.arena.seal(&self.prev.msgs);
+        lap(&meter, &mut clock, "congest/seal");
 
         // Phase 2: execute every runnable program, appending sends to the
         // round's send buffer and collecting the ids that staged anything.
         // (When the active set is a single node, sharding buys nothing —
         // run it on the calling thread.)
         let shards = self.config.shards.clamp(1, n.max(1));
-        let execute_started = meter.as_ref().map(|_| std::time::Instant::now());
         // The scheduled nodes are about to overwrite their status votes:
         // retire their old Halted entries from the O(1)-quiescence counter
         // now and re-add the new votes right after execute. A crashed node
@@ -1144,22 +1189,19 @@ where
         for &i in &self.active {
             self.halted += (self.statuses[i as usize] == Status::Halted) as usize;
         }
-        if let (Some(meter), Some(started)) = (&meter, execute_started) {
-            meter
-                .borrow_mut()
-                .record_span("congest/execute", span_nanos(started));
-        }
+        lap(&meter, &mut clock, "congest/execute");
 
         // Phase 3: validate every sender's entries before committing any
         // effect, so an error leaves the accounting of this round as if the
         // step never ran.
-        if let Err(e) = self.validate_staged(round) {
+        let validated = self.validate_staged(round);
+        lap(&meter, &mut clock, "congest/validate");
+        if let Err(e) = validated {
+            // Nothing was staged, so the next seal hands every node an
+            // empty inbox; this round's payloads can go now.
             self.sent.clear();
             self.senders.clear();
-            // Drop this round's sealed inboxes too; bumping the epoch turns
-            // every stale segment mark into an empty inbox.
             self.prev.clear();
-            self.arena.discard();
             self.fault = fault;
             return Err(e);
         }
@@ -1207,11 +1249,11 @@ where
         // next round; future wakeups go to the heap — including `Active`
         // voters with a declared quiet phase, which park until their
         // declared round exactly like `Sleep(declared)`; `Halted` voters
-        // drop out until a message arrives. Recording votes *before*
-        // commit keeps `next_active` ascending in the common case (the
-        // active list is sorted, and delivery wakes during commit then
-        // mostly hit already-marked nodes), which lets the next round skip
-        // its sort.
+        // drop out until a message arrives. Recording votes *before* the
+        // receivers are woken keeps `next_active` ascending in the common
+        // case (the active list is sorted, and the wake pass after commit
+        // then mostly hits already-marked nodes), which lets the next round
+        // skip its sort.
         for &i in &self.active {
             let iu = i as usize;
             let quiet = if crashed.is_some_and(|c| c[iu]) {
@@ -1258,20 +1300,24 @@ where
         // so sharding the execute phase cannot change them. Only the
         // sender list is walked — nodes that staged nothing cost nothing
         // here — and it is ascending and exhaustive by construction, so
-        // deliveries stage in sender-id order and each sealed inbox segment
-        // comes out sorted for free.
+        // deliveries stage in sender-id order and each receiver's row comes
+        // out sorted for free.
         let budget = self.config.bandwidth_bits;
         // With every node already queued for next round (an all-active
-        // round), no delivery can wake anyone: skip the per-message check,
-        // and leave the `Active` voters unstamped — a plain `Active` vote
-        // holds no live wakeup, so nothing else reads their marks.
+        // round), no delivery can wake anyone: skip the wake pass, and
+        // leave the `Active` voters unstamped — a plain `Active` vote holds
+        // no live wakeup, so nothing else reads their marks.
         let wake = sparse && self.next_active.len() < n;
         if wake {
             for &i in &self.next_active {
                 self.active_mark[i as usize] = round + 1;
             }
         }
-        let commit_started = meter.as_ref().map(|_| std::time::Instant::now());
+        lap(&meter, &mut clock, "congest/vote");
+        // Whether anyone watches individual messages this round; when
+        // nobody does, the per-message loop skips all its charges with one
+        // predictable branch.
+        let observed = meter.is_some() || tracer.is_some() || self.observer.is_some();
         let graph = self.graph;
         // Taken out of `self` for the walk, so delivering (a `&mut self`
         // method) can run while the entries are borrowed.
@@ -1299,43 +1345,45 @@ where
                         continue;
                     }
                     count += 1;
-                    if over {
+                    if observed {
+                        if over {
+                            if let Some(meter) = &meter {
+                                meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
+                            }
+                            if let Some(sink) = &tracer {
+                                sink.borrow_mut().record(&trace::TraceEvent::Violation {
+                                    round,
+                                    from: i as u64,
+                                    to: to.index() as u64,
+                                    bits: bits as u64,
+                                    budget: budget as u64,
+                                });
+                            }
+                        }
+                        // Sends are accounted (and observed/traced) whether
+                        // or not the message survives the fault layer: a
+                        // lost message still spent the sender's bandwidth.
                         if let Some(meter) = &meter {
-                            meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
+                            // Charged at the same accounting point as the
+                            // trace event, so the cost model's payload-bit
+                            // total always reconciles with the trace
+                            // layer's delivered totals.
+                            meter.borrow_mut().charge_message(bits as u64);
+                        }
+                        if let Some(observer) = &mut self.observer {
+                            observer(round, node, to, bits);
                         }
                         if let Some(sink) = &tracer {
-                            sink.borrow_mut().record(&trace::TraceEvent::Violation {
+                            sink.borrow_mut().record(&trace::TraceEvent::Message {
                                 round,
                                 from: i as u64,
                                 to: to.index() as u64,
                                 bits: bits as u64,
-                                budget: budget as u64,
                             });
                         }
                     }
-                    // Sends are accounted (and observed/traced) whether or
-                    // not the message survives the fault layer: a lost
-                    // message still spent the sender's bandwidth.
-                    if let Some(meter) = &meter {
-                        // Charged at the same accounting point as the trace
-                        // event, so the cost model's payload-bit total
-                        // always reconciles with the trace layer's
-                        // delivered totals.
-                        meter.borrow_mut().charge_message(bits as u64);
-                    }
-                    if let Some(observer) = &mut self.observer {
-                        observer(round, node, to, bits);
-                    }
-                    if let Some(sink) = &tracer {
-                        sink.borrow_mut().record(&trace::TraceEvent::Message {
-                            round,
-                            from: i as u64,
-                            to: to.index() as u64,
-                            bits: bits as u64,
-                        });
-                    }
                     let Some(f) = fault.as_mut() else {
-                        self.deliver(to.index(), k as u32, link_depth, round, wake);
+                        self.deliver(to.index(), k as u32, link_depth);
                         continue;
                     };
                     let emit = |kind: trace::FaultKind, delay: u64| {
@@ -1367,7 +1415,7 @@ where
                     }
                     match f.plan.fate(round, i, to.index()) {
                         MessageFate::Delivered => {
-                            self.deliver(to.index(), k as u32, link_depth, round, wake);
+                            self.deliver(to.index(), k as u32, link_depth);
                         }
                         MessageFate::Dropped => {
                             f.stats.dropped += 1;
@@ -1411,11 +1459,10 @@ where
         // start of the next round into the send buffer, preserving the
         // one-message-per-directed-edge invariant. A collision with a fresh
         // message from the same sender defers the delayed one
-        // deterministically by one more round. The staged pairs are
-        // unsegmented until the next seal, so the collision check is a
-        // linear scan — fault plans only, never on the hot path — and the
-        // merge flags the arena for a per-segment sort at seal time, which
-        // restores sender order.
+        // deterministically by one more round. The collision check scans
+        // the receiver's staged row, merged entries included, in O(deg),
+        // and the merge flags the arena for a per-row sort at seal time,
+        // which restores sender order.
         if let Some(f) = fault.as_mut() {
             let mut i = 0;
             while i < f.queue.len() {
@@ -1441,12 +1488,11 @@ where
                     f.queue.remove(i);
                     continue;
                 }
-                let t = to.index() as u32;
                 let collides = self
                     .arena
-                    .pairs
+                    .staged_row(to.index())
                     .iter()
-                    .any(|&(d, k)| d == t && sent.msgs[k as usize].0 == from);
+                    .any(|&k| sent.msgs[k as usize].0 == from);
                 if collides {
                     f.queue[i].due = round + 2;
                     f.stats.deferred += 1;
@@ -1464,13 +1510,18 @@ where
                 sent.push(from, msg, Dest::One(to));
                 // The chain length was fixed when the message was sent; the
                 // jitter only moved its delivery round.
-                self.deliver(to.index(), entry, depth, round, wake);
+                self.deliver(to.index(), entry, depth);
                 self.arena.unsorted = true;
             }
         }
         self.sent = sent;
-        self.in_flight = self.arena.pairs.len();
         self.fault = fault;
+        // Every receiver, of a fresh message or a merged delayed one, runs
+        // next round.
+        if wake {
+            self.wake_receivers(round);
+        }
+        self.in_flight = self.arena.in_flight();
 
         // Fold this round's staged deliveries into the settled causal
         // depths — they become visible to their receivers at the start of
@@ -1492,9 +1543,9 @@ where
             self.refresh_arena_highwater();
         }
 
-        if let (Some(meter), Some(started)) = (&meter, commit_started) {
+        lap(&meter, &mut clock, "congest/commit");
+        if let Some(meter) = &meter {
             let mut meter = meter.borrow_mut();
-            meter.record_span("congest/commit", span_nanos(started));
             meter.add(metrics::names::ROUNDS, 1);
             // Scheduling + memory telemetry: charged from the registry's
             // own counters so multi-phase runs export the ledger-wide
@@ -1903,9 +1954,19 @@ where
     }
 }
 
-/// Saturating elapsed nanoseconds for a metrics profiler span.
-fn span_nanos(started: std::time::Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Charges the time since `clock` was last read to the metrics profiler
+/// span `path` and restarts the clock; a no-op without a registry.
+fn lap(
+    meter: &Option<metrics::SharedRegistry>,
+    clock: &mut Option<std::time::Instant>,
+    path: &str,
+) {
+    if let (Some(meter), Some(started)) = (meter, clock.as_mut()) {
+        let now = std::time::Instant::now();
+        let nanos = u64::try_from((now - *started).as_nanos()).unwrap_or(u64::MAX);
+        meter.borrow_mut().record_span(path, nanos);
+        *started = now;
+    }
 }
 
 /// Everything one execute-phase chunk needs: the shared round inputs plus
@@ -2246,6 +2307,31 @@ mod tests {
             }
             assert_eq!(*net.stats(), before, "failed step mutated stats");
             assert_eq!(net.round(), 0, "failed step advanced the round");
+        }
+    }
+
+    /// With a registry installed, every stepped round charges each of the
+    /// six `step` phases to its own profiler span, and the export carries
+    /// all six.
+    #[test]
+    fn metered_runs_export_every_step_phase_span() {
+        let g = generators::grid(6, 7);
+        let registry = metrics::Registry::shared();
+        let stats = {
+            let _guard = metrics::install(registry.clone());
+            let mut net = Network::new(&g, Config::for_graph(&g), |v| MinId { best: u32::from(v) });
+            net.run_until_quiescent(1000).unwrap()
+        };
+        let registry = registry.borrow();
+        let text = metrics::export::to_prometheus(&registry);
+        for phase in ["assemble", "seal", "execute", "validate", "vote", "commit"] {
+            let path = format!("congest/{phase}");
+            let span = registry.spans().get(&path).copied().unwrap_or_default();
+            assert_eq!(span.calls, stats.rounds, "{path} calls");
+            assert!(
+                text.contains(&format!("qd_span_seconds_total{{span=\"{path}\"}}")),
+                "{path} missing from the export"
+            );
         }
     }
 

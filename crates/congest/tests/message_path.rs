@@ -612,3 +612,95 @@ fn over_budget_payloads_fail_on_their_first_receiver() {
         assert_eq!(out.stats, RunStats::default());
     }
 }
+
+/// Runs a table whose deliveries fill receivers' inbox rows to their
+/// degree, fault-free and under `plan`, each sequential, on 4 shards and
+/// dense, against the reference; returns the sequential outcomes.
+fn full_rows_run(
+    g: &Graph,
+    table: Vec<(usize, Round, Vec<Action>)>,
+    plan: FaultPlan,
+) -> (Outcome, Outcome) {
+    let script = Script::Table(Arc::new(table));
+    let faulty = cfg().with_faults(plan);
+    agree(g, &script, cfg()).unwrap();
+    agree(g, &script, faulty).unwrap();
+    (
+        network_run(g, &script, cfg()),
+        network_run(g, &script, faulty),
+    )
+}
+
+/// `K_n`.
+fn complete(n: usize) -> Graph {
+    Graph::from_edges(n, (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)))).unwrap()
+}
+
+/// Every node of `0..n` broadcasts in each of `rounds`.
+fn broadcasts(
+    n: usize,
+    rounds: impl Iterator<Item = Round> + Clone,
+) -> Vec<(usize, Round, Vec<Action>)> {
+    (0..n)
+        .flat_map(|v| {
+            rounds.clone().map(move |r| {
+                (
+                    v,
+                    r,
+                    vec![Action::Broadcast(pay(1 + (v as u16 + r as u16) % 8))],
+                )
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn a_star_centre_hears_every_leaf_in_one_round() {
+    let v = NodeId::new;
+    let leaves = 7;
+    let g = Graph::from_edges(leaves + 1, (1..=leaves).map(|i| (0, i))).unwrap();
+    // Round 1: every leaf sends to the centre (filling its row) while the
+    // centre broadcasts (filling every leaf's one-slot row); round 2 the
+    // leaves do it again by broadcast.
+    let mut table: Vec<_> = (1..=leaves)
+        .map(|i| (i, 1, vec![Action::Send(v(0), pay(i as u16))]))
+        .collect();
+    table.push((0, 1, vec![Action::Broadcast(pay(9))]));
+    table.extend((1..=leaves).map(|i| (i, 2, vec![Action::Broadcast(pay(i as u16 + 1))])));
+    let plan = FaultPlan::new(11).with_drop(0.1).with_delay(0.3, 2);
+    let (plain, _) = full_rows_run(&g, table, plan);
+    assert_eq!(plain.error, None);
+    assert_eq!(plain.stats.messages, 3 * leaves as u64);
+    let centre: Vec<_> = (1..=leaves).map(|i| (v(i), pay(i as u16))).collect();
+    assert_eq!(plain.seen[0][0], (2, centre));
+    assert_eq!(plain.seen[0][1].1.len(), leaves);
+}
+
+#[test]
+fn every_node_of_k8_broadcasting_every_round_fills_every_row() {
+    let g = complete(8);
+    let plan = FaultPlan::new(12).with_drop(0.1).with_delay(0.3, 2);
+    let (plain, faulty) = full_rows_run(&g, broadcasts(8, 0..ROUNDS), plan);
+    assert_eq!(plain.error, None);
+    assert_eq!(plain.stats.messages, 8 * 7 * ROUNDS);
+    for seen in &plain.seen {
+        assert_eq!(seen.len() as Round, ROUNDS - 1);
+        assert!(seen.iter().all(|(_, inbox)| inbox.len() == 7));
+    }
+    assert!(faulty.faults.delayed > 0 && faulty.faults.deferred > 0);
+}
+
+/// Broadcasts on even rounds only, under jitter: a delayed message that
+/// comes due in a broadcast round meets a full row and is deferred, one
+/// due in a quiet round merges, and two from the same sender due together
+/// collide with each other.
+#[test]
+fn jittered_merges_into_full_k8_rows_are_deferred() {
+    let g = complete(8);
+    let plan = FaultPlan::new(13).with_delay(0.8, 3);
+    let (plain, faulty) = full_rows_run(&g, broadcasts(8, (0..ROUNDS).step_by(2)), plan);
+    assert_eq!(plain.error, None);
+    assert_eq!(faulty.error, None);
+    assert!(faulty.faults.delayed > 100, "{:?}", faulty.faults);
+    assert!(faulty.faults.deferred > 20, "{:?}", faulty.faults);
+}

@@ -169,6 +169,15 @@ impl Graph {
         &self.neighbors[lo..hi]
     }
 
+    /// The CSR row offsets, of length `n + 1`: the neighbours of node `v`
+    /// occupy positions `offsets[v]..offsets[v + 1]` of the concatenated
+    /// neighbour lists, so `offsets[n]` is `2 * num_edges`. Callers can lay
+    /// out per-directed-edge data in the same rows.
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Degree of `v`.
     ///
     /// # Panics

@@ -105,9 +105,10 @@ pub mod names {
     /// registry's own counters so multi-phase runs report the ledger-wide
     /// ratio qdiam reports print.
     pub const ACTIVE_FRACTION: &str = "qd_active_fraction";
-    /// High-water bytes held by the simulator's message path (capacity of
-    /// both send buffers and of the inbox index arena, gauge; monotone per
-    /// run).
+    /// High-water bytes held by the simulator's message path (gauge;
+    /// monotone per run): the capacity of both send buffers plus the inbox
+    /// index array, which has a fixed `u32` slot per directed edge (`2m`
+    /// slots) from round 0.
     pub const ARENA_BYTES_HIGHWATER: &str = "qd_arena_bytes_highwater";
     /// Longest causal message chain observed by the critical-path profiler
     /// (gauge; maximum across networks run under the registry).

@@ -187,9 +187,13 @@ impl Registry {
 
     /// Accumulates `nanos` of wall-clock time under the span `path`.
     pub fn record_span(&mut self, path: &str, nanos: u64) {
-        let stats = self.spans.entry(path.to_owned()).or_default();
-        stats.calls += 1;
-        stats.nanos += nanos;
+        if let Some(stats) = self.spans.get_mut(path) {
+            stats.calls += 1;
+            stats.nanos += nanos;
+        } else {
+            self.spans
+                .insert(path.to_owned(), SpanStats { calls: 1, nanos });
+        }
     }
 
     /// All counters, name-ordered.
