@@ -279,9 +279,8 @@ fn seed_replica_flood(g: &Graph) -> (u64, Vec<u32>) {
 
 /// The scheduler rework's performance contract: the allocation-free
 /// sequential path must not be slower than the seed scheduler's hot loop
-/// (it should be measurably faster), and the sharded path must produce the
-/// same results while scaling with available cores. The criterion group
-/// gives the full comparison; the trailing gate hard-asserts the
+/// (it should be measurably faster). The criterion group gives the full
+/// comparison; the trailing gate hard-asserts the
 /// sequential bound at <5% overhead, mirroring `tracing_overhead`.
 fn bench_scheduler_hot_loop(c: &mut Criterion) {
     let g96 = graphs::generators::random_sparse(96, 5.0, 4);
@@ -295,11 +294,6 @@ fn bench_scheduler_hot_loop(c: &mut Criterion) {
         let (replica_rounds, replica_best) = seed_replica_flood(g);
         assert_eq!(outputs, replica_best, "flood outputs diverge from replica");
         assert_eq!(stats.rounds, replica_rounds, "flood rounds diverge");
-        for shards in [2, 4] {
-            let (sharded_stats, sharded_outputs) = flood(g, cfg.with_shards(shards));
-            assert_eq!(sharded_stats, stats, "sharded stats diverge");
-            assert_eq!(sharded_outputs, outputs, "sharded outputs diverge");
-        }
     }
 
     let mut group = c.benchmark_group("scheduler_hot_loop");
@@ -312,13 +306,6 @@ fn bench_scheduler_hot_loop(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", n), g, |b, g| {
             b.iter(|| black_box(flood(black_box(g), cfg)))
         });
-        for shards in [2usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("sharded{shards}"), n),
-                g,
-                |b, g| b.iter(|| black_box(flood(black_box(g), cfg.with_shards(shards)))),
-            );
-        }
     }
     group.finish();
 
@@ -510,7 +497,7 @@ fn bench_scheduler_sparse(c: &mut Criterion) {
     let horizon = 64u64;
 
     // Cross-check before timing: both schedulers agree on outputs and
-    // stats (byte-identity across traces/shards/faults is enforced by the
+    // stats (byte-identity across traces/faults is enforced by the
     // property suite), and the executed-node counts confirm the walk is
     // genuinely sparse and the chatter genuinely dense.
     let (walk_stats_d, walk_out_d, walk_sched_d) = token_walk(&g, &tree, dense);

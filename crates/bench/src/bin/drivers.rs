@@ -22,7 +22,7 @@
 //!
 //! `QD_MAX_N` caps the sweep and `QD_RESULTS_DIR` redirects the artifact
 //! (the `check.sh` smoke uses both, leaving the committed sweep
-//! untouched); `QD_SHARDS` selects the shard count as usual.
+//! untouched).
 
 use congest::{Config, Scheduling};
 use graphs::{Graph, NodeId};
@@ -58,9 +58,7 @@ fn wave_workload(n: usize) -> (Graph, Vec<(NodeId, u64)>, u64) {
 }
 
 fn config(g: &Graph, scheduling: Scheduling) -> Config {
-    Config::for_graph(g)
-        .with_shards(bench::shards())
-        .with_scheduling(scheduling)
+    Config::for_graph(g).with_scheduling(scheduling)
 }
 
 /// Runs the wave phase under `scheduling`, returning a comparison key
@@ -181,7 +179,6 @@ fn main() {
     let payload = trace::Json::obj([
         ("experiment", trace::Json::Str("drivers".into())),
         ("max_n", trace::Json::Int(top_n as i128)),
-        ("shards", trace::Json::Int(bench::shards() as i128)),
         (
             "points",
             trace::Json::Arr(

@@ -11,8 +11,8 @@
 //!
 //! `QD_MAX_N=10000` caps the sweep and `QD_RESULTS_DIR` redirects the
 //! artifact (the `scripts/check.sh` smoke uses both, leaving the
-//! committed full-sweep JSON untouched); `QD_SHARDS`/`QD_SCHED` select
-//! the execution mode as usual.
+//! committed full-sweep JSON untouched); `QD_SCHED` selects the
+//! scheduling mode as usual.
 
 use congest::{Network, NodeProgram, Payload, RoundCtx, Status};
 use graphs::{Graph, NodeId};
@@ -144,7 +144,6 @@ fn main() {
     let payload = trace::Json::obj([
         ("experiment", trace::Json::Str("scale".into())),
         ("max_n", trace::Json::Int(*ns.last().unwrap() as i128)),
-        ("shards", trace::Json::Int(bench::shards() as i128)),
         (
             "points",
             trace::Json::Arr(

@@ -63,19 +63,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Scheduler worker-shard count read from the `QD_SHARDS` environment
-/// variable (default 1 = sequential). Experiment binaries thread this into
-/// their [`Config`]s, so `QD_SHARDS=4 cargo run --release --bin fig1_bfs`
-/// runs every simulation sharded — results are byte-identical to the
-/// sequential scheduler, only the wall clock changes.
-pub fn shards() -> usize {
-    std::env::var("QD_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
 /// Round-scheduling mode read from the `QD_SCHED` environment variable
 /// (default: the simulator's own default, [`Scheduling::ActiveSet`]).
 /// `QD_SCHED=dense cargo run --release --bin fig1_bfs` reruns an
@@ -133,12 +120,11 @@ pub fn recovery() -> congest::RecoveryPolicy {
     }
 }
 
-/// The CONGEST config every experiment binary should use: sharded per
-/// [`shards`], scheduled per [`scheduling`], with any `QD_FAULTS` plan
-/// and `QD_RECOVER` policy applied.
+/// The CONGEST config every experiment binary should use: scheduled per
+/// [`scheduling`], with any `QD_FAULTS` plan and `QD_RECOVER` policy
+/// applied.
 pub fn config_for(g: &Graph) -> Config {
     let mut cfg = Config::for_graph(g)
-        .with_shards(shards())
         .with_scheduling(scheduling())
         .with_recovery(recovery());
     if let Some(plan) = faults() {
@@ -149,7 +135,7 @@ pub fn config_for(g: &Graph) -> Config {
 
 /// A sweep instance: a sparse random network with roughly constant degree
 /// (so the diameter grows only logarithmically), plus its CONGEST config
-/// (sharded per [`shards`], faulted per [`faults`]).
+/// (scheduled per [`scheduling`], faulted per [`faults`]).
 pub fn sparse_instance(n: usize, seed: u64) -> (Graph, Config) {
     let g = graphs::generators::random_sparse(n, 8.0, seed);
     let cfg = config_for(&g);
@@ -273,11 +259,6 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
-    }
-
-    #[test]
-    fn shards_defaults_to_sequential() {
-        assert!(shards() >= 1);
     }
 
     #[test]

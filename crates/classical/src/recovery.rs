@@ -33,8 +33,8 @@
 //!
 //! Determinism is preserved: recovery fates are pure functions of the
 //! plan seed and attempt number, so results — including
-//! [`RecoveryStats`] — are byte-identical across shard counts and
-//! scheduling modes.
+//! [`RecoveryStats`] — are byte-identical across scheduling modes and
+//! fast-forwarding.
 //!
 //! # Guarantee class
 //!

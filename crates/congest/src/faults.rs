@@ -14,8 +14,8 @@
 //! got around to deciding it. Together with the commit phase being
 //! sequential in node-id order, this makes a `(graph, config, seed)` triple
 //! replay byte-identically — outputs, [`RunStats`](crate::RunStats),
-//! [`FaultStats`], and trace streams — including under
-//! [`Config::with_shards`](crate::Config::with_shards).
+//! [`FaultStats`], and trace streams — under either
+//! [`Scheduling`](crate::Scheduling) mode, with or without fast-forwarding.
 //!
 //! # Fault semantics
 //!
@@ -196,7 +196,7 @@ impl FaultPlan {
     ///
     /// The decision is a pure function of `(plan, round, from, to)`: the
     /// same message meets the same fate in every replay, regardless of
-    /// shard count or scheduler internals.
+    /// scheduling mode or scheduler internals.
     pub fn fate(&self, round: Round, from: usize, to: usize) -> MessageFate {
         if self.link_down(round, from, to) {
             return MessageFate::LinkDropped;

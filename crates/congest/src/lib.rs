@@ -16,9 +16,7 @@
 //!   tracks the per-edge bandwidth budget, detects quiescence, and collects
 //!   [`RunStats`]. Rounds run allocation-free over a double-buffered
 //!   message path: each payload is stored once when sent, and an
-//!   [`Inbox`] is a view of entry indices into last round's send buffer;
-//!   [`Config::with_shards`] opts into multi-threaded execution with
-//!   byte-identical results.
+//!   [`Inbox`] is a view of entry indices into last round's send buffer.
 //! * [`Payload`] — messages declare their size in bits; the [`bits`] module
 //!   has helpers for honest field sizes.
 //! * [`RoundsLedger`] — accumulates round/bit accounting across the phases of

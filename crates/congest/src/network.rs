@@ -52,14 +52,12 @@ pub enum Scheduling {
 /// let g = generators::cycle(64);
 /// let cfg = Config::for_graph(&g).with_policy(BandwidthPolicy::Track);
 /// assert!(cfg.bandwidth_bits() >= 4 * 6);
-/// assert_eq!(cfg.shards(), 1);
 /// assert_eq!(cfg.scheduling(), Scheduling::ActiveSet);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Config {
     bandwidth_bits: usize,
     policy: BandwidthPolicy,
-    shards: usize,
     scheduling: Scheduling,
     /// Whether the run loops may jump over fully quiescent stretches
     /// (active-set mode only).
@@ -85,7 +83,6 @@ impl Config {
         Config {
             bandwidth_bits,
             policy: BandwidthPolicy::Enforce,
-            shards: 1,
             scheduling: Scheduling::default(),
             fast_forward: true,
             faults: None,
@@ -113,17 +110,6 @@ impl Config {
         self
     }
 
-    /// Opts into sharded execution: node programs run on `shards` worker
-    /// threads per round (scoped threads, partitioned by contiguous node-id
-    /// ranges). Validation, accounting, delivery, and trace emission stay
-    /// sequential in node-id order, so a sharded run produces **byte
-    /// identical** outputs, [`RunStats`], and trace streams to the
-    /// sequential scheduler. Values below 1 are clamped to 1 (sequential).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The per-edge per-round budget in bits.
     pub fn bandwidth_bits(&self) -> usize {
         self.bandwidth_bits
@@ -132,11 +118,6 @@ impl Config {
     /// The configured bandwidth policy.
     pub fn policy(&self) -> BandwidthPolicy {
         self.policy
-    }
-
-    /// The configured worker-shard count (1 = sequential execution).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Replaces the scheduling mode. [`Scheduling::ActiveSet`] (the default)
@@ -177,7 +158,7 @@ impl Config {
     /// Attaches a [`FaultPlan`]: the scheduler will drop/corrupt/delay
     /// messages, fail links, and crash-stop nodes exactly as the plan
     /// dictates, deterministically per `(graph, config, seed)` and
-    /// independently of [`Config::with_shards`].
+    /// independently of the [`Scheduling`] mode and fast-forwarding.
     ///
     /// A [passive](FaultPlan::is_passive) plan is equivalent to no plan at
     /// all: the resulting `Config` compares equal to one that never saw
@@ -229,10 +210,10 @@ impl Config {
     /// messages ending at the node), updated at the commit point, and
     /// surfaces the longest chain through [`Network::critical_path`] and
     /// [`RunStats::critical_depth`]. The depth is a protocol observable —
-    /// identical across shard counts, scheduling modes, and
-    /// fast-forwarding — and empirically checks the Figure-2 wave
-    /// pipeline: a wave that obeys the 2τ′(u) schedule cannot build a
-    /// causal chain longer than its scheduled duration.
+    /// identical across scheduling modes and fast-forwarding — and
+    /// empirically checks the Figure-2 wave pipeline: a wave that obeys
+    /// the 2τ′(u) schedule cannot build a causal chain longer than its
+    /// scheduled duration.
     pub fn with_critical_path(mut self, enabled: bool) -> Self {
         self.critical_path = enabled;
         self
@@ -277,8 +258,8 @@ pub struct RunStats {
     /// Longest causal message chain observed so far (0 unless
     /// [`Config::with_critical_path`] enabled the profiler). *Included* in
     /// equality: commit order is sequential and fate decisions are pure, so
-    /// the causal depth is a protocol observable, identical across shard
-    /// counts, scheduling modes, and fast-forwarding.
+    /// the causal depth is a protocol observable, identical across
+    /// scheduling modes and fast-forwarding.
     pub critical_depth: u64,
 }
 
@@ -345,12 +326,7 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    and appends its sends to the round's shared send buffer: one entry
 ///    per `send`, and one per `broadcast`/`broadcast_except` however many
 ///    neighbours it reaches. Nodes that staged anything are collected into
-///    a sender list with the end of their run of entries. With
-///    [`Config::with_shards`]` > 1` this phase fans out across scoped
-///    worker threads (contiguous node-id ranges, one send buffer per
-///    shard, concatenated in node-id order); trace events emitted by
-///    programs on worker threads are captured per shard and replayed in
-///    node-id order.
+///    a sender list with the end of their run of entries.
 /// 3. **validate** — every sender's entries are checked (neighbour, one
 ///    message per directed edge per round, bandwidth under
 ///    [`BandwidthPolicy::Enforce`]) *before any effect commits*: a failed
@@ -358,10 +334,10 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    inboxes untouched. A sender whose only entry is a broadcast reaches
 ///    distinct neighbours by construction, so only its bandwidth is
 ///    checked.
-/// 4. **commit** — sequential in node-id order regardless of shard count:
-///    each entry's receivers are walked once, and statistics and fault
-///    fates are charged per delivered message (observers, trace events and
-///    registry charges too, when any is installed). A delivery writes the
+/// 4. **commit** — in node-id order: each entry's receivers are walked
+///    once, and statistics and fault fates are charged per delivered
+///    message (observers, trace events and registry charges too, when any
+///    is installed). A delivery writes the
 ///    entry index straight into the next free slot of its receiver's row;
 ///    a receiver's first delivery also appends it to the round's receiver
 ///    list, which after the commit queues the receivers for the next round
@@ -375,7 +351,7 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///
 /// Node iteration order is fixed (by id) and inboxes arrive sorted by
 /// sender id (an invariant the scheduler `debug_assert!`s), so runs are
-/// fully deterministic and shard-count independent.
+/// fully deterministic.
 ///
 /// See the [crate-level example](crate).
 pub struct Network<'g, P: NodeProgram> {
@@ -400,19 +376,12 @@ pub struct Network<'g, P: NodeProgram> {
     /// The sealed inboxes and the next round's staged deliveries, as entry
     /// indices in the graph's CSR rows.
     arena: InboxArena<'g>,
-    /// Per-shard send buffers for the sharded execute phase (worker chunks
-    /// only; the first chunk appends to `sent`), concatenated into `sent`
-    /// in chunk (= node-id) order.
-    shard_bufs: Vec<SendBuf<P::Msg>>,
     /// Nodes that staged at least one entry this round (ascending), each
     /// with the end of its run of entries in `sent` (the run starts where
     /// the previous sender's ends). The commit and validate phases walk
     /// this instead of the full active set — edge-level sparsity on top of
     /// the active set's node-level kind.
     senders: Vec<(u32, u32)>,
-    /// Per-shard sender scratch for the sharded execute phase (worker
-    /// chunks only), with ends relative to the shard's own buffer.
-    shard_senders: Vec<Vec<(u32, u32)>>,
     /// Epoch-stamped duplicate-send marks, one slot per destination node.
     /// `seen[to] == seen_epoch` means the sender currently being validated
     /// already sent to `to` this round — an O(1) check replacing the seed
@@ -645,29 +614,6 @@ impl<'g> InboxArena<'g> {
     }
 }
 
-/// A shared view of this round's inboxes handed to execute-phase chunks
-/// (including worker threads).
-struct Inboxes<'a, M> {
-    msgs: &'a [(NodeId, M)],
-    arena: &'a InboxArena<'a>,
-}
-
-// Manual impls: `M` itself need not be `Clone`/`Copy` for shared
-// references to it to be.
-impl<M> Clone for Inboxes<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for Inboxes<'_, M> {}
-
-impl<'a, M> Inboxes<'a, M> {
-    /// The inbox of node `i`.
-    fn of(&self, i: usize) -> Inbox<'a, M> {
-        Inbox::new(self.msgs, self.arena.inbox(i))
-    }
-}
-
 /// One jittered message waiting in the delay queue.
 struct Delayed<M> {
     /// Round at whose *start* the message should reach its inbox.
@@ -792,9 +738,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             sent: SendBuf::default(),
             prev: SendBuf::default(),
             arena: InboxArena::new(graph),
-            shard_bufs: Vec::new(),
             senders: Vec::new(),
-            shard_senders: Vec::new(),
             seen: vec![0; n],
             seen_epoch: 0,
             active,
@@ -1008,13 +952,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             .map(|(i, p)| p.finish(NodeId::new(i)))
             .collect()
     }
-}
 
-impl<'g, P> Network<'g, P>
-where
-    P: NodeProgram + Send,
-    P::Msg: Send + Sync,
-{
     /// Executes a single round.
     ///
     /// # Errors
@@ -1154,41 +1092,7 @@ where
 
         // Phase 2: execute every runnable program, appending sends to the
         // round's send buffer and collecting the ids that staged anything.
-        // (When the active set is a single node, sharding buys nothing —
-        // run it on the calling thread.)
-        let shards = self.config.shards.clamp(1, n.max(1));
-        // The scheduled nodes are about to overwrite their status votes:
-        // retire their old Halted entries from the O(1)-quiescence counter
-        // now and re-add the new votes right after execute. A crashed node
-        // skips execution with its status pinned `Halted`, so its two
-        // adjustments cancel.
-        for &i in &self.active {
-            self.halted -= (self.statuses[i as usize] == Status::Halted) as usize;
-        }
-        self.senders.clear();
-        if shards > 1 && self.active.len() > 1 {
-            self.execute_sharded(round, shards, &tracer, crashed);
-        } else {
-            run_chunk(ChunkCtx {
-                graph: self.graph,
-                round,
-                num_nodes: n,
-                base: 0,
-                active: &self.active,
-                inboxes: Inboxes {
-                    msgs: &self.prev.msgs,
-                    arena: &self.arena,
-                },
-                programs: &mut self.programs,
-                statuses: &mut self.statuses,
-                out: &mut self.sent,
-                senders: &mut self.senders,
-                crashed,
-            });
-        }
-        for &i in &self.active {
-            self.halted += (self.statuses[i as usize] == Status::Halted) as usize;
-        }
+        self.execute(round, crashed);
         lap(&meter, &mut clock, "congest/execute");
 
         // Phase 3: validate every sender's entries before committing any
@@ -1292,12 +1196,11 @@ where
             }
         }
 
-        // Phase 4: commit, sequentially in node-id order (this is what
-        // keeps sharded runs byte-identical to sequential ones). Each entry's
-        // receivers are walked once, in neighbour order, and charged per
-        // delivered message. Fault fates are decided here too: each is a
-        // pure function of the message's `(round, from, to)` coordinates,
-        // so sharding the execute phase cannot change them. Only the
+        // Phase 4: commit, in node-id order. Each entry's receivers are
+        // walked once, in neighbour order, and charged per delivered
+        // message. Fault fates are decided here too: each is a pure
+        // function of the message's `(round, from, to)` coordinates, so
+        // scheduling and fast-forwarding cannot change them. Only the
         // sender list is walked — nodes that staged nothing cost nothing
         // here — and it is ascending and exhaustive by construction, so
         // deliveries stage in sender-id order and each receiver's row comes
@@ -1608,123 +1511,44 @@ where
         Ok(())
     }
 
-    /// Runs the execute phase across `shards` scoped worker threads. The
-    /// first chunk runs on the calling thread (with the caller's trace sink
-    /// still installed); events emitted by programs on worker threads are
-    /// captured per shard and replayed to `tracer` in shard (= node-id)
-    /// order, so the stream is identical to a sequential run. Chunk
-    /// boundaries are fixed contiguous node-id ranges; each worker receives
-    /// the slice of the (sorted) active list falling inside its range.
-    fn execute_sharded(
-        &mut self,
-        round: Round,
-        shards: usize,
-        tracer: &Option<trace::SharedSink>,
-        crashed: Option<&[bool]>,
-    ) {
+    /// Phase 2 of [`Network::step`]: runs every scheduled program against
+    /// its inbox view, letting it append to this round's send buffer, and
+    /// records each node that staged anything in `senders` with the end of
+    /// its run of entries (ascending, like `active`). Each run also swaps
+    /// the node's old vote for its new one in the O(1)-quiescence counter.
+    /// Crash-stopped nodes are skipped: they neither read their inbox nor
+    /// send, and their status stays pinned to `Halted`.
+    fn execute(&mut self, round: Round, crashed: Option<&[bool]>) {
         let n = self.programs.len();
-        let chunk_len = n.div_ceil(shards);
-        let num_chunks = n.div_ceil(chunk_len);
-        // Per-worker-chunk send buffers and sender scratch, appended to
-        // `sent`/`senders` afterwards in chunk (= ascending node-id) order;
-        // the first chunk writes to `sent` directly.
-        self.shard_bufs
-            .resize_with(num_chunks - 1, SendBuf::default);
-        self.shard_senders.resize_with(num_chunks - 1, Vec::new);
-        for buf in &mut self.shard_senders {
-            buf.clear();
-        }
-        let graph = self.graph;
-        let inboxes = Inboxes {
-            msgs: &self.prev.msgs,
-            arena: &self.arena,
-        };
-        let capture = tracer.is_some();
-        let (head_p, mut rest_p) = self.programs.split_at_mut(chunk_len);
-        let (head_s, mut rest_s) = self.statuses.split_at_mut(chunk_len);
-        let mut rest_o = &mut self.shard_bufs[..];
-        let mut rest_send = &mut self.shard_senders[..];
-        let active: &[u32] = &self.active;
-        let head_split = active.partition_point(|&i| (i as usize) < chunk_len);
-        let (head_a, mut rest_a) = active.split_at(head_split);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards - 1);
-            let mut base = chunk_len;
-            while !rest_p.is_empty() {
-                let take = chunk_len.min(rest_p.len());
-                let (p, pr) = rest_p.split_at_mut(take);
-                let (s, sr) = rest_s.split_at_mut(take);
-                let (o, or) = rest_o.split_at_mut(1);
-                let (send, send_r) = rest_send.split_at_mut(1);
-                rest_p = pr;
-                rest_s = sr;
-                rest_o = or;
-                rest_send = send_r;
-                let start = base;
-                base += take;
-                let split = rest_a.partition_point(|&i| (i as usize) < start + take);
-                let (a, ar) = rest_a.split_at(split);
-                rest_a = ar;
-                if a.is_empty() {
-                    continue;
-                }
-                let (out, send) = (&mut o[0], &mut send[0]);
-                handles.push(scope.spawn(move || {
-                    let recorder = capture.then(trace::Recorder::shared);
-                    let _guard = recorder.clone().map(|r| trace::install(r));
-                    run_chunk(ChunkCtx {
-                        graph,
-                        round,
-                        num_nodes: n,
-                        base: start,
-                        active: a,
-                        inboxes,
-                        programs: p,
-                        statuses: s,
-                        out,
-                        senders: send,
-                        crashed,
-                    });
-                    recorder.map_or_else(Vec::new, |r| r.borrow_mut().take())
-                }));
+        self.senders.clear();
+        for &i in &self.active {
+            let iu = i as usize;
+            if crashed.is_some_and(|c| c[iu]) {
+                continue;
             }
-            // The first chunk runs here, concurrently with the workers; its
-            // trace events flow straight to the installed sink, which is
-            // exactly their sequential position (lowest node ids first).
-            run_chunk(ChunkCtx {
-                graph,
-                round,
-                num_nodes: n,
-                base: 0,
-                active: head_a,
-                inboxes,
-                programs: head_p,
-                statuses: head_s,
-                out: &mut self.sent,
-                senders: &mut self.senders,
-                crashed,
-            });
-            for handle in handles {
-                let events = match handle.join() {
-                    Ok(events) => events,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                };
-                if let Some(sink) = tracer {
-                    let mut sink = sink.borrow_mut();
-                    for event in &events {
-                        sink.record(event);
-                    }
-                }
+            let node = NodeId::new(iu);
+            let inbox = Inbox::new(&self.prev.msgs, self.arena.inbox(iu));
+            // The commit phase fills inboxes in ascending sender order with
+            // at most one message per directed edge; programs rely on this
+            // (see `NodeProgram::on_round`), so enforce it where a future
+            // scheduler change would first break it.
+            debug_assert!(
+                inbox
+                    .iter()
+                    .zip(inbox.iter().skip(1))
+                    .all(|(a, b)| a.0 < b.0),
+                "inbox of {node} is not strictly sorted by sender id"
+            );
+            let staged = self.sent.len();
+            let neighbors = self.graph.neighbors(node);
+            let mut ctx = RoundCtx::new(node, round, n, neighbors, inbox, &mut self.sent);
+            let vote = self.programs[iu].on_round(&mut ctx);
+            self.halted += (vote == Status::Halted) as usize;
+            self.halted -= (self.statuses[iu] == Status::Halted) as usize;
+            self.statuses[iu] = vote;
+            if self.sent.len() > staged {
+                self.senders.push((i, self.sent.len() as u32));
             }
-        });
-        // Chunks cover ascending disjoint id ranges and each chunk pushes
-        // ascending ids, so plain concatenation keeps `senders` sorted; a
-        // worker's entry ends shift by what earlier chunks staged.
-        for (buf, senders) in self.shard_bufs.iter_mut().zip(&mut self.shard_senders) {
-            let offset = self.sent.len() as u32;
-            self.senders
-                .extend(senders.drain(..).map(|(i, end)| (i, end + offset)));
-            self.sent.append(buf);
         }
     }
 
@@ -1966,79 +1790,6 @@ fn lap(
         let nanos = u64::try_from((now - *started).as_nanos()).unwrap_or(u64::MAX);
         meter.borrow_mut().record_span(path, nanos);
         *started = now;
-    }
-}
-
-/// Everything one execute-phase chunk needs: the shared round inputs plus
-/// this chunk's disjoint mutable slices (`base` is the node id of the first
-/// element of each slice) and the sorted node ids to actually run — the
-/// full id range under dense scheduling, the runnable subset under
-/// active-set scheduling.
-struct ChunkCtx<'a, 'g, P: NodeProgram> {
-    graph: &'g Graph,
-    round: Round,
-    num_nodes: usize,
-    base: usize,
-    /// Node ids to execute; every id lies in `base..base + programs.len()`.
-    active: &'a [u32],
-    inboxes: Inboxes<'a, P::Msg>,
-    programs: &'a mut [P],
-    statuses: &'a mut [Status],
-    /// The send buffer this chunk's programs append to.
-    out: &'a mut SendBuf<P::Msg>,
-    /// Records every executed node that staged an entry, with the end of
-    /// its run in `out`, in execution (= ascending id) order; the validate
-    /// and commit phases walk only this list.
-    senders: &'a mut Vec<(u32, u32)>,
-    /// Per-node crash-stop flags from the fault layer (`None` when no
-    /// fault plan is active); crashed nodes are skipped entirely.
-    crashed: Option<&'a [bool]>,
-}
-
-/// Runs the execute phase for one contiguous chunk of nodes: hand each
-/// scheduled program its inbox view, let it append to the chunk's send
-/// buffer, and note the node as a sender if it staged anything.
-fn run_chunk<P: NodeProgram>(ctx: ChunkCtx<'_, '_, P>) {
-    let ChunkCtx {
-        graph,
-        round,
-        num_nodes,
-        base,
-        active,
-        inboxes,
-        programs,
-        statuses,
-        out,
-        senders,
-        crashed,
-    } = ctx;
-    for &i in active {
-        let iu = i as usize;
-        if crashed.is_some_and(|c| c[iu]) {
-            // Crash-stopped: the node neither reads its inbox nor sends;
-            // its status was pinned to `Halted` when the crash applied.
-            continue;
-        }
-        let j = iu - base;
-        let node = NodeId::new(iu);
-        let inbox = inboxes.of(iu);
-        // The commit phase fills inboxes in ascending sender order with at
-        // most one message per directed edge; programs rely on this (see
-        // `NodeProgram::on_round`), so enforce it where a future scheduler
-        // change would first break it.
-        debug_assert!(
-            inbox
-                .iter()
-                .zip(inbox.iter().skip(1))
-                .all(|(a, b)| a.0 < b.0),
-            "inbox of {node} is not strictly sorted by sender id"
-        );
-        let staged = out.len();
-        let mut ctx = RoundCtx::new(node, round, num_nodes, graph.neighbors(node), inbox, out);
-        statuses[j] = programs[j].on_round(&mut ctx);
-        if out.len() > staged {
-            senders.push((i, out.len() as u32));
-        }
     }
 }
 
@@ -2509,28 +2260,6 @@ mod tests {
         assert!(o1.iter().all(|&b| b == 0), "min-id flood converged to 0");
     }
 
-    /// The determinism contract across shard counts: outputs, stats, and
-    /// the full trace stream are byte-identical to the sequential run.
-    #[test]
-    fn sharded_runs_match_sequential() {
-        let g = generators::random_connected(25, 0.15, 7);
-        let cfg = Config::for_graph(&g);
-        let (stats1, out1, events1) = min_id_run(&g, cfg);
-        for shards in [2, 3, 4, 7, 25, 64] {
-            let (stats_k, out_k, events_k) = min_id_run(&g, cfg.with_shards(shards));
-            assert_eq!(stats_k, stats1, "stats diverged at {shards} shards");
-            assert_eq!(out_k, out1, "outputs diverged at {shards} shards");
-            assert_eq!(events_k, events1, "trace diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn with_shards_clamps_to_sequential() {
-        let cfg = Config::new(16).with_shards(0);
-        assert_eq!(cfg.shards(), 1);
-        assert_eq!(Config::new(16).with_shards(5).shards(), 5);
-    }
-
     /// A passive plan is indistinguishable from no plan: the configs
     /// compare equal, so every downstream run is trivially byte-identical.
     #[test]
@@ -2560,10 +2289,9 @@ mod tests {
     }
 
     /// The determinism contract under faults: a lossy, jittery run replays
-    /// byte-identically (stats, fault stats, outputs, trace stream) at
-    /// every shard count.
+    /// byte-identically (stats, fault stats, outputs, trace stream).
     #[test]
-    fn faulty_runs_replay_byte_identically_across_shards() {
+    fn faulty_runs_replay_byte_identically() {
         let g = generators::random_connected(25, 0.15, 7);
         let plan = FaultPlan::new(11)
             .with_drop(0.1)
@@ -2574,10 +2302,7 @@ mod tests {
         let cfg = Config::for_graph(&g).with_faults(plan);
         let baseline = min_id_fault_run(&g, cfg);
         assert!(baseline.1.lost() > 0, "plan injected nothing");
-        for shards in [1, 2, 4, 7, 25] {
-            let run = min_id_fault_run(&g, cfg.with_shards(shards));
-            assert_eq!(run, baseline, "faulty run diverged at {shards} shards");
-        }
+        assert_eq!(min_id_fault_run(&g, cfg), baseline, "faulty run diverged");
     }
 
     /// A crash-stopped node goes silent: it stops flooding, its output
@@ -3002,16 +2727,13 @@ mod tests {
     }
 
     /// The full byte-identity contract of the scheduling modes on a real
-    /// message-driven workload, with and without shards.
+    /// message-driven workload.
     #[test]
     fn active_set_matches_dense_on_min_id_flood() {
         let g = generators::random_connected(25, 0.15, 7);
         let cfg = Config::for_graph(&g);
         let dense = min_id_run(&g, cfg.with_scheduling(Scheduling::Dense));
-        for shards in [1, 2, 4, 25] {
-            let sparse = min_id_run(&g, cfg.with_shards(shards));
-            assert_eq!(sparse, dense, "sparse run diverged at {shards} shards");
-        }
+        assert_eq!(min_id_run(&g, cfg), dense, "sparse run diverged");
     }
 
     /// Dropped messages still charge the sender's bandwidth: `RunStats`

@@ -68,8 +68,8 @@ impl Dest {
 
 /// One round's staged traffic: entry `k` is the payload `msgs[k]`, stored
 /// once with its sender, bound for `dest[k]`. Every node that runs in a
-/// round appends to the same buffer (one per shard, concatenated in node-id
-/// order), so each sender's entries are one contiguous run. After the
+/// round appends to the same buffer in node-id order, so each sender's
+/// entries are one contiguous run. After the
 /// round commits, the buffer becomes the storage the next round's inboxes
 /// index into.
 #[derive(Debug)]
@@ -100,13 +100,6 @@ impl<M> SendBuf<M> {
     pub(crate) fn push(&mut self, from: NodeId, msg: M, dest: Dest) {
         self.msgs.push((from, msg));
         self.dest.push(dest);
-    }
-
-    /// Moves every entry of `other` to the end of this buffer, keeping
-    /// `other`'s capacity.
-    pub(crate) fn append(&mut self, other: &mut Self) {
-        self.msgs.append(&mut other.msgs);
-        self.dest.append(&mut other.dest);
     }
 }
 
@@ -232,7 +225,7 @@ pub struct RoundCtx<'a, M: Payload> {
 
 impl<'a, M: Payload> RoundCtx<'a, M> {
     /// `out` is the round's send buffer, shared by every node the scheduler
-    /// runs on this thread: the node's sends are appended after whatever
+    /// runs this round: the node's sends are appended after whatever
     /// earlier nodes staged, and its capacity is kept across rounds, so
     /// steady-state rounds allocate nothing.
     pub(crate) fn new(
@@ -361,9 +354,9 @@ pub trait NodeProgram: Sized {
     /// one message per directed edge per round. This is load-bearing, not
     /// cosmetic: deterministic tie-breaks such as the "smallest-id
     /// activator" rule in the BFS program rely on iterating senders in
-    /// ascending order. The scheduler guarantees the invariant for every
-    /// execution mode (sequential and sharded) and `debug_assert!`s it each
-    /// round before handing over the inbox.
+    /// ascending order. The scheduler guarantees the invariant under both
+    /// scheduling modes and `debug_assert!`s it each round before handing
+    /// over the inbox.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) -> Status;
 
     /// Declares a *static quiet phase*: `Some(r)` promises that this node

@@ -388,16 +388,12 @@ fn reference_run(
     }
 }
 
-/// Compares `Network` under `cfg` (and its sharded and dense variants)
-/// with the reference.
+/// Compares `Network` under `cfg` (and its dense variant) with the
+/// reference.
 fn agree(g: &Graph, script: &Script, cfg: Config) -> Result<(), TestCaseError> {
     let plan = cfg.faults();
     let expect = reference_run(g, script, cfg.policy(), plan.as_ref());
-    for variant in [
-        cfg,
-        cfg.with_shards(4),
-        cfg.with_scheduling(Scheduling::Dense),
-    ] {
+    for variant in [cfg, cfg.with_scheduling(Scheduling::Dense)] {
         let got = network_run(g, script, variant);
         prop_assert_eq!(&got.error, &expect.error, "first error, {:?}", variant);
         prop_assert_eq!(&got.stats, &expect.stats, "run stats, {:?}", variant);
@@ -614,8 +610,8 @@ fn over_budget_payloads_fail_on_their_first_receiver() {
 }
 
 /// Runs a table whose deliveries fill receivers' inbox rows to their
-/// degree, fault-free and under `plan`, each sequential, on 4 shards and
-/// dense, against the reference; returns the sequential outcomes.
+/// degree, fault-free and under `plan`, each under active-set and dense
+/// scheduling, against the reference; returns the active-set outcomes.
 fn full_rows_run(
     g: &Graph,
     table: Vec<(usize, Round, Vec<Action>)>,

@@ -115,7 +115,7 @@ pub mod names {
     pub const CRITICAL_PATH_DEPTH: &str = "qd_critical_path_depth";
 
     /// Scheduler and memory telemetry: these legitimately differ across
-    /// worker shards and scheduling modes (dense and active-set runs
+    /// scheduling modes and fast-forwarding (dense and active-set runs
     /// execute different node counts over identical traffic), so — like
     /// the scheduling fields of `RunStats` and the telemetry columns of
     /// the flight recorder's `RoundRecord` — they are excluded from

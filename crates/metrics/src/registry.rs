@@ -2,8 +2,8 @@
 //! accumulated profiler spans.
 //!
 //! All maps are `BTreeMap`s so exports are deterministically ordered, which
-//! lets tests byte-compare whole registries across shard counts and
-//! scheduling modes.
+//! lets tests byte-compare whole registries across scheduling modes and
+//! fast-forwarding.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -240,7 +240,7 @@ impl Registry {
 /// are wall-clock measurements and the [`names::TELEMETRY`] family is
 /// scheduler/memory telemetry, both deliberately excluded, so registries
 /// from runs with identical protocol behaviour compare equal across the
-/// shard-count × scheduling-mode matrix.
+/// scheduling-mode × fast-forward matrix.
 impl PartialEq for Registry {
     fn eq(&self, other: &Self) -> bool {
         fn protocol<V>(map: &BTreeMap<String, V>) -> impl Iterator<Item = (&String, &V)> {

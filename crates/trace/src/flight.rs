@@ -22,7 +22,7 @@
 //! full-fidelity events: [`SamplePolicy`] keeps a message event with a
 //! probability that is a pure function of `(seed, round, edge)` — exactly
 //! like fault-plan fates — so a [`SampledSink`]-filtered trace is
-//! byte-identical across shard counts and scheduling modes.
+//! byte-identical across scheduling modes and fast-forwarding.
 //!
 //! Installation mirrors the crate's sink and the metrics registry: a
 //! thread-local RAII guard ([`install`]), strictly opt-in, with
@@ -660,7 +660,7 @@ pub fn with(f: impl FnOnce(&mut FlightRecorder)) {
 /// fault-plan fates use (under a distinct salt, so a shared seed does not
 /// correlate sampling with fault decisions). Deterministic by
 /// construction: the same message is kept or suppressed in every replay,
-/// regardless of shard count, scheduling mode, or fast-forwarding.
+/// regardless of scheduling mode or fast-forwarding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplePolicy {
     seed: u64,
@@ -714,8 +714,8 @@ impl SamplePolicy {
 
 /// A [`TraceSink`] adapter that forwards every event except `Message`s
 /// failing its [`SamplePolicy`] — turning a full-fidelity per-edge trace
-/// into a deterministic sample that stays byte-identical across shard
-/// counts and scheduling modes.
+/// into a deterministic sample that stays byte-identical across
+/// scheduling modes and fast-forwarding.
 #[derive(Debug)]
 pub struct SampledSink<S> {
     policy: SamplePolicy,

@@ -36,16 +36,6 @@ echo "=== perfbench unit tests ==="
 # as an independent sampler.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml || status=1
 
-echo "=== shard + scheduling equivalence (QD_TEST_SHARDS=4) ==="
-QD_TEST_SHARDS=4 cargo test -q --offline -p congest-diameter \
-  --test property -- sharded scheduling || status=1
-QD_TEST_SHARDS=4 cargo test -q --offline -p congest-diameter \
-  --test failure_injection faulty_runs || status=1
-
-echo "=== recovery equivalence + contract suite (QD_TEST_SHARDS=4) ==="
-QD_TEST_SHARDS=4 cargo test -q --offline -p congest-diameter \
-  --test recovery || status=1
-
 echo "=== fault matrix smoke (detection latency + recovery cost) ==="
 fdir=$(mktemp -d)
 QD_RESULTS_DIR="$fdir" cargo run -q --release --offline -p bench \

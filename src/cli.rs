@@ -151,8 +151,6 @@ pub struct Options {
     pub verbose: bool,
     /// Write a JSONL event trace of the run to this path.
     pub trace: Option<String>,
-    /// Worker shards for the simulator's execute phase (1 = sequential).
-    pub shards: usize,
     /// Round-scheduling mode (dense reference vs active-set skipping).
     pub scheduling: Scheduling,
     /// Fault-injection spec (see [`congest::FaultPlan::parse`]); validated
@@ -182,7 +180,6 @@ impl Default for Options {
             file: None,
             verbose: false,
             trace: None,
-            shards: 1,
             scheduling: Scheduling::default(),
             faults: None,
             recover: None,
@@ -247,8 +244,6 @@ OPTIONS:
   --trace PATH write a JSONL event trace of the run to PATH
   --metrics P  export the run's metrics registry to P after the run
                (.json extension -> JSON, anything else -> Prometheus text)
-  --shards K   run node programs on K worker threads per round (default: 1);
-               results are byte-identical to the sequential scheduler
   --sched M    round scheduling: active-set (default; skip halted nodes and
                fast-forward quiescent stretches) or dense (execute every
                node every round). Byte-identical results either way
@@ -291,13 +286,11 @@ ENVIRONMENT:
   QD_RECOVER      recovery policy applied when --recover is absent (same
                   grammar); also honored by the experiment binaries in
                   crates/bench
-  QD_SHARDS       worker shards for the experiment binaries (default 1)
   QD_SCHED        scheduling mode for the experiment binaries
                   (dense | active-set; default active-set)
   QD_SCALE        sweep-size multiplier for the experiment binaries
   QD_RESULTS_DIR  where experiment binaries write JSON artifacts
                   (default: results)
-  QD_TEST_SHARDS  shard counts exercised by the property-test suite
 ";
 
 /// A fully parsed invocation: an algorithm run, a trace-file query, or a
@@ -595,8 +588,7 @@ fn report_markdown(
     );
     let _ = writeln!(
         md,
-        "- shards: {} | scheduling: {:?} | faults: {} | recovery: {}\n",
-        opts.shards,
+        "- scheduling: {:?} | faults: {} | recovery: {}\n",
         opts.scheduling,
         opts.faults.as_deref().unwrap_or("none"),
         opts.recover.as_deref().unwrap_or("none")
@@ -704,14 +696,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--file" => opts.file = Some(value("--file")?.clone()),
             "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
             "--sched" => {
                 opts.scheduling = match value("--sched")?.as_str() {
                     "dense" => Scheduling::Dense,
@@ -918,8 +902,8 @@ fn recovery_report(
 /// One `scheduling:` report line: how many of the run's `n · rounds`
 /// scheduling opportunities actually executed a node program. Depends on
 /// the `--sched` mode (dense runs everybody every round, so it reports
-/// 100%), never on `--shards` — it is telemetry about the scheduler, not a
-/// protocol observable.
+/// 100%) — it is telemetry about the scheduler, not a protocol
+/// observable.
 fn scheduling_line(out: &mut String, scheduled: u64, node_rounds: u64) {
     let fraction = if node_rounds == 0 {
         1.0
@@ -936,7 +920,6 @@ fn scheduling_line(out: &mut String, scheduled: u64, node_rounds: u64) {
 fn run_report(opts: &Options) -> Result<String, String> {
     let g = build_graph(opts)?;
     let mut cfg = Config::for_graph(&g)
-        .with_shards(opts.shards)
         .with_scheduling(opts.scheduling)
         .with_critical_path(opts.critical_path);
     let env_faults = std::env::var("QD_FAULTS").ok();
@@ -1163,7 +1146,7 @@ mod tests {
         let o = parse(&args("exact")).unwrap();
         assert_eq!(o, Options::default());
         let o = parse(&args(
-            "approx --family cycle --n 64 --seed 9 --s 12 --delta 0.001 --shards 4 --verbose",
+            "approx --family cycle --n 64 --seed 9 --s 12 --delta 0.001 --verbose",
         ))
         .unwrap();
         assert_eq!(o.algorithm, Algorithm::Approx);
@@ -1172,7 +1155,6 @@ mod tests {
         assert_eq!(o.seed, 9);
         assert_eq!(o.s, Some(12));
         assert_eq!(o.delta, 0.001);
-        assert_eq!(o.shards, 4);
         assert!(o.verbose);
     }
 
@@ -1184,21 +1166,11 @@ mod tests {
         assert!(parse(&args("exact --n 0")).is_err());
         assert!(parse(&args("exact --delta 2")).is_err());
         assert!(parse(&args("exact --what 3")).is_err());
-        assert!(parse(&args("exact --shards 0")).is_err());
-        assert!(parse(&args("exact --shards some")).is_err());
+        assert_eq!(
+            parse(&args("exact --shards 2")),
+            Err("unknown option '--shards'".to_string())
+        );
         assert!(parse(&[]).is_err());
-    }
-
-    /// `--shards` is a throughput knob, never a semantics knob: every
-    /// algorithm's report is identical under sharded execution.
-    #[test]
-    fn sharded_reports_are_identical_to_sequential() {
-        for algo in ["exact", "classical", "classical-approx"] {
-            let base = format!("{algo} --family grid --n 25 --seed 3");
-            let sequential = run(&parse(&args(&base)).unwrap()).unwrap();
-            let sharded = run(&parse(&args(&format!("{base} --shards 3"))).unwrap()).unwrap();
-            assert_eq!(sequential, sharded, "{algo} diverged under --shards");
-        }
     }
 
     #[test]
@@ -1217,7 +1189,7 @@ mod tests {
         assert!(parse(&args("exact --sched")).is_err());
     }
 
-    /// Like `--shards`, `--sched` is a cost knob, never a semantics knob:
+    /// `--sched` is a cost knob, never a semantics knob:
     /// the dense reference renders the exact same report.
     #[test]
     fn dense_reports_are_identical_to_active_set() {

@@ -260,35 +260,10 @@ fn arb_graph() -> impl Strategy<Value = graphs::Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole's replay contract: a faulty run is byte-identical —
-    /// same RunStats, same FaultStats, same outputs, same trace event
-    /// stream — across shard counts {1, 2, 4}, because fault fates are a
-    /// pure function of (plan seed, round, edge), decided in the
-    /// sequential commit phase.
-    #[test]
-    fn faulty_runs_replay_across_shard_counts(g in arb_graph(), fseed in 0u64..1_000) {
-        let plan = FaultPlan::new(fseed)
-            .with_drop(0.08)
-            .with_corrupt(0.04)
-            .with_delay(0.15, 3)
-            .with_link_failure(0, 1, 1..5)
-            .with_crash(g.len() - 1, 3);
-        let cfg = Config::for_graph(&g).with_faults(plan);
-        let (stats, faults, outputs, events) = faulty_flood_run(&g, cfg);
-        for shards in [2usize, 4] {
-            let (stats_k, faults_k, outputs_k, events_k) =
-                faulty_flood_run(&g, cfg.with_shards(shards));
-            prop_assert_eq!(stats_k, stats, "run stats diverged at {} shards", shards);
-            prop_assert_eq!(faults_k, faults, "fault stats diverged at {} shards", shards);
-            prop_assert_eq!(&outputs_k, &outputs, "outputs diverged at {} shards", shards);
-            prop_assert_eq!(&events_k, &events, "trace diverged at {} shards", shards);
-        }
-    }
-
     /// Active-set scheduling replays fault plans byte-identically to the
     /// dense reference: same RunStats, FaultStats, outputs, and trace
     /// stream under drops, corruption, delay jitter, link failures, and a
-    /// crash-stop — across shard counts and with fast-forward on or off.
+    /// crash-stop — with fast-forward on or off.
     /// The staggered-wake flood additionally crosses the fault layer with
     /// `Status::Sleep` wakeups and fast-forwardable quiescent stretches
     /// (a delayed message must still land, and wake its receiver, at the
@@ -312,22 +287,17 @@ proptest! {
             // stretches arrive as compact `RoundSkip` events in the sparse
             // runs, defined as equivalent to the dense zero-delivery ticks.
             let events = trace::expand_round_skips(events);
-            for shards in [1usize, 4] {
-                for fast_forward in [true, false] {
-                    let cfg = base
-                        .with_shards(shards)
-                        .with_scheduling(Scheduling::ActiveSet)
-                        .with_fast_forward(fast_forward);
-                    let (stats_k, faults_k, outputs_k, events_k) = run(&g, cfg);
-                    let events_k = trace::expand_round_skips(events_k);
-                    let ctx = format!(
-                        "{name}: {shards} shards, fast_forward={fast_forward}"
-                    );
-                    prop_assert_eq!(stats_k, stats, "run stats diverged ({})", &ctx);
-                    prop_assert_eq!(faults_k, faults, "fault stats diverged ({})", &ctx);
-                    prop_assert_eq!(&outputs_k, &outputs, "outputs diverged ({})", &ctx);
-                    prop_assert_eq!(&events_k, &events, "trace diverged ({})", &ctx);
-                }
+            for fast_forward in [true, false] {
+                let cfg = base
+                    .with_scheduling(Scheduling::ActiveSet)
+                    .with_fast_forward(fast_forward);
+                let (stats_k, faults_k, outputs_k, events_k) = run(&g, cfg);
+                let events_k = trace::expand_round_skips(events_k);
+                let ctx = format!("{name}: fast_forward={fast_forward}");
+                prop_assert_eq!(stats_k, stats, "run stats diverged ({})", &ctx);
+                prop_assert_eq!(faults_k, faults, "fault stats diverged ({})", &ctx);
+                prop_assert_eq!(&outputs_k, &outputs, "outputs diverged ({})", &ctx);
+                prop_assert_eq!(&events_k, &events, "trace diverged ({})", &ctx);
             }
         }
     }

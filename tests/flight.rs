@@ -1,8 +1,8 @@
 //! Flight-recorder and sampled-trace determinism across the execution
 //! matrix: the observability layer is an observer of the *protocol*, so
-//! its output must be byte-identical across worker shards, scheduling
-//! modes, and fast-forwarding — the three knobs that change *how* a run
-//! executes without changing *what* it computes. A fast-forwarded quiet
+//! its output must be byte-identical across scheduling modes and
+//! fast-forwarding — the two knobs that change *how* a run executes
+//! without changing *what* it computes. A fast-forwarded quiet
 //! stretch enters the ring as one `RoundSkip`-mirroring span record, and
 //! the window view must re-expand it to exactly the records a stepped run
 //! produces.
@@ -120,9 +120,9 @@ proptest! {
 
     /// The tentpole's determinism contract: flight windows, lifetime
     /// totals, and the sampled trace are byte-identical across the full
-    /// {1, 2, 4} shards × {Dense, ActiveSet} × fast-forward {on, off}
-    /// matrix — a `RoundSkip` span must aggregate exactly as the rounds
-    /// it covers would have, record by record.
+    /// {Dense, ActiveSet} × fast-forward {on, off} matrix — a `RoundSkip`
+    /// span must aggregate exactly as the rounds it covers would have,
+    /// record by record.
     #[test]
     fn flight_and_sampled_trace_identical_across_matrix(
         g in arb_graph(),
@@ -131,22 +131,17 @@ proptest! {
         let base = Config::for_graph(&g);
         let reference = observed_run(&g, base, sample_seed, 7);
         prop_assert!(reference.totals.messages > 0, "inert workload");
-        for shards in [1usize, 2, 4] {
-            for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
-                for ff in [true, false] {
-                    let cfg = base
-                        .with_shards(shards)
-                        .with_scheduling(sched)
-                        .with_fast_forward(ff);
-                    let run = observed_run(&g, cfg, sample_seed, 7);
-                    let knob = format!("shards={shards} sched={sched:?} ff={ff}");
-                    prop_assert_eq!(&run.stats, &reference.stats, "stats diverged at {}", &knob);
-                    prop_assert_eq!(&run.outputs, &reference.outputs, "answers diverged at {}", &knob);
-                    prop_assert_eq!(run.rounds, reference.rounds, "round count diverged at {}", &knob);
-                    prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
-                    prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
-                    prop_assert_eq!(&run.sampled, &reference.sampled, "sample diverged at {}", &knob);
-                }
+        for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
+            for ff in [true, false] {
+                let cfg = base.with_scheduling(sched).with_fast_forward(ff);
+                let run = observed_run(&g, cfg, sample_seed, 7);
+                let knob = format!("sched={sched:?} ff={ff}");
+                prop_assert_eq!(&run.stats, &reference.stats, "stats diverged at {}", &knob);
+                prop_assert_eq!(&run.outputs, &reference.outputs, "answers diverged at {}", &knob);
+                prop_assert_eq!(run.rounds, reference.rounds, "round count diverged at {}", &knob);
+                prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
+                prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
+                prop_assert_eq!(&run.sampled, &reference.sampled, "sample diverged at {}", &knob);
             }
         }
     }
@@ -154,7 +149,7 @@ proptest! {
     /// Under a seeded fault plan the recorder's fault column replays
     /// byte-identically too: fault fates are a pure function of
     /// (plan seed, round, edge), so the per-round records they land in
-    /// cannot move across shards or scheduling modes.
+    /// cannot move across scheduling modes.
     #[test]
     fn flight_fault_column_replays_across_matrix(
         g in arb_graph(),
@@ -166,14 +161,11 @@ proptest! {
             .with_delay(0.15, 3);
         let base = Config::for_graph(&g).with_faults(plan);
         let reference = observed_run(&g, base, 0, 7);
-        for shards in [2usize, 4] {
-            for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
-                let cfg = base.with_shards(shards).with_scheduling(sched);
-                let run = observed_run(&g, cfg, 0, 7);
-                let knob = format!("shards={shards} sched={sched:?}");
-                prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
-                prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
-            }
+        for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
+            let run = observed_run(&g, base.with_scheduling(sched), 0, 7);
+            let knob = format!("sched={sched:?}");
+            prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
+            prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Metric ↔ trace ↔ ledger reconciliation: the cost-metrics registry is an
 //! observer of the same events the trace layer and the simulator's own
 //! `RunStats`/`RoundsLedger` accounting see, so every total must agree
-//! *exactly* — across worker shards and scheduling modes, which are
-//! throughput knobs and must never change what gets charged.
+//! *exactly* — across scheduling modes, which are throughput knobs and
+//! must never change what gets charged.
 
 use congest::{Config, Scheduling};
 use congest_diameter::prelude::*;
@@ -74,32 +74,26 @@ fn histogram_buckets_reconcile_with_counters() {
     assert_eq!(h.cumulative_counts().last().copied(), Some(h.count()));
 }
 
-/// Worker shards and round-scheduling modes are throughput knobs: the
-/// registry a run produces must be identical (`Registry::eq` ignores
-/// wall-clock spans and the scheduler/memory telemetry family, which
-/// legitimately differs by mode) across the full {1, 2, 4} ×
-/// {Dense, ActiveSet} matrix, and so must the trace totals it
+/// Round-scheduling modes are throughput knobs: the registry a run
+/// produces must be identical (`Registry::eq` ignores wall-clock spans and
+/// the scheduler/memory telemetry family, which legitimately differs by
+/// mode) under both Dense and ActiveSet, and so must the trace totals it
 /// reconciles against.
 #[test]
-fn registries_are_identical_across_shards_and_scheduling() {
+fn registries_are_identical_across_scheduling_modes() {
     let g = generators::random_sparse(36, 5.0, 3);
     let base = Config::for_graph(&g);
     let (reference, ref_summary, _) = instrumented_apsp(&g, base);
 
-    for shards in [1usize, 2, 4] {
-        for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
-            let cfg = base.with_shards(shards).with_scheduling(sched);
-            let (registry, summary, _) = instrumented_apsp(&g, cfg);
-            assert_eq!(
-                registry, reference,
-                "registry diverged at shards={shards} sched={sched:?}"
-            );
-            assert_eq!(
-                summary.messages_delivered, ref_summary.messages_delivered,
-                "trace diverged at shards={shards} sched={sched:?}"
-            );
-            assert_eq!(summary.bits_delivered, ref_summary.bits_delivered);
-        }
+    for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
+        let cfg = base.with_scheduling(sched);
+        let (registry, summary, _) = instrumented_apsp(&g, cfg);
+        assert_eq!(registry, reference, "registry diverged at sched={sched:?}");
+        assert_eq!(
+            summary.messages_delivered, ref_summary.messages_delivered,
+            "trace diverged at sched={sched:?}"
+        );
+        assert_eq!(summary.bits_delivered, ref_summary.bits_delivered);
     }
 }
 

@@ -242,21 +242,6 @@ proptest! {
     }
 }
 
-/// Shard counts exercised by the scheduler-equivalence properties, plus
-/// any extra count injected via `QD_TEST_SHARDS` (used by `check.sh`).
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![2usize, 4, 7];
-    if let Some(k) = std::env::var("QD_TEST_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if k >= 1 && !counts.contains(&k) {
-            counts.push(k);
-        }
-    }
-    counts
-}
-
 /// Min-id flood: the message-heavy scheduler workload (every node floods
 /// the smallest id it has seen until quiescence).
 #[derive(Clone, Debug)]
@@ -353,14 +338,11 @@ fn seed_reference_flood(g: &Graph) -> (Vec<u32>, u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole's determinism contract on a message-heavy flood:
-    /// sharded execution is byte-identical to sequential (outputs, stats,
-    /// trace events), and the reworked sequential scheduler still matches
-    /// the seed scheduler's outputs and accounting.
+    /// The reworked scheduler still matches the seed scheduler's outputs
+    /// and accounting on a message-heavy flood.
     #[test]
-    fn sharded_flood_equivalence(g in arb_graph()) {
-        let cfg = Config::for_graph(&g);
-        let (stats, outputs, events) = flood_run(&g, cfg);
+    fn flood_matches_seed_scheduler(g in arb_graph()) {
+        let (stats, outputs, _) = flood_run(&g, Config::for_graph(&g));
 
         // Against the pre-change sequential scheduler's semantics.
         let (seed_outputs, seed_rounds, seed_messages, seed_bits) = seed_reference_flood(&g);
@@ -369,22 +351,12 @@ proptest! {
         prop_assert_eq!(stats.messages, seed_messages);
         prop_assert_eq!(stats.total_bits, seed_bits);
         prop_assert!(outputs.iter().all(|&b| b == 0));
-
-        // Across shard counts.
-        for shards in shard_counts() {
-            let (stats_k, outputs_k, events_k) = flood_run(&g, cfg.with_shards(shards));
-            prop_assert_eq!(stats_k, stats, "stats diverged at {} shards", shards);
-            prop_assert_eq!(&outputs_k, &outputs, "outputs diverged at {} shards", shards);
-            prop_assert_eq!(&events_k, &events, "trace diverged at {} shards", shards);
-        }
     }
 
-    /// The same contract on the Figure 2 pipelined wave phase — whose
-    /// program emits `Wave` trace events from *inside* `on_round`, so this
-    /// exercises the worker-thread trace capture path — checked against
-    /// the centralized per-node `max_u d(u, v)` ground truth.
+    /// The Figure 2 pipelined wave phase computes every node's
+    /// `max_u d(u, v)`, checked against the centralized BFS ground truth.
     #[test]
-    fn sharded_waves_equivalence(g in arb_graph()) {
+    fn waves_match_bfs_ground_truth(g in arb_graph()) {
         let cfg = Config::for_graph(&g);
         let root = NodeId::new(0);
         let b = classical::bfs::build(&g, root, cfg).unwrap();
@@ -397,17 +369,7 @@ proptest! {
             .collect();
         let duration = 2 * steps + g.len() as u64 + 2;
 
-        let wave_run = |shards: usize| {
-            let recorder = trace::Recorder::shared();
-            let out = {
-                let _guard = trace::install(recorder.clone());
-                classical::waves::run(&g, &sources, duration, cfg.with_shards(shards)).unwrap()
-            };
-            let events = recorder.borrow_mut().take();
-            (out.max_dist, out.stats, events)
-        };
-
-        let (max_dist, stats, events) = wave_run(1);
+        let max_dist = classical::waves::run(&g, &sources, duration, cfg).unwrap().max_dist;
         for v in g.nodes() {
             let expect = g
                 .nodes()
@@ -415,12 +377,6 @@ proptest! {
                 .max()
                 .unwrap();
             prop_assert_eq!(max_dist[v.index()], expect, "node {}", v);
-        }
-        for shards in shard_counts() {
-            let (max_dist_k, stats_k, events_k) = wave_run(shards);
-            prop_assert_eq!(&max_dist_k, &max_dist, "outputs diverged at {} shards", shards);
-            prop_assert_eq!(stats_k, stats, "stats diverged at {} shards", shards);
-            prop_assert_eq!(&events_k, &events, "trace diverged at {} shards", shards);
         }
     }
 }
@@ -485,27 +441,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Active-set scheduling is byte-identical to the dense reference on
-    /// the message-heavy flood (outputs, stats, trace events), at every
-    /// shard count. The flood keeps most nodes halted after their last
+    /// the message-heavy flood (outputs, stats, trace events). The flood
+    /// keeps most nodes halted after their last
     /// improvement, so halted-node skipping is on the hot path here.
     #[test]
     fn scheduling_flood_equivalence(g in arb_graph()) {
         let base = Config::for_graph(&g);
         let (stats, outputs, events) = flood_run(&g, base.with_scheduling(Scheduling::Dense));
-        let mut shards = vec![1usize];
-        shards.extend(shard_counts());
         // Compare through `expand_round_skips`: fast-forwarded stretches
         // appear as one compact `RoundSkip` in sparse traces, equivalent by
         // contract to the dense run's explicit zero-delivery ticks.
         let events = trace::expand_round_skips(events);
-        for k in shards {
-            let cfg = base.with_shards(k).with_scheduling(Scheduling::ActiveSet);
-            let (s, o, e) = flood_run(&g, cfg);
-            let e = trace::expand_round_skips(e);
-            prop_assert_eq!(s, stats, "stats diverged (active-set, {} shards)", k);
-            prop_assert_eq!(&o, &outputs, "outputs diverged (active-set, {} shards)", k);
-            prop_assert_eq!(&e, &events, "trace diverged (active-set, {} shards)", k);
-        }
+        let (s, o, e) = flood_run(&g, base.with_scheduling(Scheduling::ActiveSet));
+        let e = trace::expand_round_skips(e);
+        prop_assert_eq!(s, stats, "stats diverged (active-set)");
+        prop_assert_eq!(&o, &outputs, "outputs diverged (active-set)");
+        prop_assert_eq!(&e, &events, "trace diverged (active-set)");
     }
 
     /// Dense vs active-set on the Figure 2 wave phase, whose sources vote
@@ -537,27 +488,24 @@ proptest! {
 
         let (max_dist, stats, events) = wave_run(cfg.with_scheduling(Scheduling::Dense));
         let events = trace::expand_round_skips(events);
-        for k in [1usize, 2, 4] {
-            for fast_forward in [true, false] {
-                let (max_dist_k, stats_k, events_k) = wave_run(
-                    cfg.with_shards(k)
-                        .with_scheduling(Scheduling::ActiveSet)
-                        .with_fast_forward(fast_forward),
-                );
-                let events_k = trace::expand_round_skips(events_k);
-                prop_assert_eq!(
-                    &max_dist_k, &max_dist,
-                    "outputs diverged (active-set, {} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    stats_k, stats,
-                    "stats diverged (active-set, {} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    &events_k, &events,
-                    "trace diverged (active-set, {} shards, fast_forward={})", k, fast_forward
-                );
-            }
+        for fast_forward in [true, false] {
+            let (max_dist_k, stats_k, events_k) = wave_run(
+                cfg.with_scheduling(Scheduling::ActiveSet)
+                    .with_fast_forward(fast_forward),
+            );
+            let events_k = trace::expand_round_skips(events_k);
+            prop_assert_eq!(
+                &max_dist_k, &max_dist,
+                "outputs diverged (active-set, fast_forward={})", fast_forward
+            );
+            prop_assert_eq!(
+                stats_k, stats,
+                "stats diverged (active-set, fast_forward={})", fast_forward
+            );
+            prop_assert_eq!(
+                &events_k, &events,
+                "trace diverged (active-set, fast_forward={})", fast_forward
+            );
         }
     }
 
@@ -577,28 +525,16 @@ proptest! {
         // baseline the active-set modes must undercut (or at worst match).
         prop_assert_eq!(dense_sched, g.len() as u64 * stats.rounds);
         let events = trace::expand_round_skips(events);
-        for k in [1usize, 2, 4] {
-            for fast_forward in [true, false] {
-                let cfg = base
-                    .with_shards(k)
-                    .with_scheduling(Scheduling::ActiveSet)
-                    .with_fast_forward(fast_forward);
-                let (s, o, e, sched) = beacon_run(&g, cfg, &wakes);
-                let e = trace::expand_round_skips(e);
-                prop_assert_eq!(
-                    s, stats,
-                    "stats diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    &o, &outputs,
-                    "outputs diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    &e, &events,
-                    "trace diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert!(sched <= dense_sched, "active-set scheduled more than dense");
-            }
+        for fast_forward in [true, false] {
+            let cfg = base
+                .with_scheduling(Scheduling::ActiveSet)
+                .with_fast_forward(fast_forward);
+            let (s, o, e, sched) = beacon_run(&g, cfg, &wakes);
+            let e = trace::expand_round_skips(e);
+            prop_assert_eq!(s, stats, "stats diverged (fast_forward={})", fast_forward);
+            prop_assert_eq!(&o, &outputs, "outputs diverged (fast_forward={})", fast_forward);
+            prop_assert_eq!(&e, &events, "trace diverged (fast_forward={})", fast_forward);
+            prop_assert!(sched <= dense_sched, "active-set scheduled more than dense");
         }
     }
 }
@@ -664,36 +600,24 @@ proptest! {
 
     /// Every hot classical driver — BFS, APSP, convergecast aggregation,
     /// and eccentricity — is byte-identical between the dense reference
-    /// and active-set scheduling, across shard counts {1, 2, 4} and
-    /// fast-forward on/off: same outputs, same `RunStats` (modulo the
-    /// scheduling telemetry `PartialEq` deliberately excludes), same
-    /// skip-expanded trace stream.
+    /// and active-set scheduling, with fast-forward on and off: same
+    /// outputs, same `RunStats` (modulo the scheduling telemetry
+    /// `PartialEq` deliberately excludes), same skip-expanded trace
+    /// stream.
     #[test]
     fn scheduling_driver_suite_equivalence(g in arb_graph()) {
         let base = Config::for_graph(&g);
         let (keys, stats, events) = driver_suite_run(&g, base.with_scheduling(Scheduling::Dense));
         let events = trace::expand_round_skips(events);
-        for k in [1usize, 2, 4] {
-            for fast_forward in [true, false] {
-                let cfg = base
-                    .with_shards(k)
-                    .with_scheduling(Scheduling::ActiveSet)
-                    .with_fast_forward(fast_forward);
-                let (keys_k, stats_k, events_k) = driver_suite_run(&g, cfg);
-                let events_k = trace::expand_round_skips(events_k);
-                prop_assert_eq!(
-                    &keys_k, &keys,
-                    "outputs diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    &stats_k, &stats,
-                    "stats diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-                prop_assert_eq!(
-                    &events_k, &events,
-                    "trace diverged ({} shards, fast_forward={})", k, fast_forward
-                );
-            }
+        for fast_forward in [true, false] {
+            let cfg = base
+                .with_scheduling(Scheduling::ActiveSet)
+                .with_fast_forward(fast_forward);
+            let (keys_k, stats_k, events_k) = driver_suite_run(&g, cfg);
+            let events_k = trace::expand_round_skips(events_k);
+            prop_assert_eq!(&keys_k, &keys, "outputs diverged (fast_forward={})", fast_forward);
+            prop_assert_eq!(&stats_k, &stats, "stats diverged (fast_forward={})", fast_forward);
+            prop_assert_eq!(&events_k, &events, "trace diverged (fast_forward={})", fast_forward);
         }
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * Recovery is **deterministic**: retry fates and reseeded plans are
 //!   pure functions of the seed, so a recovering run — result, recovery
-//!   stats, and full trace stream — is byte-identical across shard
-//!   counts, `Dense`/`ActiveSet` scheduling, and fast-forward on/off.
+//!   stats, and full trace stream — is byte-identical across
+//!   `Dense`/`ActiveSet` scheduling and fast-forward on/off.
 //! * Checkpoint/restart resumes a dropped eccentricity wave from the
 //!   last completed segment boundary, never from round 0.
 //! * Partial-network semantics answer for the largest surviving
@@ -23,21 +23,6 @@ use congest::{FaultPlan, RecoveryPolicy, RecoveryStats};
 use congest_diameter::prelude::*;
 use quantum_diameter::recovery as qrecovery;
 use quantum_diameter::QdError;
-
-/// Shard counts exercised by the equivalence matrix, plus any extra
-/// count injected via `QD_TEST_SHARDS` (used by `check.sh`).
-fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    if let Some(k) = std::env::var("QD_TEST_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if k >= 1 && !counts.contains(&k) {
-            counts.push(k);
-        }
-    }
-    counts
-}
 
 /// Everything the determinism contract covers about one recovering run,
 /// in a directly comparable shape (the ledger is summarized because its
@@ -74,8 +59,7 @@ fn recovering_run(g: &Graph, cfg: Config) -> (RunKey, Vec<trace::TraceEvent>) {
 }
 
 /// A connected random graph for the recovery properties. Kept small:
-/// each proptest case runs the full recovering APSP driver up to
-/// `4 × |shard_counts()| + 1` times.
+/// each proptest case runs the full recovering APSP driver up to 5 times.
 fn arb_graph() -> impl Strategy<Value = graphs::Graph> {
     (6usize..20, 0u64..1_000_000)
         .prop_map(|(n, seed)| graphs::generators::random_connected(n, 0.15, seed))
@@ -86,7 +70,7 @@ proptest! {
 
     /// The recovering driver — retries, retransmissions, checkpoint
     /// restarts, partial re-roots and all — is byte-identical across
-    /// shard counts × scheduling modes × fast-forward, whether it heals,
+    /// scheduling modes × fast-forward, whether it heals,
     /// answers clean, or exhausts its budget into typed detection.
     #[test]
     fn recovering_runs_replay_identically(
@@ -103,21 +87,16 @@ proptest! {
 
         let (key, events) = recovering_run(&g, base.with_scheduling(Scheduling::Dense));
         let events = trace::expand_round_skips(events);
-        for shards in shard_counts() {
-            for scheduling in [Scheduling::Dense, Scheduling::ActiveSet] {
-                for fast_forward in [true, false] {
-                    let cfg = base
-                        .with_shards(shards)
-                        .with_scheduling(scheduling)
-                        .with_fast_forward(fast_forward);
-                    let (key_k, events_k) = recovering_run(&g, cfg);
-                    let events_k = trace::expand_round_skips(events_k);
-                    let ctx = format!(
-                        "{shards} shards, {scheduling:?}, fast_forward={fast_forward}"
-                    );
-                    prop_assert_eq!(&key_k, &key, "result diverged: {}", ctx);
-                    prop_assert_eq!(&events_k, &events, "trace diverged: {}", ctx);
-                }
+        for scheduling in [Scheduling::Dense, Scheduling::ActiveSet] {
+            for fast_forward in [true, false] {
+                let cfg = base
+                    .with_scheduling(scheduling)
+                    .with_fast_forward(fast_forward);
+                let (key_k, events_k) = recovering_run(&g, cfg);
+                let events_k = trace::expand_round_skips(events_k);
+                let ctx = format!("{scheduling:?}, fast_forward={fast_forward}");
+                prop_assert_eq!(&key_k, &key, "result diverged: {}", ctx);
+                prop_assert_eq!(&events_k, &events, "trace diverged: {}", ctx);
             }
         }
     }
