@@ -247,9 +247,7 @@ fn observed<T>(body: impl FnOnce() -> Result<T, AlgoError>) -> (Option<u64>, Res
 }
 
 fn faulted_config(g: &Graph, plan: FaultPlan) -> Config {
-    Config::for_graph(g)
-        .with_scheduling(bench::scheduling())
-        .with_faults(plan)
+    Config::for_graph(g).with_faults(plan)
 }
 
 fn main() {

@@ -11,8 +11,7 @@
 //!
 //! `QD_MAX_N=10000` caps the sweep and `QD_RESULTS_DIR` redirects the
 //! artifact (the `scripts/check.sh` smoke uses both, leaving the
-//! committed full-sweep JSON untouched); `QD_SCHED` selects the
-//! scheduling mode as usual.
+//! committed full-sweep JSON untouched).
 
 use congest::{Network, NodeProgram, Payload, RoundCtx, Status};
 use graphs::{Graph, NodeId};
@@ -35,7 +34,7 @@ impl Payload for Hop {
 /// Every vote is `Halted` — an unreached node has nothing to do until the
 /// token arrives, and message delivery wakes it (the active-set contract).
 /// Voting `Active` while waiting would keep all n nodes scheduled every
-/// round and measure the dense path instead of the frontier.
+/// round and measure all n nodes instead of the frontier.
 struct Flood {
     dist: Option<u32>,
 }

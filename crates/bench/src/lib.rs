@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use congest::{Config, Scheduling};
+use congest::Config;
 use graphs::Graph;
 
 /// Experiment scale factor read from the `QD_SCALE` environment variable
@@ -63,28 +63,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Round-scheduling mode read from the `QD_SCHED` environment variable
-/// (default: the simulator's own default, [`Scheduling::ActiveSet`]).
-/// `QD_SCHED=dense cargo run --release --bin fig1_bfs` reruns an
-/// experiment on the dense reference scheduler — outputs, stats, and
-/// traces are byte-identical to the active-set scheduler, only the wall
-/// clock changes.
-///
-/// # Panics
-///
-/// Panics on an unknown mode name: a typo'd scheduler comparison must not
-/// silently measure the default.
-pub fn scheduling() -> Scheduling {
-    match std::env::var("QD_SCHED") {
-        Err(_) => Scheduling::default(),
-        Ok(s) => match s.as_str() {
-            "dense" => Scheduling::Dense,
-            "active-set" | "active" | "sparse" => Scheduling::ActiveSet,
-            other => panic!("QD_SCHED '{other}': expected 'dense' or 'active-set'"),
-        },
-    }
-}
-
 /// Fault-injection plan read from the `QD_FAULTS` environment variable
 /// (default: none). The spec grammar is [`congest::FaultPlan::parse`]'s —
 /// e.g. `QD_FAULTS=drop=0.01,seed=7 cargo run --release --bin table1_exact`
@@ -120,13 +98,10 @@ pub fn recovery() -> congest::RecoveryPolicy {
     }
 }
 
-/// The CONGEST config every experiment binary should use: scheduled per
-/// [`scheduling`], with any `QD_FAULTS` plan and `QD_RECOVER` policy
-/// applied.
+/// The CONGEST config every experiment binary should use: any
+/// `QD_FAULTS` plan and `QD_RECOVER` policy applied.
 pub fn config_for(g: &Graph) -> Config {
-    let mut cfg = Config::for_graph(g)
-        .with_scheduling(scheduling())
-        .with_recovery(recovery());
+    let mut cfg = Config::for_graph(g).with_recovery(recovery());
     if let Some(plan) = faults() {
         cfg = cfg.with_faults(plan);
     }
@@ -135,7 +110,7 @@ pub fn config_for(g: &Graph) -> Config {
 
 /// A sweep instance: a sparse random network with roughly constant degree
 /// (so the diameter grows only logarithmically), plus its CONGEST config
-/// (scheduled per [`scheduling`], faulted per [`faults`]).
+/// (per [`config_for`]).
 pub fn sparse_instance(n: usize, seed: u64) -> (Graph, Config) {
     let g = graphs::generators::random_sparse(n, 8.0, seed);
     let cfg = config_for(&g);
@@ -259,13 +234,6 @@ mod tests {
     #[test]
     fn scale_defaults_to_one() {
         assert!(scale() >= 1);
-    }
-
-    #[test]
-    fn scheduling_defaults_to_the_simulator_default() {
-        if std::env::var("QD_SCHED").is_err() {
-            assert_eq!(scheduling(), Scheduling::default());
-        }
     }
 
     #[test]

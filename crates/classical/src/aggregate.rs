@@ -156,6 +156,30 @@ pub struct AggOutcome {
     pub retransmissions: u64,
 }
 
+/// The convergecast program at each node, as [`convergecast`] starts it.
+fn convergecast_program<'a>(
+    tree: &'a TreeView,
+    values: &'a [u64],
+    value_bits: usize,
+    op: Op,
+    config: Config,
+) -> impl Fn(NodeId) -> AggProgram + 'a {
+    let resend = config.recovery().retransmit();
+    move |v| AggProgram {
+        parent: tree.parent(v),
+        pending: tree.children(v).len(),
+        op,
+        acc: values[v.index()],
+        witness: u32::from(v),
+        value_bits,
+        sent: false,
+        seen: Vec::new(),
+        resend,
+        resends_left: 0,
+        resent: 0,
+    }
+}
+
 /// Aggregates `values` up `tree` to its root in `depth + 1` rounds.
 ///
 /// `value_bits` is the honest wire width of a value (and must cover every
@@ -196,19 +220,8 @@ pub fn convergecast(
     }
     let fault_aware = config.has_faults();
     let resend = config.recovery().retransmit();
-    let mut net = Network::new(graph, config, |v| AggProgram {
-        parent: tree.parent(v),
-        pending: tree.children(v).len(),
-        op,
-        acc: values[v.index()],
-        witness: u32::from(v),
-        value_bits,
-        sent: false,
-        seen: Vec::new(),
-        resend,
-        resends_left: 0,
-        resent: 0,
-    });
+    let program = convergecast_program(tree, values, value_bits, op, config);
+    let mut net = Network::new(graph, config, program);
     let cap = 2 * graph.len() as u64 + 16 + u64::from(resend);
     let stats = net
         .run_until_quiescent(cap)
@@ -311,6 +324,22 @@ pub struct BroadcastOutcome {
     pub stats: RunStats,
 }
 
+/// The broadcast program at each node, as [`broadcast`] starts it.
+fn broadcast_program(
+    tree: &TreeView,
+    value: u64,
+    value_bits: usize,
+) -> impl Fn(NodeId) -> BcastProgram + '_ {
+    let root = tree.root();
+    move |v| BcastProgram {
+        children: tree.children(v).to_vec(),
+        value: (v == root).then_some(value),
+        value_bits,
+        is_root: v == root,
+        sent: false,
+    }
+}
+
 /// Broadcasts `value` from the root of `tree` to every node in `depth + 1`
 /// rounds.
 ///
@@ -325,15 +354,8 @@ pub fn broadcast(
     value_bits: usize,
     config: Config,
 ) -> Result<BroadcastOutcome, AlgoError> {
-    let root = tree.root();
     let fault_aware = config.has_faults();
-    let mut net = Network::new(graph, config, |v| BcastProgram {
-        children: tree.children(v).to_vec(),
-        value: (v == root).then_some(value),
-        value_bits,
-        is_root: v == root,
-        sent: false,
-    });
+    let mut net = Network::new(graph, config, broadcast_program(tree, value, value_bits));
     let cap = 2 * graph.len() as u64 + 16;
     let stats = net
         .run_until_quiescent(cap)
@@ -361,6 +383,7 @@ pub fn broadcast(
 mod tests {
     use super::*;
     use crate::bfs;
+    use crate::differential::{self, Run};
     use graphs::generators;
 
     fn tree_of(g: &Graph, root: usize) -> TreeView {
@@ -437,5 +460,22 @@ mod tests {
         assert_eq!(out.witness, NodeId::new(0));
         let b = broadcast(&g, &tree, 3, 4, Config::for_graph(&g)).unwrap();
         assert_eq!(b.values, vec![3]);
+    }
+
+    #[test]
+    fn programs_match_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let cfg = Config::for_graph(&g);
+            let tree = TreeView::from(&bfs::build(&g, NodeId::new(0), cfg).unwrap());
+            let values: Vec<u64> = (0..g.len() as u64).map(|i| (i * 7 + seed) % 11).collect();
+            let n = g.len() as u64;
+            for cfg in differential::configs(&g, seed) {
+                let resend = u64::from(cfg.recovery().retransmit());
+                let program = convergecast_program(&tree, &values, 4, Op::Max, cfg);
+                differential::check(&g, cfg, Run::Quiescent(2 * n + 16 + resend), program);
+                let program = broadcast_program(&tree, 9, 4);
+                differential::check(&g, cfg, Run::Quiescent(2 * n + 16), program);
+            }
+        }
     }
 }

@@ -170,6 +170,22 @@ pub struct BfsOutcome {
     pub retransmissions: u64,
 }
 
+/// The Figure 1 program at each node, as [`build`] starts it.
+fn program(root: NodeId, config: Config) -> impl Fn(NodeId) -> BfsProgram {
+    let (fault_aware, resend) = (config.has_faults(), config.recovery().retransmit());
+    move |_| BfsProgram {
+        root,
+        parent: None,
+        dist: None,
+        children: Vec::new(),
+        fault_aware,
+        violation: None,
+        resend,
+        resends_left: 0,
+        resent: 0,
+    }
+}
+
 /// Builds a BFS tree from `root` (Figure 1), in `ecc(root) + 2` rounds.
 ///
 /// # Errors
@@ -200,17 +216,7 @@ pub fn build(graph: &Graph, root: NodeId, config: Config) -> Result<BfsOutcome, 
     }
     let fault_aware = config.has_faults();
     let resend = config.recovery().retransmit();
-    let mut net = Network::new(graph, config, |_| BfsProgram {
-        root,
-        parent: None,
-        dist: None,
-        children: Vec::new(),
-        fault_aware,
-        violation: None,
-        resend,
-        resends_left: 0,
-        resent: 0,
-    });
+    let mut net = Network::new(graph, config, program(root, config));
     let cap = 2 * graph.len() as u64 + 16 + u64::from(resend);
     let stats = net
         .run_until_quiescent(cap)
@@ -287,6 +293,7 @@ pub fn build(graph: &Graph, root: NodeId, config: Config) -> Result<BfsOutcome, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Run};
     use graphs::{generators, metrics, traversal::Bfs};
 
     fn check_tree(g: &Graph, out: &BfsOutcome) {
@@ -379,5 +386,16 @@ mod tests {
         let out = build(&g, NodeId::new(0), Config::for_graph(&g)).unwrap();
         assert_eq!(out.depth, 0);
         assert!(out.children[0].is_empty());
+    }
+
+    #[test]
+    fn program_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let root = NodeId::new(seed as usize);
+            for cfg in differential::configs(&g, seed) {
+                let cap = 2 * g.len() as u64 + 16 + u64::from(cfg.recovery().retransmit());
+                differential::check(&g, cfg, Run::Quiescent(cap), program(root, cfg));
+            }
+        }
     }
 }

@@ -140,6 +140,20 @@ impl DfsWalkOutcome {
     }
 }
 
+/// The token-walk program at each node, as [`walk`] starts it.
+fn program(tree: &TreeView, start: NodeId, steps: u64) -> impl Fn(NodeId) -> WalkProgram + '_ {
+    let t_bits = bits::for_value(steps.max(1));
+    move |v| WalkProgram {
+        parent: tree.parent(v),
+        children: tree.children(v).to_vec(),
+        is_start: v == start,
+        steps,
+        t_bits,
+        tau: None,
+        max_t: 0,
+    }
+}
+
 /// Runs a `steps`-move DFS token walk on `tree` starting at `start`
 /// (Figure 2 Step 1), in `steps + 1` rounds.
 ///
@@ -183,17 +197,8 @@ pub fn walk(
             reason: "walk start out of range".into(),
         });
     }
-    let t_bits = bits::for_value(steps.max(1));
     let fault_aware = config.has_faults();
-    let mut net = Network::new(graph, config, |v| WalkProgram {
-        parent: tree.parent(v),
-        children: tree.children(v).to_vec(),
-        is_start: v == start,
-        steps,
-        t_bits,
-        tau: None,
-        max_t: 0,
-    });
+    let mut net = Network::new(graph, config, program(tree, start, steps));
     let cap: Round = steps + 4;
     let stats = net
         .run_until_quiescent(cap)
@@ -223,6 +228,7 @@ pub fn walk(
 mod tests {
     use super::*;
     use crate::bfs;
+    use crate::differential::{self, Run};
     use graphs::tree::{EulerTour, RootedTree};
     use graphs::{generators, Graph};
 
@@ -318,5 +324,18 @@ mod tests {
         let res = walk(&g, &view, NodeId::new(0), 100, Config::for_graph(&g)).unwrap();
         assert!(res.tau[3].is_none());
         assert_eq!(res.visited().len(), 3);
+    }
+
+    #[test]
+    fn program_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let root = NodeId::new(0);
+            let view = TreeView::from(&bfs::build(&g, root, Config::for_graph(&g)).unwrap());
+            let steps = 2 * (g.len() as u64 - 1);
+            for cfg in differential::configs(&g, seed) {
+                let cap = Run::Quiescent(steps + 4);
+                differential::check(&g, cfg, cap, program(&view, root, steps));
+            }
+        }
     }
 }

@@ -390,6 +390,7 @@ pub fn approx_diameter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Run};
     use graphs::{generators, metrics};
 
     fn check_bounds(g: &Graph, params: HprwParams) {
@@ -502,5 +503,19 @@ mod tests {
     fn disconnected_fails() {
         let g = Graph::from_edges(6, [(0, 1), (2, 3), (4, 5)]).unwrap();
         assert!(approx_diameter(&g, HprwParams::with_s(2, 0), Config::for_graph(&g)).is_err());
+    }
+
+    #[test]
+    fn multi_source_bfs_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let in_sample: Vec<bool> = (0..g.len() as u64).map(|i| (i + seed) % 5 == 0).collect();
+            for cfg in differential::configs(&g, seed) {
+                let cap = Run::Quiescent(2 * g.len() as u64 + 16);
+                differential::check(&g, cfg, cap, |v| MsBfs {
+                    is_source: in_sample[v.index()],
+                    dist: None,
+                });
+            }
+        }
     }
 }

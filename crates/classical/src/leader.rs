@@ -119,6 +119,7 @@ pub fn elect(graph: &Graph, config: Config) -> Result<LeaderOutcome, AlgoError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Run};
     use graphs::{generators, metrics};
 
     #[test]
@@ -157,5 +158,15 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let err = elect(&g, Config::for_graph(&g)).unwrap_err();
         assert_eq!(err, AlgoError::Disconnected);
+    }
+
+    #[test]
+    fn program_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            for cfg in differential::configs(&g, seed) {
+                let cap = Run::Quiescent(4 * g.len() as u64 + 16);
+                differential::check(&g, cfg, cap, |v| Elect { best: u32::from(v) });
+            }
+        }
     }
 }

@@ -65,3 +65,87 @@ pub mod waves;
 
 pub use error::AlgoError;
 pub use tree_view::TreeView;
+
+/// The Network-vs-reference differential every node program's tests run.
+#[cfg(test)]
+pub(crate) mod differential {
+    use congest::reference::Reference;
+    use congest::{Config, FaultPlan, Network, NodeProgram, RecoveryPolicy, Round};
+    use graphs::{generators, Graph, NodeId};
+
+    /// How long a run lasts, as in the program's driver.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Run {
+        /// `run_until_quiescent` with this round cap.
+        Quiescent(Round),
+        /// `run_rounds` for exactly this many rounds.
+        Rounds(Round),
+    }
+
+    /// The graphs a differential covers, each with its seed.
+    pub(crate) fn graphs() -> impl Iterator<Item = (u64, Graph)> {
+        (0..3).map(|seed| (seed, generators::random_connected(22, 0.15, seed)))
+    }
+
+    /// The configurations a differential covers on `g`: fault-free, under
+    /// a lossy, jittery plan with a crash-stop, and under the same plan
+    /// with retransmission.
+    pub(crate) fn configs(g: &Graph, seed: u64) -> [Config; 3] {
+        let plan = FaultPlan::new(seed)
+            .with_drop(0.05)
+            .with_delay(0.1, 2)
+            .with_crash(g.len() - 1, 3);
+        let faulty = Config::for_graph(g).with_faults(plan);
+        let resend = RecoveryPolicy::new().with_retransmit(2);
+        [Config::for_graph(g), faulty, faulty.with_recovery(resend)]
+    }
+
+    /// Runs the program `make` builds on `graph` in both `Network` and the
+    /// reference simulator, and asserts they agree on the outputs,
+    /// `RunStats`, `FaultStats`, the first error, and the trace (after
+    /// `expand_round_skips`), with no contract breach.
+    pub(crate) fn check<P>(graph: &Graph, config: Config, run: Run, make: impl Fn(NodeId) -> P)
+    where
+        P: NodeProgram,
+        P::Output: std::fmt::Debug,
+    {
+        let (got, events) = traced(|| {
+            let mut net = Network::new(graph, config, &make);
+            let result = match run {
+                Run::Quiescent(cap) => net.run_until_quiescent(cap),
+                Run::Rounds(rounds) => net.run_rounds(rounds),
+            };
+            (
+                result,
+                net.fault_stats(),
+                format!("{:?}", net.into_outputs()),
+            )
+        });
+        let (expect, expect_events) = traced(|| {
+            let mut reference = Reference::new(graph, config, &make);
+            let result = match run {
+                Run::Quiescent(cap) => reference.run_until_quiescent(cap),
+                Run::Rounds(rounds) => reference.run_rounds(rounds),
+            };
+            assert_eq!(reference.breach(), None, "contract breach, {config:?}");
+            let faults = reference.fault_stats();
+            (result, faults, format!("{:?}", reference.into_outputs()))
+        });
+        assert_eq!(got, expect, "{run:?}, {config:?}");
+        assert_eq!(
+            trace::expand_round_skips(events),
+            expect_events,
+            "trace, {run:?}, {config:?}"
+        );
+    }
+
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<trace::TraceEvent>) {
+        let recorder = trace::Recorder::shared();
+        let out = {
+            let _guard = trace::install(recorder.clone());
+            f()
+        };
+        let events = recorder.borrow_mut().take();
+        (out, events)
+    }
+}

@@ -33,8 +33,7 @@
 //!
 //! Determinism is preserved: recovery fates are pure functions of the
 //! plan seed and attempt number, so results — including
-//! [`RecoveryStats`] — are byte-identical across scheduling modes and
-//! fast-forwarding.
+//! [`RecoveryStats`] — replay byte-identically.
 //!
 //! # Guarantee class
 //!

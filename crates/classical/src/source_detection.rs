@@ -116,6 +116,20 @@ pub struct DetectionOutcome {
     pub stats: RunStats,
 }
 
+/// The detection program at each node, as [`detect`] starts it.
+fn program(is_source: &[bool], gamma: usize, sigma: Dist) -> impl Fn(NodeId) -> DetectProgram + '_ {
+    move |v| DetectProgram {
+        gamma,
+        sigma,
+        known: if is_source[v.index()] {
+            vec![(0, v)]
+        } else {
+            Vec::new()
+        },
+        sent: Vec::new(),
+    }
+}
+
 /// Runs `(S, γ, σ)`-source detection in `γ + σ + 2` rounds.
 ///
 /// # Errors
@@ -158,19 +172,7 @@ pub fn detect(
         }
         is_source[s.index()] = true;
     }
-    let mut net = Network::new(graph, config, |v| {
-        let known = if is_source[v.index()] {
-            vec![(0, v)]
-        } else {
-            Vec::new()
-        };
-        DetectProgram {
-            gamma,
-            sigma,
-            known,
-            sent: Vec::new(),
-        }
-    });
+    let mut net = Network::new(graph, config, program(&is_source, gamma, sigma));
     let duration: Round = gamma as Round + u64::from(sigma) + 2;
     let stats = net.run_rounds(duration)?;
     Ok(DetectionOutcome {
@@ -211,6 +213,7 @@ pub fn reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Run};
     use graphs::generators;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -299,5 +302,17 @@ mod tests {
         let g = generators::cycle(6);
         assert!(detect(&g, &[NodeId::new(9)], 1, 3, Config::for_graph(&g)).is_err());
         assert!(detect(&g, &[NodeId::new(0)], 0, 3, Config::for_graph(&g)).is_err());
+    }
+
+    #[test]
+    fn program_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let is_source: Vec<bool> = (0..g.len() as u64).map(|i| (i + seed) % 3 == 0).collect();
+            let (gamma, sigma) = (3, 4);
+            for cfg in differential::configs(&g, seed) {
+                let rounds = Run::Rounds(gamma as Round + u64::from(sigma) + 2);
+                differential::check(&g, cfg, rounds, program(&is_source, gamma, sigma));
+            }
+        }
     }
 }

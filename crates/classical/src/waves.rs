@@ -173,24 +173,14 @@ impl NodeProgram for WaveProgram {
                 });
             }
         }
-        // Precise scheduling vote: a source whose start round is still
-        // ahead stays `Active` behind the checked quiet declaration below
-        // (scheduling exactly like `Sleep(start)`, but cross-checked
-        // against actual sends); everyone else is purely message-driven.
+        // Lemma 2 schedule knowledge: a source whose start round `2τ'` is
+        // still ahead stages nothing before it unless an earlier wave
+        // reaches it first (which re-runs it), so it sleeps until then and
+        // fast-forward may jump the pipeline's lead-in; everyone else is
+        // purely message-driven.
         match self.source {
-            Some((start, _)) if start > ctx.round() => Status::Active,
+            Some((start, _)) if start > ctx.round() => Status::Sleep(start),
             _ => Status::Halted,
-        }
-    }
-
-    /// Lemma 2 schedule knowledge, declared to the scheduler: a future
-    /// source stages nothing before its start round `2τ'` unless an earlier
-    /// wave reaches it first (a message arrival supersedes the
-    /// declaration), so fast-forward may jump the pipeline's lead-in.
-    fn quiet_until(&self, _node: NodeId, round: Round) -> Option<Round> {
-        match self.source {
-            Some((start, _)) if start > round => Some(start),
-            _ => None,
         }
     }
 
@@ -256,6 +246,22 @@ impl WaveOutcome {
     }
 }
 
+/// The wave program at each node, as [`run`] starts it: `starts[v]` is
+/// `Some((2τ', τ'))` at a source.
+fn program(
+    starts: &[Option<(Round, u64)>],
+    tau_bits: usize,
+) -> impl Fn(NodeId) -> WaveProgram + '_ {
+    move |v| WaveProgram {
+        source: starts[v.index()],
+        last_tau: -1,
+        max_dist: 0,
+        processed: 0,
+        tau_bits,
+        violation: None,
+    }
+}
+
 /// Runs the pipelined wave phase for exactly `duration` rounds.
 ///
 /// `sources` maps each source node to its tour position `τ'`; its wave
@@ -299,16 +305,8 @@ pub fn run(
     }
     let tau_bits = bits::for_value(max_tau);
     let fault_aware = config.has_faults();
-    let mut net = Network::new(graph, config, |v| WaveProgram {
-        source: starts[v.index()],
-        last_tau: -1,
-        max_dist: 0,
-        processed: 0,
-        tau_bits,
-        violation: None,
-    });
+    let mut net = Network::new(graph, config, program(&starts, tau_bits));
     let run = net.run_rounds(duration);
-    let quiet_violation = net.quiet_violation();
     let outcomes = net.into_outputs();
     let violation = outcomes
         .iter()
@@ -323,16 +321,6 @@ pub fn run(
         }
     }
     let stats = run.map_err(|e| AlgoError::from_congest(e, fault_aware))?;
-    // The scheduler cross-checks the quiet declarations above against the
-    // committed sends; a recorded violation means the schedule lied about
-    // its silent stretches, so degrade to a typed fault rather than return
-    // a result a fast-forwarded run could disagree on.
-    if let Some((round, node)) = quiet_violation {
-        return Err(AlgoError::FaultDetected {
-            round,
-            detail: format!("{node} sent inside its declared quiet phase"),
-        });
-    }
     if let Some((round, detail)) = violation {
         return Err(AlgoError::FaultDetected { round, detail });
     }
@@ -350,6 +338,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::differential::{self, Run};
     use crate::{bfs, dfs_walk, TreeView};
     use graphs::{generators, metrics, traversal::Bfs};
 
@@ -495,6 +484,23 @@ mod tests {
                 assert!(reason.contains("wave collision"), "{reason}");
             }
             other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn program_matches_the_reference() {
+        for (seed, g) in differential::graphs() {
+            let cfg = Config::for_graph(&g);
+            let root = NodeId::new(0);
+            let view = TreeView::from(&bfs::build(&g, root, cfg).unwrap());
+            let steps = 2 * (g.len() as u64 - 1);
+            let dfs = dfs_walk::walk(&g, &view, root, steps, cfg).unwrap();
+            let starts: Vec<_> = dfs.tau.iter().map(|t| t.map(|t| (2 * t, t))).collect();
+            let tau_bits = bits::for_value(steps);
+            for cfg in differential::configs(&g, seed) {
+                let rounds = Run::Rounds(2 * steps + g.len() as u64 + 2);
+                differential::check(&g, cfg, rounds, program(&starts, tau_bits));
+            }
         }
     }
 }

@@ -14,8 +14,10 @@
 //! got around to deciding it. Together with the commit phase being
 //! sequential in node-id order, this makes a `(graph, config, seed)` triple
 //! replay byte-identically — outputs, [`RunStats`](crate::RunStats),
-//! [`FaultStats`], and trace streams — under either
-//! [`Scheduling`](crate::Scheduling) mode, with or without fast-forwarding.
+//! [`FaultStats`], and trace streams — whichever nodes the scheduler
+//! executes and whether or not it fast-forwards, so the
+//! [`reference`](crate::reference) simulator, which decides fates through
+//! the same [`FaultPlan::fate`], must agree with it.
 //!
 //! # Fault semantics
 //!
@@ -196,7 +198,7 @@ impl FaultPlan {
     ///
     /// The decision is a pure function of `(plan, round, from, to)`: the
     /// same message meets the same fate in every replay, regardless of
-    /// scheduling mode or scheduler internals.
+    /// scheduler internals (the reference simulator calls it too).
     pub fn fate(&self, round: Round, from: usize, to: usize) -> MessageFate {
         if self.link_down(round, from, to) {
             return MessageFate::LinkDropped;

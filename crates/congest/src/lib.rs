@@ -17,6 +17,9 @@
 //!   [`RunStats`]. Rounds run allocation-free over a double-buffered
 //!   message path: each payload is stored once when sent, and an
 //!   [`Inbox`] is a view of entry indices into last round's send buffer.
+//! * [`reference`](mod@reference) — an independent, deliberately naive simulator that
+//!   runs every node every round; differential suites check `Network`
+//!   against it.
 //! * [`Payload`] — messages declare their size in bits; the [`bits`] module
 //!   has helpers for honest field sizes.
 //! * [`RoundsLedger`] — accumulates round/bit accounting across the phases of
@@ -81,12 +84,13 @@ mod message;
 mod network;
 mod program;
 pub mod recovery;
+pub mod reference;
 
 pub use error::CongestError;
 pub use faults::{FaultPlan, FaultStats};
 pub use ledger::RoundsLedger;
 pub use message::Payload;
-pub use network::{BandwidthPolicy, Config, CriticalPath, Network, RunStats, Scheduling};
+pub use network::{BandwidthPolicy, Config, CriticalPath, Network, RunStats};
 pub use program::{Inbox, InboxIter, NodeProgram, RoundCtx, Status};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 

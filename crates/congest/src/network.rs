@@ -21,47 +21,23 @@ pub enum BandwidthPolicy {
     Track,
 }
 
-/// How the scheduler picks which node programs to execute each round.
-///
-/// Both modes produce **byte-identical** outputs, [`RunStats`], and trace
-/// streams for programs that honour the [`Status`] contract — `ActiveSet`
-/// is purely an execution-cost optimization, and the equivalence is pinned
-/// by proptests (`tests/property.rs`, `tests/failure_injection.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Scheduling {
-    /// Execute every node program every round — cost `Θ(n)` per round
-    /// regardless of how many nodes have anything to do.
-    Dense,
-    /// Execute only *runnable* nodes: those that voted [`Status::Active`],
-    /// hold a due [`Status::Sleep`] wakeup, or received a message. Nodes
-    /// that voted `Halted` with an empty inbox are skipped, and fully
-    /// quiescent stretches are fast-forwarded by the run loops (see
-    /// [`Config::with_fast_forward`]).
-    #[default]
-    ActiveSet,
-}
-
 /// Simulator configuration.
 ///
 /// # Example
 ///
 /// ```
-/// use congest::{BandwidthPolicy, Config, Scheduling};
+/// use congest::{BandwidthPolicy, Config};
 /// use graphs::generators;
 ///
 /// let g = generators::cycle(64);
 /// let cfg = Config::for_graph(&g).with_policy(BandwidthPolicy::Track);
 /// assert!(cfg.bandwidth_bits() >= 4 * 6);
-/// assert_eq!(cfg.scheduling(), Scheduling::ActiveSet);
+/// assert_eq!(cfg.policy(), BandwidthPolicy::Track);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Config {
     bandwidth_bits: usize,
     policy: BandwidthPolicy,
-    scheduling: Scheduling,
-    /// Whether the run loops may jump over fully quiescent stretches
-    /// (active-set mode only).
-    fast_forward: bool,
     /// Interned fault plan, if any — `Config` stays `Copy + Eq` while the
     /// plan itself (heap-allocated schedules) lives in the fault registry.
     faults: Option<FaultsId>,
@@ -83,8 +59,6 @@ impl Config {
         Config {
             bandwidth_bits,
             policy: BandwidthPolicy::Enforce,
-            scheduling: Scheduling::default(),
-            fast_forward: true,
             faults: None,
             recovery: RecoveryPolicy::default(),
             critical_path: false,
@@ -120,45 +94,10 @@ impl Config {
         self.policy
     }
 
-    /// Replaces the scheduling mode. [`Scheduling::ActiveSet`] (the default)
-    /// skips nodes with nothing to do; [`Scheduling::Dense`] executes every
-    /// program every round. Outputs, stats, and traces are byte-identical
-    /// either way — dense mode exists as the equivalence-test reference and
-    /// for programs that violate the [`Status::Halted`] contract.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// The configured scheduling mode.
-    pub fn scheduling(&self) -> Scheduling {
-        self.scheduling
-    }
-
-    /// Enables or disables quiescent-stretch fast-forwarding (default:
-    /// enabled). Only consulted under [`Scheduling::ActiveSet`]: when the
-    /// active set is empty and no messages are in flight — including
-    /// fault-delayed ones — [`Network::run_rounds`] and
-    /// [`Network::run_until_quiescent`] jump the round counter to the next
-    /// scheduled event (timed wakeup, crash-stop, or delayed-message due
-    /// round) instead of stepping idle rounds one by one. The jump is
-    /// observationally identical to stepping: `RunStats.rounds`, per-round
-    /// trace ticks, and fault fates (pure functions of `(seed, round,
-    /// edge)`) come out exactly as if every round had executed.
-    pub fn with_fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
-        self
-    }
-
-    /// Whether quiescent-stretch fast-forwarding is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
     /// Attaches a [`FaultPlan`]: the scheduler will drop/corrupt/delay
     /// messages, fail links, and crash-stop nodes exactly as the plan
     /// dictates, deterministically per `(graph, config, seed)` and
-    /// independently of the [`Scheduling`] mode and fast-forwarding.
+    /// independently of which nodes execute and of fast-forwarding.
     ///
     /// A [passive](FaultPlan::is_passive) plan is equivalent to no plan at
     /// all: the resulting `Config` compares equal to one that never saw
@@ -210,7 +149,7 @@ impl Config {
     /// messages ending at the node), updated at the commit point, and
     /// surfaces the longest chain through [`Network::critical_path`] and
     /// [`RunStats::critical_depth`]. The depth is a protocol observable —
-    /// identical across scheduling modes and fast-forwarding — and
+    /// unaffected by fast-forwarding — and
     /// empirically checks the Figure-2 wave pipeline: a wave that obeys
     /// the 2τ′(u) schedule cannot build a causal chain longer than its
     /// scheduled duration.
@@ -228,10 +167,11 @@ impl Config {
 /// Accounting collected by a [`Network`] run.
 ///
 /// Equality compares only the *protocol observables* (rounds, messages,
-/// bits, violations) — the scheduling telemetry (`scheduled_nodes`,
-/// `node_rounds`) is excluded, since [`Scheduling::ActiveSet`] legitimately
-/// executes fewer node-rounds than [`Scheduling::Dense`] while producing
-/// byte-identical traffic.
+/// bits, violations, causal depth) — the scheduling telemetry
+/// (`scheduled_nodes`, `node_rounds`) is excluded: how many node programs
+/// a simulator executes to produce the same traffic is a cost, not a
+/// result (the [`reference`](crate::reference) simulator runs every node
+/// every round).
 #[derive(Clone, Copy, Debug, Default, Eq)]
 pub struct RunStats {
     /// Rounds executed.
@@ -245,9 +185,8 @@ pub struct RunStats {
     /// Number of messages that exceeded the budget (only nonzero under
     /// [`BandwidthPolicy::Track`]).
     pub bandwidth_violations: u64,
-    /// Node-program executions actually scheduled: `n` per stepped round
-    /// under [`Scheduling::Dense`], the active-set size under
-    /// [`Scheduling::ActiveSet`]; fast-forwarded rounds schedule nothing.
+    /// Node-program executions actually scheduled: the active-set size
+    /// summed over stepped rounds; fast-forwarded rounds schedule nothing.
     /// Excluded from equality (scheduling telemetry, not a protocol
     /// observable).
     pub scheduled_nodes: u64,
@@ -258,8 +197,8 @@ pub struct RunStats {
     /// Longest causal message chain observed so far (0 unless
     /// [`Config::with_critical_path`] enabled the profiler). *Included* in
     /// equality: commit order is sequential and fate decisions are pure, so
-    /// the causal depth is a protocol observable, identical across
-    /// scheduling modes and fast-forwarding.
+    /// the causal depth is a protocol observable, unaffected by
+    /// fast-forwarding.
     pub critical_depth: u64,
 }
 
@@ -291,9 +230,9 @@ impl RunStats {
     }
 
     /// Fraction of node-round opportunities that actually executed a
-    /// program: 1.0 under [`Scheduling::Dense`] with no fast-forwarding,
-    /// lower when sparse scheduling or quiescence-skipping elided work.
-    /// Returns 1.0 for an empty run.
+    /// program: 1.0 when every node ran every round, lower when halted
+    /// nodes were skipped or quiet stretches fast-forwarded. Returns 1.0
+    /// for an empty run.
     pub fn active_fraction(&self) -> f64 {
         if self.node_rounds == 0 {
             1.0
@@ -311,10 +250,10 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 /// Holds one [`NodeProgram`] instance per node and executes rounds in four
 /// phases:
 ///
-/// 0. **assemble** (active-set mode) — the runnable set for this round:
-///    last round's [`Status::Active`] voters and message receivers, plus
-///    [`Status::Sleep`] wakeups that have come due. Dense mode runs every
-///    node every round instead; see [`Scheduling`].
+/// 0. **assemble** — the runnable set for this round: last round's
+///    [`Status::Active`] voters and message receivers, plus
+///    [`Status::Sleep`] wakeups that have come due. Nodes that voted
+///    `Halted` and received nothing are not executed.
 /// 1. **seal** — the two send buffers swap: the one committed last round
 ///    becomes the read-only store this round's inboxes index into. Every
 ///    inbox already sits in its node's row of the graph's CSR layout (one
@@ -346,12 +285,20 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///
 /// With a metrics registry installed, each phase is timed into the
 /// `congest/assemble`, `congest/seal`, `congest/execute`,
-/// `congest/validate`, `congest/vote` (the quiet cross-check and the vote
-/// scan between validate and commit) and `congest/commit` profiler spans.
+/// `congest/validate`, `congest/vote` (the vote scan between validate and
+/// commit) and `congest/commit` profiler spans.
 ///
 /// Node iteration order is fixed (by id) and inboxes arrive sorted by
 /// sender id (an invariant the scheduler `debug_assert!`s), so runs are
 /// fully deterministic.
+///
+/// When nothing is runnable and nothing is in flight, the run loops
+/// fast-forward: the round counter jumps to the next scheduled event (a
+/// timed wakeup, a crash-stop, or a delayed message's due round) instead
+/// of stepping idle rounds. The jump is observationally identical to
+/// stepping: `RunStats.rounds`, the trace (one `RoundSkip` standing for
+/// the zero-delivery ticks) and fault fates (pure functions of `(seed,
+/// round, edge)`) come out as if every round had executed.
 ///
 /// See the [crate-level example](crate).
 pub struct Network<'g, P: NodeProgram> {
@@ -388,10 +335,8 @@ pub struct Network<'g, P: NodeProgram> {
     /// scheduler's O(deg²) scan.
     seen: Vec<u64>,
     seen_epoch: u64,
-    /// Node ids executed in the current round, sorted ascending. Under
-    /// [`Scheduling::Dense`] this is pinned to `0..n` forever; under
-    /// [`Scheduling::ActiveSet`] it is rebuilt each round from `next_active`
-    /// plus due wakeups.
+    /// Node ids executed in the current round, sorted ascending, rebuilt
+    /// each round from `next_active` plus due wakeups.
     active: Vec<u32>,
     /// Accumulator for the *next* round's active set: nodes that voted
     /// [`Status::Active`] (or an imminent [`Status::Sleep`]) this round,
@@ -420,11 +365,9 @@ pub struct Network<'g, P: NodeProgram> {
     /// assembly skips its sort.
     next_sorted: bool,
     /// Pending timed wakeups, keyed `(wake_round, node)`. Entries are lazy:
-    /// one is live only while the node still needs a wakeup at exactly that
-    /// round — `statuses[node]` holds the `Sleep(wake_round)` vote that
-    /// created it, or the node is `Active` with a standing quiet declaration
-    /// `declared[node] == wake_round`; anything else is stale and discarded
-    /// on pop.
+    /// one is live only while `statuses[node]` still holds the
+    /// `Sleep(wake_round)` vote that created it; anything else is stale and
+    /// discarded on pop.
     wakeups: BinaryHeap<Reverse<(Round, u32)>>,
     /// The wake round of the entry most recently pushed for each node
     /// (0 = none; pushes always target `wake ≥ round + 2 > 0`). The vote
@@ -435,21 +378,6 @@ pub struct Network<'g, P: NodeProgram> {
     /// popping them dominated wave-heavy profiles. Cleared when the
     /// matching entry pops so a later re-vote of the same round re-queues.
     queued_wake: Vec<Round>,
-    /// Per-node standing quiet declaration from
-    /// [`NodeProgram::quiet_until`], refreshed after every execution of the
-    /// node: `declared[i] = r > 0` means the program promised (as of its
-    /// most recent vote) to stage nothing in any round strictly before `r`
-    /// unless a message arrival supersedes the promise first. Inert
-    /// declarations (`r ≤ round + 1`) are stored as 0. An `Active` voter
-    /// with a standing declaration parks on the wakeup heap exactly like
-    /// `Sleep(r)` — but checked: see the cross-check in [`Network::step`].
-    declared: Vec<Round>,
-    /// Committed sends that landed inside the sender's own declared quiet
-    /// phase (without a superseding message arrival). See
-    /// [`Network::quiet_violations`].
-    quiet_violations: u64,
-    /// `(round, node)` of the first quiet violation, if any.
-    first_quiet_violation: Option<(Round, u32)>,
     /// Node-program executions scheduled so far (see
     /// [`Network::scheduled_nodes`]).
     executed: u64,
@@ -607,11 +535,6 @@ impl<'g> InboxArena<'g> {
         let lo = self.row[i] as usize;
         &self.idx[lo..lo + self.sealed[i] as usize]
     }
-
-    /// Whether node `i` received anything this round.
-    fn received(&self, i: usize) -> bool {
-        self.sealed[i] > 0
-    }
 }
 
 /// One jittered message waiting in the delay queue.
@@ -723,13 +646,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     pub fn new(graph: &'g Graph, config: Config, mut make: impl FnMut(NodeId) -> P) -> Self {
         let programs: Vec<P> = graph.nodes().map(&mut make).collect();
         let n = programs.len();
-        // Every node starts `Active`, so round 0 runs everybody in either
-        // mode: dense keeps the full id list in `active` forever, while
-        // active-set keeps the *upcoming* round's set in `next_active`.
-        let (active, next_active) = match config.scheduling() {
-            Scheduling::Dense => ((0..n as u32).collect(), Vec::new()),
-            Scheduling::ActiveSet => (Vec::new(), (0..n as u32).collect()),
-        };
         Network {
             graph,
             config,
@@ -741,16 +657,14 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             senders: Vec::new(),
             seen: vec![0; n],
             seen_epoch: 0,
-            active,
-            next_active,
+            active: Vec::new(),
+            // Every node starts `Active`, so round 0 runs everybody.
+            next_active: (0..n as u32).collect(),
             frontier: BitSet::new(n),
             active_mark: vec![Round::MAX; n],
             next_sorted: true,
             wakeups: BinaryHeap::new(),
             queued_wake: vec![0; n],
-            declared: vec![0; n],
-            quiet_violations: 0,
-            first_quiet_violation: None,
             executed: 0,
             in_flight: 0,
             round: 0,
@@ -794,7 +708,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// round and no messages are waiting for delivery (including jittered
     /// messages still held in the fault layer's delay queue). A
     /// [`Status::Sleep`] vote blocks quiescence — the pending wakeup is
-    /// scheduled work — in both scheduling modes.
+    /// scheduled work.
     pub fn is_quiescent(&self) -> bool {
         debug_assert_eq!(
             self.halted,
@@ -808,41 +722,14 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             && self.halted == self.statuses.len()
     }
 
-    /// Total node-program executions scheduled so far: `n` per round under
-    /// [`Scheduling::Dense`], the active-set size summed over stepped rounds
-    /// under [`Scheduling::ActiveSet`] (fast-forwarded rounds schedule
-    /// nothing). Also recorded per committed round in
-    /// [`RunStats::scheduled_nodes`] — excluded there from equality, so
-    /// sparse and dense accounting still compare byte-identical on the
-    /// protocol observables; [`RunStats::active_fraction`] is the
-    /// ratio against `n · rounds`.
+    /// Total node-program executions scheduled so far: the active-set size
+    /// summed over stepped rounds (fast-forwarded rounds schedule nothing).
+    /// Also recorded per committed round in [`RunStats::scheduled_nodes`] —
+    /// excluded there from equality, since it is a cost rather than a
+    /// protocol observable; [`RunStats::active_fraction`] is the ratio
+    /// against `n · rounds`.
     pub fn scheduled_nodes(&self) -> u64 {
         self.executed
-    }
-
-    /// Number of committed sends that landed inside the sender's own
-    /// declared quiet phase (see [`NodeProgram::quiet_until`]) without a
-    /// message arrival having superseded the declaration. Each one was also
-    /// emitted as a [`trace::FaultKind::QuietViolation`] fault event in its
-    /// round.
-    ///
-    /// A violating send is still delivered — the declaration is a
-    /// scheduling contract, not a filter — so a non-zero count means the
-    /// program lied about its schedule and any fast-forwarded run of it may
-    /// diverge from dense execution. Drivers should surface a non-zero
-    /// count as a typed error rather than trust the run's outputs. Under
-    /// [`Scheduling::ActiveSet`] a declared-quiet node is simply not
-    /// executed, so the cross-check fires on the dense reference runs (and
-    /// the equivalence suites) that actually execute every node each round.
-    pub fn quiet_violations(&self) -> u64 {
-        self.quiet_violations
-    }
-
-    /// The `(round, node)` coordinates of the first quiet violation, if any
-    /// — see [`Network::quiet_violations`].
-    pub fn quiet_violation(&self) -> Option<(Round, NodeId)> {
-        self.first_quiet_violation
-            .map(|(round, i)| (round, NodeId::new(i as usize)))
     }
 
     /// Counts of the faults injected so far (all zero when the config has
@@ -924,23 +811,17 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 
     /// Charged-fault total for flight-recorder deltas: every event the
     /// scheduler emits as a `Fault` trace event and charges to
-    /// `qd_faults_total` — injected fates, crash-stops, and quiet
-    /// violations, but *not* `deferred` (an accounting footnote on an
-    /// already-charged delay, never separately charged or traced).
+    /// `qd_faults_total` — injected fates and crash-stops, but *not*
+    /// `deferred` (an accounting footnote on an already-charged delay,
+    /// never separately charged or traced).
     fn charged_faults(&self) -> u64 {
         // Fault-free runs (the common case, and the one the <5% flight
         // overhead gate times) pay one load here, not a struct default.
         let Some(state) = self.fault.as_ref() else {
-            return self.quiet_violations;
+            return 0;
         };
         let f = state.stats;
-        f.dropped
-            + f.corrupted
-            + f.link_dropped
-            + f.crash_dropped
-            + f.delayed
-            + f.crashes
-            + self.quiet_violations
+        f.dropped + f.corrupted + f.link_dropped + f.crash_dropped + f.delayed + f.crashes
     }
 
     /// Consumes the network and extracts every node's local output, in node
@@ -991,7 +872,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         // Everything staged last round is handed to the programs now, so
         // this round delivers exactly the previously in-flight messages.
         let delivered = self.in_flight as u64;
-        let sparse = self.config.scheduling == Scheduling::ActiveSet;
 
         // Phase 0 (fault plans only): apply scheduled crash-stops before
         // anything executes this round. Taking the state out of `self`
@@ -1023,63 +903,54 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         }
         let crashed = fault.as_ref().map(|f| f.crashed.as_slice());
 
-        // Phase 1a (active-set mode): assemble this round's runnable set —
-        // last round's `Active` voters and message receivers (accumulated in
+        // Phase 0b: assemble this round's runnable set — last round's
+        // `Active` voters and message receivers (accumulated in
         // `next_active`) plus any timed wakeups that have come due. Crash
         // flags were applied above, so a crashed sleeper's heap entry is
         // already stale (its status was pinned `Halted`).
-        if sparse {
-            std::mem::swap(&mut self.active, &mut self.next_active);
-            self.next_active.clear();
-            let mut in_order = self.next_sorted;
-            self.next_sorted = true;
-            while let Some(&Reverse((wake, i))) = self.wakeups.peek() {
-                if wake > round {
-                    break;
-                }
-                self.wakeups.pop();
-                // Live entry (the node still needs a wakeup at exactly this
-                // round: the sleep vote that created it stands, or an
-                // `Active` voter's quiet declaration still targets it) and
-                // not already queued — stale entries from superseded votes,
-                // or a message wake that queued the node beforehand, are
-                // skipped here.
-                let iu = i as usize;
-                if self.queued_wake[iu] == wake {
-                    self.queued_wake[iu] = 0;
-                }
-                let live = match self.statuses[iu] {
-                    Status::Sleep(w) => w == wake,
-                    Status::Active => self.declared[iu] == wake,
-                    Status::Halted => false,
-                };
-                if live && self.active_mark[iu] != round {
-                    self.active_mark[iu] = round;
-                    woke += 1;
-                    if self.active.last().is_some_and(|&last| last > i) {
-                        in_order = false;
-                    }
-                    self.active.push(i);
-                }
+        std::mem::swap(&mut self.active, &mut self.next_active);
+        self.next_active.clear();
+        let mut in_order = self.next_sorted;
+        self.next_sorted = true;
+        while let Some(&Reverse((wake, i))) = self.wakeups.peek() {
+            if wake > round {
+                break;
             }
-            if !in_order {
-                // Hybrid restoration of sorted order: dense sets rebuild via
-                // the frontier bitmap in O(n/64 + k); sparse ones sort. Both
-                // produce the same ascending list — density only moves cost.
-                if n >= FRONTIER_MIN_NODES && self.active.len() >= n >> FRONTIER_DENSITY_SHIFT {
-                    self.frontier.clear();
-                    for &i in &self.active {
-                        self.frontier.insert(i as usize);
-                    }
-                    self.active.clear();
-                    let frontier = &self.frontier;
-                    self.active.extend(frontier.iter().map(|i| i as u32));
-                } else {
-                    self.active.sort_unstable();
-                }
+            self.wakeups.pop();
+            // Live entry (the sleep vote that created it stands) and not
+            // already queued — stale entries from superseded votes, or a
+            // message wake that queued the node beforehand, are skipped
+            // here.
+            let iu = i as usize;
+            if self.queued_wake[iu] == wake {
+                self.queued_wake[iu] = 0;
             }
-            debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
+            if self.statuses[iu] == Status::Sleep(wake) && self.active_mark[iu] != round {
+                self.active_mark[iu] = round;
+                woke += 1;
+                if self.active.last().is_some_and(|&last| last > i) {
+                    in_order = false;
+                }
+                self.active.push(i);
+            }
         }
+        if !in_order {
+            // Hybrid restoration of sorted order: dense sets rebuild via
+            // the frontier bitmap in O(n/64 + k); sparse ones sort. Both
+            // produce the same ascending list — density only moves cost.
+            if n >= FRONTIER_MIN_NODES && self.active.len() >= n >> FRONTIER_DENSITY_SHIFT {
+                self.frontier.clear();
+                for &i in &self.active {
+                    self.frontier.insert(i as usize);
+                }
+                self.active.clear();
+                let frontier = &self.frontier;
+                self.active.extend(frontier.iter().map(|i| i as u32));
+            } else {
+                self.active.sort_unstable();
+            }
+        }
+        debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
         self.executed += self.active.len() as u64;
         lap(&meter, &mut clock, "congest/assemble");
 
@@ -1110,75 +981,16 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             return Err(e);
         }
 
-        // Phase 3a: cross-check every committed sender against its
-        // *standing* quiet declaration (the one from its previous
-        // execution, before the refresh below). A node that stages a send
-        // in a round strictly before its declared round — without a
-        // message arrival this round having superseded the declaration —
-        // lied about its schedule: record it and emit a typed
-        // `QuietViolation` fault event, but deliver the message anyway, so
-        // the lie degrades to a detectable fault instead of silently
-        // changing the protocol. Under active-set scheduling a
-        // declared-quiet node is simply never executed early, so this
-        // check bites on the dense reference runs that execute every node.
-        for &(i, _) in &self.senders {
-            let iu = i as usize;
-            if self.declared[iu] > round && !self.arena.received(iu) {
-                self.quiet_violations += 1;
-                if self.first_quiet_violation.is_none() {
-                    self.first_quiet_violation = Some((round, i));
-                }
-                if let Some(meter) = &meter {
-                    meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                }
-                if let Some(sink) = &tracer {
-                    sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                        round,
-                        kind: trace::FaultKind::QuietViolation,
-                        from: iu as u64,
-                        to: iu as u64,
-                        delay: 0,
-                    });
-                }
-            }
-        }
-        // Refresh the standing declarations of everything that just
-        // executed (both scheduling modes — dense runs are the detection
-        // reference for the cross-check above). Inert declarations are
-        // normalized to 0 so the vote scan and heap liveness never see
-        // them; crashed nodes stage nothing and need no declaration.
-        //
-        // Phase 3b (active-set mode), in the same pass: record this
-        // round's votes. `Active` voters and past-due sleepers run again
-        // next round; future wakeups go to the heap — including `Active`
-        // voters with a declared quiet phase, which park until their
-        // declared round exactly like `Sleep(declared)`; `Halted` voters
-        // drop out until a message arrives. Recording votes *before* the
-        // receivers are woken keeps `next_active` ascending in the common
-        // case (the active list is sorted, and the wake pass after commit
-        // then mostly hits already-marked nodes), which lets the next round
-        // skip its sort.
+        // Phase 3a: record this round's votes. `Active` voters and past-due
+        // sleepers run again next round; future wakeups go to the heap;
+        // `Halted` voters drop out until a message arrives. Recording votes
+        // *before* the receivers are woken keeps `next_active` ascending in
+        // the common case (the active list is sorted, and the wake pass
+        // after commit then mostly hits already-marked nodes), which lets
+        // the next round skip its sort.
         for &i in &self.active {
             let iu = i as usize;
-            let quiet = if crashed.is_some_and(|c| c[iu]) {
-                0
-            } else {
-                match self.programs[iu].quiet_until(NodeId::new(iu), round) {
-                    Some(r) if r > round + 1 => r,
-                    _ => 0,
-                }
-            };
-            self.declared[iu] = quiet;
-            if !sparse {
-                continue;
-            }
             match self.statuses[iu] {
-                Status::Active if quiet > round + 1 => {
-                    if self.queued_wake[iu] != quiet {
-                        self.queued_wake[iu] = quiet;
-                        self.wakeups.push(Reverse((quiet, i)));
-                    }
-                }
                 // Stamped below, and only when a delivery could still wake
                 // someone.
                 Status::Active => self.next_active.push(i),
@@ -1210,7 +1022,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         // round), no delivery can wake anyone: skip the wake pass, and
         // leave the `Active` voters unstamped — a plain `Active` vote holds
         // no live wakeup, so nothing else reads their marks.
-        let wake = sparse && self.next_active.len() < n;
+        let wake = self.next_active.len() < n;
         if wake {
             for &i in &self.next_active {
                 self.active_mark[i as usize] = round + 1;
@@ -1450,7 +1262,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         if let Some(meter) = &meter {
             let mut meter = meter.borrow_mut();
             meter.add(metrics::names::ROUNDS, 1);
-            // Scheduling + memory telemetry: charged from the registry's
+            // Scheduler + memory telemetry: charged from the registry's
             // own counters so multi-phase runs export the ledger-wide
             // active fraction qdiam reports print.
             meter.add(metrics::names::SCHEDULED_NODES, self.active.len() as u64);
@@ -1621,9 +1433,9 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         Ok(())
     }
 
-    /// Executes exactly `rounds` rounds (fully quiescent stretches may be
-    /// fast-forwarded rather than stepped — see
-    /// [`Config::with_fast_forward`] — with identical observable effects).
+    /// Executes exactly `rounds` rounds (fully quiescent stretches are
+    /// fast-forwarded rather than stepped, with identical observable
+    /// effects — see [`Network`]).
     ///
     /// # Errors
     ///
@@ -1682,8 +1494,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// If every upcoming round up to (exclusive) some round `t ≤ cap` would
     /// be a no-op — empty active set, nothing in flight, no fault event due
     /// — returns `Some(t)`, the first round that needs stepping (or `cap`).
-    /// Returns `None` when the next round must execute, under dense
-    /// scheduling, or when fast-forwarding is disabled.
+    /// Returns `None` when the next round must execute.
     ///
     /// Events that pin `t`: the earliest live timed wakeup, the earliest
     /// not-yet-applied crash-stop (its `Fault` trace event must land in its
@@ -1691,9 +1502,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// (the merge into inboxes happens in phase 4b of the *preceding*
     /// round).
     fn fast_forward_target(&mut self, cap: Round) -> Option<Round> {
-        if self.config.scheduling != Scheduling::ActiveSet || !self.config.fast_forward {
-            return None;
-        }
         if !self.next_active.is_empty() || self.in_flight != 0 {
             return None;
         }
@@ -1710,16 +1518,10 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
         }
         // Purge stale wakeups until one is live; a live entry always exists
-        // for every currently sleeping node and for every `Active` voter
-        // parked behind a quiet declaration.
+        // for every currently sleeping node.
         while let Some(&Reverse((wake, i))) = self.wakeups.peek() {
             let iu = i as usize;
-            let live = match self.statuses[iu] {
-                Status::Sleep(w) => w == wake,
-                Status::Active => self.declared[iu] == wake,
-                Status::Halted => false,
-            };
-            if live {
+            if self.statuses[iu] == Status::Sleep(wake) {
                 target = target.min(wake);
                 break;
             }
@@ -1806,6 +1608,7 @@ impl<P: NodeProgram> std::fmt::Debug for Network<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Reference;
     use crate::{bits, Payload};
     use graphs::generators;
 
@@ -1888,18 +1691,6 @@ mod tests {
         fn finish(self, _node: NodeId) -> u32 {
             self.best
         }
-    }
-
-    fn min_id_run(g: &Graph, cfg: Config) -> (RunStats, Vec<u32>, Vec<trace::TraceEvent>) {
-        let recorder = trace::Recorder::shared();
-        let (stats, outputs) = {
-            let _guard = trace::install(recorder.clone());
-            let mut net = Network::new(g, cfg, |v| MinId { best: u32::from(v) });
-            let stats = net.run_until_quiescent(1000).unwrap();
-            (stats, net.into_outputs())
-        };
-        let events = recorder.borrow_mut().take();
-        (stats, outputs, events)
     }
 
     #[test]
@@ -2351,11 +2142,23 @@ mod tests {
         assert!(outputs.iter().all(|&b| b == 0), "flood failed to converge");
         assert_eq!(faults.delayed, stats.messages, "every send was jittered");
         assert_eq!(faults.lost(), 0);
-        let no_fault = min_id_run(&g, Config::for_graph(&g));
+        let no_fault = min_id_fault_run(&g, Config::for_graph(&g));
         assert!(
             stats.rounds > no_fault.0.rounds,
             "jitter should stretch the schedule"
         );
+    }
+
+    /// Runs `f` with a fresh trace recorder installed and returns its
+    /// result with the events it emitted.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<trace::TraceEvent>) {
+        let recorder = trace::Recorder::shared();
+        let out = {
+            let _guard = trace::install(recorder.clone());
+            f()
+        };
+        let events = recorder.borrow_mut().take();
+        (out, events)
     }
 
     /// Sleeps until `wake`; at the wake round node 0 broadcasts once.
@@ -2385,44 +2188,39 @@ mod tests {
     }
 
     /// A timed wakeup fires exactly at its round, fast-forwarded stretches
-    /// emit the same round ticks a stepped run would, and stats/traces are
-    /// byte-identical to dense execution.
+    /// emit the same round ticks a stepped run would, and stats/traces
+    /// match the reference simulator, which steps every node every round.
     #[test]
-    fn sleep_and_fast_forward_match_dense_execution() {
+    fn sleep_and_fast_forward_match_the_reference() {
         let g = generators::path(3);
-        let run = |cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let (stats, scheduled) = {
-                let _guard = trace::install(recorder.clone());
-                let mut net = Network::new(&g, cfg, |_| Alarm { wake: 9, runs: 0 });
-                let stats = net.run_rounds(15).unwrap();
-                (stats, net.scheduled_nodes())
-            };
-            let events = recorder.borrow_mut().take();
-            (stats, events, scheduled)
-        };
-        let dense = run(Config::new(16).with_scheduling(Scheduling::Dense));
-        let sparse = run(Config::new(16));
-        assert_eq!(dense.0, sparse.0, "stats diverged");
-        // The sparse run compresses each fast-forwarded stretch into one
+        let alarm = |_| Alarm { wake: 9, runs: 0 };
+        let ((stats, scheduled), events) = traced(|| {
+            let mut net = Network::new(&g, Config::new(16), alarm);
+            (net.run_rounds(15).unwrap(), net.scheduled_nodes())
+        });
+        let ((expect, breach), expect_events) = traced(|| {
+            let mut reference = Reference::new(&g, Config::new(16), alarm);
+            (reference.run_rounds(15).unwrap(), reference.breach())
+        });
+        assert_eq!(breach, None);
+        assert_eq!(stats, expect, "stats diverged");
+        // The network compresses each fast-forwarded stretch into one
         // `RoundSkip`; expanded, the streams are identical tick for tick.
         assert!(
-            sparse
-                .1
+            events
                 .iter()
                 .any(|e| matches!(e, trace::TraceEvent::RoundSkip { .. })),
             "fast-forward emitted no compact skip event"
         );
         assert_eq!(
-            trace::expand_round_skips(dense.1.clone()),
-            trace::expand_round_skips(sparse.1.clone()),
+            trace::expand_round_skips(events),
+            expect_events,
             "trace streams diverged"
         );
-        assert_eq!(dense.2, 3 * 15, "dense schedules n per round");
-        // Sparse: 3 nodes in round 0, 3 wakeups in round 9, 1 receiver in
-        // round 10 — everything else is skipped.
-        assert_eq!(sparse.2, 7, "active set scheduled more than expected");
-        assert!(dense.1.contains(&trace::TraceEvent::Round {
+        // 3 nodes in round 0, 3 wakeups in round 9, 1 receiver in round
+        // 10 — everything else is skipped.
+        assert_eq!(scheduled, 7, "active set scheduled more than expected");
+        assert!(expect_events.contains(&trace::TraceEvent::Round {
             round: 10,
             delivered: 1
         }));
@@ -2451,39 +2249,35 @@ mod tests {
             }
             fn finish(self, _node: NodeId) {}
         }
-        for cfg in [
-            Config::new(16),
-            Config::new(16).with_scheduling(Scheduling::Dense),
-        ] {
-            let g = generators::path(2);
-            let mut net = Network::new(&g, cfg, |_| Canceler);
-            let stats = net.run_until_quiescent(100).unwrap();
-            assert_eq!(stats.rounds, 2, "stale wakeup kept the network awake");
-        }
+        let g = generators::path(2);
+        let mut net = Network::new(&g, Config::new(16), |_| Canceler);
+        let stats = net.run_until_quiescent(100).unwrap();
+        assert_eq!(stats.rounds, 2, "stale wakeup kept the network awake");
+        let mut reference = Reference::new(&g, Config::new(16), |_| Canceler);
+        assert_eq!(reference.run_until_quiescent(100), Ok(stats));
     }
 
-    /// A pending `Sleep` blocks quiescence in both modes: the run-loop cap
-    /// is hit (and reported) exactly as under dense execution, even though
-    /// the active-set loop covers the distance by fast-forwarding.
+    /// A pending `Sleep` blocks quiescence: the run-loop cap is hit (and
+    /// reported) exactly as in the stepping reference, even though the
+    /// network covers the distance by fast-forwarding.
     #[test]
     fn sleeping_node_blocks_quiescence_until_the_cap() {
-        for cfg in [
-            Config::new(16),
-            Config::new(16).with_scheduling(Scheduling::Dense),
-        ] {
-            let g = generators::path(2);
-            let mut net = Network::new(&g, cfg, |_| Alarm {
-                wake: 1000,
-                runs: 0,
-            });
-            let err = net.run_until_quiescent(10).unwrap_err();
-            assert_eq!(err, CongestError::RoundLimitExceeded { limit: 10 });
-            assert_eq!(net.round(), 10);
-        }
+        let g = generators::path(2);
+        let alarm = |_| Alarm {
+            wake: 1000,
+            runs: 0,
+        };
+        let limit = Err(CongestError::RoundLimitExceeded { limit: 10 });
+        let mut net = Network::new(&g, Config::new(16), alarm);
+        assert_eq!(net.run_until_quiescent(10), limit);
+        assert_eq!(net.round(), 10);
+        let mut reference = Reference::new(&g, Config::new(16), alarm);
+        assert_eq!(reference.run_until_quiescent(10), limit);
+        assert_eq!(reference.round(), 10);
     }
 
     /// Fast-forward must not jump over a scheduled crash-stop: the `Fault`
-    /// trace event lands in its exact round either way.
+    /// trace event lands in its exact round, as in the stepping reference.
     #[test]
     fn fast_forward_stops_for_scheduled_crashes() {
         struct Idle;
@@ -2496,28 +2290,22 @@ mod tests {
             fn finish(self, _node: NodeId) {}
         }
         let g = generators::path(3);
-        let run = |cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let (stats, faults) = {
-                let _guard = trace::install(recorder.clone());
-                let mut net = Network::new(&g, cfg, |_| Idle);
-                let stats = net.run_rounds(12).unwrap();
-                (stats, net.fault_stats())
-            };
-            let events = recorder.borrow_mut().take();
-            (stats, faults, events)
-        };
         let cfg = Config::new(16).with_faults(FaultPlan::new(3).with_crash(2, 7));
-        let dense = run(cfg.with_scheduling(Scheduling::Dense));
-        let sparse = run(cfg);
-        assert_eq!(dense.0, sparse.0, "crash interplay diverged: stats");
-        assert_eq!(dense.1, sparse.1, "crash interplay diverged: fault stats");
+        let (got, events) = traced(|| {
+            let mut net = Network::new(&g, cfg, |_| Idle);
+            (net.run_rounds(12).unwrap(), net.fault_stats())
+        });
+        let (expect, expect_events) = traced(|| {
+            let mut reference = Reference::new(&g, cfg, |_| Idle);
+            (reference.run_rounds(12).unwrap(), reference.fault_stats())
+        });
+        assert_eq!(got, expect, "crash interplay diverged: stats");
         assert_eq!(
-            trace::expand_round_skips(dense.2.clone()),
-            trace::expand_round_skips(sparse.2.clone()),
+            trace::expand_round_skips(events.clone()),
+            expect_events,
             "crash interplay diverged: traces"
         );
-        assert!(sparse.2.contains(&trace::TraceEvent::Fault {
+        assert!(events.contains(&trace::TraceEvent::Fault {
             round: 7,
             kind: trace::FaultKind::Crash,
             from: 2,
@@ -2526,214 +2314,29 @@ mod tests {
         }));
     }
 
-    /// `with_fast_forward(false)` steps every idle round individually but
-    /// remains observably identical to the fast-forwarding run.
+    /// The network against the reference simulator on a real
+    /// message-driven workload, with and without a lossy, jittery plan.
     #[test]
-    fn disabling_fast_forward_changes_nothing_observable() {
-        let g = generators::path(3);
-        let run = |cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let stats = {
-                let _guard = trace::install(recorder.clone());
-                let mut net = Network::new(&g, cfg, |_| Alarm { wake: 9, runs: 0 });
-                net.run_rounds(15).unwrap()
-            };
-            let events = recorder.borrow_mut().take();
-            (stats, events)
-        };
-        let fast = run(Config::new(16));
-        let slow = run(Config::new(16).with_fast_forward(false));
-        assert_eq!(fast.0, slow.0, "stats diverged");
-        assert_eq!(
-            trace::expand_round_skips(fast.1),
-            trace::expand_round_skips(slow.1),
-            "trace streams diverged"
-        );
-    }
-
-    /// Like [`Alarm`], but via the checked declaration: votes `Active` with
-    /// a standing `quiet_until(wake)` instead of `Sleep(wake)`.
-    struct QuietAlarm {
-        wake: Round,
-        runs: u64,
-    }
-    impl NodeProgram for QuietAlarm {
-        type Msg = Sized;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Sized>) -> Status {
-            self.runs += 1;
-            if ctx.round() < self.wake {
-                return Status::Active;
-            }
-            if ctx.round() == self.wake && ctx.node() == NodeId::new(0) {
-                ctx.broadcast(Sized(4));
-            }
-            Status::Halted
-        }
-        fn quiet_until(&self, _node: NodeId, round: Round) -> Option<Round> {
-            (round < self.wake).then_some(self.wake)
-        }
-        fn finish(self, _node: NodeId) -> u64 {
-            self.runs
-        }
-    }
-
-    /// An honest `Active` + `quiet_until(w)` declaration schedules exactly
-    /// like `Sleep(w)`: the sparse run parks the node on the wakeup heap,
-    /// fast-forwards the quiet stretch, and stays byte-identical to dense
-    /// execution with zero violations.
-    #[test]
-    fn quiet_declaration_schedules_like_sleep() {
-        let g = generators::path(3);
-        let run = |cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let (stats, scheduled, violations) = {
-                let _guard = trace::install(recorder.clone());
-                let mut net = Network::new(&g, cfg, |_| QuietAlarm { wake: 9, runs: 0 });
-                let stats = net.run_rounds(15).unwrap();
-                (stats, net.scheduled_nodes(), net.quiet_violations())
-            };
-            let events = recorder.borrow_mut().take();
-            (stats, events, scheduled, violations)
-        };
-        let dense = run(Config::new(16).with_scheduling(Scheduling::Dense));
-        let sparse = run(Config::new(16));
-        assert_eq!(dense.0, sparse.0, "stats diverged");
-        assert!(
-            sparse
-                .1
-                .iter()
-                .any(|e| matches!(e, trace::TraceEvent::RoundSkip { .. })),
-            "declared quiet phase was not fast-forwarded"
-        );
-        assert_eq!(
-            trace::expand_round_skips(dense.1.clone()),
-            trace::expand_round_skips(sparse.1.clone()),
-            "trace streams diverged"
-        );
-        // Same sparse schedule as the `Sleep`-voting `Alarm`: 3 nodes in
-        // round 0, 3 declared wakeups in round 9, 1 receiver in round 10.
-        assert_eq!(sparse.2, 7, "declaration scheduled more than Sleep would");
-        assert_eq!(dense.2, 3 * 15, "dense schedules n per round");
-        assert_eq!((dense.3, sparse.3), (0, 0), "honest program flagged");
-    }
-
-    /// A message arriving inside a declared quiet phase supersedes the
-    /// declaration: the receiver re-runs immediately and its fresh vote
-    /// replaces the parked wakeup — and the send it triggers is not a
-    /// violation.
-    #[test]
-    fn quiet_declaration_is_superseded_by_message_arrival() {
-        struct QuietCanceler {
-            done: bool,
-        }
-        impl NodeProgram for QuietCanceler {
-            type Msg = Sized;
-            type Output = ();
-            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Sized>) -> Status {
-                if ctx.node() == NodeId::new(0) {
-                    if ctx.round() == 0 {
-                        ctx.send(NodeId::new(1), Sized(1));
-                    }
-                    Status::Halted
-                } else if !ctx.inbox().is_empty() {
-                    // Reacting to the arrival with a send is legitimate even
-                    // though the standing declaration says round 50.
-                    ctx.send(NodeId::new(0), Sized(1));
-                    self.done = true;
-                    Status::Halted
-                } else if self.done {
-                    Status::Halted
-                } else {
-                    Status::Active
-                }
-            }
-            fn quiet_until(&self, node: NodeId, _round: Round) -> Option<Round> {
-                (node == NodeId::new(1)).then_some(50)
-            }
-            fn finish(self, _node: NodeId) {}
-        }
-        for cfg in [
-            Config::new(16),
-            Config::new(16).with_scheduling(Scheduling::Dense),
-        ] {
-            let g = generators::path(2);
-            let mut net = Network::new(&g, cfg, |_| QuietCanceler { done: false });
-            let stats = net.run_until_quiescent(100).unwrap();
-            assert_eq!(stats.rounds, 3, "stale declaration kept the network awake");
-            assert_eq!(net.quiet_violations(), 0, "superseded send was flagged");
-        }
-    }
-
-    /// A program that sends inside its own declared quiet phase degrades to
-    /// a typed `QuietViolation` fault — recorded on the network, emitted as
-    /// a trace event in the exact round — instead of panicking or silently
-    /// corrupting the run. The dense run is the detection reference; the
-    /// active-set run never executes the liar early, so it cannot observe
-    /// the undeclared send at all.
-    #[test]
-    fn lying_quiet_declaration_degrades_to_typed_fault() {
-        struct Liar;
-        impl NodeProgram for Liar {
-            type Msg = Sized;
-            type Output = ();
-            fn on_round(&mut self, ctx: &mut RoundCtx<'_, Sized>) -> Status {
-                if ctx.node() == NodeId::new(0) && ctx.round() == 2 {
-                    // Undeclared: the standing declaration promises silence
-                    // until round 10.
-                    ctx.broadcast(Sized(1));
-                }
-                if ctx.round() >= 10 {
-                    Status::Halted
-                } else {
-                    Status::Active
-                }
-            }
-            fn quiet_until(&self, node: NodeId, _round: Round) -> Option<Round> {
-                (node == NodeId::new(0)).then_some(10)
-            }
-            fn finish(self, _node: NodeId) {}
-        }
-        let g = generators::path(2);
-        let run = |cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let (violations, first) = {
-                let _guard = trace::install(recorder.clone());
-                let mut net = Network::new(&g, cfg, |_| Liar);
-                net.run_rounds(12).unwrap();
-                (net.quiet_violations(), net.quiet_violation())
-            };
-            let events = recorder.borrow_mut().take();
-            (violations, first, events)
-        };
-        let (violations, first, events) = run(Config::new(16).with_scheduling(Scheduling::Dense));
-        assert_eq!(violations, 1, "dense run missed the lying send");
-        assert_eq!(first, Some((2, NodeId::new(0))));
-        assert!(
-            events.contains(&trace::TraceEvent::Fault {
-                round: 2,
-                kind: trace::FaultKind::QuietViolation,
-                from: 0,
-                to: 0,
-                delay: 0,
-            }),
-            "violation was not traced as a typed fault"
-        );
-        // Active-set scheduling honors the declaration, so the liar is
-        // parked until round 10 and the early send never happens — zero
-        // violations, by construction rather than honesty.
-        let (violations, first, _) = run(Config::new(16));
-        assert_eq!((violations, first), (0, None));
-    }
-
-    /// The full byte-identity contract of the scheduling modes on a real
-    /// message-driven workload.
-    #[test]
-    fn active_set_matches_dense_on_min_id_flood() {
+    fn min_id_flood_matches_the_reference() {
         let g = generators::random_connected(25, 0.15, 7);
-        let cfg = Config::for_graph(&g);
-        let dense = min_id_run(&g, cfg.with_scheduling(Scheduling::Dense));
-        assert_eq!(min_id_run(&g, cfg), dense, "sparse run diverged");
+        let plan = FaultPlan::new(11)
+            .with_drop(0.1)
+            .with_delay(0.2, 3)
+            .with_crash(5, 4);
+        for cfg in [
+            Config::for_graph(&g),
+            Config::for_graph(&g).with_faults(plan),
+        ] {
+            let (stats, faults, outputs, events) = min_id_fault_run(&g, cfg);
+            let (expect, expect_events) = traced(|| {
+                let mut reference = Reference::new(&g, cfg, |v| MinId { best: u32::from(v) });
+                let stats = reference.run_until_quiescent(10_000).unwrap();
+                assert_eq!(reference.breach(), None);
+                (stats, reference.fault_stats(), reference.into_outputs())
+            });
+            assert_eq!((stats, faults, outputs), expect, "{cfg:?}");
+            assert_eq!(trace::expand_round_skips(events), expect_events);
+        }
     }
 
     /// Dropped messages still charge the sender's bandwidth: `RunStats`

@@ -11,13 +11,14 @@ use crate::{Payload, Round};
 /// and later resume activity when new messages arrive — the vote is about
 /// the current round, not a permanent state.
 ///
-/// Under [`Scheduling::ActiveSet`](crate::Scheduling::ActiveSet) the vote is
-/// also a scheduling promise: a node that voted `Halted` (or `Sleep` before
-/// its wake round) is **not executed** until a message lands in its inbox, so
-/// `Halted` must genuinely mean "nothing to do unless new messages arrive" —
-/// in particular, a program must not vote `Halted` while planning to act at a
-/// later round based on `ctx.round()` alone. Timed programs vote
-/// [`Status::Sleep`] instead.
+/// The vote is also a scheduling promise: a node that voted `Halted` (or
+/// `Sleep` before its wake round) is **not executed** until a message lands
+/// in its inbox, so `Halted` must genuinely mean "nothing to do unless new
+/// messages arrive" — in particular, a program must not vote `Halted` while
+/// planning to act at a later round based on `ctx.round()` alone. Timed
+/// programs vote [`Status::Sleep`] instead. The
+/// [`reference`](crate::reference) simulator runs every node every round
+/// and reports a node that sends while not runnable as a contract breach.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Status {
     /// The node may still have work to do.
@@ -32,11 +33,9 @@ pub enum Status {
     /// The hint is superseded by the node's next execution (a message
     /// arriving earlier re-runs the program, and whatever it votes then
     /// replaces the old wakeup). A wake round at or before the next round is
-    /// equivalent to `Active`. Under [`Scheduling::Dense`](crate::Scheduling::Dense)
-    /// the hint is ignored — the node runs every
-    /// round anyway and sees the same inboxes, which is what keeps dense and
-    /// active-set runs byte-identical. Unlike `Halted`, a sleeping node
-    /// blocks quiescence: its pending wakeup counts as work.
+    /// equivalent to `Active`. Unlike `Halted`, a sleeping node blocks
+    /// quiescence: its pending wakeup counts as work, and fast-forward
+    /// stops at its wake round.
     Sleep(Round),
 }
 
@@ -354,34 +353,9 @@ pub trait NodeProgram: Sized {
     /// one message per directed edge per round. This is load-bearing, not
     /// cosmetic: deterministic tie-breaks such as the "smallest-id
     /// activator" rule in the BFS program rely on iterating senders in
-    /// ascending order. The scheduler guarantees the invariant under both
-    /// scheduling modes and `debug_assert!`s it each round before handing
-    /// over the inbox.
+    /// ascending order. The scheduler guarantees the invariant and
+    /// `debug_assert!`s it each round before handing over the inbox.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) -> Status;
-
-    /// Declares a *static quiet phase*: `Some(r)` promises that this node
-    /// stages **no messages** in any round strictly before `r` unless a
-    /// message arrival supersedes the declaration first.
-    ///
-    /// The scheduler consults the hook right after each execution of the
-    /// node, so the declaration describes the node's state as of its most
-    /// recent vote. Combined with a [`Status::Active`] vote, a declaration
-    /// `Some(r)` with `r > round + 1` schedules exactly like
-    /// [`Status::Sleep`]`(r)` — the node is parked on the timed-wakeup heap
-    /// and fast-forward may jump over the quiet stretch — but unlike `Sleep`
-    /// it is *checked*: every committed sender is cross-checked against its
-    /// standing declaration, and a node that stages a send inside its own
-    /// declared quiet phase (without a message arrival having superseded it)
-    /// is recorded as a [`trace::FaultKind::QuietViolation`] fault rather
-    /// than silently corrupting fast-forwarded results. Drivers surface the
-    /// recorded violation as a typed error instead of a wrong answer.
-    ///
-    /// Declarations at or before `round + 1` are inert (the node is runnable
-    /// next round either way). The default declares nothing.
-    fn quiet_until(&self, node: NodeId, round: Round) -> Option<Round> {
-        let _ = (node, round);
-        None
-    }
 
     /// Consumes the program and returns the node's local output.
     fn finish(self, node: NodeId) -> Self::Output;

@@ -216,7 +216,7 @@ impl fmt::Display for RecoveryPolicy {
 /// plan seed with the attempt number and a scope discriminant (e.g. the
 /// checkpoint segment index) through an avalanche permutation, so every
 /// `(seed, attempt, scope)` triple maps to one fixed fresh seed, identical
-/// across scheduling modes and fast-forwarding.
+/// on every replay.
 ///
 /// ```
 /// use congest::recovery::reseed;

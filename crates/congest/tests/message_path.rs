@@ -1,23 +1,21 @@
-//! Differential suite for the simulator's message path: `Network` against a
-//! reference simulator written here, sharing no code with it.
+//! Differential suite for the simulator's message path: `Network` against
+//! the reference simulator in `congest::reference`, which shares no
+//! scheduling, validation, commit or fault code with it.
 //!
-//! The reference keeps one `Vec<(NodeId, Pay)>` inbox per node, expands
-//! every `send`, `broadcast` and `broadcast_except` into one message per
-//! receiver, validates with a `HashSet` per sender, and sorts each inbox by
-//! sender after the round. It runs every node every round; the scripted
-//! programs keep the `Status::Halted` contract (a halted node with an empty
-//! inbox does nothing), so active-set scheduling must agree with it.
+//! The scripted programs keep the `Status` contract (a halted node, or a
+//! sleeping one before its wake round, does nothing while its inbox is
+//! empty), so active-set scheduling must agree with the reference's
+//! run-everyone rounds, and the reference must report no contract breach.
 //!
 //! Compared per run: every round's inbox contents and order at every node,
 //! `RunStats`, the fault counters, and the first error.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use congest::faults::MessageFate;
+use congest::reference::Reference;
 use congest::{
     BandwidthPolicy, Config, CongestError, FaultPlan, FaultStats, Network, NodeProgram, Payload,
-    Round, RoundCtx, RunStats, Scheduling, Status,
+    Round, RoundCtx, RunStats, Status,
 };
 use graphs::{Graph, NodeId};
 use proptest::prelude::*;
@@ -75,11 +73,12 @@ impl Draws {
 }
 
 /// What each node does, as a pure function of its node id, the round, its
-/// inbox and whether it voted `Halted` last time it ran.
+/// inbox and its vote the last time it ran.
 #[derive(Clone)]
 enum Script {
-    /// Pseudo-random sends, broadcasts and skips; with probability
-    /// `chaos`/1000 per acting node, one misbehaving call as well.
+    /// Pseudo-random sends, broadcasts, skips and `Halted`/`Sleep`/`Active`
+    /// votes; with probability `chaos`/1000 per acting node, one
+    /// misbehaving call as well.
     Random { seed: u64, chaos: u32 },
     /// Fixed calls per `(node, round)`; every node stays `Active`.
     Table(Arc<Vec<(usize, Round, Vec<Action>)>>),
@@ -90,7 +89,7 @@ impl Script {
         &self,
         v: NodeId,
         round: Round,
-        halted: bool,
+        last: Status,
         inbox: &[(NodeId, Pay)],
         neighbors: &[NodeId],
         n: usize,
@@ -106,8 +105,14 @@ impl Script {
             }
             Script::Random { seed, chaos } => (*seed, *chaos),
         };
-        if halted && inbox.is_empty() {
-            return (Vec::new(), Status::Halted);
+        // Not runnable: nothing to do until a message or the wake round.
+        let idle = match last {
+            Status::Active => false,
+            Status::Halted => true,
+            Status::Sleep(wake) => round < wake,
+        };
+        if idle && inbox.is_empty() {
+            return (Vec::new(), last);
         }
         let folded = inbox.iter().fold(0u64, |acc, &(from, m)| {
             mix(acc ^ ((from.index() as u64) << 32) ^ u64::from(m.val))
@@ -190,10 +195,10 @@ impl Script {
                 }
             }
         }
-        let vote = if d.chance(350) {
-            Status::Halted
-        } else {
-            Status::Active
+        let vote = match d.below(20) {
+            0..=6 => Status::Halted,
+            7..=9 => Status::Sleep(round + 1 + d.below(5) as Round),
+            _ => Status::Active,
         };
         (acts, vote)
     }
@@ -205,7 +210,7 @@ type Seen = Vec<(Round, Vec<(NodeId, Pay)>)>;
 /// The scripted program as `Network` runs it.
 struct Scripted {
     script: Script,
-    halted: bool,
+    last: Status,
     seen: Seen,
 }
 
@@ -226,7 +231,7 @@ impl NodeProgram for Scripted {
         let (acts, vote) = self.script.act(
             ctx.node(),
             ctx.round(),
-            self.halted,
+            self.last,
             &inbox,
             ctx.neighbors(),
             ctx.num_nodes(),
@@ -238,7 +243,7 @@ impl NodeProgram for Scripted {
                 Action::Except(skip, m) => ctx.broadcast_except(skip, m),
             }
         }
-        self.halted = vote == Status::Halted;
+        self.last = vote;
         vote
     }
 
@@ -256,12 +261,16 @@ struct Outcome {
     error: Option<CongestError>,
 }
 
-fn network_run(g: &Graph, script: &Script, cfg: Config) -> Outcome {
-    let mut net = Network::new(g, cfg, |_| Scripted {
+fn scripted(script: &Script) -> impl FnMut(NodeId) -> Scripted + '_ {
+    |_| Scripted {
         script: script.clone(),
-        halted: false,
+        last: Status::Active,
         seen: Vec::new(),
-    });
+    }
+}
+
+fn network_run(g: &Graph, script: &Script, cfg: Config) -> Outcome {
+    let mut net = Network::new(g, cfg, scripted(script));
     let error = net.run_rounds(ROUNDS).err();
     let (stats, faults) = (*net.stats(), net.fault_stats());
     Outcome {
@@ -272,135 +281,32 @@ fn network_run(g: &Graph, script: &Script, cfg: Config) -> Outcome {
     }
 }
 
-/// The reference simulator.
-fn reference_run(
-    g: &Graph,
-    script: &Script,
-    policy: BandwidthPolicy,
-    plan: Option<&FaultPlan>,
-) -> Outcome {
-    let n = g.len();
-    let mut inbox: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
-    let mut halted = vec![false; n];
-    let mut seen: Vec<Seen> = vec![Vec::new(); n];
-    let mut delayed: Vec<(Round, NodeId, NodeId, Pay)> = Vec::new();
-    let mut stats = RunStats::default();
-    let mut faults = FaultStats::default();
-    for round in 0..ROUNDS {
-        let mut out: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
-        for v in g.nodes() {
-            let i = v.index();
-            if !inbox[i].is_empty() {
-                seen[i].push((round, inbox[i].clone()));
-            }
-            let nbrs = g.neighbors(v);
-            let (acts, vote) = script.act(v, round, halted[i], &inbox[i], nbrs, n);
-            halted[i] = vote == Status::Halted;
-            for act in acts {
-                match act {
-                    Action::Send(to, m) => out[i].push((to, m)),
-                    Action::Broadcast(m) => out[i].extend(nbrs.iter().map(|&to| (to, m))),
-                    Action::Except(skip, m) => {
-                        out[i].extend(nbrs.iter().filter(|&&to| to != skip).map(|&to| (to, m)))
-                    }
-                }
-            }
-        }
-        for v in g.nodes() {
-            let mut used = HashSet::new();
-            for &(to, m) in &out[v.index()] {
-                let error = if !g.neighbors(v).contains(&to) {
-                    Some(CongestError::NotANeighbor { from: v, to })
-                } else if !used.insert(to) {
-                    Some(CongestError::DuplicateSend { from: v, to, round })
-                } else if policy == BandwidthPolicy::Enforce && m.size_bits() > BUDGET {
-                    Some(CongestError::BandwidthExceeded {
-                        from: v,
-                        to,
-                        round,
-                        bits: m.size_bits(),
-                        budget: BUDGET,
-                    })
-                } else {
-                    None
-                };
-                if error.is_some() {
-                    return Outcome {
-                        seen,
-                        stats,
-                        faults,
-                        error,
-                    };
-                }
-            }
-        }
-        let mut next: Vec<Vec<(NodeId, Pay)>> = vec![Vec::new(); n];
-        for v in g.nodes() {
-            for &(to, m) in &out[v.index()] {
-                let bits = m.size_bits();
-                stats.messages += 1;
-                stats.total_bits += bits as u64;
-                stats.max_message_bits = stats.max_message_bits.max(bits);
-                stats.bandwidth_violations += u64::from(bits > BUDGET);
-                let fate = plan.map_or(MessageFate::Delivered, |p| {
-                    p.fate(round, v.index(), to.index())
-                });
-                match fate {
-                    MessageFate::Delivered => next[to.index()].push((v, m)),
-                    MessageFate::Dropped => faults.dropped += 1,
-                    MessageFate::Corrupted => faults.corrupted += 1,
-                    MessageFate::LinkDropped => faults.link_dropped += 1,
-                    MessageFate::Delayed(extra) => {
-                        faults.delayed += 1;
-                        delayed.push((round + 1 + extra, v, to, m));
-                    }
-                }
-            }
-        }
-        // Delayed messages due next round join in queue order, unless the
-        // same sender already has a message for the same receiver: then
-        // they wait one more round.
-        let mut k = 0;
-        while k < delayed.len() {
-            let (due, from, to, m) = delayed[k];
-            if due > round + 1 {
-                k += 1;
-            } else if next[to.index()].iter().any(|&(s, _)| s == from) {
-                delayed[k].0 = round + 2;
-                faults.deferred += 1;
-                k += 1;
-            } else {
-                next[to.index()].push((from, m));
-                delayed.remove(k);
-            }
-        }
-        for list in &mut next {
-            list.sort_by_key(|&(from, _)| from);
-        }
-        inbox = next;
-        stats.rounds = round + 1;
-    }
+fn reference_run(g: &Graph, script: &Script, cfg: Config) -> Outcome {
+    let mut reference = Reference::new(g, cfg, scripted(script));
+    let error = reference.run_rounds(ROUNDS).err();
+    assert_eq!(
+        reference.breach(),
+        None,
+        "scripted programs keep the contract"
+    );
+    let (stats, faults) = (*reference.stats(), reference.fault_stats());
     Outcome {
-        seen,
+        seen: reference.into_outputs(),
         stats,
         faults,
-        error: None,
+        error,
     }
 }
 
-/// Compares `Network` under `cfg` (and its dense variant) with the
-/// reference.
+/// Compares `Network` under `cfg` with the reference.
 fn agree(g: &Graph, script: &Script, cfg: Config) -> Result<(), TestCaseError> {
-    let plan = cfg.faults();
-    let expect = reference_run(g, script, cfg.policy(), plan.as_ref());
-    for variant in [cfg, cfg.with_scheduling(Scheduling::Dense)] {
-        let got = network_run(g, script, variant);
-        prop_assert_eq!(&got.error, &expect.error, "first error, {:?}", variant);
-        prop_assert_eq!(&got.stats, &expect.stats, "run stats, {:?}", variant);
-        prop_assert_eq!(&got.faults, &expect.faults, "fault stats, {:?}", variant);
-        for (v, (a, b)) in got.seen.iter().zip(&expect.seen).enumerate() {
-            prop_assert_eq!(a, b, "inboxes of node {}, {:?}", v, variant);
-        }
+    let expect = reference_run(g, script, cfg);
+    let got = network_run(g, script, cfg);
+    prop_assert_eq!(&got.error, &expect.error, "first error");
+    prop_assert_eq!(&got.stats, &expect.stats, "run stats");
+    prop_assert_eq!(&got.faults, &expect.faults, "fault stats");
+    for (v, (a, b)) in got.seen.iter().zip(&expect.seen).enumerate() {
+        prop_assert_eq!(a, b, "inboxes of node {}", v);
     }
     Ok(())
 }
@@ -610,8 +516,8 @@ fn over_budget_payloads_fail_on_their_first_receiver() {
 }
 
 /// Runs a table whose deliveries fill receivers' inbox rows to their
-/// degree, fault-free and under `plan`, each under active-set and dense
-/// scheduling, against the reference; returns the active-set outcomes.
+/// degree, fault-free and under `plan`, against the reference; returns the
+/// network's outcomes.
 fn full_rows_run(
     g: &Graph,
     table: Vec<(usize, Round, Vec<Action>)>,

@@ -114,9 +114,9 @@ pub mod names {
     /// (gauge; maximum across networks run under the registry).
     pub const CRITICAL_PATH_DEPTH: &str = "qd_critical_path_depth";
 
-    /// Scheduler and memory telemetry: these legitimately differ across
-    /// scheduling modes and fast-forwarding (dense and active-set runs
-    /// execute different node counts over identical traffic), so — like
+    /// Scheduler and memory telemetry: these describe how a simulator
+    /// executed a run, not what the run computed (a simulator that runs
+    /// every node executes more node programs over identical traffic), so — like
     /// the scheduling fields of `RunStats` and the telemetry columns of
     /// the flight recorder's `RoundRecord` — they are excluded from
     /// [`Registry`](crate::Registry) equality. They still export and

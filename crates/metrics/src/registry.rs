@@ -2,8 +2,7 @@
 //! accumulated profiler spans.
 //!
 //! All maps are `BTreeMap`s so exports are deterministically ordered, which
-//! lets tests byte-compare whole registries across scheduling modes and
-//! fast-forwarding.
+//! lets tests byte-compare whole registries across runs.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -39,12 +39,6 @@ pub enum FaultKind {
     Crash,
     /// A message was delayed by `delay` extra rounds of jitter.
     Delay,
-    /// A node staged a send inside a round it had declared quiet via
-    /// `NodeProgram::quiet_until` without a message arrival superseding the
-    /// declaration (`from == to`: the lying node itself). Emitted by the
-    /// scheduler's cross-check so a bad declaration degrades to a typed
-    /// fault instead of silently corrupting fast-forwarded results.
-    QuietViolation,
 }
 
 impl FaultKind {
@@ -56,7 +50,6 @@ impl FaultKind {
             FaultKind::LinkDown => "link-down",
             FaultKind::Crash => "crash",
             FaultKind::Delay => "delay",
-            FaultKind::QuietViolation => "quiet-violation",
         }
     }
 }
@@ -431,7 +424,6 @@ impl TraceEvent {
                     "link-down" => FaultKind::LinkDown,
                     "crash" => FaultKind::Crash,
                     "delay" => FaultKind::Delay,
-                    "quiet-violation" => FaultKind::QuietViolation,
                     other => return Err(format!("unknown fault kind {other:?}")),
                 },
                 from: u("from")?,
@@ -548,13 +540,6 @@ mod tests {
                 kind: FaultKind::Crash,
                 from: 4,
                 to: 4,
-                delay: 0,
-            },
-            TraceEvent::Fault {
-                round: 7,
-                kind: FaultKind::QuietViolation,
-                from: 3,
-                to: 3,
                 delay: 0,
             },
             TraceEvent::Recovery {

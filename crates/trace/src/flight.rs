@@ -16,13 +16,14 @@
 //! run and a stepped run normalize to identical per-round records. Like
 //! `RunStats`, equality on [`RoundRecord`] compares only the protocol
 //! observables — scheduler/memory telemetry legitimately differs between
-//! scheduling modes.
+//! simulators that execute different nodes over the same traffic.
 //!
 //! The module also hosts the deterministic **sampling policy** for
 //! full-fidelity events: [`SamplePolicy`] keeps a message event with a
 //! probability that is a pure function of `(seed, round, edge)` — exactly
 //! like fault-plan fates — so a [`SampledSink`]-filtered trace is
-//! byte-identical across scheduling modes and fast-forwarding.
+//! byte-identical whichever nodes the simulator executes and whether it
+//! fast-forwards.
 //!
 //! Installation mirrors the crate's sink and the metrics registry: a
 //! thread-local RAII guard ([`install`]), strictly opt-in, with
@@ -54,8 +55,8 @@ pub const HOT_K: usize = 8;
 /// `delivered`, `messages`, `bits`, `faults`, `recoveries`); the scheduler
 /// and memory telemetry (`scheduled`, `frontier`, `wakeups`,
 /// `arena_bytes`) is excluded, for the same reason `RunStats` excludes its
-/// scheduling fields: dense and active-set runs produce identical traffic
-/// with different schedules.
+/// scheduling fields: a simulator that skips idle nodes and one that runs
+/// every node produce identical traffic with different schedules.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundRecord {
     /// First round covered by this record.
@@ -660,7 +661,7 @@ pub fn with(f: impl FnOnce(&mut FlightRecorder)) {
 /// fault-plan fates use (under a distinct salt, so a shared seed does not
 /// correlate sampling with fault decisions). Deterministic by
 /// construction: the same message is kept or suppressed in every replay,
-/// regardless of scheduling mode or fast-forwarding.
+/// regardless of which nodes execute or whether rounds are fast-forwarded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplePolicy {
     seed: u64,
@@ -714,8 +715,8 @@ impl SamplePolicy {
 
 /// A [`TraceSink`] adapter that forwards every event except `Message`s
 /// failing its [`SamplePolicy`] — turning a full-fidelity per-edge trace
-/// into a deterministic sample that stays byte-identical across
-/// scheduling modes and fast-forwarding.
+/// into a deterministic sample that stays byte-identical whichever nodes
+/// the simulator executes and whether it fast-forwards.
 #[derive(Debug)]
 pub struct SampledSink<S> {
     policy: SamplePolicy,
@@ -852,6 +853,42 @@ mod tests {
         closed(&mut stepped, 0);
         assert_eq!(skipped.window(), stepped.window());
         assert_eq!(skipped.window().len(), 3);
+    }
+
+    /// A fast-forwarded stretch of `k` rounds enters the ring as one span
+    /// record, and the window and lifetime totals come out exactly as if
+    /// the simulator had closed `k` rounds with zero counts.
+    #[test]
+    fn skip_matches_zero_count_closed_rounds() {
+        let busy = |rec: &mut FlightRecorder, r: u64| {
+            rec.close_charged(
+                r + 1,
+                8 * (r + 1),
+                r % 2,
+                RoundSample {
+                    delivered: r,
+                    scheduled: 3,
+                    ..RoundSample::default()
+                },
+            );
+        };
+        let mut skipped = FlightRecorder::with_capacity(32);
+        let mut stepped = FlightRecorder::with_capacity(32);
+        for (r, quiet) in [(0, 4), (1, 11), (2, 1), (3, 0)] {
+            for rec in [&mut skipped, &mut stepped] {
+                busy(rec, r);
+            }
+            skipped.skip(quiet);
+            for _ in 0..quiet {
+                stepped.close_charged(0, 0, 0, RoundSample::default());
+            }
+        }
+        assert!(skipped.records().any(|r| r.span > 1));
+        assert!(stepped.records().all(|r| r.span == 1));
+        assert_eq!(skipped.rounds(), stepped.rounds());
+        assert_eq!(skipped.window(), stepped.window());
+        assert_eq!(skipped.totals(), stepped.totals());
+        assert!(skipped.records().count() < skipped.rounds() as usize);
     }
 
     #[test]

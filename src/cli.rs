@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 
 use classical::hprw::HprwParams;
 use classical::recovery::SurvivingComponent;
-use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats, Scheduling};
+use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats};
 use diameter_quantum::approx::{self, ApproxParams};
 use diameter_quantum::exact::ExactParams;
 use diameter_quantum::{exact, exact_simple, recovery};
@@ -151,8 +151,6 @@ pub struct Options {
     pub verbose: bool,
     /// Write a JSONL event trace of the run to this path.
     pub trace: Option<String>,
-    /// Round-scheduling mode (dense reference vs active-set skipping).
-    pub scheduling: Scheduling,
     /// Fault-injection spec (see [`congest::FaultPlan::parse`]); validated
     /// at parse time, kept as the raw text so reports can echo it.
     pub faults: Option<String>,
@@ -180,7 +178,6 @@ impl Default for Options {
             file: None,
             verbose: false,
             trace: None,
-            scheduling: Scheduling::default(),
             faults: None,
             recover: None,
             metrics: None,
@@ -244,9 +241,6 @@ OPTIONS:
   --trace PATH write a JSONL event trace of the run to PATH
   --metrics P  export the run's metrics registry to P after the run
                (.json extension -> JSON, anything else -> Prometheus text)
-  --sched M    round scheduling: active-set (default; skip halted nodes and
-               fast-forward quiescent stretches) or dense (execute every
-               node every round). Byte-identical results either way
   --faults S   inject deterministic message/node faults; S is a comma-
                separated list of: seed=<u64>  drop=<p>  corrupt=<p>
                delay=<p>:<max>  link=<u>-<v>@<start>..<end>
@@ -286,8 +280,6 @@ ENVIRONMENT:
   QD_RECOVER      recovery policy applied when --recover is absent (same
                   grammar); also honored by the experiment binaries in
                   crates/bench
-  QD_SCHED        scheduling mode for the experiment binaries
-                  (dense | active-set; default active-set)
   QD_SCALE        sweep-size multiplier for the experiment binaries
   QD_RESULTS_DIR  where experiment binaries write JSON artifacts
                   (default: results)
@@ -588,8 +580,7 @@ fn report_markdown(
     );
     let _ = writeln!(
         md,
-        "- scheduling: {:?} | faults: {} | recovery: {}\n",
-        opts.scheduling,
+        "- faults: {} | recovery: {}\n",
         opts.faults.as_deref().unwrap_or("none"),
         opts.recover.as_deref().unwrap_or("none")
     );
@@ -696,13 +687,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--file" => opts.file = Some(value("--file")?.clone()),
             "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            "--sched" => {
-                opts.scheduling = match value("--sched")?.as_str() {
-                    "dense" => Scheduling::Dense,
-                    "active-set" | "active" | "sparse" => Scheduling::ActiveSet,
-                    other => return Err(format!("--sched: unknown mode '{other}'")),
-                }
-            }
             "--faults" => {
                 let spec = value("--faults")?;
                 FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?;
@@ -900,10 +884,8 @@ fn recovery_report(
 }
 
 /// One `scheduling:` report line: how many of the run's `n · rounds`
-/// scheduling opportunities actually executed a node program. Depends on
-/// the `--sched` mode (dense runs everybody every round, so it reports
-/// 100%) — it is telemetry about the scheduler, not a protocol
-/// observable.
+/// scheduling opportunities actually executed a node program — telemetry
+/// about the scheduler, not a protocol observable.
 fn scheduling_line(out: &mut String, scheduled: u64, node_rounds: u64) {
     let fraction = if node_rounds == 0 {
         1.0
@@ -919,9 +901,7 @@ fn scheduling_line(out: &mut String, scheduled: u64, node_rounds: u64) {
 
 fn run_report(opts: &Options) -> Result<String, String> {
     let g = build_graph(opts)?;
-    let mut cfg = Config::for_graph(&g)
-        .with_scheduling(opts.scheduling)
-        .with_critical_path(opts.critical_path);
+    let mut cfg = Config::for_graph(&g).with_critical_path(opts.critical_path);
     let env_faults = std::env::var("QD_FAULTS").ok();
     let faults = resolve_faults(opts.faults.as_deref(), env_faults.as_deref())?;
     let env_recover = std::env::var("QD_RECOVER").ok();
@@ -1176,52 +1156,9 @@ mod tests {
     #[test]
     fn sched_flag_parses_and_rejects() {
         assert_eq!(
-            parse(&args("exact")).unwrap().scheduling,
-            Scheduling::ActiveSet
+            parse(&args("exact --sched dense")),
+            Err("unknown option '--sched'".to_string())
         );
-        let o = parse(&args("exact --sched dense")).unwrap();
-        assert_eq!(o.scheduling, Scheduling::Dense);
-        for alias in ["active-set", "active", "sparse"] {
-            let o = parse(&args(&format!("exact --sched {alias}"))).unwrap();
-            assert_eq!(o.scheduling, Scheduling::ActiveSet, "{alias}");
-        }
-        assert!(parse(&args("exact --sched eager")).is_err());
-        assert!(parse(&args("exact --sched")).is_err());
-    }
-
-    /// `--sched` is a cost knob, never a semantics knob:
-    /// the dense reference renders the exact same report.
-    #[test]
-    fn dense_reports_are_identical_to_active_set() {
-        // The `scheduling:` telemetry line is the one part of the report
-        // that is *about* the cost knob (dense executes every node every
-        // round, so it always reports 100% active): strip it, then demand
-        // byte identity on everything else.
-        let strip = |report: String| -> (String, usize) {
-            let mut kept = String::new();
-            let mut stripped = 0;
-            for line in report.lines() {
-                if line.starts_with("scheduling: ") {
-                    stripped += 1;
-                } else {
-                    kept.push_str(line);
-                    kept.push('\n');
-                }
-            }
-            (kept, stripped)
-        };
-        for algo in ["classical", "girth", "classical-approx"] {
-            let base = format!("{algo} --family grid --n 25 --seed 3");
-            let (default, sparse_lines) = strip(run(&parse(&args(&base)).unwrap()).unwrap());
-            let (dense, dense_lines) =
-                strip(run(&parse(&args(&format!("{base} --sched dense"))).unwrap()).unwrap());
-            assert_eq!(sparse_lines, 1, "{algo} report lost its scheduling line");
-            assert_eq!(
-                dense_lines, 1,
-                "{algo} dense report lost its scheduling line"
-            );
-            assert_eq!(default, dense, "{algo} diverged under --sched dense");
-        }
     }
 
     #[test]

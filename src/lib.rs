@@ -65,7 +65,7 @@ pub use quantum;
 pub mod prelude {
     pub use classical::{self, AlgoError};
     pub use commcc::{self, reduction::Reduction};
-    pub use congest::{self, Config, RunStats, Scheduling};
+    pub use congest::{self, Config, RunStats};
     pub use diameter_quantum as quantum_diameter;
     pub use diameter_quantum::approx::ApproxParams;
     pub use diameter_quantum::exact::ExactParams;

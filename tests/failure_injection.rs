@@ -8,6 +8,7 @@ use congest_diameter::prelude::*;
 use proptest::prelude::*;
 
 use classical::hprw::{self, HprwParams};
+use congest::reference::Reference;
 use congest::{BandwidthPolicy, CongestError, FaultPlan, FaultStats};
 use quantum_diameter::{approx, exact};
 
@@ -179,23 +180,38 @@ impl congest::NodeProgram for MinIdFlood {
     }
 }
 
-/// Runs the flood under `cfg` with a trace recorder installed, returning
-/// everything the fault-replay contract covers: outputs, run stats, fault
-/// stats, and the full trace event stream (including `Fault` events).
-fn faulty_flood_run(
-    g: &Graph,
-    cfg: Config,
-) -> (RunStats, FaultStats, Vec<u32>, Vec<trace::TraceEvent>) {
+/// Everything the fault-replay contract covers about one run: run stats,
+/// fault stats, outputs, and the full trace event stream (including
+/// `Fault` events), skip-expanded.
+type Replay = (RunStats, FaultStats, Vec<u32>, Vec<trace::TraceEvent>);
+
+/// Runs `make`'s program under `cfg` on `Network`, or with `reference` on
+/// the reference simulator, with a trace recorder installed.
+fn replay<P>(g: &Graph, cfg: Config, reference: bool, make: impl Fn(NodeId) -> P) -> Replay
+where
+    P: congest::NodeProgram<Output = u32>,
+{
     let recorder = trace::Recorder::shared();
     let (stats, faults, outputs) = {
         let _guard = trace::install(recorder.clone());
-        let mut net = congest::Network::new(g, cfg, |v| MinIdFlood { best: u32::from(v) });
-        let stats = net.run_until_quiescent(100_000).unwrap();
-        let faults = net.fault_stats();
-        (stats, faults, net.into_outputs())
+        if reference {
+            let mut reference = Reference::new(g, cfg, make);
+            let stats = reference.run_until_quiescent(100_000).unwrap();
+            assert_eq!(reference.breach(), None);
+            (stats, reference.fault_stats(), reference.into_outputs())
+        } else {
+            let mut net = congest::Network::new(g, cfg, make);
+            let stats = net.run_until_quiescent(100_000).unwrap();
+            (stats, net.fault_stats(), net.into_outputs())
+        }
     };
-    let events = recorder.borrow_mut().take();
+    let events = trace::expand_round_skips(recorder.borrow_mut().take());
     (stats, faults, outputs, events)
+}
+
+/// The min-id flood under `cfg`.
+fn faulty_flood_run(g: &Graph, cfg: Config, reference: bool) -> Replay {
+    replay(g, cfg, reference, |v| MinIdFlood { best: u32::from(v) })
 }
 
 /// Min-id flood whose nodes each sleep until a staggered wake round
@@ -232,23 +248,11 @@ impl congest::NodeProgram for SleepyFlood {
 }
 
 /// Like [`faulty_flood_run`], but over the staggered-wake flood.
-fn faulty_sleepy_run(
-    g: &Graph,
-    cfg: Config,
-) -> (RunStats, FaultStats, Vec<u32>, Vec<trace::TraceEvent>) {
-    let recorder = trace::Recorder::shared();
-    let (stats, faults, outputs) = {
-        let _guard = trace::install(recorder.clone());
-        let mut net = congest::Network::new(g, cfg, |v| SleepyFlood {
-            wake: (v.index() as u64 * 5) % 17,
-            best: u32::from(v),
-        });
-        let stats = net.run_until_quiescent(100_000).unwrap();
-        let faults = net.fault_stats();
-        (stats, faults, net.into_outputs())
-    };
-    let events = recorder.borrow_mut().take();
-    (stats, faults, outputs, events)
+fn faulty_sleepy_run(g: &Graph, cfg: Config, reference: bool) -> Replay {
+    replay(g, cfg, reference, |v| SleepyFlood {
+        wake: (v.index() as u64 * 5) % 17,
+        best: u32::from(v),
+    })
 }
 
 /// A connected random graph for the fault-replay properties.
@@ -260,45 +264,32 @@ fn arb_graph() -> impl Strategy<Value = graphs::Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Active-set scheduling replays fault plans byte-identically to the
-    /// dense reference: same RunStats, FaultStats, outputs, and trace
-    /// stream under drops, corruption, delay jitter, link failures, and a
-    /// crash-stop — with fast-forward on or off.
-    /// The staggered-wake flood additionally crosses the fault layer with
-    /// `Status::Sleep` wakeups and fast-forwardable quiescent stretches
-    /// (a delayed message must still land, and wake its receiver, at the
-    /// exact round the dense scheduler would deliver it).
+    /// The network replays fault plans byte-identically to the reference
+    /// simulator: same RunStats, FaultStats, outputs, and trace stream
+    /// under drops, corruption, delay jitter, link failures, and a
+    /// crash-stop. The staggered-wake flood additionally crosses the fault
+    /// layer with `Status::Sleep` wakeups and fast-forwardable quiescent
+    /// stretches (a delayed message must still land, and wake its
+    /// receiver, at the exact round the stepping reference delivers it).
     #[test]
-    fn faulty_runs_match_dense_scheduling(g in arb_graph(), fseed in 0u64..1_000) {
+    fn faulty_runs_match_the_reference(g in arb_graph(), fseed in 0u64..1_000) {
         let plan = FaultPlan::new(fseed)
             .with_drop(0.08)
             .with_corrupt(0.04)
             .with_delay(0.15, 3)
             .with_link_failure(0, 1, 1..5)
             .with_crash(g.len() - 1, 3);
-        let base = Config::for_graph(&g).with_faults(plan);
+        let cfg = Config::for_graph(&g).with_faults(plan);
         for (name, run) in [
-            ("flood", faulty_flood_run as fn(&Graph, Config) -> _),
-            ("sleepy", faulty_sleepy_run as fn(&Graph, Config) -> _),
+            ("flood", faulty_flood_run as fn(&Graph, Config, bool) -> Replay),
+            ("sleepy", faulty_sleepy_run as fn(&Graph, Config, bool) -> Replay),
         ] {
-            let (stats, faults, outputs, events) =
-                run(&g, base.with_scheduling(Scheduling::Dense));
-            // Traces compare through `expand_round_skips`: fast-forwarded
-            // stretches arrive as compact `RoundSkip` events in the sparse
-            // runs, defined as equivalent to the dense zero-delivery ticks.
-            let events = trace::expand_round_skips(events);
-            for fast_forward in [true, false] {
-                let cfg = base
-                    .with_scheduling(Scheduling::ActiveSet)
-                    .with_fast_forward(fast_forward);
-                let (stats_k, faults_k, outputs_k, events_k) = run(&g, cfg);
-                let events_k = trace::expand_round_skips(events_k);
-                let ctx = format!("{name}: fast_forward={fast_forward}");
-                prop_assert_eq!(stats_k, stats, "run stats diverged ({})", &ctx);
-                prop_assert_eq!(faults_k, faults, "fault stats diverged ({})", &ctx);
-                prop_assert_eq!(&outputs_k, &outputs, "outputs diverged ({})", &ctx);
-                prop_assert_eq!(&events_k, &events, "trace diverged ({})", &ctx);
-            }
+            let (stats, faults, outputs, events) = run(&g, cfg, true);
+            let (stats_k, faults_k, outputs_k, events_k) = run(&g, cfg, false);
+            prop_assert_eq!(stats_k, stats, "run stats diverged ({})", name);
+            prop_assert_eq!(faults_k, faults, "fault stats diverged ({})", name);
+            prop_assert_eq!(&outputs_k, &outputs, "outputs diverged ({})", name);
+            prop_assert_eq!(&events_k, &events, "trace diverged ({})", name);
         }
     }
 
@@ -310,9 +301,9 @@ proptest! {
         let base = Config::for_graph(&g);
         let passive = base.with_faults(FaultPlan::new(fseed));
         prop_assert_eq!(passive, base);
-        let (stats, faults, outputs, events) = faulty_flood_run(&g, base);
+        let (stats, faults, outputs, events) = faulty_flood_run(&g, base, false);
         prop_assert_eq!(faults, FaultStats::default());
-        let (stats_p, faults_p, outputs_p, events_p) = faulty_flood_run(&g, passive);
+        let (stats_p, faults_p, outputs_p, events_p) = faulty_flood_run(&g, passive, false);
         prop_assert_eq!(stats_p, stats);
         prop_assert_eq!(faults_p, FaultStats::default());
         prop_assert_eq!(&outputs_p, &outputs);

@@ -1,18 +1,18 @@
-//! Flight-recorder and sampled-trace determinism across the execution
-//! matrix: the observability layer is an observer of the *protocol*, so
-//! its output must be byte-identical across scheduling modes and
-//! fast-forwarding — the two knobs that change *how* a run executes
-//! without changing *what* it computes. A fast-forwarded quiet
-//! stretch enters the ring as one `RoundSkip`-mirroring span record, and
-//! the window view must re-expand it to exactly the records a stepped run
-//! produces.
+//! Flight-recorder and sampled-trace determinism: the observability layer
+//! is an observer of the *protocol*, so its output must not depend on how
+//! the simulator executes a run. The network skips halted nodes and
+//! fast-forwards quiet stretches; the reference simulator steps every
+//! node every round. A fast-forwarded stretch enters the ring as one
+//! `RoundSkip`-mirroring span record, and the window view must re-expand
+//! it to exactly the records the reference's stepped trace rebuilds into.
 
 use congest_diameter::prelude::*;
 use proptest::prelude::*;
 
+use congest::reference::Reference;
 use congest::{FaultPlan, RunStats};
 use trace::flight::{self, FlightRecorder, SamplePolicy, SampledSink};
-use trace::{RoundRecord, TraceEvent};
+use trace::{RoundRecord, TraceEvent, TraceSink};
 
 /// A small id message, sized under the O(log n) budget of the smallest
 /// test graph (the flight recorder charges its bits).
@@ -26,8 +26,8 @@ impl congest::Payload for IdMsg {
 
 /// Min-id flood whose nodes sleep until staggered wake rounds: the
 /// `Status::Sleep` stretches give fast-forward real `RoundSkip` spans to
-/// compress, and the wake stagger keeps the active set sparse so dense
-/// and active-set scheduling execute genuinely different node counts
+/// compress, and the wake stagger keeps the active set sparse so the
+/// network and the reference execute genuinely different node counts
 /// over identical traffic.
 struct SleepyFlood {
     wake: u64,
@@ -69,42 +69,76 @@ struct Observed {
     window: Vec<RoundRecord>,
     totals: RoundRecord,
     rounds: u64,
-    spans: usize,
     sampled: Vec<TraceEvent>,
     outputs: Vec<u32>,
 }
 
-/// Runs the sleepy flood under a flight recorder and a [`SampledSink`]
-/// (rate 0.25, seeded by `sample_seed`) wrapped around an in-memory
-/// recorder. The sampled stream is normalized with
+fn sleepy(stagger: u64) -> impl Fn(NodeId) -> SleepyFlood {
+    move |v| SleepyFlood {
+        wake: v.index() as u64 * stagger % 97,
+        best: u32::from(v),
+    }
+}
+
+fn sample_policy(sample_seed: u64) -> SamplePolicy {
+    SamplePolicy::new(sample_seed, 0.25)
+}
+
+/// Runs the sleepy flood on the network under a live flight recorder and
+/// a [`SampledSink`] (rate 0.25, seeded by `sample_seed`) wrapped around
+/// an in-memory recorder. The sampled stream is normalized with
 /// [`trace::expand_round_skips`] before comparison: a fast-forwarding run
-/// legitimately *represents* a quiet stretch as one `RoundSkip` event,
-/// and the contract is that the normalized streams are byte-identical.
+/// legitimately *represents* a quiet stretch as one `RoundSkip` event.
 fn observed_run(g: &Graph, cfg: Config, sample_seed: u64, stagger: u64) -> Observed {
     let recorder = FlightRecorder::shared();
     let sink = std::rc::Rc::new(std::cell::RefCell::new(SampledSink::new(
-        SamplePolicy::new(sample_seed, 0.25),
+        sample_policy(sample_seed),
         trace::Recorder::new(),
     )));
     let (stats, outputs) = {
         let _flight = flight::install(recorder.clone());
         let _trace = trace::install(sink.clone() as trace::SharedSink);
-        let mut net = congest::Network::new(g, cfg, |v| SleepyFlood {
-            wake: v.index() as u64 * stagger % 97,
-            best: u32::from(v),
-        });
+        let mut net = congest::Network::new(g, cfg, sleepy(stagger));
         let stats = net.run_until_quiescent(100_000).unwrap();
         (stats, net.into_outputs())
     };
-    let rec = recorder.borrow();
     let sampled = trace::expand_round_skips(sink.borrow().inner().events().to_vec());
+    let rec = recorder.borrow();
     Observed {
         stats,
         window: rec.window(),
         totals: rec.totals(),
         rounds: rec.rounds(),
-        spans: rec.records().filter(|r| r.span > 1).count(),
         sampled,
+        outputs,
+    }
+}
+
+/// The same run on the reference simulator, which charges no flight
+/// recorder: the recorder is rebuilt from its full event stream
+/// ([`FlightRecorder::from_events`]), and the stream is sampled by the
+/// same policy.
+fn reference_run(g: &Graph, cfg: Config, sample_seed: u64, stagger: u64) -> Observed {
+    let full = trace::Recorder::shared();
+    let (stats, outputs) = {
+        let _trace = trace::install(full.clone());
+        let mut reference = Reference::new(g, cfg, sleepy(stagger));
+        let stats = reference.run_until_quiescent(100_000).unwrap();
+        assert_eq!(reference.breach(), None);
+        (stats, reference.into_outputs())
+    };
+    let events = full.borrow_mut().take();
+    let rec = FlightRecorder::from_events(flight::DEFAULT_CAPACITY, &events);
+    let mut sampled = SampledSink::new(sample_policy(sample_seed), trace::Recorder::new());
+    for event in &events {
+        sampled.record(event);
+    }
+    Observed {
+        stats,
+        window: rec.window(),
+        totals: rec.totals(),
+        rounds: rec.rounds(),
+        sampled: sampled.inner().events().to_vec(),
         outputs,
     }
 }
@@ -118,38 +152,30 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tentpole's determinism contract: flight windows, lifetime
-    /// totals, and the sampled trace are byte-identical across the full
-    /// {Dense, ActiveSet} × fast-forward {on, off} matrix — a `RoundSkip`
-    /// span must aggregate exactly as the rounds it covers would have,
-    /// record by record.
+    /// Flight windows, lifetime totals, and the sampled trace of the
+    /// network match the reference simulator's — a `RoundSkip` span must
+    /// aggregate exactly as the rounds it covers would have, record by
+    /// record.
     #[test]
     fn flight_and_sampled_trace_identical_across_matrix(
         g in arb_graph(),
         sample_seed in 0u64..1_000,
     ) {
-        let base = Config::for_graph(&g);
-        let reference = observed_run(&g, base, sample_seed, 7);
-        prop_assert!(reference.totals.messages > 0, "inert workload");
-        for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
-            for ff in [true, false] {
-                let cfg = base.with_scheduling(sched).with_fast_forward(ff);
-                let run = observed_run(&g, cfg, sample_seed, 7);
-                let knob = format!("sched={sched:?} ff={ff}");
-                prop_assert_eq!(&run.stats, &reference.stats, "stats diverged at {}", &knob);
-                prop_assert_eq!(&run.outputs, &reference.outputs, "answers diverged at {}", &knob);
-                prop_assert_eq!(run.rounds, reference.rounds, "round count diverged at {}", &knob);
-                prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
-                prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
-                prop_assert_eq!(&run.sampled, &reference.sampled, "sample diverged at {}", &knob);
-            }
-        }
+        let cfg = Config::for_graph(&g);
+        let expect = reference_run(&g, cfg, sample_seed, 7);
+        prop_assert!(expect.totals.messages > 0, "inert workload");
+        let run = observed_run(&g, cfg, sample_seed, 7);
+        prop_assert_eq!(&run.stats, &expect.stats, "stats diverged");
+        prop_assert_eq!(&run.outputs, &expect.outputs, "answers diverged");
+        prop_assert_eq!(run.rounds, expect.rounds, "round count diverged");
+        prop_assert_eq!(&run.window, &expect.window, "window diverged");
+        prop_assert_eq!(&run.totals, &expect.totals, "totals diverged");
+        prop_assert_eq!(&run.sampled, &expect.sampled, "sample diverged");
     }
 
-    /// Under a seeded fault plan the recorder's fault column replays
-    /// byte-identically too: fault fates are a pure function of
-    /// (plan seed, round, edge), so the per-round records they land in
-    /// cannot move across scheduling modes.
+    /// Under a seeded fault plan the recorder's fault column matches the
+    /// reference too: fault fates are a pure function of (plan seed,
+    /// round, edge), so the per-round records they land in cannot move.
     #[test]
     fn flight_fault_column_replays_across_matrix(
         g in arb_graph(),
@@ -159,37 +185,13 @@ proptest! {
             .with_drop(0.08)
             .with_corrupt(0.04)
             .with_delay(0.15, 3);
-        let base = Config::for_graph(&g).with_faults(plan);
-        let reference = observed_run(&g, base, 0, 7);
-        for sched in [Scheduling::Dense, Scheduling::ActiveSet] {
-            let run = observed_run(&g, base.with_scheduling(sched), 0, 7);
-            let knob = format!("sched={sched:?}");
-            prop_assert_eq!(&run.window, &reference.window, "window diverged at {}", &knob);
-            prop_assert_eq!(&run.totals, &reference.totals, "totals diverged at {}", &knob);
-        }
+        let cfg = Config::for_graph(&g).with_faults(plan);
+        let expect = reference_run(&g, cfg, 0, 7);
+        let run = observed_run(&g, cfg, 0, 7);
+        prop_assert!(expect.totals.faults > 0, "plan injected nothing");
+        prop_assert_eq!(&run.window, &expect.window, "window diverged");
+        prop_assert_eq!(&run.totals, &expect.totals, "totals diverged");
     }
-}
-
-/// A long staggered-wake run on a path: fast-forward *must* compress
-/// quiet stretches into span records, and the stepped reference must
-/// normalize to the identical window and totals.
-#[test]
-fn fast_forward_spans_aggregate_exactly_as_stepped_rounds() {
-    let g = graphs::generators::path(24);
-    let base = Config::for_graph(&g).with_scheduling(Scheduling::ActiveSet);
-    let fast = observed_run(&g, base.with_fast_forward(true), 3, 13);
-    let stepped = observed_run(&g, base.with_fast_forward(false), 3, 13);
-    assert!(
-        fast.spans > 0,
-        "workload produced no quiet stretch to fast-forward"
-    );
-    assert_eq!(stepped.spans, 0, "a stepped run must not contain spans");
-    assert_eq!(fast.rounds, stepped.rounds);
-    assert_eq!(fast.window, stepped.window);
-    assert_eq!(fast.totals, stepped.totals);
-    assert_eq!(fast.stats, stepped.stats);
-    // The span compression is real: fewer physical records than rounds.
-    assert!((fast.rounds as usize) > fast.window.len() - fast.spans);
 }
 
 /// Rebuilding a recorder from the run's own full-fidelity event stream

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over randomized graph and input spaces:
 //! the paper's lemmas and guarantees as machine-checked invariants.
 
+use congest::reference::Reference;
 use congest_diameter::prelude::*;
 use proptest::prelude::*;
 
@@ -275,18 +276,38 @@ impl congest::NodeProgram for MinIdFlood {
     }
 }
 
+/// Runs `f` with a fresh trace recorder installed, returning its result
+/// and the skip-expanded event stream.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<trace::TraceEvent>) {
+    let recorder = trace::Recorder::shared();
+    let out = {
+        let _guard = trace::install(recorder.clone());
+        f()
+    };
+    let events = recorder.borrow_mut().take();
+    (out, trace::expand_round_skips(events))
+}
+
 /// Runs the flood under `cfg` with a recorder installed, returning
 /// everything the determinism contract covers: outputs, stats, and the
 /// full trace event stream.
 fn flood_run(g: &Graph, cfg: Config) -> (RunStats, Vec<u32>, Vec<trace::TraceEvent>) {
-    let recorder = trace::Recorder::shared();
-    let (stats, outputs) = {
-        let _guard = trace::install(recorder.clone());
+    let ((stats, outputs), events) = traced(|| {
         let mut net = congest::Network::new(g, cfg, |v| MinIdFlood { best: u32::from(v) });
         let stats = net.run_until_quiescent(100_000).unwrap();
         (stats, net.into_outputs())
-    };
-    let events = recorder.borrow_mut().take();
+    });
+    (stats, outputs, events)
+}
+
+/// [`flood_run`] on the reference simulator.
+fn reference_flood_run(g: &Graph, cfg: Config) -> (RunStats, Vec<u32>, Vec<trace::TraceEvent>) {
+    let ((stats, outputs), events) = traced(|| {
+        let mut reference = Reference::new(g, cfg, |v| MinIdFlood { best: u32::from(v) });
+        let stats = reference.run_until_quiescent(100_000).unwrap();
+        assert_eq!(reference.breach(), None);
+        (stats, reference.into_outputs())
+    });
     (stats, outputs, events)
 }
 
@@ -413,55 +434,60 @@ impl congest::NodeProgram for Beacon {
     }
 }
 
-/// Runs the beacon workload under `cfg`, returning outputs, stats, the
-/// trace stream, and how many node executions the scheduler paid for.
+/// Runs the beacon workload under `cfg` on `Network` (or, with
+/// `reference`, on the reference simulator), returning stats, outputs,
+/// the skip-expanded trace, and how many node executions were paid for.
 fn beacon_run(
     g: &Graph,
     cfg: Config,
     wakes: &[u64],
+    reference: bool,
 ) -> (RunStats, Vec<u64>, Vec<trace::TraceEvent>, u64) {
-    let recorder = trace::Recorder::shared();
-    let (stats, outputs, scheduled) = {
-        let _guard = trace::install(recorder.clone());
-        let mut net = congest::Network::new(g, cfg, |v| Beacon {
-            wake: wakes[v.index()],
-            n: g.len(),
-            heard: 0,
-        });
-        let cap = wakes.iter().max().unwrap() + 4;
-        let stats = net.run_until_quiescent(cap).unwrap();
-        let scheduled = net.scheduled_nodes();
-        (stats, net.into_outputs(), scheduled)
+    let beacon = |v: NodeId| Beacon {
+        wake: wakes[v.index()],
+        n: g.len(),
+        heard: 0,
     };
-    let events = recorder.borrow_mut().take();
+    let cap = wakes.iter().max().unwrap() + 4;
+    let ((stats, outputs, scheduled), events) = traced(|| {
+        if reference {
+            let mut reference = Reference::new(g, cfg, beacon);
+            let stats = reference.run_until_quiescent(cap).unwrap();
+            assert_eq!(reference.breach(), None);
+            (stats, reference.into_outputs(), stats.scheduled_nodes)
+        } else {
+            let mut net = congest::Network::new(g, cfg, beacon);
+            let stats = net.run_until_quiescent(cap).unwrap();
+            let scheduled = net.scheduled_nodes();
+            (stats, net.into_outputs(), scheduled)
+        }
+    });
     (stats, outputs, events, scheduled)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Active-set scheduling is byte-identical to the dense reference on
-    /// the message-heavy flood (outputs, stats, trace events). The flood
-    /// keeps most nodes halted after their last
-    /// improvement, so halted-node skipping is on the hot path here.
+    /// The network is byte-identical to the reference simulator on the
+    /// message-heavy flood (outputs, stats, trace events). The flood keeps
+    /// most nodes halted after their last improvement, so halted-node
+    /// skipping is on the hot path here.
     #[test]
     fn scheduling_flood_equivalence(g in arb_graph()) {
-        let base = Config::for_graph(&g);
-        let (stats, outputs, events) = flood_run(&g, base.with_scheduling(Scheduling::Dense));
-        // Compare through `expand_round_skips`: fast-forwarded stretches
-        // appear as one compact `RoundSkip` in sparse traces, equivalent by
-        // contract to the dense run's explicit zero-delivery ticks.
-        let events = trace::expand_round_skips(events);
-        let (s, o, e) = flood_run(&g, base.with_scheduling(Scheduling::ActiveSet));
-        let e = trace::expand_round_skips(e);
-        prop_assert_eq!(s, stats, "stats diverged (active-set)");
-        prop_assert_eq!(&o, &outputs, "outputs diverged (active-set)");
-        prop_assert_eq!(&e, &events, "trace diverged (active-set)");
+        let cfg = Config::for_graph(&g);
+        let (stats, outputs, events) = reference_flood_run(&g, cfg);
+        let (s, o, e) = flood_run(&g, cfg);
+        prop_assert_eq!(s, stats, "stats diverged");
+        prop_assert_eq!(&o, &outputs, "outputs diverged");
+        prop_assert_eq!(&e, &events, "trace diverged");
     }
 
-    /// Dense vs active-set on the Figure 2 wave phase, whose sources vote
-    /// `Sleep(start)` until their staggered start rounds — the production
-    /// workload the timed-wakeup queue was built for.
+    /// The Figure 2 wave phase, whose sources vote `Sleep(start)` until
+    /// their staggered start rounds — the production workload the
+    /// timed-wakeup queue was built for. The wave program itself is checked
+    /// against the reference simulator in `classical::waves`; at driver
+    /// level, a run replays byte-identically and its fast-forwarded trace
+    /// accounts for every round, message and bit of its stats.
     #[test]
     fn scheduling_waves_equivalence(g in arb_graph()) {
         let cfg = Config::for_graph(&g);
@@ -476,83 +502,55 @@ proptest! {
             .collect();
         let duration = 2 * steps + g.len() as u64 + 2;
 
-        let wave_run = |run_cfg: Config| {
-            let recorder = trace::Recorder::shared();
-            let out = {
-                let _guard = trace::install(recorder.clone());
-                classical::waves::run(&g, &sources, duration, run_cfg).unwrap()
-            };
-            let events = recorder.borrow_mut().take();
+        let wave_run = || {
+            let (out, events) = traced(|| {
+                classical::waves::run(&g, &sources, duration, cfg).unwrap()
+            });
             (out.max_dist, out.stats, events)
         };
-
-        let (max_dist, stats, events) = wave_run(cfg.with_scheduling(Scheduling::Dense));
-        let events = trace::expand_round_skips(events);
-        for fast_forward in [true, false] {
-            let (max_dist_k, stats_k, events_k) = wave_run(
-                cfg.with_scheduling(Scheduling::ActiveSet)
-                    .with_fast_forward(fast_forward),
-            );
-            let events_k = trace::expand_round_skips(events_k);
-            prop_assert_eq!(
-                &max_dist_k, &max_dist,
-                "outputs diverged (active-set, fast_forward={})", fast_forward
-            );
-            prop_assert_eq!(
-                stats_k, stats,
-                "stats diverged (active-set, fast_forward={})", fast_forward
-            );
-            prop_assert_eq!(
-                &events_k, &events,
-                "trace diverged (active-set, fast_forward={})", fast_forward
-            );
-        }
+        let (max_dist, stats, events) = wave_run();
+        let summary = trace::Summary::from_events(&events);
+        prop_assert_eq!(summary.round_ticks, duration);
+        prop_assert_eq!(summary.messages_delivered, stats.messages);
+        prop_assert_eq!(summary.bits_delivered, stats.total_bits);
+        let (max_dist_k, stats_k, events_k) = wave_run();
+        prop_assert_eq!(&max_dist_k, &max_dist, "outputs diverged");
+        prop_assert_eq!(stats_k, stats, "stats diverged");
+        prop_assert_eq!(&events_k, &events, "trace diverged");
     }
 
     /// The beacon workload's scattered wakes leave long fully-quiescent
     /// stretches: fast-forward must skip them without perturbing stats,
-    /// outputs, or the round-tick trace, and disabling it must change the
-    /// amount of work done — never the result.
+    /// outputs, or the round-tick trace of the stepping reference, and
+    /// never execute more nodes than it.
     #[test]
     fn scheduling_beacon_fast_forward_equivalence(g in arb_graph(), wseed in any::<u64>()) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(wseed);
         let wakes: Vec<u64> = (0..g.len()).map(|_| rng.random_range(0..60)).collect();
-        let base = Config::for_graph(&g);
-        let (stats, outputs, events, dense_sched) =
-            beacon_run(&g, base.with_scheduling(Scheduling::Dense), &wakes);
-        // Dense pays for every node every round; that product is the
-        // baseline the active-set modes must undercut (or at worst match).
-        prop_assert_eq!(dense_sched, g.len() as u64 * stats.rounds);
-        let events = trace::expand_round_skips(events);
-        for fast_forward in [true, false] {
-            let cfg = base
-                .with_scheduling(Scheduling::ActiveSet)
-                .with_fast_forward(fast_forward);
-            let (s, o, e, sched) = beacon_run(&g, cfg, &wakes);
-            let e = trace::expand_round_skips(e);
-            prop_assert_eq!(s, stats, "stats diverged (fast_forward={})", fast_forward);
-            prop_assert_eq!(&o, &outputs, "outputs diverged (fast_forward={})", fast_forward);
-            prop_assert_eq!(&e, &events, "trace diverged (fast_forward={})", fast_forward);
-            prop_assert!(sched <= dense_sched, "active-set scheduled more than dense");
-        }
+        let cfg = Config::for_graph(&g);
+        let (stats, outputs, events, every) = beacon_run(&g, cfg, &wakes, true);
+        prop_assert_eq!(every, g.len() as u64 * stats.rounds);
+        let (s, o, e, sched) = beacon_run(&g, cfg, &wakes, false);
+        prop_assert_eq!(s, stats, "stats diverged");
+        prop_assert_eq!(&o, &outputs, "outputs diverged");
+        prop_assert_eq!(&e, &events, "trace diverged");
+        prop_assert!(sched <= every, "active set scheduled more than every node");
     }
 }
 
 /// Runs the paper's classical driver suite — BFS (Figure 1), the exact
 /// APSP pipeline, a convergecast aggregation, and a single-node
 /// eccentricity — back-to-back under one recorder, returning per-driver
-/// output keys, per-driver stats, and the combined trace stream. Every
-/// driver in the suite now votes `Halted`/`Active` with `quiet_until`
-/// declarations instead of idling, so this is the coverage for the
-/// vote-and-wake contract across the Table 1 workloads.
+/// output keys, per-driver stats, and the combined skip-expanded trace
+/// stream. Every driver in the suite votes `Halted`/`Sleep` instead of
+/// idling, so this is the coverage for the vote-and-wake contract across
+/// the Table 1 workloads.
 fn driver_suite_run(
     g: &Graph,
     cfg: Config,
 ) -> (Vec<String>, Vec<RunStats>, Vec<trace::TraceEvent>) {
-    let recorder = trace::Recorder::shared();
-    let (keys, stats) = {
-        let _guard = trace::install(recorder.clone());
+    let ((keys, stats), events) = traced(|| {
         let mut keys = Vec::new();
         let mut stats = Vec::new();
         let root = NodeId::new(0);
@@ -590,8 +588,7 @@ fn driver_suite_run(
         stats.push(e.stats);
 
         (keys, stats)
-    };
-    let events = recorder.borrow_mut().take();
+    });
     (keys, stats, events)
 }
 
@@ -599,26 +596,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every hot classical driver — BFS, APSP, convergecast aggregation,
-    /// and eccentricity — is byte-identical between the dense reference
-    /// and active-set scheduling, with fast-forward on and off: same
-    /// outputs, same `RunStats` (modulo the scheduling telemetry
-    /// `PartialEq` deliberately excludes), same skip-expanded trace
-    /// stream.
+    /// and eccentricity. Their node programs are checked against the
+    /// reference simulator in their own modules; at driver level, the
+    /// suite replays byte-identically (outputs, `RunStats`, skip-expanded
+    /// trace) and answers like the centralized ground truth.
     #[test]
     fn scheduling_driver_suite_equivalence(g in arb_graph()) {
-        let base = Config::for_graph(&g);
-        let (keys, stats, events) = driver_suite_run(&g, base.with_scheduling(Scheduling::Dense));
-        let events = trace::expand_round_skips(events);
-        for fast_forward in [true, false] {
-            let cfg = base
-                .with_scheduling(Scheduling::ActiveSet)
-                .with_fast_forward(fast_forward);
-            let (keys_k, stats_k, events_k) = driver_suite_run(&g, cfg);
-            let events_k = trace::expand_round_skips(events_k);
-            prop_assert_eq!(&keys_k, &keys, "outputs diverged (fast_forward={})", fast_forward);
-            prop_assert_eq!(&stats_k, &stats, "stats diverged (fast_forward={})", fast_forward);
-            prop_assert_eq!(&events_k, &events, "trace diverged (fast_forward={})", fast_forward);
-        }
+        let cfg = Config::for_graph(&g);
+        let (keys, stats, events) = driver_suite_run(&g, cfg);
+        let truth = graphs::metrics::diameter(&g).unwrap();
+        prop_assert!(keys[1].starts_with(&format!("apsp {truth} ")), "{}", &keys[1]);
+        prop_assert_eq!(&keys[2], &format!("aggregate {} v{}", g.len() - 1, g.len() - 1));
+        let (keys_k, stats_k, events_k) = driver_suite_run(&g, cfg);
+        prop_assert_eq!(&keys_k, &keys, "outputs diverged");
+        prop_assert_eq!(&stats_k, &stats, "stats diverged");
+        prop_assert_eq!(&events_k, &events, "trace diverged");
     }
 }
 

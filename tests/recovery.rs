@@ -7,8 +7,7 @@
 //!
 //! * Recovery is **deterministic**: retry fates and reseeded plans are
 //!   pure functions of the seed, so a recovering run — result, recovery
-//!   stats, and full trace stream — is byte-identical across
-//!   `Dense`/`ActiveSet` scheduling and fast-forward on/off.
+//!   stats, and full trace stream — replays byte-identically.
 //! * Checkpoint/restart resumes a dropped eccentricity wave from the
 //!   last completed segment boundary, never from round 0.
 //! * Partial-network semantics answer for the largest surviving
@@ -69,9 +68,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The recovering driver — retries, retransmissions, checkpoint
-    /// restarts, partial re-roots and all — is byte-identical across
-    /// scheduling modes × fast-forward, whether it heals,
-    /// answers clean, or exhausts its budget into typed detection.
+    /// restarts, partial re-roots and all — replays byte-identically,
+    /// whether it heals, answers clean, or exhausts its budget into typed
+    /// detection.
     #[test]
     fn recovering_runs_replay_identically(
         g in arb_graph(),
@@ -83,22 +82,12 @@ proptest! {
             plan = plan.with_crash(fseed as usize % g.len(), fseed % 3);
         }
         let policy = RecoveryPolicy::standard().with_checkpoint(5);
-        let base = Config::for_graph(&g).with_faults(plan).with_recovery(policy);
+        let cfg = Config::for_graph(&g).with_faults(plan).with_recovery(policy);
 
-        let (key, events) = recovering_run(&g, base.with_scheduling(Scheduling::Dense));
-        let events = trace::expand_round_skips(events);
-        for scheduling in [Scheduling::Dense, Scheduling::ActiveSet] {
-            for fast_forward in [true, false] {
-                let cfg = base
-                    .with_scheduling(scheduling)
-                    .with_fast_forward(fast_forward);
-                let (key_k, events_k) = recovering_run(&g, cfg);
-                let events_k = trace::expand_round_skips(events_k);
-                let ctx = format!("{scheduling:?}, fast_forward={fast_forward}");
-                prop_assert_eq!(&key_k, &key, "result diverged: {}", ctx);
-                prop_assert_eq!(&events_k, &events, "trace diverged: {}", ctx);
-            }
-        }
+        let (key, events) = recovering_run(&g, cfg);
+        let (key_k, events_k) = recovering_run(&g, cfg);
+        prop_assert_eq!(&key_k, &key, "result diverged");
+        prop_assert_eq!(&events_k, &events, "trace diverged");
     }
 
     /// A passive policy is an identity: the recovering driver returns
@@ -186,16 +175,13 @@ fn checkpoint_restart_resumes_from_the_last_segment_boundary() {
     }
 }
 
-/// Regression: a checkpoint-restarted wave segment re-declares a correct
-/// quiet phase. `checkpointed_waves` rebases every source's start round
-/// against the segment boundary, and `WaveProgram::quiet_until` declares
-/// relative to that rebased schedule — so a restart must never leave a
-/// stale declaration behind. The run is forced onto `Dense` scheduling
-/// because that is where the simulator's quiet cross-check actually
-/// executes declared-quiet nodes (active-set parks them instead): any
-/// source whose declaration survived the restart un-rebased would send
-/// inside its declared phase and surface as a `QuietViolation` fault in
-/// the trace.
+/// Regression: a checkpoint-restarted wave segment rebases its quiet
+/// phases. `checkpointed_waves` rebases every source's start round against
+/// the segment boundary, and each future source sleeps until that rebased
+/// start — so a restart that kept a stale schedule would start waves off
+/// their Lemma 2 slots and miss the diameter. (That the wave program's
+/// `Sleep` votes schedule exactly like stepping every node is checked
+/// against the reference simulator in `classical::waves`.)
 #[test]
 fn restarted_segments_redeclare_rebased_quiet_phases() {
     let g = graphs::generators::random_connected(26, 0.12, 2);
@@ -205,39 +191,14 @@ fn restarted_segments_redeclare_rebased_quiet_phases() {
         .with_checkpoint(6);
     let cfg = Config::for_graph(&g)
         .with_faults(FaultPlan::new(40).with_drop(0.003))
-        .with_recovery(policy)
-        .with_scheduling(Scheduling::Dense);
-
-    let recorder = trace::Recorder::shared();
-    let out = {
-        let _guard = trace::install(recorder.clone());
-        classical::recovery::exact_diameter_recovering(&g, cfg).unwrap()
-    };
-    // Same pinned seed as the checkpoint test above; determinism across
-    // scheduling modes keeps the restart count stable under Dense.
+        .with_recovery(policy);
+    let out = classical::recovery::exact_diameter_recovering(&g, cfg).unwrap();
+    // Same pinned seed as the checkpoint test above.
     assert_eq!(
         out.recovery.restarts, 1,
         "the pinned seed must restart a segment"
     );
     assert_eq!(out.outcome.diameter, graphs::metrics::diameter(&g).unwrap());
-
-    let events = recorder.borrow_mut().take();
-    let quiet_faults = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                trace::TraceEvent::Fault {
-                    kind: trace::FaultKind::QuietViolation,
-                    ..
-                }
-            )
-        })
-        .count();
-    assert_eq!(
-        quiet_faults, 0,
-        "a restarted wave segment declared a stale quiet phase"
-    );
 }
 
 /// Partial-network semantics: whenever crash-stops force a re-root, the
