@@ -12,6 +12,7 @@
 //! real Dürr–Høyer search put it beyond direct-simulation sizes.
 
 use bench::{loglog_slope, mean, rule, scale, sparse_instance, write_results_json};
+use congest_diameter::crossover::{self, CrossKind};
 use diameter_quantum::exact::{self, ExactParams};
 use trace::Json;
 
@@ -74,8 +75,9 @@ fn main() {
             ("classical_scheduled_nodes", Json::Int(c_scheduled as i128)),
         ]));
     }
-    let c_slope = loglog_slope(&ns, &classical_rounds);
-    let q_slope = loglog_slope(&ns, &quantum_rounds);
+    let c_fit = crossover::loglog_fit(&ns, &classical_rounds).expect("classical fit");
+    let q_fit = crossover::loglog_fit(&ns, &quantum_rounds).expect("quantum fit");
+    let (c_slope, q_slope) = (c_fit.0, q_fit.0);
     println!("\nfitted exponents: classical {c_slope:.2} (paper: 1), quantum {q_slope:.2} (paper: 0.5 + D drift)");
     // Correct for the slow diameter growth of the sparse family by fitting
     // against n·D, the paper's actual scale variable.
@@ -84,12 +86,16 @@ fn main() {
         loglog_slope(&nds, &quantum_rounds)
     );
 
-    // Extrapolated crossover from the fits.
-    let c0 = classical_rounds[0] / ns[0].powf(c_slope);
-    let q0 = quantum_rounds[0] / ns[0].powf(q_slope);
-    if q_slope < c_slope {
-        let n_star = (q0 / c0).powf(1.0 / (c_slope - q_slope));
-        println!("extrapolated crossover: quantum wins for n ≳ {n_star:.0}");
+    // Extrapolated crossover from the fits, by the crossover engine's
+    // guarded estimator.
+    match crossover::project_crossover(c_fit, q_fit) {
+        (CrossKind::Projected, Some(n_star)) => {
+            println!("extrapolated crossover: quantum wins for n ≳ {n_star:.0}");
+        }
+        (CrossKind::IndistinguishableSlopes, _) => {
+            println!("no extrapolated crossover: the fitted slopes are indistinguishable");
+        }
+        _ => println!("no extrapolated crossover: quantum grows at least as fast"),
     }
 
     rule("Table 1 / exact: rounds vs D (n fixed)");

@@ -26,13 +26,14 @@ pub enum Op {
 struct AggMsg {
     value: u64,
     witness: u32,
-    value_bits: usize,
-    n: usize,
+    /// Wire widths of the value and of the witness id.
+    value_bits: u8,
+    node_bits: u8,
 }
 
 impl Payload for AggMsg {
     fn size_bits(&self) -> usize {
-        self.value_bits + bits::for_node(self.n)
+        usize::from(self.value_bits) + usize::from(self.node_bits)
     }
 }
 
@@ -42,7 +43,8 @@ struct AggProgram {
     op: Op,
     acc: u64,
     witness: u32,
-    value_bits: usize,
+    value_bits: u8,
+    node_bits: u8,
     sent: bool,
     /// Children whose report has been counted — retransmission may deliver
     /// duplicates, which must not decrement `pending` twice or double-count
@@ -58,6 +60,15 @@ struct AggProgram {
 }
 
 impl AggProgram {
+    fn report(&self) -> AggMsg {
+        AggMsg {
+            value: self.acc,
+            witness: self.witness,
+            value_bits: self.value_bits,
+            node_bits: self.node_bits,
+        }
+    }
+
     fn combine(&mut self, value: u64, witness: u32) {
         match self.op {
             Op::Max => {
@@ -93,15 +104,7 @@ impl NodeProgram for AggProgram {
         if self.pending == 0 && !self.sent {
             self.sent = true;
             if let Some(parent) = self.parent {
-                ctx.send(
-                    parent,
-                    AggMsg {
-                        value: self.acc,
-                        witness: self.witness,
-                        value_bits: self.value_bits,
-                        n: ctx.num_nodes(),
-                    },
-                );
+                ctx.send(parent, self.report());
                 self.resends_left = self.resend;
             }
         } else if self.sent && self.resends_left > 0 {
@@ -109,15 +112,7 @@ impl NodeProgram for AggProgram {
             // carries the identical aggregate, and the parent's dedup makes
             // duplicates harmless.
             if let Some(parent) = self.parent {
-                ctx.send(
-                    parent,
-                    AggMsg {
-                        value: self.acc,
-                        witness: self.witness,
-                        value_bits: self.value_bits,
-                        n: ctx.num_nodes(),
-                    },
-                );
+                ctx.send(parent, self.report());
                 self.resent += 1;
             }
             self.resends_left -= 1;
@@ -156,15 +151,26 @@ pub struct AggOutcome {
     pub retransmissions: u64,
 }
 
+/// The wire width of a value, as the byte its messages carry.
+fn value_width(value_bits: usize) -> Result<u8, AlgoError> {
+    if value_bits > 64 {
+        return Err(AlgoError::InvalidParameter {
+            reason: format!("value width {value_bits} exceeds the 64 bits of a value"),
+        });
+    }
+    Ok(value_bits as u8)
+}
+
 /// The convergecast program at each node, as [`convergecast`] starts it.
 fn convergecast_program<'a>(
     tree: &'a TreeView,
     values: &'a [u64],
-    value_bits: usize,
+    value_bits: u8,
     op: Op,
     config: Config,
 ) -> impl Fn(NodeId) -> AggProgram + 'a {
     let resend = config.recovery().retransmit();
+    let node_bits = bits::for_node(tree.len()) as u8;
     move |v| AggProgram {
         parent: tree.parent(v),
         pending: tree.children(v).len(),
@@ -172,6 +178,7 @@ fn convergecast_program<'a>(
         acc: values[v.index()],
         witness: u32::from(v),
         value_bits,
+        node_bits,
         sent: false,
         seen: Vec::new(),
         resend,
@@ -187,7 +194,8 @@ fn convergecast_program<'a>(
 ///
 /// # Errors
 ///
-/// Returns a wrapped simulator error; `Protocol` if arrays mismatch.
+/// Returns a wrapped simulator error; `Protocol` if arrays mismatch;
+/// `InvalidParameter` if `value_bits` exceeds 64.
 ///
 /// # Example
 ///
@@ -218,6 +226,7 @@ pub fn convergecast(
             reason: "values/tree size mismatch".into(),
         });
     }
+    let value_bits = value_width(value_bits)?;
     let fault_aware = config.has_faults();
     let resend = config.recovery().retransmit();
     let program = convergecast_program(tree, values, value_bits, op, config);
@@ -267,19 +276,19 @@ pub fn convergecast(
 #[derive(Clone, Debug)]
 struct BcastMsg {
     value: u64,
-    value_bits: usize,
+    value_bits: u8,
 }
 
 impl Payload for BcastMsg {
     fn size_bits(&self) -> usize {
-        self.value_bits
+        usize::from(self.value_bits)
     }
 }
 
 struct BcastProgram {
     children: Vec<NodeId>,
     value: Option<u64>,
-    value_bits: usize,
+    value_bits: u8,
     is_root: bool,
     sent: bool,
 }
@@ -328,7 +337,7 @@ pub struct BroadcastOutcome {
 fn broadcast_program(
     tree: &TreeView,
     value: u64,
-    value_bits: usize,
+    value_bits: u8,
 ) -> impl Fn(NodeId) -> BcastProgram + '_ {
     let root = tree.root();
     move |v| BcastProgram {
@@ -345,8 +354,9 @@ fn broadcast_program(
 ///
 /// # Errors
 ///
-/// Returns a wrapped simulator error, or `Protocol` if some node was not
-/// reached (inconsistent tree).
+/// Returns a wrapped simulator error, `Protocol` if some node was not
+/// reached (inconsistent tree), or `InvalidParameter` if `value_bits`
+/// exceeds 64.
 pub fn broadcast(
     graph: &Graph,
     tree: &TreeView,
@@ -354,6 +364,7 @@ pub fn broadcast(
     value_bits: usize,
     config: Config,
 ) -> Result<BroadcastOutcome, AlgoError> {
+    let value_bits = value_width(value_bits)?;
     let fault_aware = config.has_faults();
     let mut net = Network::new(graph, config, broadcast_program(tree, value, value_bits));
     let cap = 2 * graph.len() as u64 + 16;
@@ -441,6 +452,19 @@ mod tests {
         let tree = tree_of(&g, 0);
         let err = convergecast(&g, &tree, &[1, 2], 8, Op::Sum, Config::for_graph(&g)).unwrap_err();
         assert!(matches!(err, AlgoError::Protocol { .. }));
+    }
+
+    /// Widths travel as bytes; a value never needs more than 64 bits, so
+    /// a wider declaration is a typed error, not a silent truncation.
+    #[test]
+    fn value_widths_beyond_64_bits_are_rejected() {
+        let g = generators::path(4);
+        let tree = tree_of(&g, 0);
+        let cfg = Config::for_graph(&g);
+        let err = convergecast(&g, &tree, &[1; 4], 65, Op::Sum, cfg).unwrap_err();
+        assert!(matches!(err, AlgoError::InvalidParameter { .. }), "{err:?}");
+        let err = broadcast(&g, &tree, 1, 300, cfg).unwrap_err();
+        assert!(matches!(err, AlgoError::InvalidParameter { .. }), "{err:?}");
     }
 
     #[test]

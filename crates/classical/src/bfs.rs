@@ -18,8 +18,9 @@ use crate::error::AlgoError;
 /// BFS protocol messages.
 #[derive(Clone, Debug)]
 enum Msg {
-    /// "I am at distance `dist` from the root; activate."
-    Activate { dist: Dist, n: usize },
+    /// "I am at distance `dist` from the root; activate." `dist_bits` is
+    /// the wire width of a distance in this network.
+    Activate { dist: Dist, dist_bits: u8 },
     /// "You are my parent in the BFS tree."
     Claim,
 }
@@ -27,7 +28,7 @@ enum Msg {
 impl Payload for Msg {
     fn size_bits(&self) -> usize {
         match self {
-            Msg::Activate { n, .. } => 1 + bits::for_dist(*n),
+            Msg::Activate { dist_bits, .. } => 1 + usize::from(*dist_bits),
             Msg::Claim => 1,
         }
     }
@@ -77,7 +78,7 @@ impl NodeProgram for BfsProgram {
             self.dist = Some(0);
             ctx.broadcast(Msg::Activate {
                 dist: 0,
-                n: ctx.num_nodes(),
+                dist_bits: bits::for_dist(ctx.num_nodes()) as u8,
             });
         } else if self.dist.is_none() {
             // Not yet activated: adopt the smallest-id activator, if any.
@@ -108,7 +109,7 @@ impl NodeProgram for BfsProgram {
                     parent,
                     Msg::Activate {
                         dist: d + 1,
-                        n: ctx.num_nodes(),
+                        dist_bits: bits::for_dist(ctx.num_nodes()) as u8,
                     },
                 );
                 ctx.send(parent, Msg::Claim);

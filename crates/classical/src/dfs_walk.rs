@@ -24,12 +24,12 @@ struct Token {
     /// Move index of the position the token is arriving at.
     t: u64,
     /// Wire width: enough for the step budget.
-    t_bits: usize,
+    t_bits: u8,
 }
 
 impl Payload for Token {
     fn size_bits(&self) -> usize {
-        self.t_bits
+        usize::from(self.t_bits)
     }
 }
 
@@ -38,7 +38,7 @@ struct WalkProgram {
     children: Vec<NodeId>,
     is_start: bool,
     steps: u64,
-    t_bits: usize,
+    t_bits: u8,
     tau: Option<u64>,
     /// Largest move index this node has ever seen the token carry. A
     /// completed walk ends with some node observing `t == steps`; under
@@ -142,7 +142,8 @@ impl DfsWalkOutcome {
 
 /// The token-walk program at each node, as [`walk`] starts it.
 fn program(tree: &TreeView, start: NodeId, steps: u64) -> impl Fn(NodeId) -> WalkProgram + '_ {
-    let t_bits = bits::for_value(steps.max(1));
+    // At most 64 bits, so the width fits a byte.
+    let t_bits = bits::for_value(steps.max(1)) as u8;
     move |v| WalkProgram {
         parent: tree.parent(v),
         children: tree.children(v).to_vec(),

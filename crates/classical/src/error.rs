@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use congest::CongestError;
+use congest::{CongestError, Round, RunStats};
 
 /// Errors raised by the distributed-algorithm drivers.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,6 +40,32 @@ pub enum AlgoError {
 }
 
 impl AlgoError {
+    /// Settles a pipelined-wave run ([`waves`](crate::waves),
+    /// [`girth`](crate::girth)) whose nodes record the first broken
+    /// wave-order invariant (Lemmas 3–4, source collisions): `violation`
+    /// is the earliest of them. Under a fault plan, degraded schedules are
+    /// an expected outcome, and the violation is a
+    /// [`AlgoError::FaultDetected`]; fault-free, only an invalid schedule
+    /// causes one, and it is an [`AlgoError::Protocol`] reported ahead of
+    /// any simulator error (it comes no later than the error it causes: a
+    /// collision makes its source send twice).
+    pub(crate) fn settle_waves(
+        run: Result<RunStats, CongestError>,
+        violation: Option<(Round, String)>,
+        fault_aware: bool,
+    ) -> Result<RunStats, AlgoError> {
+        if !fault_aware {
+            if let Some((_, reason)) = violation {
+                return Err(AlgoError::Protocol { reason });
+            }
+        }
+        let stats = run.map_err(|e| AlgoError::from_congest(e, fault_aware))?;
+        match violation {
+            Some((round, detail)) => Err(AlgoError::FaultDetected { round, detail }),
+            None => Ok(stats),
+        }
+    }
+
     /// Wraps a simulator error from a fault-aware driver, reinterpreting
     /// fault symptoms as fault degradation: injected delivery jitter can
     /// push a protocol past its deterministic schedule (a blown round

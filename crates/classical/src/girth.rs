@@ -26,8 +26,14 @@
 //! can arrive up to two rounds after a *later* wave's first arrival, so
 //! each node keeps a short ring of `(τ, d₁)` records instead of a single
 //! `t_v` — still `O(log n)` memory.
+//!
+//! The wave order of Lemmas 3–4 is checked at runtime: a first arrival of
+//! a wave older than the newest one seen, or two distinct first arrivals
+//! in one round, is recorded, and [`compute`] reports the earliest as
+//! [`AlgoError::FaultDetected`] under a fault plan (delayed or dropped
+//! messages perturb the waves) and as [`AlgoError::Protocol`] otherwise.
 
-use congest::{bits, Config, Network, NodeProgram, Payload, RoundCtx, RoundsLedger, Status};
+use congest::{bits, Config, Network, NodeProgram, Payload, Round, RoundCtx, RoundsLedger, Status};
 use graphs::{Dist, Graph, NodeId};
 
 use crate::aggregate::{self, Op};
@@ -44,13 +50,15 @@ struct GirthMsg {
     /// The node from which the sender first received this wave (the sender
     /// itself at the source).
     parent: NodeId,
-    tau_bits: usize,
-    n: usize,
+    /// Wire widths of the three fields, fixed for the whole run.
+    tau_bits: u8,
+    dist_bits: u8,
+    node_bits: u8,
 }
 
 impl Payload for GirthMsg {
     fn size_bits(&self) -> usize {
-        self.tau_bits + bits::for_dist(self.n) + bits::for_node(self.n)
+        usize::from(self.tau_bits) + usize::from(self.dist_bits) + usize::from(self.node_bits)
     }
 }
 
@@ -59,10 +67,35 @@ struct GirthProgram {
     /// Ring of the most recent waves seen here: (τ, my distance).
     recent: Vec<(u64, Dist)>,
     best: Option<Dist>,
-    tau_bits: usize,
+    tau_bits: u8,
+    dist_bits: u8,
+    node_bits: u8,
+    /// The first Lemma 3–4 violation this node saw, as in
+    /// [`waves`](crate::waves).
+    violation: Option<Box<(Round, String)>>,
 }
 
 impl GirthProgram {
+    /// Records a Lemma violation; the first one wins. Out of line, with
+    /// the message built only here: a correct run never gets this far.
+    #[cold]
+    fn flag(&mut self, round: Round, detail: impl FnOnce() -> String) {
+        if self.violation.is_none() {
+            self.violation = Some(Box::new((round, detail())));
+        }
+    }
+
+    fn message(&self, tau: u64, delta: Dist, parent: NodeId) -> GirthMsg {
+        GirthMsg {
+            tau,
+            delta,
+            parent,
+            tau_bits: self.tau_bits,
+            dist_bits: self.dist_bits,
+            node_bits: self.node_bits,
+        }
+    }
+
     fn record(&mut self, tau: u64, dist: Dist) {
         if self.recent.len() == 4 {
             self.recent.remove(0);
@@ -84,7 +117,7 @@ impl GirthProgram {
 
 impl NodeProgram for GirthProgram {
     type Msg = GirthMsg;
-    type Output = Option<Dist>;
+    type Output = (Option<Dist>, Option<(Round, String)>);
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, GirthMsg>) -> Status {
         let me = ctx.node();
@@ -110,22 +143,28 @@ impl NodeProgram for GirthProgram {
                     // which reaches the other branch.
                 }
                 None => {
-                    debug_assert!(
-                        tau as i64 > newest,
-                        "wave {tau} arrived after wave {newest} at {me} (Lemma 3)"
-                    );
+                    if tau as i64 <= newest {
+                        self.flag(ctx.round(), || {
+                            format!(
+                                "Lemma 3 violated at {me}: wave {tau} arrived after wave {newest}"
+                            )
+                        });
+                    }
                     first_arrivals.push((from, tau, delta));
                 }
             }
         }
         if !first_arrivals.is_empty() {
             let (_, tau, delta) = first_arrivals[0];
-            debug_assert!(
-                first_arrivals
-                    .iter()
-                    .all(|&(_, t, d)| t == tau && d == delta),
-                "concurrent distinct waves at {me} (Lemmas 3-4)"
-            );
+            if first_arrivals
+                .iter()
+                .any(|&(_, t, d)| t != tau || d != delta)
+            {
+                let round = ctx.round();
+                self.flag(round, || {
+                    format!("Lemma 4 violated at {me} round {round}: distinct concurrent waves")
+                });
+            }
             let dist = delta + 1;
             self.record(tau, dist);
             if first_arrivals.len() >= 2 {
@@ -137,24 +176,12 @@ impl NodeProgram for GirthProgram {
                 .map(|&(f, _, _)| f)
                 .min()
                 .expect("nonempty");
-            ctx.broadcast(GirthMsg {
-                tau,
-                delta: dist,
-                parent,
-                tau_bits: self.tau_bits,
-                n: ctx.num_nodes(),
-            });
+            ctx.broadcast(self.message(tau, dist, parent));
         }
         if let Some((start, tau)) = self.source {
             if ctx.round() == start {
                 self.record(tau, 0);
-                ctx.broadcast(GirthMsg {
-                    tau,
-                    delta: 0,
-                    parent: me,
-                    tau_bits: self.tau_bits,
-                    n: ctx.num_nodes(),
-                });
+                ctx.broadcast(self.message(tau, 0, me));
             }
         }
         // Lemma 2 schedule knowledge: a future source is silent until its
@@ -167,8 +194,8 @@ impl NodeProgram for GirthProgram {
         }
     }
 
-    fn finish(self, _node: NodeId) -> Option<Dist> {
-        self.best
+    fn finish(self, _node: NodeId) -> (Option<Dist>, Option<(Round, String)>) {
+        (self.best, self.violation.map(|v| *v))
     }
 }
 
@@ -190,14 +217,27 @@ impl GirthOutcome {
     }
 }
 
-/// The girth-wave program at each node, as [`compute`] starts it:
-/// `starts[v]` is `Some((2τ', τ'))` at a source.
-fn program(starts: &[Option<(u64, u64)>], tau_bits: usize) -> impl Fn(NodeId) -> GirthProgram + '_ {
+/// The girth-wave program at each node of an `n`-node graph, as
+/// [`compute`] starts it: `starts[v]` is `Some((2τ', τ'))` at a source.
+fn program(
+    starts: &[Option<(u64, u64)>],
+    tau_bits: usize,
+    n: usize,
+) -> impl Fn(NodeId) -> GirthProgram + '_ {
+    // Every width is at most 64 bits, so it fits a byte.
+    let (tau_bits, dist_bits, node_bits) = (
+        tau_bits as u8,
+        bits::for_dist(n) as u8,
+        bits::for_node(n) as u8,
+    );
     move |v| GirthProgram {
         source: starts[v.index()],
         recent: Vec::with_capacity(4),
         best: None,
         tau_bits,
+        dist_bits,
+        node_bits,
+        violation: None,
     }
 }
 
@@ -206,7 +246,9 @@ fn program(starts: &[Option<(u64, u64)>], tau_bits: usize) -> impl Fn(NodeId) ->
 /// # Errors
 ///
 /// Returns [`AlgoError::Disconnected`] on disconnected graphs, or a wrapped
-/// simulator error.
+/// simulator error. A broken wave order (Lemmas 3–4) surfaces as
+/// [`AlgoError::Protocol`] naming the earliest violation, or, when
+/// `config` carries a fault plan, as [`AlgoError::FaultDetected`].
 ///
 /// # Example
 ///
@@ -249,13 +291,19 @@ pub fn compute(graph: &Graph, config: Config) -> Result<GirthOutcome, AlgoError>
 
     let tau_bits = bits::for_value(steps.max(1));
     let starts: Vec<Option<(u64, u64)>> = dfs.tau.iter().map(|t| t.map(|t| (2 * t, t))).collect();
-    let mut net = Network::new(graph, config, program(&starts, tau_bits));
+    let fault_aware = config.has_faults();
+    let mut net = Network::new(graph, config, program(&starts, tau_bits, graph.len()));
     // Two extra rounds past the diameter schedule: duplicates of the last
     // wave may arrive up to two rounds after its last first-arrival.
     let duration = 2 * steps + u64::from(b.depth) + 4;
-    let stats = net.run_rounds(duration)?;
+    let run = net.run_rounds(duration);
+    let (locals, violations): (Vec<_>, Vec<_>) = net.into_outputs().into_iter().unzip();
+    let violation = violations
+        .into_iter()
+        .flatten()
+        .min_by_key(|&(round, _)| round);
+    let stats = AlgoError::settle_waves(run, violation, fault_aware)?;
     ledger.add("girth waves", stats);
-    let locals = net.into_outputs();
 
     // Convergecast the minimum candidate; encode "no cycle seen" as n + 1
     // (every real cycle has length ≤ n).
@@ -379,9 +427,24 @@ mod tests {
         assert_eq!(compute(&g, Config::for_graph(&g)).unwrap().girth, None);
     }
 
+    /// Delayed wave messages break the Lemma 3–4 wave order; under a
+    /// fault plan that is a typed fault, not the girth of perturbed waves
+    /// (nor, in a debug build, a panic).
+    #[test]
+    fn delayed_waves_are_a_detected_fault() {
+        let g = generators::random_connected(30, 0.12, 0);
+        let plan = congest::FaultPlan::new(0).with_delay(0.003, 2);
+        match compute(&g, Config::for_graph(&g).with_faults(plan)) {
+            Err(AlgoError::FaultDetected { detail, .. }) => {
+                assert!(detail.contains("Lemma 4"), "{detail}");
+            }
+            other => panic!("expected a detected fault, got {other:?}"),
+        }
+    }
+
     #[test]
     fn program_matches_the_reference() {
-        for (_, g) in differential::graphs() {
+        for (seed, g) in differential::graphs() {
             let cfg = Config::for_graph(&g);
             let root = NodeId::new(0);
             let b = bfs::build(&g, root, cfg).unwrap();
@@ -389,10 +452,10 @@ mod tests {
             let dfs = dfs_walk::walk(&g, &TreeView::from(&b), root, steps, cfg).unwrap();
             let starts: Vec<_> = dfs.tau.iter().map(|t| t.map(|t| (2 * t, t))).collect();
             let tau_bits = bits::for_value(steps);
-            // Fault-free only: the program `debug_assert!`s the Lemma 3-4
-            // wave order, which delayed messages break.
             let rounds = Run::Rounds(2 * steps + u64::from(b.depth) + 4);
-            differential::check(&g, cfg, rounds, program(&starts, tau_bits));
+            for cfg in differential::configs(&g, seed) {
+                differential::check(&g, cfg, rounds, program(&starts, tau_bits, g.len()));
+            }
         }
     }
 }

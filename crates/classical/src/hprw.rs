@@ -74,12 +74,13 @@ impl HprwParams {
 #[derive(Clone, Debug)]
 struct MsMsg {
     dist: Dist,
-    n: usize,
+    /// Wire width of a distance in this network.
+    dist_bits: u8,
 }
 
 impl Payload for MsMsg {
     fn size_bits(&self) -> usize {
-        bits::for_dist(self.n)
+        usize::from(self.dist_bits)
     }
 }
 
@@ -97,14 +98,14 @@ impl NodeProgram for MsBfs {
             self.dist = Some(0);
             ctx.broadcast(MsMsg {
                 dist: 1,
-                n: ctx.num_nodes(),
+                dist_bits: bits::for_dist(ctx.num_nodes()) as u8,
             });
         } else if self.dist.is_none() {
             if let Some(d) = ctx.inbox().iter().map(|(_, m)| m.dist).min() {
                 self.dist = Some(d);
                 ctx.broadcast(MsMsg {
                     dist: d + 1,
-                    n: ctx.num_nodes(),
+                    dist_bits: bits::for_dist(ctx.num_nodes()) as u8,
                 });
             }
         }

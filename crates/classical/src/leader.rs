@@ -18,12 +18,13 @@ use crate::error::AlgoError;
 #[derive(Clone, Debug)]
 struct Candidate {
     id: u32,
-    n: usize,
+    /// Wire width of a node identifier in this network.
+    node_bits: u8,
 }
 
 impl Payload for Candidate {
     fn size_bits(&self) -> usize {
-        bits::for_node(self.n)
+        usize::from(self.node_bits)
     }
 }
 
@@ -46,7 +47,7 @@ impl NodeProgram for Elect {
         if improved {
             ctx.broadcast(Candidate {
                 id: self.best,
-                n: ctx.num_nodes(),
+                node_bits: bits::for_node(ctx.num_nodes()) as u8,
             });
         }
         // Purely message-driven (round-0 start is covered by the initial

@@ -29,12 +29,14 @@ use crate::error::AlgoError;
 struct PairMsg {
     dist: Dist,
     src: NodeId,
-    n: usize,
+    /// Wire width of the pair in this network: a distance and a node id.
+    dist_bits: u8,
+    node_bits: u8,
 }
 
 impl Payload for PairMsg {
     fn size_bits(&self) -> usize {
-        bits::for_dist(self.n) + bits::for_node(self.n)
+        usize::from(self.dist_bits) + usize::from(self.node_bits)
     }
 }
 
@@ -87,7 +89,8 @@ impl NodeProgram for DetectProgram {
             ctx.broadcast(PairMsg {
                 dist,
                 src,
-                n: ctx.num_nodes(),
+                dist_bits: bits::for_dist(ctx.num_nodes()) as u8,
+                node_bits: bits::for_node(ctx.num_nodes()) as u8,
             });
             let at = self.sent.binary_search(&(dist, src)).unwrap_err();
             self.sent.insert(at, (dist, src));

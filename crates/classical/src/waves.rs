@@ -24,6 +24,17 @@
 //! lets receivers record `δ`; we record `δ + 1` at the receiver (its true
 //! distance from the source) and rebroadcast `(τ', δ + 1)`, which keeps
 //! `d_v = max_u d(u, v)` exactly.
+//!
+//! The waves are the inner loop of the classical APSP baseline and of
+//! every Evaluation application of Theorem 1, so both the message and the
+//! node state stay small. A message carries `(τ', δ)` as 32-bit words plus
+//! the two wire widths as bytes (the network size is not repeated in every
+//! message), 16 bytes with its sender id. A node keeps `τ'` of its own
+//! wave, `t_v + 1` (0 before any wave), `d_v` and its count of processed
+//! waves in 32 bits each, and boxes its first Lemma violation, which a
+//! correct run never fills: 32 bytes in all. Tour positions must therefore
+//! fit 32 bits, which [`run`] checks. Whether a trace sink is installed is
+//! probed once, when the program is made, not on every round.
 
 use congest::{bits, Config, Network, NodeProgram, Payload, Round, RoundCtx, RunStats, Status};
 use graphs::{Dist, Graph, NodeId};
@@ -33,36 +44,44 @@ use crate::error::AlgoError;
 #[derive(Clone, Debug)]
 struct WaveMsg {
     /// Tour position of the wave's source.
-    tau: u64,
+    tau: u32,
     /// Distance of the *sender* from the wave's source.
     delta: Dist,
-    tau_bits: usize,
-    n: usize,
+    /// Wire widths of the two fields, fixed for the whole run.
+    tau_bits: u8,
+    dist_bits: u8,
 }
 
 impl Payload for WaveMsg {
     fn size_bits(&self) -> usize {
-        self.tau_bits + bits::for_dist(self.n)
+        usize::from(self.tau_bits) + usize::from(self.dist_bits)
     }
 }
 
 struct WaveProgram {
-    /// `Some((start_round, tau))` if this node is a wave source.
-    source: Option<(Round, u64)>,
-    /// Highest wave processed so far (`t_v` in the figure; -1 initially).
-    last_tau: i64,
+    /// `Some(τ')` if this node is a wave source: its wave starts at round
+    /// `2τ'`.
+    source: Option<u32>,
+    /// One past the highest wave processed so far (`t_v + 1` in the
+    /// figure's terms; 0 before any wave).
+    seen: u32,
     /// Running maximum distance recorded (`d_v` in the figure).
     max_dist: Dist,
     /// Waves processed (fresh arrivals adopted); under a full schedule
     /// every node ends at `|sources|` minus one if it is itself a source.
-    processed: u64,
-    tau_bits: usize,
+    processed: u32,
+    tau_bits: u8,
+    dist_bits: u8,
+    /// Whether a trace sink was installed when the program was made; the
+    /// sink is bound for the whole run, so the per-round telemetry below
+    /// needs no thread-local probe.
+    traced: bool,
     /// The first Lemma violation this node saw. The driver turns the
     /// earliest one into a typed error: [`AlgoError::FaultDetected`] under
     /// a fault plan, where degraded schedules are an expected outcome, and
     /// [`AlgoError::Protocol`] otherwise, where only an invalid schedule
-    /// causes one.
-    violation: Option<(Round, String)>,
+    /// causes one. Boxed: a correct run never fills it.
+    violation: Option<Box<(Round, String)>>,
 }
 
 /// Per-node result of the wave phase.
@@ -74,11 +93,46 @@ struct WaveNodeOutcome {
 }
 
 impl WaveProgram {
-    /// Records a Lemma violation; the first one wins.
-    fn flag(&mut self, round: Round, detail: String) {
+    /// Records a Lemma violation; the first one wins. Out of line, with
+    /// the message built only here: a correct run never gets this far.
+    #[cold]
+    fn flag(&mut self, round: Round, detail: impl FnOnce() -> String) {
         if self.violation.is_none() {
-            self.violation = Some((round, detail));
+            self.violation = Some(Box::new((round, detail())));
         }
+    }
+
+    fn message(&self, tau: u32, delta: Dist) -> WaveMsg {
+        WaveMsg {
+            tau,
+            delta,
+            tau_bits: self.tau_bits,
+            dist_bits: self.dist_bits,
+        }
+    }
+
+    /// Telemetry for the Lemmas 2–4 congestion argument: how many inbox
+    /// messages carry a fresh wave, and how many distinct waves they are.
+    /// Out of line: only traced runs call it.
+    #[inline(never)]
+    fn trace_inbox(&self, ctx: &RoundCtx<'_, WaveMsg>) {
+        trace::emit_with(|| {
+            let mut fresh: Vec<(u32, Dist)> = ctx
+                .inbox()
+                .iter()
+                .filter(|&&(_, WaveMsg { tau, .. })| tau >= self.seen)
+                .map(|&(_, WaveMsg { tau, delta, .. })| (tau, delta))
+                .collect();
+            let surviving = fresh.len() as u64;
+            fresh.sort_unstable();
+            fresh.dedup();
+            trace::TraceEvent::Wave {
+                round: ctx.round(),
+                node: ctx.node().index() as u64,
+                surviving,
+                distinct: fresh.len() as u64,
+            }
+        });
     }
 }
 
@@ -87,108 +141,73 @@ impl NodeProgram for WaveProgram {
     type Output = WaveNodeOutcome;
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, WaveMsg>) -> Status {
-        // Telemetry for the Lemmas 2–4 congestion argument, emitted before
-        // the checks below so a violating schedule is visible in the trace
-        // (`distinct > 1`) and not only as an error. Nodes with empty
-        // inboxes stay silent to bound trace volume.
-        if !ctx.inbox().is_empty() {
-            trace::emit_with(|| {
-                let mut fresh: Vec<(u64, Dist)> = ctx
-                    .inbox()
-                    .iter()
-                    .filter(|&&(_, WaveMsg { tau, .. })| (tau as i64) > self.last_tau)
-                    .map(|&(_, WaveMsg { tau, delta, .. })| (tau, delta))
-                    .collect();
-                let surviving = fresh.len() as u64;
-                fresh.sort_unstable();
-                fresh.dedup();
-                trace::TraceEvent::Wave {
-                    round: ctx.round(),
-                    node: ctx.node().index() as u64,
-                    surviving,
-                    distinct: fresh.len() as u64,
-                }
-            });
+        let (round, node) = (ctx.round(), ctx.node());
+        // Emitted before the checks below, so a violating schedule is
+        // visible in the trace (`distinct > 1`) and not only as an error.
+        // Nodes with empty inboxes stay silent to bound trace volume.
+        if self.traced && !ctx.inbox().is_empty() {
+            self.trace_inbox(ctx);
         }
         // Step 3(a)/(b): disregard old waves; all remaining messages must be
         // identical (Lemma 4) — keep one.
-        let mut kept: Option<(u64, Dist)> = None;
+        let mut kept: Option<(u32, Dist)> = None;
+        let mut distinct = false;
         for &(_, WaveMsg { tau, delta, .. }) in ctx.inbox() {
-            if (tau as i64) <= self.last_tau {
+            if tau < self.seen {
                 continue;
             }
             match kept {
                 None => kept = Some((tau, delta)),
-                Some(k) => {
-                    if k != (tau, delta) {
-                        self.flag(
-                            ctx.round(),
-                            format!(
-                                "Lemma 4 violated at {} round {}: distinct concurrent waves",
-                                ctx.node(),
-                                ctx.round()
-                            ),
-                        );
-                    }
-                }
+                Some(k) => distinct |= k != (tau, delta),
             }
+        }
+        if distinct {
+            self.flag(round, || {
+                format!("Lemma 4 violated at {node} round {round}: distinct concurrent waves")
+            });
         }
         if let Some((tau, delta)) = kept {
             let my_dist = delta + 1;
             // Lemma 3: a first arrival happens exactly at 2τ' + d(u, v).
-            if ctx.round() != 2 * tau + my_dist as Round {
-                self.flag(
-                    ctx.round(),
-                    format!(
-                        "Lemma 3 violated at {}: wave {tau} arrived off schedule",
-                        ctx.node()
-                    ),
-                );
-            }
-            self.last_tau = tau as i64;
-            self.max_dist = self.max_dist.max(my_dist);
-            self.processed += 1;
-            ctx.broadcast(WaveMsg {
-                tau,
-                delta: my_dist,
-                tau_bits: self.tau_bits,
-                n: ctx.num_nodes(),
-            });
-        }
-        // Step 2: start this node's own wave at round 2τ'(v).
-        if let Some((start, tau)) = self.source {
-            if ctx.round() == start {
-                if kept.is_some() {
-                    self.flag(
-                        ctx.round(),
-                        format!("wave collision at source {} round {start}", ctx.node()),
-                    );
-                }
-                self.last_tau = tau as i64;
-                ctx.broadcast(WaveMsg {
-                    tau,
-                    delta: 0,
-                    tau_bits: self.tau_bits,
-                    n: ctx.num_nodes(),
+            if round != 2 * Round::from(tau) + Round::from(my_dist) {
+                self.flag(round, || {
+                    format!("Lemma 3 violated at {node}: wave {tau} arrived off schedule")
                 });
             }
+            self.seen = tau + 1;
+            self.max_dist = self.max_dist.max(my_dist);
+            self.processed += 1;
+            ctx.broadcast(self.message(tau, my_dist));
         }
-        // Lemma 2 schedule knowledge: a source whose start round `2τ'` is
-        // still ahead stages nothing before it unless an earlier wave
-        // reaches it first (which re-runs it), so it sleeps until then and
-        // fast-forward may jump the pipeline's lead-in; everyone else is
-        // purely message-driven.
-        match self.source {
-            Some((start, _)) if start > ctx.round() => Status::Sleep(start),
-            _ => Status::Halted,
+        // Step 2: start this node's own wave at round 2τ'(v).
+        if let Some(tau) = self.source {
+            let start = 2 * Round::from(tau);
+            if round == start {
+                if kept.is_some() {
+                    self.flag(round, || {
+                        format!("wave collision at source {node} round {start}")
+                    });
+                }
+                self.seen = tau + 1;
+                ctx.broadcast(self.message(tau, 0));
+            }
+            // Lemma 2 schedule knowledge: a source whose start round `2τ'`
+            // is still ahead stages nothing before it unless an earlier
+            // wave reaches it first (which re-runs it), so it sleeps until
+            // then and fast-forward may jump the pipeline's lead-in.
+            if start > round {
+                return Status::Sleep(start);
+            }
         }
+        // Everyone else is purely message-driven.
+        Status::Halted
     }
 
     fn finish(self, _node: NodeId) -> WaveNodeOutcome {
         WaveNodeOutcome {
             max_dist: self.max_dist,
-            processed: self.processed,
-            violation: self.violation,
+            processed: u64::from(self.processed),
+            violation: self.violation.map(|v| *v),
         }
     }
 }
@@ -246,18 +265,20 @@ impl WaveOutcome {
     }
 }
 
-/// The wave program at each node, as [`run`] starts it: `starts[v]` is
-/// `Some((2τ', τ'))` at a source.
-fn program(
-    starts: &[Option<(Round, u64)>],
-    tau_bits: usize,
-) -> impl Fn(NodeId) -> WaveProgram + '_ {
+/// The wave program at each node of an `n`-node graph, as [`run`] starts
+/// it: `taus[v]` is `Some(τ')` at a source, and `tau_bits` is the wire
+/// width of a tour position.
+fn program(taus: &[Option<u32>], tau_bits: usize, n: usize) -> impl Fn(NodeId) -> WaveProgram + '_ {
+    // Both widths are at most 64, so they fit a byte.
+    let (tau_bits, dist_bits) = (tau_bits as u8, bits::for_dist(n) as u8);
     move |v| WaveProgram {
-        source: starts[v.index()],
-        last_tau: -1,
+        source: taus[v.index()],
+        seen: 0,
         max_dist: 0,
         processed: 0,
         tau_bits,
+        dist_bits,
+        traced: trace::enabled(),
         violation: None,
     }
 }
@@ -287,7 +308,7 @@ pub fn run(
     config: Config,
 ) -> Result<WaveOutcome, AlgoError> {
     let n = graph.len();
-    let mut starts: Vec<Option<(Round, u64)>> = vec![None; n];
+    let mut taus: Vec<Option<u32>> = vec![None; n];
     let mut max_tau = 1u64;
     for &(v, tau) in sources {
         if v.index() >= n {
@@ -295,35 +316,30 @@ pub fn run(
                 reason: format!("source {v} out of range"),
             });
         }
-        if starts[v.index()].is_some() {
+        if taus[v.index()].is_some() {
             return Err(AlgoError::Protocol {
                 reason: format!("duplicate source {v}"),
             });
         }
-        starts[v.index()] = Some((2 * tau, tau));
+        // A node stores `t_v + 1` in 32 bits.
+        let Some(tau32) = u32::try_from(tau).ok().filter(|&t| t < u32::MAX) else {
+            return Err(AlgoError::Protocol {
+                reason: format!("tour position {tau} of source {v} out of range"),
+            });
+        };
+        taus[v.index()] = Some(tau32);
         max_tau = max_tau.max(tau);
     }
     let tau_bits = bits::for_value(max_tau);
     let fault_aware = config.has_faults();
-    let mut net = Network::new(graph, config, program(&starts, tau_bits));
+    let mut net = Network::new(graph, config, program(&taus, tau_bits, n));
     let run = net.run_rounds(duration);
     let outcomes = net.into_outputs();
     let violation = outcomes
         .iter()
         .filter_map(|o| o.violation.clone())
         .min_by_key(|&(round, _)| round);
-    if !fault_aware {
-        // Fault-free, only an invalid schedule violates a Lemma, and the
-        // violation comes no later than any simulator error it causes (a
-        // collision makes its source send twice), so it is reported first.
-        if let Some((_, reason)) = violation {
-            return Err(AlgoError::Protocol { reason });
-        }
-    }
-    let stats = run.map_err(|e| AlgoError::from_congest(e, fault_aware))?;
-    if let Some((round, detail)) = violation {
-        return Err(AlgoError::FaultDetected { round, detail });
-    }
+    let stats = AlgoError::settle_waves(run, violation, fault_aware)?;
     let (max_dist, processed) = outcomes
         .into_iter()
         .map(|o| (o.max_dist, o.processed))
@@ -487,6 +503,28 @@ mod tests {
         }
     }
 
+    /// The send buffer holds one `(sender, message)` pair per staged entry
+    /// and the network one program per node, so both stay small: the
+    /// widths travel as bytes, not as `n`, and the rare violation is boxed.
+    #[test]
+    fn message_and_program_stay_compact() {
+        use std::mem::size_of;
+        assert!(size_of::<(NodeId, WaveMsg)>() <= 24);
+        assert!(size_of::<WaveProgram>() <= 32);
+    }
+
+    /// A tour position too large for the 32-bit wave state is a typed
+    /// error, not a truncation.
+    #[test]
+    fn rejects_tour_positions_beyond_32_bits() {
+        let g = generators::path(2);
+        let cfg = Config::for_graph(&g);
+        assert!(matches!(
+            run(&g, &[(NodeId::new(0), u64::from(u32::MAX))], 4, cfg),
+            Err(AlgoError::Protocol { .. })
+        ));
+    }
+
     #[test]
     fn program_matches_the_reference() {
         for (seed, g) in differential::graphs() {
@@ -495,11 +533,11 @@ mod tests {
             let view = TreeView::from(&bfs::build(&g, root, cfg).unwrap());
             let steps = 2 * (g.len() as u64 - 1);
             let dfs = dfs_walk::walk(&g, &view, root, steps, cfg).unwrap();
-            let starts: Vec<_> = dfs.tau.iter().map(|t| t.map(|t| (2 * t, t))).collect();
+            let taus: Vec<_> = dfs.tau.iter().map(|t| t.map(|t| t as u32)).collect();
             let tau_bits = bits::for_value(steps);
             for cfg in differential::configs(&g, seed) {
                 let rounds = Run::Rounds(2 * steps + g.len() as u64 + 2);
-                differential::check(&g, cfg, rounds, program(&starts, tau_bits));
+                differential::check(&g, cfg, rounds, program(&taus, tau_bits, g.len()));
             }
         }
     }

@@ -265,7 +265,10 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    and appends its sends to the round's shared send buffer: one entry
 ///    per `send`, and one per `broadcast`/`broadcast_except` however many
 ///    neighbours it reaches. Nodes that staged anything are collected into
-///    a sender list with the end of their run of entries.
+///    a sender list with the end of their run of entries. Each vote is
+///    recorded as soon as its program returns: `Active` voters and
+///    imminent sleepers are queued for the next round, later wakeups go to
+///    the timer heap.
 /// 3. **validate** — every sender's entries are checked (neighbour, one
 ///    message per directed edge per round, bandwidth under
 ///    [`BandwidthPolicy::Enforce`]) *before any effect commits*: a failed
@@ -276,7 +279,8 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 /// 4. **commit** — in node-id order: each entry's receivers are walked
 ///    once, and statistics and fault fates are charged per delivered
 ///    message (observers, trace events and registry charges too, when any
-///    is installed). A delivery writes the
+///    is installed); with none of those, nor the critical-path profiler,
+///    an entry only stages its deliveries. A delivery writes the
 ///    entry index straight into the next free slot of its receiver's row;
 ///    a receiver's first delivery also appends it to the round's receiver
 ///    list, which after the commit queues the receivers for the next round
@@ -284,9 +288,8 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    top of the active set's node-level kind.
 ///
 /// With a metrics registry installed, each phase is timed into the
-/// `congest/assemble`, `congest/seal`, `congest/execute`,
-/// `congest/validate`, `congest/vote` (the vote scan between validate and
-/// commit) and `congest/commit` profiler spans.
+/// `congest/assemble`, `congest/seal`, `congest/execute` (votes
+/// included), `congest/validate` and `congest/commit` profiler spans.
 ///
 /// Node iteration order is fixed (by id) and inboxes arrive sorted by
 /// sender id (an invariant the scheduler `debug_assert!`s), so runs are
@@ -350,19 +353,16 @@ pub struct Network<'g, P: NodeProgram> {
     /// O(k log k) sort — identical output either way.
     frontier: BitSet,
     /// Round-stamped membership marks: node `i` is queued for round `r`
-    /// iff `active_mark[i] == r`, with one exception — when every node is
-    /// queued by its vote (an all-active round), plain `Active` voters stay
-    /// unstamped: no delivery can wake anyone then, and such a voter holds
-    /// no live wakeup, so no reader looks. Stamps only grow, so stale
-    /// entries (from earlier rounds or across a fast-forward jump) never
-    /// collide; `Round::MAX` is the never-stamped sentinel. The marks keep
-    /// both `next_active` and the wakeup merge duplicate-free, so the
-    /// assembled active list never needs a dedup pass.
+    /// iff `active_mark[i] == r`. Stamps only grow, so stale entries (from
+    /// earlier rounds or across a fast-forward jump) never collide;
+    /// `Round::MAX` is the never-stamped sentinel. The marks keep both
+    /// `next_active` and the wakeup merge duplicate-free, so the assembled
+    /// active list never needs a dedup pass.
     active_mark: Vec<Round>,
     /// Whether `next_active` is currently in ascending node-id order. The
-    /// vote scan pushes in ascending order from an empty list, so only
-    /// out-of-order delivery wakes clear this; when it survives the round,
-    /// assembly skips its sort.
+    /// execute phase queues voters in ascending order into an empty list,
+    /// so only out-of-order delivery wakes clear this; when it survives the
+    /// round, assembly skips its sort.
     next_sorted: bool,
     /// Pending timed wakeups, keyed `(wake_round, node)`. Entries are lazy:
     /// one is live only while `statuses[node]` still holds the
@@ -370,8 +370,8 @@ pub struct Network<'g, P: NodeProgram> {
     /// discarded on pop.
     wakeups: BinaryHeap<Reverse<(Round, u32)>>,
     /// The wake round of the entry most recently pushed for each node
-    /// (0 = none; pushes always target `wake ≥ round + 2 > 0`). The vote
-    /// scan skips the push when a node re-votes the wake round it already
+    /// (0 = none; pushes always target `wake ≥ round + 2 > 0`). Recording
+    /// a vote skips the push when a node re-votes the wake round it already
     /// queued — the dominant pattern for pipelined-wave sources, which are
     /// re-woken by every passing front and re-park at the same start round.
     /// Without the skip the heap accumulates one duplicate per wake, and
@@ -381,7 +381,6 @@ pub struct Network<'g, P: NodeProgram> {
     /// Node-program executions scheduled so far (see
     /// [`Network::scheduled_nodes`]).
     executed: u64,
-    in_flight: usize,
     round: Round,
     stats: RunStats,
     /// Optional per-message observer — used by experiments that need
@@ -452,6 +451,9 @@ struct InboxArena<'g> {
     /// first `num_sealed` slots — the counts the next seal zeroes.
     sealed_receivers: Vec<u32>,
     num_sealed: usize,
+    /// Deliveries staged for the next round (the sum of `len` over the
+    /// staged receivers), counted as they are staged.
+    in_flight: usize,
     /// Set when a delayed-message merge staged a sender out of ascending
     /// order (fault plans only); the next seal then sorts each row's inbox
     /// to restore the sorted-inbox invariant.
@@ -471,6 +473,7 @@ impl<'g> InboxArena<'g> {
             staged: 0,
             sealed_receivers: vec![0; n + 1],
             num_sealed: 0,
+            in_flight: 0,
             unsorted: false,
         }
     }
@@ -489,30 +492,26 @@ impl<'g> InboxArena<'g> {
         self.len[to] = l + 1;
         self.receivers[self.staged] = to as u32;
         self.staged += (l == 0) as usize;
+        self.in_flight += 1;
     }
 
     /// The entries staged so far for node `t`'s next inbox.
+    #[inline]
     fn staged_row(&self, t: usize) -> &[u32] {
         let lo = self.row[t] as usize;
         &self.idx[lo..lo + self.len[t] as usize]
     }
 
     /// The next round's distinct receivers, in first-delivery order.
+    #[inline]
     fn receivers(&self) -> &[u32] {
         &self.receivers[..self.staged]
-    }
-
-    /// Deliveries staged for the next round.
-    fn in_flight(&self) -> usize {
-        self.receivers()
-            .iter()
-            .map(|&t| self.len[t as usize] as usize)
-            .sum()
     }
 
     /// Seals the staged rows as this round's inboxes over `msgs`, the send
     /// buffer they index into: the retiring round's counts are zeroed, and
     /// the staged counts and receivers become the sealed ones.
+    #[inline]
     fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
         for &t in &self.sealed_receivers[..self.num_sealed] {
             self.sealed[t as usize] = 0;
@@ -520,6 +519,7 @@ impl<'g> InboxArena<'g> {
         std::mem::swap(&mut self.len, &mut self.sealed);
         std::mem::swap(&mut self.receivers, &mut self.sealed_receivers);
         self.num_sealed = std::mem::replace(&mut self.staged, 0);
+        self.in_flight = 0;
         if self.unsorted {
             self.unsorted = false;
             for &t in &self.sealed_receivers[..self.num_sealed] {
@@ -531,6 +531,7 @@ impl<'g> InboxArena<'g> {
     }
 
     /// This round's inbox of node `i`, as entry indices.
+    #[inline]
     fn inbox(&self, i: usize) -> &[u32] {
         let lo = self.row[i] as usize;
         &self.idx[lo..lo + self.sealed[i] as usize]
@@ -595,6 +596,7 @@ impl CritState {
     }
 
     /// Stages a delivery of chain length `d` to node `to` (max-merge).
+    #[inline]
     fn stage(&mut self, to: usize, d: u64) {
         if self.mark[to] != self.epoch {
             self.mark[to] = self.epoch;
@@ -606,6 +608,7 @@ impl CritState {
     }
 
     /// Folds this round's staged deliveries into the settled depths.
+    #[inline]
     fn apply(&mut self) {
         for &t in &self.touched {
             let tu = t as usize;
@@ -666,7 +669,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             wakeups: BinaryHeap::new(),
             queued_wake: vec![0; n],
             executed: 0,
-            in_flight: 0,
             round: 0,
             programs,
             stats: RunStats::default(),
@@ -717,7 +719,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 .filter(|&&s| s == Status::Halted)
                 .count()
         );
-        self.in_flight == 0
+        self.arena.in_flight == 0
             && self.fault.as_ref().is_none_or(|f| f.queue.is_empty())
             && self.halted == self.statuses.len()
     }
@@ -772,16 +774,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             + (sent.dest.capacity() + prev.dest.capacity()) * size_of::<Dest>();
         let index = arena.idx.capacity() * size_of::<u32>();
         self.arena_highwater = self.arena_highwater.max((entries + index) as u64);
-    }
-
-    /// Stages entry `entry` of this round's send buffer for delivery to
-    /// `to` at the start of the next round, carrying causal depth `depth`.
-    #[inline]
-    fn deliver(&mut self, to: usize, entry: u32, depth: u64) {
-        if let Some(c) = self.crit.as_deref_mut() {
-            c.stage(to, depth);
-        }
-        self.arena.stage(to, entry);
     }
 
     /// Queues this round's first-time receivers for the next round, after
@@ -871,7 +863,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let mut woke = 0u64;
         // Everything staged last round is handed to the programs now, so
         // this round delivers exactly the previously in-flight messages.
-        let delivered = self.in_flight as u64;
+        let delivered = self.arena.in_flight as u64;
 
         // Phase 0 (fault plans only): apply scheduled crash-stops before
         // anything executes this round. Taking the state out of `self`
@@ -981,194 +973,12 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             return Err(e);
         }
 
-        // Phase 3a: record this round's votes. `Active` voters and past-due
-        // sleepers run again next round; future wakeups go to the heap;
-        // `Halted` voters drop out until a message arrives. Recording votes
-        // *before* the receivers are woken keeps `next_active` ascending in
-        // the common case (the active list is sorted, and the wake pass
-        // after commit then mostly hits already-marked nodes), which lets
-        // the next round skip its sort.
-        for &i in &self.active {
-            let iu = i as usize;
-            match self.statuses[iu] {
-                // Stamped below, and only when a delivery could still wake
-                // someone.
-                Status::Active => self.next_active.push(i),
-                Status::Sleep(wake) if wake <= round + 1 => {
-                    self.active_mark[iu] = round + 1;
-                    self.next_active.push(i);
-                }
-                Status::Sleep(wake) => {
-                    if self.queued_wake[iu] != wake {
-                        self.queued_wake[iu] = wake;
-                        self.wakeups.push(Reverse((wake, i)));
-                    }
-                }
-                Status::Halted => {}
-            }
-        }
-
-        // Phase 4: commit, in node-id order. Each entry's receivers are
-        // walked once, in neighbour order, and charged per delivered
-        // message. Fault fates are decided here too: each is a pure
-        // function of the message's `(round, from, to)` coordinates, so
-        // scheduling and fast-forwarding cannot change them. Only the
-        // sender list is walked — nodes that staged nothing cost nothing
-        // here — and it is ascending and exhaustive by construction, so
-        // deliveries stage in sender-id order and each receiver's row comes
-        // out sorted for free.
-        let budget = self.config.bandwidth_bits;
-        // With every node already queued for next round (an all-active
-        // round), no delivery can wake anyone: skip the wake pass, and
-        // leave the `Active` voters unstamped — a plain `Active` vote holds
-        // no live wakeup, so nothing else reads their marks.
+        // Phase 4: commit, in node-id order (see `Network::commit`). With
+        // every node already queued for next round by its vote (an
+        // all-active round), no delivery can wake anyone, so the wake pass
+        // below is skipped.
         let wake = self.next_active.len() < n;
-        if wake {
-            for &i in &self.next_active {
-                self.active_mark[i as usize] = round + 1;
-            }
-        }
-        lap(&meter, &mut clock, "congest/vote");
-        // Whether anyone watches individual messages this round; when
-        // nobody does, the per-message loop skips all its charges with one
-        // predictable branch.
-        let observed = meter.is_some() || tracer.is_some() || self.observer.is_some();
-        let graph = self.graph;
-        // Taken out of `self` for the walk, so delivering (a `&mut self`
-        // method) can run while the entries are borrowed.
-        let mut sent = std::mem::take(&mut self.sent);
-        let senders = std::mem::take(&mut self.senders);
-        let mut first = 0;
-        for &(i, end) in &senders {
-            let (i, end) = (i as usize, end as usize);
-            let node = NodeId::new(i);
-            // Chain length every message from this sender extends: its
-            // settled causal depth (deliveries up to this round's start
-            // were folded in at the end of the previous step) plus one.
-            let link_depth = self.crit.as_deref().map_or(0, |c| c.depth[i] + 1);
-            let neighbors = graph.neighbors(node);
-            for k in first..end {
-                let msg = &sent.msgs[k].1;
-                let bits = msg.size_bits();
-                // `Enforce` was rejected during validation, so an
-                // over-budget message here is tracked, not fatal.
-                let over = bits > budget;
-                let (targets, skip) = sent.dest[k].targets(neighbors);
-                let mut count = 0u64;
-                for &to in targets {
-                    if Some(to) == skip {
-                        continue;
-                    }
-                    count += 1;
-                    if observed {
-                        if over {
-                            if let Some(meter) = &meter {
-                                meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
-                            }
-                            if let Some(sink) = &tracer {
-                                sink.borrow_mut().record(&trace::TraceEvent::Violation {
-                                    round,
-                                    from: i as u64,
-                                    to: to.index() as u64,
-                                    bits: bits as u64,
-                                    budget: budget as u64,
-                                });
-                            }
-                        }
-                        // Sends are accounted (and observed/traced) whether
-                        // or not the message survives the fault layer: a
-                        // lost message still spent the sender's bandwidth.
-                        if let Some(meter) = &meter {
-                            // Charged at the same accounting point as the
-                            // trace event, so the cost model's payload-bit
-                            // total always reconciles with the trace
-                            // layer's delivered totals.
-                            meter.borrow_mut().charge_message(bits as u64);
-                        }
-                        if let Some(observer) = &mut self.observer {
-                            observer(round, node, to, bits);
-                        }
-                        if let Some(sink) = &tracer {
-                            sink.borrow_mut().record(&trace::TraceEvent::Message {
-                                round,
-                                from: i as u64,
-                                to: to.index() as u64,
-                                bits: bits as u64,
-                            });
-                        }
-                    }
-                    let Some(f) = fault.as_mut() else {
-                        self.deliver(to.index(), k as u32, link_depth);
-                        continue;
-                    };
-                    let emit = |kind: trace::FaultKind, delay: u64| {
-                        // Injected faults are charged to the cost model at
-                        // the same point they are traced, mirroring the
-                        // message accounting above, so `qd_faults_total`
-                        // reconciles with both `FaultStats` and the trace
-                        // summary.
-                        if let Some(meter) = &meter {
-                            meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                        }
-                        if let Some(sink) = &tracer {
-                            sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                                round,
-                                kind,
-                                from: i as u64,
-                                to: to.index() as u64,
-                                delay,
-                            });
-                        }
-                    };
-                    if f.crashed[to.index()] {
-                        // A message to a crashed node is discarded;
-                        // `from != to` distinguishes this from the
-                        // crash-stop event itself.
-                        f.stats.crash_dropped += 1;
-                        emit(trace::FaultKind::Crash, 0);
-                        continue;
-                    }
-                    match f.plan.fate(round, i, to.index()) {
-                        MessageFate::Delivered => {
-                            self.deliver(to.index(), k as u32, link_depth);
-                        }
-                        MessageFate::Dropped => {
-                            f.stats.dropped += 1;
-                            emit(trace::FaultKind::Drop, 0);
-                        }
-                        MessageFate::Corrupted => {
-                            f.stats.corrupted += 1;
-                            emit(trace::FaultKind::Corrupt, 0);
-                        }
-                        MessageFate::LinkDropped => {
-                            f.stats.link_dropped += 1;
-                            emit(trace::FaultKind::LinkDown, 0);
-                        }
-                        MessageFate::Delayed(extra) => {
-                            f.stats.delayed += 1;
-                            emit(trace::FaultKind::Delay, extra);
-                            f.queue.push(Delayed {
-                                due: round + 1 + extra,
-                                from: node,
-                                to,
-                                msg: msg.clone(),
-                                depth: link_depth,
-                            });
-                        }
-                    }
-                }
-                if count > 0 {
-                    self.stats.messages += count;
-                    self.stats.total_bits += count * bits as u64;
-                    self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-                    if over {
-                        self.stats.bandwidth_violations += count;
-                    }
-                }
-            }
-            first = end;
-        }
-        self.senders = senders;
+        self.commit(round, fault.as_mut(), &meter, &tracer);
 
         // Phase 4b (fault plans only): merge jittered messages due at the
         // start of the next round into the send buffer, preserving the
@@ -1207,7 +1017,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     .arena
                     .staged_row(to.index())
                     .iter()
-                    .any(|&k| sent.msgs[k as usize].0 == from);
+                    .any(|&k| self.sent.msgs[k as usize].0 == from);
                 if collides {
                     f.queue[i].due = round + 2;
                     f.stats.deferred += 1;
@@ -1221,22 +1031,35 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     depth,
                     ..
                 } = f.queue.remove(i);
-                let entry = sent.len() as u32;
-                sent.push(from, msg, Dest::One(to));
+                let entry = self.sent.len() as u32;
+                self.sent.push(from, msg, Dest::One(to));
                 // The chain length was fixed when the message was sent; the
                 // jitter only moved its delivery round.
-                self.deliver(to.index(), entry, depth);
+                deliver(
+                    &mut self.arena,
+                    self.crit.as_deref_mut(),
+                    to.index(),
+                    entry,
+                    depth,
+                );
                 self.arena.unsorted = true;
             }
         }
-        self.sent = sent;
         self.fault = fault;
         // Every receiver, of a fresh message or a merged delayed one, runs
         // next round.
         if wake {
             self.wake_receivers(round);
         }
-        self.in_flight = self.arena.in_flight();
+        debug_assert_eq!(
+            self.arena.in_flight,
+            self.arena
+                .receivers()
+                .iter()
+                .map(|&t| self.arena.len[t as usize] as usize)
+                .sum::<usize>(),
+            "the arena's running delivery count drifted from its rows"
+        );
 
         // Fold this round's staged deliveries into the settled causal
         // depths — they become visible to their receivers at the start of
@@ -1327,9 +1150,14 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// its inbox view, letting it append to this round's send buffer, and
     /// records each node that staged anything in `senders` with the end of
     /// its run of entries (ascending, like `active`). Each run also swaps
-    /// the node's old vote for its new one in the O(1)-quiescence counter.
-    /// Crash-stopped nodes are skipped: they neither read their inbox nor
-    /// send, and their status stays pinned to `Halted`.
+    /// the node's old vote for its new one in the O(1)-quiescence counter
+    /// and records the vote for the next round right away: voters that run
+    /// again are stamped and queued in `next_active` in ascending order
+    /// (the active list is sorted, so the receivers the commit wakes later
+    /// mostly hit already-marked nodes and the next round can skip its
+    /// sort), and future wakeups go to the heap. Crash-stopped nodes are
+    /// skipped: they neither read their inbox nor send, and their status
+    /// stays pinned to `Halted`.
     fn execute(&mut self, round: Round, crashed: Option<&[bool]>) {
         let n = self.programs.len();
         self.senders.clear();
@@ -1358,6 +1186,22 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             self.halted += (vote == Status::Halted) as usize;
             self.halted -= (self.statuses[iu] == Status::Halted) as usize;
             self.statuses[iu] = vote;
+            // Record the vote: `Active` voters and past-due sleepers run
+            // again next round; future wakeups go to the heap; `Halted`
+            // voters drop out until a message arrives.
+            match vote {
+                Status::Sleep(wake) if wake > round + 1 => {
+                    if self.queued_wake[iu] != wake {
+                        self.queued_wake[iu] = wake;
+                        self.wakeups.push(Reverse((wake, i)));
+                    }
+                }
+                Status::Active | Status::Sleep(_) => {
+                    self.active_mark[iu] = round + 1;
+                    self.next_active.push(i);
+                }
+                Status::Halted => {}
+            }
             if self.sent.len() > staged {
                 self.senders.push((i, self.sent.len() as u32));
             }
@@ -1433,6 +1277,183 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         Ok(())
     }
 
+    /// Phase 4 of [`Network::step`]: commits the validated entries, in
+    /// node-id order. Each entry's receivers are walked once, in neighbour
+    /// order, and staged into their rows for the next round. Only the
+    /// sender list is walked — nodes that staged nothing cost nothing here
+    /// — and it is ascending and exhaustive by construction, so deliveries
+    /// stage in sender-id order and each receiver's row comes out sorted
+    /// for free.
+    ///
+    /// An entry nobody charges per message (no fault plan, no registry,
+    /// trace sink or observer, no critical-path profiler) takes the
+    /// staging-only lane: it stages its receivers and is counted into
+    /// [`RunStats`] once. Otherwise every delivered message is charged to
+    /// the registry, the observer and the trace, and meets its fault fate,
+    /// a pure function of the message's `(round, from, to)` coordinates,
+    /// so scheduling and fast-forwarding cannot change it.
+    fn commit(
+        &mut self,
+        round: Round,
+        mut fault: Option<&mut FaultState<P::Msg>>,
+        meter: &Option<metrics::SharedRegistry>,
+        tracer: &Option<trace::SharedSink>,
+    ) {
+        let budget = self.config.bandwidth_bits;
+        // Whether anyone watches individual messages this round.
+        let observed = meter.is_some() || tracer.is_some() || self.observer.is_some();
+        let plain = !observed && fault.is_none() && self.crit.is_none();
+        let graph = self.graph;
+        let (sent, arena, stats) = (&self.sent, &mut self.arena, &mut self.stats);
+        let (observer, mut crit) = (&mut self.observer, self.crit.as_deref_mut());
+        let mut first = 0;
+        for &(i, end) in &self.senders {
+            let (i, end) = (i as usize, end as usize);
+            let node = NodeId::new(i);
+            // Chain length every message from this sender extends: its
+            // settled causal depth (deliveries up to this round's start
+            // were folded in at the end of the previous step) plus one.
+            let link_depth = crit.as_deref().map_or(0, |c| c.depth[i] + 1);
+            let neighbors = graph.neighbors(node);
+            for k in first..end {
+                let msg = &sent.msgs[k].1;
+                let bits = msg.size_bits();
+                // `Enforce` was rejected during validation, so an
+                // over-budget message here is tracked, not fatal.
+                let over = bits > budget;
+                let (targets, skip) = sent.dest[k].targets(neighbors);
+                let mut count = 0u64;
+                if plain {
+                    for &to in targets {
+                        if Some(to) != skip {
+                            count += 1;
+                            arena.stage(to.index(), k as u32);
+                        }
+                    }
+                } else {
+                    for &to in targets {
+                        if Some(to) == skip {
+                            continue;
+                        }
+                        count += 1;
+                        if observed {
+                            if over {
+                                if let Some(meter) = meter {
+                                    meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
+                                }
+                                if let Some(sink) = tracer {
+                                    sink.borrow_mut().record(&trace::TraceEvent::Violation {
+                                        round,
+                                        from: i as u64,
+                                        to: to.index() as u64,
+                                        bits: bits as u64,
+                                        budget: budget as u64,
+                                    });
+                                }
+                            }
+                            // Sends are accounted (and observed/traced)
+                            // whether or not the message survives the fault
+                            // layer: a lost message still spent the
+                            // sender's bandwidth.
+                            if let Some(meter) = meter {
+                                // Charged at the same accounting point as
+                                // the trace event, so the cost model's
+                                // payload-bit total always reconciles with
+                                // the trace layer's delivered totals.
+                                meter.borrow_mut().charge_message(bits as u64);
+                            }
+                            if let Some(observer) = observer {
+                                observer(round, node, to, bits);
+                            }
+                            if let Some(sink) = tracer {
+                                sink.borrow_mut().record(&trace::TraceEvent::Message {
+                                    round,
+                                    from: i as u64,
+                                    to: to.index() as u64,
+                                    bits: bits as u64,
+                                });
+                            }
+                        }
+                        let Some(f) = fault.as_deref_mut() else {
+                            deliver(arena, crit.as_deref_mut(), to.index(), k as u32, link_depth);
+                            continue;
+                        };
+                        let emit = |kind: trace::FaultKind, delay: u64| {
+                            // Injected faults are charged to the cost model
+                            // at the same point they are traced, mirroring
+                            // the message accounting above, so
+                            // `qd_faults_total` reconciles with both
+                            // `FaultStats` and the trace summary.
+                            if let Some(meter) = meter {
+                                meter.borrow_mut().add(metrics::names::FAULTS, 1);
+                            }
+                            if let Some(sink) = tracer {
+                                sink.borrow_mut().record(&trace::TraceEvent::Fault {
+                                    round,
+                                    kind,
+                                    from: i as u64,
+                                    to: to.index() as u64,
+                                    delay,
+                                });
+                            }
+                        };
+                        if f.crashed[to.index()] {
+                            // A message to a crashed node is discarded;
+                            // `from != to` distinguishes this from the
+                            // crash-stop event itself.
+                            f.stats.crash_dropped += 1;
+                            emit(trace::FaultKind::Crash, 0);
+                            continue;
+                        }
+                        match f.plan.fate(round, i, to.index()) {
+                            MessageFate::Delivered => {
+                                deliver(
+                                    arena,
+                                    crit.as_deref_mut(),
+                                    to.index(),
+                                    k as u32,
+                                    link_depth,
+                                );
+                            }
+                            MessageFate::Dropped => {
+                                f.stats.dropped += 1;
+                                emit(trace::FaultKind::Drop, 0);
+                            }
+                            MessageFate::Corrupted => {
+                                f.stats.corrupted += 1;
+                                emit(trace::FaultKind::Corrupt, 0);
+                            }
+                            MessageFate::LinkDropped => {
+                                f.stats.link_dropped += 1;
+                                emit(trace::FaultKind::LinkDown, 0);
+                            }
+                            MessageFate::Delayed(extra) => {
+                                f.stats.delayed += 1;
+                                emit(trace::FaultKind::Delay, extra);
+                                f.queue.push(Delayed {
+                                    due: round + 1 + extra,
+                                    from: node,
+                                    to,
+                                    msg: msg.clone(),
+                                    depth: link_depth,
+                                });
+                            }
+                        }
+                    }
+                }
+                if count > 0 {
+                    stats.messages += count;
+                    stats.total_bits += count * bits as u64;
+                    stats.max_message_bits = stats.max_message_bits.max(bits);
+                    if over {
+                        stats.bandwidth_violations += count;
+                    }
+                }
+            }
+            first = end;
+        }
+    }
+
     /// Executes exactly `rounds` rounds (fully quiescent stretches are
     /// fast-forwarded rather than stepped, with identical observable
     /// effects — see [`Network`]).
@@ -1502,7 +1523,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// (the merge into inboxes happens in phase 4b of the *preceding*
     /// round).
     fn fast_forward_target(&mut self, cap: Round) -> Option<Round> {
-        if !self.next_active.is_empty() || self.in_flight != 0 {
+        if !self.next_active.is_empty() || self.arena.in_flight != 0 {
             return None;
         }
         let mut target = cap;
@@ -1543,7 +1564,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// `node_rounds` grows). O(1) even with a tracer installed — the seed
     /// emitted O(skipped) ticks here, which dominated long quiescent runs.
     fn skip_rounds(&mut self, target: Round) {
-        debug_assert!(self.next_active.is_empty() && self.in_flight == 0);
+        debug_assert!(self.next_active.is_empty() && self.arena.in_flight == 0);
         if self.round < target {
             trace::emit_with(|| trace::TraceEvent::RoundSkip {
                 from: self.round,
@@ -1580,8 +1601,26 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     }
 }
 
+/// Stages entry `entry` of this round's send buffer for delivery to `to`
+/// at the start of the next round, carrying causal depth `depth` into the
+/// critical-path profiler when it is on.
+#[inline]
+fn deliver(
+    arena: &mut InboxArena<'_>,
+    crit: Option<&mut CritState>,
+    to: usize,
+    entry: u32,
+    depth: u64,
+) {
+    if let Some(c) = crit {
+        c.stage(to, depth);
+    }
+    arena.stage(to, entry);
+}
+
 /// Charges the time since `clock` was last read to the metrics profiler
 /// span `path` and restarts the clock; a no-op without a registry.
+#[inline]
 fn lap(
     meter: &Option<metrics::SharedRegistry>,
     clock: &mut Option<std::time::Instant>,
@@ -1853,8 +1892,8 @@ mod tests {
     }
 
     /// With a registry installed, every stepped round charges each of the
-    /// six `step` phases to its own profiler span, and the export carries
-    /// all six.
+    /// five `step` phases to its own profiler span, and the export carries
+    /// all five.
     #[test]
     fn metered_runs_export_every_step_phase_span() {
         let g = generators::grid(6, 7);
@@ -1866,7 +1905,7 @@ mod tests {
         };
         let registry = registry.borrow();
         let text = metrics::export::to_prometheus(&registry);
-        for phase in ["assemble", "seal", "execute", "validate", "vote", "commit"] {
+        for phase in ["assemble", "seal", "execute", "validate", "commit"] {
             let path = format!("congest/{phase}");
             let span = registry.spans().get(&path).copied().unwrap_or_default();
             assert_eq!(span.calls, stats.rounds, "{path} calls");

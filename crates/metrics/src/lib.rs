@@ -182,6 +182,7 @@ pub fn enabled() -> bool {
 ///
 /// Hot loops (e.g. the per-round simulator step) fetch this once and reuse
 /// the handle instead of paying a thread-local lookup per charge.
+#[inline]
 pub fn current() -> Option<SharedRegistry> {
     CURRENT.with(|current| current.borrow().clone())
 }

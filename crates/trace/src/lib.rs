@@ -87,6 +87,7 @@ pub fn enabled() -> bool {
 ///
 /// Hot loops (e.g. the per-round simulator step) fetch this once and reuse
 /// the handle instead of paying a thread-local lookup per event.
+#[inline]
 pub fn current() -> Option<SharedSink> {
     CURRENT.with(|current| current.borrow().clone())
 }

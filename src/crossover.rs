@@ -360,9 +360,10 @@ fn families(points: &[CostPoint]) -> Vec<String> {
     v
 }
 
-/// Least squares in `ln` space; skips non-positive values. Returns `None`
-/// with fewer than two usable points.
-fn loglog_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+/// Least squares in `ln` space: `(slope, intercept)` of
+/// `ln y = intercept + slope · ln x`. Skips non-positive values; returns
+/// `None` with fewer than two usable points.
+pub fn loglog_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
     let pts: Vec<(f64, f64)> = xs
         .iter()
         .zip(ys)
@@ -412,6 +413,46 @@ fn find_fit<'a>(fits: &'a [Fit], family: &str, algo: &str, metric: &str) -> Opti
         .find(|f| f.family == family && f.algo == algo && f.metric == metric)
 }
 
+/// Projects where a quantum cost curve undercuts a classical one, from
+/// their [`loglog_fit`]s, each given as `(slope, intercept)`.
+///
+/// Returns [`CrossKind::Projected`] with the intersection `n*` when the
+/// quantum fit grows strictly slower. Slopes that differ by at most
+/// [`SLOPE_EPS`], and intersections that overflow `f64` (the same
+/// ill-conditioning in disguise), give [`CrossKind::IndistinguishableSlopes`]
+/// instead of a meaningless or infinite `n*`; a quantum fit that grows at
+/// least as fast (or a non-finite slope) gives [`CrossKind::None`].
+///
+/// # Example
+///
+/// ```
+/// use congest_diameter::crossover::{project_crossover, CrossKind};
+///
+/// // 100·n against 1000·√n: they meet at n* = 100.
+/// let classical = (1.0, 100f64.ln());
+/// let quantum = (0.5, 1000f64.ln());
+/// let (kind, n_star) = project_crossover(classical, quantum);
+/// assert_eq!(kind, CrossKind::Projected);
+/// assert!((n_star.unwrap() - 100.0).abs() < 1e-9);
+/// assert_eq!(project_crossover(classical, classical).0, CrossKind::IndistinguishableSlopes);
+/// ```
+pub fn project_crossover(classical: (f64, f64), quantum: (f64, f64)) -> (CrossKind, Option<f64>) {
+    let ((c_slope, c_intercept), (q_slope, q_intercept)) = (classical, quantum);
+    let diff = c_slope - q_slope;
+    if diff.abs() <= SLOPE_EPS {
+        return (CrossKind::IndistinguishableSlopes, None);
+    }
+    if !diff.is_finite() || diff < 0.0 {
+        return (CrossKind::None, None);
+    }
+    let n_star = ((q_intercept - c_intercept) / diff).exp();
+    if n_star.is_finite() {
+        (CrossKind::Projected, Some(n_star))
+    } else {
+        (CrossKind::IndistinguishableSlopes, None)
+    }
+}
+
 fn compute_crossings(points: &[CostPoint], fits: &[Fit], cost: &CostModel) -> Vec<Crossing> {
     let mut crossings = Vec::new();
     for family in families(points) {
@@ -447,27 +488,7 @@ fn compute_crossings(points: &[CostPoint], fits: &[Fit], cost: &CostModel) -> Ve
                         .zip(find_fit(fits, &family, &algo, metric));
                     match pair {
                         Some((fc, fq)) => {
-                            let diff = fc.slope - fq.slope;
-                            if diff.abs() <= SLOPE_EPS {
-                                // Dividing by a ~0 slope difference would
-                                // project a meaningless (possibly infinite)
-                                // n*; report the slopes as indistinguishable
-                                // instead.
-                                (CrossKind::IndistinguishableSlopes, None)
-                            } else if diff > 0.0 {
-                                // Quantum grows strictly slower: the fits
-                                // intersect ahead — unless the intersection
-                                // overflows f64, which is the same
-                                // ill-conditioning in disguise.
-                                let nstar = ((fq.intercept - fc.intercept) / diff).exp();
-                                if nstar.is_finite() {
-                                    (CrossKind::Projected, Some(nstar))
-                                } else {
-                                    (CrossKind::IndistinguishableSlopes, None)
-                                }
-                            } else {
-                                (CrossKind::None, None)
-                            }
+                            project_crossover((fc.slope, fc.intercept), (fq.slope, fq.intercept))
                         }
                         None => (CrossKind::None, None),
                     }
