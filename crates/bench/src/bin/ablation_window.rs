@@ -5,7 +5,8 @@
 //! with `P_opt ≥ d/2n` (`O(√(nD))` rounds). Their ratio should grow like
 //! `√D` — the paper's central algorithmic idea, isolated.
 
-use bench::{loglog_slope, mean, rule, scale};
+use bench::{mean, rule, scale};
+use congest_diameter::crossover;
 use diameter_quantum::exact::ExactParams;
 use diameter_quantum::{exact, exact_simple};
 
@@ -53,7 +54,7 @@ fn main() {
         ds.push(d as f64);
         ratios.push(simple / windowed);
     }
-    let slope = loglog_slope(&ds, &ratios);
+    let slope = crossover::loglog_fit(&ds, &ratios).expect("ratio fit").0;
     println!("\nfitted exponent of the simple/windowed ratio in D: {slope:.2} (paper: 0.5)");
     println!("— the window trick converts a √n·√D gap into √(n·D), i.e. wins a √D");
     println!("factor that grows with the diameter, exactly Section 3.2's point.");

@@ -3,7 +3,8 @@
 //! quantum optimization at `Õ(√(sD) + D)` — and the cluster-size trade-off
 //! that `s = Θ(n^{2/3} D^{-1/3})` balances.
 
-use bench::{loglog_slope, rule, scale};
+use bench::{rule, scale};
+use congest_diameter::crossover;
 use diameter_quantum::approx::{self, ApproxParams};
 
 fn main() {
@@ -42,7 +43,9 @@ fn main() {
             quantum_phase.push(out.quantum_rounds.max(1) as f64);
         }
     }
-    let slope = loglog_slope(&ss, &quantum_phase);
+    let slope = crossover::loglog_fit(&ss, &quantum_phase)
+        .expect("quantum-phase fit")
+        .0;
     println!("\nfitted quantum-phase exponent in s: {slope:.2} (paper: 0.5, from √(sD)).");
     println!("the preparation cost is dominated by its Õ(D) aggregations at these n");
     println!("(the n/s term needs n ≫ s·D to dominate), so with real constants the");

@@ -6,7 +6,7 @@
 use bench::{rule, scale};
 use commcc::bit_gadget::BitGadgetReduction;
 use commcc::disj;
-use commcc::simulation::{attach_cut_meter, Owner, Partition, TwoPartyPlan};
+use commcc::simulation::{CutTraffic, Owner, Partition, TwoPartyPlan};
 use commcc::stretch::{self, StretchedReduction};
 use congest::Network;
 
@@ -80,8 +80,11 @@ fn main() {
         let cfg = bench::config_for(&sg.inner.graph);
         // Run a real protocol (min-id flood) with the boundary meter.
         let mut net = Network::new(&sg.inner.graph, cfg, |v| Probe { best: u32::from(v) });
-        let meter = attach_cut_meter(&mut net, partition);
-        net.run_until_quiescent(100_000).expect("run");
+        let meter = CutTraffic::shared(partition);
+        {
+            let _meter = trace::install(meter.clone());
+            net.run_until_quiescent(100_000).expect("run");
+        }
         let mut t = meter.borrow_mut();
         t.finalize();
         let cap = commcc::reduction::Reduction::b(&base) as u64 * cfg.bandwidth_bits() as u64;

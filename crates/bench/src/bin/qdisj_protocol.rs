@@ -7,8 +7,9 @@
 //! at `r = Θ(√k)` messages, `Θ̃(√k)` qubits are simultaneously achievable
 //! and necessary.
 
-use bench::{loglog_slope, mean, rule, scale};
+use bench::{mean, rule, scale};
 use commcc::{bounds, disj, qdisj};
+use congest_diameter::crossover;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,7 +52,7 @@ fn main() {
         ks.push(k as f64);
         qubits.push(mean(&q));
     }
-    let slope = loglog_slope(&ks, &qubits);
+    let slope = crossover::loglog_fit(&ks, &qubits).expect("qubit fit").0;
     println!("\nfitted qubit exponent in k: {slope:.2} (paper: 0.5 + log factor)");
 
     rule("correctness sweep (both DISJ values)");

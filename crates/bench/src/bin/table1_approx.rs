@@ -4,8 +4,9 @@
 //! Sweeps `n` at near-constant `D`, fits the growth exponents (paper: 0.5
 //! vs 1/3), and verifies the `⌊2D/3⌋ ≤ D̄ ≤ D` guarantee on every run.
 
-use bench::{loglog_slope, mean, rule, scale, sparse_instance, write_results_json};
+use bench::{mean, rule, scale, sparse_instance, write_results_json};
 use classical::hprw::{self, HprwParams};
+use congest_diameter::crossover;
 use diameter_quantum::approx::{self, ApproxParams};
 use trace::Json;
 
@@ -82,8 +83,8 @@ fn main() {
             ),
         ]));
     }
-    let c_slope = loglog_slope(&ns, &cs);
-    let q_slope = loglog_slope(&ns, &qs);
+    let c_slope = crossover::loglog_fit(&ns, &cs).expect("classical fit").0;
+    let q_slope = crossover::loglog_fit(&ns, &qs).expect("quantum fit").0;
     println!(
         "\nfitted exponents: classical approx {c_slope:.2} (paper: 0.5), quantum approx {q_slope:.2} (paper: 1/3 + D drift)"
     );

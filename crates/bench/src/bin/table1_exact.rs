@@ -11,7 +11,7 @@
 //! one) is extrapolated from the fits, because the unhidden constants of
 //! real Dürr–Høyer search put it beyond direct-simulation sizes.
 
-use bench::{loglog_slope, mean, rule, scale, sparse_instance, write_results_json};
+use bench::{mean, rule, scale, sparse_instance, write_results_json};
 use congest_diameter::crossover::{self, CrossKind};
 use diameter_quantum::exact::{self, ExactParams};
 use trace::Json;
@@ -83,7 +83,9 @@ fn main() {
     // against n·D, the paper's actual scale variable.
     println!(
         "fitted quantum exponent against n·D: {:.2} (paper: 0.5, from √(nD))",
-        loglog_slope(&nds, &quantum_rounds)
+        crossover::loglog_fit(&nds, &quantum_rounds)
+            .expect("n·D fit")
+            .0
     );
 
     // Extrapolated crossover from the fits, by the crossover engine's
@@ -135,7 +137,7 @@ fn main() {
             ("classical_scheduled_nodes", Json::Int(c_scheduled as i128)),
         ]));
     }
-    let d_slope = loglog_slope(&ds, &q_by_d);
+    let d_slope = crossover::loglog_fit(&ds, &q_by_d).expect("D fit").0;
     println!("\nfitted quantum exponent in D: {d_slope:.2} (paper: 0.5, from √(nD))");
     println!("classical rounds stay Θ(n): the D column barely moves them.");
 

@@ -22,32 +22,6 @@ pub fn scale() -> usize {
         .max(1)
 }
 
-/// Least-squares slope of `ln y` against `ln x` — the log–log growth
-/// exponent used to compare measured round curves against the paper's
-/// `n`, `√(nD)`, `√n`, `∛(nD)` shapes.
-///
-/// # Panics
-///
-/// Panics if fewer than two points are given or any value is nonpositive.
-pub fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
-    assert!(
-        xs.len() == ys.len() && xs.len() >= 2,
-        "need at least two points"
-    );
-    assert!(
-        xs.iter().chain(ys).all(|&v| v > 0.0),
-        "log-log fit needs positive values"
-    );
-    let lx: Vec<f64> = xs.iter().map(|x| x.ln()).collect();
-    let ly: Vec<f64> = ys.iter().map(|y| y.ln()).collect();
-    let n = lx.len() as f64;
-    let mx = lx.iter().sum::<f64>() / n;
-    let my = ly.iter().sum::<f64>() / n;
-    let cov: f64 = lx.iter().zip(&ly).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let var: f64 = lx.iter().map(|x| (x - mx) * (x - mx)).sum();
-    cov / var
-}
-
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "mean of empty slice");
@@ -200,15 +174,6 @@ pub fn repo_root() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slope_of_power_laws() {
-        let xs: Vec<f64> = (1..=6).map(|i| (1 << i) as f64).collect();
-        let lin: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
-        let sqrt: Vec<f64> = xs.iter().map(|x| 5.0 * x.sqrt()).collect();
-        assert!((loglog_slope(&xs, &lin) - 1.0).abs() < 1e-9);
-        assert!((loglog_slope(&xs, &sqrt) - 0.5).abs() < 1e-9);
-    }
 
     #[test]
     fn stats_helpers() {

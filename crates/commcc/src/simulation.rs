@@ -12,9 +12,9 @@
 //! This module provides:
 //!
 //! * [`Partition`] — the Alice / layer / Bob ownership structure of a
-//!   network, and [`attach_cut_meter`] which measures the bits actually
-//!   crossing each layer boundary in a real CONGEST run (at most `b · bw`
-//!   per round, the quantity the simulation must forward);
+//!   network, and [`CutTraffic`], a trace sink which measures the bits
+//!   actually crossing each layer boundary in a real CONGEST run (at most
+//!   `b · bw` per round, the quantity the simulation must forward);
 //! * [`TwoPartyPlan`] — the Figure 6/7 block schedule with its exact
 //!   message and qubit accounting;
 //! * [`decide_disj_via_diameter`] — the end-to-end Theorem 10/3 pipeline:
@@ -26,8 +26,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use classical::{apsp, AlgoError};
-use congest::{Config, Network, NodeProgram, Round};
+use congest::{Config, Round};
 use graphs::NodeId;
+use trace::{TraceEvent, TraceSink};
 
 use crate::disj;
 use crate::reduction::Reduction;
@@ -134,8 +135,12 @@ impl Partition {
     }
 }
 
-/// Measured traffic across the layer boundaries of a partitioned run.
-#[derive(Clone, Debug, Default)]
+/// Measured traffic across the layer boundaries of a partitioned run: a
+/// trace sink that folds the run's [`TraceEvent::Message`] events, so it
+/// counts every message a node sends across a boundary, whether or not a
+/// fault plan lets it through. Install it with `trace::install` around the
+/// run, then call [`CutTraffic::finalize`].
+#[derive(Clone, Debug)]
 pub struct CutTraffic {
     /// Total bits that crossed each boundary `j` (between positions `j`
     /// and `j + 1`), for `j ∈ 0..=d`.
@@ -145,20 +150,24 @@ pub struct CutTraffic {
     pub max_boundary_round_bits: u64,
     /// Total bits crossing any boundary.
     pub total_bits: u64,
+    partition: Partition,
     round_acc: Vec<u64>,
     current_round: Round,
 }
 
 impl CutTraffic {
-    fn record(&mut self, round: Round, from_pos: usize, to_pos: usize, bits: usize) {
-        if round != self.current_round {
-            self.flush();
-            self.current_round = round;
-        }
-        let boundary = from_pos.min(to_pos);
-        self.boundary_bits[boundary] += bits as u64;
-        self.round_acc[boundary] += bits as u64;
-        self.total_bits += bits as u64;
+    /// A meter over the `d + 1` boundaries of `partition`, wrapped for
+    /// `trace::install`.
+    pub fn shared(partition: Partition) -> Rc<RefCell<CutTraffic>> {
+        let boundaries = partition.depth() + 1;
+        Rc::new(RefCell::new(CutTraffic {
+            boundary_bits: vec![0; boundaries],
+            max_boundary_round_bits: 0,
+            total_bits: 0,
+            partition,
+            round_acc: vec![0; boundaries],
+            current_round: 0,
+        }))
     }
 
     fn flush(&mut self) {
@@ -174,27 +183,32 @@ impl CutTraffic {
     }
 }
 
-/// Installs a boundary-traffic meter on a network. Returns the shared
-/// accumulator; call [`CutTraffic::finalize`] after the run.
-pub fn attach_cut_meter<P: NodeProgram>(
-    net: &mut Network<'_, P>,
-    partition: Partition,
-) -> Rc<RefCell<CutTraffic>> {
-    let depth = partition.depth();
-    let traffic = Rc::new(RefCell::new(CutTraffic {
-        boundary_bits: vec![0; depth + 1],
-        round_acc: vec![0; depth + 1],
-        ..CutTraffic::default()
-    }));
-    let sink = Rc::clone(&traffic);
-    net.set_observer(move |round, from, to, bits| {
-        let pf = partition.side(from).position(depth);
-        let pt = partition.side(to).position(depth);
-        if pf != pt {
-            sink.borrow_mut().record(round, pf, pt, bits);
+impl TraceSink for CutTraffic {
+    fn record(&mut self, event: &TraceEvent) {
+        let TraceEvent::Message {
+            round,
+            from,
+            to,
+            bits,
+        } = *event
+        else {
+            return;
+        };
+        let depth = self.partition.depth();
+        let position = |v: u64| self.partition.side(NodeId::new(v as usize)).position(depth);
+        let (pf, pt) = (position(from), position(to));
+        if pf == pt {
+            return;
         }
-    });
-    traffic
+        if round != self.current_round {
+            self.flush();
+            self.current_round = round;
+        }
+        let boundary = pf.min(pt);
+        self.boundary_bits[boundary] += bits;
+        self.round_acc[boundary] += bits;
+        self.total_bits += bits;
+    }
 }
 
 /// Which player simulates a given area block.
@@ -379,7 +393,7 @@ mod tests {
     use crate::bit_gadget::BitGadgetReduction;
     use crate::stretch::{self, StretchedReduction};
     use classical::leader;
-    use congest::Config;
+    use congest::{Config, Network, NodeProgram};
 
     #[test]
     fn path_network_partition_is_layered() {
@@ -418,8 +432,11 @@ mod tests {
         // Run a real protocol (leader election) with the meter attached.
         let graph = &sg.inner.graph;
         let mut net = Network::new(graph, config, |v| LeaderProbe { best: u32::from(v) });
-        let traffic = attach_cut_meter(&mut net, p);
-        net.run_until_quiescent(10_000).unwrap();
+        let traffic = CutTraffic::shared(p);
+        {
+            let _meter = trace::install(traffic.clone());
+            net.run_until_quiescent(10_000).unwrap();
+        }
         let mut t = traffic.borrow_mut();
         t.finalize();
         assert!(t.total_bits > 0, "the election must cross the cut");

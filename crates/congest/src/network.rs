@@ -2,6 +2,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use graphs::{BitSet, Graph, NodeId};
+use metrics::registry::DEFAULT_BITS_BUCKETS;
 
 use crate::faults::{FaultPlan, FaultStats, FaultsId, MessageFate};
 use crate::program::{Dest, Inbox, SendBuf};
@@ -242,18 +243,15 @@ impl RunStats {
     }
 }
 
-/// Callback invoked for every delivered message: `(round, from, to, bits)`.
-pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
-
 /// The synchronous CONGEST scheduler.
 ///
-/// Holds one [`NodeProgram`] instance per node and executes rounds in four
-/// phases:
+/// Holds one [`NodeProgram`] instance per node and executes each round in
+/// five phases, then closes it:
 ///
-/// 0. **assemble** — the runnable set for this round: last round's
-///    [`Status::Active`] voters and message receivers, plus
-///    [`Status::Sleep`] wakeups that have come due. Nodes that voted
-///    `Halted` and received nothing are not executed.
+/// 0. **assemble** — crash-stops due this round apply (fault plans only);
+///    then the runnable set: last round's [`Status::Active`] voters and
+///    message receivers, plus [`Status::Sleep`] wakeups that have come
+///    due. Nodes that voted `Halted` and received nothing are not executed.
 /// 1. **seal** — the two send buffers swap: the one committed last round
 ///    becomes the read-only store this round's inboxes index into. Every
 ///    inbox already sits in its node's row of the graph's CSR layout (one
@@ -277,15 +275,19 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 ///    distinct neighbours by construction, so only its bandwidth is
 ///    checked.
 /// 4. **commit** — in node-id order: each entry's receivers are walked
-///    once, and statistics and fault fates are charged per delivered
-///    message (observers, trace events and registry charges too, when any
-///    is installed); with none of those, nor the critical-path profiler,
-///    an entry only stages its deliveries. A delivery writes the
+///    once and the entry is charged once to the round's traffic tally.
+///    With a trace sink, a fault plan or the critical-path profiler, each
+///    delivered message is also traced and meets its fault fate; with none
+///    of those, an entry only stages its deliveries. A delivery writes the
 ///    entry index straight into the next free slot of its receiver's row;
 ///    a receiver's first delivery also appends it to the round's receiver
-///    list, which after the commit queues the receivers for the next round
-///    in one pass. Only the sender list is walked — edge-level sparsity on
-///    top of the active set's node-level kind.
+///    list, which after the commit (and the merge of due delayed messages,
+///    phase 4b) queues the receivers for the next round in one pass. Only
+///    the sender list is walked — edge-level sparsity on top of the active
+///    set's node-level kind.
+///
+/// Closing the round folds its tally into [`RunStats`], the metrics
+/// registry (one bulk charge, not one per message) and the flight recorder.
 ///
 /// With a metrics registry installed, each phase is timed into the
 /// `congest/assemble`, `congest/seal`, `congest/execute` (votes
@@ -298,10 +300,12 @@ pub type MessageObserver = Box<dyn FnMut(Round, NodeId, NodeId, usize)>;
 /// When nothing is runnable and nothing is in flight, the run loops
 /// fast-forward: the round counter jumps to the next scheduled event (a
 /// timed wakeup, a crash-stop, or a delayed message's due round) instead
-/// of stepping idle rounds. The jump is observationally identical to
-/// stepping: `RunStats.rounds`, the trace (one `RoundSkip` standing for
-/// the zero-delivery ticks) and fault fates (pure functions of `(seed,
-/// round, edge)`) come out as if every round had executed.
+/// of stepping idle rounds, and the stretch closes as one zero-traffic
+/// record. The jump is observationally identical to stepping:
+/// `RunStats.rounds`, the registry, the trace (one `RoundSkip` standing for
+/// the zero-delivery ticks), the flight recorder (one span record) and
+/// fault fates (pure functions of `(seed, round, edge)`) come out as if
+/// every round had executed.
 ///
 /// See the [crate-level example](crate).
 pub struct Network<'g, P: NodeProgram> {
@@ -378,15 +382,11 @@ pub struct Network<'g, P: NodeProgram> {
     /// popping them dominated wave-heavy profiles. Cleared when the
     /// matching entry pops so a later re-vote of the same round re-queues.
     queued_wake: Vec<Round>,
-    /// Node-program executions scheduled so far (see
-    /// [`Network::scheduled_nodes`]).
-    executed: u64,
     round: Round,
     stats: RunStats,
-    /// Optional per-message observer — used by experiments that need
-    /// traffic breakdowns the aggregate stats don't carry (e.g. bits
-    /// crossing a two-party cut).
-    observer: Option<MessageObserver>,
+    /// This round's traffic, charged as it commits and folded into every
+    /// accounting channel by [`Network::close_round`].
+    tally: Tally,
     /// Runtime fault-injection state, present iff the config carries a
     /// non-passive [`FaultPlan`].
     fault: Option<FaultState<P::Msg>>,
@@ -513,6 +513,14 @@ impl<'g> InboxArena<'g> {
     /// the staged counts and receivers become the sealed ones.
     #[inline]
     fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
+        debug_assert_eq!(
+            self.in_flight,
+            self.receivers()
+                .iter()
+                .map(|&t| self.len[t as usize] as usize)
+                .sum(),
+            "the arena's running delivery count drifted from its rows"
+        );
         for &t in &self.sealed_receivers[..self.num_sealed] {
             self.sealed[t as usize] = 0;
         }
@@ -643,6 +651,86 @@ impl<M> FaultState<M> {
     }
 }
 
+/// The width-histogram slot of a `bits`-wide message: the first of
+/// [`DEFAULT_BITS_BUCKETS`] (the powers of two 2², …, 2⁹) at or above
+/// `bits`, i.e. ⌈log₂ bits⌉ − 2 clamped into range, the last slot `+Inf`.
+#[inline]
+fn width_slot(bits: usize) -> usize {
+    let ceil_log2 = (usize::BITS - bits.saturating_sub(1).leading_zeros()) as usize;
+    ceil_log2.saturating_sub(2).min(DEFAULT_BITS_BUCKETS.len())
+}
+
+/// One round's traffic, written by the crash-stop phase, the commit and
+/// the delayed-message merge. [`Network::close_round`] folds it into
+/// [`RunStats`], the metrics registry and the flight recorder, so the
+/// three channels are charged the same numbers, once per round.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    /// Messages sent (whether or not the fault layer lets them through),
+    /// their payload bits, the widest and the over-budget ones; and the
+    /// rounds closed, the node programs they ran and their node-round slots.
+    sent: RunStats,
+    /// Injected faults: fates other than delivery, discards at crashed
+    /// receivers, and crash-stops.
+    faults: u64,
+    /// Messages per [`width_slot`], counted only while a registry is
+    /// installed.
+    widths: [u64; DEFAULT_BITS_BUCKETS.len() + 1],
+}
+
+impl Tally {
+    /// Charges one send-buffer entry that reached `count` receivers with a
+    /// `bits`-wide payload, `over` the budget or not, and with `widths`
+    /// set, its width slot. The histogram's only reader is the registry,
+    /// and bucketing every entry of a run nobody meters costs its message
+    /// loop a few per cent.
+    #[inline]
+    fn charge_entry(&mut self, count: u64, bits: usize, over: bool, widths: bool) {
+        let sent = &mut self.sent;
+        sent.messages += count;
+        sent.total_bits += count * bits as u64;
+        sent.max_message_bits = sent.max_message_bits.max(bits);
+        sent.bandwidth_violations += count * u64::from(over);
+        if widths {
+            self.widths[width_slot(bits)] += count;
+        }
+    }
+
+    /// Charges one injected fault and emits its `Fault` trace event.
+    fn fault(&mut self, tracer: &Option<trace::SharedSink>, round: Round, event: FaultEvent) {
+        self.faults += 1;
+        if let Some(sink) = tracer {
+            let (kind, from, to, delay) = event;
+            let fault = trace::TraceEvent::Fault {
+                round,
+                kind,
+                from,
+                to,
+                delay,
+            };
+            sink.borrow_mut().record(&fault);
+        }
+    }
+
+    /// Charges the traffic to `registry` in bulk. A counter is created only
+    /// when its delta is non-zero, so the registry reads the same as one
+    /// charged per message.
+    fn charge(&self, registry: &mut metrics::Registry) {
+        let sent = &self.sent;
+        registry.charge_messages(sent.messages, sent.total_bits, &self.widths);
+        if sent.bandwidth_violations > 0 {
+            registry.add(metrics::names::VIOLATIONS, sent.bandwidth_violations);
+        }
+        if self.faults > 0 {
+            registry.add(metrics::names::FAULTS, self.faults);
+        }
+    }
+}
+
+/// An injected fault as `(kind, from, to, delay)`; a crash-stop has
+/// `from == to`.
+type FaultEvent = (trace::FaultKind, u64, u64, u64);
+
 impl<'g, P: NodeProgram> Network<'g, P> {
     /// Creates a network over `graph`, instantiating the program at every
     /// node with `make`.
@@ -668,22 +756,15 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             next_sorted: true,
             wakeups: BinaryHeap::new(),
             queued_wake: vec![0; n],
-            executed: 0,
             round: 0,
             programs,
             stats: RunStats::default(),
-            observer: None,
+            tally: Tally::default(),
             fault: config.faults().map(|plan| FaultState::new(plan, n)),
             crit: config.critical_path().then(|| Box::new(CritState::new(n))),
             arena_highwater: 0,
             flight: trace::flight::current(),
         }
-    }
-
-    /// Installs a per-message observer called as `(round, from, to, bits)`
-    /// for every delivered message. Replaces any previous observer.
-    pub fn set_observer(&mut self, f: impl FnMut(Round, NodeId, NodeId, usize) + 'static) {
-        self.observer = Some(Box::new(f));
     }
 
     /// The underlying graph.
@@ -725,13 +806,13 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     }
 
     /// Total node-program executions scheduled so far: the active-set size
-    /// summed over stepped rounds (fast-forwarded rounds schedule nothing).
-    /// Also recorded per committed round in [`RunStats::scheduled_nodes`] —
-    /// excluded there from equality, since it is a cost rather than a
-    /// protocol observable; [`RunStats::active_fraction`] is the ratio
-    /// against `n · rounds`.
+    /// summed over stepped rounds (fast-forwarded rounds schedule nothing,
+    /// and a failed step's round never closes). The same count as
+    /// [`RunStats::scheduled_nodes`] — excluded there from equality, since
+    /// it is a cost rather than a protocol observable;
+    /// [`RunStats::active_fraction`] is the ratio against `n · rounds`.
     pub fn scheduled_nodes(&self) -> u64 {
-        self.executed
+        self.stats.scheduled_nodes
     }
 
     /// Counts of the faults injected so far (all zero when the config has
@@ -801,21 +882,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         self.next_sorted = sorted;
     }
 
-    /// Charged-fault total for flight-recorder deltas: every event the
-    /// scheduler emits as a `Fault` trace event and charges to
-    /// `qd_faults_total` — injected fates and crash-stops, but *not*
-    /// `deferred` (an accounting footnote on an already-charged delay,
-    /// never separately charged or traced).
-    fn charged_faults(&self) -> u64 {
-        // Fault-free runs (the common case, and the one the <5% flight
-        // overhead gate times) pay one load here, not a struct default.
-        let Some(state) = self.fault.as_ref() else {
-            return 0;
-        };
-        let f = state.stats;
-        f.dropped + f.corrupted + f.link_dropped + f.crash_dropped + f.delayed + f.crashes
-    }
-
     /// Consumes the network and extracts every node's local output, in node
     /// id order.
     pub fn into_outputs(self) -> Vec<P::Output> {
@@ -838,68 +904,133 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// flags applied by a fault plan at the top of the failed round
     /// likewise persist).
     pub fn step(&mut self) -> Result<(), CongestError> {
-        let n = self.programs.len();
         let round = self.round;
-        // Fetched once per round, not once per message; `None` (the
-        // default) keeps the message loop free of tracing work. The metrics
-        // registry follows the same discipline.
+        // Fetched once per round; `None` (the default) keeps the message
+        // loop free of tracing work. The registry is charged at close.
         let tracer = trace::current();
         let meter = metrics::current();
         // With a registry installed, each phase below is charged to its
         // `congest/<phase>` profiler span by one lap of this clock.
         let mut clock = meter.as_ref().map(|_| std::time::Instant::now());
-        // The flight recorder is charged once per round, by deltas against
-        // the same RunStats/FaultStats accounting the commit phase feeds —
-        // zero per-message cost, and totals reconcile with the cost model
-        // and the trace layer by construction. The base is captured
-        // unconditionally (three loads) so the recorder probe itself is
-        // deferred to the single `flight::with` at round end.
-        let flight_base = (
-            self.stats.messages,
-            self.stats.total_bits,
-            self.charged_faults(),
-        );
-        // Wakeup-heap pops that actually joined this round's active set.
-        let mut woke = 0u64;
         // Everything staged last round is handed to the programs now, so
         // this round delivers exactly the previously in-flight messages.
         let delivered = self.arena.in_flight as u64;
 
-        // Phase 0 (fault plans only): apply scheduled crash-stops before
-        // anything executes this round. Taking the state out of `self`
-        // keeps the borrows of the execute and commit phases disjoint.
+        // Phase 0: crash-stops (fault plans only), then the runnable set.
+        // Taking the fault state out of `self` keeps the borrows of the
+        // execute and commit phases disjoint.
         let mut fault = self.fault.take();
         if let Some(f) = fault.as_mut() {
-            for &(node, at) in f.plan.crashes() {
-                if at <= round && node < n && !f.crashed[node] {
-                    f.crashed[node] = true;
-                    if self.statuses[node] != Status::Halted {
-                        self.halted += 1;
-                    }
-                    self.statuses[node] = Status::Halted;
-                    f.stats.crashes += 1;
-                    if let Some(meter) = &meter {
-                        meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                    }
-                    if let Some(sink) = &tracer {
-                        sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                            round,
-                            kind: trace::FaultKind::Crash,
-                            from: node as u64,
-                            to: node as u64,
-                            delay: 0,
-                        });
-                    }
+            self.apply_crashes(round, f, &tracer);
+        }
+        let woke = self.assemble(round);
+        lap(&meter, &mut clock, "congest/assemble");
+
+        // Phase 1: swap the send buffers and seal last round's staged rows
+        // as this round's inboxes.
+        std::mem::swap(&mut self.sent, &mut self.prev);
+        self.sent.clear();
+        self.arena.seal(&self.prev.msgs);
+        lap(&meter, &mut clock, "congest/seal");
+
+        // Phase 2: execute every runnable program, appending sends to the
+        // round's send buffer and collecting the ids that staged anything.
+        self.execute(round, fault.as_ref().map(|f| f.crashed.as_slice()));
+        lap(&meter, &mut clock, "congest/execute");
+
+        // Phase 3: validate every sender's entries before committing any
+        // effect, so an error leaves the accounting of this round as if the
+        // step never ran.
+        let validated = self.validate_staged(round);
+        lap(&meter, &mut clock, "congest/validate");
+        if let Err(e) = validated {
+            // Nothing was staged, so the next seal hands every node an
+            // empty inbox; this round's payloads can go now.
+            self.sent.clear();
+            self.senders.clear();
+            self.prev.clear();
+            self.fault = fault;
+            // The round never closes, but its crash-stops stand (as do
+            // their trace events and `FaultStats`), so the registry keeps
+            // counting them.
+            if let Some(meter) = &meter {
+                std::mem::take(&mut self.tally).charge(&mut meter.borrow_mut());
+            }
+            return Err(e);
+        }
+
+        // Phase 4: commit, in node-id order, then (fault plans only) merge
+        // the delayed messages due next round. After an all-active round
+        // every node is already queued by its vote, so no receiver needs
+        // waking.
+        let wake = self.next_active.len() < self.programs.len();
+        self.commit(round, fault.as_mut(), &tracer, meter.is_some());
+        if let Some(f) = fault.as_mut() {
+            self.merge_delayed(round, f, &tracer);
+        }
+        self.fault = fault;
+        if wake {
+            self.wake_receivers(round);
+        }
+        // This round's deliveries become visible at the start of the next,
+        // so their causal depths settle now.
+        if let Some(c) = self.crit.as_deref_mut() {
+            c.apply();
+            self.stats.critical_depth = c.max_depth;
+        }
+        // The message-path buffers only grow, so their capacity sum is the
+        // run's memory high-water: read every 64 rounds when someone is
+        // listening, and exactly when the run loops exit.
+        if round & 63 == 0 && (meter.is_some() || self.flight.is_some()) {
+            self.refresh_arena_highwater();
+        }
+        lap(&meter, &mut clock, "congest/commit");
+
+        let sample = trace::RoundSample {
+            delivered,
+            scheduled: self.active.len() as u64,
+            frontier: self.next_active.len() as u64,
+            wakeups: woke,
+            arena_bytes: self.arena_highwater,
+        };
+        self.close_round(1, Some(sample), &meter, &tracer);
+        Ok(())
+    }
+
+    /// Phase 0 of [`Network::step`] (fault plans only): crash-stops every
+    /// node scheduled to crash by `round` and not yet crashed. Its status
+    /// is pinned to `Halted`, and the crash is charged and traced as a
+    /// fault whose `from` and `to` are the node itself.
+    fn apply_crashes(
+        &mut self,
+        round: Round,
+        f: &mut FaultState<P::Msg>,
+        tracer: &Option<trace::SharedSink>,
+    ) {
+        let n = self.programs.len();
+        for &(node, at) in f.plan.crashes() {
+            if at <= round && node < n && !f.crashed[node] {
+                f.crashed[node] = true;
+                if self.statuses[node] != Status::Halted {
+                    self.halted += 1;
                 }
+                self.statuses[node] = Status::Halted;
+                f.stats.crashes += 1;
+                let crash = (trace::FaultKind::Crash, node as u64, node as u64, 0);
+                self.tally.fault(tracer, round, crash);
             }
         }
-        let crashed = fault.as_ref().map(|f| f.crashed.as_slice());
+    }
 
-        // Phase 0b: assemble this round's runnable set — last round's
-        // `Active` voters and message receivers (accumulated in
-        // `next_active`) plus any timed wakeups that have come due. Crash
-        // flags were applied above, so a crashed sleeper's heap entry is
-        // already stale (its status was pinned `Halted`).
+    /// Phase 0b of [`Network::step`]: assembles this round's runnable set
+    /// — last round's `Active` voters and message receivers (accumulated
+    /// in `next_active`) plus any timed wakeups that have come due — as a
+    /// sorted list, and returns how many wakeups joined it. Crash flags
+    /// are applied before this runs, so a crashed sleeper's heap entry is
+    /// already stale (its status was pinned `Halted`).
+    fn assemble(&mut self, round: Round) -> u64 {
+        let n = self.programs.len();
+        let mut woke = 0;
         std::mem::swap(&mut self.active, &mut self.next_active);
         self.next_active.clear();
         let mut in_order = self.next_sorted;
@@ -943,207 +1074,8 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
         }
         debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
-        self.executed += self.active.len() as u64;
-        lap(&meter, &mut clock, "congest/assemble");
-
-        // Phase 1: swap the send buffers and seal last round's staged rows
-        // as this round's inboxes.
-        std::mem::swap(&mut self.sent, &mut self.prev);
-        self.sent.clear();
-        self.arena.seal(&self.prev.msgs);
-        lap(&meter, &mut clock, "congest/seal");
-
-        // Phase 2: execute every runnable program, appending sends to the
-        // round's send buffer and collecting the ids that staged anything.
-        self.execute(round, crashed);
-        lap(&meter, &mut clock, "congest/execute");
-
-        // Phase 3: validate every sender's entries before committing any
-        // effect, so an error leaves the accounting of this round as if the
-        // step never ran.
-        let validated = self.validate_staged(round);
-        lap(&meter, &mut clock, "congest/validate");
-        if let Err(e) = validated {
-            // Nothing was staged, so the next seal hands every node an
-            // empty inbox; this round's payloads can go now.
-            self.sent.clear();
-            self.senders.clear();
-            self.prev.clear();
-            self.fault = fault;
-            return Err(e);
-        }
-
-        // Phase 4: commit, in node-id order (see `Network::commit`). With
-        // every node already queued for next round by its vote (an
-        // all-active round), no delivery can wake anyone, so the wake pass
-        // below is skipped.
-        let wake = self.next_active.len() < n;
-        self.commit(round, fault.as_mut(), &meter, &tracer);
-
-        // Phase 4b (fault plans only): merge jittered messages due at the
-        // start of the next round into the send buffer, preserving the
-        // one-message-per-directed-edge invariant. A collision with a fresh
-        // message from the same sender defers the delayed one
-        // deterministically by one more round. The collision check scans
-        // the receiver's staged row, merged entries included, in O(deg),
-        // and the merge flags the arena for a per-row sort at seal time,
-        // which restores sender order.
-        if let Some(f) = fault.as_mut() {
-            let mut i = 0;
-            while i < f.queue.len() {
-                if f.queue[i].due > round + 1 {
-                    i += 1;
-                    continue;
-                }
-                let Delayed { from, to, .. } = f.queue[i];
-                if f.crashed[to.index()] {
-                    f.stats.crash_dropped += 1;
-                    if let Some(meter) = &meter {
-                        meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                    }
-                    if let Some(sink) = &tracer {
-                        sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                            round,
-                            kind: trace::FaultKind::Crash,
-                            from: from.index() as u64,
-                            to: to.index() as u64,
-                            delay: 0,
-                        });
-                    }
-                    f.queue.remove(i);
-                    continue;
-                }
-                let collides = self
-                    .arena
-                    .staged_row(to.index())
-                    .iter()
-                    .any(|&k| self.sent.msgs[k as usize].0 == from);
-                if collides {
-                    f.queue[i].due = round + 2;
-                    f.stats.deferred += 1;
-                    i += 1;
-                    continue;
-                }
-                let Delayed {
-                    from,
-                    to,
-                    msg,
-                    depth,
-                    ..
-                } = f.queue.remove(i);
-                let entry = self.sent.len() as u32;
-                self.sent.push(from, msg, Dest::One(to));
-                // The chain length was fixed when the message was sent; the
-                // jitter only moved its delivery round.
-                deliver(
-                    &mut self.arena,
-                    self.crit.as_deref_mut(),
-                    to.index(),
-                    entry,
-                    depth,
-                );
-                self.arena.unsorted = true;
-            }
-        }
-        self.fault = fault;
-        // Every receiver, of a fresh message or a merged delayed one, runs
-        // next round.
-        if wake {
-            self.wake_receivers(round);
-        }
-        debug_assert_eq!(
-            self.arena.in_flight,
-            self.arena
-                .receivers()
-                .iter()
-                .map(|&t| self.arena.len[t as usize] as usize)
-                .sum::<usize>(),
-            "the arena's running delivery count drifted from its rows"
-        );
-
-        // Fold this round's staged deliveries into the settled causal
-        // depths — they become visible to their receivers at the start of
-        // the next round, so the next commit reads fully settled values.
-        if let Some(c) = self.crit.as_deref_mut() {
-            c.apply();
-            self.stats.critical_depth = c.max_depth;
-        }
-
-        // Arena telemetry: the message-path buffers only ever grow, so
-        // the capacity sum is the run's memory high-water. Refreshed only
-        // when someone is listening — the untraced hot path skips even
-        // these few loads.
-        // Arena capacities are monotone, so a 64-round refresh cadence
-        // keeps the high-water honest to within a whisker while costing
-        // the hot path one predictable branch; the run loops take a final
-        // exact reading on exit.
-        if round & 63 == 0 && (meter.is_some() || self.flight.is_some()) {
-            self.refresh_arena_highwater();
-        }
-
-        lap(&meter, &mut clock, "congest/commit");
-        if let Some(meter) = &meter {
-            let mut meter = meter.borrow_mut();
-            meter.add(metrics::names::ROUNDS, 1);
-            // Scheduler + memory telemetry: charged from the registry's
-            // own counters so multi-phase runs export the ledger-wide
-            // active fraction qdiam reports print.
-            meter.add(metrics::names::SCHEDULED_NODES, self.active.len() as u64);
-            meter.add(metrics::names::NODE_ROUNDS, n as u64);
-            let scheduled = meter.counter(metrics::names::SCHEDULED_NODES);
-            let slots = meter.counter(metrics::names::NODE_ROUNDS);
-            if slots > 0 {
-                meter.set_gauge(
-                    metrics::names::ACTIVE_FRACTION,
-                    scheduled as f64 / slots as f64,
-                );
-            }
-            meter.set_gauge(
-                metrics::names::ARENA_BYTES_HIGHWATER,
-                self.arena_highwater as f64,
-            );
-            if let Some(c) = self.crit.as_deref() {
-                // Max-tracking gauge: multi-phase drivers run several
-                // networks under one registry; the report wants the
-                // longest chain any of them built.
-                let prev = meter
-                    .gauge(metrics::names::CRITICAL_PATH_DEPTH)
-                    .unwrap_or(0.0);
-                if c.max_depth as f64 > prev {
-                    meter.set_gauge(metrics::names::CRITICAL_PATH_DEPTH, c.max_depth as f64);
-                }
-            }
-        }
-
-        if let Some(flight) = &self.flight {
-            let (m0, b0, f0) = flight_base;
-            flight.borrow_mut().close_charged(
-                self.stats.messages - m0,
-                self.stats.total_bits - b0,
-                self.charged_faults() - f0,
-                trace::RoundSample {
-                    delivered,
-                    scheduled: self.active.len() as u64,
-                    frontier: self.next_active.len() as u64,
-                    wakeups: woke,
-                    arena_bytes: self.arena_highwater,
-                },
-            );
-        }
-
-        // No recycle pass: the consumed send buffer is cleared wholesale
-        // (capacity kept) when the next seal swaps it back into the
-        // staging role.
-
-        self.round += 1;
-        self.stats.rounds = self.round;
-        self.stats.scheduled_nodes = self.executed;
-        self.stats.node_rounds = n as u64 * self.round;
-        if let Some(sink) = &tracer {
-            sink.borrow_mut()
-                .record(&trace::TraceEvent::Round { round, delivered });
-        }
-        Ok(())
+        self.tally.sent.scheduled_nodes = self.active.len() as u64;
+        woke
     }
 
     /// Phase 2 of [`Network::step`]: runs every scheduled program against
@@ -1283,29 +1215,28 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// sender list is walked — nodes that staged nothing cost nothing here
     /// — and it is ascending and exhaustive by construction, so deliveries
     /// stage in sender-id order and each receiver's row comes out sorted
-    /// for free.
+    /// for free. Every entry is charged to the round tally once, with its
+    /// delivery count (and its width slot when `widths`: a registry is
+    /// installed).
     ///
-    /// An entry nobody charges per message (no fault plan, no registry,
-    /// trace sink or observer, no critical-path profiler) takes the
-    /// staging-only lane: it stages its receivers and is counted into
-    /// [`RunStats`] once. Otherwise every delivered message is charged to
-    /// the registry, the observer and the trace, and meets its fault fate,
-    /// a pure function of the message's `(round, from, to)` coordinates,
-    /// so scheduling and fast-forwarding cannot change it.
+    /// With no trace sink, fault plan or critical-path profiler, an entry
+    /// takes the staging-only lane: it only stages its receivers.
+    /// Otherwise each delivered message is traced and meets its fault
+    /// fate, a pure function of the message's `(round, from, to)`
+    /// coordinates, so scheduling and fast-forwarding cannot change it.
     fn commit(
         &mut self,
         round: Round,
         mut fault: Option<&mut FaultState<P::Msg>>,
-        meter: &Option<metrics::SharedRegistry>,
         tracer: &Option<trace::SharedSink>,
+        widths: bool,
     ) {
+        use trace::FaultKind::{Corrupt, Crash, Delay, Drop, LinkDown};
         let budget = self.config.bandwidth_bits;
-        // Whether anyone watches individual messages this round.
-        let observed = meter.is_some() || tracer.is_some() || self.observer.is_some();
-        let plain = !observed && fault.is_none() && self.crit.is_none();
+        let plain = tracer.is_none() && fault.is_none() && self.crit.is_none();
         let graph = self.graph;
-        let (sent, arena, stats) = (&self.sent, &mut self.arena, &mut self.stats);
-        let (observer, mut crit) = (&mut self.observer, self.crit.as_deref_mut());
+        let (sent, arena, tally) = (&self.sent, &mut self.arena, &mut self.tally);
+        let mut crit = self.crit.as_deref_mut();
         let mut first = 0;
         for &(i, end) in &self.senders {
             let (i, end) = (i as usize, end as usize);
@@ -1336,100 +1267,46 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                             continue;
                         }
                         count += 1;
-                        if observed {
+                        // Sends are traced (and charged) whether or not the
+                        // message survives the fault layer: a lost message
+                        // still spent the sender's bandwidth.
+                        if let Some(sink) = tracer {
+                            let (from, to, bits) = (i as u64, to.index() as u64, bits as u64);
+                            let mut sink = sink.borrow_mut();
                             if over {
-                                if let Some(meter) = meter {
-                                    meter.borrow_mut().add(metrics::names::VIOLATIONS, 1);
-                                }
-                                if let Some(sink) = tracer {
-                                    sink.borrow_mut().record(&trace::TraceEvent::Violation {
-                                        round,
-                                        from: i as u64,
-                                        to: to.index() as u64,
-                                        bits: bits as u64,
-                                        budget: budget as u64,
-                                    });
-                                }
-                            }
-                            // Sends are accounted (and observed/traced)
-                            // whether or not the message survives the fault
-                            // layer: a lost message still spent the
-                            // sender's bandwidth.
-                            if let Some(meter) = meter {
-                                // Charged at the same accounting point as
-                                // the trace event, so the cost model's
-                                // payload-bit total always reconciles with
-                                // the trace layer's delivered totals.
-                                meter.borrow_mut().charge_message(bits as u64);
-                            }
-                            if let Some(observer) = observer {
-                                observer(round, node, to, bits);
-                            }
-                            if let Some(sink) = tracer {
-                                sink.borrow_mut().record(&trace::TraceEvent::Message {
+                                sink.record(&trace::TraceEvent::Violation {
                                     round,
-                                    from: i as u64,
-                                    to: to.index() as u64,
-                                    bits: bits as u64,
+                                    from,
+                                    to,
+                                    bits,
+                                    budget: budget as u64,
                                 });
                             }
+                            sink.record(&trace::TraceEvent::Message {
+                                round,
+                                from,
+                                to,
+                                bits,
+                            });
                         }
                         let Some(f) = fault.as_deref_mut() else {
                             deliver(arena, crit.as_deref_mut(), to.index(), k as u32, link_depth);
                             continue;
                         };
-                        let emit = |kind: trace::FaultKind, delay: u64| {
-                            // Injected faults are charged to the cost model
-                            // at the same point they are traced, mirroring
-                            // the message accounting above, so
-                            // `qd_faults_total` reconciles with both
-                            // `FaultStats` and the trace summary.
-                            if let Some(meter) = meter {
-                                meter.borrow_mut().add(metrics::names::FAULTS, 1);
-                            }
-                            if let Some(sink) = tracer {
-                                sink.borrow_mut().record(&trace::TraceEvent::Fault {
-                                    round,
-                                    kind,
-                                    from: i as u64,
-                                    to: to.index() as u64,
-                                    delay,
-                                });
-                            }
-                        };
-                        if f.crashed[to.index()] {
-                            // A message to a crashed node is discarded;
-                            // `from != to` distinguishes this from the
-                            // crash-stop event itself.
-                            f.stats.crash_dropped += 1;
-                            emit(trace::FaultKind::Crash, 0);
-                            continue;
-                        }
-                        match f.plan.fate(round, i, to.index()) {
+                        // A message to a crashed node is discarded; `from !=
+                        // to` distinguishes this from the crash-stop event
+                        // itself.
+                        let t = to.index();
+                        let (counter, kind, delay) = match f.plan.fate(round, i, t) {
+                            _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash, 0),
                             MessageFate::Delivered => {
-                                deliver(
-                                    arena,
-                                    crit.as_deref_mut(),
-                                    to.index(),
-                                    k as u32,
-                                    link_depth,
-                                );
+                                deliver(arena, crit.as_deref_mut(), t, k as u32, link_depth);
+                                continue;
                             }
-                            MessageFate::Dropped => {
-                                f.stats.dropped += 1;
-                                emit(trace::FaultKind::Drop, 0);
-                            }
-                            MessageFate::Corrupted => {
-                                f.stats.corrupted += 1;
-                                emit(trace::FaultKind::Corrupt, 0);
-                            }
-                            MessageFate::LinkDropped => {
-                                f.stats.link_dropped += 1;
-                                emit(trace::FaultKind::LinkDown, 0);
-                            }
+                            MessageFate::Dropped => (&mut f.stats.dropped, Drop, 0),
+                            MessageFate::Corrupted => (&mut f.stats.corrupted, Corrupt, 0),
+                            MessageFate::LinkDropped => (&mut f.stats.link_dropped, LinkDown, 0),
                             MessageFate::Delayed(extra) => {
-                                f.stats.delayed += 1;
-                                emit(trace::FaultKind::Delay, extra);
                                 f.queue.push(Delayed {
                                     due: round + 1 + extra,
                                     from: node,
@@ -1437,20 +1314,123 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                                     msg: msg.clone(),
                                     depth: link_depth,
                                 });
+                                (&mut f.stats.delayed, Delay, extra)
                             }
-                        }
+                        };
+                        *counter += 1;
+                        tally.fault(tracer, round, (kind, i as u64, t as u64, delay));
                     }
                 }
                 if count > 0 {
-                    stats.messages += count;
-                    stats.total_bits += count * bits as u64;
-                    stats.max_message_bits = stats.max_message_bits.max(bits);
-                    if over {
-                        stats.bandwidth_violations += count;
-                    }
+                    tally.charge_entry(count, bits, over, widths);
                 }
             }
             first = end;
+        }
+    }
+
+    /// Phase 4b of [`Network::step`] (fault plans only): merges the delayed
+    /// messages due next round into the send buffer. One colliding with a
+    /// fresh message from the same sender (an O(deg) scan of the staged
+    /// row) waits one more round; one whose receiver crashed is discarded
+    /// as a crash fault. The next seal sorts the merged rows by sender.
+    fn merge_delayed(
+        &mut self,
+        round: Round,
+        f: &mut FaultState<P::Msg>,
+        tracer: &Option<trace::SharedSink>,
+    ) {
+        let mut i = 0;
+        while i < f.queue.len() {
+            if f.queue[i].due > round + 1 {
+                i += 1;
+                continue;
+            }
+            let Delayed { from, to, .. } = f.queue[i];
+            if f.crashed[to.index()] {
+                f.stats.crash_dropped += 1;
+                let (from, to) = (from.index() as u64, to.index() as u64);
+                self.tally
+                    .fault(tracer, round, (trace::FaultKind::Crash, from, to, 0));
+                f.queue.remove(i);
+                continue;
+            }
+            let collides = self
+                .arena
+                .staged_row(to.index())
+                .iter()
+                .any(|&k| self.sent.msgs[k as usize].0 == from);
+            if collides {
+                f.queue[i].due = round + 2;
+                f.stats.deferred += 1;
+                i += 1;
+                continue;
+            }
+            let Delayed { msg, depth, .. } = f.queue.remove(i);
+            let entry = self.sent.len() as u32;
+            self.sent.push(from, msg, Dest::One(to));
+            // The chain length was fixed when the message was sent; the
+            // jitter only moved its delivery round.
+            let crit = self.crit.as_deref_mut();
+            deliver(&mut self.arena, crit, to.index(), entry, depth);
+            self.arena.unsorted = true;
+        }
+    }
+
+    /// Closes `span` rounds: folds the round tally into [`RunStats`], the
+    /// metrics registry (one bulk charge) and the flight recorder, advances
+    /// the round counter and emits the trace tick. A stepped round passes
+    /// `span = 1` and its telemetry `sample`; a fast-forward passes the
+    /// rounds skipped, no sample and an empty tally, and enters the ring
+    /// and the trace as one span record and one `RoundSkip`.
+    fn close_round(
+        &mut self,
+        span: Round,
+        sample: Option<trace::RoundSample>,
+        meter: &Option<metrics::SharedRegistry>,
+        tracer: &Option<trace::SharedSink>,
+    ) {
+        let (n, from) = (self.programs.len() as u64, self.round);
+        let mut tally = std::mem::take(&mut self.tally);
+        let sent = &mut tally.sent;
+        (sent.rounds, sent.node_rounds) = (span, n * span);
+        self.round += span;
+        self.stats.absorb(sent);
+        if let Some(meter) = meter {
+            let mut meter = meter.borrow_mut();
+            tally.charge(&mut meter);
+            let sent = &tally.sent;
+            meter.charge_rounds(span, sent.scheduled_nodes, sent.node_rounds);
+            if sample.is_some() {
+                let arena = self.arena_highwater as f64;
+                meter.set_gauge(metrics::names::ARENA_BYTES_HIGHWATER, arena);
+                if let Some(c) = self.crit.as_deref() {
+                    // Max-tracking: multi-phase drivers run several networks
+                    // under one registry, and the report wants the longest
+                    // chain any of them built.
+                    let name = metrics::names::CRITICAL_PATH_DEPTH;
+                    if c.max_depth as f64 > meter.gauge(name).unwrap_or(0.0) {
+                        meter.set_gauge(name, c.max_depth as f64);
+                    }
+                }
+            }
+        }
+        if let Some(flight) = &self.flight {
+            let (mut flight, sent) = (flight.borrow_mut(), &tally.sent);
+            match sample {
+                Some(s) => flight.close_charged(sent.messages, sent.total_bits, tally.faults, s),
+                None => flight.skip(span),
+            }
+        }
+        if let Some(sink) = tracer {
+            let (round, to) = (from, self.round);
+            sink.borrow_mut().record(&match sample {
+                Some(s) => trace::TraceEvent::Round {
+                    round,
+                    delivered: s.delivered,
+                },
+                None => trace::TraceEvent::RoundSkip { from, to },
+            });
         }
     }
 
@@ -1464,11 +1444,9 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     pub fn run_rounds(&mut self, rounds: Round) -> Result<RunStats, CongestError> {
         let target = self.round.saturating_add(rounds);
         while self.round < target {
-            if let Some(to) = self.fast_forward_target(target) {
-                self.skip_rounds(to);
-                continue;
+            if !self.fast_forward(target) {
+                self.step()?;
             }
-            self.step()?;
         }
         self.finish_telemetry();
         Ok(self.stats)
@@ -1486,11 +1464,9 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             if self.round >= max_rounds {
                 return Err(CongestError::RoundLimitExceeded { limit: max_rounds });
             }
-            if let Some(to) = self.fast_forward_target(max_rounds) {
-                self.skip_rounds(to);
-                continue;
+            if !self.fast_forward(max_rounds) {
+                self.step()?;
             }
-            self.step()?;
         }
         self.finish_telemetry();
         Ok(self.stats)
@@ -1500,31 +1476,35 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// may have missed and republishes the gauge, so post-run exports and
     /// reports never see a stale high-water mark.
     fn finish_telemetry(&mut self) {
-        if metrics::current().is_none() && self.flight.is_none() {
-            return;
+        let meter = metrics::current();
+        if meter.is_some() || self.flight.is_some() {
+            self.refresh_arena_highwater();
         }
-        self.refresh_arena_highwater();
-        metrics::with(|m| {
-            m.set_gauge(
-                metrics::names::ARENA_BYTES_HIGHWATER,
-                self.arena_highwater as f64,
-            );
-        });
+        if let Some(meter) = meter {
+            let arena = self.arena_highwater as f64;
+            let mut meter = meter.borrow_mut();
+            meter.set_gauge(metrics::names::ARENA_BYTES_HIGHWATER, arena);
+        }
     }
 
-    /// If every upcoming round up to (exclusive) some round `t ≤ cap` would
-    /// be a no-op — empty active set, nothing in flight, no fault event due
-    /// — returns `Some(t)`, the first round that needs stepping (or `cap`).
-    /// Returns `None` when the next round must execute.
+    /// Jumps the round counter over the upcoming rounds that would be
+    /// no-ops — empty active set, nothing in flight, no fault event due —
+    /// up to (exclusive) the first round that needs stepping, or `cap`,
+    /// and returns whether it moved. The stretch closes as one zero-traffic
+    /// record (see [`Network::close_round`]): trace consumers treat its
+    /// [`trace::TraceEvent::RoundSkip`] exactly as that many zero-delivery
+    /// `Round` ticks (see [`trace::expand_round_skips`]), and `RunStats`
+    /// advances as if every round had been stepped (skipped rounds
+    /// schedule no nodes, so only `node_rounds` grows).
     ///
-    /// Events that pin `t`: the earliest live timed wakeup, the earliest
-    /// not-yet-applied crash-stop (its `Fault` trace event must land in its
-    /// exact round), and the earliest delayed-message due round minus one
-    /// (the merge into inboxes happens in phase 4b of the *preceding*
-    /// round).
-    fn fast_forward_target(&mut self, cap: Round) -> Option<Round> {
+    /// Events that stop the jump: the earliest live timed wakeup, the
+    /// earliest not-yet-applied crash-stop (its `Fault` trace event must
+    /// land in its exact round), and the earliest delayed-message due round
+    /// minus one (the merge into inboxes happens in phase 4b of the
+    /// *preceding* round).
+    fn fast_forward(&mut self, cap: Round) -> bool {
         if !self.next_active.is_empty() || self.arena.in_flight != 0 {
-            return None;
+            return false;
         }
         let mut target = cap;
         if let Some(f) = &self.fault {
@@ -1551,53 +1531,12 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 self.queued_wake[iu] = 0;
             }
         }
-        (target > self.round).then_some(target)
-    }
-
-    /// Jumps the round counter to `target` without executing anything,
-    /// emitting one compact [`trace::TraceEvent::RoundSkip`] covering the
-    /// half-open range of skipped rounds — trace consumers treat it exactly
-    /// as `target - round` zero-delivery `Round` ticks (see
-    /// [`trace::expand_round_skips`]), and [`trace::Summary`] reconciles it
-    /// into the same `round_ticks`. `RunStats` advances exactly as if every
-    /// round had been stepped (skipped rounds schedule no nodes, so only
-    /// `node_rounds` grows). O(1) even with a tracer installed — the seed
-    /// emitted O(skipped) ticks here, which dominated long quiescent runs.
-    fn skip_rounds(&mut self, target: Round) {
-        debug_assert!(self.next_active.is_empty() && self.arena.in_flight == 0);
-        if self.round < target {
-            trace::emit_with(|| trace::TraceEvent::RoundSkip {
-                from: self.round,
-                to: target,
-            });
-            // The flight recorder stays O(1) too: the whole stretch enters
-            // the ring as one span record, which the window view expands
-            // into exactly the zero-counter rounds stepping would record.
-            if let Some(flight) = &self.flight {
-                flight.borrow_mut().skip(target - self.round);
-            }
+        if target <= self.round {
+            return false;
         }
-        metrics::add(metrics::names::ROUNDS, target - self.round);
-        // Skipped rounds schedule nothing, but their node-round slots still
-        // exist — keep the exported active fraction on the ledger's
-        // denominator.
-        metrics::with(|m| {
-            m.add(
-                metrics::names::NODE_ROUNDS,
-                self.programs.len() as u64 * (target - self.round),
-            );
-            let scheduled = m.counter(metrics::names::SCHEDULED_NODES);
-            let slots = m.counter(metrics::names::NODE_ROUNDS);
-            if slots > 0 {
-                m.set_gauge(
-                    metrics::names::ACTIVE_FRACTION,
-                    scheduled as f64 / slots as f64,
-                );
-            }
-        });
-        self.round = target;
-        self.stats.rounds = target;
-        self.stats.node_rounds = self.programs.len() as u64 * target;
+        let (meter, tracer) = (metrics::current(), trace::current());
+        self.close_round(target - self.round, None, &meter, &tracer);
+        true
     }
 }
 
@@ -1891,6 +1830,33 @@ mod tests {
         }
     }
 
+    /// A failed round never closes, but the crash-stops applied at its top
+    /// stand: the registry counts them, as `FaultStats` and the trace do.
+    #[test]
+    fn failed_step_still_charges_its_crash_stops() {
+        let g = generators::path(3);
+        let cfg = Config::new(16).with_faults(FaultPlan::new(0).with_crash(2, 0));
+        let registry = metrics::Registry::shared();
+        let (faults, events) = traced(|| {
+            let _guard = metrics::install(registry.clone());
+            let mut net = Network::new(&g, cfg, |_| OneShot {
+                bits: 8,
+                to_bad_target: false,
+                duplicate: true,
+            });
+            assert!(matches!(
+                net.step(),
+                Err(CongestError::DuplicateSend { .. })
+            ));
+            net.fault_stats()
+        });
+        assert_eq!(faults.crashes, 1);
+        assert_eq!(events.len(), 1, "one crash-stop event: {events:?}");
+        let registry = registry.borrow();
+        assert_eq!(registry.counter(metrics::names::FAULTS), 1);
+        assert_eq!(registry.counter(metrics::names::ROUNDS), 0);
+    }
+
     /// With a registry installed, every stepped round charges each of the
     /// five `step` phases to its own profiler span, and the export carries
     /// all five.
@@ -1967,20 +1933,17 @@ mod tests {
         assert_eq!(net.into_outputs(), vec![0, 1, 2]);
     }
 
+    /// The tally's width slot is the bucket `Histogram::observe` picks on
+    /// the registry's default bounds, for every width across every
+    /// boundary (4/5, 8/9, …, 512/513) and past the last into `+Inf`.
     #[test]
-    fn observer_sees_every_message() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let g = generators::path(3);
-        let mut net = one_shot_net(&g, 8, false, false, BandwidthPolicy::Enforce);
-        type Event = (Round, NodeId, NodeId, usize);
-        let log: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
-        let log2 = Rc::clone(&log);
-        net.set_observer(move |round, from, to, bits| {
-            log2.borrow_mut().push((round, from, to, bits));
-        });
-        net.run_until_quiescent(10).unwrap();
-        assert_eq!(*log.borrow(), vec![(0, NodeId::new(0), NodeId::new(1), 8)]);
+    fn width_slot_matches_the_histogram_buckets() {
+        for bits in 0..=1100usize {
+            let mut h = metrics::Histogram::new(&DEFAULT_BITS_BUCKETS);
+            h.observe(bits as u64);
+            let slot = h.bucket_counts().iter().position(|&c| c == 1);
+            assert_eq!(Some(width_slot(bits)), slot, "{bits} bits");
+        }
     }
 
     /// With a sink installed, the scheduler emits one `Message` event per

@@ -158,8 +158,9 @@ mod tests {
 
     fn sample() -> Registry {
         let mut r = Registry::new();
-        r.charge_message(12);
-        r.charge_message(700);
+        // One 12-bit message (the `le="16"` bucket) and one 700-bit one
+        // (`+Inf`).
+        r.charge_messages(2, 712, &[0, 0, 1, 0, 0, 0, 0, 0, 1]);
         r.add(
             crate::labeled(names::PHASE_ROUNDS, "phase", "bfs").as_str(),
             9,

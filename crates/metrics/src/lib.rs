@@ -5,10 +5,11 @@
 //! Where `trace` records *events* (what happened, per message), this crate
 //! records *aggregates* (how much it cost, in real units: bits on the wire,
 //! qubits per oracle application, nanoseconds per phase). The two layers are
-//! designed to reconcile exactly: the simulator charges the registry at the
-//! same commit point where it emits `TraceEvent::Message`, so the
-//! [`names::PAYLOAD_BITS`] counter always equals the trace layer's
-//! delivered-bits total.
+//! designed to reconcile exactly: the simulator tallies each round's traffic
+//! at the commit point where it emits `TraceEvent::Message` and charges the
+//! registry the round's totals in one bulk charge when the round closes
+//! ([`Registry::charge_messages`]), so the [`names::PAYLOAD_BITS`] counter
+//! always equals the trace layer's delivered-bits total.
 //!
 //! Installation mirrors `trace`: metrics are strictly opt-in via a
 //! thread-local RAII guard, and with no registry installed every charge site
@@ -40,10 +41,13 @@ use std::cell::RefCell;
 /// Well-known metric names, shared by the simulator, the drivers, and the
 /// reconciliation tests so they never drift apart.
 pub mod names {
-    /// Messages delivered by the simulator (counter).
+    /// Messages delivered by the simulator (counter), charged once per
+    /// round from the round's tally — reconciles with
+    /// `trace::Summary::messages_delivered` and `RunStats::messages`.
     pub const MESSAGES: &str = "qd_messages_total";
-    /// Payload bits delivered (counter) — reconciles with
-    /// `trace::Summary::bits_delivered` and `RunStats::total_bits`.
+    /// Payload bits delivered (counter), charged once per round with
+    /// [`MESSAGES`] — reconciles with `trace::Summary::bits_delivered` and
+    /// `RunStats::total_bits`.
     pub const PAYLOAD_BITS: &str = "qd_payload_bits_total";
     /// Wire bits delivered: payload plus per-message framing charged by the
     /// [`crate::CostModel`] (counter).
@@ -208,12 +212,6 @@ pub fn set_gauge(name: &str, value: f64) {
     with(|r| r.set_gauge(name, value));
 }
 
-/// Records `value` into the histogram `name` on the installed registry, if
-/// any (created with [`registry::DEFAULT_BITS_BUCKETS`] on first use).
-pub fn observe(name: &str, value: u64) {
-    with(|r| r.observe(name, value));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +220,6 @@ mod tests {
     fn disabled_by_default_and_charges_are_no_ops() {
         assert!(!enabled());
         add(names::MESSAGES, 5);
-        observe(names::MESSAGE_BITS, 12);
         with(|_| unreachable!("must not run while disabled"));
         assert!(current().is_none());
     }
@@ -235,7 +232,6 @@ mod tests {
             assert!(enabled());
             add(names::MESSAGES, 2);
             add(names::MESSAGES, 3);
-            observe(names::MESSAGE_BITS, 10);
             set_gauge(names::PER_NODE_QUBITS, 42.0);
         }
         assert!(!enabled());
@@ -243,7 +239,6 @@ mod tests {
         let r = registry.borrow();
         assert_eq!(r.counter(names::MESSAGES), 5);
         assert_eq!(r.gauge(names::PER_NODE_QUBITS), Some(42.0));
-        assert_eq!(r.histogram(names::MESSAGE_BITS).unwrap().count(), 1);
     }
 
     #[test]

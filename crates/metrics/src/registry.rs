@@ -56,6 +56,17 @@ impl Histogram {
         self.count += 1;
     }
 
+    /// Records observations already bucketed: `counts[i]` more in bucket
+    /// `i` (the `+Inf` bucket last), whose values sum to `sum`.
+    fn absorb(&mut self, counts: &[u64], sum: u64) {
+        debug_assert_eq!(counts.len(), self.counts.len());
+        for (slot, &c) in self.counts.iter_mut().zip(counts) {
+            *slot += c;
+            self.count += c;
+        }
+        self.sum += sum;
+    }
+
     /// The bucket upper bounds (exclusive of the implicit `+Inf`).
     pub fn bounds(&self) -> &[u64] {
         &self.bounds
@@ -161,24 +172,6 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// Records `value` into the histogram `name`, creating it with
-    /// [`DEFAULT_BITS_BUCKETS`] on first use.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.observe_in(name, value, &DEFAULT_BITS_BUCKETS);
-    }
-
-    /// Records `value` into the histogram `name`, creating it with
-    /// `bounds` on first use.
-    pub fn observe_in(&mut self, name: &str, value: u64, bounds: &[u64]) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::new(bounds);
-            h.observe(value);
-            self.histograms.insert(name.to_owned(), h);
-        }
-    }
-
     /// The histogram `name`, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -215,15 +208,51 @@ impl Registry {
         &self.spans
     }
 
-    /// Charges one delivered message of `payload_bits` under the cost
-    /// model: the message counter, payload and wire bit totals, and the
-    /// width histogram, all at once so they reconcile by construction.
-    pub fn charge_message(&mut self, payload_bits: u64) {
-        let wire = self.cost.wire_bits(payload_bits);
-        self.add(names::MESSAGES, 1);
+    /// Charges `count` delivered messages carrying `payload_bits` in total
+    /// under the cost model: the message counter, the payload and wire bit
+    /// totals (each message pays [`CostModel::header_bits`] of framing),
+    /// and the width histogram, all at once so they reconcile by
+    /// construction. `widths` holds the messages per
+    /// [`DEFAULT_BITS_BUCKETS`] bucket, `+Inf` last, and sums to `count`.
+    ///
+    /// With `count == 0` nothing is touched, so a registry charged once per
+    /// round exports exactly what one charged per message would.
+    pub fn charge_messages(
+        &mut self,
+        count: u64,
+        payload_bits: u64,
+        widths: &[u64; DEFAULT_BITS_BUCKETS.len() + 1],
+    ) {
+        if count == 0 {
+            return;
+        }
+        debug_assert_eq!(widths.iter().sum::<u64>(), count);
+        let wire = payload_bits + count * self.cost.header_bits;
+        self.add(names::MESSAGES, count);
         self.add(names::PAYLOAD_BITS, payload_bits);
         self.add(names::WIRE_BITS, wire);
-        self.observe(names::MESSAGE_BITS, payload_bits);
+        if let Some(h) = self.histograms.get_mut(names::MESSAGE_BITS) {
+            h.absorb(widths, payload_bits);
+        } else {
+            let mut h = Histogram::new(&DEFAULT_BITS_BUCKETS);
+            h.absorb(widths, payload_bits);
+            self.histograms.insert(names::MESSAGE_BITS.to_owned(), h);
+        }
+    }
+
+    /// Charges `rounds` simulated rounds that executed `scheduled` node
+    /// programs out of `node_rounds` slots (n per round), and refreshes
+    /// [`names::ACTIVE_FRACTION`] from the registry's own counters, so a
+    /// multi-phase run exports the ledger-wide fraction qdiam reports print.
+    pub fn charge_rounds(&mut self, rounds: u64, scheduled: u64, node_rounds: u64) {
+        self.add(names::ROUNDS, rounds);
+        self.add(names::SCHEDULED_NODES, scheduled);
+        self.add(names::NODE_ROUNDS, node_rounds);
+        let slots = self.counter(names::NODE_ROUNDS);
+        if slots > 0 {
+            let scheduled = self.counter(names::SCHEDULED_NODES);
+            self.set_gauge(names::ACTIVE_FRACTION, scheduled as f64 / slots as f64);
+        }
     }
 
     /// `true` if no metric of any kind has been recorded.
@@ -273,19 +302,24 @@ mod tests {
     }
 
     #[test]
-    fn charge_message_keeps_counters_and_histogram_reconciled() {
-        let mut r = Registry::new();
-        for bits in [3, 17, 515] {
-            r.charge_message(bits);
+    fn charge_messages_matches_one_observation_per_message() {
+        let widths = [3, 17, 515, 17];
+        let mut counts = [0; DEFAULT_BITS_BUCKETS.len() + 1];
+        let mut expect = Histogram::new(&DEFAULT_BITS_BUCKETS);
+        for bits in widths {
+            expect.observe(bits);
         }
-        assert_eq!(r.counter(names::MESSAGES), 3);
-        assert_eq!(r.counter(names::PAYLOAD_BITS), 535);
-        assert_eq!(r.counter(names::WIRE_BITS), 535 + 3 * r.cost().header_bits);
-        let h = r.histogram(names::MESSAGE_BITS).unwrap();
-        assert_eq!(h.count(), r.counter(names::MESSAGES));
-        assert_eq!(h.sum(), r.counter(names::PAYLOAD_BITS));
+        counts.copy_from_slice(expect.bucket_counts());
+        let mut r = Registry::new();
+        r.charge_messages(0, 0, &[0; DEFAULT_BITS_BUCKETS.len() + 1]);
+        assert!(r.is_empty(), "an empty charge creates no metric");
+        r.charge_messages(4, 552, &counts);
+        assert_eq!(r.counter(names::MESSAGES), 4);
+        assert_eq!(r.counter(names::PAYLOAD_BITS), 552);
+        assert_eq!(r.counter(names::WIRE_BITS), 552 + 4 * r.cost().header_bits);
+        assert_eq!(r.histogram(names::MESSAGE_BITS), Some(&expect));
         // 515 overflows the largest bound into +Inf.
-        assert_eq!(*h.bucket_counts().last().unwrap(), 1);
+        assert_eq!(*expect.bucket_counts().last().unwrap(), 1);
     }
 
     #[test]

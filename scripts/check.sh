@@ -68,6 +68,12 @@ test -s BENCH_scheduler.json || { echo "BENCH_scheduler.json missing" >&2; statu
 # bench_substrate's metrics_overhead group also asserts the <5% gate on the
 # disabled-metrics path, so this smoke doubles as the cost-metrics gate.
 
+echo "=== cut-traffic meter: fig5_7_simulation matches its committed output ==="
+# Deterministic output, including the boundary traffic the CutTraffic trace
+# sink measures (288 bits per boundary per round against a cap of 324).
+cargo run -q --release --offline -p bench --bin fig5_7_simulation \
+  | diff - results/fig5_7_simulation.txt || status=1
+
 echo "=== crossover smoke (artifacts + schema) ==="
 xdir=$(mktemp -d)
 cargo run -q --release --offline -p congest-diameter --bin qdiam -- \

@@ -850,6 +850,10 @@ mod tests {
         let (slope, intercept) = loglog_fit(&xs, &ys).unwrap();
         assert!((slope - 0.5).abs() < 1e-9);
         assert!((intercept - 5.0f64.ln()).abs() < 1e-9);
+        let lin: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
+        let (slope, intercept) = loglog_fit(&xs, &lin).unwrap();
+        assert!((slope - 1.0).abs() < 1e-9);
+        assert!((intercept - 3.0f64.ln()).abs() < 1e-9);
         assert!(loglog_fit(&[1.0], &[2.0]).is_none());
         assert!(loglog_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
     }

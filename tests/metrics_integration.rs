@@ -3,9 +3,12 @@
 //! `RunStats`/`RoundsLedger` accounting see, so every total must agree
 //! *exactly*, and a run's registry must replay exactly.
 
-use congest::Config;
+use congest::{
+    BandwidthPolicy, Config, FaultPlan, Network, NodeProgram, Payload, RoundCtx, Status,
+};
 use congest_diameter::prelude::*;
-use graphs::generators;
+use graphs::{generators, NodeId};
+use metrics::registry::DEFAULT_BITS_BUCKETS;
 use quantum_diameter::exact::ExactParams;
 
 /// One classical APSP run with a metrics registry and a trace recorder
@@ -50,8 +53,8 @@ fn cost_metrics_reconcile_with_trace_and_ledger() {
     assert_eq!(rounds, ledger.total_rounds());
     assert_eq!(registry.counter(metrics::names::VIOLATIONS), 0);
 
-    // The cost model is applied message-by-message, so the wire total is
-    // exactly payload + framing — no rounding residue.
+    // The cost model charges every message its framing, so the wire total
+    // is exactly payload + framing — no rounding residue.
     assert_eq!(wire, payload + registry.cost().header_bits * messages);
     assert!(messages > 0 && payload > 0);
 }
@@ -71,6 +74,109 @@ fn histogram_buckets_reconcile_with_counters() {
     assert_eq!(h.sum(), registry.counter(metrics::names::PAYLOAD_BITS));
     assert_eq!(h.bucket_counts().iter().sum::<u64>(), h.count());
     assert_eq!(h.cumulative_counts().last().copied(), Some(h.count()));
+}
+
+/// A message of an explicit width.
+#[derive(Clone, Debug)]
+struct Wide(usize);
+
+impl Payload for Wide {
+    fn size_bits(&self) -> usize {
+        self.0
+    }
+}
+
+/// Chatters for a fixed number of rounds with widths from 1 bit to 700,
+/// across every histogram boundary: even nodes broadcast, odd nodes send
+/// to their first neighbour.
+struct Chatter {
+    rounds: u64,
+}
+
+impl NodeProgram for Chatter {
+    type Msg = Wide;
+    type Output = ();
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, Wide>) -> Status {
+        const WIDTHS: [usize; 13] = [1, 3, 4, 5, 9, 16, 17, 64, 65, 200, 512, 513, 700];
+        if ctx.round() >= self.rounds {
+            return Status::Halted;
+        }
+        let v = ctx.node().index();
+        let width = WIDTHS[(v * 7 + ctx.round() as usize) % WIDTHS.len()];
+        if v % 2 == 0 {
+            ctx.broadcast(Wide(width));
+        } else if let Some(&to) = ctx.neighbors().first() {
+            ctx.send(to, Wide(width));
+        }
+        Status::Active
+    }
+    fn finish(self, _node: NodeId) {}
+}
+
+/// The registry, charged once per round from the scheduler's round tally,
+/// holds exactly what charging every traced message, violation and fault
+/// one by one gives: every counter, and every bucket of the width
+/// histogram. Checked fault-free and under a drop/delay/crash plan, on
+/// over-budget traffic; the fault-free registry is also the same with no
+/// trace sink installed, where the commit stages without per-message work.
+#[test]
+fn per_round_registry_matches_a_per_message_oracle() {
+    let g = generators::random_sparse(40, 5.0, 11);
+    let track = Config::new(64).with_policy(BandwidthPolicy::Track);
+    let plan = FaultPlan::new(5)
+        .with_drop(0.1)
+        .with_delay(0.2, 3)
+        .with_crash(4, 3);
+    let run = |cfg: Config, traced: bool| {
+        let registry = metrics::Registry::shared();
+        let recorder = trace::Recorder::shared();
+        {
+            let _m = metrics::install(registry.clone());
+            let _t = traced.then(|| trace::install(recorder.clone()));
+            let mut net = Network::new(&g, cfg, |_| Chatter { rounds: 12 });
+            net.run_until_quiescent(1_000).unwrap();
+        }
+        let events = recorder.borrow_mut().take();
+        let registry = std::rc::Rc::try_unwrap(registry).unwrap().into_inner();
+        (registry, events)
+    };
+    for (cfg, faulty) in [(track, false), (track.with_faults(plan), true)] {
+        let (registry, events) = run(cfg, true);
+        let mut widths = metrics::Histogram::new(&DEFAULT_BITS_BUCKETS);
+        let (mut messages, mut payload, mut wire) = (0, 0, 0);
+        let (mut violations, mut faults) = (0, 0);
+        for event in &events {
+            match *event {
+                trace::TraceEvent::Message { bits, .. } => {
+                    widths.observe(bits);
+                    messages += 1;
+                    payload += bits;
+                    wire += registry.cost().wire_bits(bits);
+                }
+                trace::TraceEvent::Violation { .. } => violations += 1,
+                trace::TraceEvent::Fault { .. } => faults += 1,
+                _ => {}
+            }
+        }
+        assert!(violations > 0, "no over-budget traffic");
+        assert!(widths.bucket_counts().iter().all(|&c| c > 0), "{widths:?}");
+        assert_eq!(faulty, faults > 0, "faults {faults}");
+        let counter = |name| registry.counter(name);
+        assert_eq!(counter(metrics::names::MESSAGES), messages);
+        assert_eq!(counter(metrics::names::PAYLOAD_BITS), payload);
+        assert_eq!(counter(metrics::names::WIRE_BITS), wire);
+        assert_eq!(counter(metrics::names::VIOLATIONS), violations);
+        assert_eq!(counter(metrics::names::FAULTS), faults);
+        let names = registry.counters();
+        assert_eq!(names.contains_key(metrics::names::FAULTS), faulty);
+        assert_eq!(
+            registry.histogram(metrics::names::MESSAGE_BITS),
+            Some(&widths)
+        );
+        if !faulty {
+            assert_eq!(run(cfg, false).0, registry, "untraced registry");
+        }
+    }
 }
 
 /// A run's registry replays exactly (`Registry::eq` ignores wall-clock
