@@ -34,7 +34,10 @@
 //! waves in 32 bits each, and boxes its first Lemma violation, which a
 //! correct run never fills: 32 bytes in all. Tour positions must therefore
 //! fit 32 bits, which [`run`] checks. Whether a trace sink is installed is
-//! probed once, when the program is made, not on every round.
+//! probed once, when the program is made, not on every round. Step 3(a)'s
+//! staleness rule doubles as the program's [`NodeProgram::ignores`], so
+//! the network runs no node for an inbox of old waves alone, which removes
+//! more than half of the node runs of a full schedule.
 
 use congest::{bits, Config, Network, NodeProgram, Payload, Round, RoundCtx, RunStats, Status};
 use graphs::{Dist, Graph, NodeId};
@@ -113,25 +116,28 @@ impl WaveProgram {
 
     /// Telemetry for the Lemmas 2–4 congestion argument: how many inbox
     /// messages carry a fresh wave, and how many distinct waves they are.
-    /// Out of line: only traced runs call it.
+    /// Nothing is emitted when no fresh wave survives, so the trace does
+    /// not depend on whether the scheduler ran this node for an inbox of
+    /// stale waves. Out of line: only traced runs call it.
     #[inline(never)]
     fn trace_inbox(&self, ctx: &RoundCtx<'_, WaveMsg>) {
-        trace::emit_with(|| {
-            let mut fresh: Vec<(u32, Dist)> = ctx
-                .inbox()
-                .iter()
-                .filter(|&&(_, WaveMsg { tau, .. })| tau >= self.seen)
-                .map(|&(_, WaveMsg { tau, delta, .. })| (tau, delta))
-                .collect();
-            let surviving = fresh.len() as u64;
-            fresh.sort_unstable();
-            fresh.dedup();
-            trace::TraceEvent::Wave {
-                round: ctx.round(),
-                node: ctx.node().index() as u64,
-                surviving,
-                distinct: fresh.len() as u64,
-            }
+        let mut fresh: Vec<(u32, Dist)> = ctx
+            .inbox()
+            .iter()
+            .filter(|&(_, msg)| !self.ignores(msg))
+            .map(|&(_, WaveMsg { tau, delta, .. })| (tau, delta))
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        let surviving = fresh.len() as u64;
+        fresh.sort_unstable();
+        fresh.dedup();
+        trace::emit(trace::TraceEvent::Wave {
+            round: ctx.round(),
+            node: ctx.node().index() as u64,
+            surviving,
+            distinct: fresh.len() as u64,
         });
     }
 }
@@ -144,7 +150,7 @@ impl NodeProgram for WaveProgram {
         let (round, node) = (ctx.round(), ctx.node());
         // Emitted before the checks below, so a violating schedule is
         // visible in the trace (`distinct > 1`) and not only as an error.
-        // Nodes with empty inboxes stay silent to bound trace volume.
+        // Nodes without a fresh wave stay silent to bound trace volume.
         if self.traced && !ctx.inbox().is_empty() {
             self.trace_inbox(ctx);
         }
@@ -152,10 +158,11 @@ impl NodeProgram for WaveProgram {
         // identical (Lemma 4) — keep one.
         let mut kept: Option<(u32, Dist)> = None;
         let mut distinct = false;
-        for &(_, WaveMsg { tau, delta, .. }) in ctx.inbox() {
-            if tau < self.seen {
+        for (_, msg) in ctx.inbox() {
+            if self.ignores(msg) {
                 continue;
             }
+            let WaveMsg { tau, delta, .. } = *msg;
             match kept {
                 None => kept = Some((tau, delta)),
                 Some(k) => distinct |= k != (tau, delta),
@@ -201,6 +208,16 @@ impl NodeProgram for WaveProgram {
         }
         // Everyone else is purely message-driven.
         Status::Halted
+    }
+
+    /// Step 3(a): a wave older than the last one processed is disregarded.
+    /// An inbox of nothing but such waves keeps `t_v` and `d_v`, sends
+    /// nothing and re-casts the standing vote (a source still ahead of its
+    /// start round sleeps until it again; its start round wakes it
+    /// anyway), so the network need not wake a node for them.
+    #[inline]
+    fn ignores(&self, msg: &WaveMsg) -> bool {
+        msg.tau < self.seen
     }
 
     fn finish(self, _node: NodeId) -> WaveNodeOutcome {

@@ -250,8 +250,9 @@ impl RunStats {
 ///
 /// 0. **assemble** — crash-stops due this round apply (fault plans only);
 ///    then the runnable set: last round's [`Status::Active`] voters and
-///    message receivers, plus [`Status::Sleep`] wakeups that have come
-///    due. Nodes that voted `Halted` and received nothing are not executed.
+///    the receivers of a message they do not ignore, plus
+///    [`Status::Sleep`] wakeups that have come due. Nodes that voted
+///    `Halted` and received nothing they want are not executed.
 /// 1. **seal** — the two send buffers swap: the one committed last round
 ///    becomes the read-only store this round's inboxes index into. Every
 ///    inbox already sits in its node's row of the graph's CSR layout (one
@@ -281,10 +282,14 @@ impl RunStats {
 ///    of those, an entry only stages its deliveries. A delivery writes the
 ///    entry index straight into the next free slot of its receiver's row;
 ///    a receiver's first delivery also appends it to the round's receiver
-///    list, which after the commit (and the merge of due delayed messages,
-///    phase 4b) queues the receivers for the next round in one pass. Only
-///    the sender list is walked — edge-level sparsity on top of the active
-///    set's node-level kind.
+///    list. Each delivery also asks the receiver's program, in its
+///    post-round state, whether it [ignores](NodeProgram::ignores) the
+///    message, and flags the receiver for waking if not. After the commit
+///    (and the merge of due delayed messages, phase 4b) one pass over the
+///    receiver list queues the flagged receivers for the next round: a
+///    receiver whose deliveries are all ignored keeps them in its row, but
+///    is not run for them. Only the sender list is walked — edge-level
+///    sparsity on top of the active set's node-level kind.
 ///
 /// Closing the round folds its tally into [`RunStats`], the metrics
 /// registry (one bulk charge, not one per message) and the flight recorder.
@@ -347,7 +352,7 @@ pub struct Network<'g, P: NodeProgram> {
     active: Vec<u32>,
     /// Accumulator for the *next* round's active set: nodes that voted
     /// [`Status::Active`] (or an imminent [`Status::Sleep`]) this round,
-    /// plus every node woken by its first delivery during commit.
+    /// plus every node woken by a delivery it does not ignore.
     /// Duplicate-free (guarded by `active_mark`) but unsorted until the
     /// next round's rebuild.
     next_active: Vec<u32>,
@@ -431,15 +436,23 @@ const FRONTIER_DENSITY_SHIFT: usize = 5;
 /// next round's: the execute phase reads the sealed counts before any
 /// commit starts. The seal only swaps the two count arrays and zeroes the
 /// counts of the receivers it retires, O(receivers).
+///
+/// A staged count also carries the receiver's wake flag in its top bit
+/// ([`WAKE`]), set by a delivery the receiver's program does not
+/// [ignore](NodeProgram::ignores). The flag lives in the word the staging
+/// writes anyway, so it costs no extra memory access, and the seal's
+/// zeroing clears it.
 struct InboxArena<'g> {
     /// The graph's CSR row offsets (length `n + 1`).
     row: &'g [u32],
     /// One entry-index slot per directed edge, allocated once.
     idx: Vec<u32>,
-    /// Deliveries staged in each node's row for the next round.
+    /// Deliveries staged in each node's row for the next round, with the
+    /// [`WAKE`] flag.
     len: Vec<u32>,
-    /// This round's inbox sizes: node `t`'s inbox is the first `sealed[t]`
-    /// slots of its row, and 0 is the empty inbox.
+    /// This round's inbox sizes (with the flag they were staged with):
+    /// node `t`'s inbox is the first `count(sealed[t])` slots of its row,
+    /// and 0 is the empty inbox.
     sealed: Vec<u32>,
     /// The next round's distinct receivers, in first-delivery order, in the
     /// first `staged` slots. The buffer has a fixed `n + 1` slots, so the
@@ -479,27 +492,36 @@ impl<'g> InboxArena<'g> {
     }
 
     /// Stages entry `entry` of the current send buffer for node `to`'s
-    /// next inbox.
+    /// next inbox; `wakes` says whether the receiver's program wants it
+    /// (it does not ignore the message), which wakes the receiver.
     #[inline]
-    fn stage(&mut self, to: usize, entry: u32) {
+    fn stage(&mut self, to: usize, entry: u32, wakes: bool) {
         let l = self.len[to];
-        let slot = (self.row[to] + l) as usize;
+        let slot = self.row[to] as usize + count(l);
         debug_assert!(
             slot < self.row[to + 1] as usize,
             "node {to} was staged more messages than it has neighbours"
         );
         self.idx[slot] = entry;
-        self.len[to] = l + 1;
+        // A count never exceeds the node's degree, which the `u32` row
+        // offsets keep below 2³¹, so it never carries into the flag.
+        self.len[to] = (l + 1) | (u32::from(wakes) << 31);
         self.receivers[self.staged] = to as u32;
         self.staged += (l == 0) as usize;
         self.in_flight += 1;
+    }
+
+    /// Whether a delivery staged for node `t` wakes it.
+    #[inline]
+    fn wakes(&self, t: usize) -> bool {
+        self.len[t] & WAKE != 0
     }
 
     /// The entries staged so far for node `t`'s next inbox.
     #[inline]
     fn staged_row(&self, t: usize) -> &[u32] {
         let lo = self.row[t] as usize;
-        &self.idx[lo..lo + self.len[t] as usize]
+        &self.idx[lo..lo + count(self.len[t])]
     }
 
     /// The next round's distinct receivers, in first-delivery order.
@@ -517,7 +539,7 @@ impl<'g> InboxArena<'g> {
             self.in_flight,
             self.receivers()
                 .iter()
-                .map(|&t| self.len[t as usize] as usize)
+                .map(|&t| count(self.len[t as usize]))
                 .sum(),
             "the arena's running delivery count drifted from its rows"
         );
@@ -532,7 +554,7 @@ impl<'g> InboxArena<'g> {
             self.unsorted = false;
             for &t in &self.sealed_receivers[..self.num_sealed] {
                 let lo = self.row[t as usize] as usize;
-                let hi = lo + self.sealed[t as usize] as usize;
+                let hi = lo + count(self.sealed[t as usize]);
                 self.idx[lo..hi].sort_unstable_by_key(|&k| msgs[k as usize].0);
             }
         }
@@ -542,8 +564,17 @@ impl<'g> InboxArena<'g> {
     #[inline]
     fn inbox(&self, i: usize) -> &[u32] {
         let lo = self.row[i] as usize;
-        &self.idx[lo..lo + self.sealed[i] as usize]
+        &self.idx[lo..lo + count(self.sealed[i])]
     }
+}
+
+/// The wake flag of a staged count: see [`InboxArena`].
+const WAKE: u32 = 1 << 31;
+
+/// The deliveries a staged or sealed count stands for, without its flag.
+#[inline]
+fn count(len: u32) -> usize {
+    (len & !WAKE) as usize
 }
 
 /// One jittered message waiting in the delay queue.
@@ -807,7 +838,9 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 
     /// Total node-program executions scheduled so far: the active-set size
     /// summed over stepped rounds (fast-forwarded rounds schedule nothing,
-    /// and a failed step's round never closes). The same count as
+    /// a failed step's round never closes, and a receiver whose deliveries
+    /// its program [ignores](NodeProgram::ignores) is not scheduled for
+    /// them). The same count as
     /// [`RunStats::scheduled_nodes`] — excluded there from equality, since
     /// it is a cost rather than a protocol observable;
     /// [`RunStats::active_fraction`] is the ratio against `n · rounds`.
@@ -857,22 +890,26 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         self.arena_highwater = self.arena_highwater.max((entries + index) as u64);
     }
 
-    /// Queues this round's first-time receivers for the next round, after
-    /// the votes and in first-delivery order. The round-stamped mark skips
-    /// the receivers a vote (or an earlier delivery) already queued.
-    /// Branch-free: every receiver is written, and the list only advances
-    /// past a fresh one.
+    /// Queues this round's receivers for the next round, after the votes
+    /// and in first-delivery order, if a delivery they do not ignore was
+    /// staged for them. The round-stamped mark skips the receivers a vote
+    /// (or an earlier delivery) already queued. Branch-free: every
+    /// receiver is written, and the list only advances past a fresh one.
     fn wake_receivers(&mut self, round: Round) {
         let stamp = round + 1;
-        let receivers = self.arena.receivers();
+        let arena = &self.arena;
+        let receivers = arena.receivers();
         let base = self.next_active.len();
         let mut last = self.next_active.last().copied().unwrap_or(0);
         let mut sorted = self.next_sorted;
         self.next_active.resize(base + receivers.len(), 0);
         let mut end = base;
         for &t in receivers {
-            let fresh = self.active_mark[t as usize] != stamp;
-            self.active_mark[t as usize] = stamp;
+            let tu = t as usize;
+            let wakes = arena.wakes(tu);
+            let mark = self.active_mark[tu];
+            let fresh = wakes & (mark != stamp);
+            self.active_mark[tu] = if wakes { stamp } else { mark };
             self.next_active[end] = t;
             end += fresh as usize;
             sorted &= !fresh | (last <= t);
@@ -960,7 +997,8 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         }
 
         // Phase 4: commit, in node-id order, then (fault plans only) merge
-        // the delayed messages due next round. After an all-active round
+        // the delayed messages due next round, then wake the receivers
+        // that got a message they do not ignore. After an all-active round
         // every node is already queued by its vote, so no receiver needs
         // waking.
         let wake = self.next_active.len() < self.programs.len();
@@ -1234,7 +1272,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         use trace::FaultKind::{Corrupt, Crash, Delay, Drop, LinkDown};
         let budget = self.config.bandwidth_bits;
         let plain = tracer.is_none() && fault.is_none() && self.crit.is_none();
-        let graph = self.graph;
+        let (graph, programs) = (self.graph, &self.programs);
         let (sent, arena, tally) = (&self.sent, &mut self.arena, &mut self.tally);
         let mut crit = self.crit.as_deref_mut();
         let mut first = 0;
@@ -1258,7 +1296,8 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     for &to in targets {
                         if Some(to) != skip {
                             count += 1;
-                            arena.stage(to.index(), k as u32);
+                            let t = to.index();
+                            arena.stage(t, k as u32, !programs[t].ignores(msg));
                         }
                     }
                 } else {
@@ -1289,18 +1328,19 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                                 bits,
                             });
                         }
+                        let t = to.index();
+                        let wakes = !programs[t].ignores(msg);
                         let Some(f) = fault.as_deref_mut() else {
-                            deliver(arena, crit.as_deref_mut(), to.index(), k as u32, link_depth);
+                            deliver(arena, crit.as_deref_mut(), t, k as u32, wakes, link_depth);
                             continue;
                         };
                         // A message to a crashed node is discarded; `from !=
                         // to` distinguishes this from the crash-stop event
                         // itself.
-                        let t = to.index();
                         let (counter, kind, delay) = match f.plan.fate(round, i, t) {
                             _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash, 0),
                             MessageFate::Delivered => {
-                                deliver(arena, crit.as_deref_mut(), t, k as u32, link_depth);
+                                deliver(arena, crit.as_deref_mut(), t, k as u32, wakes, link_depth);
                                 continue;
                             }
                             MessageFate::Dropped => (&mut f.stats.dropped, Drop, 0),
@@ -1368,11 +1408,12 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
             let Delayed { msg, depth, .. } = f.queue.remove(i);
             let entry = self.sent.len() as u32;
+            let wakes = !self.programs[to.index()].ignores(&msg);
             self.sent.push(from, msg, Dest::One(to));
             // The chain length was fixed when the message was sent; the
             // jitter only moved its delivery round.
             let crit = self.crit.as_deref_mut();
-            deliver(&mut self.arena, crit, to.index(), entry, depth);
+            deliver(&mut self.arena, crit, to.index(), entry, wakes, depth);
             self.arena.unsorted = true;
         }
     }
@@ -1541,20 +1582,21 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 }
 
 /// Stages entry `entry` of this round's send buffer for delivery to `to`
-/// at the start of the next round, carrying causal depth `depth` into the
-/// critical-path profiler when it is on.
+/// at the start of the next round (waking `to` if `wakes`), carrying causal
+/// depth `depth` into the critical-path profiler when it is on.
 #[inline]
 fn deliver(
     arena: &mut InboxArena<'_>,
     crit: Option<&mut CritState>,
     to: usize,
     entry: u32,
+    wakes: bool,
     depth: u64,
 ) {
     if let Some(c) = crit {
         c.stage(to, depth);
     }
-    arena.stage(to, entry);
+    arena.stage(to, entry, wakes);
 }
 
 /// Charges the time since `clock` was last read to the metrics profiler
@@ -2337,6 +2379,227 @@ mod tests {
                 (stats, reference.fault_stats(), reference.into_outputs())
             });
             assert_eq!((stats, faults, outputs), expect, "{cfg:?}");
+            assert_eq!(trace::expand_round_skips(events), expect_events);
+        }
+    }
+
+    /// A message node 1 wants or not, tagged so tests can tell them apart.
+    #[derive(Clone, Debug)]
+    struct Note {
+        tag: u32,
+        wanted: bool,
+    }
+    impl Payload for Note {
+        fn size_bits(&self) -> usize {
+            8
+        }
+    }
+
+    /// On `path(3)`, the end nodes send node 1 scripted notes; node 1
+    /// ignores the unwanted ones. Every node logs the rounds it runs and
+    /// the inboxes it reads, which (unlike a program the reference may
+    /// check) changes its state on an ignored-only inbox: only for tests
+    /// of the network's own scheduling.
+    struct Picky {
+        /// `(round, note)` sends to node 1, ascending by round.
+        script: Vec<(Round, Note)>,
+        runs: Vec<Round>,
+        heard: Vec<(Round, Vec<(usize, u32)>)>,
+    }
+    impl NodeProgram for Picky {
+        type Msg = Note;
+        type Output = (Vec<Round>, Vec<(Round, Vec<(usize, u32)>)>);
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Note>) -> Status {
+            let round = ctx.round();
+            self.runs.push(round);
+            if !ctx.inbox().is_empty() {
+                let inbox = ctx.inbox().iter();
+                let heard = inbox.map(|(from, m)| (from.index(), m.tag)).collect();
+                self.heard.push((round, heard));
+            }
+            for (_, note) in self.script.iter().filter(|&&(r, _)| r == round) {
+                ctx.send(NodeId::new(1), note.clone());
+            }
+            match self.script.iter().find(|&&(r, _)| r > round) {
+                Some(&(next, _)) => Status::Sleep(next),
+                None => Status::Halted,
+            }
+        }
+        fn ignores(&self, msg: &Note) -> bool {
+            !msg.wanted
+        }
+        fn finish(self, _node: NodeId) -> Self::Output {
+            (self.runs, self.heard)
+        }
+    }
+
+    /// An ignored delivery is charged (`RunStats`, registry, flight
+    /// recorder) and traced like any other, but does not wake its
+    /// receiver; a receiver woken by one wanted note reads the ignored
+    /// ones too, in sender order.
+    #[test]
+    fn only_a_wanted_message_wakes_its_receiver() {
+        let note = |tag, wanted| Note { tag, wanted };
+        let script = |v: NodeId| match v.index() {
+            0 => vec![(0, note(10, false)), (2, note(20, false))],
+            2 => vec![
+                (0, note(12, false)),
+                (2, note(22, true)),
+                (5, note(52, false)),
+            ],
+            _ => Vec::new(),
+        };
+        let g = generators::path(3);
+        let (registry, flight) = (
+            metrics::Registry::shared(),
+            trace::flight::FlightRecorder::shared(),
+        );
+        let ((stats, outputs), events) = traced(|| {
+            let _meter = metrics::install(registry.clone());
+            let _flight = trace::flight::install(flight.clone());
+            let mut net = Network::new(&g, Config::new(16), |v| Picky {
+                script: script(v),
+                runs: Vec::new(),
+                heard: Vec::new(),
+            });
+            (net.run_until_quiescent(20).unwrap(), net.into_outputs())
+        });
+        let (runs, heard) = &outputs[1];
+        // Round 0 runs everybody; the unwanted notes of rounds 0 and 5 wake
+        // nobody, the wanted one of round 2 wakes node 1 in round 3.
+        assert_eq!(runs, &[0, 3]);
+        assert_eq!(heard, &[(3, vec![(0, 20), (2, 22)])]);
+        assert_eq!((stats.rounds, stats.messages, stats.total_bits), (7, 5, 40));
+        let sends: Vec<_> = events
+            .iter()
+            .filter_map(|e| match *e {
+                trace::TraceEvent::Message {
+                    round, from, to, ..
+                } => Some((round, from, to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            sends,
+            [(0, 0, 1), (0, 2, 1), (2, 0, 1), (2, 2, 1), (5, 2, 1)]
+        );
+        let delivered: u64 = events
+            .iter()
+            .map(|e| match *e {
+                trace::TraceEvent::Round { delivered, .. } => delivered,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(delivered, 5, "ignored deliveries still count as delivered");
+        let registry = registry.borrow();
+        assert_eq!(registry.counter(metrics::names::MESSAGES), 5);
+        assert_eq!(registry.counter(metrics::names::PAYLOAD_BITS), 40);
+        let totals = flight.borrow().totals();
+        assert_eq!((totals.messages, totals.bits, totals.delivered), (5, 40, 5));
+    }
+
+    /// Floods the largest value heard. A value no larger than the node's
+    /// best is ignored, and an inbox of nothing but such values changes
+    /// nothing, so the program keeps the `ignores` contract. `heard` logs
+    /// every inbox the node acts on, ignored messages included.
+    struct MaxFlood {
+        best: u32,
+        heard: Vec<(Round, Vec<(usize, u32)>)>,
+        /// When false, `ignores` wakes the node for everything.
+        picky: bool,
+    }
+    impl NodeProgram for MaxFlood {
+        type Msg = Id;
+        type Output = (u32, Vec<(Round, Vec<(usize, u32)>)>);
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Id>) -> Status {
+            let fresh = ctx.inbox().iter().any(|&(_, Id(v, _))| v > self.best);
+            if fresh {
+                let inbox = ctx.inbox().iter();
+                let heard = inbox.map(|&(from, Id(v, _))| (from.index(), v)).collect();
+                self.heard.push((ctx.round(), heard));
+                self.best = ctx.inbox().iter().map(|m| m.1 .0).fold(self.best, u32::max);
+            }
+            if fresh || ctx.round() == 0 {
+                ctx.broadcast(Id(self.best, ctx.num_nodes()));
+            }
+            Status::Halted
+        }
+        fn ignores(&self, msg: &Id) -> bool {
+            self.picky && msg.0 <= self.best
+        }
+        fn finish(self, _node: NodeId) -> Self::Output {
+            (self.best, self.heard)
+        }
+    }
+
+    fn max_flood(picky: bool) -> impl Fn(NodeId) -> MaxFlood {
+        move |v| MaxFlood {
+            best: (u32::from(v) * 7) % 25,
+            heard: Vec::new(),
+            picky,
+        }
+    }
+
+    /// Ignoring changes which nodes run and nothing else: against the same
+    /// program woken for every delivery, and against the reference, the
+    /// outputs, `RunStats` (rounds to quiescence included), `FaultStats`,
+    /// trace, registry counters and flight records agree, fault-free and
+    /// under a drop/delay/crash plan, while fewer node programs run.
+    #[test]
+    fn ignoring_changes_only_which_nodes_run() {
+        let g = generators::random_connected(25, 0.15, 7);
+        let plan = FaultPlan::new(11)
+            .with_drop(0.1)
+            .with_delay(0.2, 3)
+            .with_crash(5, 4);
+        for cfg in [
+            Config::for_graph(&g),
+            Config::for_graph(&g).with_faults(plan),
+        ] {
+            let run = |picky: bool| {
+                let registry = metrics::Registry::shared();
+                let flight = trace::flight::FlightRecorder::shared();
+                let ((stats, scheduled, faults, outputs), events) = traced(|| {
+                    let _meter = metrics::install(registry.clone());
+                    let _flight = trace::flight::install(flight.clone());
+                    let mut net = Network::new(&g, cfg, max_flood(picky));
+                    let stats = net.run_until_quiescent(10_000).unwrap();
+                    let (scheduled, faults) = (net.scheduled_nodes(), net.fault_stats());
+                    (
+                        stats,
+                        scheduled,
+                        faults,
+                        format!("{:?}", net.into_outputs()),
+                    )
+                });
+                let registry = registry.borrow();
+                let counters = [
+                    metrics::names::MESSAGES,
+                    metrics::names::PAYLOAD_BITS,
+                    metrics::names::ROUNDS,
+                    metrics::names::FAULTS,
+                ]
+                .map(|name| registry.counter(name));
+                let records: Vec<_> = flight.borrow().records().copied().collect();
+                let observed = (stats, faults, outputs, events, counters, records);
+                (observed, scheduled)
+            };
+            let (picky, picky_scheduled) = run(true);
+            let (eager, eager_scheduled) = run(false);
+            assert_eq!(picky, eager, "{cfg:?}");
+            assert!(
+                picky_scheduled < eager_scheduled,
+                "{picky_scheduled} runs against {eager_scheduled}, {cfg:?}"
+            );
+            let (expect, expect_events) = traced(|| {
+                let mut reference = Reference::new(&g, cfg, max_flood(true));
+                let stats = reference.run_until_quiescent(10_000).unwrap();
+                assert_eq!(reference.breach(), None);
+                let outputs = format!("{:?}", reference.into_outputs());
+                (stats, outputs)
+            });
+            let (stats, _, outputs, events, ..) = picky;
+            assert_eq!((stats, outputs), expect, "{cfg:?}");
             assert_eq!(trace::expand_round_skips(events), expect_events);
         }
     }

@@ -12,19 +12,23 @@ use crate::{Payload, Round};
 /// the current round, not a permanent state.
 ///
 /// The vote is also a scheduling promise: a node that voted `Halted` (or
-/// `Sleep` before its wake round) is **not executed** until a message lands
-/// in its inbox, so `Halted` must genuinely mean "nothing to do unless new
-/// messages arrive" — in particular, a program must not vote `Halted` while
-/// planning to act at a later round based on `ctx.round()` alone. Timed
-/// programs vote [`Status::Sleep`] instead. The
-/// [`reference`](crate::reference) simulator runs every node every round
-/// and reports a node that sends while not runnable as a contract breach.
+/// `Sleep` before its wake round) is **not executed** until a message it
+/// does not [ignore](NodeProgram::ignores) lands in its inbox, so `Halted`
+/// must genuinely mean "nothing to do unless new messages arrive" — in
+/// particular, a program must not vote `Halted` while planning to act at a
+/// later round based on `ctx.round()` alone. Timed programs vote
+/// [`Status::Sleep`] instead. The [`reference`](crate::reference)
+/// simulator runs every node every round and reports a node that sends or
+/// changes its vote while not runnable as a contract breach.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Status {
     /// The node may still have work to do.
     #[default]
     Active,
-    /// The node has nothing to do unless new messages arrive.
+    /// The node has nothing to do unless new messages arrive. It is run
+    /// again only when one arrives that its program does not
+    /// [ignore](NodeProgram::ignores); the messages it ignores still reach
+    /// its inbox, and it reads them whenever it does run.
     Halted,
     /// Like `Halted`, but with a timed wakeup: the node has nothing to do
     /// unless new messages arrive **or** round `Sleep(w)` begins, at which
@@ -356,6 +360,29 @@ pub trait NodeProgram: Sized {
     /// ascending order. The scheduler guarantees the invariant and
     /// `debug_assert!`s it each round before handing over the inbox.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) -> Status;
+
+    /// Whether this node, in its current state, has no use for `msg`.
+    ///
+    /// Return `true` only if the next [`on_round`](NodeProgram::on_round),
+    /// given an inbox of nothing but messages this method accepts, would
+    /// send nothing, keep the node's state and return the vote the node
+    /// last cast. The network then does not wake a `Halted` or sleeping
+    /// node for such a delivery: the message is still charged, traced,
+    /// fault-fated and put in the receiver's inbox, and a node that runs
+    /// anyway (it voted `Active`, its wakeup came due, or another message
+    /// woke it) reads it there in sender order. The question is asked when
+    /// the message is committed, of the receiver's state after its own run
+    /// in that round, which is the state it would start the delivery round
+    /// in.
+    ///
+    /// The default ignores nothing. The [`reference`](crate::reference)
+    /// simulator runs every node anyway and reports a node that sends or
+    /// changes its vote on an inbox this method waved through.
+    #[inline]
+    fn ignores(&self, msg: &Self::Msg) -> bool {
+        let _ = msg;
+        false
+    }
 
     /// Consumes the program and returns the node's local output.
     fn finish(self, node: NodeId) -> Self::Output;

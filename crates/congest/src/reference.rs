@@ -28,10 +28,11 @@
 //! programs that keep the [`Status`] contract. A node is *runnable* in a
 //! round when its standing vote is [`Status::Active`], when it voted
 //! [`Status::Sleep`]`(w)` and round `w` has begun, or when a message
-//! arrived; `Network` executes exactly the runnable nodes. A node that
-//! stages a send while not runnable breaches the contract: the reference
-//! still delivers the send, and [`Reference::breach`] reports the first
-//! such `(round, node)`.
+//! arrived that its program does not [ignore](NodeProgram::ignores);
+//! `Network` executes exactly the runnable nodes. A node that stages a
+//! send or changes its vote while not runnable breaches the contract: the
+//! reference still delivers the send and records the vote, and
+//! [`Reference::breach`] reports the first such `(round, node)`.
 //!
 //! [`Network`]: crate::Network
 
@@ -108,7 +109,7 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
     }
 
     /// The first contract breach, if any: the round and the node that
-    /// staged a send while not runnable.
+    /// staged a send or changed its vote while not runnable.
     pub fn breach(&self) -> Option<(Round, NodeId)> {
         self.breach
     }
@@ -209,19 +210,20 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                 continue;
             }
             let inbox = &self.inboxes[i];
-            let runnable = !inbox.is_empty()
-                || match self.votes[i] {
-                    Status::Active => true,
-                    Status::Sleep(wake) => wake <= round,
-                    Status::Halted => false,
-                };
+            let standing = self.votes[i];
+            let runnable = match standing {
+                Status::Active => true,
+                Status::Sleep(wake) => wake <= round,
+                Status::Halted => false,
+            } || inbox.iter().any(|(_, msg)| !self.programs[i].ignores(msg));
             let neighbors = graph.neighbors(v);
             let mut staged = SendBuf::default();
             let view = Inbox::new(inbox, &positions[..inbox.len()]);
             let mut ctx = RoundCtx::new(v, round, n, neighbors, view, &mut staged);
             self.votes[i] = self.programs[i].on_round(&mut ctx);
             self.stats.scheduled_nodes += 1;
-            if !runnable && staged.len() > 0 && self.breach.is_none() {
+            let acted = staged.len() > 0 || self.votes[i] != standing;
+            if !runnable && acted && self.breach.is_none() {
                 self.breach = Some((round, v));
             }
             for ((_, msg), dest) in staged.msgs.into_iter().zip(staged.dest) {
@@ -393,6 +395,41 @@ mod tests {
             assert_eq!(reference.breach(), Some((3, NodeId::new(0))), "{vote:?}");
             // The breaching send is still delivered.
             assert_eq!(stats.messages, 1);
+        }
+    }
+
+    /// Ignores every message, yet acts on one: node 0 pings at round 1,
+    /// and node 1, on hearing it, either answers (`answers`) or switches
+    /// its vote to `Sleep(9)`. Both lie about the ignored-only inbox.
+    struct Liar {
+        answers: bool,
+    }
+    impl NodeProgram for Liar {
+        type Msg = Ping;
+        type Output = ();
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Ping>) -> Status {
+            match ctx.node().index() {
+                0 if ctx.round() == 0 => return Status::Sleep(1),
+                0 if ctx.round() == 1 => ctx.send(NodeId::new(1), Ping),
+                1 if !ctx.inbox().is_empty() && self.answers => ctx.broadcast(Ping),
+                1 if !ctx.inbox().is_empty() => return Status::Sleep(9),
+                _ => {}
+            }
+            Status::Halted
+        }
+        fn ignores(&self, _msg: &Ping) -> bool {
+            true
+        }
+        fn finish(self, _node: NodeId) {}
+    }
+
+    #[test]
+    fn acting_on_an_ignored_only_inbox_is_reported_as_a_breach() {
+        let g = generators::path(3);
+        for answers in [true, false] {
+            let mut reference = Reference::new(&g, Config::new(8), |_| Liar { answers });
+            reference.run_rounds(4).unwrap();
+            assert_eq!(reference.breach(), Some((2, NodeId::new(1))), "{answers}");
         }
     }
 

@@ -175,6 +175,9 @@ pub enum TraceEvent {
     /// A wave-propagation observation at one node in one round (Figure 2,
     /// Lemmas 2–4): `surviving` counts fresh wave messages that beat the
     /// node's current birth date, `distinct` the distinct fresh values.
+    /// Emitted only when a fresh wave survives (`surviving ≥ 1`): a node
+    /// whose inbox holds only stale waves is not run for them, so it has
+    /// nothing to observe, whichever simulator runs it.
     Wave {
         /// Round of the observation.
         round: u64,

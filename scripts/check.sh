@@ -74,6 +74,16 @@ echo "=== cut-traffic meter: fig5_7_simulation matches its committed output ==="
 cargo run -q --release --offline -p bench --bin fig5_7_simulation \
   | diff - results/fig5_7_simulation.txt || status=1
 
+echo "=== table1_lower_bounds and fig2_evaluation match their committed output ==="
+# Both are deterministic and take well under a second. Their JSON goes to
+# a scratch directory, whose path the "results JSON ->" line names.
+adir=$(mktemp -d)
+for bin in table1_lower_bounds fig2_evaluation; do
+  QD_RESULTS_DIR="$adir" cargo run -q --release --offline -p bench --bin "$bin" \
+    | sed "s#$adir/#results/#" | diff - "results/$bin.txt" || status=1
+done
+rm -rf "$adir"
+
 echo "=== crossover smoke (artifacts + schema) ==="
 xdir=$(mktemp -d)
 cargo run -q --release --offline -p congest-diameter --bin qdiam -- \

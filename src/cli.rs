@@ -534,10 +534,13 @@ pub fn report(opts: &ReportOptions) -> Result<String, String> {
         let _flight = trace::flight::install(recorder.clone());
         let _meter = metrics::install(registry.clone());
         run_with_trace(&run_opts)
-    }?;
-    if let Some(mpath) = &mpath {
-        export_metrics(&registry.borrow(), mpath)?;
-    }
+    };
+    // As in [`run`]: a failed run still leaves its export behind.
+    let exported = mpath
+        .as_ref()
+        .map_or(Ok(()), |mpath| export_metrics(&registry.borrow(), mpath));
+    let console = console?;
+    exported?;
     let md = report_markdown(&run_opts, &console, &recorder.borrow(), &registry.borrow());
     let dir = opts
         .out
@@ -780,8 +783,12 @@ pub fn run(opts: &Options) -> Result<String, String> {
     let report = {
         let _guard = metrics::install(registry.clone());
         run_with_trace(opts)
-    }?;
-    export_metrics(&registry.borrow(), mpath)?;
+    };
+    // A failed run is exported too: its registry says where the rounds and
+    // faults went before the error. The run's error outranks the export's.
+    let exported = export_metrics(&registry.borrow(), mpath);
+    let report = report?;
+    exported?;
     Ok(format!("{report}metrics: -> {mpath}\n"))
 }
 
@@ -1528,5 +1535,43 @@ mod tests {
         assert!(text.contains("qd_messages_total"), "{text}");
         assert!(text.contains("qd_rounds_total"), "{text}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A run that fails under a fault plan still writes its `--metrics`
+    /// export (the exit code stays an error), and the export counts the
+    /// faults that brought it down — through `run` and through `report`.
+    #[test]
+    fn failed_runs_still_export_their_metrics() {
+        let dir = std::env::temp_dir().join(format!("qd-cli-failed-{}", std::process::id()));
+        let spec = "classical --family sparse --n 256 \
+                    --faults seed=7,drop=0.01,delay=0.05:3,crash=4@10";
+        let faults_total = |path: &std::path::Path| -> u64 {
+            let text = std::fs::read_to_string(path).unwrap();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("qd_faults_total "))
+                .unwrap_or_else(|| panic!("no qd_faults_total in {text}"));
+            line["qd_faults_total ".len()..].trim().parse().unwrap()
+        };
+        let path = dir.join("run.prom");
+        let mut o = parse(&args(spec)).unwrap();
+        o.metrics = Some(path.to_str().unwrap().to_string());
+        let err = run(&o).unwrap_err();
+        assert!(err.contains("fault detected"), "{err}");
+        assert!(faults_total(&path) > 0);
+
+        let mpath = dir.join("report.prom");
+        let cmd = parse_command(&args(&format!(
+            "report {spec} --out {} --metrics {}",
+            dir.display(),
+            mpath.display()
+        )))
+        .unwrap();
+        let Command::Report(o) = cmd else {
+            panic!("expected report command");
+        };
+        assert!(report(&o).is_err());
+        assert!(faults_total(&mpath) > 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
