@@ -11,6 +11,12 @@
 //! * **apsp** — the full classical exact-diameter pipeline (leader
 //!   election, BFS, DFS token walk, eccentricity waves, aggregation) on a
 //!   random tree. The DFS walk keeps exactly one node busy per round.
+//! * **apsp_sparse** — the same pipeline on the `sparse` family
+//!   (`random_sparse`, expected degree 8), the graphs the Table 1 sweeps
+//!   draw. There every wave reaches each node over ≈8 edges, so most
+//!   deliveries are stale waves the receiver ignores, and the run prices
+//!   the per-delivery cost of the message path, where a tree prices the
+//!   per-round one.
 //!
 //! `scripts/benchdiff` compares the `rounds_per_sec` of a fresh run with
 //! the committed artifact. `QD_MAX_N` caps the sweep and `QD_RESULTS_DIR`
@@ -64,12 +70,12 @@ fn run_waves(g: &Graph, sources: &[(NodeId, u64)], duration: u64) -> Point {
     }
 }
 
-/// Times the classical exact-diameter pipeline.
-fn run_apsp(g: &Graph) -> Point {
+/// Times the classical exact-diameter pipeline as `workload`.
+fn run_apsp(workload: &'static str, g: &Graph) -> Point {
     let start = Instant::now();
     let out = classical::apsp::exact_diameter(g, Config::for_graph(g)).expect("apsp");
     Point {
-        workload: "apsp",
+        workload,
         n: g.len(),
         rounds: out.ledger.total_rounds(),
         secs: start.elapsed().as_secs_f64().max(1e-9),
@@ -106,7 +112,12 @@ fn main() {
     for &n in &ns {
         let (g, sources, duration) = wave_workload(n);
         let tree = graphs::generators::random_tree(n, 11);
-        for p in [run_waves(&g, &sources, duration), run_apsp(&tree)] {
+        let sparse = graphs::generators::random_sparse(n, 8.0, 11);
+        for p in [
+            run_waves(&g, &sources, duration),
+            run_apsp("apsp", &tree),
+            run_apsp("apsp_sparse", &sparse),
+        ] {
             println!(
                 "{:>8} {:>7} {:>8} {:>13.0} {:>9.3}",
                 p.workload,

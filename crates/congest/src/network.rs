@@ -279,17 +279,19 @@ impl RunStats {
 ///    once and the entry is charged once to the round's traffic tally.
 ///    With a trace sink, a fault plan or the critical-path profiler, each
 ///    delivered message is also traced and meets its fault fate; with none
-///    of those, an entry only stages its deliveries. A delivery writes the
-///    entry index straight into the next free slot of its receiver's row;
-///    a receiver's first delivery also appends it to the round's receiver
-///    list. Each delivery also asks the receiver's program, in its
-///    post-round state, whether it [ignores](NodeProgram::ignores) the
-///    message, and flags the receiver for waking if not. After the commit
-///    (and the merge of due delayed messages, phase 4b) one pass over the
-///    receiver list queues the flagged receivers for the next round: a
-///    receiver whose deliveries are all ignored keeps them in its row, but
-///    is not run for them. Only the sender list is walked — edge-level
-///    sparsity on top of the active set's node-level kind.
+///    of those, the entries take an out-of-line staging-only lane. Each
+///    delivery asks the receiver's program, in its post-round state,
+///    whether it [ignores](NodeProgram::ignores) the message. A delivery
+///    writes the entry index into the next free slot of its receiver's
+///    row, but only a wanted one advances the row's count, so an ignored
+///    one is overwritten by the next and never shown; it still counts as
+///    in flight. A receiver's first wanted delivery appends it to the
+///    round's receiver list. After the commit (and the merge of due
+///    delayed messages, phase 4b) one pass over that list queues the
+///    receivers for the next round: a receiver whose deliveries are all
+///    ignored is neither on the list nor run for them. Only the sender
+///    list is walked — edge-level sparsity on top of the active set's
+///    node-level kind.
 ///
 /// Closing the round folds its tally into [`RunStats`], the metrics
 /// registry (one bulk charge, not one per message) and the flight recorder.
@@ -437,35 +439,36 @@ const FRONTIER_DENSITY_SHIFT: usize = 5;
 /// commit starts. The seal only swaps the two count arrays and zeroes the
 /// counts of the receivers it retires, O(receivers).
 ///
-/// A staged count also carries the receiver's wake flag in its top bit
-/// ([`WAKE`]), set by a delivery the receiver's program does not
-/// [ignore](NodeProgram::ignores). The flag lives in the word the staging
-/// writes anyway, so it costs no extra memory access, and the seal's
-/// zeroing clears it.
+/// A row holds only the deliveries its receiver wants. One its program
+/// [ignores](NodeProgram::ignores) is written to the row's next free slot
+/// like any other, but the count does not advance past it, so the next
+/// delivery overwrites it and no inbox ever shows it. It still counts in
+/// `in_flight`: it was delivered, and quiescence and fast-forward wait for
+/// it like any other. A node therefore lands on the receiver list, and is
+/// woken, only by its first wanted delivery.
 struct InboxArena<'g> {
     /// The graph's CSR row offsets (length `n + 1`).
     row: &'g [u32],
     /// One entry-index slot per directed edge, allocated once.
     idx: Vec<u32>,
-    /// Deliveries staged in each node's row for the next round, with the
-    /// [`WAKE`] flag.
+    /// Wanted deliveries staged in each node's row for the next round.
     len: Vec<u32>,
-    /// This round's inbox sizes (with the flag they were staged with):
-    /// node `t`'s inbox is the first `count(sealed[t])` slots of its row,
-    /// and 0 is the empty inbox.
+    /// This round's inbox sizes: node `t`'s inbox is the first `sealed[t]`
+    /// slots of its row, and 0 is the empty inbox.
     sealed: Vec<u32>,
-    /// The next round's distinct receivers, in first-delivery order, in the
-    /// first `staged` slots. The buffer has a fixed `n + 1` slots, so the
-    /// staging append can write unconditionally and only advance on a
-    /// receiver's first delivery.
+    /// The next round's distinct receivers of a wanted delivery, in
+    /// first-wanted-delivery order, in the first `staged` slots. The
+    /// buffer has a fixed `n + 1` slots, so the staging append can write
+    /// unconditionally and only advance on a receiver's first wanted
+    /// delivery.
     receivers: Vec<u32>,
     staged: usize,
     /// This round's receivers (every node with `sealed[t] > 0`), in the
     /// first `num_sealed` slots — the counts the next seal zeroes.
     sealed_receivers: Vec<u32>,
     num_sealed: usize,
-    /// Deliveries staged for the next round (the sum of `len` over the
-    /// staged receivers), counted as they are staged.
+    /// Deliveries staged for the next round, ignored ones included,
+    /// counted as they are staged.
     in_flight: usize,
     /// Set when a delayed-message merge staged a sender out of ascending
     /// order (fault plans only); the next seal then sorts each row's inbox
@@ -492,39 +495,28 @@ impl<'g> InboxArena<'g> {
     }
 
     /// Stages entry `entry` of the current send buffer for node `to`'s
-    /// next inbox; `wakes` says whether the receiver's program wants it
-    /// (it does not ignore the message), which wakes the receiver.
+    /// next inbox if `wants` (its program does not ignore the message),
+    /// and counts it in flight either way. [`commit_plain`] inlines the
+    /// same branch-free write with its counters in locals.
     #[inline]
-    fn stage(&mut self, to: usize, entry: u32, wakes: bool) {
+    fn stage(&mut self, to: usize, entry: u32, wants: bool) {
         let l = self.len[to];
-        let slot = self.row[to] as usize + count(l);
+        let slot = self.row[to] as usize + l as usize;
+        // Every delivery, ignored ones included, crosses its own incident
+        // edge, so even the slot of an ignored one lies inside the row.
         debug_assert!(
             slot < self.row[to + 1] as usize,
             "node {to} was staged more messages than it has neighbours"
         );
         self.idx[slot] = entry;
-        // A count never exceeds the node's degree, which the `u32` row
-        // offsets keep below 2³¹, so it never carries into the flag.
-        self.len[to] = (l + 1) | (u32::from(wakes) << 31);
+        self.len[to] = l + u32::from(wants);
         self.receivers[self.staged] = to as u32;
-        self.staged += (l == 0) as usize;
+        self.staged += usize::from((l == 0) & wants);
         self.in_flight += 1;
     }
 
-    /// Whether a delivery staged for node `t` wakes it.
-    #[inline]
-    fn wakes(&self, t: usize) -> bool {
-        self.len[t] & WAKE != 0
-    }
-
-    /// The entries staged so far for node `t`'s next inbox.
-    #[inline]
-    fn staged_row(&self, t: usize) -> &[u32] {
-        let lo = self.row[t] as usize;
-        &self.idx[lo..lo + count(self.len[t])]
-    }
-
-    /// The next round's distinct receivers, in first-delivery order.
+    /// The next round's distinct receivers of a wanted delivery, in
+    /// first-wanted-delivery order.
     #[inline]
     fn receivers(&self) -> &[u32] {
         &self.receivers[..self.staged]
@@ -535,13 +527,14 @@ impl<'g> InboxArena<'g> {
     /// the staged counts and receivers become the sealed ones.
     #[inline]
     fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
-        debug_assert_eq!(
-            self.in_flight,
-            self.receivers()
-                .iter()
-                .map(|&t| count(self.len[t as usize]))
-                .sum(),
-            "the arena's running delivery count drifted from its rows"
+        debug_assert!(
+            self.in_flight
+                >= self
+                    .receivers()
+                    .iter()
+                    .map(|&t| self.len[t as usize] as usize)
+                    .sum::<usize>(),
+            "the arena's rows hold more deliveries than were staged"
         );
         for &t in &self.sealed_receivers[..self.num_sealed] {
             self.sealed[t as usize] = 0;
@@ -554,7 +547,7 @@ impl<'g> InboxArena<'g> {
             self.unsorted = false;
             for &t in &self.sealed_receivers[..self.num_sealed] {
                 let lo = self.row[t as usize] as usize;
-                let hi = lo + count(self.sealed[t as usize]);
+                let hi = lo + self.sealed[t as usize] as usize;
                 self.idx[lo..hi].sort_unstable_by_key(|&k| msgs[k as usize].0);
             }
         }
@@ -564,17 +557,8 @@ impl<'g> InboxArena<'g> {
     #[inline]
     fn inbox(&self, i: usize) -> &[u32] {
         let lo = self.row[i] as usize;
-        &self.idx[lo..lo + count(self.sealed[i])]
+        &self.idx[lo..lo + self.sealed[i] as usize]
     }
-}
-
-/// The wake flag of a staged count: see [`InboxArena`].
-const WAKE: u32 = 1 << 31;
-
-/// The deliveries a staged or sealed count stands for, without its flag.
-#[inline]
-fn count(len: u32) -> usize {
-    (len & !WAKE) as usize
 }
 
 /// One jittered message waiting in the delay queue.
@@ -891,14 +875,13 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     }
 
     /// Queues this round's receivers for the next round, after the votes
-    /// and in first-delivery order, if a delivery they do not ignore was
-    /// staged for them. The round-stamped mark skips the receivers a vote
-    /// (or an earlier delivery) already queued. Branch-free: every
-    /// receiver is written, and the list only advances past a fresh one.
+    /// and in first-delivery order. Every receiver on the list got a
+    /// delivery it wants (see [`InboxArena`]); the round-stamped mark
+    /// skips the ones a vote already queued. Branch-free: every receiver
+    /// is written, and the list only advances past a fresh one.
     fn wake_receivers(&mut self, round: Round) {
         let stamp = round + 1;
-        let arena = &self.arena;
-        let receivers = arena.receivers();
+        let receivers = self.arena.receivers();
         let base = self.next_active.len();
         let mut last = self.next_active.last().copied().unwrap_or(0);
         let mut sorted = self.next_sorted;
@@ -906,10 +889,8 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let mut end = base;
         for &t in receivers {
             let tu = t as usize;
-            let wakes = arena.wakes(tu);
-            let mark = self.active_mark[tu];
-            let fresh = wakes & (mark != stamp);
-            self.active_mark[tu] = if wakes { stamp } else { mark };
+            let fresh = self.active_mark[tu] != stamp;
+            self.active_mark[tu] = stamp;
             self.next_active[end] = t;
             end += fresh as usize;
             sorted &= !fresh | (last <= t);
@@ -1257,11 +1238,11 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// delivery count (and its width slot when `widths`: a registry is
     /// installed).
     ///
-    /// With no trace sink, fault plan or critical-path profiler, an entry
-    /// takes the staging-only lane: it only stages its receivers.
-    /// Otherwise each delivered message is traced and meets its fault
-    /// fate, a pure function of the message's `(round, from, to)`
-    /// coordinates, so scheduling and fast-forwarding cannot change it.
+    /// With no trace sink, fault plan or critical-path profiler, the entries
+    /// take the staging-only lane, [`commit_plain`]. Otherwise each
+    /// delivered message is traced and meets its fault fate, a pure
+    /// function of the message's `(round, from, to)` coordinates, so
+    /// scheduling and fast-forwarding cannot change it.
     fn commit(
         &mut self,
         round: Round,
@@ -1271,9 +1252,21 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     ) {
         use trace::FaultKind::{Corrupt, Crash, Delay, Drop, LinkDown};
         let budget = self.config.bandwidth_bits;
-        let plain = tracer.is_none() && fault.is_none() && self.crit.is_none();
-        let (graph, programs) = (self.graph, &self.programs);
+        let (graph, programs) = (self.graph, self.programs.as_slice());
         let (sent, arena, tally) = (&self.sent, &mut self.arena, &mut self.tally);
+        if tracer.is_none() && fault.is_none() && self.crit.is_none() {
+            let lane = Lane {
+                graph,
+                programs,
+                senders: &self.senders,
+                msgs: &sent.msgs,
+                dest: &sent.dest,
+                budget,
+                widths,
+            };
+            commit_plain(lane, arena, tally);
+            return;
+        }
         let mut crit = self.crit.as_deref_mut();
         let mut first = 0;
         for &(i, end) in &self.senders {
@@ -1292,74 +1285,64 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 let over = bits > budget;
                 let (targets, skip) = sent.dest[k].targets(neighbors);
                 let mut count = 0u64;
-                if plain {
-                    for &to in targets {
-                        if Some(to) != skip {
-                            count += 1;
-                            let t = to.index();
-                            arena.stage(t, k as u32, !programs[t].ignores(msg));
-                        }
+                for &to in targets {
+                    if Some(to) == skip {
+                        continue;
                     }
-                } else {
-                    for &to in targets {
-                        if Some(to) == skip {
-                            continue;
-                        }
-                        count += 1;
-                        // Sends are traced (and charged) whether or not the
-                        // message survives the fault layer: a lost message
-                        // still spent the sender's bandwidth.
-                        if let Some(sink) = tracer {
-                            let (from, to, bits) = (i as u64, to.index() as u64, bits as u64);
-                            let mut sink = sink.borrow_mut();
-                            if over {
-                                sink.record(&trace::TraceEvent::Violation {
-                                    round,
-                                    from,
-                                    to,
-                                    bits,
-                                    budget: budget as u64,
-                                });
-                            }
-                            sink.record(&trace::TraceEvent::Message {
+                    count += 1;
+                    // Sends are traced (and charged) whether or not the
+                    // message survives the fault layer: a lost message
+                    // still spent the sender's bandwidth.
+                    if let Some(sink) = tracer {
+                        let (from, to, bits) = (i as u64, to.index() as u64, bits as u64);
+                        let mut sink = sink.borrow_mut();
+                        if over {
+                            sink.record(&trace::TraceEvent::Violation {
                                 round,
                                 from,
                                 to,
                                 bits,
+                                budget: budget as u64,
                             });
                         }
-                        let t = to.index();
-                        let wakes = !programs[t].ignores(msg);
-                        let Some(f) = fault.as_deref_mut() else {
-                            deliver(arena, crit.as_deref_mut(), t, k as u32, wakes, link_depth);
-                            continue;
-                        };
-                        // A message to a crashed node is discarded; `from !=
-                        // to` distinguishes this from the crash-stop event
-                        // itself.
-                        let (counter, kind, delay) = match f.plan.fate(round, i, t) {
-                            _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash, 0),
-                            MessageFate::Delivered => {
-                                deliver(arena, crit.as_deref_mut(), t, k as u32, wakes, link_depth);
-                                continue;
-                            }
-                            MessageFate::Dropped => (&mut f.stats.dropped, Drop, 0),
-                            MessageFate::Corrupted => (&mut f.stats.corrupted, Corrupt, 0),
-                            MessageFate::LinkDropped => (&mut f.stats.link_dropped, LinkDown, 0),
-                            MessageFate::Delayed(extra) => {
-                                f.queue.push(Delayed {
-                                    due: round + 1 + extra,
-                                    from: node,
-                                    to,
-                                    msg: msg.clone(),
-                                    depth: link_depth,
-                                });
-                                (&mut f.stats.delayed, Delay, extra)
-                            }
-                        };
-                        *counter += 1;
-                        tally.fault(tracer, round, (kind, i as u64, t as u64, delay));
+                        sink.record(&trace::TraceEvent::Message {
+                            round,
+                            from,
+                            to,
+                            bits,
+                        });
                     }
+                    let t = to.index();
+                    let wants = !programs[t].ignores(msg);
+                    let Some(f) = fault.as_deref_mut() else {
+                        deliver(arena, crit.as_deref_mut(), t, k as u32, wants, link_depth);
+                        continue;
+                    };
+                    // A message to a crashed node is discarded; `from !=
+                    // to` distinguishes this from the crash-stop event
+                    // itself.
+                    let (counter, kind, delay) = match f.plan.fate(round, i, t) {
+                        _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash, 0),
+                        MessageFate::Delivered => {
+                            deliver(arena, crit.as_deref_mut(), t, k as u32, wants, link_depth);
+                            continue;
+                        }
+                        MessageFate::Dropped => (&mut f.stats.dropped, Drop, 0),
+                        MessageFate::Corrupted => (&mut f.stats.corrupted, Corrupt, 0),
+                        MessageFate::LinkDropped => (&mut f.stats.link_dropped, LinkDown, 0),
+                        MessageFate::Delayed(extra) => {
+                            f.queue.push(Delayed {
+                                due: round + 1 + extra,
+                                from: node,
+                                to,
+                                msg: msg.clone(),
+                                depth: link_depth,
+                            });
+                            (&mut f.stats.delayed, Delay, extra)
+                        }
+                    };
+                    *counter += 1;
+                    tally.fault(tracer, round, (kind, i as u64, t as u64, delay));
                 }
                 if count > 0 {
                     tally.charge_entry(count, bits, over, widths);
@@ -1371,15 +1354,26 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 
     /// Phase 4b of [`Network::step`] (fault plans only): merges the delayed
     /// messages due next round into the send buffer. One colliding with a
-    /// fresh message from the same sender (an O(deg) scan of the staged
-    /// row) waits one more round; one whose receiver crashed is discarded
+    /// message from the same sender that reaches the same receiver next
+    /// round waits one more round; one whose receiver crashed is discarded
     /// as a crash fault. The next seal sorts the merged rows by sender.
+    ///
+    /// A row does not hold the deliveries its receiver ignores, so the
+    /// collision check does not read the rows. A fresh message collides
+    /// when the sender has an entry this round addressed to the receiver
+    /// and the plan's pure fate for that edge delivered it
+    /// ([`Network::delivers_fresh`]); a delayed one collides with one
+    /// merged before it this round on the same edge. `seen` stamps the
+    /// receivers of this round's merges, so only their merged entries are
+    /// scanned.
     fn merge_delayed(
         &mut self,
         round: Round,
         f: &mut FaultState<P::Msg>,
         tracer: &Option<trace::SharedSink>,
     ) {
+        let fresh = self.sent.len();
+        self.seen_epoch += 1;
         let mut i = 0;
         while i < f.queue.len() {
             if f.queue[i].due > round + 1 {
@@ -1395,11 +1389,11 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 f.queue.remove(i);
                 continue;
             }
-            let collides = self
-                .arena
-                .staged_row(to.index())
-                .iter()
-                .any(|&k| self.sent.msgs[k as usize].0 == from);
+            let sent = &self.sent;
+            let collides = self.delivers_fresh(round, &f.plan, from, to)
+                || (self.seen[to.index()] == self.seen_epoch
+                    && (fresh..sent.len())
+                        .any(|k| sent.msgs[k].0 == from && sent.dest[k] == Dest::One(to)));
             if collides {
                 f.queue[i].due = round + 2;
                 f.stats.deferred += 1;
@@ -1408,14 +1402,36 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
             let Delayed { msg, depth, .. } = f.queue.remove(i);
             let entry = self.sent.len() as u32;
-            let wakes = !self.programs[to.index()].ignores(&msg);
+            let wants = !self.programs[to.index()].ignores(&msg);
             self.sent.push(from, msg, Dest::One(to));
+            self.seen[to.index()] = self.seen_epoch;
             // The chain length was fixed when the message was sent; the
             // jitter only moved its delivery round.
             let crit = self.crit.as_deref_mut();
-            deliver(&mut self.arena, crit, to.index(), entry, wakes, depth);
+            deliver(&mut self.arena, crit, to.index(), entry, wants, depth);
             self.arena.unsorted = true;
         }
+    }
+
+    /// Whether `from` committed a message to `to` this round that `plan`
+    /// delivers next round. `senders` is ascending, so `from`'s run of
+    /// entries is found by binary search, and validation let at most one
+    /// of them reach `to`. A delayed message crossed the edge `from → to`,
+    /// so `to` is a neighbour and every broadcast of `from` not skipping
+    /// it reaches it.
+    fn delivers_fresh(&self, round: Round, plan: &FaultPlan, from: NodeId, to: NodeId) -> bool {
+        let key = from.index() as u32;
+        let Ok(s) = self.senders.binary_search_by_key(&key, |&(i, _)| i) else {
+            return false;
+        };
+        let start = s.checked_sub(1).map_or(0, |p| self.senders[p].1 as usize);
+        let end = self.senders[s].1 as usize;
+        let addressed = self.sent.dest[start..end].iter().any(|&d| match d {
+            Dest::One(t) => t == to,
+            Dest::All => true,
+            Dest::AllBut(skip) => skip != to,
+        });
+        addressed && plan.fate(round, from.index(), to.index()) == MessageFate::Delivered
     }
 
     /// Closes `span` rounds: folds the round tally into [`RunStats`], the
@@ -1582,21 +1598,89 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 }
 
 /// Stages entry `entry` of this round's send buffer for delivery to `to`
-/// at the start of the next round (waking `to` if `wakes`), carrying causal
-/// depth `depth` into the critical-path profiler when it is on.
+/// at the start of the next round (shown to `to` only if it `wants` it),
+/// carrying causal depth `depth` into the critical-path profiler when it
+/// is on.
 #[inline]
 fn deliver(
     arena: &mut InboxArena<'_>,
     crit: Option<&mut CritState>,
     to: usize,
     entry: u32,
-    wakes: bool,
+    wants: bool,
     depth: u64,
 ) {
     if let Some(c) = crit {
         c.stage(to, depth);
     }
-    arena.stage(to, entry, wakes);
+    arena.stage(to, entry, wants);
+}
+
+/// What the staging-only commit lane reads: the round's validated send
+/// buffer, walked by sender, the programs it asks whether they want each
+/// message, and how to charge the entries.
+struct Lane<'a, P: NodeProgram> {
+    graph: &'a Graph,
+    programs: &'a [P],
+    senders: &'a [(u32, u32)],
+    msgs: &'a [(NodeId, P::Msg)],
+    dest: &'a [Dest],
+    budget: usize,
+    widths: bool,
+}
+
+/// The staging-only commit lane of [`Network::commit`], taken when no
+/// trace sink, fault plan or critical-path profiler is on: stages every
+/// delivery of every validated entry and charges each entry to `tally`.
+///
+/// It is the loop every plain round spends most of its commit in, so it
+/// stands out of line, over slices, with the receiver list's length, the
+/// in-flight count and the tally in locals: a delivery then writes only
+/// its row slot, its receiver's count and the receiver list, with the
+/// same branch-free write as [`InboxArena::stage`].
+#[inline(never)]
+fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena<'_>, tally: &mut Tally) {
+    // Slicing the per-node arrays to the program count lets the program
+    // lookup's bounds check stand for theirs.
+    let n = lane.programs.len();
+    let (row, idx) = (&arena.row[..=n], &mut arena.idx[..]);
+    let (len, receivers) = (&mut arena.len[..n], &mut arena.receivers[..]);
+    let (mut staged, mut in_flight, mut charged) = (arena.staged, 0, *tally);
+    let mut first = 0;
+    for &(i, end) in lane.senders {
+        let end = end as usize;
+        let neighbors = lane.graph.neighbors(NodeId::new(i as usize));
+        for k in first..end {
+            let msg = &lane.msgs[k].1;
+            let (targets, skip) = lane.dest[k].targets(neighbors);
+            let mut count = 0;
+            for &to in targets {
+                if Some(to) != skip {
+                    count += 1;
+                    let t = to.index();
+                    let wants = !lane.programs[t].ignores(msg);
+                    let l = len[t];
+                    let slot = row[t] as usize + l as usize;
+                    debug_assert!(slot < row[t + 1] as usize, "node {t} overfilled");
+                    idx[slot] = k as u32;
+                    len[t] = l + u32::from(wants);
+                    receivers[staged] = t as u32;
+                    staged += usize::from((l == 0) & wants);
+                }
+            }
+            if count > 0 {
+                // `Enforce` was rejected during validation, so an
+                // over-budget message here is tracked, not fatal.
+                let bits = msg.size_bits();
+                charged.charge_entry(count, bits, bits > lane.budget, lane.widths);
+                in_flight += count;
+            }
+        }
+        first = end;
+    }
+    arena.staged = staged;
+    arena.in_flight += in_flight as usize;
+    *tally = charged;
 }
 
 /// Charges the time since `clock` was last read to the metrics profiler
@@ -2403,8 +2487,23 @@ mod tests {
     struct Picky {
         /// `(round, note)` sends to node 1, ascending by round.
         script: Vec<(Round, Note)>,
+        /// When set, `ignores` wants every note.
+        eager: bool,
+        /// The node votes `Active` in every round before this one.
+        active_until: Round,
         runs: Vec<Round>,
         heard: Vec<(Round, Vec<(usize, u32)>)>,
+    }
+    impl Picky {
+        fn new(script: Vec<(Round, Note)>) -> Self {
+            Picky {
+                script,
+                eager: false,
+                active_until: 0,
+                runs: Vec::new(),
+                heard: Vec::new(),
+            }
+        }
     }
     impl NodeProgram for Picky {
         type Msg = Note;
@@ -2421,12 +2520,13 @@ mod tests {
                 ctx.send(NodeId::new(1), note.clone());
             }
             match self.script.iter().find(|&&(r, _)| r > round) {
+                _ if round + 1 < self.active_until => Status::Active,
                 Some(&(next, _)) => Status::Sleep(next),
                 None => Status::Halted,
             }
         }
         fn ignores(&self, msg: &Note) -> bool {
-            !msg.wanted
+            !self.eager && !msg.wanted
         }
         fn finish(self, _node: NodeId) -> Self::Output {
             (self.runs, self.heard)
@@ -2434,9 +2534,9 @@ mod tests {
     }
 
     /// An ignored delivery is charged (`RunStats`, registry, flight
-    /// recorder) and traced like any other, but does not wake its
-    /// receiver; a receiver woken by one wanted note reads the ignored
-    /// ones too, in sender order.
+    /// recorder), traced and counted as delivered like any other, but
+    /// does not wake its receiver, and a receiver woken by a wanted note
+    /// in the same round does not see it.
     #[test]
     fn only_a_wanted_message_wakes_its_receiver() {
         let note = |tag, wanted| Note { tag, wanted };
@@ -2457,18 +2557,15 @@ mod tests {
         let ((stats, outputs), events) = traced(|| {
             let _meter = metrics::install(registry.clone());
             let _flight = trace::flight::install(flight.clone());
-            let mut net = Network::new(&g, Config::new(16), |v| Picky {
-                script: script(v),
-                runs: Vec::new(),
-                heard: Vec::new(),
-            });
+            let mut net = Network::new(&g, Config::new(16), |v| Picky::new(script(v)));
             (net.run_until_quiescent(20).unwrap(), net.into_outputs())
         });
         let (runs, heard) = &outputs[1];
         // Round 0 runs everybody; the unwanted notes of rounds 0 and 5 wake
-        // nobody, the wanted one of round 2 wakes node 1 in round 3.
+        // nobody, the wanted one of round 2 wakes node 1 in round 3, and
+        // node 1 reads it alone.
         assert_eq!(runs, &[0, 3]);
-        assert_eq!(heard, &[(3, vec![(0, 20), (2, 22)])]);
+        assert_eq!(heard, &[(3, vec![(2, 22)])]);
         assert_eq!((stats.rounds, stats.messages, stats.total_bits), (7, 5, 40));
         let sends: Vec<_> = events
             .iter()
@@ -2498,10 +2595,80 @@ mod tests {
         assert_eq!((totals.messages, totals.bits, totals.delivered), (5, 40, 5));
     }
 
+    /// A node that runs anyway, because it voted `Active`, is still shown
+    /// only the messages it wants.
+    #[test]
+    fn a_running_node_never_sees_what_it_ignores() {
+        let note = |tag, wanted| Note { tag, wanted };
+        let g = generators::path(2);
+        let mut net = Network::new(&g, Config::new(16), |v| match v.index() {
+            0 => Picky::new(vec![
+                (0, note(10, false)),
+                (1, note(11, true)),
+                (2, note(12, false)),
+            ]),
+            _ => Picky {
+                active_until: 5,
+                ..Picky::new(Vec::new())
+            },
+        });
+        let stats = net.run_until_quiescent(20).unwrap();
+        assert_eq!(stats.messages, 3);
+        let (runs, heard) = &net.into_outputs()[1];
+        assert_eq!(runs, &[0, 1, 2, 3, 4]);
+        assert_eq!(heard, &[(2, vec![(0, 11)])]);
+    }
+
+    /// A delayed message that lands while a fresh message from the same
+    /// sender crosses the same edge waits a round more, even when its
+    /// receiver ignores the fresh one and no row holds it: `FaultStats`
+    /// agree with the same program wanting every note and with the
+    /// reference.
+    #[test]
+    fn a_delayed_message_defers_behind_an_ignored_fresh_one() {
+        use crate::reference::Reference;
+        let note = |tag, wanted| Note { tag, wanted };
+        // A plan that delays node 0's round-0 send to node 1 by one round,
+        // onto the round its round-1 send arrives, and delivers that one.
+        let plan = (0..1000)
+            .map(|seed| FaultPlan::new(seed).with_delay(0.5, 2))
+            .find(|p| {
+                p.fate(0, 0, 1) == MessageFate::Delayed(1)
+                    && p.fate(1, 0, 1) == MessageFate::Delivered
+            })
+            .expect("about one seed in 16 has these fates");
+        let g = generators::path(2);
+        let cfg = Config::new(16).with_faults(plan);
+        let make = |eager| {
+            move |v: NodeId| Picky {
+                eager,
+                ..Picky::new(match v.index() {
+                    0 => vec![(0, note(10, true)), (1, note(11, false))],
+                    _ => Vec::new(),
+                })
+            }
+        };
+        let run = |eager| {
+            let mut net = Network::new(&g, cfg, make(eager));
+            let stats = net.run_until_quiescent(20).unwrap();
+            (stats, net.fault_stats(), net.into_outputs())
+        };
+        let (stats, faults, outputs) = run(false);
+        assert_eq!((faults.delayed, faults.deferred), (1, 1));
+        // Deferred from round 2 to round 3; the ignored note is never shown.
+        assert_eq!(outputs[1], (vec![0, 3], vec![(3, vec![(0, 10)])]));
+        let (eager_stats, eager_faults, _) = run(true);
+        assert_eq!((stats, faults), (eager_stats, eager_faults));
+        let mut reference = Reference::new(&g, cfg, make(false));
+        let expect = reference.run_until_quiescent(20).unwrap();
+        assert_eq!((stats, faults), (expect, reference.fault_stats()));
+    }
+
     /// Floods the largest value heard. A value no larger than the node's
-    /// best is ignored, and an inbox of nothing but such values changes
-    /// nothing, so the program keeps the `ignores` contract. `heard` logs
-    /// every inbox the node acts on, ignored messages included.
+    /// best is ignored, and such a value changes nothing, whatever else
+    /// the inbox holds, so the program keeps the `ignores` contract.
+    /// `heard` logs the values of every inbox the node acts on that it
+    /// does not ignore.
     struct MaxFlood {
         best: u32,
         heard: Vec<(Round, Vec<(usize, u32)>)>,
@@ -2514,7 +2681,7 @@ mod tests {
         fn on_round(&mut self, ctx: &mut RoundCtx<'_, Id>) -> Status {
             let fresh = ctx.inbox().iter().any(|&(_, Id(v, _))| v > self.best);
             if fresh {
-                let inbox = ctx.inbox().iter();
+                let inbox = ctx.inbox().iter().filter(|&(_, Id(v, _))| *v > self.best);
                 let heard = inbox.map(|&(from, Id(v, _))| (from.index(), v)).collect();
                 self.heard.push((ctx.round(), heard));
                 self.best = ctx.inbox().iter().map(|m| m.1 .0).fold(self.best, u32::max);

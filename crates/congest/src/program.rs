@@ -27,8 +27,8 @@ pub enum Status {
     Active,
     /// The node has nothing to do unless new messages arrive. It is run
     /// again only when one arrives that its program does not
-    /// [ignore](NodeProgram::ignores); the messages it ignores still reach
-    /// its inbox, and it reads them whenever it does run.
+    /// [ignore](NodeProgram::ignores); the messages it ignores never reach
+    /// its inbox.
     Halted,
     /// Like `Halted`, but with a timed wakeup: the node has nothing to do
     /// unless new messages arrive **or** round `Sleep(w)` begins, at which
@@ -363,21 +363,29 @@ pub trait NodeProgram: Sized {
 
     /// Whether this node, in its current state, has no use for `msg`.
     ///
-    /// Return `true` only if the next [`on_round`](NodeProgram::on_round),
-    /// given an inbox of nothing but messages this method accepts, would
-    /// send nothing, keep the node's state and return the vote the node
-    /// last cast. The network then does not wake a `Halted` or sleeping
-    /// node for such a delivery: the message is still charged, traced,
-    /// fault-fated and put in the receiver's inbox, and a node that runs
-    /// anyway (it voted `Active`, its wakeup came due, or another message
-    /// woke it) reads it there in sender order. The question is asked when
-    /// the message is committed, of the receiver's state after its own run
-    /// in that round, which is the state it would start the delivery round
-    /// in.
+    /// Return `true` only if the next [`on_round`](NodeProgram::on_round)
+    /// would do exactly what it does without `msg` in its inbox: the same
+    /// sends, the same state and the same vote, whatever else the inbox
+    /// holds. In particular, an inbox of nothing but such messages must
+    /// send nothing, keep the node's state and re-cast the vote the node
+    /// last cast.
+    ///
+    /// The network then never shows the message: it is still charged,
+    /// traced, fault-fated and counted as delivered (so quiescence waits
+    /// for it), but it does not enter the receiver's inbox and does not
+    /// wake a `Halted` or sleeping receiver. A node that runs anyway (it
+    /// voted `Active`, its wakeup came due, or a message it wants woke it)
+    /// reads only the messages it wants, in sender order. The question is
+    /// asked when the message is committed, of the receiver's state after
+    /// its own run in that round, which is the state it starts the
+    /// delivery round in.
     ///
     /// The default ignores nothing. The [`reference`](crate::reference)
-    /// simulator runs every node anyway and reports a node that sends or
-    /// changes its vote on an inbox this method waved through.
+    /// simulator shows every message and runs every node every round, so a
+    /// differential run against it checks that this method is sound: it
+    /// reports a node that sends or changes its vote on an inbox this
+    /// method waved through, and a program that acts on a message it
+    /// claims to ignore produces different outputs there.
     #[inline]
     fn ignores(&self, msg: &Self::Msg) -> bool {
         let _ = msg;

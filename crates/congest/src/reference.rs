@@ -13,7 +13,12 @@
 //!   it has already used;
 //! * fault fates come straight from [`FaultPlan::fate`], crash-stops from
 //!   [`FaultPlan::crashes`], and each inbox is sorted by sender once the
-//!   round's deliveries (and due delayed messages) are in.
+//!   round's deliveries (and due delayed messages) are in;
+//! * every delivered message is shown to its receiver, including the ones
+//!   its program [ignores](NodeProgram::ignores), which `Network` never
+//!   puts in an inbox. A program whose `ignores` claims a message it in
+//!   fact acts on therefore gives different outputs here, so every
+//!   differential run also checks that a program's `ignores` is sound.
 //!
 //! With a trace sink installed it emits the `Round`, `Message`,
 //! `Violation` and `Fault` events `Network` emits, in the same order, with

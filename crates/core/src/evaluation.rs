@@ -156,10 +156,12 @@ pub fn run_windowed(
     // Step 4 is local to the leader. Step 5: revert steps 1-3 (uncompute) —
     // identical schedule run in reverse. Charged as a derived phase: it
     // mirrors the measured stats of steps 1-3 without re-running the
-    // network, so traces must not expect its messages on the wire again.
+    // network, so traces must not expect its messages on the wire again,
+    // and it schedules no node program.
     let mut uncompute = walk.stats;
     uncompute.absorb(&wave.stats);
     uncompute.absorb(&agg.stats);
+    (uncompute.scheduled_nodes, uncompute.node_rounds) = (0, 0);
     ledger.add_derived("step 5: uncompute (revert 1-3)", uncompute);
 
     let value = agg.value as Dist;

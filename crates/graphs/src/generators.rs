@@ -354,9 +354,15 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
     connect_components(n, edges, &mut rng)
 }
 
-/// Random graph with expected degree `deg` (i.e. `G(n, deg/(n-1))`),
-/// conditioned on connectivity. Sparse analogue of [`random_connected`]
-/// that keeps `m = Θ(n)` as `n` grows.
+/// Random graph with expected degree `deg`: `G(n, deg/(n-1))`, made
+/// connected by chaining its components into a path. Sparse analogue of
+/// [`random_connected`] that keeps `m = Θ(n)` as `n` grows.
+///
+/// This is not `G(n, p)` conditioned on connectivity. One random member
+/// of each component, in shuffled order, is joined to the next, so the
+/// components hang off one chain. `G(n, 8/n)` leaves about `e⁻⁸·n`
+/// isolated nodes, so once `n ≳ 10⁴` that chain, and with it the
+/// diameter, grows linearly in `n`.
 ///
 /// # Panics
 ///

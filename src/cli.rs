@@ -975,10 +975,13 @@ fn run_report(opts: &Options) -> Result<String, String> {
                 run.memory.per_node_qubits,
                 run.memory.leader_qubits
             );
+            // Every simulated network: Initialization, then the probe and
+            // verify runs of Figure 2.
+            let ledgers = [&run.init_ledger, &run.probe_ledger];
             scheduling_line(
                 &mut out,
-                run.init_ledger.total_scheduled_nodes(),
-                run.init_ledger.total_node_rounds(),
+                ledgers.iter().map(|l| l.total_scheduled_nodes()).sum(),
+                ledgers.iter().map(|l| l.total_node_rounds()).sum(),
             );
             if opts.verbose {
                 let _ = writeln!(out, "--- initialization ledger ---\n{}", run.init_ledger);
@@ -1214,6 +1217,49 @@ mod tests {
         assert!(resolve_recovery(Some("off"), Some("1")).unwrap().is_none());
         assert!(resolve_recovery(None, Some("0")).unwrap().is_none());
         assert!(resolve_recovery(None, Some("nonsense")).is_err());
+    }
+
+    /// `exact`'s and `simple`'s `scheduling:` line covers every simulated
+    /// network, Initialization and the probe and verify runs, and counts
+    /// Figure 2's derived uncompute phase, which runs no network, zero
+    /// times. The `rounds:` line still charges Initialization and the
+    /// quantum phase only.
+    #[test]
+    fn exact_scheduling_line_covers_every_simulated_network() {
+        for algo in ["exact", "simple"] {
+            let opts = parse(&args(&format!("{algo} --family sparse --n 256"))).unwrap();
+            let report = run(&opts).unwrap();
+            let g = build_graph(&opts).unwrap();
+            let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
+            let cfg = Config::for_graph(&g);
+            let driven = match opts.algorithm {
+                Algorithm::Exact => exact::diameter(&g, params, cfg),
+                _ => exact_simple::diameter(&g, params, cfg),
+            }
+            .unwrap();
+            let (mut scheduled, mut node_rounds, mut uncomputes) = (0, 0, 0);
+            for ledger in [&driven.init_ledger, &driven.probe_ledger] {
+                for (label, stats, reps) in ledger.phases() {
+                    if label.contains("uncompute") {
+                        assert_eq!((stats.scheduled_nodes, stats.node_rounds), (0, 0));
+                        assert!(stats.rounds > 0, "{label}");
+                        uncomputes += 1;
+                    }
+                    scheduled += stats.scheduled_nodes * reps;
+                    node_rounds += stats.node_rounds * reps;
+                }
+            }
+            assert!(
+                node_rounds > driven.init_ledger.total_node_rounds(),
+                "{algo}: the probe ledger simulated nothing"
+            );
+            // Only Theorem 1 runs Figure 2, and with it the uncompute phase.
+            assert_eq!(uncomputes > 0, algo == "exact", "{algo}");
+            let line = format!("scheduling: {scheduled} of {node_rounds} node-rounds executed");
+            assert!(report.contains(&line), "{algo}: {report}");
+            let rounds = format!("rounds: {} (init ", driven.rounds());
+            assert!(report.contains(&rounds), "{algo}: {report}");
+        }
     }
 
     /// A crash-stop that is fatal under the passive policy heals to the
