@@ -1,7 +1,7 @@
 //! Criterion benches for the PRT12/LP13 substrate extensions: distributed
-//! girth and (S, γ, σ)-source detection — plus the tracing-overhead and
-//! scheduler-hot-loop comparisons guarding the simulator's performance
-//! contracts.
+//! girth and (S, γ, σ)-source detection — plus the disabled-path overhead
+//! (tracing + metrics) and scheduler-hot-loop comparisons guarding the
+//! simulator's performance contracts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -51,19 +51,37 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// The telemetry layer must be strictly opt-in: with no sink installed,
-/// `Network::step` only pays one `trace::current()` thread-local lookup per
-/// round (the per-message paths just branch on the resulting `None`). This
-/// bench compares the round loop with and without a sink, then bounds the
-/// disabled-path overhead directly: rounds × cost(`current()`) must stay
-/// under 5% of the whole run.
-fn bench_tracing_overhead(c: &mut Criterion) {
+/// Per-call cost of `lookup`, the median over 30 samples of 10 000 calls.
+fn lookup_cost(lookup: impl Fn() -> bool) -> f64 {
+    let calls_per_sample = 10_000u32;
+    let samples = (0..30)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..calls_per_sample {
+                black_box(lookup());
+            }
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(samples) / f64::from(calls_per_sample)
+}
+
+/// Tracing and the cost-metrics layer must be strictly opt-in: with no
+/// sink and no registry installed, `Network::step` pays one
+/// `trace::current()` and one `metrics::current()` thread-local lookup per
+/// round, and the per-message paths just branch on the resulting `None`.
+/// The criterion group compares a BFS with nothing installed against one
+/// under a trace recorder and one under a metrics registry; the trailing
+/// gate bounds the disabled path of both layers together: rounds ×
+/// (cost(`trace::current`) + cost(`metrics::current`)) must stay under 5%
+/// of the whole run.
+fn bench_disabled_path_overhead(c: &mut Criterion) {
     let g = graphs::generators::random_sparse(96, 5.0, 4);
     let cfg = Config::for_graph(&g);
 
-    let mut group = c.benchmark_group("tracing_overhead");
+    let mut group = c.benchmark_group("disabled_path_overhead");
     group.sample_size(10);
-    group.bench_function("bfs_tracing_disabled", |b| {
+    group.bench_function("bfs_nothing_installed", |b| {
         b.iter(|| {
             let out = classical::bfs::build(black_box(&g), NodeId::new(0), cfg).unwrap();
             black_box(out.depth)
@@ -76,62 +94,6 @@ fn bench_tracing_overhead(c: &mut Criterion) {
             let out = classical::bfs::build(black_box(&g), NodeId::new(0), cfg).unwrap();
             let recorded = recorder.borrow().events().len();
             black_box((out.depth, recorded))
-        })
-    });
-    group.finish();
-
-    let samples = 30;
-    let mut run_times = Vec::with_capacity(samples);
-    let mut rounds = 0;
-    for _ in 0..samples {
-        let t = Instant::now();
-        let out = classical::bfs::build(&g, NodeId::new(0), cfg).unwrap();
-        run_times.push(t.elapsed().as_secs_f64());
-        rounds = out.stats.rounds;
-    }
-    let run_med = median(run_times);
-
-    let calls_per_sample = 10_000u32;
-    let mut call_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..calls_per_sample {
-            black_box(trace::current().is_some());
-        }
-        call_times.push(t.elapsed().as_secs_f64());
-    }
-    let call_med = median(call_times) / f64::from(calls_per_sample);
-
-    let overhead = (rounds as f64 * call_med) / run_med;
-    println!(
-        "tracing disabled-path overhead: {:.4}% of the round loop \
-         ({rounds} rounds x {:.1} ns per current() lookup)",
-        overhead * 100.0,
-        call_med * 1e9
-    );
-    assert!(
-        overhead < 0.05,
-        "disabled tracing costs {:.2}% of the round loop (budget: 5%)",
-        overhead * 100.0
-    );
-}
-
-/// The cost-metrics layer obeys the same contract as tracing: strictly
-/// opt-in. With no registry installed, `Network::step` pays one
-/// `metrics::current()` thread-local lookup per round and nothing per
-/// message. The criterion group compares a BFS with and without a
-/// registry; the trailing gate bounds the disabled path directly —
-/// rounds × cost(`current()`) must stay under 5% of the whole run.
-fn bench_metrics_overhead(c: &mut Criterion) {
-    let g = graphs::generators::random_sparse(96, 5.0, 4);
-    let cfg = Config::for_graph(&g);
-
-    let mut group = c.benchmark_group("metrics_overhead");
-    group.sample_size(10);
-    group.bench_function("bfs_metrics_disabled", |b| {
-        b.iter(|| {
-            let out = classical::bfs::build(black_box(&g), NodeId::new(0), cfg).unwrap();
-            black_box(out.depth)
         })
     });
     group.bench_function("bfs_registry_installed", |b| {
@@ -156,27 +118,19 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     }
     let run_med = median(run_times);
 
-    let calls_per_sample = 10_000u32;
-    let mut call_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..calls_per_sample {
-            black_box(metrics::current().is_some());
-        }
-        call_times.push(t.elapsed().as_secs_f64());
-    }
-    let call_med = median(call_times) / f64::from(calls_per_sample);
-
-    let overhead = (rounds as f64 * call_med) / run_med;
+    let trace_call = lookup_cost(|| trace::current().is_some());
+    let metrics_call = lookup_cost(|| metrics::current().is_some());
+    let overhead = (rounds as f64 * (trace_call + metrics_call)) / run_med;
     println!(
-        "metrics disabled-path overhead: {:.4}% of the round loop \
-         ({rounds} rounds x {:.1} ns per current() lookup)",
+        "disabled-path overhead (tracing + metrics): {:.4}% of the round loop \
+         ({rounds} rounds x ({:.1} + {:.1}) ns per trace/metrics current() lookup)",
         overhead * 100.0,
-        call_med * 1e9
+        trace_call * 1e9,
+        metrics_call * 1e9
     );
     assert!(
         overhead < 0.05,
-        "disabled metrics cost {:.2}% of the round loop (budget: 5%)",
+        "disabled tracing and metrics cost {:.2}% of the round loop (budget: 5%)",
         overhead * 100.0
     );
 }
@@ -279,7 +233,7 @@ fn seed_replica_flood(g: &Graph) -> (u64, Vec<u32>) {
 /// sequential path must not be slower than the seed scheduler's hot loop
 /// (it should be measurably faster). The criterion group gives the full
 /// comparison; the trailing gate hard-asserts the
-/// sequential bound at <5% overhead, mirroring `tracing_overhead`.
+/// sequential bound at <5% overhead, mirroring `disabled_path_overhead`.
 fn bench_scheduler_hot_loop(c: &mut Criterion) {
     let g96 = graphs::generators::random_sparse(96, 5.0, 4);
     let g256 = graphs::generators::random_sparse(256, 6.0, 9);
@@ -828,8 +782,7 @@ criterion_group!(
     benches,
     bench_girth,
     bench_source_detection,
-    bench_tracing_overhead,
-    bench_metrics_overhead,
+    bench_disabled_path_overhead,
     bench_scheduler_hot_loop,
     bench_scheduler_sparse,
     bench_flight_overhead,

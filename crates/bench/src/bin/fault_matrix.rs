@@ -29,7 +29,8 @@
 //! by [`classical::AlgoError::FaultDetected`]. Results go to
 //! `fault_matrix.json` under `QD_RESULTS_DIR` (default `results/`).
 
-use classical::recovery::{carve_survivors, exact_diameter_recovering, RecoveredDiameter};
+use classical::apsp::ExactDiameterOutcome;
+use classical::recovery::{carve_survivors, exact_diameter_recovering, Recovered};
 use classical::AlgoError;
 use congest::{Config, FaultPlan, RecoveryPolicy};
 use graphs::{Graph, NodeId};
@@ -145,7 +146,7 @@ impl RecoveryCell {
     fn record(
         &mut self,
         faulted: bool,
-        outcome: &Result<RecoveredDiameter, AlgoError>,
+        outcome: &Result<Recovered<ExactDiameterOutcome>, AlgoError>,
         reference: u32,
     ) {
         self.runs += 1;
@@ -154,16 +155,16 @@ impl RecoveryCell {
                 self.wasted_wire_bits += healed.recovery.wasted_bits;
                 if !faulted {
                     assert_eq!(
-                        healed.outcome.diameter, reference,
+                        healed.run.diameter, reference,
                         "fault-free recovering run answered wrong"
                     );
                     return;
                 }
                 self.faulted += 1;
-                if healed.is_partial() {
+                if healed.surviving.is_some() {
                     self.partial += 1;
                 }
-                if healed.outcome.diameter == reference {
+                if healed.run.diameter == reference {
                     self.recovered += 1;
                 } else {
                     self.unsound += 1;

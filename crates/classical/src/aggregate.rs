@@ -255,14 +255,13 @@ pub fn convergecast(
         // Honest accounting at the source: resends are recovery actions
         // wherever they happen (here or under a quantum driver) — one bulk
         // trace event per phase, one metrics charge per resent message.
-        trace::emit_with(|| trace::TraceEvent::Recovery {
-            round: 0,
-            action: trace::RecoveryAction::Retransmit,
-            attempt: 0,
-            scope: "convergecast reports".into(),
-        });
-        trace::flight::with(|f| f.note_recovery());
-        metrics::add(metrics::names::RECOVERY_ACTIONS, retransmissions);
+        congest::recovery::note_recovery(
+            trace::RecoveryAction::Retransmit,
+            0,
+            "convergecast reports",
+            0,
+            retransmissions,
+        );
     }
     let ((value, witness), _, _) = outputs[tree.root().index()];
     Ok(AggOutcome {

@@ -235,14 +235,13 @@ pub fn build(graph: &Graph, root: NodeId, config: Config) -> Result<BfsOutcome, 
         // Honest accounting at the source: resends are recovery actions
         // wherever they happen (here or under a quantum driver) — one bulk
         // trace event per phase, one metrics charge per resent message.
-        trace::emit_with(|| trace::TraceEvent::Recovery {
-            round: 0,
-            action: trace::RecoveryAction::Retransmit,
-            attempt: 0,
-            scope: "bfs claims".into(),
-        });
-        trace::flight::with(|f| f.note_recovery());
-        metrics::add(metrics::names::RECOVERY_ACTIONS, retransmissions);
+        congest::recovery::note_recovery(
+            trace::RecoveryAction::Retransmit,
+            0,
+            "bfs claims",
+            0,
+            retransmissions,
+        );
     }
     let mut parents = Vec::with_capacity(outcomes.len());
     let mut dists = Vec::with_capacity(outcomes.len());

@@ -8,7 +8,7 @@
 //! node is a 2-approximation of the diameter (the baseline in the paper's
 //! introduction).
 
-use congest::{bits, Config, RunStats};
+use congest::{bits, Config, RoundsLedger, RunStats};
 use graphs::{Dist, Graph, NodeId};
 
 use crate::aggregate::{self, Op};
@@ -76,8 +76,16 @@ pub struct TwoApproxOutcome {
     pub estimate: Dist,
     /// The node whose eccentricity was used.
     pub node: NodeId,
-    /// Combined round/bit accounting (election + BFS + convergecast).
-    pub stats: RunStats,
+    /// Per-phase round/bit accounting: leader election, then the
+    /// eccentricity run (BFS + convergecast).
+    pub ledger: RoundsLedger,
+}
+
+impl TwoApproxOutcome {
+    /// Total rounds across all phases.
+    pub fn rounds(&self) -> u64 {
+        self.ledger.total_rounds()
+    }
 }
 
 /// The trivial 2-approximation: elect a leader and compute its
@@ -93,14 +101,15 @@ pub fn two_approx(graph: &Graph, config: Config) -> Result<TwoApproxOutcome, Alg
             reason: "empty graph".into(),
         });
     }
+    let mut ledger = RoundsLedger::new();
     let elect = leader::elect(graph, config)?;
+    ledger.add("leader election", elect.stats);
     let out = compute(graph, elect.leader, config)?;
-    let mut stats = elect.stats;
-    stats.absorb(&out.stats);
+    ledger.add("ecc(leader)", out.stats);
     Ok(TwoApproxOutcome {
         estimate: out.ecc,
         node: elect.leader,
-        stats,
+        ledger,
     })
 }
 

@@ -26,10 +26,16 @@
 //!    than aborting the whole computation.
 //!
 //! Every recovery action is accounted honestly: retries/restarts/re-roots
-//! charge [`RecoveryStats`], emit [`trace::TraceEvent::Recovery`] events,
-//! bump the `qd_recovery_*` metrics, and wasted attempts appear as
-//! *derived* ledger spans so `trace-summary` can reconcile committed
-//! against discarded rounds.
+//! charge [`RecoveryStats`], and
+//! [`congest::recovery::note_recovery`] emits their
+//! [`trace::TraceEvent::Recovery`] events and bumps the `qd_recovery_*`
+//! metrics. Wasted attempts appear as *derived* ledger spans so
+//! `trace-summary` can reconcile committed against discarded rounds.
+//!
+//! The driver's result is a [`Recovered<T>`](Recovered): the run, its
+//! [`RecoveryStats`] and the surviving component, if any. It is the one
+//! recovered-result type of the workspace; the quantum drivers' recovery
+//! wrappers (`diameter_quantum::recovery`) return it too.
 //!
 //! Determinism is preserved: recovery fates are pure functions of the
 //! plan seed and attempt number, so results — including
@@ -50,10 +56,10 @@
 //! fail-stop driver would simply have reported detection. The
 //! `fault_matrix` bench quantifies this trade.
 
-use congest::recovery::reseed;
+use congest::recovery::{note_recovery, reseed};
 use congest::{bits, Config, FaultPlan, RecoveryPolicy, RecoveryStats, RoundsLedger, RunStats};
 use graphs::{Dist, Graph, NodeId};
-use trace::{RecoveryAction, TraceEvent};
+use trace::RecoveryAction;
 
 use crate::aggregate::{self, Op};
 use crate::apsp::ExactDiameterOutcome;
@@ -88,30 +94,25 @@ pub struct SurvivingComponent {
     pub excluded: usize,
 }
 
-/// Result of [`exact_diameter_recovering`]: the answer plus the recovery
-/// actions it took to get there.
+/// A recovered run: a driver's result plus what healing it cost.
+///
+/// The one result shape of every recovering driver: this module's
+/// [`exact_diameter_recovering`] returns `Recovered<ExactDiameterOutcome>`,
+/// and the quantum drivers' recovery wrappers return the same type around
+/// their own runs.
 #[derive(Clone, Debug)]
-pub struct RecoveredDiameter {
-    /// The computed diameter/radius/eccentricities and phase ledger. When
-    /// [`surviving`](Self::surviving) is `Some`, all node indices in here
-    /// (leader, eccentricities) are component-local.
-    pub outcome: ExactDiameterOutcome,
+pub struct Recovered<T> {
+    /// The successful run. When [`surviving`](Self::surviving) is `Some`,
+    /// its node indices (leader, eccentricities) are component-local (see
+    /// [`SurvivingComponent::nodes`]).
+    pub run: T,
     /// Retries, restarts, retransmissions, re-roots, and the work wasted
     /// by discarded attempts. [`RecoveryStats::is_clean`] means the run
     /// needed no healing at all.
     pub recovery: RecoveryStats,
     /// `Some` when crash-stops forced partial-network semantics; the
-    /// diameter then refers to the surviving component, not the full
-    /// graph.
+    /// answer then refers to the surviving component, not the full graph.
     pub surviving: Option<SurvivingComponent>,
-}
-
-impl RecoveredDiameter {
-    /// True when the answer covers only a surviving component rather than
-    /// the whole network.
-    pub fn is_partial(&self) -> bool {
-        self.surviving.is_some()
-    }
 }
 
 /// A failed attempt: the detection error plus the work it threw away.
@@ -159,7 +160,7 @@ fn waste_of(e: AlgoError, spent: RunStats) -> AttemptError {
 ///     .with_faults(FaultPlan::new(7).with_crash(9, 0))
 ///     .with_recovery(RecoveryPolicy::standard());
 /// let out = recovery::exact_diameter_recovering(&g, cfg)?;
-/// assert_eq!(out.outcome.diameter, 8);
+/// assert_eq!(out.run.diameter, 8);
 /// assert_eq!(out.surviving.unwrap().excluded, 1);
 /// assert_eq!(out.recovery.reroots, 1);
 /// # Ok::<(), classical::AlgoError>(())
@@ -167,7 +168,7 @@ fn waste_of(e: AlgoError, spent: RunStats) -> AttemptError {
 pub fn exact_diameter_recovering(
     graph: &Graph,
     config: Config,
-) -> Result<RecoveredDiameter, AlgoError> {
+) -> Result<Recovered<ExactDiameterOutcome>, AlgoError> {
     if graph.is_empty() {
         return Err(AlgoError::InvalidParameter {
             reason: "empty graph".into(),
@@ -193,8 +194,8 @@ pub fn exact_diameter_recovering(
             Ok((outcome, ledger)) => {
                 let mut final_ledger = wasted_ledger;
                 final_ledger.extend_prefixed("", &ledger);
-                return Ok(RecoveredDiameter {
-                    outcome: ExactDiameterOutcome {
+                return Ok(Recovered {
+                    run: ExactDiameterOutcome {
                         ledger: final_ledger,
                         ..outcome
                     },
@@ -514,7 +515,7 @@ fn partial_network(
     plan: FaultPlan,
     mut stats: RecoveryStats,
     mut ledger: RoundsLedger,
-) -> Result<RecoveredDiameter, AlgoError> {
+) -> Result<Recovered<ExactDiameterOutcome>, AlgoError> {
     let carve = carve_survivors(graph, &plan).ok_or(AlgoError::FaultDetected {
         round: 0,
         detail: "every node crash-stops: no surviving component".into(),
@@ -525,11 +526,11 @@ fn partial_network(
     // retry/checkpoint but can never re-enter this path.
     let sub_out = exact_diameter_recovering(&carve.graph, config.with_faults(carve.plan))?;
     stats.absorb(&sub_out.recovery);
-    ledger.extend_prefixed("surviving: ", &sub_out.outcome.ledger);
-    Ok(RecoveredDiameter {
-        outcome: ExactDiameterOutcome {
+    ledger.extend_prefixed("surviving: ", &sub_out.run.ledger);
+    Ok(Recovered {
+        run: ExactDiameterOutcome {
             ledger,
-            ..sub_out.outcome
+            ..sub_out.run
         },
         recovery: stats,
         surviving: Some(carve.component),
@@ -571,28 +572,6 @@ fn largest_component(graph: &Graph, dead: &[bool]) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Emits a [`TraceEvent::Recovery`] and charges `count` recovery actions
-/// to the metrics registry.
-fn note_recovery(
-    action: RecoveryAction,
-    attempt: u64,
-    scope: &str,
-    wasted_rounds: u64,
-    count: u64,
-) {
-    trace::emit_with(|| TraceEvent::Recovery {
-        round: wasted_rounds,
-        action,
-        attempt,
-        scope: scope.to_string(),
-    });
-    // The flight recorder counts recovery *events* (one per trace event,
-    // not per charged action) so a recorder rebuilt from the trace stream
-    // reconciles with the live one exactly.
-    trace::flight::with(|f| f.note_recovery());
-    metrics::add(metrics::names::RECOVERY_ACTIONS, count);
-}
-
 /// Folds `resent` retransmitted messages into the stats. The trace event
 /// and metrics charge already happened at the source — [`bfs::build`] and
 /// [`aggregate::convergecast`] account for their own resends, so they are
@@ -628,9 +607,9 @@ mod tests {
             let cfg = Config::for_graph(&g);
             let plain = apsp::exact_diameter(&g, cfg).unwrap();
             let out = exact_diameter_recovering(&g, cfg).unwrap();
-            assert_eq!(out.outcome.diameter, plain.diameter);
-            assert_eq!(out.outcome.radius, plain.radius);
-            assert_eq!(out.outcome.eccentricities, plain.eccentricities);
+            assert_eq!(out.run.diameter, plain.diameter);
+            assert_eq!(out.run.radius, plain.radius);
+            assert_eq!(out.run.eccentricities, plain.eccentricities);
             assert!(out.recovery.is_clean());
             assert!(out.surviving.is_none());
             let labels = ledger_labels(&out);
@@ -648,8 +627,8 @@ mod tests {
         }
     }
 
-    fn ledger_labels(out: &RecoveredDiameter) -> Vec<&str> {
-        out.outcome.ledger.phases().map(|(l, _, _)| l).collect()
+    fn ledger_labels(out: &Recovered<ExactDiameterOutcome>) -> Vec<&str> {
+        out.run.ledger.phases().map(|(l, _, _)| l).collect()
     }
 
     #[test]
@@ -657,9 +636,9 @@ mod tests {
         let g = generators::random_connected(28, 0.12, 2);
         let cfg = Config::for_graph(&g).with_recovery(RecoveryPolicy::new().with_checkpoint(5));
         let out = exact_diameter_recovering(&g, cfg).unwrap();
-        assert_eq!(out.outcome.diameter, gmetrics::diameter(&g).unwrap());
+        assert_eq!(out.run.diameter, gmetrics::diameter(&g).unwrap());
         assert_eq!(
-            out.outcome.eccentricities,
+            out.run.eccentricities,
             gmetrics::eccentricities(&g).unwrap()
         );
         assert!(out.recovery.is_clean());
@@ -691,7 +670,7 @@ mod tests {
             (5..12).map(NodeId::new).collect::<Vec<_>>()
         );
         assert_eq!(surviving.excluded, 5);
-        assert_eq!(out.outcome.diameter, 6);
+        assert_eq!(out.run.diameter, 6);
         assert_eq!(out.recovery.reroots, 1);
         assert!(out.recovery.wasted_rounds > 0, "the aborted attempt costs");
     }
@@ -726,7 +705,7 @@ mod tests {
                 continue;
             }
             if let Ok(out) = exact_diameter_recovering(&g, cfg.with_recovery(policy)) {
-                assert_eq!(out.outcome.diameter, reference, "seed {seed}");
+                assert_eq!(out.run.diameter, reference, "seed {seed}");
                 assert!(!out.recovery.is_clean(), "seed {seed} must have healed");
                 healed += 1;
             }

@@ -25,7 +25,8 @@
 //!
 //! Recovery is never free: every retry, retransmission, and restart is
 //! charged to the rounds ledger and the metrics cost model, counted in
-//! [`RecoveryStats`], and traced as `TraceEvent::Recovery` events.
+//! [`RecoveryStats`], and traced as `TraceEvent::Recovery` events by
+//! [`note_recovery`].
 
 use std::fmt;
 
@@ -236,6 +237,31 @@ pub fn reseed(seed: u64, attempt: u32, scope: u64) -> u64 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     h
+}
+
+/// Charges `count` recovery actions of one kind on every observability
+/// channel: one [`trace::TraceEvent::Recovery`] event (its `round` is the
+/// rounds the action wasted), one flight-recorder recovery event, and
+/// `count` on the `qd_recovery_actions_total` counter.
+///
+/// The flight recorder counts *events*, one per trace event and not one
+/// per charged action, so a recorder rebuilt from the trace stream
+/// reconciles with the live one exactly.
+pub fn note_recovery(
+    action: trace::RecoveryAction,
+    attempt: u64,
+    scope: &str,
+    wasted_rounds: u64,
+    count: u64,
+) {
+    trace::emit_with(|| trace::TraceEvent::Recovery {
+        round: wasted_rounds,
+        action,
+        attempt,
+        scope: scope.to_string(),
+    });
+    trace::flight::with(|f| f.note_recovery());
+    metrics::add(metrics::names::RECOVERY_ACTIONS, count);
 }
 
 /// Counts of the recovery actions a driver performed, and what they cost.

@@ -25,16 +25,21 @@
 //!   surviving component via
 //!   [`classical::recovery::carve_survivors`] and answer for it.
 //!
+//! Both wrappers return [`Recovered<T>`](Recovered), the type
+//! [`classical::recovery`] defines for its own driver (re-exported here):
+//! the run, its [`RecoveryStats`] and the surviving component, if any.
+//!
 //! Wasted-work accounting is coarser than the classical driver's: a
 //! failed quantum attempt reports only its detection round, so
 //! `wasted_rounds` is a lower bound and wasted messages/bits stay 0.
 
-use classical::recovery::{carve_survivors, SurvivingComponent};
+use classical::recovery::carve_survivors;
+pub use classical::recovery::Recovered;
 use classical::AlgoError;
-use congest::recovery::reseed;
+use congest::recovery::{note_recovery, reseed};
 use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats};
 use graphs::Graph;
-use trace::{RecoveryAction, TraceEvent};
+use trace::RecoveryAction;
 
 use crate::approx::{self, ApproxParams, ApproxRun};
 use crate::exact::{self, DiameterRun, ExactParams};
@@ -44,19 +49,6 @@ use crate::QdError;
 const SCOPE_EXACT: u64 = 0xE8AC;
 /// Reseed scope for approximation-driver retries.
 const SCOPE_APPROX: u64 = 0xA990;
-
-/// A recovered quantum run: the underlying result plus what healing cost.
-#[derive(Clone, Debug)]
-pub struct Recovered<T> {
-    /// The successful run. When [`surviving`](Self::surviving) is `Some`,
-    /// its node indices are component-local (see
-    /// [`SurvivingComponent::nodes`]).
-    pub run: T,
-    /// Retries, re-roots, and (lower-bound) wasted rounds.
-    pub recovery: RecoveryStats,
-    /// `Some` when crash-stops forced partial-network semantics.
-    pub surviving: Option<SurvivingComponent>,
-}
 
 /// Runs the exact `O(√(nD))` algorithm of Theorem 1, healing detected
 /// faults per [`Config::recovery`].
@@ -179,7 +171,7 @@ fn recover_with<T>(
                         return Err(e);
                     };
                     stats.reroots += 1;
-                    note_recovery(RecoveryAction::Reroot, 1, "surviving component", 0);
+                    note_recovery(RecoveryAction::Reroot, 1, "surviving component", 0, 1);
                     // The carved plan has no crashes, so the sub-run can
                     // retry but never re-enters this branch.
                     let sub = recover_with(
@@ -204,6 +196,7 @@ fn recover_with<T>(
                         u64::from(attempt) + 1,
                         scope_label,
                         wasted,
+                        1,
                     );
                     continue;
                 }
@@ -212,19 +205,6 @@ fn recover_with<T>(
         }
     }
     unreachable!("the attempt loop returns on its final iteration");
-}
-
-/// Emits a [`TraceEvent::Recovery`] and charges one recovery action to
-/// the metrics registry.
-fn note_recovery(action: RecoveryAction, attempt: u64, scope: &str, wasted_rounds: u64) {
-    trace::emit_with(|| TraceEvent::Recovery {
-        round: wasted_rounds,
-        action,
-        attempt,
-        scope: scope.to_string(),
-    });
-    trace::flight::with(|f| f.note_recovery());
-    ::metrics::add(::metrics::names::RECOVERY_ACTIONS, 1);
 }
 
 /// Charges a discarded attempt's (lower-bound) rounds.

@@ -60,19 +60,25 @@ rm -rf "$fdir"
 
 echo "=== scheduler bench smoke (<5% overhead gates) ==="
 # The vendored criterion stub runs every group once in --test mode; the
-# Instant-based gates (tracing_overhead, scheduler_hot_loop, and the
+# Instant-based gates (disabled_path_overhead, scheduler_hot_loop, and the
 # flight-recorder <5% overhead gate on the n = 10^5 path flood) always
 # run, and scheduler_sparse writes BENCH_scheduler.json at the repo root.
+# disabled_path_overhead bounds tracing and metrics together (<5% for both
+# thread-local lookups per round), so this smoke doubles as the cost-metrics
+# gate.
 cargo bench -q --offline -p bench --bench bench_substrate -- --test || status=1
 test -s BENCH_scheduler.json || { echo "BENCH_scheduler.json missing" >&2; status=1; }
-# bench_substrate's metrics_overhead group also asserts the <5% gate on the
-# disabled-metrics path, so this smoke doubles as the cost-metrics gate.
 
 echo "=== cut-traffic meter: fig5_7_simulation matches its committed output ==="
 # Deterministic output, including the boundary traffic the CutTraffic trace
 # sink measures (288 bits per boundary per round against a cap of 324).
 cargo run -q --release --offline -p bench --bin fig5_7_simulation \
   | diff - results/fig5_7_simulation.txt || status=1
+
+echo "=== qdiam reports match their committed output ==="
+# Every driver's console report, fault-free and healing a crash; see the
+# generator script for the exact command lines.
+scripts/qdiam_reports.sh | diff - results/qdiam_reports.txt || status=1
 
 echo "=== table1_lower_bounds and fig2_evaluation match their committed output ==="
 # Both are deterministic and take well under a second. Their JSON goes to

@@ -6,8 +6,8 @@
 use std::fmt::Write as _;
 
 use classical::hprw::HprwParams;
-use classical::recovery::SurvivingComponent;
-use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats};
+use classical::recovery::Recovered;
+use congest::{Config, FaultPlan, RecoveryPolicy, RoundsLedger};
 use diameter_quantum::approx::{self, ApproxParams};
 use diameter_quantum::exact::ExactParams;
 use diameter_quantum::{exact, exact_simple, recovery};
@@ -870,40 +870,78 @@ fn resolve_recovery(
     Ok(Some(policy).filter(|p| !p.is_passive()))
 }
 
-/// Appends the self-healing lines of a recovered run's report: the
-/// surviving component (for partial-network answers) and what the
-/// recovery cost.
-fn recovery_report(
-    out: &mut String,
-    stats: &RecoveryStats,
-    surviving: Option<&SurvivingComponent>,
-) {
-    if let Some(s) = surviving {
-        let _ = writeln!(
-            out,
-            "surviving component: {} nodes ({} crashed/unreachable excluded) — \
-             the answer refers to this component",
-            s.nodes.len(),
-            s.excluded
-        );
-    }
-    let _ = writeln!(out, "recovery cost: {stats}");
+/// One driver's result in the one shape every `qdiam` run prints.
+struct DriverReport {
+    /// The answer lines, the `rounds:` line and any driver-specific
+    /// line after it, newline-terminated.
+    answer: String,
+    /// Every ledger the run simulated, each under its `--verbose` dump
+    /// heading. The `scheduling:` line sums over all of them.
+    ledgers: Vec<(&'static str, RoundsLedger)>,
+    /// What healing cost, when a recovering driver produced the run.
+    healed: Option<Recovered<()>>,
 }
 
-/// One `scheduling:` report line: how many of the run's `n · rounds`
-/// scheduling opportunities actually executed a node program — telemetry
-/// about the scheduler, not a protocol observable.
-fn scheduling_line(out: &mut String, scheduled: u64, node_rounds: u64) {
-    let fraction = if node_rounds == 0 {
-        1.0
-    } else {
-        scheduled as f64 / node_rounds as f64
-    };
-    let _ = writeln!(
-        out,
-        "scheduling: {scheduled} of {node_rounds} node-rounds executed ({:.1}% active)",
-        fraction * 100.0
-    );
+impl DriverReport {
+    /// Prints the report: the recovery lines of a healed run, the answer,
+    /// one `scheduling:` line over every simulated ledger, and with
+    /// `verbose` each non-empty ledger. The `scheduling:` line says how
+    /// many of the run's `n · rounds` scheduling opportunities actually
+    /// executed a node program: telemetry about the scheduler, not a
+    /// protocol observable.
+    fn write(&self, out: &mut String, verbose: bool) {
+        if let Some(healed) = &self.healed {
+            if let Some(s) = &healed.surviving {
+                let _ = writeln!(
+                    out,
+                    "surviving component: {} nodes ({} crashed/unreachable excluded) — \
+                     the answer refers to this component",
+                    s.nodes.len(),
+                    s.excluded
+                );
+            }
+            let _ = writeln!(out, "recovery cost: {}", healed.recovery);
+        }
+        out.push_str(&self.answer);
+        let ledgers = self.ledgers.iter().map(|(_, l)| l);
+        let scheduled: u64 = ledgers.clone().map(|l| l.total_scheduled_nodes()).sum();
+        let node_rounds: u64 = ledgers.map(|l| l.total_node_rounds()).sum();
+        let fraction = if node_rounds == 0 {
+            1.0
+        } else {
+            scheduled as f64 / node_rounds as f64
+        };
+        let _ = writeln!(
+            out,
+            "scheduling: {scheduled} of {node_rounds} node-rounds executed ({:.1}% active)",
+            fraction * 100.0
+        );
+        if verbose {
+            for (heading, ledger) in self.ledgers.iter().filter(|(_, l)| !l.is_empty()) {
+                let _ = writeln!(out, "--- {heading} ---\n{ledger}");
+            }
+        }
+    }
+}
+
+/// Runs the recovering driver under an active policy and the fail-stop
+/// one otherwise. A healed run's recovery cost goes to `healed`.
+fn drive<T, E: ToString>(
+    recovering: bool,
+    healed: &mut Option<Recovered<()>>,
+    heal: impl FnOnce() -> Result<Recovered<T>, E>,
+    plain: impl FnOnce() -> Result<T, E>,
+) -> Result<T, String> {
+    if !recovering {
+        return plain().map_err(|e| e.to_string());
+    }
+    let out = heal().map_err(|e| e.to_string())?;
+    *healed = Some(Recovered {
+        run: (),
+        recovery: out.recovery,
+        surviving: out.surviving,
+    });
+    Ok(out.run)
 }
 
 fn run_report(opts: &Options) -> Result<String, String> {
@@ -944,113 +982,81 @@ fn run_report(opts: &Options) -> Result<String, String> {
         _ => None,
     };
     let recovering = policy.is_some();
-    match opts.algorithm {
+    let mut healed = None;
+    let (answer, ledgers) = match opts.algorithm {
         Algorithm::Exact | Algorithm::Simple => {
             let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
-            let run = if opts.algorithm == Algorithm::Exact {
-                if recovering {
-                    let healed =
-                        recovery::exact_recovering(&g, params, cfg).map_err(|e| e.to_string())?;
-                    recovery_report(&mut out, &healed.recovery, healed.surviving.as_ref());
-                    Ok(healed.run)
-                } else {
-                    exact::diameter(&g, params, cfg)
-                }
-            } else {
-                exact_simple::diameter(&g, params, cfg)
-            }
-            .map_err(|e| e.to_string())?;
-            let _ = writeln!(out, "diameter: {}", run.value);
-            let _ = writeln!(
-                out,
-                "rounds: {} (init {} + quantum {})",
+            let run = match opts.algorithm {
+                Algorithm::Exact => drive(
+                    recovering,
+                    &mut healed,
+                    || recovery::exact_recovering(&g, params, cfg),
+                    || exact::diameter(&g, params, cfg),
+                )?,
+                _ => exact_simple::diameter(&g, params, cfg).map_err(|e| e.to_string())?,
+            };
+            let answer = format!(
+                "diameter: {}\nrounds: {} (init {} + quantum {})\n\
+                 oracle calls: {} | memory: {} qubits/node, {} at leader\n",
+                run.value,
                 run.rounds(),
                 run.init_ledger.total_rounds(),
-                run.quantum_rounds
-            );
-            let _ = writeln!(
-                out,
-                "oracle calls: {} | memory: {} qubits/node, {} at leader",
+                run.quantum_rounds,
                 run.oracle.total_ops(),
                 run.memory.per_node_qubits,
                 run.memory.leader_qubits
             );
             // Every simulated network: Initialization, then the probe and
             // verify runs of Figure 2.
-            let ledgers = [&run.init_ledger, &run.probe_ledger];
-            scheduling_line(
-                &mut out,
-                ledgers.iter().map(|l| l.total_scheduled_nodes()).sum(),
-                ledgers.iter().map(|l| l.total_node_rounds()).sum(),
-            );
-            if opts.verbose {
-                let _ = writeln!(out, "--- initialization ledger ---\n{}", run.init_ledger);
-                if !run.probe_ledger.is_empty() {
-                    let _ = writeln!(
-                        out,
-                        "--- probe/verification ledger ---\n{}",
-                        run.probe_ledger
-                    );
-                }
-            }
+            (
+                answer,
+                vec![
+                    ("initialization ledger", run.init_ledger),
+                    ("probe/verification ledger", run.probe_ledger),
+                ],
+            )
         }
         Algorithm::Approx => {
             let mut params = ApproxParams::new(opts.seed).with_failure_prob(opts.delta);
             if let Some(s) = opts.s {
                 params = params.with_s(s);
             }
-            let run = if recovering {
-                let healed =
-                    recovery::approx_recovering(&g, params, cfg).map_err(|e| e.to_string())?;
-                recovery_report(&mut out, &healed.recovery, healed.surviving.as_ref());
-                healed.run
-            } else {
-                approx::diameter(&g, params, cfg).map_err(|e| e.to_string())?
-            };
-            let _ = writeln!(out, "estimate D̄: {} (⌊2D/3⌋ ≤ D̄ ≤ D)", run.estimate);
-            let _ = writeln!(
-                out,
-                "rounds: {} (prep {} + quantum {}) | s = {}",
+            let run = drive(
+                recovering,
+                &mut healed,
+                || recovery::approx_recovering(&g, params, cfg),
+                || approx::diameter(&g, params, cfg),
+            )?;
+            let answer = format!(
+                "estimate D̄: {} (⌊2D/3⌋ ≤ D̄ ≤ D)\nrounds: {} (prep {} + quantum {}) | s = {}\n",
+                run.estimate,
                 run.rounds(),
                 run.prep_ledger.total_rounds(),
                 run.quantum_rounds,
                 run.s
             );
-            scheduling_line(
-                &mut out,
-                run.prep_ledger.total_scheduled_nodes(),
-                run.prep_ledger.total_node_rounds(),
-            );
-            if opts.verbose {
-                let _ = writeln!(out, "--- preparation ledger ---\n{}", run.prep_ledger);
-                if !run.probe_ledger.is_empty() {
-                    let _ = writeln!(
-                        out,
-                        "--- probe/verification ledger ---\n{}",
-                        run.probe_ledger
-                    );
-                }
-            }
+            (
+                answer,
+                vec![
+                    ("preparation ledger", run.prep_ledger),
+                    ("probe/verification ledger", run.probe_ledger),
+                ],
+            )
         }
         Algorithm::Classical => {
-            let run = if recovering {
-                let healed = classical::recovery::exact_diameter_recovering(&g, cfg)
-                    .map_err(|e| e.to_string())?;
-                recovery_report(&mut out, &healed.recovery, healed.surviving.as_ref());
-                healed.outcome
-            } else {
-                classical::apsp::exact_diameter(&g, cfg).map_err(|e| e.to_string())?
-            };
-            let _ = writeln!(out, "diameter: {} | radius: {}", run.diameter, run.radius);
-            let _ = writeln!(out, "rounds: {}", run.rounds());
-            scheduling_line(
-                &mut out,
-                run.ledger.total_scheduled_nodes(),
-                run.ledger.total_node_rounds(),
+            let run = drive(
+                recovering,
+                &mut healed,
+                || classical::recovery::exact_diameter_recovering(&g, cfg),
+                || classical::apsp::exact_diameter(&g, cfg),
+            )?;
+            let answer = format!(
+                "diameter: {} | radius: {}\nrounds: {}\n",
+                run.diameter,
+                run.radius,
+                run.rounds()
             );
-            if opts.verbose {
-                let _ = writeln!(out, "--- ledger ---\n{}", run.ledger);
-            }
+            (answer, vec![("ledger", run.ledger)])
         }
         Algorithm::ClassicalApprox => {
             let params = match opts.s {
@@ -1059,48 +1065,40 @@ fn run_report(opts: &Options) -> Result<String, String> {
             };
             let run =
                 classical::hprw::approx_diameter(&g, params, cfg).map_err(|e| e.to_string())?;
-            let _ = writeln!(out, "estimate D̄: {} (⌊2D/3⌋ ≤ D̄ ≤ D)", run.estimate);
-            let _ = writeln!(out, "rounds: {} | |R| = {}", run.rounds(), run.r_size);
-            scheduling_line(
-                &mut out,
-                run.ledger.total_scheduled_nodes(),
-                run.ledger.total_node_rounds(),
+            let answer = format!(
+                "estimate D̄: {} (⌊2D/3⌋ ≤ D̄ ≤ D)\nrounds: {} | |R| = {}\n",
+                run.estimate,
+                run.rounds(),
+                run.r_size
             );
-            if opts.verbose {
-                let _ = writeln!(out, "--- ledger ---\n{}", run.ledger);
-            }
+            (answer, vec![("ledger", run.ledger)])
         }
         Algorithm::TwoApprox => {
             let run = classical::ecc::two_approx(&g, cfg).map_err(|e| e.to_string())?;
-            let _ = writeln!(
-                out,
-                "estimate: {} (E ≤ D ≤ 2E) from ecc({})",
-                run.estimate, run.node
+            let answer = format!(
+                "estimate: {} (E ≤ D ≤ 2E) from ecc({})\nrounds: {}\n",
+                run.estimate,
+                run.node,
+                run.rounds()
             );
-            let _ = writeln!(out, "rounds: {}", run.stats.rounds);
-            scheduling_line(&mut out, run.stats.scheduled_nodes, run.stats.node_rounds);
+            (answer, vec![("ledger", run.ledger)])
         }
         Algorithm::Girth => {
             let run = classical::girth::compute(&g, cfg).map_err(|e| e.to_string())?;
-            match run.girth {
-                Some(girth) => {
-                    let _ = writeln!(out, "girth: {girth}");
-                }
-                None => {
-                    let _ = writeln!(out, "girth: none (the network is a tree)");
-                }
-            }
-            let _ = writeln!(out, "rounds: {}", run.rounds());
-            scheduling_line(
-                &mut out,
-                run.ledger.total_scheduled_nodes(),
-                run.ledger.total_node_rounds(),
+            let girth = run.girth.map_or_else(
+                || "none (the network is a tree)".to_string(),
+                |girth| girth.to_string(),
             );
-            if opts.verbose {
-                let _ = writeln!(out, "--- ledger ---\n{}", run.ledger);
-            }
+            let answer = format!("girth: {girth}\nrounds: {}\n", run.rounds());
+            (answer, vec![("ledger", run.ledger)])
         }
-    }
+    };
+    let report = DriverReport {
+        answer,
+        ledgers,
+        healed,
+    };
+    report.write(&mut out, opts.verbose);
     if let Some(registry) = &aux_registry {
         if faulty {
             let _ = writeln!(
@@ -1219,26 +1217,39 @@ mod tests {
         assert!(resolve_recovery(None, Some("nonsense")).is_err());
     }
 
-    /// `exact`'s and `simple`'s `scheduling:` line covers every simulated
-    /// network, Initialization and the probe and verify runs, and counts
-    /// Figure 2's derived uncompute phase, which runs no network, zero
-    /// times. The `rounds:` line still charges Initialization and the
-    /// quantum phase only.
+    /// The `scheduling:` line of `exact`, `simple` and `approx` covers
+    /// every simulated network: Initialization (or Theorem 4's
+    /// preparation) and the probe and verify runs. It counts Figure 2's
+    /// derived uncompute phase, which runs no network, zero times. The
+    /// `rounds:` line still charges the first phase and the quantum phase
+    /// only.
     #[test]
-    fn exact_scheduling_line_covers_every_simulated_network() {
-        for algo in ["exact", "simple"] {
+    fn scheduling_line_covers_every_simulated_network() {
+        for algo in ["exact", "simple", "approx"] {
             let opts = parse(&args(&format!("{algo} --family sparse --n 256"))).unwrap();
             let report = run(&opts).unwrap();
             let g = build_graph(&opts).unwrap();
-            let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
             let cfg = Config::for_graph(&g);
-            let driven = match opts.algorithm {
-                Algorithm::Exact => exact::diameter(&g, params, cfg),
-                _ => exact_simple::diameter(&g, params, cfg),
-            }
-            .unwrap();
+            let (first, probe, rounds) = match opts.algorithm {
+                Algorithm::Approx => {
+                    let params = ApproxParams::new(opts.seed).with_failure_prob(opts.delta);
+                    let run = approx::diameter(&g, params, cfg).unwrap();
+                    let rounds = format!("rounds: {} (prep ", run.rounds());
+                    (run.prep_ledger, run.probe_ledger, rounds)
+                }
+                algorithm => {
+                    let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
+                    let run = match algorithm {
+                        Algorithm::Exact => exact::diameter(&g, params, cfg),
+                        _ => exact_simple::diameter(&g, params, cfg),
+                    }
+                    .unwrap();
+                    let rounds = format!("rounds: {} (init ", run.rounds());
+                    (run.init_ledger, run.probe_ledger, rounds)
+                }
+            };
             let (mut scheduled, mut node_rounds, mut uncomputes) = (0, 0, 0);
-            for ledger in [&driven.init_ledger, &driven.probe_ledger] {
+            for ledger in [&first, &probe] {
                 for (label, stats, reps) in ledger.phases() {
                     if label.contains("uncompute") {
                         assert_eq!((stats.scheduled_nodes, stats.node_rounds), (0, 0));
@@ -1250,14 +1261,14 @@ mod tests {
                 }
             }
             assert!(
-                node_rounds > driven.init_ledger.total_node_rounds(),
+                node_rounds > first.total_node_rounds(),
                 "{algo}: the probe ledger simulated nothing"
             );
-            // Only Theorem 1 runs Figure 2, and with it the uncompute phase.
-            assert_eq!(uncomputes > 0, algo == "exact", "{algo}");
+            // Theorems 1 and 4 run Figure 2, and with it the uncompute
+            // phase; Section 3.1 does not.
+            assert_eq!(uncomputes > 0, algo != "simple", "{algo}");
             let line = format!("scheduling: {scheduled} of {node_rounds} node-rounds executed");
             assert!(report.contains(&line), "{algo}: {report}");
-            let rounds = format!("rounds: {} (init ", driven.rounds());
             assert!(report.contains(&rounds), "{algo}: {report}");
         }
     }

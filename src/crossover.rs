@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use congest::Config;
+use congest::{Config, RoundsLedger};
 use diameter_quantum::approx::{self, ApproxParams};
 use diameter_quantum::exact::{self, ExactParams};
 use metrics::CostModel;
@@ -92,18 +92,6 @@ pub struct CostPoint {
 }
 
 impl CostPoint {
-    fn from_traffic(
-        cost: &CostModel,
-        classical_messages: u64,
-        classical_bits: u64,
-        quantum_messages: u64,
-        qubit_sends: u64,
-    ) -> (u64, f64) {
-        let wire_bits = classical_bits + cost.header_bits * (classical_messages + quantum_messages);
-        let cost_units = cost.cost_units(wire_bits, qubit_sends);
-        (wire_bits, cost_units)
-    }
-
     /// The value of a named metric, for crossover scans and fits.
     pub fn metric(&self, metric: &str) -> f64 {
         match metric {
@@ -250,82 +238,65 @@ fn sweep_point(
     };
     let g = build_graph(&opts)?;
     let cfg = Config::for_graph(&g);
-    let cost = &params.cost;
-    let fam = family.name().to_string();
-    let mut out = Vec::with_capacity(3);
+    let fam = family.name();
 
     // Classical BFS-APSP baseline: everything is simulated traffic.
     let classical = classical::apsp::exact_diameter(&g, cfg)
         .map_err(|e| format!("classical-apsp on {fam} n={n}: {e}"))?;
     let d = u64::from(classical.diameter);
-    let (c_msgs, c_bits) = (
-        classical.ledger.total_messages(),
-        classical.ledger.total_bits(),
-    );
-    let (wire, units) = CostPoint::from_traffic(cost, c_msgs, c_bits, 0, 0);
-    out.push(CostPoint {
-        family: fam.clone(),
-        n,
-        d,
-        algo: "classical-apsp".into(),
-        rounds: classical.rounds(),
-        classical_messages: c_msgs,
-        classical_bits: c_bits,
-        quantum_messages: 0,
-        qubit_sends: 0,
-        wire_bits: wire,
-        cost_units: units,
-    });
+    // Every point: the classical ledger's simulated traffic plus the
+    // quantum phase's charged messages and qubits, framed and priced
+    // under the cost model.
+    let point = |algo: &str, rounds, classical: &RoundsLedger, quantum_messages, qubit_sends| {
+        let classical_messages = classical.total_messages();
+        let classical_bits = classical.total_bits();
+        let wire_bits =
+            classical_bits + params.cost.header_bits * (classical_messages + quantum_messages);
+        CostPoint {
+            family: fam.to_string(),
+            n,
+            d,
+            algo: algo.into(),
+            rounds,
+            classical_messages,
+            classical_bits,
+            quantum_messages,
+            qubit_sends,
+            wire_bits,
+            cost_units: params.cost.cost_units(wire_bits, qubit_sends),
+        }
+    };
+    let mut out = vec![point(
+        "classical-apsp",
+        classical.rounds(),
+        &classical.ledger,
+        0,
+        0,
+    )];
 
     // Theorem 1 exact: the init ledger is classical traffic; the quantum
     // phase's traffic is charged applications × measured per-application
     // constants (probe/verification runs are diagnostics, not charged).
     let run = exact::diameter(&g, ExactParams::new(params.seed), cfg)
         .map_err(|e| format!("quantum-exact on {fam} n={n}: {e}"))?;
-    let q_msgs = run.oracle_schedule.messages_for(&run.oracle);
-    let qubits = run.oracle_schedule.qubits_for(&run.oracle);
-    let (c_msgs, c_bits) = (
-        run.init_ledger.total_messages(),
-        run.init_ledger.total_bits(),
-    );
-    let (wire, units) = CostPoint::from_traffic(cost, c_msgs, c_bits, q_msgs, qubits);
-    out.push(CostPoint {
-        family: fam.clone(),
-        n,
-        d,
-        algo: "quantum-exact".into(),
-        rounds: run.rounds(),
-        classical_messages: c_msgs,
-        classical_bits: c_bits,
-        quantum_messages: q_msgs,
-        qubit_sends: qubits,
-        wire_bits: wire,
-        cost_units: units,
-    });
+    out.push(point(
+        "quantum-exact",
+        run.rounds(),
+        &run.init_ledger,
+        run.oracle_schedule.messages_for(&run.oracle),
+        run.oracle_schedule.qubits_for(&run.oracle),
+    ));
 
     if params.include_approx {
         let run = approx::diameter(&g, ApproxParams::new(params.seed), cfg)
             .map_err(|e| format!("quantum-approx on {fam} n={n}: {e}"))?;
-        let q_msgs = run.oracle_schedule.messages_for(&run.oracle);
-        let qubits = run.oracle_schedule.qubits_for(&run.oracle);
-        let (c_msgs, c_bits) = (
-            run.prep_ledger.total_messages(),
-            run.prep_ledger.total_bits(),
-        );
-        let (wire, units) = CostPoint::from_traffic(cost, c_msgs, c_bits, q_msgs, qubits);
-        out.push(CostPoint {
-            family: fam,
-            n,
-            d,
-            algo: "quantum-approx".into(),
-            rounds: run.rounds(),
-            classical_messages: c_msgs,
-            classical_bits: c_bits,
-            quantum_messages: q_msgs,
-            qubit_sends: qubits,
-            wire_bits: wire,
-            cost_units: units,
-        });
+        out.push(point(
+            "quantum-approx",
+            run.rounds(),
+            &run.prep_ledger,
+            run.oracle_schedule.messages_for(&run.oracle),
+            run.oracle_schedule.qubits_for(&run.oracle),
+        ));
     }
     Ok(out)
 }

@@ -45,8 +45,8 @@ fn recovering_run(g: &Graph, cfg: Config) -> (RunKey, Vec<trace::TraceEvent>) {
         let _guard = trace::install(recorder.clone());
         match classical::recovery::exact_diameter_recovering(g, cfg) {
             Ok(out) => Ok((
-                out.outcome.diameter,
-                out.outcome.eccentricities,
+                out.run.diameter,
+                out.run.eccentricities,
                 out.recovery,
                 out.surviving.map(|s| (s.nodes, s.excluded)),
             )),
@@ -104,8 +104,8 @@ proptest! {
         let failstop = classical::apsp::exact_diameter(&g, cfg);
         match (healed, failstop) {
             (Ok(h), Ok(f)) => {
-                prop_assert_eq!(h.outcome.diameter, f.diameter);
-                prop_assert_eq!(h.outcome.eccentricities, f.eccentricities);
+                prop_assert_eq!(h.run.diameter, f.diameter);
+                prop_assert_eq!(h.run.eccentricities, f.eccentricities);
                 prop_assert!(h.recovery.is_clean());
                 prop_assert!(h.surviving.is_none());
             }
@@ -140,7 +140,7 @@ fn checkpoint_restart_resumes_from_the_last_segment_boundary() {
         .with_recovery(policy);
 
     let out = classical::recovery::exact_diameter_recovering(&g, cfg).unwrap();
-    assert_eq!(out.outcome.diameter, reference);
+    assert_eq!(out.run.diameter, reference);
     assert_eq!(
         out.recovery.retries, 0,
         "must not re-run the whole pipeline"
@@ -148,7 +148,7 @@ fn checkpoint_restart_resumes_from_the_last_segment_boundary() {
     assert_eq!(out.recovery.restarts, 1, "exactly one segment restart");
     assert!(out.recovery.wasted_rounds > 0, "the discarded try costs");
 
-    let labels: Vec<&str> = out.outcome.ledger.phases().map(|(l, _, _)| l).collect();
+    let labels: Vec<&str> = out.run.ledger.phases().map(|(l, _, _)| l).collect();
     // The failing segment's discarded try is ledgered as waste...
     assert!(
         labels.contains(&"eccentricity waves[seg 1] wasted try 0"),
@@ -198,7 +198,7 @@ fn restarted_segments_redeclare_rebased_quiet_phases() {
         out.recovery.restarts, 1,
         "the pinned seed must restart a segment"
     );
-    assert_eq!(out.outcome.diameter, graphs::metrics::diameter(&g).unwrap());
+    assert_eq!(out.run.diameter, graphs::metrics::diameter(&g).unwrap());
 }
 
 /// Partial-network semantics: whenever crash-stops force a re-root, the
@@ -224,7 +224,7 @@ fn partial_answers_match_the_carved_component_reference() {
             // The crash landed after the protocol no longer needed the
             // node; the full-network answer must then be exact.
             assert_eq!(
-                out.outcome.diameter,
+                out.run.diameter,
                 graphs::metrics::diameter(&g).unwrap(),
                 "seed {fseed}"
             );
@@ -239,7 +239,7 @@ fn partial_answers_match_the_carved_component_reference() {
             "seed {fseed}: component bookkeeping leaks nodes"
         );
         assert_eq!(
-            out.outcome.diameter,
+            out.run.diameter,
             graphs::metrics::diameter(&carve.graph).unwrap(),
             "seed {fseed}: wrong surviving-component diameter"
         );
