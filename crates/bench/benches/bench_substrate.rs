@@ -435,8 +435,9 @@ fn timed_pair(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64,
 /// the DFS token walk, where one node is busy per round, and the chatter
 /// broadcast, where every node is busy every round. Publishes
 /// `BENCH_scheduler.json` at the repo root with rounds/sec and the
-/// measured active-node fraction of both workloads; `scripts/benchdiff`
-/// tracks the throughput across changes.
+/// measured active-node fraction of both workloads (`QD_RESULTS_DIR`
+/// redirects it); `scripts/benchdiff` tracks the throughput across
+/// changes.
 fn bench_scheduler_sparse(c: &mut Criterion) {
     let g = graphs::generators::random_sparse(256, 5.0, 11);
     let n = g.len();
@@ -531,8 +532,7 @@ fn bench_scheduler_sparse(c: &mut Criterion) {
             ]),
         ),
     ]);
-    bench::write_results_json_in(bench::repo_root(), "BENCH_scheduler", payload)
-        .expect("write BENCH_scheduler.json");
+    bench::write_bench_json("BENCH_scheduler", payload).expect("write BENCH_scheduler.json");
 }
 
 /// A replica of `BENCH_scale`'s BFS flood (see `src/bin/scale.rs`): node 0

@@ -1,8 +1,8 @@
-//! **Driver throughput**: rounds/sec of two Table 1 driver workloads,
+//! **Driver throughput**: rounds/sec of the Table 1 driver workloads,
 //! writing `BENCH_drivers.json` at the repo root.
 //!
-//! The workloads are the two frontier-shaped extremes of the paper's
-//! classical toolbox:
+//! The first three are the two frontier-shaped extremes of the paper's
+//! classical toolbox and APSP on the sparse family; the last is Theorem 1:
 //!
 //! * **waves** — the Figure 2 pipelined wave phase on a path, with ~32
 //!   staggered sources. Between wave fronts every node is quiet, and the
@@ -17,6 +17,12 @@
 //!   deliveries are stale waves the receiver ignores, and the run prices
 //!   the per-delivery cost of the message path, where a tree prices the
 //!   per-round one.
+//! * **exact_sparse** — Theorem 1 (`diameter_quantum::exact::diameter`) on
+//!   the same sparse graphs. Its rounds are the charged ones
+//!   (Initialization plus the quantum phase priced by Theorem 7), and
+//!   only a few hundred of them are simulated, so its time is mostly the
+//!   centralised emulation of the quantum search: the eccentricity table
+//!   behind `f(u) = max_{v∈S(u)} ecc(v)` and the maximum finding.
 //!
 //! `scripts/benchdiff` compares the `rounds_per_sec` of a fresh run with
 //! the committed artifact. `QD_MAX_N` caps the sweep and `QD_RESULTS_DIR`
@@ -83,6 +89,28 @@ fn run_apsp(workload: &'static str, g: &Graph) -> Point {
     }
 }
 
+/// Times Theorem 1's exact diameter. Its active fraction is that of the
+/// networks it simulates (Initialization, probes and verification).
+fn run_exact(g: &Graph) -> Point {
+    let start = Instant::now();
+    let run = diameter_quantum::exact::diameter(
+        g,
+        diameter_quantum::exact::ExactParams::new(1),
+        Config::for_graph(g),
+    )
+    .expect("exact");
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let mut simulated = run.init_ledger.clone();
+    simulated.extend_prefixed("", &run.probe_ledger);
+    Point {
+        workload: "exact_sparse",
+        n: g.len(),
+        rounds: run.rounds(),
+        secs,
+        active_fraction: simulated.active_fraction(),
+    }
+}
+
 fn max_n() -> usize {
     std::env::var("QD_MAX_N")
         .ok()
@@ -101,7 +129,7 @@ fn main() {
 
     bench::rule("driver throughput: active-set scheduling + fast-forward");
     println!(
-        "{:>8} {:>7} {:>8} {:>13} {:>9}",
+        "{:>12} {:>7} {:>8} {:>13} {:>9}",
         "workload", "n", "rounds", "rounds/s", "active%"
     );
     // One untimed run first, so the first timed point does not pay the
@@ -117,9 +145,10 @@ fn main() {
             run_waves(&g, &sources, duration),
             run_apsp("apsp", &tree),
             run_apsp("apsp_sparse", &sparse),
+            run_exact(&sparse),
         ] {
             println!(
-                "{:>8} {:>7} {:>8} {:>13.0} {:>9.3}",
+                "{:>12} {:>7} {:>8} {:>13.0} {:>9.3}",
                 p.workload,
                 p.n,
                 p.rounds,
@@ -152,11 +181,5 @@ fn main() {
             ),
         ),
     ]);
-    // Full runs publish the artifact at the repo root (like
-    // BENCH_scale.json); QD_RESULTS_DIR redirects it so the check.sh smoke
-    // can validate the schema without clobbering the committed sweep.
-    let dir = std::env::var("QD_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| bench::repo_root());
-    bench::write_results_json_in(dir, "BENCH_drivers", payload).expect("write BENCH_drivers.json");
+    bench::write_bench_json("BENCH_drivers", payload).expect("write BENCH_drivers.json");
 }

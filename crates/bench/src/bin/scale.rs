@@ -163,11 +163,5 @@ fn main() {
             ),
         ),
     ]);
-    // Full runs publish the gate artifact at the repo root (like
-    // BENCH_scheduler.json); QD_RESULTS_DIR redirects it so the check.sh
-    // smoke can validate the schema without clobbering the committed sweep.
-    let dir = std::env::var("QD_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| bench::repo_root());
-    bench::write_results_json_in(dir, "BENCH_scale", payload).expect("write BENCH_scale.json");
+    bench::write_bench_json("BENCH_scale", payload).expect("write BENCH_scale.json");
 }

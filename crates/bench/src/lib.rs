@@ -143,10 +143,24 @@ pub fn write_results_json(name: &str, payload: trace::Json) -> std::io::Result<s
     write_results_json_in(dir, name, payload)
 }
 
+/// Writes one committed benchmark artifact (`BENCH_scale.json`,
+/// `BENCH_drivers.json`, `BENCH_scheduler.json`) to `<dir>/<name>.json`
+/// and returns the path written. `<dir>` is `QD_RESULTS_DIR` when it is
+/// set, so a smoke run can check a fresh artifact against the committed
+/// one without overwriting it, and the [`repo_root`] otherwise.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_bench_json(name: &str, payload: trace::Json) -> std::io::Result<std::path::PathBuf> {
+    let dir = std::env::var("QD_RESULTS_DIR")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|_| repo_root());
+    write_results_json_in(dir, name, payload)
+}
+
 /// Writes one structured artifact to `<dir>/<name>.json` (ignoring
-/// `QD_RESULTS_DIR`) and returns the path written. Benches that publish
-/// gate artifacts at a fixed location — e.g. `BENCH_scheduler.json` at
-/// the [`repo_root`] — use this instead of [`write_results_json`].
+/// `QD_RESULTS_DIR`) and returns the path written.
 ///
 /// # Errors
 ///
@@ -235,8 +249,11 @@ mod tests {
             ("experiment", trace::Json::Str("unit".into())),
             ("points", trace::Json::Arr(vec![trace::Json::Int(3)])),
         ]);
-        let path = write_results_json("unit", payload).unwrap();
+        let path = write_results_json("unit", payload.clone()).unwrap();
+        // Committed benchmark artifacts follow QD_RESULTS_DIR too.
+        let bench_path = write_bench_json("BENCH_unit", payload).unwrap();
         std::env::remove_var("QD_RESULTS_DIR");
+        assert_eq!(bench_path, dir.join("BENCH_unit.json"));
         let parsed = trace::Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(
             parsed.get("experiment").and_then(|v| v.as_str()),

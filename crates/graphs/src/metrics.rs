@@ -4,12 +4,13 @@
 //! algorithms compute. Every all-sources quantity here ([`eccentricities`],
 //! and through it [`diameter`], [`radius`] and [`peripheral_node`], plus
 //! [`bipartite_delta`]) comes from one bit-parallel BFS kernel. It runs the
-//! BFS of 64 sources at once, one bit per source in a `u64` word per node,
-//! and advances a level by a pull over the CSR adjacency:
-//! `next[v] = (OR_{u ∈ N(v)} frontier[u]) & !seen[v]`. A source's
-//! eccentricity is the last level at which its bit appears. The cost is
-//! `⌈n/64⌉ · (D + 1) · (n + 2m)` word operations with `3n` words of
-//! scratch, against `n · (n + m)` queue operations for one BFS per node.
+//! BFS of 256 sources at once, one bit per source in four `u64` words per
+//! node, and advances a level by a pull over the CSR adjacency:
+//! `next[v] = seen[v] | OR_{u ∈ N(v)} seen[u]`, the sources within one
+//! more hop of `v`. A source's eccentricity is the last level that adds
+//! its bit somewhere. Nodes every source has reached are skipped. The cost
+//! is `⌈n/256⌉ · (D + 1) · (n + 2m)` four-word operations with `8n` words
+//! of scratch, against `n · (n + m)` queue operations for one BFS per node.
 //!
 //! The single-source [`eccentricity`] runs the plain [`Bfs`] and shares no
 //! code with the kernel.
@@ -17,19 +18,37 @@
 use crate::traversal::Bfs;
 use crate::{Dist, Graph, NodeId};
 
-/// Sources per kernel pass: one bit of a `u64` each.
-const LANES: usize = 64;
+/// Sources per kernel pass: one bit each of a node's [`WORDS`] words.
+const LANES: usize = 256;
 
-/// Scratch for the bit-parallel BFS: bit `i` of a node's word stands for
-/// source `i` of the current batch.
+/// `u64` words per node in the kernel.
+const WORDS: usize = LANES / 64;
+
+/// A set of sources of the current batch: bit `i % 64` of word `i / 64`
+/// stands for source `i`. Aligned to its size, so that fetching a
+/// neighbour's set touches one cache line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(32))]
+struct Lanes([u64; WORDS]);
+
+/// The empty source set.
+const EMPTY: Lanes = Lanes([0; WORDS]);
+
+fn or(a: Lanes, b: Lanes) -> Lanes {
+    Lanes(std::array::from_fn(|w| a.0[w] | b.0[w]))
+}
+
+fn and_not(a: Lanes, b: Lanes) -> Lanes {
+    Lanes(std::array::from_fn(|w| a.0[w] & !b.0[w]))
+}
+
+/// Scratch for the bit-parallel BFS: one [`Lanes`] per node and level.
 struct BitBfs<'g> {
     graph: &'g Graph,
-    /// Sources that have reached each node so far.
-    seen: Vec<u64>,
-    /// Sources that reached each node at the previous level.
-    frontier: Vec<u64>,
-    /// Sources that reach each node at the current level.
-    next: Vec<u64>,
+    /// Sources within the previous level of each node.
+    seen: Vec<Lanes>,
+    /// Sources within the current level of each node.
+    next: Vec<Lanes>,
 }
 
 impl<'g> BitBfs<'g> {
@@ -37,67 +56,73 @@ impl<'g> BitBfs<'g> {
         let n = graph.len();
         BitBfs {
             graph,
-            seen: vec![0; n],
-            frontier: vec![0; n],
-            next: vec![0; n],
+            seen: vec![EMPTY; n],
+            next: vec![EMPTY; n],
         }
     }
 
-    /// Runs the BFS of every source in `batch` (at most [`LANES`]; bit `i`
-    /// is `batch[i]`) and calls `level(d, words, reached)` for each level
-    /// `d ≥ 1` that reaches a new node: `words[v]` holds the sources at
-    /// distance exactly `d` from `v`, and `reached` is the OR of all words.
+    /// Runs the BFS of every source in `batch` (at most [`LANES`]; lane `i`
+    /// is `batch[i]`) and calls `level(d, before, within, reached)` for
+    /// each level `d ≥ 1` that reaches a new node: `within[v]` holds the
+    /// sources at distance at most `d` from `v` and `before[v]` those at
+    /// distance at most `d − 1`, and `reached` is the union over all `v`
+    /// of the difference.
     ///
-    /// Returns the final `seen` words: bit `i` of `seen[v]` is set iff `v`
-    /// is reachable from `batch[i]`.
-    fn run(&mut self, batch: &[NodeId], mut level: impl FnMut(Dist, &[u64], u64)) -> &[u64] {
+    /// Returns the final sets: lane `i` of `seen[v]` is set iff `v` is
+    /// reachable from `batch[i]`.
+    fn run(
+        &mut self,
+        batch: &[NodeId],
+        mut level: impl FnMut(Dist, &[Lanes], &[Lanes], Lanes),
+    ) -> &[Lanes] {
         debug_assert!(!batch.is_empty() && batch.len() <= LANES);
         let full = lane_mask(batch.len());
-        self.seen.fill(0);
-        self.frontier.fill(0);
+        self.seen.fill(EMPTY);
         for (i, v) in batch.iter().enumerate() {
-            self.seen[v.index()] |= 1 << i;
-            self.frontier[v.index()] |= 1 << i;
+            self.seen[v.index()].0[i / 64] |= 1 << (i % 64);
         }
         let n = self.seen.len();
         let mut complete = self.seen.iter().filter(|&&s| s == full).count();
         let mut d: Dist = 0;
         while complete < n {
             d += 1;
-            let mut reached = 0;
-            for (v, (seen, next)) in self.seen.iter_mut().zip(&mut self.next).enumerate() {
-                let s = *seen;
+            let mut reached = EMPTY;
+            let seen = &self.seen[..];
+            for (v, next) in self.next.iter_mut().enumerate() {
+                let s = seen[v];
                 if s == full {
-                    *next = 0;
+                    *next = full;
                     continue;
                 }
-                let mut pulled = 0;
+                // A source within d − 2 of a neighbour is within d − 1 of v,
+                // so pulling whole sets adds exactly the sources at d.
+                let mut within = s;
                 for u in self.graph.neighbors(NodeId::new(v)) {
-                    pulled |= self.frontier[u.index()];
+                    within = or(within, seen[u.index()]);
                 }
-                let new = pulled & !s;
-                *next = new;
-                *seen = s | new;
-                reached |= new;
-                complete += usize::from(s | new == full);
+                *next = within;
+                reached = or(reached, and_not(within, s));
+                complete += usize::from(within == full);
             }
-            if reached == 0 {
+            if reached == EMPTY {
                 break;
             }
-            level(d, &self.next, reached);
-            std::mem::swap(&mut self.frontier, &mut self.next);
+            level(d, &self.seen, &self.next, reached);
+            std::mem::swap(&mut self.seen, &mut self.next);
         }
         &self.seen
     }
 }
 
-/// The low `lanes` bits set.
-fn lane_mask(lanes: usize) -> u64 {
-    if lanes == LANES {
-        u64::MAX
-    } else {
-        (1 << lanes) - 1
-    }
+/// The lowest `lanes` lanes set.
+fn lane_mask(lanes: usize) -> Lanes {
+    Lanes(std::array::from_fn(|w| {
+        match lanes.saturating_sub(64 * w) {
+            0 => 0,
+            k if k >= 64 => u64::MAX,
+            k => (1 << k) - 1,
+        }
+    }))
 }
 
 /// Eccentricity of `v`: the largest distance from `v` to any node.
@@ -126,10 +151,12 @@ pub fn eccentricities(graph: &Graph) -> Option<Vec<Dist>> {
     let mut eccs = vec![0; sources.len()];
     let mut bfs = BitBfs::new(graph);
     for (batch, ecc) in sources.chunks(LANES).zip(eccs.chunks_mut(LANES)) {
-        let seen = bfs.run(batch, |d, _, mut reached| {
-            while reached != 0 {
-                ecc[reached.trailing_zeros() as usize] = d;
-                reached &= reached - 1;
+        let seen = bfs.run(batch, |d, _, _, reached| {
+            for (w, mut bits) in reached.0.into_iter().enumerate() {
+                while bits != 0 {
+                    ecc[64 * w + bits.trailing_zeros() as usize] = d;
+                    bits &= bits - 1;
+                }
             }
         });
         let full = lane_mask(batch.len());
@@ -239,8 +266,8 @@ pub fn bipartite_delta(graph: &Graph, left: &[NodeId], right: &[NodeId]) -> Opti
     let mut best = 0;
     let mut bfs = BitBfs::new(graph);
     for batch in left.chunks(LANES) {
-        let seen = bfs.run(batch, |d, words, _| {
-            if right.iter().any(|v| words[v.index()] != 0) {
+        let seen = bfs.run(batch, |d, before, within, _| {
+            if right.iter().any(|v| within[v.index()] != before[v.index()]) {
                 best = best.max(d);
             }
         });

@@ -3,8 +3,9 @@
 //!
 //! Many suites take `metrics::eccentricities` as their oracle, so the
 //! reference here shares no code with it: one queue BFS per source
-//! (`traversal::Bfs::run`). Sizes straddle the 64-source word boundary, and
-//! paths run longer than 64 hops so the level count exceeds the word width.
+//! (`traversal::Bfs::run`). Sizes straddle the 64-bit word boundaries and
+//! the 256-source batch boundary, and paths run longer than 64 hops so the
+//! level count exceeds the word width.
 
 use graphs::generators;
 use graphs::metrics::{bipartite_delta, diameter, eccentricities, peripheral_node, radius};
@@ -101,6 +102,17 @@ fn batch_boundary_sizes() {
 }
 
 #[test]
+fn batch_boundary_sizes_of_the_256_source_pass() {
+    for n in [255, 256, 257, 513, 1000] {
+        check(&generators::random_tree(n, n as u64));
+        check(&generators::random_sparse(n, 4.0, n as u64));
+    }
+    // Long paths are the slow case (n levels per pass); one straddles the
+    // batch boundary.
+    check(&generators::path(257));
+}
+
+#[test]
 fn levels_beyond_the_word_width() {
     // Eccentricities up to 299 and 2·(n−1) levels of BFS from the ends.
     for n in [65, 130, 300] {
@@ -147,6 +159,18 @@ fn disconnected_and_empty_graphs_are_none() {
     assert_eq!(eccentricities(&g), None);
     // Every node isolated.
     check(&Graph::from_edges(70, []).unwrap());
+    // n = 600 runs in batches of 256, 256 and 88. Every source but the
+    // isolated node 599, lane 87 of the last, partial batch, reaches node 0.
+    let g = union(&generators::path(599), &Graph::from_edges(1, []).unwrap());
+    assert_eq!(eccentricities(&g), None);
+    assert_eq!(diameter(&g), None);
+    let all: Vec<NodeId> = g.nodes().collect();
+    assert_eq!(bipartite_delta(&g, &all, &[NodeId::new(0)]), None);
+    assert_eq!(
+        bipartite_delta(&g, &all[..599], &[NodeId::new(0)]),
+        Some(598)
+    );
+    check(&g);
 }
 
 #[test]
@@ -160,6 +184,21 @@ fn bipartite_delta_across_batches_and_components() {
     let left: Vec<NodeId> = (60..190).map(NodeId::new).collect();
     let right = [NodeId::new(0)];
     assert_eq!(bipartite_delta(&g, &left, &right), Some(189));
+
+    // More than one 256-source pass on the left; the farthest source is in
+    // the second pass.
+    let g = generators::path(700);
+    let left: Vec<NodeId> = (100..620).map(NodeId::new).collect();
+    assert_eq!(bipartite_delta(&g, &left, &[NodeId::new(50)]), Some(569));
+    assert_eq!(
+        bipartite_delta(&g, &left, &[NodeId::new(650), NodeId::new(0)]),
+        Some(619)
+    );
+    let all: Vec<NodeId> = g.nodes().collect();
+    assert_eq!(
+        bipartite_delta(&g, &all, &left),
+        reference_delta(&g, &all, &left)
+    );
 
     // Disconnected elsewhere, connected between the two sides.
     let g = union(&generators::path(80), &generators::path(5));

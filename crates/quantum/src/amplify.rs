@@ -70,8 +70,18 @@ pub struct AmplifyOutcome {
 /// squared amplitude), using `O(√(log(1/δ)/ε))` applications of the
 /// state-preparation and checking oracles.
 ///
-/// The simulation is exact: each trial applies `j` real Grover iterations to
-/// the amplitude vector and samples the measurement outcome.
+/// The simulation is exact and costs `O(n)` per trial, whatever the number
+/// `j` of Grover iterations the trial applies: `marked` is evaluated once
+/// per element per call, and each trial samples its measurement from the
+/// closed form of the state in Grover's two-dimensional subspace: after `j`
+/// iterations from the initial state `b`, with marked mass `p_M`, unmarked
+/// mass `p_U` and `sin²θ = p_M/(p_M + p_U)`, a marked `x` is measured with
+/// probability `b_x²·sin²((2j+1)θ)/p_M` and an unmarked one with
+/// `b_x²·cos²((2j+1)θ)/p_U`. This is the state-vector evolution itself,
+/// not an approximation of it, because both reflections map the span of
+/// the marked and unmarked parts of `b` into itself. Every draw from `rng`
+/// and every [`OracleCost`] charge is the one `j` real iterations on a
+/// [`SearchState`] would make.
 ///
 /// # Errors
 ///
@@ -97,6 +107,7 @@ pub fn amplify<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<AmplifyOutcome, QuantumError> {
     params.validate()?;
+    let plane = Plane::new(init, marked);
     let mut cost = OracleCost::new();
     let budget = params.iteration_budget();
     let mut spent: u64 = 0;
@@ -105,15 +116,13 @@ pub fn amplify<R: Rng + ?Sized>(
     while spent < budget {
         let bound = (m.ceil() as u64).max(1);
         let j = rng.random_range(0..bound);
-        let mut state = init.clone();
         cost.charge_state_preparation();
-        state.grover_iterations(init, &marked, j);
         cost.charge_iterations(j);
         spent += j.max(1);
-        let x = state.measure(rng);
+        let x = plane.measure(j, rng);
         cost.charge_measurement();
         cost.charge_verification();
-        if marked(x) {
+        if plane.marked[x] {
             return Ok(AmplifyOutcome {
                 found: Some(x),
                 cost,
@@ -125,11 +134,178 @@ pub fn amplify<R: Rng + ?Sized>(
     Ok(AmplifyOutcome { found: None, cost })
 }
 
+/// Grover's two-dimensional subspace. Split the initial state `b` into its
+/// marked part `b_M` and its unmarked part `b_U`, of masses `p_M` and
+/// `p_U`. The oracle reflection maps `b_M ↦ −b_M` and fixes `b_U`, and the
+/// reflection about `b` maps span{`b_M`, `b_U`} into itself, so `j`
+/// iterations leave the state at
+/// `sin((2j+1)θ)·b_M/√p_M + cos((2j+1)θ)·b_U/√p_U`.
+struct Plane<'a> {
+    init: &'a SearchState,
+    /// Whether each element is marked.
+    marked: Vec<bool>,
+    /// `p_M`, the marked mass of the initial state.
+    marked_mass: f64,
+    /// `p_U`, the unmarked mass of the initial state.
+    unmarked_mass: f64,
+    /// `θ`, with `sin²θ = p_M/(p_M + p_U)`.
+    theta: f64,
+}
+
+impl<'a> Plane<'a> {
+    fn new(init: &'a SearchState, marked: impl Fn(usize) -> bool) -> Self {
+        let marked: Vec<bool> = (0..init.len()).map(marked).collect();
+        let (mut marked_mass, mut unmarked_mass) = (0.0, 0.0);
+        for (x, &m) in marked.iter().enumerate() {
+            if m {
+                marked_mass += init.probability(x);
+            } else {
+                unmarked_mass += init.probability(x);
+            }
+        }
+        let theta = (marked_mass / (marked_mass + unmarked_mass)).sqrt().asin();
+        Plane {
+            init,
+            marked,
+            marked_mass,
+            unmarked_mass,
+            theta,
+        }
+    }
+
+    /// The probability after `j` iterations per unit of initial
+    /// probability, of a marked and of an unmarked element. A part of zero
+    /// mass has no elements to weigh.
+    fn weights(&self, j: u64) -> (f64, f64) {
+        let (sin, cos) = ((2 * j + 1) as f64 * self.theta).sin_cos();
+        let weigh = |amp: f64, mass: f64| if mass > 0.0 { amp * amp / mass } else { 0.0 };
+        (weigh(sin, self.marked_mass), weigh(cos, self.unmarked_mass))
+    }
+
+    /// The probability of measuring `x` after `j` iterations.
+    #[cfg(test)]
+    fn probability(&self, x: usize, j: u64) -> f64 {
+        let (on, off) = self.weights(j);
+        self.init.probability(x) * if self.marked[x] { on } else { off }
+    }
+
+    /// Samples a measurement after `j` iterations with one uniform draw and
+    /// the index-order cumulative walk of [`SearchState::measure`].
+    fn measure<R: Rng + ?Sized>(&self, j: u64, rng: &mut R) -> usize {
+        let (on, off) = self.weights(j);
+        let total = on * self.marked_mass + off * self.unmarked_mass;
+        let mut target = rng.random::<f64>() * total;
+        for (x, &m) in self.marked.iter().enumerate() {
+            target -= self.init.probability(x) * if m { on } else { off };
+            if target <= 0.0 {
+                return x;
+            }
+        }
+        self.marked.len() - 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `amplify` as a state-vector simulation: each trial applies `j` real
+    /// Grover iterations to a fresh copy of `init`.
+    fn statevector_amplify(
+        init: &SearchState,
+        marked: impl Fn(usize) -> bool,
+        params: AmplifyParams,
+        rng: &mut StdRng,
+    ) -> AmplifyOutcome {
+        let mut cost = OracleCost::new();
+        let budget = params.iteration_budget();
+        let mut spent: u64 = 0;
+        let mut m: f64 = 1.0;
+        while spent < budget {
+            let bound = (m.ceil() as u64).max(1);
+            let j = rng.random_range(0..bound);
+            let mut state = init.clone();
+            cost.charge_state_preparation();
+            state.grover_iterations(init, &marked, j);
+            cost.charge_iterations(j);
+            spent += j.max(1);
+            let x = state.measure(rng);
+            cost.charge_measurement();
+            cost.charge_verification();
+            if marked(x) {
+                return AmplifyOutcome {
+                    found: Some(x),
+                    cost,
+                };
+            }
+            m = (m * 1.5).min(1.0 / params.min_mass.sqrt() + 1.0);
+        }
+        AmplifyOutcome { found: None, cost }
+    }
+
+    type Marked = Box<dyn Fn(usize) -> bool>;
+
+    /// Initial states, marked sets and promises covering several sizes,
+    /// `p_M = 0` (nothing marked, and marked elements of zero amplitude),
+    /// `p_M = 1`, and non-uniform amplitudes.
+    fn cases() -> Vec<(SearchState, Marked, f64)> {
+        let skewed = SearchState::from_amplitudes((0..97).map(|x| 1.0 + (x % 5) as f64).collect());
+        let hollow = SearchState::uniform_over(40, |x| x % 4 != 0);
+        vec![
+            (SearchState::uniform(1), Box::new(|_| true), 1.0),
+            (SearchState::uniform(2), Box::new(|x| x == 1), 0.5),
+            (SearchState::uniform(64), Box::new(|x| x == 5), 1.0 / 64.0),
+            (SearchState::uniform(300), Box::new(|x| x % 7 == 3), 0.1),
+            (SearchState::uniform(128), Box::new(|_| false), 1.0 / 128.0),
+            (SearchState::uniform(50), Box::new(|_| true), 0.25),
+            (skewed.clone().unwrap(), Box::new(|x| x % 11 == 0), 0.05),
+            (skewed.unwrap(), Box::new(|x| x == 96), 0.01),
+            (hollow.unwrap(), Box::new(|x| x % 4 == 0), 0.02),
+            (
+                SearchState::uniform(1024),
+                Box::new(|x| x == 1000),
+                1.0 / 1024.0,
+            ),
+        ]
+    }
+
+    #[test]
+    fn matches_the_statevector_seed_for_seed() {
+        let cases = cases();
+        for seed in 0..1200u64 {
+            let (init, marked, min_mass) = &cases[seed as usize % cases.len()];
+            let delta = [0.01, 0.2, 1e-4][seed as usize % 3];
+            let params = AmplifyParams::with_min_mass(*min_mass).with_failure_prob(delta);
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut slow_rng = StdRng::seed_from_u64(seed);
+            let fast = amplify(init, marked, params, &mut fast_rng).unwrap();
+            let slow = statevector_amplify(init, marked, params, &mut slow_rng);
+            assert_eq!(fast, slow, "seed {seed}");
+            // Both drew the same number of values from the generator.
+            assert_eq!(fast_rng.random::<u64>(), slow_rng.random::<u64>());
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_grover_iterations() {
+        for (init, marked, _) in cases() {
+            let plane = Plane::new(&init, &marked);
+            let mut state = init.clone();
+            for j in 0..=50 {
+                for x in 0..init.len() {
+                    let (fast, slow) = (plane.probability(x, j), state.probability(x));
+                    assert!(
+                        (fast - slow).abs() < 1e-12,
+                        "n = {}, j = {j}, x = {x}: {fast} vs {slow}",
+                        init.len()
+                    );
+                }
+                state.grover_iteration(&init, &marked);
+            }
+        }
+    }
 
     #[test]
     fn finds_unique_marked_element() {

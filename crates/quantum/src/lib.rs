@@ -11,7 +11,12 @@
 //!   classically-evolving branches indexed by the searched element; tracking
 //!   this amplitude vector is an exact simulation, not an approximation.
 //! * [`amplify`] — amplitude amplification / quantum search with unknown
-//!   marked mass (Theorem 6, after Brassard–Høyer–Tapp).
+//!   marked mass (Theorem 6, after Brassard–Høyer–Tapp). Grover's
+//!   iterations never leave the plane spanned by the marked and unmarked
+//!   parts of the initial state, so each trial samples its measurement
+//!   from that plane's closed form in `O(N)`, whatever its iteration
+//!   count; the [`SearchState`] reflections are the reference it is
+//!   tested against.
 //! * [`maximize`] — quantum maximum finding (Corollary 1, after
 //!   Dürr–Høyer), the engine of the diameter algorithms.
 //! * [`OracleCost`] — counts applications of the Setup/Evaluation operators

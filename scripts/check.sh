@@ -58,16 +58,29 @@ else
 fi
 rm -rf "$fdir"
 
-echo "=== scheduler bench smoke (<5% overhead gates) ==="
+echo "=== scheduler bench smoke (<5% overhead gates) + BENCH_scheduler.json schema ==="
 # The vendored criterion stub runs every group once in --test mode; the
 # Instant-based gates (disabled_path_overhead, scheduler_hot_loop, and the
 # flight-recorder <5% overhead gate on the n = 10^5 path flood) always
-# run, and scheduler_sparse writes BENCH_scheduler.json at the repo root.
+# run, and scheduler_sparse writes BENCH_scheduler.json, here into a
+# scratch directory so the committed artifact stays as it is.
 # disabled_path_overhead bounds tracing and metrics together (<5% for both
 # thread-local lookups per round), so this smoke doubles as the cost-metrics
 # gate.
-cargo bench -q --offline -p bench --bench bench_substrate -- --test || status=1
-test -s BENCH_scheduler.json || { echo "BENCH_scheduler.json missing" >&2; status=1; }
+bdir=$(mktemp -d)
+QD_RESULTS_DIR="$bdir" cargo bench -q --offline -p bench --bench bench_substrate -- --test \
+  || status=1
+for f in "$bdir/BENCH_scheduler.json" BENCH_scheduler.json; do
+  if ! test -s "$f"; then
+    echo "$f missing" >&2
+    status=1
+    continue
+  fi
+  for key in '"experiment":"scheduler_sparse"' '"workloads"' '"rounds_per_sec"' \
+    '"active_node_fraction"'; do
+    grep -qF "$key" "$f" || { echo "$f missing key $key" >&2; status=1; }
+  done
+done
 
 echo "=== cut-traffic meter: fig5_7_simulation matches its committed output ==="
 # Deterministic output, including the boundary traffic the CutTraffic trace
@@ -80,11 +93,16 @@ echo "=== qdiam reports match their committed output ==="
 # generator script for the exact command lines.
 scripts/qdiam_reports.sh | diff - results/qdiam_reports.txt || status=1
 
-echo "=== table1_lower_bounds and fig2_evaluation match their committed output ==="
-# Both are deterministic and take well under a second. Their JSON goes to
-# a scratch directory, whose path the "results JSON ->" line names.
+echo "=== deterministic experiments match their committed output ==="
+# Each is deterministic. table1_lower_bounds and fig2_evaluation take well
+# under a second; the Theorem 1 and Theorem 4 artifacts (table1_exact,
+# table1_approx, fig3_approx_phases, ablation_window, memory_scaling) run
+# the quantum search and the eccentricity table, ≈13 s together, ≈9 s of
+# it table1_exact. Their JSON goes to a scratch directory, whose path the
+# "results JSON ->" line names.
 adir=$(mktemp -d)
-for bin in table1_lower_bounds fig2_evaluation; do
+for bin in table1_lower_bounds fig2_evaluation table1_exact table1_approx \
+  fig3_approx_phases ablation_window memory_scaling; do
   QD_RESULTS_DIR="$adir" cargo run -q --release --offline -p bench --bin "$bin" \
     | sed "s#$adir/#results/#" | diff - "results/$bin.txt" || status=1
 done
@@ -166,7 +184,8 @@ echo "=== benchdiff: committed artifacts vs fresh smoke runs ==="
 # far too noisy for anything tighter.
 scripts/benchdiff -t 75 BENCH_scale.json "$sdir/BENCH_scale.json" || status=1
 scripts/benchdiff -t 75 BENCH_drivers.json "$ddir/BENCH_drivers.json" || status=1
-rm -rf "$sdir" "$ddir"
+scripts/benchdiff -t 75 BENCH_scheduler.json "$bdir/BENCH_scheduler.json" || status=1
+rm -rf "$sdir" "$ddir" "$bdir"
 
 if [ "$status" -ne 0 ]; then
   echo "CHECK FAILED" >&2
