@@ -32,7 +32,9 @@ fn main() {
         .iter()
         .map(|&n| n * scale)
         .collect();
+    let n_max = sizes.iter().copied().max().unwrap_or(0);
     let mut ns = Vec::new();
+    let mut diameters = Vec::new();
     let mut nds = Vec::new();
     let mut classical_rounds = Vec::new();
     let mut quantum_rounds = Vec::new();
@@ -40,6 +42,11 @@ fn main() {
     for &n in &sizes {
         let (g, cfg) = sparse_instance(n, 1);
         let d = graphs::metrics::diameter(&g).expect("connected");
+        diameters.push(d);
+        if let Err(reason) = near_constant_diameter(n_max, &diameters) {
+            eprintln!("error: {reason}");
+            std::process::exit(1);
+        }
         let classical_run = classical::apsp::exact_diameter(&g, cfg).expect("classical");
         let c = classical_run.rounds() as f64;
         let c_active = classical_run.ledger.active_fraction();
@@ -154,4 +161,41 @@ fn main() {
         ]),
     )
     .expect("write results JSON");
+}
+
+/// The n-sweep's premise: `D` stays near-constant, so the fitted exponent
+/// in `n` is Theorem 1's `√n` and not a mix of `√n` and `√D`. "Near" is at
+/// most logarithmic drift — the diameter spread over the sweep may not
+/// exceed log₂ of its largest `n`, `n_max`. Checked as each point's `D` is
+/// known, so a sweep that breaks it stops before its expensive points.
+fn near_constant_diameter(n_max: usize, diameters: &[graphs::Dist]) -> Result<(), String> {
+    let (Some(&d_min), Some(&d_max)) = (diameters.iter().min(), diameters.iter().max()) else {
+        return Ok(());
+    };
+    let limit = (n_max as f64).log2();
+    if f64::from(d_max - d_min) > limit {
+        return Err(format!(
+            "the n-sweep's diameter is not near-constant: D spans {d_min}..={d_max} \
+             (spread {}) but may drift by at most log2({n_max}) = {limit:.1}, so the \
+             fitted exponent in n would mix sqrt(n) with sqrt(D)",
+            d_max - d_min
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::near_constant_diameter;
+
+    #[test]
+    fn diameter_spread_is_bounded_by_log_n() {
+        // The committed sweep: D 4..=8 up to n = 8192 (log2 = 13).
+        assert!(near_constant_diameter(8192, &[4, 4, 5, 5, 6, 7, 8, 8]).is_ok());
+        assert!(near_constant_diameter(8192, &[4, 17]).is_ok());
+        // One more unit of spread trips it.
+        let err = near_constant_diameter(8192, &[4, 18]).unwrap_err();
+        assert!(err.contains("spread 14"), "{err}");
+        assert!(near_constant_diameter(8192, &[]).is_ok());
+    }
 }

@@ -688,6 +688,10 @@ struct Tally {
     /// Injected faults: fates other than delivery, discards at crashed
     /// receivers, and crash-stops.
     faults: u64,
+    /// Messages handed to the programs at the start of the round.
+    delivered: u64,
+    /// Timed wakeups that fired into the round's active set.
+    wakeups: u64,
     /// Messages per [`width_slot`], counted only while a registry is
     /// installed.
     widths: [u64; DEFAULT_BITS_BUCKETS.len() + 1],
@@ -932,7 +936,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let mut clock = meter.as_ref().map(|_| std::time::Instant::now());
         // Everything staged last round is handed to the programs now, so
         // this round delivers exactly the previously in-flight messages.
-        let delivered = self.arena.in_flight as u64;
+        self.tally.delivered = self.arena.in_flight as u64;
 
         // Phase 0: crash-stops (fault plans only), then the runnable set.
         // Taking the fault state out of `self` keeps the borrows of the
@@ -941,7 +945,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         if let Some(f) = fault.as_mut() {
             self.apply_crashes(round, f, &tracer);
         }
-        let woke = self.assemble(round);
+        self.assemble(round);
         lap(&meter, &mut clock, "congest/assemble");
 
         // Phase 1: swap the send buffers and seal last round's staged rows
@@ -1005,14 +1009,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         }
         lap(&meter, &mut clock, "congest/commit");
 
-        let sample = trace::RoundSample {
-            delivered,
-            scheduled: self.active.len() as u64,
-            frontier: self.next_active.len() as u64,
-            wakeups: woke,
-            arena_bytes: self.arena_highwater,
-        };
-        self.close_round(1, Some(sample), &meter, &tracer);
+        self.close_round(None, &meter, &tracer);
         Ok(())
     }
 
@@ -1044,10 +1041,10 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// Phase 0b of [`Network::step`]: assembles this round's runnable set
     /// — last round's `Active` voters and message receivers (accumulated
     /// in `next_active`) plus any timed wakeups that have come due — as a
-    /// sorted list, and returns how many wakeups joined it. Crash flags
-    /// are applied before this runs, so a crashed sleeper's heap entry is
-    /// already stale (its status was pinned `Halted`).
-    fn assemble(&mut self, round: Round) -> u64 {
+    /// sorted list, and tallies its size and how many wakeups joined it.
+    /// Crash flags are applied before this runs, so a crashed sleeper's
+    /// heap entry is already stale (its status was pinned `Halted`).
+    fn assemble(&mut self, round: Round) {
         let n = self.programs.len();
         let mut woke = 0;
         std::mem::swap(&mut self.active, &mut self.next_active);
@@ -1094,7 +1091,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         }
         debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
         self.tally.sent.scheduled_nodes = self.active.len() as u64;
-        woke
+        self.tally.wakeups = woke;
     }
 
     /// Phase 2 of [`Network::step`]: runs every scheduled program against
@@ -1434,20 +1431,19 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         addressed && plan.fate(round, from.index(), to.index()) == MessageFate::Delivered
     }
 
-    /// Closes `span` rounds: folds the round tally into [`RunStats`], the
-    /// metrics registry (one bulk charge) and the flight recorder, advances
-    /// the round counter and emits the trace tick. A stepped round passes
-    /// `span = 1` and its telemetry `sample`; a fast-forward passes the
-    /// rounds skipped, no sample and an empty tally, and enters the ring
-    /// and the trace as one span record and one `RoundSkip`.
+    /// Closes the stepped round (`skipped = None`) or a fast-forward over
+    /// `skipped = Some(span)` rounds with an empty tally: folds the round
+    /// tally into [`RunStats`], the metrics registry (one bulk charge) and
+    /// the flight recorder (one [`trace::RoundRecord`]), advances the round
+    /// counter and emits the trace tick — a `Round`, or one `RoundSkip`
+    /// for the whole fast-forward.
     fn close_round(
         &mut self,
-        span: Round,
-        sample: Option<trace::RoundSample>,
+        skipped: Option<Round>,
         meter: &Option<metrics::SharedRegistry>,
         tracer: &Option<trace::SharedSink>,
     ) {
-        let (n, from) = (self.programs.len() as u64, self.round);
+        let (n, from, span) = (self.programs.len() as u64, self.round, skipped.unwrap_or(1));
         let mut tally = std::mem::take(&mut self.tally);
         let sent = &mut tally.sent;
         (sent.rounds, sent.node_rounds) = (span, n * span);
@@ -1458,7 +1454,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             tally.charge(&mut meter);
             let sent = &tally.sent;
             meter.charge_rounds(span, sent.scheduled_nodes, sent.node_rounds);
-            if sample.is_some() {
+            if skipped.is_none() {
                 let arena = self.arena_highwater as f64;
                 meter.set_gauge(metrics::names::ARENA_BYTES_HIGHWATER, arena);
                 if let Some(c) = self.crit.as_deref() {
@@ -1473,20 +1469,30 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
         }
         if let Some(flight) = &self.flight {
-            let (mut flight, sent) = (flight.borrow_mut(), &tally.sent);
-            match sample {
-                Some(s) => flight.close_charged(sent.messages, sent.total_bits, tally.faults, s),
-                None => flight.skip(span),
-            }
+            let sent = &tally.sent;
+            flight.borrow_mut().close(trace::RoundRecord {
+                span,
+                delivered: tally.delivered,
+                messages: sent.messages,
+                bits: sent.total_bits,
+                faults: tally.faults,
+                scheduled: sent.scheduled_nodes,
+                wakeups: tally.wakeups,
+                frontier: self.next_active.len() as u64,
+                arena_bytes: self.arena_highwater,
+                ..trace::RoundRecord::default()
+            });
         }
         if let Some(sink) = tracer {
-            let (round, to) = (from, self.round);
-            sink.borrow_mut().record(&match sample {
-                Some(s) => trace::TraceEvent::Round {
-                    round,
-                    delivered: s.delivered,
+            sink.borrow_mut().record(&match skipped {
+                None => trace::TraceEvent::Round {
+                    round: from,
+                    delivered: tally.delivered,
                 },
-                None => trace::TraceEvent::RoundSkip { from, to },
+                Some(_) => trace::TraceEvent::RoundSkip {
+                    from,
+                    to: self.round,
+                },
             });
         }
     }
@@ -1592,7 +1598,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             return false;
         }
         let (meter, tracer) = (metrics::current(), trace::current());
-        self.close_round(target - self.round, None, &meter, &tracer);
+        self.close_round(Some(target - self.round), &meter, &tracer);
         true
     }
 }

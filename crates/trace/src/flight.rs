@@ -4,11 +4,14 @@
 //! A [`FlightRecorder`] is a fixed-capacity ring buffer of compact
 //! per-round aggregate records ([`RoundRecord`]): messages, wire bits,
 //! deliveries, faults, recoveries, plus scheduler telemetry (scheduled
-//! nodes, frontier width, wakeups, arena high-water bytes). The simulator
-//! charges it once per round from the same accounting the metrics layer
-//! uses, so a 10⁶-node run pays O(1) per round — no per-edge events, no
+//! nodes, frontier width, wakeups, arena high-water bytes). Every round
+//! enters through one call, [`FlightRecorder::close`], which the simulator
+//! makes once per round from the same tally the metrics layer is charged
+//! from, so a 10⁶-node run pays O(1) per round — no per-edge events, no
 //! unbounded memory — and the recorder still explains where the rounds and
-//! bytes went.
+//! bytes went. Only recovery actions, which drivers take between rounds,
+//! are noted separately ([`FlightRecorder::note_recovery`]); they land in
+//! the next record.
 //!
 //! Fast-forwarded quiescent stretches enter the ring as one *span* record
 //! covering many rounds (mirroring `TraceEvent::RoundSkip`); the
@@ -18,19 +21,11 @@
 //! observables — scheduler/memory telemetry legitimately differs between
 //! simulators that execute different nodes over the same traffic.
 //!
-//! The module also hosts the deterministic **sampling policy** for
-//! full-fidelity events: [`SamplePolicy`] keeps a message event with a
-//! probability that is a pure function of `(seed, round, edge)` — exactly
-//! like fault-plan fates — so a [`SampledSink`]-filtered trace is
-//! byte-identical whichever nodes the simulator executes and whether it
-//! fast-forwards.
-//!
 //! Installation mirrors the crate's sink and the metrics registry: a
 //! thread-local RAII guard ([`install`]), strictly opt-in, with
 //! [`current`] fetched once per round by hot loops.
 
 use crate::event::TraceEvent;
-use crate::sink::TraceSink;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -49,7 +44,7 @@ pub const HOT_K: usize = 8;
 
 /// One ring entry: the aggregate observables of `span` consecutive rounds
 /// starting at `round` (`span == 1` for a stepped round; a fast-forwarded
-/// quiescent stretch is one record with `span > 1` and zero counters).
+/// quiescent stretch is one record with `span > 1`).
 ///
 /// Equality compares only the protocol observables (`round`, `span`,
 /// `delivered`, `messages`, `bits`, `faults`, `recoveries`); the scheduler
@@ -59,7 +54,8 @@ pub const HOT_K: usize = 8;
 /// every node produce identical traffic with different schedules.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundRecord {
-    /// First round covered by this record.
+    /// First round covered by this record (assigned by
+    /// [`FlightRecorder::close`]).
     pub round: u64,
     /// Rounds covered (1 for a stepped round; the skipped stretch length
     /// for a fast-forward record).
@@ -72,7 +68,7 @@ pub struct RoundRecord {
     pub bits: u64,
     /// Faults injected during the covered rounds.
     pub faults: u64,
-    /// Recovery actions noted during the covered rounds.
+    /// Recovery actions noted since the previous record closed.
     pub recoveries: u64,
     /// Node programs executed (telemetry; excluded from equality).
     pub scheduled: u64,
@@ -98,22 +94,6 @@ impl PartialEq for RoundRecord {
 
 impl Eq for RoundRecord {}
 
-/// The per-round telemetry sampled once when a round closes (the
-/// counter-like fields accumulate through `note_*` calls instead).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RoundSample {
-    /// Messages delivered at the start of the round.
-    pub delivered: u64,
-    /// Node programs executed this round.
-    pub scheduled: u64,
-    /// Width of the next round's accumulated frontier.
-    pub frontier: u64,
-    /// Timed wakeups that fired into this round's active set.
-    pub wakeups: u64,
-    /// Message-arena high-water bytes.
-    pub arena_bytes: u64,
-}
-
 /// A shared, reference-counted flight-recorder handle.
 pub type SharedFlight = Rc<RefCell<FlightRecorder>>;
 
@@ -130,11 +110,9 @@ pub struct FlightRecorder {
     head: usize,
     /// Rounds currently covered by `ring` (Σ span).
     covered: u64,
-    /// Counters accumulating for the round currently in flight.
-    open: RoundRecord,
-    /// Whether `open` holds any charges — the common clean case lets
-    /// [`close_round`](Self::close_round) skip the merge entirely.
-    open_dirty: bool,
+    /// Recovery actions noted since the last close, charged to the next
+    /// record.
+    recoveries: u64,
     /// Whether any span record (> 1 round) has ever entered the ring.
     /// While false, `covered` tracking degenerates to `ring.len()` and
     /// the overwrite path skips the old-slot span read.
@@ -150,9 +128,9 @@ pub struct FlightRecorder {
     /// first), maintained online.
     hottest: Vec<RoundRecord>,
     /// Message count of the coldest entry in a *full* `hottest` list —
-    /// the one-compare fast path that keeps [`close_round`](Self::close_round)
-    /// O(1) in the steady state. `0` while the list is short, so every
-    /// record still takes the slow path until `hottest` fills.
+    /// the one-compare fast path that keeps [`close`](Self::close) O(1)
+    /// in the steady state. `0` while the list is short, so every record
+    /// still takes the slow path until `hottest` fills.
     hot_floor: u64,
 }
 
@@ -178,8 +156,7 @@ impl FlightRecorder {
             ring: Vec::with_capacity(capacity.min(1 << 20)),
             head: 0,
             covered: 0,
-            open: RoundRecord::default(),
-            open_dirty: false,
+            recoveries: 0,
             mixed_spans: false,
             next_round: 0,
             totals: RoundRecord::default(),
@@ -193,173 +170,99 @@ impl FlightRecorder {
         Rc::new(RefCell::new(FlightRecorder::new()))
     }
 
-    /// Charges one committed message of `bits` payload bits to the open
-    /// round.
-    pub fn note_message(&mut self, bits: u64) {
-        self.note_messages(1, bits);
-    }
-
-    /// Charges `count` committed messages totalling `bits` payload bits to
-    /// the open round (the simulator's once-per-round bulk form).
-    #[inline]
-    pub fn note_messages(&mut self, count: u64, bits: u64) {
-        self.open.messages += count;
-        self.open.bits += bits;
-        self.open_dirty = true;
-    }
-
-    /// Charges `count` injected faults to the open round.
-    #[inline]
-    pub fn note_faults(&mut self, count: u64) {
-        self.open.faults += count;
-        self.open_dirty = true;
-    }
-
-    /// Charges one recovery action to the open round.
+    /// Charges one recovery action to the next record to close.
     pub fn note_recovery(&mut self) {
-        self.open.recoveries += 1;
-        self.open_dirty = true;
+        self.recoveries += 1;
     }
 
-    /// Closes the open round: stamps the accumulated counters with
-    /// `sample`'s once-per-round telemetry and pushes the record.
+    /// Closes the next `rec.span ≥ 1` rounds as one record: assigns
+    /// `rec.round`, adds the recoveries noted since the last close, and
+    /// pushes it into the ring, the lifetime totals and (span 1 only) the
+    /// hottest list. A record with `span > 1` is a fast-forwarded stretch.
     #[inline]
-    pub fn close_round(&mut self, sample: RoundSample) {
-        self.close_charged(0, 0, 0, sample);
+    pub fn close(&mut self, rec: RoundRecord) {
+        self.push(
+            rec.span,
+            rec.delivered,
+            rec.messages,
+            rec.bits,
+            rec.faults,
+            rec.recoveries,
+            rec.scheduled,
+            rec.wakeups,
+            rec.frontier,
+            rec.arena_bytes,
+        );
     }
 
-    /// [`close_round`](Self::close_round) with this round's bulk charges
-    /// passed inline — the simulator's once-per-round form, equivalent to
-    /// `note_messages(messages, bits); note_faults(faults); close_round(sample)`
-    /// but without touching the open record when nothing else charged it.
-    ///
-    /// Deliberately out-of-line: inlined into the simulator's (large,
-    /// register-hungry) round commit this body forces spills around the
-    /// whole round loop, and the overhead gate could no longer measure the
-    /// same code the simulator runs. One `call` per round is cheaper than
-    /// both.
+    /// The body of [`close`](Self::close), deliberately out-of-line:
+    /// inlined into the simulator's (register-hungry) round close it forces
+    /// spills, and the overhead gate could no longer measure the same code
+    /// the simulator runs. It takes the fields, not the record: a record
+    /// passed by value goes through memory, and reading back the caller's
+    /// field-by-field stores with the wide loads the compiler picks stalls
+    /// on store forwarding, doubling the close. The record is rebuilt
+    /// through a closure so each consumer materializes its own copy where
+    /// it needs it: the cold calls in their own blocks, and the ring
+    /// overwrite as direct field stores into the slot. The two rare
+    /// branches (the ring still growing, a record hot enough for the
+    /// leaderboard) are `#[cold]` out-of-line calls, which keeps their
+    /// `Vec` machinery out of this frame.
     #[inline(never)]
-    pub fn close_charged(
+    #[allow(clippy::too_many_arguments)]
+    fn push(
         &mut self,
-        mut messages: u64,
-        mut bits: u64,
-        mut faults: u64,
-        sample: RoundSample,
+        span: u64,
+        delivered: u64,
+        messages: u64,
+        bits: u64,
+        faults: u64,
+        recoveries: u64,
+        scheduled: u64,
+        wakeups: u64,
+        frontier: u64,
+        arena_bytes: u64,
     ) {
-        let mut recoveries = 0;
-        if self.open_dirty {
-            // Only the charge counters accumulate in `open`; fold and
-            // reset just those.
-            messages += self.open.messages;
-            bits += self.open.bits;
-            faults += self.open.faults;
-            recoveries = self.open.recoveries;
-            self.open.messages = 0;
-            self.open.bits = 0;
-            self.open.faults = 0;
-            self.open.recoveries = 0;
-            self.open_dirty = false;
-        }
+        debug_assert!(span >= 1, "a record covers at least one round");
         let round = self.next_round;
-        self.next_round = round + 1;
-        // This is `push(rec)` hand-specialized to the span-1 steady state.
-        // The record is built through a closure so every consumer
-        // materializes its own copy where it needs it: the cold calls in
-        // their own blocks, and the ring overwrite as direct field stores
-        // into the slot. A single up-front `RoundRecord` local would be
-        // address-taken by the cold calls, forcing a stack copy on the hot
-        // path whose scalar-store/vector-reload round trip defeats
-        // store-to-load forwarding — measurably slower than the stores
-        // themselves.
+        self.next_round += span;
+        // Recoveries are rare: reset the pending count only when there is
+        // one, which keeps a store off the steady-state path.
+        let recoveries = recoveries + self.recoveries;
+        if self.recoveries != 0 {
+            self.recoveries = 0;
+        }
         let rec = || RoundRecord {
             round,
-            span: 1,
-            delivered: sample.delivered,
+            span,
+            delivered,
             messages,
             bits,
             faults,
             recoveries,
-            scheduled: sample.scheduled,
-            frontier: sample.frontier,
-            wakeups: sample.wakeups,
-            arena_bytes: sample.arena_bytes,
+            scheduled,
+            wakeups,
+            frontier,
+            arena_bytes,
         };
-        self.totals.delivered += sample.delivered;
+        // `totals.span` is not summed here: it always equals `next_round`,
+        // so the getter derives it and the hot path saves the update.
+        self.totals.delivered += delivered;
         self.totals.messages += messages;
         self.totals.bits += bits;
         self.totals.faults += faults;
         self.totals.recoveries += recoveries;
-        self.totals.scheduled += sample.scheduled;
-        self.totals.wakeups += sample.wakeups;
-        self.totals.frontier = self.totals.frontier.max(sample.frontier);
-        self.totals.arena_bytes = self.totals.arena_bytes.max(sample.arena_bytes);
-        if self.hottest.len() != HOT_K || messages > self.hot_floor {
-            self.note_hot(rec());
-        }
-        if self.ring.len() < self.capacity as usize {
-            self.grow_push(rec());
-        } else {
-            let old = &mut self.ring[self.head];
-            if self.mixed_spans {
-                self.covered += 1;
-                self.covered -= old.span;
-            }
-            *old = rec();
-            self.head += 1;
-            if self.head == self.ring.len() {
-                self.head = 0;
-            }
-        }
-    }
-
-    /// Records a fast-forwarded stretch of `rounds` fully quiescent rounds
-    /// as one span record — O(1) however long the jump, normalizing in
-    /// [`FlightRecorder::window`] to exactly the zero-counter records a
-    /// stepped run would have produced.
-    pub fn skip(&mut self, rounds: u64) {
-        if rounds == 0 {
-            return;
-        }
-        let rec = RoundRecord {
-            round: self.next_round,
-            span: rounds,
-            ..RoundRecord::default()
-        };
-        self.next_round += rounds;
-        self.push(rec);
-    }
-
-    /// The general push, used by the (rare) fast-forward span path —
-    /// [`close_charged`](Self::close_charged) hand-specializes this for
-    /// the per-round steady state instead of calling it. The two
-    /// genuinely rare branches (the ring still growing, a record hot
-    /// enough for the leaderboard) are `#[cold]` out-of-line calls, which
-    /// keeps their `Vec` machinery (reallocation, `insert`'s memmove) out
-    /// of callers' frames.
-    #[inline]
-    fn push(&mut self, rec: RoundRecord) {
-        // `totals.span` is not summed here: it always equals `next_round`
-        // (every close adds 1, every skip adds its span), so the getter
-        // derives it and the hot path saves the update.
-        // The seven sums sit adjacent in declaration order (`delivered`
-        // through `wakeups`) so the compiler can fold them into wide
-        // vector adds; the two maxima trail.
-        self.totals.delivered += rec.delivered;
-        self.totals.messages += rec.messages;
-        self.totals.bits += rec.bits;
-        self.totals.faults += rec.faults;
-        self.totals.recoveries += rec.recoveries;
-        self.totals.scheduled += rec.scheduled;
-        self.totals.wakeups += rec.wakeups;
-        self.totals.frontier = self.totals.frontier.max(rec.frontier);
-        self.totals.arena_bytes = self.totals.arena_bytes.max(rec.arena_bytes);
-        if rec.span == 1 {
+        self.totals.scheduled += scheduled;
+        self.totals.wakeups += wakeups;
+        self.totals.frontier = self.totals.frontier.max(frontier);
+        self.totals.arena_bytes = self.totals.arena_bytes.max(arena_bytes);
+        if span == 1 {
             // Steady-state fast path: once the list is full, a record no
             // hotter than its coldest entry can never enter — an equal
             // message count loses the tie to the earlier round already
             // held.
-            if self.hottest.len() != HOT_K || rec.messages > self.hot_floor {
-                self.note_hot(rec);
+            if self.hottest.len() != HOT_K || messages > self.hot_floor {
+                self.note_hot(rec());
             }
         } else {
             self.mixed_spans = true;
@@ -372,21 +275,34 @@ impl FlightRecorder {
         // keeps a fast-forwarding ring and a stepped ring normalizing to
         // the same per-round window.
         if self.ring.len() < self.capacity as usize {
-            self.grow_push(rec);
+            self.grow_push(rec());
         } else {
             let old = &mut self.ring[self.head];
             // All-singles rings (no skip ever recorded) keep `covered`
             // pinned at capacity: +1 in, -1 out. Skipping the old-slot
             // span read keeps the steady-state overwrite store-only.
             if self.mixed_spans {
-                self.covered += rec.span;
+                self.covered += span;
                 self.covered -= old.span;
             }
-            *old = rec;
+            *old = rec();
             self.head += 1;
             if self.head == self.ring.len() {
                 self.head = 0;
             }
+        }
+    }
+
+    /// Records a fast-forwarded stretch of `rounds` fully quiescent rounds
+    /// (none for `rounds == 0`) as one span record — O(1) however long the
+    /// jump, normalizing in [`FlightRecorder::window`] to exactly the
+    /// zero-counter records a stepped run would have produced.
+    pub fn skip(&mut self, rounds: u64) {
+        if rounds > 0 {
+            self.close(RoundRecord {
+                span: rounds,
+                ..RoundRecord::default()
+            });
         }
     }
 
@@ -458,58 +374,62 @@ impl FlightRecorder {
     }
 
     /// The last `capacity` rounds as uniform per-round records: span
-    /// records are expanded into the zero-counter rounds a stepped
-    /// scheduler would have recorded, and the result is truncated to the
-    /// window. This is the normalization the determinism suite compares —
-    /// a fast-forwarding run and a stepped run return identical windows.
+    /// records are expanded into the rounds a stepped scheduler would have
+    /// recorded — the first carries the record's counters (recoveries
+    /// noted before a fast-forward; a quiescent stretch has no traffic),
+    /// the rest are zero — and the result is truncated to the window. This
+    /// is the normalization the determinism suite compares: a
+    /// fast-forwarding run and a stepped run return identical windows.
     pub fn window(&self) -> Vec<RoundRecord> {
         let mut out: Vec<RoundRecord> = Vec::new();
         let mut need = self.capacity.min(self.covered);
         let (wrapped, oldest) = self.ring.split_at(self.head);
         'outer: for rec in wrapped.iter().rev().chain(oldest.iter().rev()) {
-            if need == 0 {
-                break;
-            }
-            if rec.span == 1 {
-                out.push(*rec);
-                need -= 1;
-            } else {
-                for r in (rec.round..rec.round + rec.span).rev() {
-                    out.push(RoundRecord {
-                        round: r,
-                        span: 1,
-                        ..RoundRecord::default()
-                    });
-                    need -= 1;
-                    if need == 0 {
-                        break 'outer;
-                    }
+            for round in (rec.round..rec.round + rec.span).rev() {
+                if need == 0 {
+                    break 'outer;
                 }
+                let counters = if round == rec.round {
+                    *rec
+                } else {
+                    RoundRecord::default()
+                };
+                out.push(RoundRecord {
+                    round,
+                    span: 1,
+                    ..counters
+                });
+                need -= 1;
             }
         }
         out.reverse();
         out
     }
 
-    /// Rebuilds a recorder from a trace-event stream, attributing each
-    /// `Message`/`Fault`/`Recovery` event to the round whose `Round` tick
-    /// follows it and mapping `RoundSkip` to [`FlightRecorder::skip`] —
-    /// the same aggregation the live charging performs, so a recorder fed
-    /// by the simulator and one rebuilt from its trace agree record for
-    /// record (telemetry fields excepted: the event stream does not carry
-    /// them).
+    /// Rebuilds a recorder from a trace-event stream through the same
+    /// [`close`](Self::close) the simulator calls: each `Message`/`Fault`
+    /// event is charged to the round whose `Round` tick follows it, each
+    /// `Recovery` is noted as drivers note it, and a `RoundSkip` closes one
+    /// span record. A recorder fed by the simulator and one rebuilt from
+    /// its trace therefore agree record for record (telemetry fields
+    /// excepted: the event stream does not carry them).
     pub fn from_events(capacity: usize, events: &[TraceEvent]) -> FlightRecorder {
         let mut rec = FlightRecorder::with_capacity(capacity);
+        let mut open = RoundRecord::default();
         for event in events {
-            match event {
-                TraceEvent::Message { bits, .. } => rec.note_message(*bits),
-                TraceEvent::Fault { .. } => rec.note_faults(1),
+            match *event {
+                TraceEvent::Message { bits, .. } => {
+                    open.messages += 1;
+                    open.bits += bits;
+                }
+                TraceEvent::Fault { .. } => open.faults += 1,
                 TraceEvent::Recovery { .. } => rec.note_recovery(),
-                TraceEvent::Round { delivered, .. } => rec.close_round(RoundSample {
-                    delivered: *delivered,
-                    ..RoundSample::default()
+                TraceEvent::Round { delivered, .. } => rec.close(RoundRecord {
+                    span: 1,
+                    delivered,
+                    ..std::mem::take(&mut open)
                 }),
-                TraceEvent::RoundSkip { from, to } => rec.skip(to.saturating_sub(*from)),
+                TraceEvent::RoundSkip { from, to } => rec.skip(to.saturating_sub(from)),
                 _ => {}
             }
         }
@@ -638,12 +558,6 @@ pub fn current() -> Option<SharedFlight> {
     CURRENT.with(|current| current.borrow().clone())
 }
 
-/// Whether a recorder is installed on this thread — the cheapest possible
-/// probe for hot-loop guards.
-pub fn active() -> bool {
-    CURRENT.with(|current| current.borrow().is_some())
-}
-
 /// Runs `f` against the installed recorder, if any. Clone-free: the
 /// handle is borrowed in place, so per-round charge sites pay one
 /// thread-local access and no reference-count traffic. Calling
@@ -656,165 +570,51 @@ pub fn with(f: impl FnOnce(&mut FlightRecorder)) {
     });
 }
 
-/// Messages are sampled at `rate_ppm` parts per million as a pure function
-/// of `(seed, round, from, to)` — the same fmix64 avalanche construction
-/// fault-plan fates use (under a distinct salt, so a shared seed does not
-/// correlate sampling with fault decisions). Deterministic by
-/// construction: the same message is kept or suppressed in every replay,
-/// regardless of which nodes execute or whether rounds are fast-forwarded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SamplePolicy {
-    seed: u64,
-    rate_ppm: u32,
-}
-
-/// Decorrelates the sampling stream from a fault plan sharing the seed.
-const SAMPLE_SALT: u64 = 0x5ABB_1E5A_4D50_1E5E;
-
-const PPM: u64 = 1_000_000;
-
-impl SamplePolicy {
-    /// A policy keeping `rate` (clamped to `[0, 1]`) of message events.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        let ppm = (rate.clamp(0.0, 1.0) * PPM as f64).round() as u32;
-        SamplePolicy::with_ppm(seed, ppm)
-    }
-
-    /// A policy keeping `ppm` parts per million of message events.
-    pub fn with_ppm(seed: u64, ppm: u32) -> Self {
-        SamplePolicy {
-            seed,
-            rate_ppm: ppm.min(PPM as u32),
-        }
-    }
-
-    /// The sampling rate in parts per million.
-    pub fn rate_ppm(&self) -> u32 {
-        self.rate_ppm
-    }
-
-    /// Whether the message on `(from, to)` in `round` is kept. Pure: no
-    /// state, no stream position — only the coordinates matter.
-    pub fn sample(&self, round: u64, from: u64, to: u64) -> bool {
-        if self.rate_ppm == 0 {
-            return false;
-        }
-        if u64::from(self.rate_ppm) >= PPM {
-            return true;
-        }
-        let mut h = (self.seed ^ SAMPLE_SALT) ^ 0x9E37_79B9_7F4A_7C15;
-        for v in [round, from, to] {
-            h = (h ^ v).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-            h ^= h >> 33;
-        }
-        (h >> 32) % PPM < u64::from(self.rate_ppm)
-    }
-}
-
-/// A [`TraceSink`] adapter that forwards every event except `Message`s
-/// failing its [`SamplePolicy`] — turning a full-fidelity per-edge trace
-/// into a deterministic sample that stays byte-identical whichever nodes
-/// the simulator executes and whether it fast-forwards.
-#[derive(Debug)]
-pub struct SampledSink<S> {
-    policy: SamplePolicy,
-    inner: S,
-    sampled: u64,
-    suppressed: u64,
-}
-
-impl<S: TraceSink> SampledSink<S> {
-    /// Wraps `inner`, filtering message events through `policy`.
-    pub fn new(policy: SamplePolicy, inner: S) -> Self {
-        SampledSink {
-            policy,
-            inner,
-            sampled: 0,
-            suppressed: 0,
-        }
-    }
-
-    /// Message events kept so far.
-    pub fn sampled(&self) -> u64 {
-        self.sampled
-    }
-
-    /// Message events suppressed so far.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
-    }
-
-    /// A reference to the wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for SampledSink<S> {
-    fn record(&mut self, event: &TraceEvent) {
-        if let TraceEvent::Message {
-            round, from, to, ..
-        } = event
-        {
-            if !self.policy.sample(*round, *from, *to) {
-                self.suppressed += 1;
-                return;
-            }
-            self.sampled += 1;
-        }
-        self.inner.record(event);
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::Recorder;
 
-    fn closed(rec: &mut FlightRecorder, delivered: u64) {
-        rec.close_round(RoundSample {
+    /// A stepped round's record (`round` is left for the recorder).
+    fn one_round(delivered: u64, messages: u64, bits: u64) -> RoundRecord {
+        RoundRecord {
+            span: 1,
             delivered,
-            ..RoundSample::default()
-        });
+            messages,
+            bits,
+            ..RoundRecord::default()
+        }
     }
 
     #[test]
     fn rounds_accumulate_and_close() {
         let mut rec = FlightRecorder::with_capacity(16);
-        rec.note_message(8);
-        rec.note_message(4);
-        rec.note_faults(1);
-        closed(&mut rec, 3);
+        rec.close(RoundRecord {
+            round: 99,
+            faults: 1,
+            ..one_round(3, 2, 12)
+        });
         rec.note_recovery();
-        closed(&mut rec, 2);
+        rec.close(one_round(2, 0, 0));
         let records: Vec<_> = rec.records().copied().collect();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].round, 0);
+        assert_eq!(records[0].round, 0, "the recorder assigns the round");
         assert_eq!(records[0].messages, 2);
         assert_eq!(records[0].bits, 12);
         assert_eq!(records[0].faults, 1);
         assert_eq!(records[0].delivered, 3);
+        assert_eq!(records[0].recoveries, 0);
+        assert_eq!(records[1].round, 1);
         assert_eq!(records[1].recoveries, 1);
         let t = rec.totals();
         assert_eq!((t.span, t.messages, t.bits, t.delivered), (2, 2, 12, 5));
+        assert_eq!((t.faults, t.recoveries), (1, 1));
     }
 
     #[test]
     fn ring_evicts_by_rounds_covered_not_records() {
         let mut rec = FlightRecorder::with_capacity(4);
         for _ in 0..10 {
-            closed(&mut rec, 0);
+            rec.close(one_round(0, 0, 0));
         }
         assert_eq!(rec.covered(), 4);
         assert_eq!(rec.window().len(), 4);
@@ -824,21 +624,19 @@ mod tests {
     }
 
     #[test]
-    fn skip_spans_normalize_like_stepped_zero_rounds() {
+    fn skip_spans_normalize_like_steppedzero_rounds() {
         // One recorder fast-forwards 5 rounds; the other steps them.
         let mut skipped = FlightRecorder::with_capacity(8);
         let mut stepped = FlightRecorder::with_capacity(8);
         for rec in [&mut skipped, &mut stepped] {
-            rec.note_message(10);
-            closed(rec, 0);
+            rec.close(one_round(0, 1, 10));
         }
         skipped.skip(5);
         for _ in 0..5 {
-            closed(&mut stepped, 0);
+            stepped.close(one_round(0, 0, 0));
         }
         for rec in [&mut skipped, &mut stepped] {
-            rec.note_message(7);
-            closed(rec, 1);
+            rec.close(one_round(1, 1, 7));
         }
         assert_eq!(skipped.window(), stepped.window());
         assert_eq!(skipped.rounds(), stepped.rounds());
@@ -846,41 +644,42 @@ mod tests {
         let mut skipped = FlightRecorder::with_capacity(3);
         let mut stepped = FlightRecorder::with_capacity(3);
         skipped.skip(10);
+        skipped.skip(0);
         for _ in 0..10 {
-            closed(&mut stepped, 0);
+            stepped.close(one_round(0, 0, 0));
         }
-        closed(&mut skipped, 0);
-        closed(&mut stepped, 0);
+        skipped.close(one_round(0, 0, 0));
+        stepped.close(one_round(0, 0, 0));
         assert_eq!(skipped.window(), stepped.window());
         assert_eq!(skipped.window().len(), 3);
     }
 
     /// A fast-forwarded stretch of `k` rounds enters the ring as one span
     /// record, and the window and lifetime totals come out exactly as if
-    /// the simulator had closed `k` rounds with zero counts.
+    /// the simulator had closed `k` rounds with zero counts — including a
+    /// recovery noted before the stretch, which both charge to its first
+    /// round.
     #[test]
     fn skip_matches_zero_count_closed_rounds() {
         let busy = |rec: &mut FlightRecorder, r: u64| {
-            rec.close_charged(
-                r + 1,
-                8 * (r + 1),
-                r % 2,
-                RoundSample {
-                    delivered: r,
-                    scheduled: 3,
-                    ..RoundSample::default()
-                },
-            );
+            rec.close(RoundRecord {
+                faults: r % 2,
+                scheduled: 3,
+                ..one_round(r, r + 1, 8 * (r + 1))
+            });
         };
         let mut skipped = FlightRecorder::with_capacity(32);
         let mut stepped = FlightRecorder::with_capacity(32);
         for (r, quiet) in [(0, 4), (1, 11), (2, 1), (3, 0)] {
             for rec in [&mut skipped, &mut stepped] {
                 busy(rec, r);
+                if r == 1 {
+                    rec.note_recovery();
+                }
             }
             skipped.skip(quiet);
             for _ in 0..quiet {
-                stepped.close_charged(0, 0, 0, RoundSample::default());
+                stepped.close(one_round(0, 0, 0));
             }
         }
         assert!(skipped.records().any(|r| r.span > 1));
@@ -888,6 +687,8 @@ mod tests {
         assert_eq!(skipped.rounds(), stepped.rounds());
         assert_eq!(skipped.window(), stepped.window());
         assert_eq!(skipped.totals(), stepped.totals());
+        assert_eq!(skipped.totals().recoveries, 1);
+        assert_eq!(skipped.window()[6].recoveries, 1);
         assert!(skipped.records().count() < skipped.rounds() as usize);
     }
 
@@ -917,8 +718,7 @@ mod tests {
     fn hottest_rounds_are_tracked_online() {
         let mut rec = FlightRecorder::with_capacity(4);
         for (i, m) in [3u64, 9, 1, 9, 5].iter().enumerate() {
-            rec.note_messages(*m, m * 8);
-            closed(&mut rec, i as u64);
+            rec.close(one_round(i as u64, *m, m * 8));
         }
         let hot = rec.hottest();
         assert_eq!(hot[0].round, 1, "ties break toward the earlier round");
@@ -949,6 +749,12 @@ mod tests {
                 round: 0,
                 delivered: 0,
             },
+            TraceEvent::Recovery {
+                round: 1,
+                action: crate::event::RecoveryAction::Retransmit,
+                attempt: 0,
+                scope: "bfs".into(),
+            },
             TraceEvent::RoundSkip { from: 1, to: 4 },
             TraceEvent::Fault {
                 round: 4,
@@ -964,21 +770,25 @@ mod tests {
         ];
         let rebuilt = FlightRecorder::from_events(16, &events);
         let mut live = FlightRecorder::with_capacity(16);
-        live.note_messages(2, 16);
-        closed(&mut live, 0);
+        live.close(one_round(0, 2, 16));
+        live.note_recovery();
         live.skip(3);
-        live.note_faults(1);
-        closed(&mut live, 2);
+        live.close(RoundRecord {
+            faults: 1,
+            ..one_round(2, 0, 0)
+        });
+        assert_eq!(rebuilt.rounds(), live.rounds());
         assert_eq!(rebuilt.window(), live.window());
         assert_eq!(rebuilt.totals(), live.totals());
+        assert_eq!(live.window()[1].recoveries, 1);
+        assert_eq!(live.totals().faults, 1);
     }
 
     #[test]
     fn render_is_stable_and_nonempty() {
         let mut rec = FlightRecorder::with_capacity(8);
         for i in 0..20u64 {
-            rec.note_messages(i % 4, (i % 4) * 16);
-            closed(&mut rec, i % 3);
+            rec.close(one_round(i % 3, i % 4, (i % 4) * 16));
         }
         let text = rec.render();
         assert!(text.contains("flight recorder:"), "{text}");
@@ -993,63 +803,9 @@ mod tests {
         let rec = FlightRecorder::shared();
         {
             let _guard = install(rec.clone());
-            with(|f| f.note_message(4));
-            with(|f| {
-                f.close_round(RoundSample::default());
-            });
+            with(|f| f.close(one_round(0, 1, 4)));
         }
         with(|_| unreachable!("must not run while disabled"));
         assert_eq!(rec.borrow().totals().messages, 1);
-    }
-
-    #[test]
-    fn sample_policy_is_pure_and_rate_bounded() {
-        let p = SamplePolicy::new(42, 0.25);
-        for round in 0..50 {
-            for edge in 0..20 {
-                assert_eq!(
-                    p.sample(round, edge, edge + 1),
-                    p.sample(round, edge, edge + 1)
-                );
-            }
-        }
-        let kept = (0..100_000u64).filter(|&i| p.sample(i, 1, 2)).count();
-        let rate = kept as f64 / 100_000.0;
-        assert!((rate - 0.25).abs() < 0.02, "rate {rate} far from 0.25");
-        assert!(!SamplePolicy::new(7, 0.0).sample(1, 2, 3));
-        assert!(SamplePolicy::new(7, 1.0).sample(1, 2, 3));
-        // Distinct seeds decorrelate.
-        let q = SamplePolicy::new(43, 0.25);
-        assert!((0..1000u64).any(|i| p.sample(i, 0, 1) != q.sample(i, 0, 1)));
-    }
-
-    #[test]
-    fn sampled_sink_filters_only_messages() {
-        let policy = SamplePolicy::new(9, 0.5);
-        let mut sink = SampledSink::new(policy, Recorder::new());
-        let mut expected = 0u64;
-        for round in 0..200u64 {
-            sink.record(&TraceEvent::Message {
-                round,
-                from: 0,
-                to: 1,
-                bits: 8,
-            });
-            expected += u64::from(policy.sample(round, 0, 1));
-        }
-        sink.record(&TraceEvent::Round {
-            round: 200,
-            delivered: 200,
-        });
-        sink.record(&TraceEvent::RoundSkip { from: 201, to: 300 });
-        assert_eq!(sink.sampled(), expected);
-        assert_eq!(sink.suppressed(), 200 - expected);
-        let events = sink.into_inner();
-        let events = events.events();
-        // Non-message events always pass through.
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::RoundSkip { .. })));
-        assert_eq!(events.len() as u64, expected + 2);
     }
 }

@@ -16,10 +16,8 @@
 //! * [`Summary`] — streams events into per-phase / per-edge rollups.
 //!
 //! For runs too large to trace per event, the [`flight`] module provides a
-//! fixed-capacity per-round [`FlightRecorder`] (charged once per round by
-//! the simulator, independent of this sink channel) and a deterministic
-//! [`SamplePolicy`]/[`SampledSink`] pair that thins a full-fidelity trace
-//! to a replay-stable sample.
+//! fixed-capacity per-round [`FlightRecorder`] (closed once per round by
+//! the simulator, independent of this sink channel).
 //!
 //! ```
 //! use trace::{Recorder, TraceEvent};
@@ -42,7 +40,7 @@ pub mod sink;
 pub mod summary;
 
 pub use event::{expand_round_skips, FaultKind, OracleOp, RecoveryAction, TraceEvent};
-pub use flight::{FlightRecorder, RoundRecord, RoundSample, SamplePolicy, SampledSink};
+pub use flight::{FlightRecorder, RoundRecord};
 pub use json::Json;
 pub use sink::{
     parse_jsonl, parse_jsonl_lossy, read_jsonl, read_jsonl_lossy, FileSink, Recorder, SharedSink,

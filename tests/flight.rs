@@ -1,6 +1,6 @@
-//! Flight-recorder and sampled-trace determinism: the observability layer
-//! is an observer of the *protocol*, so its output must not depend on how
-//! the simulator executes a run. The network skips halted nodes and
+//! Flight-recorder determinism: the observability layer is an observer of
+//! the *protocol*, so its output must not depend on how the simulator
+//! executes a run. The network skips halted nodes and
 //! fast-forwards quiet stretches; the reference simulator steps every
 //! node every round. A fast-forwarded stretch enters the ring as one
 //! `RoundSkip`-mirroring span record, and the window view must re-expand
@@ -10,9 +10,9 @@ use congest_diameter::prelude::*;
 use proptest::prelude::*;
 
 use congest::reference::Reference;
-use congest::{FaultPlan, RunStats};
-use trace::flight::{self, FlightRecorder, SamplePolicy, SampledSink};
-use trace::{RoundRecord, TraceEvent, TraceSink};
+use congest::{FaultPlan, RecoveryPolicy, RunStats};
+use trace::flight::{self, FlightRecorder};
+use trace::RoundRecord;
 
 /// A small id message, sized under the O(log n) budget of the smallest
 /// test graph (the flight recorder charges its bits).
@@ -61,15 +61,13 @@ impl congest::NodeProgram for SleepyFlood {
     }
 }
 
-/// Everything one observed run produces: the simulator's own stats, the
-/// flight recorder's normalized window + lifetime totals, and the
-/// deterministically sampled event stream.
+/// Everything one observed run produces: the simulator's own stats and
+/// the flight recorder's normalized window + lifetime totals.
 struct Observed {
     stats: RunStats,
     window: Vec<RoundRecord>,
     totals: RoundRecord,
     rounds: u64,
-    sampled: Vec<TraceEvent>,
     outputs: Vec<u32>,
 }
 
@@ -80,45 +78,29 @@ fn sleepy(stagger: u64) -> impl Fn(NodeId) -> SleepyFlood {
     }
 }
 
-fn sample_policy(sample_seed: u64) -> SamplePolicy {
-    SamplePolicy::new(sample_seed, 0.25)
-}
-
-/// Runs the sleepy flood on the network under a live flight recorder and
-/// a [`SampledSink`] (rate 0.25, seeded by `sample_seed`) wrapped around
-/// an in-memory recorder. The sampled stream is normalized with
-/// [`trace::expand_round_skips`] before comparison: a fast-forwarding run
-/// legitimately *represents* a quiet stretch as one `RoundSkip` event.
-fn observed_run(g: &Graph, cfg: Config, sample_seed: u64, stagger: u64) -> Observed {
+/// Runs the sleepy flood on the network under a live flight recorder.
+fn observed_run(g: &Graph, cfg: Config, stagger: u64) -> Observed {
     let recorder = FlightRecorder::shared();
-    let sink = std::rc::Rc::new(std::cell::RefCell::new(SampledSink::new(
-        sample_policy(sample_seed),
-        trace::Recorder::new(),
-    )));
     let (stats, outputs) = {
         let _flight = flight::install(recorder.clone());
-        let _trace = trace::install(sink.clone() as trace::SharedSink);
         let mut net = congest::Network::new(g, cfg, sleepy(stagger));
         let stats = net.run_until_quiescent(100_000).unwrap();
         (stats, net.into_outputs())
     };
-    let sampled = trace::expand_round_skips(sink.borrow().inner().events().to_vec());
     let rec = recorder.borrow();
     Observed {
         stats,
         window: rec.window(),
         totals: rec.totals(),
         rounds: rec.rounds(),
-        sampled,
         outputs,
     }
 }
 
 /// The same run on the reference simulator, which charges no flight
 /// recorder: the recorder is rebuilt from its full event stream
-/// ([`FlightRecorder::from_events`]), and the stream is sampled by the
-/// same policy.
-fn reference_run(g: &Graph, cfg: Config, sample_seed: u64, stagger: u64) -> Observed {
+/// ([`FlightRecorder::from_events`]).
+fn reference_run(g: &Graph, cfg: Config, stagger: u64) -> Observed {
     let full = trace::Recorder::shared();
     let (stats, outputs) = {
         let _trace = trace::install(full.clone());
@@ -129,16 +111,11 @@ fn reference_run(g: &Graph, cfg: Config, sample_seed: u64, stagger: u64) -> Obse
     };
     let events = full.borrow_mut().take();
     let rec = FlightRecorder::from_events(flight::DEFAULT_CAPACITY, &events);
-    let mut sampled = SampledSink::new(sample_policy(sample_seed), trace::Recorder::new());
-    for event in &events {
-        sampled.record(event);
-    }
     Observed {
         stats,
         window: rec.window(),
         totals: rec.totals(),
         rounds: rec.rounds(),
-        sampled: sampled.inner().events().to_vec(),
         outputs,
     }
 }
@@ -152,25 +129,20 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Flight windows, lifetime totals, and the sampled trace of the
-    /// network match the reference simulator's — a `RoundSkip` span must
-    /// aggregate exactly as the rounds it covers would have, record by
-    /// record.
+    /// Flight windows and lifetime totals of the network match the
+    /// reference simulator's — a `RoundSkip` span must aggregate exactly
+    /// as the rounds it covers would have, record by record.
     #[test]
-    fn flight_and_sampled_trace_identical_across_matrix(
-        g in arb_graph(),
-        sample_seed in 0u64..1_000,
-    ) {
+    fn flight_identical_across_matrix(g in arb_graph()) {
         let cfg = Config::for_graph(&g);
-        let expect = reference_run(&g, cfg, sample_seed, 7);
+        let expect = reference_run(&g, cfg, 7);
         prop_assert!(expect.totals.messages > 0, "inert workload");
-        let run = observed_run(&g, cfg, sample_seed, 7);
+        let run = observed_run(&g, cfg, 7);
         prop_assert_eq!(&run.stats, &expect.stats, "stats diverged");
         prop_assert_eq!(&run.outputs, &expect.outputs, "answers diverged");
         prop_assert_eq!(run.rounds, expect.rounds, "round count diverged");
         prop_assert_eq!(&run.window, &expect.window, "window diverged");
         prop_assert_eq!(&run.totals, &expect.totals, "totals diverged");
-        prop_assert_eq!(&run.sampled, &expect.sampled, "sample diverged");
     }
 
     /// Under a seeded fault plan the recorder's fault column matches the
@@ -186,8 +158,8 @@ proptest! {
             .with_corrupt(0.04)
             .with_delay(0.15, 3);
         let cfg = Config::for_graph(&g).with_faults(plan);
-        let expect = reference_run(&g, cfg, 0, 7);
-        let run = observed_run(&g, cfg, 0, 7);
+        let expect = reference_run(&g, cfg, 7);
+        let run = observed_run(&g, cfg, 7);
         prop_assert!(expect.totals.faults > 0, "plan injected nothing");
         prop_assert_eq!(&run.window, &expect.window, "window diverged");
         prop_assert_eq!(&run.totals, &expect.totals, "totals diverged");
@@ -221,4 +193,39 @@ fn event_sourced_recorder_matches_live_charging_end_to_end() {
     assert_eq!(replayed.totals(), live.totals());
     assert_eq!(live.totals().messages, stats.messages);
     assert_eq!(live.totals().bits, stats.total_bits);
+}
+
+/// The same end to end for a recovering run: BFS with claim
+/// retransmission under a drop plan, built from several roots in turn
+/// under one recorder. Each build that resends claims notes a recovery
+/// (`congest::recovery::note_recovery`) between rounds, which the next
+/// build's first record carries; the recorder rebuilt from the run's own
+/// trace must agree, recoveries and faults columns included.
+#[test]
+fn event_sourced_recorder_matches_a_recovering_run() {
+    let g = graphs::generators::random_connected(24, 0.2, 5);
+    let cfg = Config::for_graph(&g)
+        .with_faults(FaultPlan::new(3).with_drop(0.01))
+        .with_recovery(RecoveryPolicy::new().with_retransmit(2));
+    let recorder = FlightRecorder::shared();
+    let full = trace::Recorder::shared();
+    let built = {
+        let _flight = flight::install(recorder.clone());
+        let _trace = trace::install(full.clone());
+        (0..6)
+            .filter(|&root| classical::bfs::build(&g, NodeId::new(root), cfg).is_ok())
+            .count()
+    };
+    let live = recorder.borrow();
+    let replayed =
+        FlightRecorder::from_events(trace::flight::DEFAULT_CAPACITY, full.borrow().events());
+    assert!(built >= 2, "only {built} of 6 builds succeeded");
+    assert!(live.totals().faults > 0, "the plan injected nothing");
+    assert!(
+        live.window().iter().any(|r| r.recoveries > 0),
+        "no recovery landed in the window"
+    );
+    assert_eq!(replayed.rounds(), live.rounds());
+    assert_eq!(replayed.window(), live.window());
+    assert_eq!(replayed.totals(), live.totals());
 }
