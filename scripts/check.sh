@@ -91,8 +91,8 @@ cargo run -q --release --offline -p bench --bin fig5_7_simulation \
   | diff - results/fig5_7_simulation.txt || status=1
 
 echo "=== qdiam reports match their committed output ==="
-# Every driver's console report, fault-free and healing a crash; see the
-# generator script for the exact command lines.
+# Every driver's console report, fault-free, healing a crash and healing
+# drops by retries; see the generator script for the exact command lines.
 scripts/qdiam_reports.sh | diff - results/qdiam_reports.txt || status=1
 
 echo "=== deterministic experiments match their committed output ==="
@@ -100,11 +100,12 @@ echo "=== deterministic experiments match their committed output ==="
 # under a second; the Theorem 1 and Theorem 4 artifacts (table1_exact,
 # table1_approx, fig3_approx_phases, ablation_window, memory_scaling) run
 # the quantum search and the eccentricity table, ≈13 s together, ≈9 s of
-# it table1_exact. Their JSON goes to a scratch directory, whose path the
-# "results JSON ->" line names.
+# it table1_exact. fault_matrix (≈0.07 s) pins the classical recovering
+# driver's retries, checkpoint restarts and re-roots. Their JSON goes to a
+# scratch directory, whose path the "results JSON ->" line names.
 adir=$(mktemp -d)
 for bin in table1_lower_bounds fig2_evaluation table1_exact table1_approx \
-  fig3_approx_phases ablation_window memory_scaling; do
+  fig3_approx_phases ablation_window memory_scaling fault_matrix; do
   QD_RESULTS_DIR="$adir" cargo run -q --release --offline -p bench --bin "$bin" \
     | sed "s#$adir/#results/#" | diff - "results/$bin.txt" || status=1
 done

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the console report of every qdiam driver on a 5 x 5 grid (seed 5,
-# --verbose), then the exact and classical drivers healing a crash under
-# --recover. results/qdiam_reports.txt is this script's committed output,
+# --verbose), then the three recovering drivers healing a crash under
+# --recover, then the quantum drivers healing message drops by whole-run
+# retries. results/qdiam_reports.txt is this script's committed output,
 # and scripts/check.sh diffs a fresh run against it.
 # Usage: scripts/qdiam_reports.sh > results/qdiam_reports.txt
 set -euo pipefail
@@ -15,7 +16,11 @@ qdiam() {
 for algo in exact simple approx classical classical-approx two-approx girth; do
   qdiam "$algo" --family grid --n 25 --seed 5 --verbose
 done
-for algo in exact classical; do
+for algo in exact approx classical; do
   qdiam "$algo" --family grid --n 25 --seed 5 --verbose \
     --faults drop=0.002,crash=7@3,seed=4 --recover
+done
+for algo in exact approx; do
+  qdiam "$algo" --family grid --n 25 --seed 5 --verbose \
+    --faults drop=0.01,seed=1 --recover
 done
