@@ -14,7 +14,7 @@
 //! Total: `Θ(n)` rounds — matching the classical upper bound of [HW12,
 //! PRT12] that the quantum algorithm of Theorem 1 beats.
 
-use congest::{bits, Config, RoundsLedger};
+use congest::{bits, Config, RecoveryStats, RoundsLedger, RunStats};
 use graphs::{Dist, Graph, NodeId};
 
 use crate::aggregate::{self, Op};
@@ -22,6 +22,7 @@ use crate::bfs;
 use crate::dfs_walk;
 use crate::error::AlgoError;
 use crate::leader;
+use crate::recovery::checkpointed_waves;
 use crate::tree_view::TreeView;
 use crate::waves;
 
@@ -91,21 +92,89 @@ pub fn predicted_rounds(n: u64, depth: u64) -> u64 {
 /// # Ok::<(), classical::AlgoError>(())
 /// ```
 pub fn exact_diameter(graph: &Graph, config: Config) -> Result<ExactDiameterOutcome, AlgoError> {
+    let _driver_span = metrics::span("classical-apsp");
+    pipeline(graph, config, 0, &mut RecoveryStats::default()).map_err(|(e, _)| e)
+}
+
+/// A failed pipeline run: the error, and the work the run threw away.
+pub(crate) type Failed = (AlgoError, RunStats);
+
+/// What a pipeline run has committed so far: the ledger, the summed stats
+/// of its phases (the waste, should a later phase fail) and the healing
+/// it needed.
+pub(crate) struct Progress<'a> {
+    pub(crate) ledger: RoundsLedger,
+    pub(crate) spent: RunStats,
+    pub(crate) recovery: &'a mut RecoveryStats,
+}
+
+impl Progress<'_> {
+    /// Records a completed phase.
+    pub(crate) fn commit(&mut self, label: impl Into<String>, stats: RunStats) {
+        self.ledger.add(label, stats);
+        self.spent.absorb(&stats);
+    }
+
+    /// A phase failed, wasting `phase` on top of the committed ones.
+    pub(crate) fn wasted(&self, e: AlgoError, phase: RunStats) -> Failed {
+        let mut wasted = self.spent;
+        wasted.absorb(&phase);
+        (e, wasted)
+    }
+
+    /// A phase failed before committing: the detection round inside
+    /// [`AlgoError::FaultDetected`] is the honest lower bound for the
+    /// rounds it executed; its messages and bits are unknown.
+    fn failed(&self, e: AlgoError) -> Failed {
+        let round = match &e {
+            AlgoError::FaultDetected { round, .. } => *round,
+            _ => 0,
+        };
+        self.wasted(e, rounds_only(round))
+    }
+}
+
+/// The stats of a phase known only by its round count.
+pub(crate) fn rounds_only(rounds: u64) -> RunStats {
+    RunStats {
+        rounds,
+        ..RunStats::default()
+    }
+}
+
+/// The one leader → BFS → DFS → waves → convergecast pipeline, behind
+/// [`exact_diameter`] and [`exact_diameter_recovering`].
+///
+/// `checkpoint` is the wave segment length of
+/// [`RecoveryPolicy::checkpoint`](congest::RecoveryPolicy::checkpoint)
+/// (0: one monolithic wave schedule, as the fail-stop driver runs it).
+/// Retransmissions and segment restarts fold into `recovery`.
+///
+/// [`exact_diameter_recovering`]: crate::recovery::exact_diameter_recovering
+pub(crate) fn pipeline(
+    graph: &Graph,
+    config: Config,
+    checkpoint: u32,
+    recovery: &mut RecoveryStats,
+) -> Result<ExactDiameterOutcome, Failed> {
     if graph.is_empty() {
-        return Err(AlgoError::InvalidParameter {
-            reason: "empty graph".into(),
-        });
+        let reason = "empty graph".into();
+        return Err((AlgoError::InvalidParameter { reason }, RunStats::default()));
     }
     let n = graph.len() as u64;
     let fault_aware = config.has_faults();
-    let _driver_span = metrics::span("classical-apsp");
-    let mut ledger = RoundsLedger::new();
+    let mut run = Progress {
+        ledger: RoundsLedger::new(),
+        spent: RunStats::default(),
+        recovery,
+    };
 
     // Phase 1: leader election + BFS tree.
-    let elect = leader::elect(graph, config)?;
-    ledger.add("leader election", elect.stats);
-    let b = bfs::build(graph, elect.leader, config)?;
-    ledger.add("bfs(leader)", b.stats);
+    let elect = leader::elect(graph, config).map_err(|e| run.failed(e))?;
+    run.commit("leader election", elect.stats);
+    let b = bfs::build(graph, elect.leader, config).map_err(|e| run.failed(e))?;
+    run.commit("bfs(leader)", b.stats);
+    run.recovery.retransmissions += b.retransmissions;
     let tree = TreeView::from(&b);
 
     if n == 1 {
@@ -114,55 +183,55 @@ pub fn exact_diameter(graph: &Graph, config: Config) -> Result<ExactDiameterOutc
             radius: 0,
             eccentricities: vec![0],
             leader: elect.leader,
-            ledger,
+            ledger: run.ledger,
         });
     }
 
     // Phase 2: full DFS tour numbering.
     let steps = 2 * (n - 1);
-    let dfs = dfs_walk::walk(graph, &tree, elect.leader, steps, config)?;
-    ledger.add("dfs numbering", dfs.stats);
+    let dfs =
+        dfs_walk::walk(graph, &tree, elect.leader, steps, config).map_err(|e| run.failed(e))?;
+    run.commit("dfs numbering", dfs.stats);
 
     // Phase 3: pipelined waves from every node.
-    let sources = wave_sources(&dfs.tau, fault_aware, dfs.stats.rounds)?;
-    let duration = 2 * steps + u64::from(b.depth) + 2;
-    let wave = waves::run(graph, &sources, duration, config)?;
-    ledger.add("eccentricity waves", wave.stats);
-    if fault_aware {
-        // Lemmas 2-4 guarantee one surviving wave per (source, node) pair;
-        // any node that processed fewer waves than sources silently holds
-        // an under-estimate of its eccentricity.
-        wave.verify_complete(&sources)?;
-    }
+    let sources =
+        wave_sources(&dfs.tau, fault_aware, dfs.stats.rounds).map_err(|e| (e, run.spent))?;
+    let max_dist = if checkpoint == 0 {
+        let duration = 2 * steps + u64::from(b.depth) + 2;
+        // On a violation the simulator ran the full duration before it
+        // surfaced; messages/bits of the aborted phase are unknown.
+        let wave = waves::run(graph, &sources, duration, config)
+            .map_err(|e| run.wasted(e, rounds_only(duration)))?;
+        run.commit("eccentricity waves", wave.stats);
+        if fault_aware {
+            // Lemmas 2-4 guarantee one surviving wave per (source, node)
+            // pair; any node that processed fewer waves than sources
+            // silently holds an under-estimate of its eccentricity.
+            wave.verify_complete(&sources).map_err(|e| (e, run.spent))?;
+        }
+        wave.max_dist
+    } else {
+        checkpointed_waves(graph, &sources, b.depth, config, checkpoint, &mut run)?
+    };
 
     // Phase 4: convergecast the maximum (diameter) and minimum (radius) to
     // the leader.
-    let values: Vec<u64> = wave.max_dist.iter().map(|&d| d as u64).collect();
-    let agg = aggregate::convergecast(
-        graph,
-        &tree,
-        &values,
-        bits::for_dist(graph.len()),
-        Op::Max,
-        config,
-    )?;
-    ledger.add("max convergecast", agg.stats);
-    let min = aggregate::convergecast(
-        graph,
-        &tree,
-        &values,
-        bits::for_dist(graph.len()),
-        Op::Min,
-        config,
-    )?;
-    ledger.add("min convergecast", min.stats);
+    let values: Vec<u64> = max_dist.iter().map(|&d| d as u64).collect();
+    let value_bits = bits::for_dist(graph.len());
+    let agg = aggregate::convergecast(graph, &tree, &values, value_bits, Op::Max, config)
+        .map_err(|e| run.failed(e))?;
+    run.commit("max convergecast", agg.stats);
+    let min = aggregate::convergecast(graph, &tree, &values, value_bits, Op::Min, config)
+        .map_err(|e| run.failed(e))?;
+    run.commit("min convergecast", min.stats);
+    run.recovery.retransmissions += agg.retransmissions + min.retransmissions;
 
     Ok(ExactDiameterOutcome {
         diameter: agg.value as Dist,
         radius: min.value as Dist,
-        eccentricities: wave.max_dist,
+        eccentricities: max_dist,
         leader: elect.leader,
-        ledger,
+        ledger: run.ledger,
     })
 }
 

@@ -1,16 +1,14 @@
-//! Self-healing classical exact diameter — recovery on top of
-//! [`apsp`](crate::apsp).
+//! Self-healing Table 1 drivers: the classical exact diameter on top of
+//! [`apsp`], and [`heal`], the one retry loop of every recovering driver.
 //!
-//! [`apsp::exact_diameter`](crate::apsp::exact_diameter) is *fail-stop*: under an injected
-//! [`congest::FaultPlan`] it degrades to a typed
-//! [`AlgoError::FaultDetected`] the moment a protocol invariant breaks.
-//! This driver runs the same leader → BFS → DFS → waves → convergecast
-//! pipeline but consults the [`RecoveryPolicy`] carried by the
+//! [`apsp::exact_diameter`] is *fail-stop*: under an injected
+//! [`FaultPlan`] it degrades to a typed [`AlgoError::FaultDetected`] the
+//! moment a protocol invariant breaks. [`exact_diameter_recovering`] runs
+//! the same pipeline but consults the [`RecoveryPolicy`] carried by the
 //! [`Config`] and heals instead of aborting, with three mechanisms:
 //!
 //! 1. **Retry** — bounded re-execution of the whole pipeline under a
-//!    freshly [reseeded](congest::recovery::reseed) fault plan
-//!    ([`RecoveryPolicy::retries`]).
+//!    freshly [reseeded](reseed) fault plan ([`RecoveryPolicy::retries`]).
 //! 2. **Retransmit + checkpoint/restart** — tree protocols (BFS claims,
 //!    convergecast reports) repeat their idempotent messages
 //!    ([`RecoveryPolicy::retransmit`]), and the wave schedule is split
@@ -25,17 +23,18 @@
 //!    surviving connected component and returns *its* diameter, rather
 //!    than aborting the whole computation.
 //!
-//! Every recovery action is accounted honestly: retries/restarts/re-roots
-//! charge [`RecoveryStats`], and
-//! [`congest::recovery::note_recovery`] emits their
-//! [`trace::TraceEvent::Recovery`] events and bumps the `qd_recovery_*`
-//! metrics. Wasted attempts appear as *derived* ledger spans so
-//! `trace-summary` can reconcile committed against discarded rounds.
+//! Retry and re-root live in [`heal`], which the quantum drivers
+//! (`diameter_quantum::recovery`) run too; each driver hands it only a
+//! [`RetryScope`], its triage and one attempt. All return a
+//! [`Recovered<T>`](Recovered): the run, its [`RecoveryStats`] and the
+//! surviving component, if any.
 //!
-//! The driver's result is a [`Recovered<T>`](Recovered): the run, its
-//! [`RecoveryStats`] and the surviving component, if any. It is the one
-//! recovered-result type of the workspace; the quantum drivers' recovery
-//! wrappers (`diameter_quantum::recovery`) return it too.
+//! Every discarded attempt or segment try is charged one way: to
+//! [`RecoveryStats`], the `qd_recovery_wasted_*` counters and a *derived*
+//! ledger span (`wasted attempt k`, `… wasted try k`), so `trace-summary`
+//! can reconcile committed against discarded rounds.
+//! [`note_recovery`] emits each action's [`trace::TraceEvent::Recovery`]
+//! event and bumps `qd_recovery_actions_total`.
 //!
 //! Determinism is preserved: recovery fates are pure functions of the
 //! plan seed and attempt number, so results — including
@@ -57,25 +56,25 @@
 //! `fault_matrix` bench quantifies this trade.
 
 use congest::recovery::{note_recovery, reseed};
-use congest::{bits, Config, FaultPlan, RecoveryPolicy, RecoveryStats, RoundsLedger, RunStats};
+use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats, RoundsLedger, RunStats};
 use graphs::{Dist, Graph, NodeId};
-use trace::RecoveryAction;
+use trace::RecoveryAction::{Reroot, Restart, Retry};
 
-use crate::aggregate::{self, Op};
-use crate::apsp::ExactDiameterOutcome;
-use crate::bfs;
-use crate::dfs_walk;
+use crate::apsp::{self, rounds_only, ExactDiameterOutcome, Failed, Progress};
 use crate::error::AlgoError;
-use crate::leader;
-use crate::tree_view::TreeView;
 use crate::waves;
 
-/// Reseed scope for whole-pipeline retries.
-const SCOPE_PIPELINE: u64 = 0xA11;
 /// Reseed scope base for wave-segment restarts (`+ segment index`).
 const SCOPE_SEGMENT: u64 = 0x5E6_0000;
 /// Reseed scope for the partial-network sub-run.
 const SCOPE_PARTIAL: u64 = 0xFA27;
+
+/// The classical driver's whole-pipeline retries.
+const PIPELINE: RetryScope = RetryScope {
+    scope: 0xA11,
+    label: "classical-apsp",
+    span: Some("classical-apsp-recover"),
+};
 
 /// The surviving connected component a partial-network run re-rooted to.
 ///
@@ -115,29 +114,32 @@ pub struct Recovered<T> {
     pub surviving: Option<SurvivingComponent>,
 }
 
-/// A failed attempt: the detection error plus the work it threw away.
-type AttemptError = (AlgoError, RunStats);
-
-/// Wraps a phase failure whose own stats were *not* yet committed to
-/// `spent`: the detection round inside [`AlgoError::FaultDetected`] is the
-/// honest lower bound for the rounds the failing phase executed.
-fn waste_of(e: AlgoError, spent: RunStats) -> AttemptError {
-    let mut w = spent;
-    if let AlgoError::FaultDetected { round, .. } = &e {
-        w.rounds += round;
-    }
-    (e, w)
+/// How one driver's whole-pipeline retries are seeded and named.
+#[derive(Clone, Copy, Debug)]
+pub struct RetryScope {
+    /// Attempt `k` runs under the plan seed
+    /// [`reseed`]`(seed, k, scope)`.
+    pub scope: u64,
+    /// Scope of the driver's [`Retry`] events.
+    pub label: &'static str,
+    /// Profiler span around the loop, if the driver has one; a re-rooted
+    /// run nests a second one inside it.
+    pub span: Option<&'static str>,
 }
 
-/// Computes the exact diameter like [`apsp::exact_diameter`](crate::apsp::exact_diameter), but heals
+/// One attempt of a recovering driver, as [`heal`] takes it: the run and
+/// its phase ledger, or the error and the work it threw away.
+pub type Attempt<T, E> = Result<(T, RoundsLedger), (E, RunStats)>;
+
+/// Computes the exact diameter like [`apsp::exact_diameter`], but heals
 /// detected faults according to [`Config::recovery`].
 ///
 /// With a passive [`RecoveryPolicy`] (the default) this is byte-identical
 /// to the fail-stop driver. With [`RecoveryPolicy::standard`] it retries
-/// under reseeded fault plans, retransmits tree messages, restarts
-/// dropped waves from checkpoint boundaries, and — when the plan
-/// crash-stops nodes — returns the diameter of the largest surviving
-/// component instead of [`AlgoError::FaultDetected`].
+/// under reseeded fault plans, retransmits tree messages, restarts dropped
+/// waves from checkpoint boundaries, and — when the plan crash-stops
+/// nodes — returns the diameter of the largest surviving component
+/// instead of [`AlgoError::FaultDetected`].
 ///
 /// # Errors
 ///
@@ -169,194 +171,138 @@ pub fn exact_diameter_recovering(
     graph: &Graph,
     config: Config,
 ) -> Result<Recovered<ExactDiameterOutcome>, AlgoError> {
-    if graph.is_empty() {
-        return Err(AlgoError::InvalidParameter {
-            reason: "empty graph".into(),
-        });
-    }
-    let policy = config.recovery();
-    let _driver_span = metrics::span("classical-apsp-recover");
-    let mut stats = RecoveryStats::default();
-    // Derived spans of discarded attempts accumulate here; the successful
-    // attempt's phases are appended behind them.
-    let mut wasted_ledger = RoundsLedger::new();
-    let plan = config.faults();
-    let seed = plan.as_ref().map(FaultPlan::seed).unwrap_or(0);
-
-    for attempt in 0..=policy.retries() {
-        let cfg = match (&plan, attempt) {
-            (Some(p), a) if a > 0 => {
-                config.with_faults(p.clone().with_seed(reseed(seed, a, SCOPE_PIPELINE)))
-            }
-            _ => config,
-        };
-        match attempt_pipeline(graph, cfg, policy, &mut stats) {
-            Ok((outcome, ledger)) => {
-                let mut final_ledger = wasted_ledger;
-                final_ledger.extend_prefixed("", &ledger);
-                return Ok(Recovered {
-                    run: ExactDiameterOutcome {
-                        ledger: final_ledger,
-                        ..outcome
-                    },
-                    recovery: stats,
-                    surviving: None,
-                });
-            }
-            Err((err, wasted)) => {
-                if !matches!(err, AlgoError::FaultDetected { .. }) {
-                    // Deterministic failures (disconnection, bad inputs)
-                    // will not heal under a reseeded plan.
-                    return Err(err);
-                }
-                let has_crashes = plan.as_ref().is_some_and(|p| !p.crashes().is_empty());
-                if policy.partial() && has_crashes {
-                    // Crash-stops are deterministically scheduled, so a
-                    // reseeded retry cannot mask them: go partial now.
-                    charge_waste(&mut stats, &wasted);
-                    wasted_ledger.add_derived(format!("wasted attempt {attempt}"), wasted);
-                    let plan = plan.expect("has_crashes implies a plan");
-                    return partial_network(graph, config, plan, stats, wasted_ledger);
-                }
-                if attempt < policy.retries() && plan.is_some() {
-                    charge_waste(&mut stats, &wasted);
-                    wasted_ledger.add_derived(format!("wasted attempt {attempt}"), wasted);
-                    stats.retries += 1;
-                    note_recovery(
-                        RecoveryAction::Retry,
-                        u64::from(attempt) + 1,
-                        "classical-apsp",
-                        wasted.rounds,
-                        1,
-                    );
-                    continue;
-                }
-                return Err(err);
-            }
-        }
-    }
-    unreachable!("the attempt loop returns on its final iteration");
+    let checkpoint = config.recovery().checkpoint();
+    let healable = |e: &AlgoError| matches!(e, AlgoError::FaultDetected { .. });
+    let (mut out, ledger) = heal(graph, config, PIPELINE, healable, |g, cfg, stats| {
+        let mut run = apsp::pipeline(g, cfg, checkpoint, stats)?;
+        let phases = std::mem::take(&mut run.ledger);
+        Ok((run, phases))
+    })?;
+    out.run.ledger = ledger;
+    Ok(out)
 }
 
-/// One pipeline execution under `config`. On failure, returns the error
-/// plus the [`RunStats`] total of the work the attempt threw away
-/// (committed phases, plus the failing wave phase's known rounds; other
-/// failing phases carry their stats inside the error and are charged as
-/// zero — a documented under-approximation).
-fn attempt_pipeline(
+/// The one whole-pipeline retry loop of the recovering drivers.
+///
+/// Runs `attempt` under `config`. Under a fault plan, a failure that
+/// `healable` accepts is healed by
+///
+/// * **re-root**, when the plan crash-stops nodes and
+///   [`RecoveryPolicy::partial`] is on: crash-stops are scheduled
+///   deterministically, so a reseeded retry cannot mask them. The loop
+///   reruns itself on the [carved](carve_survivors) survivors;
+/// * **retry** otherwise, up to [`RecoveryPolicy::retries`] times, each
+///   attempt `k` under a plan [reseeded](reseed) in `scope`.
+///
+/// `attempt` folds its own healing (retransmissions, restarts) into the
+/// stats it is handed, and returns its run with the run's phase ledger,
+/// or its error with the [`RunStats`] it threw away. Each discarded
+/// attempt is charged as a derived `wasted attempt k` span; the returned
+/// ledger holds those spans, then the answering run's phases (prefixed
+/// `surviving: ` after a re-root).
+///
+/// # Errors
+///
+/// The last attempt's error when it is not healable or the retries are
+/// spent; [`AlgoError::FaultDetected`] when every node crash-stops.
+pub fn heal<T, E: From<AlgoError>>(
     graph: &Graph,
     config: Config,
-    policy: RecoveryPolicy,
-    stats: &mut RecoveryStats,
-) -> Result<(ExactDiameterOutcome, RoundsLedger), AttemptError> {
-    let n = graph.len() as u64;
-    let fault_aware = config.has_faults();
+    scope: RetryScope,
+    healable: fn(&E) -> bool,
+    mut attempt: impl FnMut(&Graph, Config, &mut RecoveryStats) -> Attempt<T, E>,
+) -> Result<(Recovered<T>, RoundsLedger), E> {
+    let _span = scope.span.map(metrics::span);
+    let policy: RecoveryPolicy = config.recovery();
+    let plan = config.faults();
+    let mut recovery = RecoveryStats::default();
     let mut ledger = RoundsLedger::new();
-    let mut spent = RunStats::default();
-
-    let elect = leader::elect(graph, config).map_err(|e| waste_of(e, spent))?;
-    ledger.add("leader election", elect.stats);
-    spent.absorb(&elect.stats);
-
-    let b = bfs::build(graph, elect.leader, config).map_err(|e| waste_of(e, spent))?;
-    ledger.add("bfs(leader)", b.stats);
-    spent.absorb(&b.stats);
-    note_retransmissions(stats, b.retransmissions);
-    let tree = TreeView::from(&b);
-
-    if n == 1 {
-        return Ok((
-            ExactDiameterOutcome {
-                diameter: 0,
-                radius: 0,
-                eccentricities: vec![0],
-                leader: elect.leader,
-                ledger: RoundsLedger::new(),
-            },
-            ledger,
-        ));
-    }
-
-    let steps = 2 * (n - 1);
-    let dfs = dfs_walk::walk(graph, &tree, elect.leader, steps, config)
-        .map_err(|e| waste_of(e, spent))?;
-    ledger.add("dfs numbering", dfs.stats);
-    spent.absorb(&dfs.stats);
-
-    let sources = crate::apsp::wave_sources(&dfs.tau, fault_aware, dfs.stats.rounds)
-        .map_err(|e| (e, spent))?;
-
-    let max_dist = if policy.checkpoint() == 0 {
-        // Monolithic wave schedule, exactly as the fail-stop driver.
-        let duration = 2 * steps + u64::from(b.depth) + 2;
-        let wave = waves::run(graph, &sources, duration, config).map_err(|e| {
-            // The simulator ran the full duration before the violation
-            // surfaced; messages/bits of the aborted phase are unknown.
-            let mut w = spent;
-            w.rounds += duration;
-            (e, w)
-        })?;
-        spent.absorb(&wave.stats);
-        ledger.add("eccentricity waves", wave.stats);
-        if fault_aware {
-            wave.verify_complete(&sources).map_err(|e| (e, spent))?;
+    let mut k = 0;
+    let (run, surviving) = loop {
+        let (err, wasted) = match attempt(graph, reseeded(config, k, scope.scope), &mut recovery) {
+            Ok((run, phases)) => {
+                ledger.extend_prefixed("", &phases);
+                break (run, None);
+            }
+            Err(failed) => failed,
+        };
+        let Some(plan) = plan.as_ref().filter(|_| healable(&err)) else {
+            return Err(err);
+        };
+        let reroot = policy.partial() && !plan.crashes().is_empty();
+        if !reroot && k >= policy.retries() {
+            return Err(err);
         }
-        wave.max_dist
-    } else {
-        checkpointed_waves(
-            graph,
-            &sources,
-            b.depth,
-            config,
-            policy,
-            stats,
-            &mut ledger,
-            &mut spent,
-        )?
+        let label = format!("wasted attempt {k}");
+        charge(&mut recovery, &mut ledger, label, wasted);
+        if reroot {
+            let carve = carve_survivors(graph, plan).ok_or(AlgoError::FaultDetected {
+                round: 0,
+                detail: "every node crash-stops: no surviving component".into(),
+            })?;
+            recovery.reroots += 1;
+            note_recovery(Reroot, 1, "surviving component", 0, 1);
+            // The carved plan has no crashes, so the sub-run can still
+            // retry and checkpoint but never re-roots again.
+            let sub_config = config.with_faults(carve.plan);
+            let (sub, phases) = heal(&carve.graph, sub_config, scope, healable, attempt)?;
+            recovery.absorb(&sub.recovery);
+            ledger.extend_prefixed("surviving: ", &phases);
+            break (sub.run, Some(carve.component));
+        }
+        k += 1;
+        recovery.retries += 1;
+        note_recovery(Retry, u64::from(k), scope.label, wasted.rounds, 1);
     };
-
-    let values: Vec<u64> = max_dist.iter().map(|&d| d as u64).collect();
-    let value_bits = bits::for_dist(graph.len());
-    let agg = aggregate::convergecast(graph, &tree, &values, value_bits, Op::Max, config)
-        .map_err(|e| waste_of(e, spent))?;
-    ledger.add("max convergecast", agg.stats);
-    spent.absorb(&agg.stats);
-    let min = aggregate::convergecast(graph, &tree, &values, value_bits, Op::Min, config)
-        .map_err(|e| waste_of(e, spent))?;
-    ledger.add("min convergecast", min.stats);
-    note_retransmissions(stats, agg.retransmissions + min.retransmissions);
-
     Ok((
-        ExactDiameterOutcome {
-            diameter: agg.value as Dist,
-            radius: min.value as Dist,
-            eccentricities: max_dist,
-            leader: elect.leader,
-            ledger: RoundsLedger::new(),
+        Recovered {
+            run,
+            recovery,
+            surviving,
         },
         ledger,
     ))
 }
 
+/// `config` with its fault plan reseeded for try `k` in `scope`; try 0
+/// runs the plan as given.
+fn reseeded(config: Config, k: u32, scope: u64) -> Config {
+    match config.faults() {
+        Some(plan) if k > 0 => {
+            let seed = reseed(plan.seed(), k, scope);
+            config.with_faults(plan.with_seed(seed))
+        }
+        _ => config,
+    }
+}
+
+/// Charges thrown-away work to the stats, the `qd_recovery_wasted_*`
+/// counters and a derived `label` span in `ledger`.
+fn charge(stats: &mut RecoveryStats, ledger: &mut RoundsLedger, label: String, wasted: RunStats) {
+    stats.wasted_rounds += wasted.rounds;
+    stats.wasted_messages += wasted.messages;
+    stats.wasted_bits += wasted.total_bits;
+    metrics::add(metrics::names::RECOVERY_WASTED_ROUNDS, wasted.rounds);
+    metrics::add(metrics::names::RECOVERY_WASTED_BITS, wasted.total_bits);
+    ledger.add_derived(label, wasted);
+}
+
 /// Runs the wave phase as DFS-contiguous checkpoint segments of at most
-/// `policy.checkpoint()` sources each, restarting only the failing
-/// segment (under a reseeded plan) up to `policy.retries()` times.
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_waves(
+/// `checkpoint` sources each, restarting only the failing segment (under
+/// a reseeded plan) up to [`RecoveryPolicy::retries`] times.
+pub(crate) fn checkpointed_waves(
     graph: &Graph,
     sources: &[(NodeId, u64)],
     depth: Dist,
     config: Config,
-    policy: RecoveryPolicy,
-    stats: &mut RecoveryStats,
-    ledger: &mut RoundsLedger,
-    spent: &mut RunStats,
-) -> Result<Vec<Dist>, AttemptError> {
+    checkpoint: u32,
+    run: &mut Progress<'_>,
+) -> Result<Vec<Dist>, Failed> {
+    let retries = config.recovery().retries();
     let mut ordered = sources.to_vec();
     ordered.sort_unstable_by_key(|&(_, t)| t);
     let mut max_dist: Vec<Dist> = vec![0; graph.len()];
-    let plan = config.faults();
-    for (k, seg) in ordered.chunks(policy.checkpoint() as usize).enumerate() {
+    for (k, seg) in ordered.chunks(checkpoint as usize).enumerate() {
         // Rebase the contiguous τ' block to start at 0: Lemma 2 constrains
         // τ' differences only, so the segment is a valid schedule on its
         // own, and the duration bound shrinks with the segment span.
@@ -367,66 +313,32 @@ fn checkpointed_waves(
         // eccentricity is at most D ≤ 2·depth(BFS tree).
         let duration = 2 * span + 2 * u64::from(depth) + 2;
         let label = format!("eccentricity waves[seg {k}]");
-        let mut tries: u32 = 0;
-        loop {
-            let cfg = match (&plan, tries) {
-                (Some(p), t) if t > 0 => config.with_faults(p.clone().with_seed(reseed(
-                    p.seed(),
-                    t,
-                    SCOPE_SEGMENT + k as u64,
-                ))),
-                _ => config,
-            };
-            let wasted = match waves::run(graph, &rebased, duration, cfg) {
-                Ok(w) => {
-                    let verified = if cfg.has_faults() {
-                        w.verify_complete(&rebased)
-                    } else {
-                        Ok(())
-                    };
-                    match verified {
-                        Ok(()) => {
-                            spent.absorb(&w.stats);
-                            ledger.add(label.clone(), w.stats);
-                            for (slot, &d) in max_dist.iter_mut().zip(&w.max_dist) {
-                                *slot = (*slot).max(d);
-                            }
-                            break;
+        for tries in 0.. {
+            let cfg = reseeded(config, tries, SCOPE_SEGMENT + k as u64);
+            let (e, wasted) = match waves::run(graph, &rebased, duration, cfg) {
+                Ok(w) => match cfg.has_faults().then(|| w.verify_complete(&rebased)) {
+                    // The segment ran to completion but lost waves: its
+                    // stats are exactly the waste.
+                    Some(Err(e)) => (e, w.stats),
+                    _ => {
+                        run.commit(label.clone(), w.stats);
+                        for (slot, &d) in max_dist.iter_mut().zip(&w.max_dist) {
+                            *slot = (*slot).max(d);
                         }
-                        Err(e) => {
-                            // The segment ran to completion but lost waves:
-                            // its stats are exactly the waste.
-                            if tries >= policy.retries() {
-                                return Err((e, plus(*spent, &w.stats)));
-                            }
-                            w.stats
-                        }
+                        break;
                     }
-                }
-                Err(e) => {
-                    // Lemma violation: the simulator ran the full duration
-                    // before surfacing it; messages/bits are unknown.
-                    let wasted = RunStats {
-                        rounds: duration,
-                        ..RunStats::default()
-                    };
-                    if !matches!(e, AlgoError::FaultDetected { .. }) || tries >= policy.retries() {
-                        return Err((e, plus(*spent, &wasted)));
-                    }
-                    wasted
-                }
+                },
+                // Lemma violation: the simulator ran the full duration
+                // before surfacing it; messages/bits are unknown.
+                Err(e) => (e, rounds_only(duration)),
             };
-            charge_waste(stats, &wasted);
-            ledger.add_derived(format!("{label} wasted try {tries}"), wasted);
-            stats.restarts += 1;
-            tries += 1;
-            note_recovery(
-                RecoveryAction::Restart,
-                u64::from(tries),
-                &label,
-                wasted.rounds,
-                1,
-            );
+            if !matches!(e, AlgoError::FaultDetected { .. }) || tries >= retries {
+                return Err(run.wasted(e, wasted));
+            }
+            let try_label = format!("{label} wasted try {tries}");
+            charge(run.recovery, &mut run.ledger, try_label, wasted);
+            run.recovery.restarts += 1;
+            note_recovery(Restart, u64::from(tries) + 1, &label, wasted.rounds, 1);
         }
     }
     Ok(max_dist)
@@ -505,38 +417,6 @@ pub fn carve_survivors(graph: &Graph, plan: &FaultPlan) -> Option<SurvivorCarve>
     })
 }
 
-/// Partial-network semantics: carve the largest connected component of
-/// the crash survivors, re-root the whole pipeline onto it (crashes
-/// removed from the plan, remaining noise renumbered and reseeded), and
-/// return its diameter.
-fn partial_network(
-    graph: &Graph,
-    config: Config,
-    plan: FaultPlan,
-    mut stats: RecoveryStats,
-    mut ledger: RoundsLedger,
-) -> Result<Recovered<ExactDiameterOutcome>, AlgoError> {
-    let carve = carve_survivors(graph, &plan).ok_or(AlgoError::FaultDetected {
-        round: 0,
-        detail: "every node crash-stops: no surviving component".into(),
-    })?;
-    stats.reroots += 1;
-    note_recovery(RecoveryAction::Reroot, 1, "surviving component", 0, 1);
-    // The sub-plan carries no crashes, so the recursive run can still
-    // retry/checkpoint but can never re-enter this path.
-    let sub_out = exact_diameter_recovering(&carve.graph, config.with_faults(carve.plan))?;
-    stats.absorb(&sub_out.recovery);
-    ledger.extend_prefixed("surviving: ", &sub_out.run.ledger);
-    Ok(Recovered {
-        run: ExactDiameterOutcome {
-            ledger,
-            ..sub_out.run
-        },
-        recovery: stats,
-        surviving: Some(carve.component),
-    })
-}
-
 /// Largest connected component among non-`dead` nodes (ascending ids);
 /// ties break to the component containing the smallest node id. `None`
 /// when every node is dead.
@@ -572,32 +452,10 @@ fn largest_component(graph: &Graph, dead: &[bool]) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Folds `resent` retransmitted messages into the stats. The trace event
-/// and metrics charge already happened at the source — [`bfs::build`] and
-/// [`aggregate::convergecast`] account for their own resends, so they are
-/// counted wherever they occur (including under the quantum drivers).
-fn note_retransmissions(stats: &mut RecoveryStats, resent: u64) {
-    stats.retransmissions += resent;
-}
-
-/// Charges thrown-away work to the stats and the metrics registry.
-fn charge_waste(stats: &mut RecoveryStats, wasted: &RunStats) {
-    stats.wasted_rounds += wasted.rounds;
-    stats.wasted_messages += wasted.messages;
-    stats.wasted_bits += wasted.total_bits;
-    metrics::add(metrics::names::RECOVERY_WASTED_ROUNDS, wasted.rounds);
-    metrics::add(metrics::names::RECOVERY_WASTED_BITS, wasted.total_bits);
-}
-
-fn plus(mut a: RunStats, b: &RunStats) -> RunStats {
-    a.absorb(b);
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp;
+    use congest::RecoveryPolicy;
     use graphs::{generators, metrics as gmetrics};
 
     #[test]

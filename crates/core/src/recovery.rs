@@ -5,9 +5,9 @@
 //! [`congest::FaultPlan`]: their classical substrate phases degrade to
 //! [`classical::AlgoError::FaultDetected`] (surfacing here as
 //! [`QdError::Classical`]), and a fault-perturbed Evaluation can trip
-//! [`QdError::VerificationFailed`]. This module wraps them in the same
-//! [`RecoveryPolicy`]-governed healing as
-//! [`classical::recovery::exact_diameter_recovering`]:
+//! [`QdError::VerificationFailed`]. This module runs them through
+//! [`classical::recovery::heal`], the one retry loop behind
+//! [`classical::recovery::exact_diameter_recovering`] too:
 //!
 //! * **Retry** — bounded re-execution under a freshly
 //!   [reseeded](congest::recovery::reseed) plan.
@@ -17,38 +17,48 @@
 //!   charge their own trace events and `qd_recovery_actions_total`
 //!   metrics at the source, so resends under a quantum driver are
 //!   accounted without this wrapper's involvement (they do not appear in
-//!   the wrapper's [`RecoveryStats`]). The Figure 2 Evaluation strips
-//!   retransmission — it is a reversible procedure run in superposition
-//!   with a fixed round schedule, where resending has no physical
-//!   meaning (see [`evaluation::run_windowed`](crate::evaluation::run_windowed)).
+//!   the wrapper's [`RecoveryStats`](congest::RecoveryStats)). The Figure 2
+//!   Evaluation strips retransmission — it is a reversible procedure run
+//!   in superposition with a fixed round schedule, where resending has no
+//!   physical meaning (see
+//!   [`evaluation::run_windowed`](crate::evaluation::run_windowed)).
 //! * **Partial network** — on crash-stops, re-root onto the largest
 //!   surviving component via
 //!   [`classical::recovery::carve_survivors`] and answer for it.
 //!
 //! Both wrappers return [`Recovered<T>`](Recovered), the type
 //! [`classical::recovery`] defines for its own driver (re-exported here):
-//! the run, its [`RecoveryStats`] and the surviving component, if any.
+//! the run, its recovery stats and the surviving component, if any.
 //!
-//! Wasted-work accounting is coarser than the classical driver's: a
-//! failed quantum attempt reports only its detection round, so
-//! `wasted_rounds` is a lower bound and wasted messages/bits stay 0.
+//! A discarded attempt is charged like the classical driver's — recovery
+//! stats, `qd_recovery_wasted_*` counters and a derived `wasted attempt
+//! k` trace span — but its accounting is coarser: a failed quantum
+//! attempt reports only its detection round, so `wasted_rounds` is a
+//! lower bound and wasted messages/bits stay 0. The spans reach the trace
+//! and metrics only; the runs' own ledgers do not carry them.
 
-use classical::recovery::carve_survivors;
 pub use classical::recovery::Recovered;
+use classical::recovery::{heal, Attempt, RetryScope};
 use classical::AlgoError;
-use congest::recovery::{note_recovery, reseed};
-use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats};
+use congest::{Config, RoundsLedger, RunStats};
 use graphs::Graph;
-use trace::RecoveryAction;
 
 use crate::approx::{self, ApproxParams, ApproxRun};
 use crate::exact::{self, DiameterRun, ExactParams};
 use crate::QdError;
 
-/// Reseed scope for exact-driver retries.
-const SCOPE_EXACT: u64 = 0xE8AC;
-/// Reseed scope for approximation-driver retries.
-const SCOPE_APPROX: u64 = 0xA990;
+/// The exact driver's whole-run retries.
+const EXACT: RetryScope = RetryScope {
+    scope: 0xE8AC,
+    label: "quantum-exact",
+    span: None,
+};
+/// The approximation driver's whole-run retries.
+const APPROX: RetryScope = RetryScope {
+    scope: 0xA990,
+    label: "quantum-approx",
+    span: None,
+};
 
 /// Runs the exact `O(√(nD))` algorithm of Theorem 1, healing detected
 /// faults per [`Config::recovery`].
@@ -83,9 +93,10 @@ pub fn exact_recovering(
     params: ExactParams,
     config: Config,
 ) -> Result<Recovered<DiameterRun>, QdError> {
-    recover_with(graph, config, SCOPE_EXACT, "quantum-exact", move |g, c| {
-        exact::diameter(g, params, c)
+    heal(graph, config, EXACT, healable, |g, c, _| {
+        attempt(exact::diameter(g, params, c))
     })
+    .map(|(out, _)| out)
 }
 
 /// Runs the `3/2`-approximation of Theorem 4, healing detected faults
@@ -101,121 +112,46 @@ pub fn approx_recovering(
     params: ApproxParams,
     config: Config,
 ) -> Result<Recovered<ApproxRun>, QdError> {
-    recover_with(
-        graph,
-        config,
-        SCOPE_APPROX,
-        "quantum-approx",
-        move |g, c| approx::diameter(g, params, c),
+    heal(graph, config, APPROX, healable, |g, c, _| {
+        attempt(approx::diameter(g, params, c))
+    })
+    .map(|(out, _)| out)
+}
+
+/// True when a reseeded re-execution can heal `e`: detected fault
+/// degradation, or an Evaluation/closed-form mismatch (the loop heals
+/// only under a fault plan, whose perturbed schedules are the expected
+/// cause of one).
+fn healable(e: &QdError) -> bool {
+    matches!(
+        e,
+        QdError::Classical(AlgoError::FaultDetected { .. }) | QdError::VerificationFailed { .. }
     )
 }
 
-/// True when `e` is the kind of failure a reseeded re-execution can
-/// heal: detected fault degradation, or an Evaluation/closed-form
-/// mismatch while a fault plan is active (fault-perturbed schedules are
-/// the expected cause there).
-fn recoverable(e: &QdError, fault_aware: bool) -> bool {
-    match e {
-        QdError::Classical(AlgoError::FaultDetected { .. }) => true,
-        QdError::VerificationFailed { .. } => fault_aware,
-        _ => false,
-    }
-}
-
-/// Detection round of a failed attempt — the honest lower bound for the
-/// rounds it wasted (0 where the error carries no round).
-fn wasted_rounds_of(e: &QdError) -> u64 {
-    match e {
-        QdError::Classical(AlgoError::FaultDetected { round, .. }) => *round,
-        _ => 0,
-    }
-}
-
-/// The generic bounded re-execution loop shared by the quantum drivers.
-fn recover_with<T>(
-    graph: &Graph,
-    config: Config,
-    scope: u64,
-    scope_label: &str,
-    mut run: impl FnMut(&Graph, Config) -> Result<T, QdError>,
-) -> Result<Recovered<T>, QdError> {
-    let policy: RecoveryPolicy = config.recovery();
-    let plan = config.faults();
-    let seed = plan.as_ref().map(FaultPlan::seed).unwrap_or(0);
-    let mut stats = RecoveryStats::default();
-    for attempt in 0..=policy.retries() {
-        let cfg = match (&plan, attempt) {
-            (Some(p), a) if a > 0 => {
-                config.with_faults(p.clone().with_seed(reseed(seed, a, scope)))
-            }
-            _ => config,
+/// One quantum run as [`heal`] takes it. A failure wasted at least its
+/// detection round (0 where the error carries none).
+fn attempt<T>(run: Result<T, QdError>) -> Attempt<T, QdError> {
+    run.map(|run| (run, RoundsLedger::new())).map_err(|e| {
+        let rounds = match &e {
+            QdError::Classical(AlgoError::FaultDetected { round, .. }) => *round,
+            _ => 0,
         };
-        match run(graph, cfg) {
-            Ok(value) => {
-                return Ok(Recovered {
-                    run: value,
-                    recovery: stats,
-                    surviving: None,
-                })
-            }
-            Err(e) => {
-                if !recoverable(&e, plan.is_some()) {
-                    return Err(e);
-                }
-                let wasted = wasted_rounds_of(&e);
-                let has_crashes = plan.as_ref().is_some_and(|p| !p.crashes().is_empty());
-                if policy.partial() && has_crashes {
-                    charge_waste(&mut stats, wasted);
-                    let plan = plan.expect("has_crashes implies a plan");
-                    let Some(carve) = carve_survivors(graph, &plan) else {
-                        return Err(e);
-                    };
-                    stats.reroots += 1;
-                    note_recovery(RecoveryAction::Reroot, 1, "surviving component", 0, 1);
-                    // The carved plan has no crashes, so the sub-run can
-                    // retry but never re-enters this branch.
-                    let sub = recover_with(
-                        &carve.graph,
-                        config.with_faults(carve.plan),
-                        scope,
-                        scope_label,
-                        run,
-                    )?;
-                    stats.absorb(&sub.recovery);
-                    return Ok(Recovered {
-                        run: sub.run,
-                        recovery: stats,
-                        surviving: Some(carve.component),
-                    });
-                }
-                if attempt < policy.retries() && plan.is_some() {
-                    charge_waste(&mut stats, wasted);
-                    stats.retries += 1;
-                    note_recovery(
-                        RecoveryAction::Retry,
-                        u64::from(attempt) + 1,
-                        scope_label,
-                        wasted,
-                        1,
-                    );
-                    continue;
-                }
-                return Err(e);
-            }
-        }
-    }
-    unreachable!("the attempt loop returns on its final iteration");
-}
-
-/// Charges a discarded attempt's (lower-bound) rounds.
-fn charge_waste(stats: &mut RecoveryStats, wasted_rounds: u64) {
-    stats.wasted_rounds += wasted_rounds;
-    ::metrics::add(::metrics::names::RECOVERY_WASTED_ROUNDS, wasted_rounds);
+        (
+            e,
+            RunStats {
+                rounds,
+                ..RunStats::default()
+            },
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use classical::recovery::carve_survivors;
+    use congest::{FaultPlan, RecoveryPolicy};
     use graphs::generators;
 
     #[test]

@@ -360,10 +360,12 @@ impl FlightRecorder {
 
     /// Lifetime aggregates (survive ring eviction): `span` holds total
     /// rounds; `frontier`/`arena_bytes` hold lifetime maxima; everything
-    /// else sums.
+    /// else sums. `recoveries` includes those noted after the last closed
+    /// round, which no record carries yet.
     pub fn totals(&self) -> RoundRecord {
         RoundRecord {
             span: self.next_round,
+            recoveries: self.totals.recoveries + self.recoveries,
             ..self.totals
         }
     }
@@ -441,11 +443,11 @@ impl FlightRecorder {
     /// round, and the hottest rounds.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let t = self.totals;
+        let t = self.totals();
         let _ = writeln!(
             out,
             "flight recorder: {} rounds ({} in window), {} messages, {} bits, {} delivered",
-            self.next_round,
+            t.span,
             self.covered.min(self.capacity),
             t.messages,
             t.bits,
@@ -608,6 +610,19 @@ mod tests {
         let t = rec.totals();
         assert_eq!((t.span, t.messages, t.bits, t.delivered), (2, 2, 12, 5));
         assert_eq!((t.faults, t.recoveries), (1, 1));
+    }
+
+    #[test]
+    fn a_recovery_noted_after_the_last_close_is_in_the_totals() {
+        let mut rec = FlightRecorder::with_capacity(16);
+        rec.close(one_round(3, 2, 12));
+        rec.note_recovery();
+        assert_eq!(rec.totals().recoveries, 1);
+        assert!(rec.render().contains("recoveries 1 |"), "{}", rec.render());
+        // The next close charges it to its record, and counts it once.
+        rec.close(one_round(0, 0, 0));
+        assert_eq!(rec.totals().recoveries, 1);
+        assert_eq!(rec.window()[1].recoveries, 1);
     }
 
     #[test]

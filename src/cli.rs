@@ -1524,6 +1524,24 @@ mod tests {
         assert!(out.contains("hottest rounds"), "{out}");
     }
 
+    /// The timeline counts every recovery the trace holds, including the
+    /// ones a driver notes after the last simulated round closes.
+    #[test]
+    fn timeline_counts_recoveries_noted_after_the_last_round() {
+        let path = std::env::temp_dir().join(format!("qd-cli-tl-{}.jsonl", std::process::id()));
+        let mut o = parse(&args(
+            "classical --family path --n 64 --seed 5 --faults drop=0.001,seed=3 --recover",
+        ))
+        .unwrap();
+        o.trace = Some(path.to_str().unwrap().to_string());
+        let out = timeline(&o).unwrap();
+        let events = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let traced = events.matches("\"type\":\"recovery\"").count();
+        assert_eq!(traced, 7);
+        assert!(out.contains("| recoveries 7 |"), "{out}");
+    }
+
     /// `--critical-path` adds the profiler's chain-depth line to the run
     /// report without changing the answer.
     #[test]

@@ -382,3 +382,102 @@ fn quantum_approx_recovering_sweep() {
         "guarantee-class residue dominates the sweep: {unsound}/{runs}"
     );
 }
+
+/// With every node crash-stopped there is nothing to re-root onto: each
+/// recovering driver reports the same typed detection, naming the cause,
+/// rather than whichever symptom its first attempt tripped over.
+#[test]
+fn every_driver_reports_an_all_crash_plan_the_same_way() {
+    let g = graphs::generators::path(4);
+    let plan = FaultPlan::parse("crash=0@0,crash=1@0,crash=2@0,crash=3@0,seed=1").unwrap();
+    let cfg = Config::for_graph(&g)
+        .with_faults(plan)
+        .with_recovery(RecoveryPolicy::standard());
+    let classical = classical::recovery::exact_diameter_recovering(&g, cfg).map(|_| ());
+    let exact = qrecovery::exact_recovering(&g, ExactParams::new(1), cfg).map(|_| ());
+    let approx = qrecovery::approx_recovering(&g, ApproxParams::new(1), cfg).map(|_| ());
+    for (driver, result) in [
+        ("classical", classical.map_err(QdError::from)),
+        ("exact", exact),
+        ("approx", approx),
+    ] {
+        match result {
+            Err(QdError::Classical(AlgoError::FaultDetected { round: 0, detail })) => {
+                assert!(
+                    detail.contains("no surviving component"),
+                    "{driver}: {detail}"
+                )
+            }
+            other => panic!("{driver}: expected typed all-crash detection, got {other:?}"),
+        }
+    }
+}
+
+/// Rounds of the derived spans that charge discarded work (`wasted
+/// attempt k`, `… wasted try k`) in a trace.
+fn wasted_span_rounds(events: &[trace::TraceEvent]) -> u64 {
+    events
+        .iter()
+        .map(|e| match e {
+            trace::TraceEvent::Phase {
+                label,
+                rounds,
+                reps,
+                derived: true,
+                ..
+            } if label.contains("wasted") => rounds * reps,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Runs one recovering driver under a trace recorder, returning its
+/// recovery stats and its trace.
+fn traced_recovery(
+    driver: &str,
+    g: &Graph,
+    cfg: Config,
+) -> (RecoveryStats, Vec<trace::TraceEvent>) {
+    let recorder = trace::Recorder::shared();
+    let stats = {
+        let _guard = trace::install(recorder.clone());
+        let stats = match driver {
+            "classical" => classical::recovery::exact_diameter_recovering(g, cfg)
+                .map(|out| out.recovery)
+                .map_err(QdError::from),
+            "exact" => qrecovery::exact_recovering(g, ExactParams::new(5), cfg).map(|o| o.recovery),
+            _ => qrecovery::approx_recovering(g, ApproxParams::new(5), cfg).map(|o| o.recovery),
+        };
+        stats.unwrap_or_else(|e| panic!("{driver}: {e}"))
+    };
+    let events = recorder.borrow_mut().take();
+    (stats, events)
+}
+
+/// Every discarded round is in a span: for each recovering driver, under
+/// a drop plan (the quantum drivers heal it by retries) and a crash
+/// healed by a re-root, the derived `wasted` spans of the trace sum to
+/// the run's `RecoveryStats::wasted_rounds`.
+#[test]
+fn every_wasted_round_is_in_a_span() {
+    let g = graphs::generators::grid(5, 5);
+    let mut wasted = [0u64; 3];
+    for spec in ["drop=0.01,seed=1", "drop=0.002,crash=7@3,seed=4"] {
+        let cfg = Config::for_graph(&g)
+            .with_faults(FaultPlan::parse(spec).unwrap())
+            .with_recovery(RecoveryPolicy::standard());
+        for (i, driver) in ["classical", "exact", "approx"].into_iter().enumerate() {
+            let (stats, events) = traced_recovery(driver, &g, cfg);
+            assert_eq!(
+                wasted_span_rounds(&events),
+                stats.wasted_rounds,
+                "{driver} under {spec}"
+            );
+            wasted[i] += stats.wasted_rounds;
+        }
+    }
+    assert!(
+        wasted.iter().all(|&w| w > 0),
+        "a driver never healed: {wasted:?}"
+    );
+}
