@@ -2,15 +2,21 @@
 # Prints the console report of every qdiam driver on a 5 x 5 grid (seed 5,
 # --verbose), then the three recovering drivers healing a crash under
 # --recover, then the quantum drivers healing message drops by whole-run
-# retries. results/qdiam_reports.txt is this script's committed output,
-# and scripts/check.sh diffs a fresh run against it.
+# retries, then the trace summary of a --trace run of each quantum driver
+# (every trace span, oracle count and value event).
+# results/qdiam_reports.txt is this script's committed output, and
+# scripts/check.sh diffs a fresh run against it.
 # Usage: scripts/qdiam_reports.sh > results/qdiam_reports.txt
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+run() {
+  cargo run -q --release --offline -p congest-diameter --bin qdiam -- "$@"
+}
+
 qdiam() {
   echo "\$ qdiam $*"
-  cargo run -q --release --offline -p congest-diameter --bin qdiam -- "$@"
+  run "$@"
 }
 
 for algo in exact simple approx classical classical-approx two-approx girth; do
@@ -23,4 +29,12 @@ done
 for algo in exact approx; do
   qdiam "$algo" --family grid --n 25 --seed 5 --verbose \
     --faults drop=0.01,seed=1 --recover
+done
+tdir=$(mktemp -d)
+trap 'rm -rf "$tdir"' EXIT
+for algo in exact simple approx; do
+  echo "\$ qdiam $algo --family grid --n 25 --seed 5 --trace $algo.jsonl"
+  run "$algo" --family grid --n 25 --seed 5 --trace "$tdir/$algo.jsonl" >/dev/null
+  echo "\$ qdiam trace-summary $algo.jsonl"
+  run trace-summary "$tdir/$algo.jsonl"
 done
