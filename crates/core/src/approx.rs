@@ -19,21 +19,23 @@
 //! diameter is small. The estimate `D̄` satisfies `D̄ ≤ D ≤ (3/2)D̄` w.h.p.
 //! (inherited from HPRW's analysis, since both compute
 //! `max_{v ∈ R} ecc(v)`).
+//!
+//! The quantum phase measures its schedules with the probe pair it shares
+//! with Theorem 1 and runs the search-and-verify body the three drivers
+//! share ([`framework`]); this module supplies the cluster, `f` over `R`
+//! and the windowed Evaluation that verifies it.
 
-use classical::aggregate;
 use classical::hprw::{self, HprwParams};
 use classical::{bfs, leader};
-use congest::{bits, Config, RoundsLedger};
+use congest::{Config, RoundsLedger};
 use graphs::traversal::Bfs;
 use graphs::tree::{EulerTour, RootedTree};
 use graphs::{Dist, Graph, NodeId};
-use quantum::{MaximizeParams, OracleCost, SearchState};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use quantum::{MaximizeParams, OracleCost};
 
 use crate::dfs_window::Windows;
 use crate::evaluation;
-use crate::framework::{self, DistributedOracle, MemoryEstimate};
+use crate::framework::{self, DistributedOracle, Found, Instance, MemoryEstimate};
 use crate::QdError;
 
 /// Parameters of the quantum approximation.
@@ -100,8 +102,6 @@ pub struct ApproxRun {
     pub oracle_schedule: DistributedOracle,
     /// Analytic qubit requirements of the quantum phase.
     pub memory: MemoryEstimate,
-    /// Whether branch verification ran.
-    pub verified: bool,
     /// Whether the optimization hit its resource cap.
     pub aborted: bool,
 }
@@ -110,6 +110,30 @@ impl ApproxRun {
     /// Total rounds: classical preparation plus the quantum phase.
     pub fn rounds(&self) -> u64 {
         self.prep_ledger.total_rounds() + self.quantum_rounds
+    }
+
+    /// Assembles a run from its preparation and its quantum phase.
+    fn new(
+        s: usize,
+        d: Dist,
+        w: NodeId,
+        prep_ledger: RoundsLedger,
+        memory: MemoryEstimate,
+        found: Found,
+    ) -> Self {
+        ApproxRun {
+            estimate: found.opt.value as Dist,
+            s,
+            d,
+            w,
+            prep_ledger,
+            probe_ledger: found.probe_ledger,
+            oracle: found.opt.oracle,
+            quantum_rounds: found.opt.quantum_rounds,
+            oracle_schedule: found.schedule,
+            memory,
+            aborted: found.opt.aborted,
+        }
     }
 }
 
@@ -146,39 +170,29 @@ pub fn paper_cluster_size(n: usize, d: Dist) -> usize {
 /// # Ok::<(), diameter_quantum::QdError>(())
 /// ```
 pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<ApproxRun, QdError> {
-    if graph.is_empty() {
-        return Err(QdError::InvalidParameter {
-            reason: "empty graph".into(),
-        });
-    }
-    let n = graph.len();
+    let n = framework::nodes(graph)?;
     let _driver_span = ::metrics::span("approx");
     let prep_span = ::metrics::span("prep");
     let mut prep_ledger = RoundsLedger::new();
 
     // Pre-pass: leader + BFS(leader) to learn d = ecc(leader) (needed to
     // pick s; costs O(D), absorbed in the Õ(D) term).
-    let elect = leader::elect(graph, config).map_err(QdError::from)?;
+    let elect = leader::elect(graph, config)?;
     prep_ledger.add("pre-pass: leader election", elect.stats);
-    let bl = bfs::build(graph, elect.leader, config).map_err(QdError::from)?;
+    let bl = bfs::build(graph, elect.leader, config)?;
     prep_ledger.add("pre-pass: bfs(leader)", bl.stats);
     let d = bl.depth;
 
     if n == 1 || d == 0 {
-        return Ok(ApproxRun {
-            estimate: 0,
-            s: 1,
+        let memory = framework::memory_estimate(n, 1, 1.0);
+        return Ok(ApproxRun::new(
+            1,
             d,
-            w: elect.leader,
+            elect.leader,
             prep_ledger,
-            probe_ledger: RoundsLedger::new(),
-            oracle: OracleCost::new(),
-            quantum_rounds: 0,
-            oracle_schedule: DistributedOracle::default(),
-            memory: framework::memory_estimate(n, 1, 1.0),
-            verified: true,
-            aborted: false,
-        });
+            memory,
+            Found::default(),
+        ));
     }
 
     let s = params
@@ -187,8 +201,7 @@ pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<A
         .clamp(1, n);
 
     // Phase 1: Figure 3 steps 1-3 (shared with classical HPRW).
-    let prep =
-        hprw::prepare(graph, HprwParams::with_s(s, params.seed), config).map_err(QdError::from)?;
+    let prep = hprw::prepare(graph, HprwParams::with_s(s, params.seed), config)?;
     // extend_prefixed (not add_scaled) so installed trace sinks are not
     // handed a second span for phases hprw::prepare already emitted.
     prep_ledger.extend_prefixed("figure 3: ", &prep.ledger);
@@ -200,11 +213,7 @@ pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<A
     for (ci, &gi) in r_index.iter().enumerate() {
         compact_of[gi] = ci;
     }
-    let r_member = prep.r_member.clone();
-    let r_tree = prep
-        .w_tree
-        .restrict(|v| r_member[v.index()])
-        .map_err(QdError::from)?;
+    let r_tree = prep.w_tree.restrict(|v| prep.r_member[v.index()])?;
     let compact_parents: Vec<Option<NodeId>> = r_index
         .iter()
         .map(|&gi| {
@@ -218,7 +227,6 @@ pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<A
             reason: e.to_string(),
         })?;
     let tour = EulerTour::new(&rooted);
-    let windows = Windows::new(&tour, 2 * d as usize);
 
     // Branch values: ecc of each R node (closed form), then window maxima.
     let mut r_eccs = Vec::with_capacity(r_size);
@@ -228,94 +236,41 @@ pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<A
             .ok_or(QdError::Classical(classical::AlgoError::Disconnected))?;
         r_eccs.push(e);
     }
-    let f_values = windows.window_max(&r_eccs);
+    let f = Windows::new(&tour, 2 * d as usize).window_max(&r_eccs);
+    drop(prep_span);
 
     // Measured schedules: Setup = broadcast over BFS(w); Evaluation = the
     // windowed Figure 2 run (walk on the R-subtree, aggregation on BFS(w)).
-    // Probe stats double as the per-application qubit/message constants.
-    drop(prep_span);
-    let probe_span = ::metrics::span("probe");
-    let mut probe_ledger = RoundsLedger::new();
-    let setup_probe = aggregate::broadcast(graph, &prep.w_tree, 0, bits::for_node(n), config)
-        .map_err(QdError::from)?;
-    probe_ledger.add("probe: setup broadcast [Prop 2]", setup_probe.stats);
-    let eval_probe = evaluation::run_windowed(graph, &r_tree, &prep.w_tree, d, prep.w, config)
-        .map_err(QdError::from)?;
-    probe_ledger.extend_prefixed("probe: ", &eval_probe.ledger);
-    let oracle_schedule =
-        DistributedOracle::from_rounds(setup_probe.stats.rounds, eval_probe.forward_rounds())
-            .with_setup_traffic(setup_probe.stats.total_bits, setup_probe.stats.messages)
-            .with_evaluation_traffic(eval_probe.forward_bits(), eval_probe.forward_messages());
-    drop(probe_span);
+    let (schedule, probe_ledger) =
+        framework::probe(graph, &r_tree, &prep.w_tree, d, prep.w, config)?;
 
     // P_opt ≥ d/2s (Section 4's Lemma-1 analogue); fall back to the exact
     // optimum mass if the instance is worse than the promise (possible when
     // the R-subtree is deeper than d).
-    let best = f_values.iter().copied().max().unwrap_or(0);
-    let popt_actual = f_values.iter().filter(|&&v| v == best).count() as f64 / r_size as f64;
+    let best = f.iter().copied().max().unwrap_or(0);
+    let popt_actual = f.iter().filter(|&&v| v == best).count() as f64 / r_size as f64;
     let promise = (f64::from(d) / (2.0 * r_size as f64)).clamp(1.0 / r_size as f64, 1.0);
     let min_mass = promise.min(popt_actual);
 
     let memory = framework::memory_estimate(n, r_size, min_mass);
-    crate::exact::emit_memory(&memory);
+    framework::emit_memory(&memory);
 
-    let quantum_span = ::metrics::span("quantum");
-    let state = SearchState::uniform(r_size);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let opt = framework::optimize(
-        &state,
-        |u| u64::from(f_values[u]),
-        oracle_schedule,
-        MaximizeParams::with_min_mass(min_mass).with_failure_prob(params.failure_prob),
-        &mut rng,
-    )?;
-    drop(quantum_span);
-
-    // Verify sampled branches (and the winner) against the distributed run.
-    let verify_span = ::metrics::span("verify");
-    let mut branches: Vec<usize> = (0..params.verify_branches)
-        .map(|_| rng.random_range(0..r_size))
-        .collect();
-    branches.push(opt.argmax);
-    // Sampled branches can collide with each other or with the winner;
-    // verify each distinct branch once instead of re-running identical
-    // windowed evaluations.
-    branches.sort_unstable();
-    branches.dedup();
-    for ci in branches {
-        let u0 = NodeId::new(r_index[ci]);
-        let run = evaluation::run_windowed(graph, &r_tree, &prep.w_tree, d, u0, config)
-            .map_err(QdError::from)?;
-        probe_ledger.extend_prefixed(&format!("verify u={}: ", u0.index()), &run.ledger);
-        if u64::from(run.value) != u64::from(f_values[ci]) {
-            return Err(QdError::VerificationFailed {
-                branch: ci,
-                distributed: u64::from(run.value),
-                reference: u64::from(f_values[ci]),
-            });
-        }
-    }
-    drop(verify_span);
-
-    trace::emit_with(|| trace::TraceEvent::Value {
-        label: "diameter estimate".into(),
-        value: opt.value,
-    });
-
-    Ok(ApproxRun {
-        estimate: opt.value as Dist,
-        s,
-        d,
-        w: prep.w,
-        prep_ledger,
+    let found = Instance {
+        f: &f,
+        schedule,
         probe_ledger,
-        oracle: opt.oracle,
-        quantum_rounds: opt.quantum_rounds,
-        oracle_schedule,
-        memory,
-        verified: true,
-        aborted: opt.aborted,
-    })
+        params: MaximizeParams::with_min_mass(min_mass).with_failure_prob(params.failure_prob),
+        seed: params.seed ^ 0x9E37_79B9_7F4A_7C15,
+        verify_branches: params.verify_branches,
+        label: "diameter estimate",
+    }
+    .search_and_verify(|ci, ledger| {
+        let u0 = NodeId::new(r_index[ci]);
+        let run = evaluation::run_windowed(graph, &r_tree, &prep.w_tree, d, u0, config)?;
+        ledger.extend_prefixed(&format!("verify u={}: ", u0.index()), &run.ledger);
+        Ok(run.value)
+    })?;
+    Ok(ApproxRun::new(s, d, prep.w, prep_ledger, memory, found))
 }
 
 #[cfg(test)]

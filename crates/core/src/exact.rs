@@ -16,22 +16,24 @@
 //!   each: `Õ(√(nd)) = Õ(√(nD))` rounds total.
 //!
 //! The branch values fed to the quantum simulation are the closed-form
-//! window maxima ([`dfs_window`](crate::dfs_window)); each run re-verifies a
-//! sample of branches (and the reported maximum) against the *real*
-//! distributed Figure 2 program and fails loudly on any disagreement.
+//! window maxima ([`dfs_window`](crate::dfs_window)). The search and its
+//! verification run in the body the three drivers share (see
+//! [`framework`]): each run re-verifies a sample of branches (and the
+//! reported maximum) against the *real* distributed Figure 2 program and
+//! fails loudly on any disagreement. Initialization, the memory estimate
+//! and the assembly of a [`DiameterRun`] are shared with the simpler
+//! algorithm of Section 3.1 ([`exact_simple`](crate::exact_simple)).
 
-use classical::aggregate;
-use classical::{bfs, leader, TreeView};
-use congest::{bits, Config, RoundsLedger};
+use classical::bfs::{self, BfsOutcome};
+use classical::{leader, TreeView};
+use congest::{Config, RoundsLedger};
 use graphs::tree::{EulerTour, RootedTree};
 use graphs::{metrics, Dist, Graph, NodeId};
-use quantum::{MaximizeParams, OracleCost, SearchState};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use quantum::{MaximizeParams, OracleCost};
 
 use crate::dfs_window::Windows;
 use crate::evaluation;
-use crate::framework::{self, DistributedOracle, MemoryEstimate};
+use crate::framework::{self, DistributedOracle, Found, Instance, MemoryEstimate};
 use crate::QdError;
 
 /// Parameters of the exact quantum algorithm.
@@ -68,6 +70,25 @@ impl ExactParams {
         self.verify_branches = k;
         self
     }
+
+    /// The search over `f` with this seed, `δ` and verification sample.
+    pub(crate) fn instance<'a>(
+        &self,
+        f: &'a [Dist],
+        schedule: DistributedOracle,
+        probe_ledger: RoundsLedger,
+        min_mass: f64,
+    ) -> Instance<'a> {
+        Instance {
+            f,
+            schedule,
+            probe_ledger,
+            params: MaximizeParams::with_min_mass(min_mass).with_failure_prob(self.failure_prob),
+            seed: self.seed,
+            verify_branches: self.verify_branches,
+            label: "diameter",
+        }
+    }
 }
 
 /// Result of a quantum diameter computation.
@@ -100,8 +121,6 @@ pub struct DiameterRun {
     pub oracle_schedule: DistributedOracle,
     /// Analytic per-node/leader qubit requirements.
     pub memory: MemoryEstimate,
-    /// Whether the sampled distributed-vs-closed-form verification ran.
-    pub verified: bool,
     /// Whether the optimization hit its worst-case resource cap.
     pub aborted: bool,
 }
@@ -111,26 +130,6 @@ impl DiameterRun {
     pub fn rounds(&self) -> u64 {
         self.init_ledger.total_rounds() + self.quantum_rounds
     }
-}
-
-/// Reports the analytic qubit requirements to an installed trace sink and
-/// metrics registry.
-pub(crate) fn emit_memory(memory: &MemoryEstimate) {
-    trace::emit_with(|| trace::TraceEvent::Qubits {
-        scope: "per-node".into(),
-        qubits: memory.per_node_qubits as u64,
-    });
-    trace::emit_with(|| trace::TraceEvent::Qubits {
-        scope: "leader".into(),
-        qubits: memory.leader_qubits as u64,
-    });
-    ::metrics::with(|r| {
-        r.set_gauge(
-            ::metrics::names::PER_NODE_QUBITS,
-            memory.per_node_qubits as f64,
-        );
-        r.set_gauge(::metrics::names::LEADER_QUBITS, memory.leader_qubits as f64);
-    });
 }
 
 /// Computes the exact diameter with the `O(√(nD))`-round algorithm of
@@ -148,133 +147,80 @@ pub fn diameter(
     params: ExactParams,
     config: Config,
 ) -> Result<DiameterRun, QdError> {
-    if graph.is_empty() {
-        return Err(QdError::InvalidParameter {
-            reason: "empty graph".into(),
-        });
-    }
-    let n = graph.len();
-    let _driver_span = ::metrics::span("exact");
+    let n = graph.len() as f64;
+    let mass = |d: Dist| f64::from(d).max(1.0) / (2.0 * n);
+    run(graph, config, "exact", mass, |b, eccs| {
+        let d = b.depth;
+        let tree = TreeView::from(b);
+        // Branch function f(u) = max_{v ∈ S(u)} ecc(v), closed form.
+        let rooted =
+            RootedTree::from_parents(&b.parents).map_err(|e| QdError::InvalidParameter {
+                reason: e.to_string(),
+            })?;
+        let tour = EulerTour::new(&rooted);
+        let f = Windows::new(&tour, 2 * d as usize).window_max(&eccs);
+
+        let (schedule, probe_ledger) = framework::probe(graph, &tree, &tree, d, b.root, config)?;
+        debug_assert_eq!(
+            2 * schedule.evaluation_rounds,
+            evaluation::figure2_schedule_rounds(d, d)
+        );
+        // P_opt ≥ d/2n (Lemma 1).
+        let min_mass = (f64::from(d) / (2.0 * n)).clamp(1.0 / n, 1.0);
+        params
+            .instance(&f, schedule, probe_ledger, min_mass)
+            .search_and_verify(|u, ledger| {
+                let run = evaluation::run_figure2(graph, &tree, d, NodeId::new(u), config)?;
+                ledger.extend_prefixed(&format!("verify u={u}: "), &run.ledger);
+                Ok(run.value)
+            })
+    })
+}
+
+/// The run Theorem 1 and Section 3.1 share: Initialization (Proposition 1:
+/// leader, `BFS(leader)`, `d = ecc(leader)`) under the profiler span
+/// `span/init`, the memory estimate at optimum mass `mass(d)`, then the
+/// quantum phase `search` computes from `BFS(leader)` and the closed-form
+/// eccentricities, which a single-node graph skips.
+pub(crate) fn run(
+    graph: &Graph,
+    config: Config,
+    span: &str,
+    mass: impl FnOnce(Dist) -> f64,
+    search: impl FnOnce(&BfsOutcome, Vec<Dist>) -> Result<Found, QdError>,
+) -> Result<DiameterRun, QdError> {
+    let n = framework::nodes(graph)?;
+    let _driver_span = ::metrics::span(span);
     let mut init_ledger = RoundsLedger::new();
-
-    // Initialization (Proposition 1): leader, BFS(leader), d = ecc(leader).
     let init_span = ::metrics::span("init");
-    let elect = leader::elect(graph, config).map_err(QdError::from)?;
+    let elect = leader::elect(graph, config)?;
     init_ledger.add("leader election", elect.stats);
-    let b = bfs::build(graph, elect.leader, config).map_err(QdError::from)?;
+    let b = bfs::build(graph, elect.leader, config)?;
     init_ledger.add("bfs(leader) [Figure 1]", b.stats);
-    let tree = TreeView::from(&b);
-    let d = b.depth;
     drop(init_span);
+    let d = b.depth;
 
-    let memory = framework::memory_estimate(n, n, (f64::from(d).max(1.0)) / (2.0 * n as f64));
-    emit_memory(&memory);
-
-    if n == 1 || d == 0 {
-        return Ok(DiameterRun {
-            value: 0,
-            leader: elect.leader,
-            d,
-            argmax: elect.leader,
-            init_ledger,
-            probe_ledger: RoundsLedger::new(),
-            oracle: OracleCost::new(),
-            quantum_rounds: 0,
-            oracle_schedule: DistributedOracle::default(),
-            memory,
-            verified: true,
-            aborted: false,
-        });
-    }
-
-    // Branch function f(u) = max_{v ∈ S(u)} ecc(v), closed form.
-    let rooted = RootedTree::from_parents(&b.parents).map_err(|e| QdError::InvalidParameter {
-        reason: e.to_string(),
-    })?;
-    let tour = EulerTour::new(&rooted);
-    let windows = Windows::new(&tour, 2 * d as usize);
-    let eccs = metrics::eccentricities(graph)
-        .ok_or(QdError::Classical(classical::AlgoError::Disconnected))?;
-    let f_values = windows.window_max(&eccs);
-
-    // Measure the per-operator schedules (and per-application traffic, for
-    // constant-honest qubit accounting) from real runs.
-    let probe_span = ::metrics::span("probe");
-    let mut probe_ledger = RoundsLedger::new();
-    let setup_probe =
-        aggregate::broadcast(graph, &tree, 0, bits::for_node(n), config).map_err(QdError::from)?;
-    probe_ledger.add("probe: setup broadcast [Prop 2]", setup_probe.stats);
-    let eval_probe =
-        evaluation::run_figure2(graph, &tree, d, elect.leader, config).map_err(QdError::from)?;
-    probe_ledger.extend_prefixed("probe: ", &eval_probe.ledger);
-    let oracle_schedule =
-        DistributedOracle::from_rounds(setup_probe.stats.rounds, eval_probe.forward_rounds())
-            .with_setup_traffic(setup_probe.stats.total_bits, setup_probe.stats.messages)
-            .with_evaluation_traffic(eval_probe.forward_bits(), eval_probe.forward_messages());
-    drop(probe_span);
-    debug_assert_eq!(
-        2 * oracle_schedule.evaluation_rounds,
-        evaluation::figure2_schedule_rounds(d, b.depth)
-    );
-
-    // Quantum optimization (Theorem 7) with P_opt ≥ d/2n (Lemma 1).
-    let quantum_span = ::metrics::span("quantum");
-    let min_mass = (f64::from(d) / (2.0 * n as f64)).clamp(1.0 / n as f64, 1.0);
-    let state = SearchState::uniform(n);
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let opt = framework::optimize(
-        &state,
-        |u| u64::from(f_values[u]),
-        oracle_schedule,
-        MaximizeParams::with_min_mass(min_mass).with_failure_prob(params.failure_prob),
-        &mut rng,
-    )?;
-    drop(quantum_span);
-
-    // Verify sampled branches (and the winner) against the real distributed
-    // Evaluation program.
-    let verify_span = ::metrics::span("verify");
-    let mut branches: Vec<usize> = (0..params.verify_branches)
-        .map(|_| rng.random_range(0..n))
-        .collect();
-    branches.push(opt.argmax);
-    // Sampled branches can collide with each other or with the winner;
-    // each duplicate would re-run an identical Figure 2 simulation (and
-    // double-charge the ledger), so verify each branch once.
-    branches.sort_unstable();
-    branches.dedup();
-    for u in branches {
-        let run = evaluation::run_figure2(graph, &tree, d, NodeId::new(u), config)
-            .map_err(QdError::from)?;
-        probe_ledger.extend_prefixed(&format!("verify u={u}: "), &run.ledger);
-        if u64::from(run.value) != u64::from(f_values[u]) {
-            return Err(QdError::VerificationFailed {
-                branch: u,
-                distributed: u64::from(run.value),
-                reference: u64::from(f_values[u]),
-            });
-        }
-    }
-    drop(verify_span);
-
-    trace::emit_with(|| trace::TraceEvent::Value {
-        label: "diameter".into(),
-        value: opt.value,
-    });
-
+    let memory = framework::memory_estimate(n, n, mass(d));
+    framework::emit_memory(&memory);
+    let found = if n == 1 || d == 0 {
+        Found::default()
+    } else {
+        let eccs = metrics::eccentricities(graph)
+            .ok_or(QdError::Classical(classical::AlgoError::Disconnected))?;
+        search(&b, eccs)?
+    };
     Ok(DiameterRun {
-        value: opt.value as Dist,
+        value: found.opt.value as Dist,
         leader: elect.leader,
         d,
-        argmax: NodeId::new(opt.argmax),
+        argmax: NodeId::new(found.opt.argmax),
         init_ledger,
-        probe_ledger,
-        oracle: opt.oracle,
-        quantum_rounds: opt.quantum_rounds,
-        oracle_schedule,
+        probe_ledger: found.probe_ledger,
+        oracle: found.opt.oracle,
+        quantum_rounds: found.opt.quantum_rounds,
+        oracle_schedule: found.schedule,
         memory,
-        verified: true,
-        aborted: opt.aborted,
+        aborted: found.opt.aborted,
     })
 }
 
@@ -295,7 +241,6 @@ mod tests {
             metrics::diameter(g).unwrap(),
             "diameter mismatch"
         );
-        assert!(out.verified);
         out
     }
 
@@ -348,36 +293,55 @@ mod tests {
         ));
     }
 
-    /// Each distinct branch is verified exactly once: with more sampled
-    /// branches than nodes, collisions (with each other or with the
-    /// winner) are guaranteed, yet no `verify u=` ledger phase may repeat
-    /// — a duplicate would re-run an identical Figure 2 simulation and
-    /// double-charge the ledger.
+    /// Each distinct branch is verified exactly once, by each of the three
+    /// drivers: with more sampled branches than nodes, collisions (with
+    /// each other or with the winner) are guaranteed, yet no `verify u=`
+    /// ledger phase may repeat — a duplicate would re-run an identical
+    /// Evaluation and double-charge the ledger.
     #[test]
     fn verification_branches_are_deduplicated() {
         use std::collections::HashSet;
         let g = generators::cycle(6);
-        let out = diameter(
-            &g,
-            ExactParams::new(3).with_verify_branches(12),
-            Config::for_graph(&g),
-        )
-        .unwrap();
-        let mut seen = HashSet::new();
-        let mut prefixes = HashSet::new();
-        for (label, _, _) in out.probe_ledger.phases() {
-            let Some(rest) = label.strip_prefix("verify u=") else {
-                continue;
-            };
-            let branch = rest.split(':').next().unwrap().to_string();
-            prefixes.insert(branch);
-            assert!(seen.insert(label.to_string()), "duplicate phase {label}");
+        let cfg = Config::for_graph(&g);
+        let params = ExactParams::new(3).with_verify_branches(12);
+        let approx = crate::approx::ApproxParams {
+            verify_branches: 12,
+            ..crate::approx::ApproxParams::new(3)
+        };
+        for (driver, ledger) in [
+            ("exact", diameter(&g, params, cfg).unwrap().probe_ledger),
+            (
+                "exact_simple",
+                crate::exact_simple::diameter(&g, params, cfg)
+                    .unwrap()
+                    .probe_ledger,
+            ),
+            (
+                "approx",
+                crate::approx::diameter(&g, approx, cfg)
+                    .unwrap()
+                    .probe_ledger,
+            ),
+        ] {
+            let mut seen = HashSet::new();
+            let mut prefixes = HashSet::new();
+            for (label, _, _) in ledger.phases() {
+                let Some(rest) = label.strip_prefix("verify u=") else {
+                    continue;
+                };
+                let branch = rest.split(':').next().unwrap().to_string();
+                prefixes.insert(branch);
+                assert!(
+                    seen.insert(label.to_string()),
+                    "{driver}: duplicate phase {label}"
+                );
+            }
+            assert!(!prefixes.is_empty(), "{driver}: no verification phases");
+            assert!(
+                prefixes.len() <= g.len(),
+                "{driver}: more distinct branches than nodes"
+            );
         }
-        assert!(!prefixes.is_empty(), "no verification phases recorded");
-        assert!(
-            prefixes.len() <= g.len(),
-            "more distinct branches than nodes"
-        );
     }
 
     /// The headline claim: at (near-)constant diameter, quantum rounds grow

@@ -4,7 +4,7 @@
 //! Here the optimized function is plainly `f(u) = ecc(u)` (Equation 1), so
 //! `P_opt ≥ 1/n` and the optimization needs `Õ(√n)` oracle calls of `Θ(d)`
 //! rounds each — a factor `√D` worse than the windowed algorithm of
-//! Theorem 1 ([`exact`](crate::exact)). Keeping both makes the paper's key
+//! Theorem 1 ([`exact`]). Keeping both makes the paper's key
 //! design choice (the DFS windows of Section 3.2) an *ablatable* knob; the
 //! `ablation_window` bench measures exactly this gap.
 //!
@@ -13,16 +13,19 @@
 //! `ecc(u₀)` — a branch-dependent quantity — so the superposed execution
 //! pads every branch to the worst case `ecc(u₀) ≤ 2d`, which is what the
 //! schedule below charges.
+//!
+//! Initialization and the assembly of the run are
+//! [`exact`]'s; the search and its verification are the body
+//! the three drivers share ([`framework`](crate::framework)). This module
+//! supplies only `f` and the Proposition 3 Evaluation that verifies it.
 
-use classical::{bfs, ecc, leader};
+use classical::bfs::BfsOutcome;
+use classical::ecc;
 use congest::{Config, RoundsLedger};
-use graphs::{metrics, Dist, Graph, NodeId};
-use quantum::{MaximizeParams, OracleCost, SearchState};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use graphs::{Dist, Graph, NodeId};
 
-use crate::exact::{DiameterRun, ExactParams};
-use crate::framework::{self, DistributedOracle};
+use crate::exact::{self, DiameterRun, ExactParams};
+use crate::framework::DistributedOracle;
 use crate::QdError;
 
 /// The padded round schedule of one *forward* Proposition-3 Evaluation: a
@@ -39,7 +42,7 @@ pub fn simple_schedule_rounds(d: Dist) -> u64 {
 ///
 /// # Errors
 ///
-/// As for [`exact::diameter`](crate::exact::diameter).
+/// As for [`exact::diameter`].
 ///
 /// # Example
 ///
@@ -58,106 +61,31 @@ pub fn diameter(
     params: ExactParams,
     config: Config,
 ) -> Result<DiameterRun, QdError> {
-    if graph.is_empty() {
-        return Err(QdError::InvalidParameter {
-            reason: "empty graph".into(),
-        });
-    }
-    let n = graph.len();
-    let mut init_ledger = RoundsLedger::new();
-
-    let elect = leader::elect(graph, config).map_err(QdError::from)?;
-    init_ledger.add("leader election", elect.stats);
-    let b = bfs::build(graph, elect.leader, config).map_err(QdError::from)?;
-    init_ledger.add("bfs(leader) [Figure 1]", b.stats);
-    let d = b.depth;
-
-    let memory = framework::memory_estimate(n, n, 1.0 / n as f64);
-    crate::exact::emit_memory(&memory);
-
-    if n == 1 || d == 0 {
-        return Ok(DiameterRun {
-            value: 0,
-            leader: elect.leader,
-            d,
-            argmax: elect.leader,
-            init_ledger,
-            probe_ledger: RoundsLedger::new(),
-            oracle: OracleCost::new(),
-            quantum_rounds: 0,
-            oracle_schedule: DistributedOracle::default(),
-            memory,
-            verified: true,
-            aborted: false,
-        });
-    }
-
-    // Branch function f(u) = ecc(u) (Equation 1).
-    let eccs = metrics::eccentricities(graph)
-        .ok_or(QdError::Classical(classical::AlgoError::Disconnected))?;
-
-    // Analytic schedule (no probes): traffic constants stay zero, so the
-    // crossover engine treats the simple algorithm's qubit traffic as
-    // unmeasured rather than inventing numbers.
-    let oracle_schedule =
-        DistributedOracle::from_rounds(u64::from(d) + 1, simple_schedule_rounds(d));
-
-    let state = SearchState::uniform(n);
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let opt = framework::optimize(
-        &state,
-        |u| u64::from(eccs[u]),
-        oracle_schedule,
-        MaximizeParams::with_min_mass(1.0 / n as f64).with_failure_prob(params.failure_prob),
-        &mut rng,
-    )?;
-
-    // Verify sampled branches against the real distributed eccentricity
-    // procedure (Proposition 3 = BFS + convergecast). The schedule itself is
-    // analytic (padded to 2d), so unlike the windowed algorithm there are no
-    // schedule-measuring probes — the probe ledger holds only these checks.
-    let mut probe_ledger = RoundsLedger::new();
-    let mut branches: Vec<usize> = (0..params.verify_branches)
-        .map(|_| rng.random_range(0..n))
-        .collect();
-    branches.push(opt.argmax);
-    for u in branches {
-        let run = ecc::compute(graph, NodeId::new(u), config).map_err(QdError::from)?;
-        probe_ledger.add(format!("verify u={u}: ecc [Prop 3]"), run.stats);
-        if u64::from(run.ecc) != u64::from(eccs[u]) {
-            return Err(QdError::VerificationFailed {
-                branch: u,
-                distributed: u64::from(run.ecc),
-                reference: u64::from(eccs[u]),
-            });
-        }
-    }
-
-    trace::emit_with(|| trace::TraceEvent::Value {
-        label: "diameter".into(),
-        value: opt.value,
-    });
-
-    Ok(DiameterRun {
-        value: opt.value as Dist,
-        leader: elect.leader,
-        d,
-        argmax: NodeId::new(opt.argmax),
-        init_ledger,
-        probe_ledger,
-        oracle: opt.oracle,
-        quantum_rounds: opt.quantum_rounds,
-        oracle_schedule,
-        memory,
-        verified: true,
-        aborted: opt.aborted,
-    })
+    let n = graph.len() as f64;
+    // Branch function f(u) = ecc(u) (Equation 1). The schedule is analytic
+    // (no probes): traffic constants stay zero, so the crossover engine
+    // treats the simple algorithm's qubit traffic as unmeasured rather than
+    // inventing numbers, and the probe ledger holds only the verification
+    // runs.
+    let search = |b: &BfsOutcome, eccs: Vec<Dist>| {
+        let d = b.depth;
+        let schedule = DistributedOracle::from_rounds(u64::from(d) + 1, simple_schedule_rounds(d));
+        params
+            .instance(&eccs, schedule, RoundsLedger::new(), 1.0 / n)
+            .search_and_verify(|u, ledger| {
+                // Proposition 3: BFS from u plus a max convergecast.
+                let run = ecc::compute(graph, NodeId::new(u), config)?;
+                ledger.add(format!("verify u={u}: ecc [Prop 3]"), run.stats);
+                Ok(run.ecc)
+            })
+    };
+    exact::run(graph, config, "simple", |_| 1.0 / n, search)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::generators;
+    use graphs::{generators, metrics};
 
     fn check(g: &Graph, seed: u64) -> DiameterRun {
         let out = diameter(

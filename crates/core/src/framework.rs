@@ -16,11 +16,21 @@
 //! [`exact`](crate::exact), [`exact_simple`](crate::exact_simple),
 //! [`approx`](crate::approx)); they are branch-independent by construction,
 //! which is what allows superposed execution.
+//!
+//! The three drivers run Theorem 7 through one crate-private
+//! search-and-verify body (`Instance::search_and_verify`): each supplies
+//! only its branch values `f`, its distributed Evaluation and that run's
+//! ledger entry. Theorems 1 and 4 also share `probe`, which measures the
+//! schedules from one real run of each operator.
 
+use classical::{aggregate, TreeView};
+use congest::{bits, Config, RoundsLedger};
+use graphs::{Dist, Graph, NodeId};
 use quantum::{maximize, MaximizeParams, OracleCost, SearchState};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use crate::QdError;
+use crate::{evaluation, QdError};
 
 /// The round schedules — and measured per-application traffic — of the two
 /// distributed black-box operators.
@@ -130,8 +140,28 @@ pub fn memory_estimate(n: usize, domain: usize, min_mass: f64) -> MemoryEstimate
     }
 }
 
+/// Reports the analytic qubit requirements to an installed trace sink and
+/// metrics registry.
+pub(crate) fn emit_memory(memory: &MemoryEstimate) {
+    trace::emit_with(|| trace::TraceEvent::Qubits {
+        scope: "per-node".into(),
+        qubits: memory.per_node_qubits as u64,
+    });
+    trace::emit_with(|| trace::TraceEvent::Qubits {
+        scope: "leader".into(),
+        qubits: memory.leader_qubits as u64,
+    });
+    ::metrics::with(|r| {
+        r.set_gauge(
+            ::metrics::names::PER_NODE_QUBITS,
+            memory.per_node_qubits as f64,
+        );
+        r.set_gauge(::metrics::names::LEADER_QUBITS, memory.leader_qubits as f64);
+    });
+}
+
 /// Result of a distributed quantum optimization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptimizeOutcome {
     /// The element the search settled on (maximizer with probability
     /// `≥ 1 − δ`).
@@ -224,6 +254,129 @@ pub fn optimize<R: Rng + ?Sized>(
         quantum_rounds,
         aborted: out.aborted,
     })
+}
+
+/// The node count of `graph`; the empty graph has no leader to search from.
+pub(crate) fn nodes(graph: &Graph) -> Result<usize, QdError> {
+    if graph.is_empty() {
+        return Err(QdError::InvalidParameter {
+            reason: "empty graph".into(),
+        });
+    }
+    Ok(graph.len())
+}
+
+/// Measures the operator schedules, and the per-application traffic that
+/// constant-honest accounting charges, from one real run of each: `Setup`
+/// as a node-id broadcast down `agg_tree` (Proposition 2), `Evaluation` as
+/// the windowed Figure 2 run at `u0` (walk on `walk_tree`, convergecast on
+/// `agg_tree`). Returns the schedule and the probe runs' ledger.
+pub(crate) fn probe(
+    graph: &Graph,
+    walk_tree: &TreeView,
+    agg_tree: &TreeView,
+    d: Dist,
+    u0: NodeId,
+    config: Config,
+) -> Result<(DistributedOracle, RoundsLedger), QdError> {
+    let _span = ::metrics::span("probe");
+    let mut ledger = RoundsLedger::new();
+    let setup = aggregate::broadcast(graph, agg_tree, 0, bits::for_node(graph.len()), config)?;
+    ledger.add("probe: setup broadcast [Prop 2]", setup.stats);
+    let eval = evaluation::run_windowed(graph, walk_tree, agg_tree, d, u0, config)?;
+    ledger.extend_prefixed("probe: ", &eval.ledger);
+    let schedule = DistributedOracle::from_rounds(setup.stats.rounds, eval.forward_rounds())
+        .with_setup_traffic(setup.stats.total_bits, setup.stats.messages)
+        .with_evaluation_traffic(eval.forward_bits(), eval.forward_messages());
+    Ok((schedule, ledger))
+}
+
+/// One driver's instantiation of Theorem 7: the branch values `f(u)` over
+/// the domain `0..f.len()`, the schedules the search is charged, the probe
+/// runs' ledger, the search parameters, the seed of the measurement and of
+/// the verified-branch draw, the number of random branches verified
+/// besides the maximum, and the label of the closing `Value` trace event.
+pub(crate) struct Instance<'a> {
+    pub f: &'a [Dist],
+    pub schedule: DistributedOracle,
+    pub probe_ledger: RoundsLedger,
+    pub params: MaximizeParams,
+    pub seed: u64,
+    pub verify_branches: usize,
+    pub label: &'static str,
+}
+
+/// The quantum phase of a run: the search's outcome, the schedules it was
+/// charged and the probe and verification runs' ledger. The default is the
+/// phase of a single-node graph, which needs no search.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Found {
+    pub opt: OptimizeOutcome,
+    pub schedule: DistributedOracle,
+    pub probe_ledger: RoundsLedger,
+}
+
+impl Instance<'_> {
+    /// Runs the search over the uniform superposition of the domain, then
+    /// verifies each distinct branch among `verify_branches` random ones
+    /// and the reported maximum once: `verify(u, ledger)` runs the
+    /// driver's distributed Evaluation of branch `u`, adds it to the
+    /// ledger and returns its value, which must equal `f(u)`.
+    ///
+    /// # Errors
+    ///
+    /// [`QdError::VerificationFailed`] on the first mismatch, or whatever
+    /// the search or `verify` returns.
+    pub(crate) fn search_and_verify(
+        self,
+        mut verify: impl FnMut(usize, &mut RoundsLedger) -> Result<Dist, QdError>,
+    ) -> Result<Found, QdError> {
+        let f = self.f;
+        let quantum_span = ::metrics::span("quantum");
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let state = SearchState::uniform(f.len());
+        let opt = optimize(
+            &state,
+            |u| u64::from(f[u]),
+            self.schedule,
+            self.params,
+            &mut rng,
+        )?;
+        drop(quantum_span);
+
+        let verify_span = ::metrics::span("verify");
+        let mut branches: Vec<usize> = (0..self.verify_branches)
+            .map(|_| rng.random_range(0..f.len()))
+            .collect();
+        branches.push(opt.argmax);
+        // Sampled branches can collide with each other or with the winner;
+        // each duplicate would re-run an identical Evaluation (and charge
+        // the ledger twice), so verify each branch once.
+        branches.sort_unstable();
+        branches.dedup();
+        let mut probe_ledger = self.probe_ledger;
+        for u in branches {
+            let distributed = verify(u, &mut probe_ledger)?;
+            if distributed != f[u] {
+                return Err(QdError::VerificationFailed {
+                    branch: u,
+                    distributed: u64::from(distributed),
+                    reference: u64::from(f[u]),
+                });
+            }
+        }
+        drop(verify_span);
+
+        trace::emit_with(|| trace::TraceEvent::Value {
+            label: self.label.into(),
+            value: opt.value,
+        });
+        Ok(Found {
+            opt,
+            schedule: self.schedule,
+            probe_ledger,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //!   Theorem 7): a leader node runs quantum maximum finding (Corollary 1)
 //!   whose `Setup` and `Evaluation` oracles are distributed procedures with
 //!   fixed round schedules; every oracle application is charged its full
-//!   schedule, converting oracle counts into CONGEST rounds.
+//!   schedule, converting oracle counts into CONGEST rounds. Its one
+//!   search-and-verify body serves [`exact`], [`exact_simple`] and
+//!   [`approx`], which supply only their branch values and Evaluation.
 //! * [`dfs_window`] — the DFS-numbering windows `S(u)` (Definitions 1–2),
 //!   the coverage bound of **Lemma 1** (`Pr[v ∈ S(u₀)] ≥ d/2n`), and the
 //!   closed-form window maximum `f(u) = max_{v∈S(u)} ecc(v)` (Equation 2).
@@ -23,9 +25,10 @@
 //! * [`approx`] — the `Õ(∛(nD) + D)`-round quantum `3/2`-approximation of
 //!   **Theorem 4** (Section 4, Figure 3): the classical HPRW preparation
 //!   followed by quantum optimization over the cluster `R`.
-//! * [`recovery`] — self-healing wrappers around [`exact`] and [`approx`]:
-//!   bounded reseeded retries and partial-network semantics for
-//!   crash-stops, governed by [`congest::RecoveryPolicy`].
+//! * [`recovery`] — self-healing wrappers around [`exact`],
+//!   [`exact_simple`] and [`approx`]: bounded reseeded retries and
+//!   partial-network semantics for crash-stops, governed by
+//!   [`congest::RecoveryPolicy`].
 //!
 //! # How the quantum side is simulated
 //!

@@ -1,6 +1,6 @@
 //! Bounded re-execution recovery for the quantum diameter drivers.
 //!
-//! The quantum algorithms of [`exact`] and
+//! The quantum algorithms of [`exact`], [`exact_simple`] and
 //! [`approx`] are fail-stop under an injected
 //! [`congest::FaultPlan`]: their classical substrate phases degrade to
 //! [`classical::AlgoError::FaultDetected`] (surfacing here as
@@ -26,7 +26,7 @@
 //!   surviving component via
 //!   [`classical::recovery::carve_survivors`] and answer for it.
 //!
-//! Both wrappers return [`Recovered<T>`](Recovered), the type
+//! The wrappers return [`Recovered<T>`](Recovered), the type
 //! [`classical::recovery`] defines for its own driver (re-exported here):
 //! the run, its recovery stats and the surviving component, if any.
 //!
@@ -45,12 +45,18 @@ use graphs::Graph;
 
 use crate::approx::{self, ApproxParams, ApproxRun};
 use crate::exact::{self, DiameterRun, ExactParams};
-use crate::QdError;
+use crate::{exact_simple, QdError};
 
 /// The exact driver's whole-run retries.
 const EXACT: RetryScope = RetryScope {
     scope: 0xE8AC,
     label: "quantum-exact",
+    span: None,
+};
+/// The Section 3.1 driver's whole-run retries.
+const SIMPLE: RetryScope = RetryScope {
+    scope: 0x5E31,
+    label: "quantum-simple",
     span: None,
 };
 /// The approximation driver's whole-run retries.
@@ -95,6 +101,24 @@ pub fn exact_recovering(
 ) -> Result<Recovered<DiameterRun>, QdError> {
     heal(graph, config, EXACT, healable, |g, c, _| {
         attempt(exact::diameter(g, params, c))
+    })
+    .map(|(out, _)| out)
+}
+
+/// Runs the simpler `O(√n · D)` algorithm of Section 3.1, healing
+/// detected faults per [`Config::recovery`].
+///
+/// # Errors
+///
+/// As [`exact_simple::diameter`], once every permitted recovery avenue is
+/// exhausted.
+pub fn simple_recovering(
+    graph: &Graph,
+    params: ExactParams,
+    config: Config,
+) -> Result<Recovered<DiameterRun>, QdError> {
+    heal(graph, config, SIMPLE, healable, |g, c, _| {
+        attempt(exact_simple::diameter(g, params, c))
     })
     .map(|(out, _)| out)
 }

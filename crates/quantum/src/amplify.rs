@@ -44,11 +44,12 @@ impl AmplifyParams {
         Ok(())
     }
 
-    /// Total Grover iteration budget: `Θ(√(log(1/δ)/ε))` — the Theorem 6
-    /// cost form. Each full-length trial (`j` drawn up to the `1/√ε` cap)
-    /// succeeds with probability ≈ 1/2 whenever the marked mass is at least
-    /// `ε`, so a budget of `(1 + log₂(1/δ)/2)/√ε` iterations drives the
-    /// failure probability below `δ`.
+    /// Total Grover iteration budget: `⌈(1 + log₂(1/δ)/2)/√ε⌉`, with
+    /// `log₂(1/δ)` floored at 1. Each full-length trial (`j` drawn up to the
+    /// `1/√ε` cap) succeeds with probability ≈ 1/2 whenever the marked mass
+    /// is at least `ε`, so this budget drives the failure probability below
+    /// `δ`. It is `Θ(log(1/δ)/√ε)`, a `√log(1/δ)` factor above Theorem 6's
+    /// `O(√(log(1/δ)/ε))`.
     fn iteration_budget(&self) -> u64 {
         let log_term = (1.0 / self.failure_prob).log2().max(1.0);
         ((1.0 + 0.5 * log_term) / self.min_mass.sqrt()).ceil() as u64
@@ -67,8 +68,10 @@ pub struct AmplifyOutcome {
 /// Amplitude amplification with unknown marked mass (Theorem 6, following
 /// Brassard–Høyer–Tapp): decides whether the marked set `M` is empty, and if
 /// not returns a random element of `M` (with probability proportional to its
-/// squared amplitude), using `O(√(log(1/δ)/ε))` applications of the
-/// state-preparation and checking oracles.
+/// squared amplitude). It stops once its trials have spent
+/// `(1 + log₂(1/δ)/2)/√ε` Grover iterations, so it makes `O(log(1/δ)/√ε)`
+/// applications of the state-preparation and checking oracles (Theorem 6
+/// states `O(√(log(1/δ)/ε))`).
 ///
 /// The simulation is exact and costs `O(n)` per trial, whatever the number
 /// `j` of Grover iterations the trial applies: `marked` is evaluated once

@@ -86,18 +86,23 @@ pub struct MaximizeOutcome {
 
 /// Quantum maximum finding (Corollary 1, after Dürr–Høyer): finds an element
 /// maximizing `f` over the support of `init`, with probability at least
-/// `1 − δ`, using `O(√(log(1/δ)/ε))` applications of the state-preparation
-/// and evaluation oracles.
+/// `1 − δ`.
 ///
 /// The procedure samples a starting element, then repeatedly amplifies the
-/// set `{x : f(x) > f(a)}` with an exponentially decreasing mass guess `ε'`,
-/// exactly as in the paper's proof:
+/// set `{x : f(x) > f(a)}` with a mass guess `ε'` that starts at `1/2` and
+/// only ever halves:
 ///
-/// 1. start with a measured sample `a`;
-/// 2. amplify with `ε' = 1/2`, `δ' = δ` to find some `b` with `f(b) > f(a)`;
-/// 3. on success set `a = b` and go to 2;
+/// 1. start with a measured sample `a` and `ε' = 1/2`;
+/// 2. amplify with `ε'`, `δ' = δ` to find some `b` with `f(b) > f(a)`;
+/// 3. on success set `a = b` and go to 2, keeping `ε'`;
 /// 4. otherwise halve `ε'` while `ε' > ε` and go to 2;
 /// 5. output `a`, aborting early if the operator budget is exhausted.
+///
+/// Each stage is one [`amplify`] call, which spends up to
+/// `(1 + log₂(1/δ)/2)/√ε'` Grover iterations; the whole search aborts
+/// after `cap_factor · √(log₂(1/δ)/ε)` oracle applications
+/// ([`MaximizeParams::cap_factor`]). Corollary 1 states
+/// `O(√(log(1/δ)/ε))` applications in all.
 ///
 /// The simulation costs `O(n)` per stage and per amplification trial: each
 /// stage evaluates `f` once per element to fix the marked set, and each

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Prints the console report of every qdiam driver on a 5 x 5 grid (seed 5,
-# --verbose), then the three recovering drivers healing a crash under
+# --verbose), then the four recovering drivers healing a crash under
 # --recover, then the quantum drivers healing message drops by whole-run
 # retries, then the trace summary of a --trace run of each quantum driver
 # (every trace span, oracle count and value event).
@@ -22,7 +22,7 @@ qdiam() {
 for algo in exact simple approx classical classical-approx two-approx girth; do
   qdiam "$algo" --family grid --n 25 --seed 5 --verbose
 done
-for algo in exact approx classical; do
+for algo in exact simple approx classical; do
   qdiam "$algo" --family grid --n 25 --seed 5 --verbose \
     --faults drop=0.002,crash=7@3,seed=4 --recover
 done

@@ -9,8 +9,8 @@ use classical::hprw::HprwParams;
 use classical::recovery::Recovered;
 use congest::{Config, FaultPlan, RecoveryPolicy, RoundsLedger};
 use diameter_quantum::approx::{self, ApproxParams};
-use diameter_quantum::exact::ExactParams;
-use diameter_quantum::{exact, exact_simple, recovery};
+use diameter_quantum::exact::{DiameterRun, ExactParams};
+use diameter_quantum::{exact, exact_simple, recovery, QdError};
 use graphs::Graph;
 
 /// Which algorithm to run.
@@ -268,9 +268,9 @@ RECOVERY:
   (checkpoint=S sources), and crash-stops re-root onto the largest
   surviving connected component (partial) — the reported diameter then
   refers to that component. Retry and partial-network semantics wrap
-  exact, approx, and classical; retransmission and checkpointing apply
-  wherever the substrate protocols run. Every healed run reports its
-  recovery cost (retries, restarts, retransmissions, re-roots, wasted
+  exact, simple, approx and classical; retransmission and checkpointing
+  apply wherever the substrate protocols run. Every healed run reports
+  its recovery cost (retries, restarts, retransmissions, re-roots, wasted
   rounds/messages/bits). See RECOVERY.md for the full semantics.
 
 ENVIRONMENT:
@@ -944,11 +944,34 @@ fn drive<T, E: ToString>(
     Ok(out.run)
 }
 
+/// The fail-stop and the recovering driver of a [`DiameterRun`].
+type ExactDrivers = (
+    fn(&Graph, ExactParams, Config) -> Result<DiameterRun, QdError>,
+    fn(&Graph, ExactParams, Config) -> Result<Recovered<DiameterRun>, QdError>,
+);
+
+/// The drivers of `exact` (Theorem 1) and `simple` (Section 3.1).
+fn exact_drivers(algorithm: Algorithm) -> ExactDrivers {
+    match algorithm {
+        Algorithm::Simple => (exact_simple::diameter, recovery::simple_recovering),
+        _ => (exact::diameter, recovery::exact_recovering),
+    }
+}
+
 fn run_report(opts: &Options) -> Result<String, String> {
     let g = build_graph(opts)?;
     let mut cfg = Config::for_graph(&g).with_critical_path(opts.critical_path);
     let env_faults = std::env::var("QD_FAULTS").ok();
     let faults = resolve_faults(opts.faults.as_deref(), env_faults.as_deref())?;
+    // A crash of a node the graph lacks would otherwise inject nothing.
+    if let Some((spec, plan)) = &faults {
+        if let Some((node, _)) = plan.crashes().iter().find(|&&(v, _)| v >= g.len()) {
+            return Err(format!(
+                "fault spec '{spec}': crash node {node} does not exist (the graph has {} nodes)",
+                g.len()
+            ));
+        }
+    }
     let env_recover = std::env::var("QD_RECOVER").ok();
     let policy = resolve_recovery(opts.recover.as_deref(), env_recover.as_deref())?;
     let mut out = String::new();
@@ -986,15 +1009,13 @@ fn run_report(opts: &Options) -> Result<String, String> {
     let (answer, ledgers) = match opts.algorithm {
         Algorithm::Exact | Algorithm::Simple => {
             let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
-            let run = match opts.algorithm {
-                Algorithm::Exact => drive(
-                    recovering,
-                    &mut healed,
-                    || recovery::exact_recovering(&g, params, cfg),
-                    || exact::diameter(&g, params, cfg),
-                )?,
-                _ => exact_simple::diameter(&g, params, cfg).map_err(|e| e.to_string())?,
-            };
+            let (plain, heal) = exact_drivers(opts.algorithm);
+            let run = drive(
+                recovering,
+                &mut healed,
+                || heal(&g, params, cfg),
+                || plain(&g, params, cfg),
+            )?;
             let answer = format!(
                 "diameter: {}\nrounds: {} (init {} + quantum {})\n\
                  oracle calls: {} | memory: {} qubits/node, {} at leader\n",
@@ -1239,11 +1260,7 @@ mod tests {
                 }
                 algorithm => {
                     let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
-                    let run = match algorithm {
-                        Algorithm::Exact => exact::diameter(&g, params, cfg),
-                        _ => exact_simple::diameter(&g, params, cfg),
-                    }
-                    .unwrap();
+                    let run = exact_drivers(algorithm).0(&g, params, cfg).unwrap();
                     let rounds = format!("rounds: {} (init ", run.rounds());
                     (run.init_ledger, run.probe_ledger, rounds)
                 }
@@ -1274,11 +1291,11 @@ mod tests {
     }
 
     /// A crash-stop that is fatal under the passive policy heals to the
-    /// surviving component's diameter under `--recover`, for both the
-    /// classical and the quantum exact drivers.
+    /// surviving component's diameter under `--recover`, for the classical
+    /// and both quantum exact drivers.
     #[test]
     fn recover_heals_a_crash_to_the_surviving_component() {
-        for algo in ["classical", "exact"] {
+        for algo in ["classical", "exact", "simple"] {
             let fatal = format!("{algo} --family path --n 10 --faults crash=9@0,seed=7");
             let err = run(&parse(&args(&fatal)).unwrap()).unwrap_err();
             assert!(err.contains("fault detected at round"), "{algo}: {err}");
@@ -1292,6 +1309,25 @@ mod tests {
             assert!(healed.contains("recovery cost:"), "{algo}: {healed}");
             assert!(healed.contains("faults injected:"), "{algo}: {healed}");
         }
+    }
+
+    /// A crash of a node the graph does not have is a spec error, from
+    /// `--faults` and `QD_FAULTS` alike, not a plan that injects nothing.
+    #[test]
+    fn a_crash_outside_the_graph_is_rejected() {
+        let o = parse(&args(
+            "exact --family path --n 8 --faults crash=99@0 --recover",
+        ))
+        .unwrap();
+        let err = run(&o).unwrap_err();
+        assert!(err.contains("crash node 99 does not exist"), "{err}");
+        assert!(err.contains("8 nodes"), "{err}");
+        // The last node is still a valid target.
+        let o = parse(&args(
+            "classical --family path --n 8 --faults crash=7@0 --recover",
+        ))
+        .unwrap();
+        assert!(run(&o).unwrap().contains("diameter: 6"));
     }
 
     /// `--recover off` (and `QD_RECOVER=0`) really is the passive policy:

@@ -395,10 +395,12 @@ fn every_driver_reports_an_all_crash_plan_the_same_way() {
         .with_recovery(RecoveryPolicy::standard());
     let classical = classical::recovery::exact_diameter_recovering(&g, cfg).map(|_| ());
     let exact = qrecovery::exact_recovering(&g, ExactParams::new(1), cfg).map(|_| ());
+    let simple = qrecovery::simple_recovering(&g, ExactParams::new(1), cfg).map(|_| ());
     let approx = qrecovery::approx_recovering(&g, ApproxParams::new(1), cfg).map(|_| ());
     for (driver, result) in [
         ("classical", classical.map_err(QdError::from)),
         ("exact", exact),
+        ("simple", simple),
         ("approx", approx),
     ] {
         match result {
@@ -446,6 +448,9 @@ fn traced_recovery(
                 .map(|out| out.recovery)
                 .map_err(QdError::from),
             "exact" => qrecovery::exact_recovering(g, ExactParams::new(5), cfg).map(|o| o.recovery),
+            "simple" => {
+                qrecovery::simple_recovering(g, ExactParams::new(5), cfg).map(|o| o.recovery)
+            }
             _ => qrecovery::approx_recovering(g, ApproxParams::new(5), cfg).map(|o| o.recovery),
         };
         stats.unwrap_or_else(|e| panic!("{driver}: {e}"))
@@ -461,12 +466,15 @@ fn traced_recovery(
 #[test]
 fn every_wasted_round_is_in_a_span() {
     let g = graphs::generators::grid(5, 5);
-    let mut wasted = [0u64; 3];
+    let mut wasted = [0u64; 4];
     for spec in ["drop=0.01,seed=1", "drop=0.002,crash=7@3,seed=4"] {
         let cfg = Config::for_graph(&g)
             .with_faults(FaultPlan::parse(spec).unwrap())
             .with_recovery(RecoveryPolicy::standard());
-        for (i, driver) in ["classical", "exact", "approx"].into_iter().enumerate() {
+        for (i, driver) in ["classical", "exact", "simple", "approx"]
+            .into_iter()
+            .enumerate()
+        {
             let (stats, events) = traced_recovery(driver, &g, cfg);
             assert_eq!(
                 wasted_span_rounds(&events),
