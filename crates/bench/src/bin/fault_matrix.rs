@@ -15,9 +15,8 @@
 //!   degrade are caught by the explicit parent/child echo validation.
 //!
 //! The recovery half reruns the same fault shapes through the full
-//! classical APSP pipeline wrapped in
-//! `classical::recovery::exact_diameter_recovering` under the standard
-//! [`congest::RecoveryPolicy`]: faulted runs that would have surfaced
+//! classical APSP driver, `classical::apsp::exact_diameter`, under the
+//! standard [`congest::RecoveryPolicy`]: faulted runs that would have surfaced
 //! `FaultDetected` are healed by reseeded retries, checkpoint restarts,
 //! and (for crash-stops) partial-network re-rooting. Each recovery cell
 //! reports how many faulted runs were healed to the *correct* answer and
@@ -29,8 +28,8 @@
 //! by [`classical::AlgoError::FaultDetected`]. Results go to
 //! `fault_matrix.json` under `QD_RESULTS_DIR` (default `results/`).
 
-use classical::apsp::ExactDiameterOutcome;
-use classical::recovery::{carve_survivors, exact_diameter_recovering, Recovered};
+use classical::apsp::{exact_diameter, ExactDiameterOutcome};
+use classical::recovery::carve_survivors;
 use classical::AlgoError;
 use congest::{Config, FaultPlan, RecoveryPolicy};
 use graphs::{Graph, NodeId};
@@ -146,7 +145,7 @@ impl RecoveryCell {
     fn record(
         &mut self,
         faulted: bool,
-        outcome: &Result<Recovered<ExactDiameterOutcome>, AlgoError>,
+        outcome: &Result<ExactDiameterOutcome, AlgoError>,
         reference: u32,
     ) {
         self.runs += 1;
@@ -155,7 +154,7 @@ impl RecoveryCell {
                 self.wasted_wire_bits += healed.recovery.wasted_bits;
                 if !faulted {
                     assert_eq!(
-                        healed.run.diameter, reference,
+                        healed.diameter, reference,
                         "fault-free recovering run answered wrong"
                     );
                     return;
@@ -164,7 +163,7 @@ impl RecoveryCell {
                 if healed.surviving.is_some() {
                     self.partial += 1;
                 }
-                if healed.run.diameter == reference {
+                if healed.diameter == reference {
                     self.recovered += 1;
                 } else {
                     self.unsound += 1;
@@ -178,7 +177,7 @@ impl RecoveryCell {
                 self.faulted += 1;
                 self.failed += 1;
             }
-            Err(e) => panic!("recovering driver raised a non-fault error: {e}"),
+            Err(e) => panic!("healing driver raised a non-fault error: {e}"),
         }
     }
 
@@ -351,7 +350,7 @@ fn main() {
             let reference = graphs::metrics::diameter(&g).expect("connected");
             let cfg = faulted_config(&g, FaultPlan::new(seed ^ 0x2EC).with_drop(drop))
                 .with_recovery(policy);
-            let (injected, outcome) = observed(|| exact_diameter_recovering(&g, cfg));
+            let (injected, outcome) = observed(|| exact_diameter(&g, cfg));
             cell.record(injected.is_some(), &outcome, reference);
         }
         recovery_cells.push(("apsp+recover".into(), plan_name.into(), cell));
@@ -369,7 +368,7 @@ fn main() {
             )
             .expect("surviving component is connected");
             let cfg = faulted_config(&g, plan).with_recovery(policy);
-            let (injected, outcome) = observed(|| exact_diameter_recovering(&g, cfg));
+            let (injected, outcome) = observed(|| exact_diameter(&g, cfg));
             cell.record(injected.is_some(), &outcome, reference);
         }
         recovery_cells.push((

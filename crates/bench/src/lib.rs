@@ -56,9 +56,10 @@ pub fn faults() -> Option<congest::FaultPlan> {
 /// (default: passive — detect faults, heal nothing). The spec grammar is
 /// [`congest::RecoveryPolicy::parse`]'s, so `QD_RECOVER=1` selects the
 /// standard self-healing policy and e.g.
-/// `QD_FAULTS=drop=0.005,seed=7 QD_RECOVER=retry=3,partial cargo run
-/// --release --bin fault_matrix` measures recovery cost under 0.5%
-/// message loss.
+/// `QD_FAULTS=drop=0.001,seed=5 QD_RECOVER=standard cargo run --release
+/// --bin table1_exact` reruns the Table 1 exact sweep healed under 0.1%
+/// message loss (through n = 512; beyond that a uniform drop rate spends
+/// the retries). `fault_matrix` fixes its own policy and ignores this one.
 ///
 /// # Panics
 ///

@@ -22,7 +22,7 @@ use crate::bfs;
 use crate::dfs_walk;
 use crate::error::AlgoError;
 use crate::leader;
-use crate::recovery::checkpointed_waves;
+use crate::recovery::{checkpointed_waves, heal, Healed, RetryScope, SurvivingComponent};
 use crate::tree_view::TreeView;
 use crate::waves;
 
@@ -39,8 +39,23 @@ pub struct ExactDiameterOutcome {
     pub eccentricities: Vec<Dist>,
     /// The elected leader that learned the answer.
     pub leader: NodeId,
-    /// Per-phase round/bit accounting.
+    /// Per-phase round/bit accounting, after the derived spans of any
+    /// discarded attempts (see [`heal`]).
     pub ledger: RoundsLedger,
+    /// Retries, restarts, retransmissions, re-roots and the work wasted
+    /// by discarded attempts; [`RecoveryStats::is_clean`] when the run
+    /// needed no healing.
+    pub recovery: RecoveryStats,
+    /// `Some` when crash-stops forced a re-root: the answer then refers
+    /// to this component, and the leader and eccentricities are indexed
+    /// by its component-local ids.
+    pub surviving: Option<SurvivingComponent>,
+}
+
+impl Healed for ExactDiameterOutcome {
+    fn healing(&mut self) -> (&mut RecoveryStats, &mut Option<SurvivingComponent>) {
+        (&mut self.recovery, &mut self.surviving)
+    }
 }
 
 impl ExactDiameterOutcome {
@@ -72,12 +87,28 @@ pub fn predicted_rounds(n: u64, depth: u64) -> u64 {
     election + bfs + dfs + waves + convergecast
 }
 
-/// Computes the exact diameter in `O(n)` rounds.
+/// The driver's whole-pipeline retries.
+const PIPELINE: RetryScope = RetryScope {
+    scope: 0xA11,
+    label: "classical-apsp",
+};
+
+/// Computes the exact diameter in `O(n)` rounds, healing detected faults
+/// per [`Config::recovery`].
+///
+/// With the passive [`RecoveryPolicy`](congest::RecoveryPolicy) (the
+/// default) the driver is fail-stop: the first detected fault is the
+/// answer. With [`RecoveryPolicy::standard`](congest::RecoveryPolicy::standard)
+/// it retries under reseeded fault plans, retransmits tree messages,
+/// restarts dropped waves from checkpoint boundaries, and — when the plan
+/// crash-stops nodes — returns the diameter of the largest surviving
+/// component instead of [`AlgoError::FaultDetected`].
 ///
 /// # Errors
 ///
 /// Returns [`AlgoError::Disconnected`] on disconnected graphs (the diameter
-/// is infinite), or a wrapped simulator error.
+/// is infinite), [`AlgoError::FaultDetected`] when every permitted
+/// recovery avenue is exhausted, or a wrapped simulator error.
 ///
 /// # Example
 ///
@@ -91,9 +122,36 @@ pub fn predicted_rounds(n: u64, depth: u64) -> u64 {
 /// assert_eq!(out.diameter, 6);
 /// # Ok::<(), classical::AlgoError>(())
 /// ```
+///
+/// Node 9 of a 10-path crash-stops at round 0. Under the passive policy
+/// the driver aborts; under the standard one it re-roots onto the
+/// surviving 9-path:
+///
+/// ```
+/// use classical::apsp;
+/// use congest::{Config, FaultPlan, RecoveryPolicy};
+/// use graphs::generators;
+///
+/// let g = generators::path(10);
+/// let cfg = Config::for_graph(&g).with_faults(FaultPlan::new(7).with_crash(9, 0));
+/// assert!(apsp::exact_diameter(&g, cfg).is_err());
+/// let out = apsp::exact_diameter(&g, cfg.with_recovery(RecoveryPolicy::standard()))?;
+/// assert_eq!(out.diameter, 8);
+/// assert_eq!(out.surviving.unwrap().excluded, 1);
+/// assert_eq!(out.recovery.reroots, 1);
+/// # Ok::<(), classical::AlgoError>(())
+/// ```
 pub fn exact_diameter(graph: &Graph, config: Config) -> Result<ExactDiameterOutcome, AlgoError> {
     let _driver_span = metrics::span("classical-apsp");
-    pipeline(graph, config, 0, &mut RecoveryStats::default()).map_err(|(e, _)| e)
+    let checkpoint = config.recovery().checkpoint();
+    let healable = |e: &AlgoError| matches!(e, AlgoError::FaultDetected { .. });
+    let (mut out, ledger) = heal(graph, config, PIPELINE, healable, |g, cfg, stats| {
+        let mut run = pipeline(g, cfg, checkpoint, stats)?;
+        let phases = std::mem::take(&mut run.ledger);
+        Ok((run, phases))
+    })?;
+    out.ledger = ledger;
+    Ok(out)
 }
 
 /// A failed pipeline run: the error, and the work the run threw away.
@@ -142,16 +200,14 @@ pub(crate) fn rounds_only(rounds: u64) -> RunStats {
     }
 }
 
-/// The one leader → BFS → DFS → waves → convergecast pipeline, behind
-/// [`exact_diameter`] and [`exact_diameter_recovering`].
+/// One attempt of [`exact_diameter`]: leader → BFS → DFS → waves →
+/// convergecast.
 ///
 /// `checkpoint` is the wave segment length of
 /// [`RecoveryPolicy::checkpoint`](congest::RecoveryPolicy::checkpoint)
-/// (0: one monolithic wave schedule, as the fail-stop driver runs it).
+/// (0, as under the passive policy: one monolithic wave schedule).
 /// Retransmissions and segment restarts fold into `recovery`.
-///
-/// [`exact_diameter_recovering`]: crate::recovery::exact_diameter_recovering
-pub(crate) fn pipeline(
+fn pipeline(
     graph: &Graph,
     config: Config,
     checkpoint: u32,
@@ -184,6 +240,8 @@ pub(crate) fn pipeline(
             eccentricities: vec![0],
             leader: elect.leader,
             ledger: run.ledger,
+            recovery: RecoveryStats::default(),
+            surviving: None,
         });
     }
 
@@ -232,6 +290,8 @@ pub(crate) fn pipeline(
         eccentricities: max_dist,
         leader: elect.leader,
         ledger: run.ledger,
+        recovery: RecoveryStats::default(),
+        surviving: None,
     })
 }
 

@@ -25,10 +25,11 @@
 //! * [`hprw`] — the classical `3/2`-approximation of Holzer–Peleg–Roditty–
 //!   Wattenhofer (DISC 2014) in `Õ(√n + D)` rounds: **Table 1, row 3,
 //!   classical column**, and the preparation phase of the paper's Figure 3.
-//! * [`recovery`] — the self-healing exact-diameter driver: bounded
-//!   reseeded retries, tree-message retransmission, wave
-//!   checkpoint/restart, and partial-network semantics for crash-stops,
-//!   all governed by [`congest::RecoveryPolicy`].
+//! * [`recovery`] — how the diameter drivers heal under the
+//!   [`congest::RecoveryPolicy`] their `Config` carries: bounded reseeded
+//!   retries and partial-network re-roots ([`recovery::heal`]), and the
+//!   wave checkpoint/restart of [`apsp::exact_diameter`]; the BFS and
+//!   convergecast protocols retransmit on their own.
 //!
 //! Every driver returns both its *answer* and the [`congest::RunStats`] of
 //! the run, because round counts are the quantity the paper is about.

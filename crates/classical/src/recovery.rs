@@ -1,18 +1,21 @@
-//! Self-healing Table 1 drivers: the classical exact diameter on top of
-//! [`apsp`], and [`heal`], the one retry loop of every recovering driver.
+//! Self-healing for the Table 1 drivers: [`heal`], the one retry loop of
+//! every driver that heals, and the classical driver's wave
+//! checkpoint/restart.
 //!
-//! [`apsp::exact_diameter`] is *fail-stop*: under an injected
-//! [`FaultPlan`] it degrades to a typed [`AlgoError::FaultDetected`] the
-//! moment a protocol invariant breaks. [`exact_diameter_recovering`] runs
-//! the same pipeline but consults the [`RecoveryPolicy`] carried by the
-//! [`Config`] and heals instead of aborting, with three mechanisms:
+//! Four drivers heal under whatever [`RecoveryPolicy`] their [`Config`]
+//! carries: [`apsp::exact_diameter`](crate::apsp::exact_diameter) here, and
+//! Theorem 1, Section 3.1 and Theorem 4 in `diameter_quantum`. Under the
+//! passive default they are *fail-stop*: an injected [`FaultPlan`] that
+//! breaks a protocol invariant surfaces as a typed
+//! [`AlgoError::FaultDetected`]. Under an active policy they heal instead,
+//! with three mechanisms:
 //!
 //! 1. **Retry** — bounded re-execution of the whole pipeline under a
 //!    freshly [reseeded](reseed) fault plan ([`RecoveryPolicy::retries`]).
 //! 2. **Retransmit + checkpoint/restart** — tree protocols (BFS claims,
 //!    convergecast reports) repeat their idempotent messages
-//!    ([`RecoveryPolicy::retransmit`]), and the wave schedule is split
-//!    into DFS-contiguous segments of at most
+//!    ([`RecoveryPolicy::retransmit`]), and the classical driver splits
+//!    its wave schedule into DFS-contiguous segments of at most
 //!    [`RecoveryPolicy::checkpoint`] sources, so a dropped wave restarts
 //!    from the last completed segment boundary — never from round 0.
 //!    Rebasing a contiguous `τ'` block by its minimum preserves Lemma 2
@@ -23,11 +26,10 @@
 //!    surviving connected component and returns *its* diameter, rather
 //!    than aborting the whole computation.
 //!
-//! Retry and re-root live in [`heal`], which the quantum drivers
-//! (`diameter_quantum::recovery`) run too; each driver hands it only a
-//! [`RetryScope`], its triage and one attempt. All return a
-//! [`Recovered<T>`](Recovered): the run, its [`RecoveryStats`] and the
-//! surviving component, if any.
+//! Retry and re-root live in [`heal`]; each driver hands it only a
+//! [`RetryScope`], its triage and one attempt. Each driver's outcome is
+//! [`Healed`]: it carries the run's [`RecoveryStats`] and the surviving
+//! component, if any.
 //!
 //! Every discarded attempt or segment try is charged one way: to
 //! [`RecoveryStats`], the `qd_recovery_wasted_*` counters and a *derived*
@@ -60,7 +62,7 @@ use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats, RoundsLedger, Ru
 use graphs::{Dist, Graph, NodeId};
 use trace::RecoveryAction::{Reroot, Restart, Retry};
 
-use crate::apsp::{self, rounds_only, ExactDiameterOutcome, Failed, Progress};
+use crate::apsp::{rounds_only, Failed, Progress};
 use crate::error::AlgoError;
 use crate::waves;
 
@@ -69,19 +71,12 @@ const SCOPE_SEGMENT: u64 = 0x5E6_0000;
 /// Reseed scope for the partial-network sub-run.
 const SCOPE_PARTIAL: u64 = 0xFA27;
 
-/// The classical driver's whole-pipeline retries.
-const PIPELINE: RetryScope = RetryScope {
-    scope: 0xA11,
-    label: "classical-apsp",
-    span: Some("classical-apsp-recover"),
-};
-
 /// The surviving connected component a partial-network run re-rooted to.
 ///
-/// When crash-stops disconnect or silence part of the network, the
-/// recovering driver computes the diameter of the largest surviving
-/// component. The sub-run's outcome (leader, eccentricities) is indexed
-/// by *component-local* ids; `nodes` is the translation table back to the
+/// When crash-stops disconnect or silence part of the network, a healing
+/// driver computes the diameter of the largest surviving component. The
+/// sub-run's outcome (leader, eccentricities) is indexed by
+/// *component-local* ids; `nodes` is the translation table back to the
 /// original graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SurvivingComponent {
@@ -93,25 +88,14 @@ pub struct SurvivingComponent {
     pub excluded: usize,
 }
 
-/// A recovered run: a driver's result plus what healing it cost.
-///
-/// The one result shape of every recovering driver: this module's
-/// [`exact_diameter_recovering`] returns `Recovered<ExactDiameterOutcome>`,
-/// and the quantum drivers' recovery wrappers return the same type around
-/// their own runs.
-#[derive(Clone, Debug)]
-pub struct Recovered<T> {
-    /// The successful run. When [`surviving`](Self::surviving) is `Some`,
-    /// its node indices (leader, eccentricities) are component-local (see
-    /// [`SurvivingComponent::nodes`]).
-    pub run: T,
-    /// Retries, restarts, retransmissions, re-roots, and the work wasted
-    /// by discarded attempts. [`RecoveryStats::is_clean`] means the run
-    /// needed no healing at all.
-    pub recovery: RecoveryStats,
-    /// `Some` when crash-stops forced partial-network semantics; the
-    /// answer then refers to the surviving component, not the full graph.
-    pub surviving: Option<SurvivingComponent>,
+/// The outcome of a driver that [`heal`]s: it carries what healing cost.
+pub trait Healed {
+    /// The outcome's `recovery` and `surviving` fields: the retries,
+    /// restarts, retransmissions, re-roots and wasted work
+    /// ([`RecoveryStats::is_clean`] when the run needed no healing), and
+    /// `Some` component when crash-stops forced a re-root — the answer and
+    /// its node indices then refer to that component.
+    fn healing(&mut self) -> (&mut RecoveryStats, &mut Option<SurvivingComponent>);
 }
 
 /// How one driver's whole-pipeline retries are seeded and named.
@@ -122,67 +106,13 @@ pub struct RetryScope {
     pub scope: u64,
     /// Scope of the driver's [`Retry`] events.
     pub label: &'static str,
-    /// Profiler span around the loop, if the driver has one; a re-rooted
-    /// run nests a second one inside it.
-    pub span: Option<&'static str>,
 }
 
-/// One attempt of a recovering driver, as [`heal`] takes it: the run and
-/// its phase ledger, or the error and the work it threw away.
+/// One attempt of a healing driver, as [`heal`] takes it: the run and its
+/// phase ledger, or the error and the work it threw away.
 pub type Attempt<T, E> = Result<(T, RoundsLedger), (E, RunStats)>;
 
-/// Computes the exact diameter like [`apsp::exact_diameter`], but heals
-/// detected faults according to [`Config::recovery`].
-///
-/// With a passive [`RecoveryPolicy`] (the default) this is byte-identical
-/// to the fail-stop driver. With [`RecoveryPolicy::standard`] it retries
-/// under reseeded fault plans, retransmits tree messages, restarts dropped
-/// waves from checkpoint boundaries, and — when the plan crash-stops
-/// nodes — returns the diameter of the largest surviving component
-/// instead of [`AlgoError::FaultDetected`].
-///
-/// # Errors
-///
-/// [`AlgoError::FaultDetected`] when every permitted recovery avenue is
-/// exhausted; [`AlgoError::Disconnected`] / [`AlgoError::InvalidParameter`]
-/// exactly as the fail-stop driver.
-///
-/// # Example
-///
-/// Node 9 of a 10-path crash-stops at round 0. The fail-stop driver
-/// aborts; the recovering driver re-roots onto the surviving 9-path:
-///
-/// ```
-/// use classical::recovery;
-/// use congest::{Config, FaultPlan, RecoveryPolicy};
-/// use graphs::generators;
-///
-/// let g = generators::path(10);
-/// let cfg = Config::for_graph(&g)
-///     .with_faults(FaultPlan::new(7).with_crash(9, 0))
-///     .with_recovery(RecoveryPolicy::standard());
-/// let out = recovery::exact_diameter_recovering(&g, cfg)?;
-/// assert_eq!(out.run.diameter, 8);
-/// assert_eq!(out.surviving.unwrap().excluded, 1);
-/// assert_eq!(out.recovery.reroots, 1);
-/// # Ok::<(), classical::AlgoError>(())
-/// ```
-pub fn exact_diameter_recovering(
-    graph: &Graph,
-    config: Config,
-) -> Result<Recovered<ExactDiameterOutcome>, AlgoError> {
-    let checkpoint = config.recovery().checkpoint();
-    let healable = |e: &AlgoError| matches!(e, AlgoError::FaultDetected { .. });
-    let (mut out, ledger) = heal(graph, config, PIPELINE, healable, |g, cfg, stats| {
-        let mut run = apsp::pipeline(g, cfg, checkpoint, stats)?;
-        let phases = std::mem::take(&mut run.ledger);
-        Ok((run, phases))
-    })?;
-    out.run.ledger = ledger;
-    Ok(out)
-}
-
-/// The one whole-pipeline retry loop of the recovering drivers.
+/// The one whole-pipeline retry loop of the healing drivers.
 ///
 /// Runs `attempt` under `config`. Under a fault plan, a failure that
 /// `healable` accepts is healed by
@@ -197,32 +127,38 @@ pub fn exact_diameter_recovering(
 /// `attempt` folds its own healing (retransmissions, restarts) into the
 /// stats it is handed, and returns its run with the run's phase ledger,
 /// or its error with the [`RunStats`] it threw away. Each discarded
-/// attempt is charged as a derived `wasted attempt k` span; the returned
-/// ledger holds those spans, then the answering run's phases (prefixed
-/// `surviving: ` after a re-root).
+/// attempt is charged as a derived `wasted attempt k` span. When the
+/// first attempt answers, its ledger comes back as it is; otherwise the
+/// returned ledger holds the wasted spans, then the answering run's
+/// phases (prefixed `surviving: ` after a re-root). The run's
+/// [`Healed`] fields say what healing cost; under the passive policy
+/// they stay clean and an error is the first attempt's.
 ///
 /// # Errors
 ///
 /// The last attempt's error when it is not healable or the retries are
 /// spent; [`AlgoError::FaultDetected`] when every node crash-stops.
-pub fn heal<T, E: From<AlgoError>>(
+pub fn heal<T: Healed, E: From<AlgoError>>(
     graph: &Graph,
     config: Config,
     scope: RetryScope,
     healable: fn(&E) -> bool,
     mut attempt: impl FnMut(&Graph, Config, &mut RecoveryStats) -> Attempt<T, E>,
-) -> Result<(Recovered<T>, RoundsLedger), E> {
-    let _span = scope.span.map(metrics::span);
+) -> Result<(T, RoundsLedger), E> {
     let policy: RecoveryPolicy = config.recovery();
     let plan = config.faults();
     let mut recovery = RecoveryStats::default();
     let mut ledger = RoundsLedger::new();
     let mut k = 0;
-    let (run, surviving) = loop {
+    loop {
         let (err, wasted) = match attempt(graph, reseeded(config, k, scope.scope), &mut recovery) {
-            Ok((run, phases)) => {
-                ledger.extend_prefixed("", &phases);
-                break (run, None);
+            Ok((mut run, mut phases)) => {
+                *run.healing().0 = recovery;
+                if !ledger.is_empty() {
+                    ledger.extend_prefixed("", &phases);
+                    phases = ledger;
+                }
+                return Ok((run, phases));
             }
             Err(failed) => failed,
         };
@@ -245,23 +181,18 @@ pub fn heal<T, E: From<AlgoError>>(
             // The carved plan has no crashes, so the sub-run can still
             // retry and checkpoint but never re-roots again.
             let sub_config = config.with_faults(carve.plan);
-            let (sub, phases) = heal(&carve.graph, sub_config, scope, healable, attempt)?;
-            recovery.absorb(&sub.recovery);
+            let (mut run, phases) = heal(&carve.graph, sub_config, scope, healable, attempt)?;
+            let (stats, surviving) = run.healing();
+            recovery.absorb(stats);
+            *stats = recovery;
+            *surviving = Some(carve.component);
             ledger.extend_prefixed("surviving: ", &phases);
-            break (sub.run, Some(carve.component));
+            return Ok((run, ledger));
         }
         k += 1;
         recovery.retries += 1;
         note_recovery(Retry, u64::from(k), scope.label, wasted.rounds, 1);
-    };
-    Ok((
-        Recovered {
-            run,
-            recovery,
-            surviving,
-        },
-        ledger,
-    ))
+    }
 }
 
 /// `config` with its fault plan reseeded for try `k` in `scope`; try 0
@@ -346,8 +277,7 @@ pub(crate) fn checkpointed_waves(
 
 /// A carved surviving subgraph, ready for a partial-network re-root.
 ///
-/// Produced by [`carve_survivors`]; consumed by the recovering drivers
-/// here and in the quantum layer.
+/// Produced by [`carve_survivors`]; consumed by [`heal`]'s re-root.
 #[derive(Clone, Debug)]
 pub struct SurvivorCarve {
     /// The largest surviving connected component, renumbered to
@@ -455,19 +385,19 @@ fn largest_component(graph: &Graph, dead: &[bool]) -> Option<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apsp::{self, ExactDiameterOutcome};
     use congest::RecoveryPolicy;
     use graphs::{generators, metrics as gmetrics};
 
     #[test]
-    fn passive_policy_matches_fail_stop_driver() {
+    fn passive_policy_is_the_fail_stop_pipeline() {
         for seed in 0..3 {
             let g = generators::random_connected(30, 0.12, seed);
             let cfg = Config::for_graph(&g);
-            let plain = apsp::exact_diameter(&g, cfg).unwrap();
-            let out = exact_diameter_recovering(&g, cfg).unwrap();
-            assert_eq!(out.run.diameter, plain.diameter);
-            assert_eq!(out.run.radius, plain.radius);
-            assert_eq!(out.run.eccentricities, plain.eccentricities);
+            let out = apsp::exact_diameter(&g, cfg).unwrap();
+            assert_eq!(out.diameter, gmetrics::diameter(&g).unwrap());
+            assert_eq!(Some(out.radius), gmetrics::radius(&g));
+            assert_eq!(out.eccentricities, gmetrics::eccentricities(&g).unwrap());
             assert!(out.recovery.is_clean());
             assert!(out.surviving.is_none());
             let labels = ledger_labels(&out);
@@ -485,20 +415,17 @@ mod tests {
         }
     }
 
-    fn ledger_labels(out: &Recovered<ExactDiameterOutcome>) -> Vec<&str> {
-        out.run.ledger.phases().map(|(l, _, _)| l).collect()
+    fn ledger_labels(out: &ExactDiameterOutcome) -> Vec<&str> {
+        out.ledger.phases().map(|(l, _, _)| l).collect()
     }
 
     #[test]
     fn checkpointed_clean_run_matches_reference() {
         let g = generators::random_connected(28, 0.12, 2);
         let cfg = Config::for_graph(&g).with_recovery(RecoveryPolicy::new().with_checkpoint(5));
-        let out = exact_diameter_recovering(&g, cfg).unwrap();
-        assert_eq!(out.run.diameter, gmetrics::diameter(&g).unwrap());
-        assert_eq!(
-            out.run.eccentricities,
-            gmetrics::eccentricities(&g).unwrap()
-        );
+        let out = apsp::exact_diameter(&g, cfg).unwrap();
+        assert_eq!(out.diameter, gmetrics::diameter(&g).unwrap());
+        assert_eq!(out.eccentricities, gmetrics::eccentricities(&g).unwrap());
         assert!(out.recovery.is_clean());
         // 28 sources in segments of 5 → 6 segment spans, no monolithic one.
         let labels = ledger_labels(&out);
@@ -512,15 +439,12 @@ mod tests {
         // Crashing an interior path node splits the survivors in two; the
         // driver must pick the larger piece.
         let g = generators::path(12);
-        let plan = FaultPlan::new(3).with_crash(4, 0);
-        let cfg = Config::for_graph(&g)
-            .with_faults(plan)
-            .with_recovery(RecoveryPolicy::standard());
+        let cfg = Config::for_graph(&g).with_faults(FaultPlan::new(3).with_crash(4, 0));
         assert!(matches!(
             apsp::exact_diameter(&g, cfg),
             Err(AlgoError::FaultDetected { .. })
         ));
-        let out = exact_diameter_recovering(&g, cfg).unwrap();
+        let out = apsp::exact_diameter(&g, cfg.with_recovery(RecoveryPolicy::standard())).unwrap();
         let surviving = out.surviving.unwrap();
         // Survivors split into {0..3} and {5..11}; the larger wins.
         assert_eq!(
@@ -528,7 +452,7 @@ mod tests {
             (5..12).map(NodeId::new).collect::<Vec<_>>()
         );
         assert_eq!(surviving.excluded, 5);
-        assert_eq!(out.run.diameter, 6);
+        assert_eq!(out.diameter, 6);
         assert_eq!(out.recovery.reroots, 1);
         assert!(out.recovery.wasted_rounds > 0, "the aborted attempt costs");
     }
@@ -540,7 +464,7 @@ mod tests {
             .with_faults(FaultPlan::new(3).with_crash(4, 0))
             .with_recovery(RecoveryPolicy::standard().with_partial(false));
         assert!(matches!(
-            exact_diameter_recovering(&g, cfg),
+            apsp::exact_diameter(&g, cfg),
             Err(AlgoError::FaultDetected { .. })
         ));
     }
@@ -562,8 +486,8 @@ mod tests {
             if apsp::exact_diameter(&g, cfg).is_ok() {
                 continue;
             }
-            if let Ok(out) = exact_diameter_recovering(&g, cfg.with_recovery(policy)) {
-                assert_eq!(out.run.diameter, reference, "seed {seed}");
+            if let Ok(out) = apsp::exact_diameter(&g, cfg.with_recovery(policy)) {
+                assert_eq!(out.diameter, reference, "seed {seed}");
                 assert!(!out.recovery.is_clean(), "seed {seed} must have healed");
                 healed += 1;
             }
@@ -582,7 +506,7 @@ mod tests {
         let out = {
             let _t = trace::install(recorder.clone());
             let _m = metrics::install(registry.clone());
-            exact_diameter_recovering(&g, cfg).unwrap()
+            apsp::exact_diameter(&g, cfg).unwrap()
         };
         assert_eq!(out.recovery.reroots, 1);
         let events = recorder.borrow_mut().take();

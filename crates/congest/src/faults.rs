@@ -181,11 +181,6 @@ impl FaultPlan {
         &self.crashes
     }
 
-    /// The scheduled link failures.
-    pub fn link_failures(&self) -> &[LinkFailure] {
-        &self.links
-    }
-
     /// True when the undirected link `{a, b}` is scheduled down in `round`.
     pub fn link_down(&self, round: Round, a: usize, b: usize) -> bool {
         let (u, v) = (a.min(b), a.max(b));

@@ -79,12 +79,6 @@ impl Config {
         self
     }
 
-    /// Replaces the bandwidth budget.
-    pub fn with_bandwidth_bits(mut self, bits: usize) -> Self {
-        self.bandwidth_bits = bits;
-        self
-    }
-
     /// The per-edge per-round budget in bits.
     pub fn bandwidth_bits(&self) -> usize {
         self.bandwidth_bits
@@ -128,8 +122,11 @@ impl Config {
     /// Attaches a [`RecoveryPolicy`] telling drivers what they may do when
     /// a fault is detected: bounded reseeded retries, tree-protocol
     /// retransmission, wave checkpoint/restart, and partial-network
-    /// semantics for crash-stops. The passive default recovers nothing, so
-    /// detect-only runs stay byte-identical to earlier builds.
+    /// semantics for crash-stops. The four diameter drivers (the classical
+    /// exact baseline, Theorem 1, Section 3.1 and Theorem 4) heal under
+    /// whatever policy their `Config` carries; the BFS and convergecast
+    /// protocols read its retransmit count wherever they run. The passive
+    /// default recovers nothing, so detect-only runs are fail-stop.
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
         self
@@ -138,11 +135,6 @@ impl Config {
     /// The attached recovery policy (passive by default).
     pub fn recovery(&self) -> RecoveryPolicy {
         self.recovery
-    }
-
-    /// True when a non-passive recovery policy is attached.
-    pub fn has_recovery(&self) -> bool {
-        !self.recovery.is_passive()
     }
 
     /// Enables the critical-path profiler: the scheduler maintains a

@@ -26,8 +26,9 @@
 //! and the windowed Evaluation that verifies it.
 
 use classical::hprw::{self, HprwParams};
+use classical::recovery::{Healed, SurvivingComponent};
 use classical::{bfs, leader};
-use congest::{Config, RoundsLedger};
+use congest::{Config, RecoveryStats, RoundsLedger};
 use graphs::traversal::Bfs;
 use graphs::tree::{EulerTour, RootedTree};
 use graphs::{Dist, Graph, NodeId};
@@ -36,7 +37,7 @@ use quantum::{MaximizeParams, OracleCost};
 use crate::dfs_window::Windows;
 use crate::evaluation;
 use crate::framework::{self, DistributedOracle, Found, Instance, MemoryEstimate};
-use crate::QdError;
+use crate::{recovery, QdError};
 
 /// Parameters of the quantum approximation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,6 +105,11 @@ pub struct ApproxRun {
     pub memory: MemoryEstimate,
     /// Whether the optimization hit its resource cap.
     pub aborted: bool,
+    /// What healing the run cost; clean when it needed none.
+    pub recovery: RecoveryStats,
+    /// `Some` when crash-stops forced a re-root: the estimate then refers
+    /// to this component, and the node ids to its component-local ones.
+    pub surviving: Option<SurvivingComponent>,
 }
 
 impl ApproxRun {
@@ -133,7 +139,15 @@ impl ApproxRun {
             oracle_schedule: found.schedule,
             memory,
             aborted: found.opt.aborted,
+            recovery: RecoveryStats::default(),
+            surviving: None,
         }
+    }
+}
+
+impl Healed for ApproxRun {
+    fn healing(&mut self) -> (&mut RecoveryStats, &mut Option<SurvivingComponent>) {
+        (&mut self.recovery, &mut self.surviving)
     }
 }
 
@@ -148,7 +162,9 @@ pub fn paper_cluster_size(n: usize, d: Dist) -> usize {
 }
 
 /// Computes a `3/2`-approximation of the diameter with the
-/// `Õ(∛(nD) + D)`-round quantum algorithm of Theorem 4.
+/// `Õ(∛(nD) + D)`-round quantum algorithm of Theorem 4, healing detected
+/// faults per [`Config::recovery`]. After a re-root the estimate refers
+/// to the surviving component.
 ///
 /// # Errors
 ///
@@ -170,6 +186,13 @@ pub fn paper_cluster_size(n: usize, d: Dist) -> usize {
 /// # Ok::<(), diameter_quantum::QdError>(())
 /// ```
 pub fn diameter(graph: &Graph, params: ApproxParams, config: Config) -> Result<ApproxRun, QdError> {
+    recovery::healed(graph, config, recovery::APPROX, |g, c| {
+        attempt(g, params, c)
+    })
+}
+
+/// One attempt of [`diameter`].
+fn attempt(graph: &Graph, params: ApproxParams, config: Config) -> Result<ApproxRun, QdError> {
     let n = framework::nodes(graph)?;
     let _driver_span = ::metrics::span("approx");
     let prep_span = ::metrics::span("prep");

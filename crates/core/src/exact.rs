@@ -25,8 +25,9 @@
 //! algorithm of Section 3.1 ([`exact_simple`](crate::exact_simple)).
 
 use classical::bfs::{self, BfsOutcome};
+use classical::recovery::{Healed, SurvivingComponent};
 use classical::{leader, TreeView};
-use congest::{Config, RoundsLedger};
+use congest::{Config, RecoveryStats, RoundsLedger};
 use graphs::tree::{EulerTour, RootedTree};
 use graphs::{metrics, Dist, Graph, NodeId};
 use quantum::{MaximizeParams, OracleCost};
@@ -34,7 +35,7 @@ use quantum::{MaximizeParams, OracleCost};
 use crate::dfs_window::Windows;
 use crate::evaluation;
 use crate::framework::{self, DistributedOracle, Found, Instance, MemoryEstimate};
-use crate::QdError;
+use crate::{recovery, QdError};
 
 /// Parameters of the exact quantum algorithm.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -123,6 +124,11 @@ pub struct DiameterRun {
     pub memory: MemoryEstimate,
     /// Whether the optimization hit its worst-case resource cap.
     pub aborted: bool,
+    /// What healing the run cost; clean when it needed none.
+    pub recovery: RecoveryStats,
+    /// `Some` when crash-stops forced a re-root: the answer then refers
+    /// to this component, and the node ids to its component-local ones.
+    pub surviving: Option<SurvivingComponent>,
 }
 
 impl DiameterRun {
@@ -132,21 +138,35 @@ impl DiameterRun {
     }
 }
 
+impl Healed for DiameterRun {
+    fn healing(&mut self) -> (&mut RecoveryStats, &mut Option<SurvivingComponent>) {
+        (&mut self.recovery, &mut self.surviving)
+    }
+}
+
 /// Computes the exact diameter with the `O(√(nD))`-round algorithm of
-/// Theorem 1.
+/// Theorem 1, healing detected faults per [`Config::recovery`] (see
+/// [`recovery`]).
 ///
 /// # Errors
 ///
-/// Returns [`QdError::Classical`] on disconnected graphs or simulator
-/// failures, and [`QdError::VerificationFailed`] if the distributed
-/// Evaluation disagrees with the closed form (a bug, never expected).
+/// Returns [`QdError::Classical`] on disconnected graphs, simulator
+/// failures or faults no permitted recovery heals, and
+/// [`QdError::VerificationFailed`] if the distributed Evaluation disagrees
+/// with the closed form (a bug in a fault-free run).
 ///
-/// See the [crate-level example](crate).
+/// See the [crate-level example](crate), and the README for a crash
+/// healed under the standard policy.
 pub fn diameter(
     graph: &Graph,
     params: ExactParams,
     config: Config,
 ) -> Result<DiameterRun, QdError> {
+    recovery::healed(graph, config, recovery::EXACT, |g, c| attempt(g, params, c))
+}
+
+/// One attempt of [`diameter`].
+fn attempt(graph: &Graph, params: ExactParams, config: Config) -> Result<DiameterRun, QdError> {
     let n = graph.len() as f64;
     let mass = |d: Dist| f64::from(d).max(1.0) / (2.0 * n);
     run(graph, config, "exact", mass, |b, eccs| {
@@ -221,6 +241,8 @@ pub(crate) fn run(
         oracle_schedule: found.schedule,
         memory,
         aborted: found.opt.aborted,
+        recovery: RecoveryStats::default(),
+        surviving: None,
     })
 }
 

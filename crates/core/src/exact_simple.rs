@@ -26,7 +26,7 @@ use graphs::{Dist, Graph, NodeId};
 
 use crate::exact::{self, DiameterRun, ExactParams};
 use crate::framework::DistributedOracle;
-use crate::QdError;
+use crate::{recovery, QdError};
 
 /// The padded round schedule of one *forward* Proposition-3 Evaluation: a
 /// BFS from `u₀` (worst case `2d + 2` rounds) plus a convergecast (worst
@@ -38,7 +38,7 @@ pub fn simple_schedule_rounds(d: Dist) -> u64 {
 }
 
 /// Computes the exact diameter with the `O(√n · D)`-round algorithm of
-/// Section 3.1.
+/// Section 3.1, healing detected faults per [`Config::recovery`].
 ///
 /// # Errors
 ///
@@ -61,6 +61,13 @@ pub fn diameter(
     params: ExactParams,
     config: Config,
 ) -> Result<DiameterRun, QdError> {
+    recovery::healed(graph, config, recovery::SIMPLE, |g, c| {
+        attempt(g, params, c)
+    })
+}
+
+/// One attempt of [`diameter`].
+fn attempt(graph: &Graph, params: ExactParams, config: Config) -> Result<DiameterRun, QdError> {
     let n = graph.len() as f64;
     // Branch function f(u) = ecc(u) (Equation 1). The schedule is analytic
     // (no probes): traffic constants stay zero, so the crossover engine

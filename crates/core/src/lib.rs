@@ -25,10 +25,9 @@
 //! * [`approx`] — the `Õ(∛(nD) + D)`-round quantum `3/2`-approximation of
 //!   **Theorem 4** (Section 4, Figure 3): the classical HPRW preparation
 //!   followed by quantum optimization over the cluster `R`.
-//! * [`recovery`] — self-healing wrappers around [`exact`],
-//!   [`exact_simple`] and [`approx`]: bounded reseeded retries and
-//!   partial-network semantics for crash-stops, governed by
-//!   [`congest::RecoveryPolicy`].
+//! * [`recovery`] — how [`exact`], [`exact_simple`] and [`approx`] heal
+//!   under the [`congest::RecoveryPolicy`] their `Config` carries: bounded
+//!   reseeded retries and partial-network semantics for crash-stops.
 //!
 //! # How the quantum side is simulated
 //!

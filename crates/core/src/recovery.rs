@@ -1,23 +1,26 @@
-//! Bounded re-execution recovery for the quantum diameter drivers.
+//! How the quantum diameter drivers heal.
 //!
-//! The quantum algorithms of [`exact`], [`exact_simple`] and
-//! [`approx`] are fail-stop under an injected
-//! [`congest::FaultPlan`]: their classical substrate phases degrade to
-//! [`classical::AlgoError::FaultDetected`] (surfacing here as
+//! [`exact::diameter`](crate::exact::diameter),
+//! [`exact_simple::diameter`](crate::exact_simple::diameter) and
+//! [`approx::diameter`](crate::approx::diameter) heal detected faults
+//! under whatever [`RecoveryPolicy`](congest::RecoveryPolicy) their
+//! [`Config`] carries. Under the passive default they are fail-stop under
+//! an injected [`congest::FaultPlan`]: their classical substrate phases
+//! degrade to [`classical::AlgoError::FaultDetected`] (surfacing as
 //! [`QdError::Classical`]), and a fault-perturbed Evaluation can trip
-//! [`QdError::VerificationFailed`]. This module runs them through
-//! [`classical::recovery::heal`], the one retry loop behind
-//! [`classical::recovery::exact_diameter_recovering`] too:
+//! [`QdError::VerificationFailed`]. Each driver runs its body through
+//! [`classical::recovery::heal`], the one retry loop behind the classical
+//! driver too:
 //!
 //! * **Retry** — bounded re-execution under a freshly
 //!   [reseeded](congest::recovery::reseed) plan.
-//! * **Retransmit** — the one-shot classical substrate phases (leader
-//!   election, the BFS tree build, HPRW preparation) already consult
+//! * **Retransmit** — the BFS tree build and HPRW preparation consult
 //!   [`Config::recovery`] and repeat their idempotent messages; they
 //!   charge their own trace events and `qd_recovery_actions_total`
 //!   metrics at the source, so resends under a quantum driver are
-//!   accounted without this wrapper's involvement (they do not appear in
-//!   the wrapper's [`RecoveryStats`](congest::RecoveryStats)). The Figure 2
+//!   accounted without [`heal`]'s involvement (they do not appear in the
+//!   run's [`RecoveryStats`](congest::RecoveryStats)). Leader election
+//!   never reads the policy, so it resends nothing. The Figure 2
 //!   Evaluation strips retransmission — it is a reversible procedure run
 //!   in superposition with a fixed round schedule, where resending has no
 //!   physical meaning (see
@@ -26,10 +29,6 @@
 //!   surviving component via
 //!   [`classical::recovery::carve_survivors`] and answer for it.
 //!
-//! The wrappers return [`Recovered<T>`](Recovered), the type
-//! [`classical::recovery`] defines for its own driver (re-exported here):
-//! the run, its recovery stats and the surviving component, if any.
-//!
 //! A discarded attempt is charged like the classical driver's — recovery
 //! stats, `qd_recovery_wasted_*` counters and a derived `wasted attempt
 //! k` trace span — but its accounting is coarser: a failed quantum
@@ -37,109 +36,38 @@
 //! lower bound and wasted messages/bits stay 0. The spans reach the trace
 //! and metrics only; the runs' own ledgers do not carry them.
 
-pub use classical::recovery::Recovered;
-use classical::recovery::{heal, Attempt, RetryScope};
+use classical::recovery::{heal, Attempt, Healed, RetryScope};
 use classical::AlgoError;
 use congest::{Config, RoundsLedger, RunStats};
 use graphs::Graph;
 
-use crate::approx::{self, ApproxParams, ApproxRun};
-use crate::exact::{self, DiameterRun, ExactParams};
-use crate::{exact_simple, QdError};
+use crate::QdError;
 
 /// The exact driver's whole-run retries.
-const EXACT: RetryScope = RetryScope {
+pub(crate) const EXACT: RetryScope = RetryScope {
     scope: 0xE8AC,
     label: "quantum-exact",
-    span: None,
 };
 /// The Section 3.1 driver's whole-run retries.
-const SIMPLE: RetryScope = RetryScope {
+pub(crate) const SIMPLE: RetryScope = RetryScope {
     scope: 0x5E31,
     label: "quantum-simple",
-    span: None,
 };
 /// The approximation driver's whole-run retries.
-const APPROX: RetryScope = RetryScope {
+pub(crate) const APPROX: RetryScope = RetryScope {
     scope: 0xA990,
     label: "quantum-approx",
-    span: None,
 };
 
-/// Runs the exact `O(√(nD))` algorithm of Theorem 1, healing detected
-/// faults per [`Config::recovery`].
-///
-/// # Errors
-///
-/// As [`exact::diameter`], once every permitted recovery avenue is
-/// exhausted.
-///
-/// # Example
-///
-/// Node 9 of a 10-path crash-stops; the recovering driver answers for
-/// the surviving 9-path:
-///
-/// ```
-/// use diameter_quantum::exact::ExactParams;
-/// use diameter_quantum::recovery;
-/// use congest::{Config, FaultPlan, RecoveryPolicy};
-/// use graphs::generators;
-///
-/// let g = generators::path(10);
-/// let cfg = Config::for_graph(&g)
-///     .with_faults(FaultPlan::new(7).with_crash(9, 0))
-///     .with_recovery(RecoveryPolicy::standard());
-/// let out = recovery::exact_recovering(&g, ExactParams::new(1), cfg)?;
-/// assert_eq!(out.run.value, 8);
-/// assert_eq!(out.recovery.reroots, 1);
-/// # Ok::<(), diameter_quantum::QdError>(())
-/// ```
-pub fn exact_recovering(
+/// Runs one attempt `run` of a quantum driver through [`heal`] under
+/// `config`'s recovery policy, in `scope`.
+pub(crate) fn healed<T: Healed>(
     graph: &Graph,
-    params: ExactParams,
     config: Config,
-) -> Result<Recovered<DiameterRun>, QdError> {
-    heal(graph, config, EXACT, healable, |g, c, _| {
-        attempt(exact::diameter(g, params, c))
-    })
-    .map(|(out, _)| out)
-}
-
-/// Runs the simpler `O(√n · D)` algorithm of Section 3.1, healing
-/// detected faults per [`Config::recovery`].
-///
-/// # Errors
-///
-/// As [`exact_simple::diameter`], once every permitted recovery avenue is
-/// exhausted.
-pub fn simple_recovering(
-    graph: &Graph,
-    params: ExactParams,
-    config: Config,
-) -> Result<Recovered<DiameterRun>, QdError> {
-    heal(graph, config, SIMPLE, healable, |g, c, _| {
-        attempt(exact_simple::diameter(g, params, c))
-    })
-    .map(|(out, _)| out)
-}
-
-/// Runs the `3/2`-approximation of Theorem 4, healing detected faults
-/// per [`Config::recovery`]. With partial-network semantics the estimate
-/// refers to the surviving component.
-///
-/// # Errors
-///
-/// As [`approx::diameter`], once every permitted recovery avenue is
-/// exhausted.
-pub fn approx_recovering(
-    graph: &Graph,
-    params: ApproxParams,
-    config: Config,
-) -> Result<Recovered<ApproxRun>, QdError> {
-    heal(graph, config, APPROX, healable, |g, c, _| {
-        attempt(approx::diameter(g, params, c))
-    })
-    .map(|(out, _)| out)
+    scope: RetryScope,
+    mut run: impl FnMut(&Graph, Config) -> Result<T, QdError>,
+) -> Result<T, QdError> {
+    heal(graph, config, scope, healable, |g, c, _| attempt(run(g, c))).map(|(run, _)| run)
 }
 
 /// True when a reseeded re-execution can heal `e`: detected fault
@@ -173,18 +101,21 @@ fn attempt<T>(run: Result<T, QdError>) -> Attempt<T, QdError> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::approx::{self, ApproxParams};
+    use crate::exact::{self, ExactParams};
+    use crate::QdError;
     use classical::recovery::carve_survivors;
-    use congest::{FaultPlan, RecoveryPolicy};
+    use classical::AlgoError;
+    use congest::{Config, FaultPlan, RecoveryPolicy};
     use graphs::generators;
 
     #[test]
     fn clean_runs_pass_through_unchanged() {
         let g = generators::cycle(16);
         let cfg = Config::for_graph(&g).with_recovery(RecoveryPolicy::standard());
-        let out = exact_recovering(&g, ExactParams::new(7), cfg).unwrap();
+        let out = exact::diameter(&g, ExactParams::new(7), cfg).unwrap();
         let plain = exact::diameter(&g, ExactParams::new(7), Config::for_graph(&g)).unwrap();
-        assert_eq!(out.run.value, plain.value);
+        assert_eq!(out.value, plain.value);
         assert!(out.recovery.is_clean());
         assert!(out.surviving.is_none());
     }
@@ -192,12 +123,11 @@ mod tests {
     #[test]
     fn crash_reroots_the_exact_driver() {
         let g = generators::path(10);
-        let cfg = Config::for_graph(&g)
-            .with_faults(FaultPlan::new(7).with_crash(9, 0))
-            .with_recovery(RecoveryPolicy::standard());
+        let cfg = Config::for_graph(&g).with_faults(FaultPlan::new(7).with_crash(9, 0));
         assert!(exact::diameter(&g, ExactParams::new(1), cfg).is_err());
-        let out = exact_recovering(&g, ExactParams::new(1), cfg).unwrap();
-        assert_eq!(out.run.value, 8);
+        let cfg = cfg.with_recovery(RecoveryPolicy::standard());
+        let out = exact::diameter(&g, ExactParams::new(1), cfg).unwrap();
+        assert_eq!(out.value, 8);
         let surviving = out.surviving.unwrap();
         assert_eq!(surviving.excluded, 1);
         assert_eq!(surviving.nodes.len(), 9);
@@ -211,14 +141,14 @@ mod tests {
         let cfg = Config::for_graph(&g)
             .with_faults(FaultPlan::new(2).with_crash(19, 0))
             .with_recovery(RecoveryPolicy::standard());
-        let out = approx_recovering(&g, ApproxParams::new(3), cfg).unwrap();
+        let out = approx::diameter(&g, ApproxParams::new(3), cfg).unwrap();
         let surviving = out.surviving.unwrap();
         assert_eq!(surviving.excluded, 1);
         let sub = carve_survivors(&g, &FaultPlan::new(2).with_crash(19, 0))
             .unwrap()
             .graph;
         let d = graphs::metrics::diameter(&sub).unwrap();
-        assert!(out.run.estimate <= d && u64::from(out.run.estimate) * 3 >= u64::from(d) * 2);
+        assert!(out.estimate <= d && u64::from(out.estimate) * 3 >= u64::from(d) * 2);
     }
 
     #[test]
@@ -228,7 +158,7 @@ mod tests {
         let cfg = Config::for_graph(&g)
             .with_faults(FaultPlan::new(7).with_crash(5, 0))
             .with_recovery(RecoveryPolicy::standard().with_partial(false));
-        let err = exact_recovering(&g, ExactParams::new(1), cfg).unwrap_err();
+        let err = exact::diameter(&g, ExactParams::new(1), cfg).unwrap_err();
         assert!(matches!(
             err,
             QdError::Classical(AlgoError::FaultDetected { .. })

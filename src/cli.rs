@@ -6,11 +6,11 @@
 use std::fmt::Write as _;
 
 use classical::hprw::HprwParams;
-use classical::recovery::Recovered;
-use congest::{Config, FaultPlan, RecoveryPolicy, RoundsLedger};
+use classical::recovery::SurvivingComponent;
+use congest::{Config, FaultPlan, RecoveryPolicy, RecoveryStats, RoundsLedger};
 use diameter_quantum::approx::{self, ApproxParams};
-use diameter_quantum::exact::{DiameterRun, ExactParams};
-use diameter_quantum::{exact, exact_simple, recovery, QdError};
+use diameter_quantum::exact::ExactParams;
+use diameter_quantum::{exact, exact_simple};
 use graphs::Graph;
 
 /// Which algorithm to run.
@@ -267,10 +267,10 @@ RECOVERY:
   the last completed checkpoint segment instead of round 0
   (checkpoint=S sources), and crash-stops re-root onto the largest
   surviving connected component (partial) — the reported diameter then
-  refers to that component. Retry and partial-network semantics wrap
-  exact, simple, approx and classical; retransmission and checkpointing
-  apply wherever the substrate protocols run. Every healed run reports
-  its recovery cost (retries, restarts, retransmissions, re-roots, wasted
+  refers to that component. exact, simple, approx and classical heal
+  under the policy; classical-approx, two-approx and girth do not, and
+  reject an active policy (exit 1). Every healed run reports its
+  recovery cost (retries, restarts, retransmissions, re-roots, wasted
   rounds/messages/bits). See RECOVERY.md for the full semantics.
 
 ENVIRONMENT:
@@ -878,9 +878,13 @@ struct DriverReport {
     /// Every ledger the run simulated, each under its `--verbose` dump
     /// heading. The `scheduling:` line sums over all of them.
     ledgers: Vec<(&'static str, RoundsLedger)>,
-    /// What healing cost, when a recovering driver produced the run.
-    healed: Option<Recovered<()>>,
+    /// What healing cost and the component answered for, printed when a
+    /// recovery policy is active.
+    healed: Option<Healing>,
 }
+
+/// A healing driver's recovery stats and surviving component.
+type Healing = (RecoveryStats, Option<SurvivingComponent>);
 
 impl DriverReport {
     /// Prints the report: the recovery lines of a healed run, the answer,
@@ -890,8 +894,8 @@ impl DriverReport {
     /// executed a node program: telemetry about the scheduler, not a
     /// protocol observable.
     fn write(&self, out: &mut String, verbose: bool) {
-        if let Some(healed) = &self.healed {
-            if let Some(s) = &healed.surviving {
+        if let Some((recovery, surviving)) = &self.healed {
+            if let Some(s) = surviving {
                 let _ = writeln!(
                     out,
                     "surviving component: {} nodes ({} crashed/unreachable excluded) — \
@@ -900,7 +904,7 @@ impl DriverReport {
                     s.excluded
                 );
             }
-            let _ = writeln!(out, "recovery cost: {}", healed.recovery);
+            let _ = writeln!(out, "recovery cost: {recovery}");
         }
         out.push_str(&self.answer);
         let ledgers = self.ledgers.iter().map(|(_, l)| l);
@@ -924,40 +928,6 @@ impl DriverReport {
     }
 }
 
-/// Runs the recovering driver under an active policy and the fail-stop
-/// one otherwise. A healed run's recovery cost goes to `healed`.
-fn drive<T, E: ToString>(
-    recovering: bool,
-    healed: &mut Option<Recovered<()>>,
-    heal: impl FnOnce() -> Result<Recovered<T>, E>,
-    plain: impl FnOnce() -> Result<T, E>,
-) -> Result<T, String> {
-    if !recovering {
-        return plain().map_err(|e| e.to_string());
-    }
-    let out = heal().map_err(|e| e.to_string())?;
-    *healed = Some(Recovered {
-        run: (),
-        recovery: out.recovery,
-        surviving: out.surviving,
-    });
-    Ok(out.run)
-}
-
-/// The fail-stop and the recovering driver of a [`DiameterRun`].
-type ExactDrivers = (
-    fn(&Graph, ExactParams, Config) -> Result<DiameterRun, QdError>,
-    fn(&Graph, ExactParams, Config) -> Result<Recovered<DiameterRun>, QdError>,
-);
-
-/// The drivers of `exact` (Theorem 1) and `simple` (Section 3.1).
-fn exact_drivers(algorithm: Algorithm) -> ExactDrivers {
-    match algorithm {
-        Algorithm::Simple => (exact_simple::diameter, recovery::simple_recovering),
-        _ => (exact::diameter, recovery::exact_recovering),
-    }
-}
-
 fn run_report(opts: &Options) -> Result<String, String> {
     let g = build_graph(opts)?;
     let mut cfg = Config::for_graph(&g).with_critical_path(opts.critical_path);
@@ -974,6 +944,17 @@ fn run_report(opts: &Options) -> Result<String, String> {
     }
     let env_recover = std::env::var("QD_RECOVER").ok();
     let policy = resolve_recovery(opts.recover.as_deref(), env_recover.as_deref())?;
+    let heals = matches!(
+        opts.algorithm,
+        Algorithm::Exact | Algorithm::Simple | Algorithm::Approx | Algorithm::Classical
+    );
+    if let Some(policy) = policy.filter(|_| !heals) {
+        return Err(format!(
+            "recovery policy '{policy}': {} does not heal; only exact, simple, approx \
+             and classical do",
+            opts.algorithm.name()
+        ));
+    }
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1004,18 +985,14 @@ fn run_report(opts: &Options) -> Result<String, String> {
         Some(r) if metrics::current().is_none() => Some(metrics::install(r.clone())),
         _ => None,
     };
-    let recovering = policy.is_some();
-    let mut healed = None;
-    let (answer, ledgers) = match opts.algorithm {
+    let (answer, ledgers, healing) = match opts.algorithm {
         Algorithm::Exact | Algorithm::Simple => {
             let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
-            let (plain, heal) = exact_drivers(opts.algorithm);
-            let run = drive(
-                recovering,
-                &mut healed,
-                || heal(&g, params, cfg),
-                || plain(&g, params, cfg),
-            )?;
+            let driver = match opts.algorithm {
+                Algorithm::Simple => exact_simple::diameter,
+                _ => exact::diameter,
+            };
+            let run = driver(&g, params, cfg).map_err(|e| e.to_string())?;
             let answer = format!(
                 "diameter: {}\nrounds: {} (init {} + quantum {})\n\
                  oracle calls: {} | memory: {} qubits/node, {} at leader\n",
@@ -1035,6 +1012,7 @@ fn run_report(opts: &Options) -> Result<String, String> {
                     ("initialization ledger", run.init_ledger),
                     ("probe/verification ledger", run.probe_ledger),
                 ],
+                (run.recovery, run.surviving),
             )
         }
         Algorithm::Approx => {
@@ -1042,12 +1020,7 @@ fn run_report(opts: &Options) -> Result<String, String> {
             if let Some(s) = opts.s {
                 params = params.with_s(s);
             }
-            let run = drive(
-                recovering,
-                &mut healed,
-                || recovery::approx_recovering(&g, params, cfg),
-                || approx::diameter(&g, params, cfg),
-            )?;
+            let run = approx::diameter(&g, params, cfg).map_err(|e| e.to_string())?;
             let answer = format!(
                 "estimate D̄: {} (⌊2D/3⌋ ≤ D̄ ≤ D)\nrounds: {} (prep {} + quantum {}) | s = {}\n",
                 run.estimate,
@@ -1062,22 +1035,22 @@ fn run_report(opts: &Options) -> Result<String, String> {
                     ("preparation ledger", run.prep_ledger),
                     ("probe/verification ledger", run.probe_ledger),
                 ],
+                (run.recovery, run.surviving),
             )
         }
         Algorithm::Classical => {
-            let run = drive(
-                recovering,
-                &mut healed,
-                || classical::recovery::exact_diameter_recovering(&g, cfg),
-                || classical::apsp::exact_diameter(&g, cfg),
-            )?;
+            let run = classical::apsp::exact_diameter(&g, cfg).map_err(|e| e.to_string())?;
             let answer = format!(
                 "diameter: {} | radius: {}\nrounds: {}\n",
                 run.diameter,
                 run.radius,
                 run.rounds()
             );
-            (answer, vec![("ledger", run.ledger)])
+            (
+                answer,
+                vec![("ledger", run.ledger)],
+                (run.recovery, run.surviving),
+            )
         }
         Algorithm::ClassicalApprox => {
             let params = match opts.s {
@@ -1092,7 +1065,7 @@ fn run_report(opts: &Options) -> Result<String, String> {
                 run.rounds(),
                 run.r_size
             );
-            (answer, vec![("ledger", run.ledger)])
+            (answer, vec![("ledger", run.ledger)], Healing::default())
         }
         Algorithm::TwoApprox => {
             let run = classical::ecc::two_approx(&g, cfg).map_err(|e| e.to_string())?;
@@ -1102,7 +1075,7 @@ fn run_report(opts: &Options) -> Result<String, String> {
                 run.node,
                 run.rounds()
             );
-            (answer, vec![("ledger", run.ledger)])
+            (answer, vec![("ledger", run.ledger)], Healing::default())
         }
         Algorithm::Girth => {
             let run = classical::girth::compute(&g, cfg).map_err(|e| e.to_string())?;
@@ -1111,13 +1084,13 @@ fn run_report(opts: &Options) -> Result<String, String> {
                 |girth| girth.to_string(),
             );
             let answer = format!("girth: {girth}\nrounds: {}\n", run.rounds());
-            (answer, vec![("ledger", run.ledger)])
+            (answer, vec![("ledger", run.ledger)], Healing::default())
         }
     };
     let report = DriverReport {
         answer,
         ledgers,
-        healed,
+        healed: policy.map(|_| healing),
     };
     report.write(&mut out, opts.verbose);
     if let Some(registry) = &aux_registry {
@@ -1260,7 +1233,11 @@ mod tests {
                 }
                 algorithm => {
                     let params = ExactParams::new(opts.seed).with_failure_prob(opts.delta);
-                    let run = exact_drivers(algorithm).0(&g, params, cfg).unwrap();
+                    let run = match algorithm {
+                        Algorithm::Simple => exact_simple::diameter(&g, params, cfg),
+                        _ => exact::diameter(&g, params, cfg),
+                    }
+                    .unwrap();
                     let rounds = format!("rounds: {} (init ", run.rounds());
                     (run.init_ledger, run.probe_ledger, rounds)
                 }
@@ -1308,6 +1285,25 @@ mod tests {
             assert!(healed.contains("diameter: 8"), "{algo}: {healed}");
             assert!(healed.contains("recovery cost:"), "{algo}: {healed}");
             assert!(healed.contains("faults injected:"), "{algo}: {healed}");
+        }
+    }
+
+    /// Only exact, simple, approx and classical heal. The other drivers
+    /// reject an active policy once it is resolved (from `--recover` or
+    /// `QD_RECOVER` alike) instead of accepting one no code applies; the
+    /// passive policy is still accepted.
+    #[test]
+    fn drivers_that_do_not_heal_reject_an_active_policy() {
+        for algo in ["classical-approx", "two-approx", "girth"] {
+            let plan = format!("{algo} --family path --n 10 --seed 1 --faults crash=9@0,seed=7");
+            let err = run(&parse(&args(&format!("{plan} --recover"))).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("{algo} does not heal")), "{err}");
+            assert!(
+                err.contains("only exact, simple, approx and classical do"),
+                "{err}"
+            );
+            let off = format!("{algo} --family path --n 10 --seed 1 --recover off");
+            assert!(run(&parse(&args(&off)).unwrap()).is_ok(), "{algo}");
         }
     }
 

@@ -202,7 +202,7 @@ fn event_sourced_recorder_matches_live_charging_end_to_end() {
 /// build's first record carries; the recorder rebuilt from the run's own
 /// trace must agree, recoveries and faults columns included.
 #[test]
-fn event_sourced_recorder_matches_a_recovering_run() {
+fn event_sourced_recorder_matches_a_retransmitting_run() {
     let g = graphs::generators::random_connected(24, 0.2, 5);
     let cfg = Config::for_graph(&g)
         .with_faults(FaultPlan::new(3).with_drop(0.01))

@@ -1,5 +1,7 @@
-//! Integration tests for the self-healing drivers (`classical::recovery`
-//! and `quantum_diameter::recovery`).
+//! Integration tests for the self-healing drivers: the classical
+//! `apsp::exact_diameter` and the quantum `exact`, `exact_simple` and
+//! `approx` drivers, which heal under the policy their `Config` carries
+//! (see `classical::recovery` and `quantum_diameter::recovery`).
 //!
 //! The recovery contract extends the fault contract of
 //! `failure_injection.rs` from *correct-or-detected* to
@@ -12,16 +14,16 @@
 //!   last completed segment boundary, never from round 0.
 //! * Partial-network semantics answer for the largest surviving
 //!   component, matching a centrally carved reference.
-//! * A clean (unhealed, full-network) run is exactly as correct as the
-//!   fail-stop driver; a healed run may additionally end in typed
-//!   detection once every recovery avenue is exhausted.
+//! * A clean (unhealed, full-network) run is exactly as correct as a
+//!   fail-stop run; a healed run may additionally end in typed detection
+//!   once every recovery avenue is exhausted.
 
 use proptest::prelude::*;
 
+use classical::recovery::SurvivingComponent;
 use congest::{FaultPlan, RecoveryPolicy, RecoveryStats};
 use congest_diameter::prelude::*;
-use quantum_diameter::recovery as qrecovery;
-use quantum_diameter::QdError;
+use quantum_diameter::{approx, exact, exact_simple};
 
 /// Everything the determinism contract covers about one recovering run,
 /// in a directly comparable shape (the ledger is summarized because its
@@ -36,17 +38,16 @@ type RunKey = Result<
     String,
 >;
 
-/// Runs the recovering classical driver under a trace recorder,
-/// returning the comparable result key, the fault tally, and the full
-/// event stream.
+/// Runs the classical driver under a trace recorder, returning the
+/// comparable result key and the full event stream.
 fn recovering_run(g: &Graph, cfg: Config) -> (RunKey, Vec<trace::TraceEvent>) {
     let recorder = trace::Recorder::shared();
     let key = {
         let _guard = trace::install(recorder.clone());
-        match classical::recovery::exact_diameter_recovering(g, cfg) {
+        match classical::apsp::exact_diameter(g, cfg) {
             Ok(out) => Ok((
-                out.run.diameter,
-                out.run.eccentricities,
+                out.diameter,
+                out.eccentricities,
                 out.recovery,
                 out.surviving.map(|s| (s.nodes, s.excluded)),
             )),
@@ -67,7 +68,7 @@ fn arb_graph() -> impl Strategy<Value = graphs::Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The recovering driver — retries, retransmissions, checkpoint
+    /// The healing driver — retries, retransmissions, checkpoint
     /// restarts, partial re-roots and all — replays byte-identically,
     /// whether it heals, answers clean, or exhausts its budget into typed
     /// detection.
@@ -90,9 +91,11 @@ proptest! {
         prop_assert_eq!(&events_k, &events, "trace diverged");
     }
 
-    /// A passive policy is an identity: the recovering driver returns
-    /// exactly the fail-stop driver's answer (or error), reports clean
-    /// stats, and never claims partial semantics.
+    /// A passive policy is the fail-stop driver: one attempt (no
+    /// recovery event, no wasted span), clean stats, no partial
+    /// semantics, and an error is the first attempt's. A retry-only
+    /// policy runs that same first attempt, so it answers alike without
+    /// a retry exactly when the passive run answers.
     #[test]
     fn passive_policy_matches_the_fail_stop_driver(
         g in arb_graph(),
@@ -100,23 +103,53 @@ proptest! {
     ) {
         let cfg = Config::for_graph(&g).with_faults(FaultPlan::new(fseed).with_drop(0.004));
         prop_assert!(cfg.recovery().is_passive());
-        let healed = classical::recovery::exact_diameter_recovering(&g, cfg);
-        let failstop = classical::apsp::exact_diameter(&g, cfg);
-        match (healed, failstop) {
-            (Ok(h), Ok(f)) => {
-                prop_assert_eq!(h.run.diameter, f.diameter);
-                prop_assert_eq!(h.run.eccentricities, f.eccentricities);
-                prop_assert!(h.recovery.is_clean());
-                prop_assert!(h.surviving.is_none());
+        let (passive, events) = recovering_run(&g, cfg);
+        prop_assert_eq!(wasted_span_rounds(&events), 0);
+        prop_assert!(!events
+            .iter()
+            .any(|e| matches!(e, trace::TraceEvent::Recovery { .. })));
+        let retries = RecoveryPolicy::new().with_retries(2);
+        let retrying = classical::apsp::exact_diameter(&g, cfg.with_recovery(retries));
+        match (passive, retrying) {
+            (Ok((diameter, eccentricities, recovery, surviving)), Ok(r)) => {
+                prop_assert!(recovery.is_clean());
+                prop_assert!(surviving.is_none());
+                prop_assert_eq!(r.recovery.retries, 0);
+                prop_assert_eq!(diameter, r.diameter);
+                prop_assert_eq!(eccentricities, r.eccentricities);
             }
-            (Err(he), Err(fe)) => prop_assert_eq!(he.to_string(), fe.to_string()),
-            (h, f) => {
+            (Err(e), retrying) => {
+                prop_assert!(e.starts_with("fault detected at round"), "{}", e);
+                if let Ok(r) = retrying {
+                    prop_assert!(r.recovery.retries > 0, "the first attempt answered");
+                }
+            }
+            (p, r) => {
                 return Err(TestCaseError::fail(format!(
-                    "passive recovery diverged: {h:?} vs fail-stop {f:?}"
+                    "passive run {p:?} answered where the first attempt failed: {r:?}"
                 )))
             }
         }
     }
+}
+
+/// The classical driver heals under the policy its `Config` carries: the
+/// DFS token of a passive run is lost to a drop, and the standard policy
+/// retries once to the true diameter.
+#[test]
+fn the_classical_driver_heals_drops_under_its_config_policy() {
+    let g = graphs::generators::random_sparse(64, 8.0, 1);
+    let plan = FaultPlan::parse("drop=0.005,seed=5").unwrap();
+    let cfg = Config::for_graph(&g).with_faults(plan);
+    assert!(matches!(
+        classical::apsp::exact_diameter(&g, cfg),
+        Err(AlgoError::FaultDetected { .. })
+    ));
+    let cfg = cfg.with_recovery(RecoveryPolicy::standard());
+    let out = classical::apsp::exact_diameter(&g, cfg).unwrap();
+    assert_eq!(out.diameter, 4);
+    assert_eq!(Some(out.diameter), graphs::metrics::diameter(&g));
+    assert_eq!(out.recovery.retries, 1);
 }
 
 /// Regression: a wave segment dropped mid-schedule restarts from its own
@@ -139,8 +172,8 @@ fn checkpoint_restart_resumes_from_the_last_segment_boundary() {
         .with_faults(FaultPlan::new(40).with_drop(0.003))
         .with_recovery(policy);
 
-    let out = classical::recovery::exact_diameter_recovering(&g, cfg).unwrap();
-    assert_eq!(out.run.diameter, reference);
+    let out = classical::apsp::exact_diameter(&g, cfg).unwrap();
+    assert_eq!(out.diameter, reference);
     assert_eq!(
         out.recovery.retries, 0,
         "must not re-run the whole pipeline"
@@ -148,7 +181,7 @@ fn checkpoint_restart_resumes_from_the_last_segment_boundary() {
     assert_eq!(out.recovery.restarts, 1, "exactly one segment restart");
     assert!(out.recovery.wasted_rounds > 0, "the discarded try costs");
 
-    let labels: Vec<&str> = out.run.ledger.phases().map(|(l, _, _)| l).collect();
+    let labels: Vec<&str> = out.ledger.phases().map(|(l, _, _)| l).collect();
     // The failing segment's discarded try is ledgered as waste...
     assert!(
         labels.contains(&"eccentricity waves[seg 1] wasted try 0"),
@@ -192,13 +225,13 @@ fn restarted_segments_redeclare_rebased_quiet_phases() {
     let cfg = Config::for_graph(&g)
         .with_faults(FaultPlan::new(40).with_drop(0.003))
         .with_recovery(policy);
-    let out = classical::recovery::exact_diameter_recovering(&g, cfg).unwrap();
+    let out = classical::apsp::exact_diameter(&g, cfg).unwrap();
     // Same pinned seed as the checkpoint test above.
     assert_eq!(
         out.recovery.restarts, 1,
         "the pinned seed must restart a segment"
     );
-    assert_eq!(out.run.diameter, graphs::metrics::diameter(&g).unwrap());
+    assert_eq!(out.diameter, graphs::metrics::diameter(&g).unwrap());
 }
 
 /// Partial-network semantics: whenever crash-stops force a re-root, the
@@ -213,7 +246,7 @@ fn partial_answers_match_the_carved_component_reference() {
         let cfg = Config::for_graph(&g)
             .with_faults(plan.clone())
             .with_recovery(RecoveryPolicy::standard());
-        let out = match classical::recovery::exact_diameter_recovering(&g, cfg) {
+        let out = match classical::apsp::exact_diameter(&g, cfg) {
             Ok(out) => out,
             Err(e @ AlgoError::FaultDetected { .. }) => {
                 panic!("standard policy failed to heal a lone crash: {e}")
@@ -224,7 +257,7 @@ fn partial_answers_match_the_carved_component_reference() {
             // The crash landed after the protocol no longer needed the
             // node; the full-network answer must then be exact.
             assert_eq!(
-                out.run.diameter,
+                out.diameter,
                 graphs::metrics::diameter(&g).unwrap(),
                 "seed {fseed}"
             );
@@ -239,7 +272,7 @@ fn partial_answers_match_the_carved_component_reference() {
             "seed {fseed}: component bookkeeping leaks nodes"
         );
         assert_eq!(
-            out.run.diameter,
+            out.diameter,
             graphs::metrics::diameter(&carve.graph).unwrap(),
             "seed {fseed}: wrong surviving-component diameter"
         );
@@ -248,21 +281,20 @@ fn partial_answers_match_the_carved_component_reference() {
     assert!(partial > 0, "sweep never exercised partial semantics");
 }
 
-/// Classifies one recovering-driver outcome against the
-/// correct-or-detected-or-recovered contract. `truth_of(surviving)`
-/// supplies the reference answer (full-network or carved-component).
-fn classify<T>(
-    result: Result<qrecovery::Recovered<T>, QdError>,
-    value_of: impl Fn(&T) -> u32,
+/// Classifies one healing-driver outcome — its answer, recovery stats and
+/// surviving component — against the correct-or-detected-or-recovered
+/// contract. `truth_partial(surviving)` supplies the carved-component
+/// reference answer.
+fn classify(
+    result: Result<(u32, RecoveryStats, Option<SurvivingComponent>), QdError>,
     truth_full: u32,
     truth_partial: impl Fn(&[NodeId]) -> u32,
     exact: bool,
     context: &str,
 ) -> &'static str {
     match result {
-        Ok(out) => {
-            let value = value_of(&out.run);
-            let truth = match &out.surviving {
+        Ok((value, recovery, surviving)) => {
+            let truth = match &surviving {
                 Some(s) => truth_partial(&s.nodes),
                 None => truth_full,
             };
@@ -272,7 +304,7 @@ fn classify<T>(
                 // `D̄ ≤ D ≤ (3/2)·D̄` — the Theorem 4 guarantee.
                 value <= truth && 2 * truth <= 3 * value
             };
-            if out.recovery.is_clean() {
+            if recovery.is_clean() {
                 assert!(
                     in_contract,
                     "{context}: clean run outside the guarantee: got {value}, truth {truth}"
@@ -299,7 +331,7 @@ fn classify<T>(
 /// correct-or-detected-or-recovered contract, the sweep actually heals
 /// something, and nothing ever fails untyped.
 #[test]
-fn quantum_exact_recovering_sweep() {
+fn quantum_exact_healing_sweep() {
     let g = graphs::generators::random_connected(20, 0.15, 11);
     let truth = graphs::metrics::diameter(&g).unwrap();
     let mut healed = 0u32;
@@ -314,8 +346,8 @@ fn quantum_exact_recovering_sweep() {
                 .with_faults(plan.clone())
                 .with_recovery(RecoveryPolicy::standard());
             let outcome = classify(
-                qrecovery::exact_recovering(&g, ExactParams::new(fseed), cfg),
-                |run| run.value,
+                exact::diameter(&g, ExactParams::new(fseed), cfg)
+                    .map(|run| (run.value, run.recovery, run.surviving)),
                 truth,
                 |_| {
                     let carve = classical::recovery::carve_survivors(&g, &plan).unwrap();
@@ -343,7 +375,7 @@ fn quantum_exact_recovering_sweep() {
 /// estimates stay within the approximation guarantee (for the network
 /// actually answered for), or the run degrades to typed detection.
 #[test]
-fn quantum_approx_recovering_sweep() {
+fn quantum_approx_healing_sweep() {
     let g = graphs::generators::random_connected(20, 0.18, 5);
     let truth = graphs::metrics::diameter(&g).unwrap();
     let mut healed = 0u32;
@@ -358,8 +390,8 @@ fn quantum_approx_recovering_sweep() {
                 .with_faults(plan.clone())
                 .with_recovery(RecoveryPolicy::standard());
             let outcome = classify(
-                qrecovery::approx_recovering(&g, ApproxParams::new(fseed), cfg),
-                |run| run.estimate,
+                approx::diameter(&g, ApproxParams::new(fseed), cfg)
+                    .map(|run| (run.estimate, run.recovery, run.surviving)),
                 truth,
                 |_| {
                     let carve = classical::recovery::carve_survivors(&g, &plan).unwrap();
@@ -384,7 +416,7 @@ fn quantum_approx_recovering_sweep() {
 }
 
 /// With every node crash-stopped there is nothing to re-root onto: each
-/// recovering driver reports the same typed detection, naming the cause,
+/// healing driver reports the same typed detection, naming the cause,
 /// rather than whichever symptom its first attempt tripped over.
 #[test]
 fn every_driver_reports_an_all_crash_plan_the_same_way() {
@@ -393,10 +425,10 @@ fn every_driver_reports_an_all_crash_plan_the_same_way() {
     let cfg = Config::for_graph(&g)
         .with_faults(plan)
         .with_recovery(RecoveryPolicy::standard());
-    let classical = classical::recovery::exact_diameter_recovering(&g, cfg).map(|_| ());
-    let exact = qrecovery::exact_recovering(&g, ExactParams::new(1), cfg).map(|_| ());
-    let simple = qrecovery::simple_recovering(&g, ExactParams::new(1), cfg).map(|_| ());
-    let approx = qrecovery::approx_recovering(&g, ApproxParams::new(1), cfg).map(|_| ());
+    let classical = classical::apsp::exact_diameter(&g, cfg).map(|_| ());
+    let exact = exact::diameter(&g, ExactParams::new(1), cfg).map(|_| ());
+    let simple = exact_simple::diameter(&g, ExactParams::new(1), cfg).map(|_| ());
+    let approx = approx::diameter(&g, ApproxParams::new(1), cfg).map(|_| ());
     for (driver, result) in [
         ("classical", classical.map_err(QdError::from)),
         ("exact", exact),
@@ -433,7 +465,7 @@ fn wasted_span_rounds(events: &[trace::TraceEvent]) -> u64 {
         .sum()
 }
 
-/// Runs one recovering driver under a trace recorder, returning its
+/// Runs one healing driver under a trace recorder, returning its
 /// recovery stats and its trace.
 fn traced_recovery(
     driver: &str,
@@ -444,14 +476,12 @@ fn traced_recovery(
     let stats = {
         let _guard = trace::install(recorder.clone());
         let stats = match driver {
-            "classical" => classical::recovery::exact_diameter_recovering(g, cfg)
+            "classical" => classical::apsp::exact_diameter(g, cfg)
                 .map(|out| out.recovery)
                 .map_err(QdError::from),
-            "exact" => qrecovery::exact_recovering(g, ExactParams::new(5), cfg).map(|o| o.recovery),
-            "simple" => {
-                qrecovery::simple_recovering(g, ExactParams::new(5), cfg).map(|o| o.recovery)
-            }
-            _ => qrecovery::approx_recovering(g, ApproxParams::new(5), cfg).map(|o| o.recovery),
+            "exact" => exact::diameter(g, ExactParams::new(5), cfg).map(|o| o.recovery),
+            "simple" => exact_simple::diameter(g, ExactParams::new(5), cfg).map(|o| o.recovery),
+            _ => approx::diameter(g, ApproxParams::new(5), cfg).map(|o| o.recovery),
         };
         stats.unwrap_or_else(|e| panic!("{driver}: {e}"))
     };
@@ -459,7 +489,7 @@ fn traced_recovery(
     (stats, events)
 }
 
-/// Every discarded round is in a span: for each recovering driver, under
+/// Every discarded round is in a span: for each healing driver, under
 /// a drop plan (the quantum drivers heal it by retries) and a crash
 /// healed by a re-root, the derived `wasted` spans of the trace sum to
 /// the run's `RecoveryStats::wasted_rounds`.
