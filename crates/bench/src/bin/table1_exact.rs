@@ -10,15 +10,26 @@
 //! The absolute crossover (where the quantum curve undercuts the classical
 //! one) is extrapolated from the fits, because the unhidden constants of
 //! real Dürr–Høyer search put it beyond direct-simulation sizes.
+//!
+//! Under an injected fault plan (`QD_FAULTS`, healed under `QD_RECOVER`) a
+//! driver may still fail: its point prints as a `failed` row naming the
+//! driver, seed and error, stays out of the fits, and the run exits 1
+//! without writing its results JSON.
 
 use bench::{mean, rule, scale, sparse_instance, write_results_json};
+use congest::Config;
 use congest_diameter::crossover::{self, CrossKind};
 use diameter_quantum::exact::{self, ExactParams};
+use graphs::Graph;
 use trace::Json;
+
+/// Printed in place of a fit when failed points leave fewer than two.
+const NO_FIT: &str = "no fit: fewer than two points remain";
 
 fn main() {
     let scale = scale();
     let seeds_per_point = 5;
+    let mut failed = 0;
 
     rule("Table 1 / exact: rounds vs n (sparse, D ≈ constant)");
     println!(
@@ -47,19 +58,14 @@ fn main() {
             eprintln!("error: {reason}");
             std::process::exit(1);
         }
-        let classical_run = classical::apsp::exact_diameter(&g, cfg).expect("classical");
-        let c = classical_run.rounds() as f64;
-        let c_active = classical_run.ledger.active_fraction();
-        let c_scheduled = classical_run.ledger.total_scheduled_nodes();
-        let q = mean(
-            &(0..seeds_per_point)
-                .map(|s| {
-                    exact::diameter(&g, ExactParams::new(s), cfg)
-                        .expect("quantum")
-                        .rounds() as f64
-                })
-                .collect::<Vec<_>>(),
-        );
+        let (c, c_active, c_scheduled, q) = match point(&g, cfg, seeds_per_point) {
+            Ok(p) => p,
+            Err(reason) => {
+                println!("{n:>6} {d:>4} failed: {reason}");
+                failed += 1;
+                continue;
+            }
+        };
         println!(
             "{:>6} {:>4} {:>12.0} {:>14.0} {:>10.2} {:>9.3}",
             n,
@@ -82,29 +88,32 @@ fn main() {
             ("classical_scheduled_nodes", Json::Int(c_scheduled as i128)),
         ]));
     }
-    let c_fit = crossover::loglog_fit(&ns, &classical_rounds).expect("classical fit");
-    let q_fit = crossover::loglog_fit(&ns, &quantum_rounds).expect("quantum fit");
-    let (c_slope, q_slope) = (c_fit.0, q_fit.0);
-    println!("\nfitted exponents: classical {c_slope:.2} (paper: 1), quantum {q_slope:.2} (paper: 0.5 + D drift)");
+    let c_fit = crossover::loglog_fit(&ns, &classical_rounds);
+    let q_fit = crossover::loglog_fit(&ns, &quantum_rounds);
     // Correct for the slow diameter growth of the sparse family by fitting
     // against n·D, the paper's actual scale variable.
-    println!(
-        "fitted quantum exponent against n·D: {:.2} (paper: 0.5, from √(nD))",
-        crossover::loglog_fit(&nds, &quantum_rounds)
-            .expect("n·D fit")
-            .0
-    );
+    let nd_fit = crossover::loglog_fit(&nds, &quantum_rounds);
+    if let (Some(c_fit), Some(q_fit), Some(nd_fit)) = (c_fit, q_fit, nd_fit) {
+        let (c_slope, q_slope) = (c_fit.0, q_fit.0);
+        println!("\nfitted exponents: classical {c_slope:.2} (paper: 1), quantum {q_slope:.2} (paper: 0.5 + D drift)");
+        println!(
+            "fitted quantum exponent against n·D: {:.2} (paper: 0.5, from √(nD))",
+            nd_fit.0
+        );
 
-    // Extrapolated crossover from the fits, by the crossover engine's
-    // guarded estimator.
-    match crossover::project_crossover(c_fit, q_fit) {
-        (CrossKind::Projected, Some(n_star)) => {
-            println!("extrapolated crossover: quantum wins for n ≳ {n_star:.0}");
+        // Extrapolated crossover from the fits, by the crossover engine's
+        // guarded estimator.
+        match crossover::project_crossover(c_fit, q_fit) {
+            (CrossKind::Projected, Some(n_star)) => {
+                println!("extrapolated crossover: quantum wins for n ≳ {n_star:.0}");
+            }
+            (CrossKind::IndistinguishableSlopes, _) => {
+                println!("no extrapolated crossover: the fitted slopes are indistinguishable");
+            }
+            _ => println!("no extrapolated crossover: quantum grows at least as fast"),
         }
-        (CrossKind::IndistinguishableSlopes, _) => {
-            println!("no extrapolated crossover: the fitted slopes are indistinguishable");
-        }
-        _ => println!("no extrapolated crossover: quantum grows at least as fast"),
+    } else {
+        println!("\n{NO_FIT}");
     }
 
     rule("Table 1 / exact: rounds vs D (n fixed)");
@@ -119,19 +128,14 @@ fn main() {
     for &target in &[8usize, 16, 32, 64, 128] {
         let (g, d) = bench::dialed_diameter_instance(n, target, 7);
         let cfg = bench::config_for(&g);
-        let classical_run = classical::apsp::exact_diameter(&g, cfg).expect("classical");
-        let c = classical_run.rounds() as f64;
-        let c_active = classical_run.ledger.active_fraction();
-        let c_scheduled = classical_run.ledger.total_scheduled_nodes();
-        let q = mean(
-            &(0..seeds_per_point)
-                .map(|s| {
-                    exact::diameter(&g, ExactParams::new(s), cfg)
-                        .expect("quantum")
-                        .rounds() as f64
-                })
-                .collect::<Vec<_>>(),
-        );
+        let (c, c_active, c_scheduled, q) = match point(&g, cfg, seeds_per_point) {
+            Ok(p) => p,
+            Err(reason) => {
+                println!("{n:>6} {d:>6} failed: {reason}");
+                failed += 1;
+                continue;
+            }
+        };
         println!("{:>6} {:>6} {:>12.0} {:>14.0}", n, d, c, q);
         ds.push(d as f64);
         q_by_d.push(q);
@@ -144,9 +148,20 @@ fn main() {
             ("classical_scheduled_nodes", Json::Int(c_scheduled as i128)),
         ]));
     }
-    let d_slope = crossover::loglog_fit(&ds, &q_by_d).expect("D fit").0;
-    println!("\nfitted quantum exponent in D: {d_slope:.2} (paper: 0.5, from √(nD))");
+    let d_fit = crossover::loglog_fit(&ds, &q_by_d);
+    match d_fit {
+        Some((d_slope, _)) => {
+            println!("\nfitted quantum exponent in D: {d_slope:.2} (paper: 0.5, from √(nD))");
+        }
+        None => println!("\n{NO_FIT}"),
+    }
     println!("classical rounds stay Θ(n): the D column barely moves them.");
+
+    if failed > 0 {
+        eprintln!("error: {failed} point(s) failed; table1_exact.json not written");
+        std::process::exit(1);
+    }
+    let slope = |fit: Option<(f64, f64)>| fit.map_or(Json::Null, |(s, _)| Json::Float(s));
 
     write_results_json(
         "table1_exact",
@@ -154,13 +169,35 @@ fn main() {
             ("experiment", Json::Str("table1_exact".into())),
             ("seeds_per_point", Json::Int(seeds_per_point as i128)),
             ("sweep_n", Json::Arr(n_rows)),
-            ("classical_slope_in_n", Json::Float(c_slope)),
-            ("quantum_slope_in_n", Json::Float(q_slope)),
+            ("classical_slope_in_n", slope(c_fit)),
+            ("quantum_slope_in_n", slope(q_fit)),
             ("sweep_d", Json::Arr(d_rows)),
-            ("quantum_slope_in_d", Json::Float(d_slope)),
+            ("quantum_slope_in_d", slope(d_fit)),
         ]),
     )
     .expect("write results JSON");
+}
+
+/// One table point on `g`: the classical baseline's rounds, active
+/// fraction and scheduled nodes, then Theorem 1's mean rounds over seeds
+/// `0..seeds`. The first driver that fails fails the point, named with its
+/// seed and error.
+fn point(g: &Graph, cfg: Config, seeds: u64) -> Result<(f64, f64, u64, f64), String> {
+    let classical_run =
+        classical::apsp::exact_diameter(g, cfg).map_err(|e| format!("classical: {e}"))?;
+    let quantum = (0..seeds)
+        .map(|s| {
+            exact::diameter(g, ExactParams::new(s), cfg)
+                .map(|run| run.rounds() as f64)
+                .map_err(|e| format!("quantum seed {s}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((
+        classical_run.rounds() as f64,
+        classical_run.ledger.active_fraction(),
+        classical_run.ledger.total_scheduled_nodes(),
+        mean(&quantum),
+    ))
 }
 
 /// The n-sweep's premise: `D` stays near-constant, so the fitted exponent

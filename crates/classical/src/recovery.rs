@@ -177,7 +177,7 @@ pub fn heal<T: Healed, E: From<AlgoError>>(
                 detail: "every node crash-stops: no surviving component".into(),
             })?;
             recovery.reroots += 1;
-            note_recovery(Reroot, 1, "surviving component", 0, 1);
+            note_recovery(Reroot, 1, "surviving component", wasted.rounds, 1);
             // The carved plan has no crashes, so the sub-run can still
             // retry and checkpoint but never re-roots again.
             let sub_config = config.with_faults(carve.plan);

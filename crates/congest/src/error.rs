@@ -9,8 +9,8 @@ use crate::Round;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CongestError {
-    /// A message exceeded the per-edge bandwidth budget under
-    /// [`BandwidthPolicy::Enforce`](crate::BandwidthPolicy).
+    /// A message exceeded the per-edge bandwidth budget of the run's
+    /// [`Config`](crate::Config).
     BandwidthExceeded {
         /// Sending node.
         from: NodeId,

@@ -96,7 +96,6 @@ impl RoundsLedger {
             messages: stats.messages,
             bits: stats.total_bits,
             reps: repetitions,
-            violations: stats.bandwidth_violations,
             derived,
         });
         // Mirror the span into the metrics layer as a labelled round
@@ -368,7 +367,6 @@ TOTAL                                                 365";
                     messages: 3,
                     bits: 24,
                     reps: 4,
-                    violations: 0,
                     derived: false,
                 },
                 trace::TraceEvent::Phase {
@@ -377,7 +375,6 @@ TOTAL                                                 365";
                     messages: 3,
                     bits: 24,
                     reps: 1,
-                    violations: 0,
                     derived: true,
                 },
             ],

@@ -12,8 +12,8 @@
 //! bandwidth:
 //!
 //! * [`NodeProgram`] — the per-node state machine an algorithm implements.
-//! * [`Network`] — the synchronous scheduler: delivers messages, enforces or
-//!   tracks the per-edge bandwidth budget, detects quiescence, and collects
+//! * [`Network`] — the synchronous scheduler: delivers messages, enforces
+//!   the per-edge bandwidth budget, detects quiescence, and collects
 //!   [`RunStats`]. Rounds run allocation-free over a double-buffered
 //!   message path: each payload is stored once when sent, and an
 //!   [`Inbox`] is a view of entry indices into last round's send buffer.
@@ -90,7 +90,7 @@ pub use error::CongestError;
 pub use faults::{FaultPlan, FaultStats};
 pub use ledger::RoundsLedger;
 pub use message::Payload;
-pub use network::{BandwidthPolicy, Config, CriticalPath, Network, RunStats};
+pub use network::{Config, CriticalPath, Network, RunStats};
 pub use program::{Inbox, InboxIter, NodeProgram, RoundCtx, Status};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 

@@ -9,36 +9,21 @@ use crate::program::{Dest, Inbox, SendBuf};
 use crate::recovery::RecoveryPolicy;
 use crate::{CongestError, NodeProgram, Payload, Round, RoundCtx, Status};
 
-/// What the simulator does when a message exceeds the per-edge bandwidth
-/// budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BandwidthPolicy {
-    /// Abort the run with [`CongestError::BandwidthExceeded`].
-    #[default]
-    Enforce,
-    /// Deliver anyway but count the violation in [`RunStats`]. Useful for
-    /// measuring how large a constant an algorithm actually needs in its
-    /// `O(log n)` bound.
-    Track,
-}
-
 /// Simulator configuration.
 ///
 /// # Example
 ///
 /// ```
-/// use congest::{BandwidthPolicy, Config};
+/// use congest::Config;
 /// use graphs::generators;
 ///
 /// let g = generators::cycle(64);
-/// let cfg = Config::for_graph(&g).with_policy(BandwidthPolicy::Track);
-/// assert!(cfg.bandwidth_bits() >= 4 * 6);
-/// assert_eq!(cfg.policy(), BandwidthPolicy::Track);
+/// let cfg = Config::for_graph(&g);
+/// assert_eq!(cfg.bandwidth_bits(), 4 * 6 + 8);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Config {
     bandwidth_bits: usize,
-    policy: BandwidthPolicy,
     /// Interned fault plan, if any — `Config` stays `Copy + Eq` while the
     /// plan itself (heap-allocated schedules) lives in the fault registry.
     faults: Option<FaultsId>,
@@ -55,11 +40,13 @@ pub struct Config {
 
 impl Config {
     /// A configuration with an explicit per-edge bandwidth budget (bits per
-    /// round) and the [`BandwidthPolicy::Enforce`] policy.
+    /// round); a message wider than the budget fails the round with
+    /// [`CongestError::BandwidthExceeded`]. `Config::new(usize::MAX)` lets
+    /// every message through, and the run's [`RunStats::max_message_bits`]
+    /// then measures the width an algorithm actually needs.
     pub fn new(bandwidth_bits: usize) -> Self {
         Config {
             bandwidth_bits,
-            policy: BandwidthPolicy::Enforce,
             faults: None,
             recovery: RecoveryPolicy::default(),
             critical_path: false,
@@ -73,20 +60,9 @@ impl Config {
         Config::new(4 * crate::bits::for_node(graph.len().max(2)) + 8)
     }
 
-    /// Replaces the bandwidth policy.
-    pub fn with_policy(mut self, policy: BandwidthPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The per-edge per-round budget in bits.
     pub fn bandwidth_bits(&self) -> usize {
         self.bandwidth_bits
-    }
-
-    /// The configured bandwidth policy.
-    pub fn policy(&self) -> BandwidthPolicy {
-        self.policy
     }
 
     /// Attaches a [`FaultPlan`]: the scheduler will drop/corrupt/delay
@@ -160,7 +136,7 @@ impl Config {
 /// Accounting collected by a [`Network`] run.
 ///
 /// Equality compares only the *protocol observables* (rounds, messages,
-/// bits, violations, causal depth) — the scheduling telemetry
+/// bits, widest message, causal depth) — the scheduling telemetry
 /// (`scheduled_nodes`, `node_rounds`) is excluded: how many node programs
 /// a simulator executes to produce the same traffic is a cost, not a
 /// result (the [`reference`](crate::reference) simulator runs every node
@@ -175,9 +151,6 @@ pub struct RunStats {
     pub total_bits: u64,
     /// Largest single message observed, in bits.
     pub max_message_bits: usize,
-    /// Number of messages that exceeded the budget (only nonzero under
-    /// [`BandwidthPolicy::Track`]).
-    pub bandwidth_violations: u64,
     /// Node-program executions actually scheduled: the active-set size
     /// summed over stepped rounds; fast-forwarded rounds schedule nothing.
     /// Excluded from equality (scheduling telemetry, not a protocol
@@ -201,7 +174,6 @@ impl PartialEq for RunStats {
             && self.messages == other.messages
             && self.total_bits == other.total_bits
             && self.max_message_bits == other.max_message_bits
-            && self.bandwidth_violations == other.bandwidth_violations
             && self.critical_depth == other.critical_depth
     }
 }
@@ -214,7 +186,6 @@ impl RunStats {
         self.messages += other.messages;
         self.total_bits += other.total_bits;
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.bandwidth_violations += other.bandwidth_violations;
         self.scheduled_nodes += other.scheduled_nodes;
         self.node_rounds += other.node_rounds;
         // Phases run on fresh networks, so chains do not span phases: the
@@ -261,10 +232,9 @@ impl RunStats {
 ///    imminent sleepers are queued for the next round, later wakeups go to
 ///    the timer heap.
 /// 3. **validate** — every sender's entries are checked (neighbour, one
-///    message per directed edge per round, bandwidth under
-///    [`BandwidthPolicy::Enforce`]) *before any effect commits*: a failed
-///    `step()` leaves [`RunStats`], the round counter, and the next round's
-///    inboxes untouched. A sender whose only entry is a broadcast reaches
+///    message per directed edge per round, bandwidth) *before any effect
+///    commits*: a failed `step()` leaves [`RunStats`], the round counter,
+///    and the next round's inboxes untouched. A sender whose only entry is a broadcast reaches
 ///    distinct neighbours by construction, so only its bandwidth is
 ///    checked.
 /// 4. **commit** — in node-id order: each entry's receivers are walked
@@ -674,8 +644,8 @@ fn width_slot(bits: usize) -> usize {
 #[derive(Clone, Copy, Debug, Default)]
 struct Tally {
     /// Messages sent (whether or not the fault layer lets them through),
-    /// their payload bits, the widest and the over-budget ones; and the
-    /// rounds closed, the node programs they ran and their node-round slots.
+    /// their payload bits and the widest; and the rounds closed, the node
+    /// programs they ran and their node-round slots.
     sent: RunStats,
     /// Injected faults: fates other than delivery, discards at crashed
     /// receivers, and crash-stops.
@@ -691,17 +661,15 @@ struct Tally {
 
 impl Tally {
     /// Charges one send-buffer entry that reached `count` receivers with a
-    /// `bits`-wide payload, `over` the budget or not, and with `widths`
-    /// set, its width slot. The histogram's only reader is the registry,
-    /// and bucketing every entry of a run nobody meters costs its message
-    /// loop a few per cent.
+    /// `bits`-wide payload, and with `widths` set, its width slot. The
+    /// histogram's only reader is the registry, and bucketing every entry
+    /// of a run nobody meters costs its message loop a few per cent.
     #[inline]
-    fn charge_entry(&mut self, count: u64, bits: usize, over: bool, widths: bool) {
+    fn charge_entry(&mut self, count: u64, bits: usize, widths: bool) {
         let sent = &mut self.sent;
         sent.messages += count;
         sent.total_bits += count * bits as u64;
         sent.max_message_bits = sent.max_message_bits.max(bits);
-        sent.bandwidth_violations += count * u64::from(over);
         if widths {
             self.widths[width_slot(bits)] += count;
         }
@@ -729,9 +697,6 @@ impl Tally {
     fn charge(&self, registry: &mut metrics::Registry) {
         let sent = &self.sent;
         registry.charge_messages(sent.messages, sent.total_bits, &self.widths);
-        if sent.bandwidth_violations > 0 {
-            registry.add(metrics::names::VIOLATIONS, sent.bandwidth_violations);
-        }
         if self.faults > 0 {
             registry.add(metrics::names::FAULTS, self.faults);
         }
@@ -910,13 +875,12 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     ///
     /// # Errors
     ///
-    /// Returns an error on invalid sends, or on over-budget messages under
-    /// [`BandwidthPolicy::Enforce`]. A failed `step()` commits nothing: the
-    /// round counter, [`RunStats`], and the next round's inboxes are left
-    /// exactly as they were before the call (program state is not rolled
-    /// back — an errored network should be discarded, not resumed; crash
-    /// flags applied by a fault plan at the top of the failed round
-    /// likewise persist).
+    /// Returns an error on invalid sends, or on over-budget messages. A
+    /// failed `step()` commits nothing: the round counter, [`RunStats`],
+    /// and the next round's inboxes are left exactly as they were before
+    /// the call (program state is not rolled back — an errored network
+    /// should be discarded, not resumed; crash flags applied by a fault
+    /// plan at the top of the failed round likewise persist).
     pub fn step(&mut self) -> Result<(), CongestError> {
         let round = self.round;
         // Fetched once per round; `None` (the default) keeps the message
@@ -1148,11 +1112,10 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         }
     }
 
-    /// Checks every sender's entries (neighbour, duplicate-send, bandwidth
-    /// under `Enforce`) without committing anything. The execute phase
-    /// records every node that staged an entry in `senders`, so walking
-    /// that list (ascending, like the active list it filters) is
-    /// exhaustive.
+    /// Checks every sender's entries (neighbour, duplicate-send, bandwidth)
+    /// without committing anything. The execute phase records every node
+    /// that staged an entry in `senders`, so walking that list (ascending,
+    /// like the active list it filters) is exhaustive.
     ///
     /// A sender whose only entry is a broadcast reaches distinct
     /// neighbours by construction, so only its bandwidth is checked (and
@@ -1162,7 +1125,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// is always the first offending message in staging order.
     fn validate_staged(&mut self, round: Round) -> Result<(), CongestError> {
         let budget = self.config.bandwidth_bits;
-        let enforce = self.config.policy == BandwidthPolicy::Enforce;
         let too_wide = |from: NodeId, to: NodeId, bits: usize| CongestError::BandwidthExceeded {
             from,
             to,
@@ -1179,7 +1141,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             let neighbors = self.graph.neighbors(node);
             if end - start == 1 && !matches!(sent.dest[start], Dest::One(_)) {
                 let bits = sent.msgs[start].1.size_bits();
-                if enforce && bits > budget {
+                if bits > budget {
                     let (targets, skip) = sent.dest[start].targets(neighbors);
                     if let Some(&to) = targets.iter().find(|&&to| Some(to) != skip) {
                         return Err(too_wide(node, to, bits));
@@ -1208,7 +1170,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                         });
                     }
                     *slot = self.seen_epoch;
-                    if enforce && bits > budget {
+                    if bits > budget {
                         return Err(too_wide(node, to, bits));
                     }
                 }
@@ -1240,7 +1202,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         widths: bool,
     ) {
         use trace::FaultKind::{Corrupt, Crash, Delay, Drop, LinkDown};
-        let budget = self.config.bandwidth_bits;
         let (graph, programs) = (self.graph, self.programs.as_slice());
         let (sent, arena, tally) = (&self.sent, &mut self.arena, &mut self.tally);
         if tracer.is_none() && fault.is_none() && self.crit.is_none() {
@@ -1250,7 +1211,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 senders: &self.senders,
                 msgs: &sent.msgs,
                 dest: &sent.dest,
-                budget,
                 widths,
             };
             commit_plain(lane, arena, tally);
@@ -1269,9 +1229,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             for k in first..end {
                 let msg = &sent.msgs[k].1;
                 let bits = msg.size_bits();
-                // `Enforce` was rejected during validation, so an
-                // over-budget message here is tracked, not fatal.
-                let over = bits > budget;
                 let (targets, skip) = sent.dest[k].targets(neighbors);
                 let mut count = 0u64;
                 for &to in targets {
@@ -1284,17 +1241,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     // still spent the sender's bandwidth.
                     if let Some(sink) = tracer {
                         let (from, to, bits) = (i as u64, to.index() as u64, bits as u64);
-                        let mut sink = sink.borrow_mut();
-                        if over {
-                            sink.record(&trace::TraceEvent::Violation {
-                                round,
-                                from,
-                                to,
-                                bits,
-                                budget: budget as u64,
-                            });
-                        }
-                        sink.record(&trace::TraceEvent::Message {
+                        sink.borrow_mut().record(&trace::TraceEvent::Message {
                             round,
                             from,
                             to,
@@ -1334,7 +1281,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     tally.fault(tracer, round, (kind, i as u64, t as u64, delay));
                 }
                 if count > 0 {
-                    tally.charge_entry(count, bits, over, widths);
+                    tally.charge_entry(count, bits, widths);
                 }
             }
             first = end;
@@ -1623,7 +1570,6 @@ struct Lane<'a, P: NodeProgram> {
     senders: &'a [(u32, u32)],
     msgs: &'a [(NodeId, P::Msg)],
     dest: &'a [Dest],
-    budget: usize,
     widths: bool,
 }
 
@@ -1667,10 +1613,7 @@ fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena<'_>, t
                 }
             }
             if count > 0 {
-                // `Enforce` was rejected during validation, so an
-                // over-budget message here is tracked, not fatal.
-                let bits = msg.size_bits();
-                charged.charge_entry(count, bits, bits > lane.budget, lane.widths);
+                charged.charge_entry(count, msg.size_bits(), lane.widths);
                 in_flight += count;
             }
         }
@@ -1754,9 +1697,9 @@ mod tests {
         bits: usize,
         bad: bool,
         dup: bool,
-        policy: BandwidthPolicy,
+        budget: usize,
     ) -> Network<'_, OneShot> {
-        Network::new(g, Config::new(16).with_policy(policy), move |_| OneShot {
+        Network::new(g, Config::new(budget), move |_| OneShot {
             bits,
             to_bad_target: bad,
             duplicate: dup,
@@ -1798,7 +1741,7 @@ mod tests {
     #[test]
     fn bandwidth_enforced() {
         let g = generators::path(3);
-        let mut net = one_shot_net(&g, 17, false, false, BandwidthPolicy::Enforce);
+        let mut net = one_shot_net(&g, 17, false, false, 16);
         let err = net.run_until_quiescent(10).unwrap_err();
         assert!(matches!(
             err,
@@ -1810,19 +1753,20 @@ mod tests {
         ));
     }
 
+    /// An unbounded budget lets every message through, and the run's
+    /// widest message is the width the program needs.
     #[test]
-    fn bandwidth_tracked() {
+    fn unbounded_budget_measures_the_widest_message() {
         let g = generators::path(3);
-        let mut net = one_shot_net(&g, 17, false, false, BandwidthPolicy::Track);
+        let mut net = one_shot_net(&g, 17, false, false, usize::MAX);
         let stats = net.run_until_quiescent(10).unwrap();
-        assert_eq!(stats.bandwidth_violations, 1);
         assert_eq!(stats.max_message_bits, 17);
     }
 
     #[test]
     fn non_neighbor_send_is_rejected() {
         let g = generators::path(4); // 0-1-2-3; 0 and 3 are not adjacent
-        let mut net = one_shot_net(&g, 1, true, false, BandwidthPolicy::Enforce);
+        let mut net = one_shot_net(&g, 1, true, false, 16);
         let err = net.run_until_quiescent(10).unwrap_err();
         assert_eq!(
             err,
@@ -1893,15 +1837,12 @@ mod tests {
             let mut net = Network::new(&g, Config::new(16), |_| Scripted(sends.clone()));
             assert_eq!(net.step(), expect, "sends {sends:?}");
         }
-        let track = Config::new(16).with_policy(BandwidthPolicy::Track);
-        let mut net = Network::new(&g, track, |_| Scripted(vec![(1, 8), (2, 17)]));
-        assert_eq!(net.step(), Ok(()));
     }
 
     #[test]
     fn duplicate_directed_send_is_rejected() {
         let g = generators::path(3);
-        let mut net = one_shot_net(&g, 1, false, true, BandwidthPolicy::Enforce);
+        let mut net = one_shot_net(&g, 1, false, true, 16);
         let err = net.run_until_quiescent(10).unwrap_err();
         assert!(matches!(err, CongestError::DuplicateSend { .. }));
     }
@@ -2009,7 +1950,7 @@ mod tests {
     #[test]
     fn quiescence_counts_in_flight_messages() {
         let g = generators::path(3);
-        let mut net = one_shot_net(&g, 8, false, false, BandwidthPolicy::Enforce);
+        let mut net = one_shot_net(&g, 8, false, false, 16);
         // Round 0: all vote Halted but node 0's message is in flight, so the
         // network must run one more round to deliver it.
         let stats = net.run_until_quiescent(10).unwrap();
@@ -2071,34 +2012,27 @@ mod tests {
     }
 
     /// With a sink installed, the scheduler emits one `Message` event per
-    /// sent message, a `Violation` per tracked overflow, and one `Round`
-    /// tick per executed round carrying the number of messages *delivered*
-    /// at the start of that round (i.e. staged during the previous round).
+    /// sent message and one `Round` tick per executed round carrying the
+    /// number of messages *delivered* at the start of that round (i.e.
+    /// staged during the previous round).
     #[test]
-    fn tracing_captures_messages_rounds_and_violations() {
+    fn tracing_captures_messages_and_rounds() {
         let g = generators::path(3);
         let recorder = trace::Recorder::shared();
         let events = {
             let _guard = trace::install(recorder.clone());
-            let mut net = one_shot_net(&g, 17, false, false, BandwidthPolicy::Track);
+            let mut net = one_shot_net(&g, 8, false, false, 16);
             net.run_until_quiescent(10).unwrap();
             recorder.borrow_mut().take()
         };
         assert_eq!(
             events,
             vec![
-                trace::TraceEvent::Violation {
-                    round: 0,
-                    from: 0,
-                    to: 1,
-                    bits: 17,
-                    budget: 16
-                },
                 trace::TraceEvent::Message {
                     round: 0,
                     from: 0,
                     to: 1,
-                    bits: 17
+                    bits: 8
                 },
                 // Round 0 delivers nothing: node 0's message is only staged
                 // during it. Round 1 delivers it.
@@ -2113,7 +2047,7 @@ mod tests {
             ]
         );
         // With the guard dropped, the same run emits nothing.
-        let mut net = one_shot_net(&g, 17, false, false, BandwidthPolicy::Track);
+        let mut net = one_shot_net(&g, 8, false, false, 16);
         net.run_until_quiescent(10).unwrap();
         assert!(recorder.borrow().events().is_empty());
     }

@@ -20,9 +20,9 @@
 //!   fact acts on therefore gives different outputs here, so every
 //!   differential run also checks that a program's `ignores` is sound.
 //!
-//! With a trace sink installed it emits the `Round`, `Message`,
-//! `Violation` and `Fault` events `Network` emits, in the same order, with
-//! one `Round` tick per round where `Network` may write one `RoundSkip`
+//! With a trace sink installed it emits the `Round`, `Message` and
+//! `Fault` events `Network` emits, in the same order, with one `Round`
+//! tick per round where `Network` may write one `RoundSkip`
 //! for a quiet stretch: the two streams agree after
 //! [`trace::expand_round_skips`]. The critical-path profiler, the metrics
 //! registry and the flight recorder are not modelled.
@@ -48,8 +48,8 @@ use graphs::{Graph, NodeId};
 use crate::faults::MessageFate;
 use crate::program::{Dest, SendBuf};
 use crate::{
-    BandwidthPolicy, Config, CongestError, FaultPlan, FaultStats, Inbox, NodeProgram, Payload,
-    Round, RoundCtx, RunStats, Status,
+    Config, CongestError, FaultPlan, FaultStats, Inbox, NodeProgram, Payload, Round, RoundCtx,
+    RunStats, Status,
 };
 
 /// A message held back by the fault plan: `(due round, from, to, payload)`.
@@ -172,8 +172,8 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
     ///
     /// The first invalid message in node order and send order: a
     /// non-neighbour receiver, a second message over one directed edge, or
-    /// an over-budget message under [`BandwidthPolicy::Enforce`]. A failed
-    /// round commits no statistics and does not advance the round.
+    /// an over-budget message. A failed round commits no statistics and
+    /// does not advance the round.
     pub fn step(&mut self) -> Result<(), CongestError> {
         let graph = self.graph;
         let n = self.programs.len();
@@ -245,7 +245,6 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
             }
         }
 
-        let enforce = self.config.policy() == BandwidthPolicy::Enforce;
         for v in graph.nodes() {
             let mut used = HashSet::new();
             for (to, msg) in &out[v.index()] {
@@ -257,7 +256,7 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                 if !used.insert(to) {
                     return Err(CongestError::DuplicateSend { from: v, to, round });
                 }
-                if enforce && bits > budget {
+                if bits > budget {
                     return Err(CongestError::BandwidthExceeded {
                         from: v,
                         to,
@@ -276,16 +275,6 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                 self.stats.messages += 1;
                 self.stats.total_bits += bits as u64;
                 self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-                if bits > budget {
-                    self.stats.bandwidth_violations += 1;
-                    emit(trace::TraceEvent::Violation {
-                        round,
-                        from: v.index() as u64,
-                        to: to.index() as u64,
-                        bits: bits as u64,
-                        budget: budget as u64,
-                    });
-                }
                 emit(trace::TraceEvent::Message {
                     round,
                     from: v.index() as u64,

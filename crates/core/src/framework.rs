@@ -217,7 +217,6 @@ pub fn optimize<R: Rng + ?Sized>(
             messages: 0,
             bits: 0,
             reps: 1,
-            violations: 0,
             derived: true,
         });
     }

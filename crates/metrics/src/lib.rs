@@ -55,8 +55,6 @@ pub mod names {
     /// Simulated rounds ticked, including fast-forwarded quiescent rounds
     /// (counter) — reconciles with `trace::Summary::round_ticks`.
     pub const ROUNDS: &str = "qd_rounds_total";
-    /// Bandwidth-cap violations observed at commit (counter).
-    pub const VIOLATIONS: &str = "qd_bandwidth_violations_total";
     /// Per-message payload-width distribution in bits (histogram).
     pub const MESSAGE_BITS: &str = "qd_message_bits";
     /// Ledger phase rounds, labelled `{phase="..."}` (counter family).

@@ -120,20 +120,6 @@ pub enum TraceEvent {
         /// Payload width in bits.
         bits: u64,
     },
-    /// A message exceeded the per-edge bandwidth budget under
-    /// `BandwidthPolicy::Track`.
-    Violation {
-        /// Round in which the violation occurred.
-        round: u64,
-        /// Sending node id.
-        from: u64,
-        /// Receiving node id.
-        to: u64,
-        /// Offending payload width in bits.
-        bits: u64,
-        /// The configured per-edge budget in bits.
-        budget: u64,
-    },
     /// A labeled phase span: the aggregate cost of one algorithm phase,
     /// optionally repeated.
     Phase {
@@ -147,8 +133,6 @@ pub enum TraceEvent {
         bits: u64,
         /// Number of repetitions charged.
         reps: u64,
-        /// Bandwidth violations observed in one repetition.
-        violations: u64,
         /// True when the span is an accounting artifact (e.g. the Figure 2
         /// uncomputation, charged as a mirror of steps 1–3, or a scheduled
         /// quantum cost) rather than a physically simulated execution; only
@@ -258,27 +242,12 @@ impl TraceEvent {
                 ("to", int(*to)),
                 ("bits", int(*bits)),
             ]),
-            TraceEvent::Violation {
-                round,
-                from,
-                to,
-                bits,
-                budget,
-            } => Json::obj([
-                ("type", Json::Str("violation".into())),
-                ("round", int(*round)),
-                ("from", int(*from)),
-                ("to", int(*to)),
-                ("bits", int(*bits)),
-                ("budget", int(*budget)),
-            ]),
             TraceEvent::Phase {
                 label,
                 rounds,
                 messages,
                 bits,
                 reps,
-                violations,
                 derived,
             } => Json::obj([
                 ("type", Json::Str("phase".into())),
@@ -287,7 +256,6 @@ impl TraceEvent {
                 ("messages", int(*messages)),
                 ("bits", int(*bits)),
                 ("reps", int(*reps)),
-                ("violations", int(*violations)),
                 ("derived", Json::Bool(*derived)),
             ]),
             TraceEvent::Oracle { op, index, rounds } => Json::obj([
@@ -381,20 +349,12 @@ impl TraceEvent {
                 to: u("to")?,
                 bits: u("bits")?,
             }),
-            "violation" => Ok(TraceEvent::Violation {
-                round: u("round")?,
-                from: u("from")?,
-                to: u("to")?,
-                bits: u("bits")?,
-                budget: u("budget")?,
-            }),
             "phase" => Ok(TraceEvent::Phase {
                 label: s("label")?,
                 rounds: u("rounds")?,
                 messages: u("messages")?,
                 bits: u("bits")?,
                 reps: u("reps")?,
-                violations: u("violations")?,
                 derived: obj
                     .get("derived")
                     .and_then(Json::as_bool)
@@ -495,20 +455,12 @@ mod tests {
                 to: 5,
                 bits: 17,
             },
-            TraceEvent::Violation {
-                round: 9,
-                from: 2,
-                to: 4,
-                bits: 40,
-                budget: 32,
-            },
             TraceEvent::Phase {
                 label: "step 1: dfs walk (2d moves)".into(),
                 rounds: 15,
                 messages: 14,
                 bits: 98,
                 reps: 2,
-                violations: 0,
                 derived: false,
             },
             TraceEvent::Oracle {

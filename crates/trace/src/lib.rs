@@ -2,7 +2,7 @@
 //!
 //! The simulator and the algorithm layers emit [`TraceEvent`]s — round
 //! ticks, per-edge message deliveries, phase spans, oracle applications,
-//! bandwidth violations, qubit high-water samples — into a thread-local
+//! qubit high-water samples — into a thread-local
 //! [`TraceSink`]. Tracing is strictly opt-in: with no sink installed,
 //! [`enabled`] is a single thread-local read and every emission site
 //! short-circuits before building its event, so the simulator keeps its

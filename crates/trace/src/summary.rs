@@ -17,8 +17,6 @@ pub struct PhaseTotals {
     pub messages: u64,
     /// Total payload bits charged.
     pub bits: u64,
-    /// Total bandwidth violations charged.
-    pub violations: u64,
     /// True when every span with this label was derived (an accounting
     /// artifact, not a simulated execution).
     pub derived: bool,
@@ -31,8 +29,6 @@ pub struct EdgeTotals {
     pub messages: u64,
     /// Total payload bits delivered.
     pub bits: u64,
-    /// Bandwidth violations on the edge.
-    pub violations: u64,
 }
 
 /// A streaming aggregator; usable directly as a [`TraceSink`] or filled
@@ -51,8 +47,6 @@ pub struct Summary {
     pub messages_delivered: u64,
     /// Total payload bits delivered.
     pub bits_delivered: u64,
-    /// Bandwidth violations (`Violation` events).
-    pub violations: u64,
     /// Per-phase rollups, in first-seen order.
     phases: Vec<(String, PhaseTotals)>,
     /// Per-edge rollups.
@@ -200,17 +194,12 @@ impl TraceSink for Summary {
                 edge.messages += 1;
                 edge.bits += bits;
             }
-            TraceEvent::Violation { from, to, .. } => {
-                self.violations += 1;
-                self.edges.entry((*from, *to)).or_default().violations += 1;
-            }
             TraceEvent::Phase {
                 label,
                 rounds,
                 messages,
                 bits,
                 reps,
-                violations,
                 derived,
             } => {
                 let totals = self.phase_mut(label);
@@ -218,7 +207,6 @@ impl TraceSink for Summary {
                 totals.rounds += rounds * reps;
                 totals.messages += messages * reps;
                 totals.bits += bits * reps;
-                totals.violations += violations * reps;
                 totals.derived &= derived;
             }
             TraceEvent::Oracle { op, rounds, .. } => match op {
@@ -280,8 +268,8 @@ impl fmt::Display for Summary {
         writeln!(f, "trace summary: {} events", self.events)?;
         writeln!(
             f,
-            "  network: {} round ticks, {} messages, {} bits, {} violations",
-            self.round_ticks, self.messages_delivered, self.bits_delivered, self.violations
+            "  network: {} round ticks, {} messages, {} bits",
+            self.round_ticks, self.messages_delivered, self.bits_delivered
         )?;
         if !self.phases.is_empty() {
             writeln!(f, "  phases (rounds/messages/bits, * = derived):")?;
@@ -394,20 +382,12 @@ mod tests {
                 to: 0,
                 bits: 4,
             },
-            TraceEvent::Violation {
-                round: 1,
-                from: 1,
-                to: 0,
-                bits: 99,
-                budget: 32,
-            },
             TraceEvent::Phase {
                 label: "bfs".into(),
                 rounds: 10,
                 messages: 3,
                 bits: 20,
                 reps: 2,
-                violations: 0,
                 derived: false,
             },
             TraceEvent::Phase {
@@ -416,7 +396,6 @@ mod tests {
                 messages: 1,
                 bits: 4,
                 reps: 1,
-                violations: 0,
                 derived: true,
             },
             TraceEvent::Oracle {
@@ -465,7 +444,6 @@ mod tests {
         assert_eq!(summary.round_deliveries, 2);
         assert_eq!(summary.messages_delivered, 3);
         assert_eq!(summary.bits_delivered, 20);
-        assert_eq!(summary.violations, 1);
 
         let bfs = summary.phase("bfs").unwrap();
         assert_eq!(bfs.rounds, 20, "reps are multiplied in");
@@ -478,7 +456,8 @@ mod tests {
 
         let edge = &summary.edges()[&(0, 1)];
         assert_eq!((edge.messages, edge.bits), (2, 16));
-        assert_eq!(summary.edges()[&(1, 0)].violations, 1);
+        let edge = &summary.edges()[&(1, 0)];
+        assert_eq!((edge.messages, edge.bits), (1, 4));
 
         assert_eq!(summary.oracle_setup_ops, 1);
         assert_eq!(summary.oracle_setup_rounds, 7);
@@ -531,7 +510,6 @@ mod tests {
                 messages: 1,
                 bits: 8,
                 reps: 1,
-                violations: 0,
                 derived: false,
             },
             TraceEvent::Oracle {
@@ -637,7 +615,6 @@ mod tests {
                 messages: 0,
                 bits: 0,
                 reps: 1,
-                violations: 0,
                 derived: true,
             },
             TraceEvent::Phase {
@@ -646,7 +623,6 @@ mod tests {
                 messages: 0,
                 bits: 0,
                 reps: 1,
-                violations: 0,
                 derived: false,
             },
         ];

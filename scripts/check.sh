@@ -129,6 +129,14 @@ grep -q '^# TYPE qd_messages_total counter' "$xdir/metrics.prom" \
   || { echo "metrics.prom missing qd_messages_total" >&2; status=1; }
 rm -rf "$xdir"
 
+echo "=== committed crossover sweep (≈50 ms) ==="
+xdir=$(mktemp -d)
+cargo run -q --release --offline -p congest-diameter --bin qdiam -- \
+  crossover --families sparse,tree --ns 16,24,32,48,64,96,128,160,192 \
+  --seed 7 --out "$xdir" >/dev/null || status=1
+diff "$xdir/CROSSOVER.md" results/CROSSOVER.md || status=1
+rm -rf "$xdir"
+
 echo "=== scale smoke (n = 10⁴) + BENCH_scale.json schema ==="
 sdir=$(mktemp -d)
 QD_MAX_N=10000 QD_RESULTS_DIR="$sdir" cargo run -q --release --offline -p bench \

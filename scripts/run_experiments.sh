@@ -5,6 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 cargo build --release -p bench --bins
+cargo build --release --bin qdiam
 
 failures=0
 for bin in table1_exact table1_approx table1_lower_bounds \
@@ -17,6 +18,13 @@ for bin in table1_exact table1_approx table1_lower_bounds \
     failures=$((failures + 1))
   fi
 done
+
+echo "=== crossover ==="
+if ! ./target/release/qdiam crossover --families sparse,tree \
+     --ns 16,24,32,48,64,96,128,160,192 --seed 7 --out results; then
+  echo "FAILED: crossover" >&2
+  failures=$((failures + 1))
+fi
 
 # The structured-output harnesses must also have written machine-readable
 # results (bench::write_results_json); a missing file means the run died

@@ -21,7 +21,9 @@
 //! Artifacts: `crossover.json` (machine-readable, schema below) and an
 //! auto-generated Markdown report `CROSSOVER.md`, both written by
 //! [`CrossoverReport::write_artifacts`] — usually into `results/` via
-//! `qdiam crossover` or the `crossover` bench bin.
+//! `qdiam crossover`. The committed `results/CROSSOVER.md` is the sweep
+//! `qdiam crossover --families sparse,tree --ns
+//! 16,24,32,48,64,96,128,160,192 --seed 7 --out results`.
 
 use std::fmt::Write as _;
 use std::io;

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use classical::hprw::{self, HprwParams};
 use congest::reference::Reference;
-use congest::{BandwidthPolicy, CongestError, FaultPlan, FaultStats};
+use congest::{CongestError, FaultPlan, FaultStats};
 use quantum_diameter::{approx, exact};
 
 /// With a bandwidth budget far below O(log n), every algorithm must abort
@@ -33,28 +33,13 @@ fn starved_bandwidth_is_detected() {
     ));
 }
 
-/// Under the Track policy the same runs complete and report violations.
-#[test]
-fn tracked_bandwidth_reports_violations() {
-    let g = graphs::generators::cycle(12);
-    let tight = Config::new(2).with_policy(BandwidthPolicy::Track);
-    let out = classical::apsp::exact_diameter(&g, tight).unwrap();
-    assert_eq!(out.diameter, 6);
-    let violations: u64 = out
-        .ledger
-        .phases()
-        .map(|(_, s, reps)| s.bandwidth_violations * reps)
-        .sum();
-    assert!(violations > 0, "starved run must report violations");
-}
-
 /// The algorithms actually fit the canonical O(log n) budget: the largest
 /// message ever sent stays within Config::for_graph.
 #[test]
 fn algorithms_fit_the_congest_budget() {
     let g = graphs::generators::random_connected(40, 0.1, 3);
     let cfg = Config::for_graph(&g);
-    // Enforce policy: completing at all proves the fit; also check headroom.
+    // Completing at all proves the fit; also check headroom.
     let out = classical::apsp::exact_diameter(&g, cfg).unwrap();
     let max_bits = out.ledger.max_message_bits();
     assert!(max_bits <= cfg.bandwidth_bits());

@@ -492,7 +492,9 @@ fn traced_recovery(
 /// Every discarded round is in a span: for each healing driver, under
 /// a drop plan (the quantum drivers heal it by retries) and a crash
 /// healed by a re-root, the derived `wasted` spans of the trace sum to
-/// the run's `RecoveryStats::wasted_rounds`.
+/// the run's `RecoveryStats::wasted_rounds`, and so do the trace's
+/// recovery events, which `qdiam trace-summary` counts (a re-root's
+/// event carries the attempt it threw away).
 #[test]
 fn every_wasted_round_is_in_a_span() {
     let g = graphs::generators::grid(5, 5);
@@ -510,6 +512,11 @@ fn every_wasted_round_is_in_a_span() {
                 wasted_span_rounds(&events),
                 stats.wasted_rounds,
                 "{driver} under {spec}"
+            );
+            assert_eq!(
+                trace::Summary::from_events(&events).recovery_wasted_rounds,
+                stats.wasted_rounds,
+                "{driver} under {spec}: recovery events"
             );
             wasted[i] += stats.wasted_rounds;
         }
