@@ -24,10 +24,19 @@
 //!   centralised emulation of the quantum search: the eccentricity table
 //!   behind `f(u) = max_{v∈S(u)} ecc(v)` and the maximum finding.
 //!
+//! After the timed sweep, a second pass reruns `apsp_sparse` at n = 512
+//! and 8192 and `exact_sparse` at n = 1024 with a metrics registry
+//! installed (the two small points five times, keeping the fastest), and
+//! writes `BENCH_phases.json`: for every `congest/<phase>` profiler span
+//! of `Network::step`, the nanoseconds per stepped round and per simulated
+//! message. The timed pass runs with no registry, so its throughput is not
+//! charged for the spans.
+//!
 //! `scripts/benchdiff` compares the `rounds_per_sec` of a fresh run with
-//! the committed artifact. `QD_MAX_N` caps the sweep and `QD_RESULTS_DIR`
-//! redirects the artifact (the `check.sh` smoke uses both, leaving the
-//! committed sweep untouched).
+//! the committed `BENCH_drivers.json`, and the per-message phase costs
+//! with the committed `BENCH_phases.json`. `QD_MAX_N` caps both sweeps and
+//! `QD_RESULTS_DIR` redirects both artifacts (the `check.sh` smoke uses
+//! both, leaving the committed sweeps untouched).
 
 use congest::Config;
 use graphs::{Graph, NodeId};
@@ -111,6 +120,107 @@ fn run_exact(g: &Graph) -> Point {
     }
 }
 
+/// Registry-instrumented runs of a point at or below this n are repeated
+/// and the fastest kept: one of them lasts milliseconds, and a single run
+/// moves with the host by a third.
+const REPEAT_BELOW: usize = 1024;
+
+/// The `congest/<phase>` spans of a registry-instrumented run of
+/// `workload` on `g`, per stepped round and per simulated message.
+fn phase_point(workload: &'static str, g: &Graph) -> trace::Json {
+    let step_nanos = |r: &metrics::Registry| -> u64 {
+        let spans = r.spans().iter();
+        spans
+            .filter(|(path, _)| path.starts_with("congest/"))
+            .map(|(_, s)| s.nanos)
+            .sum()
+    };
+    let repeats = if g.len() <= REPEAT_BELOW { 5 } else { 1 };
+    let registry = (0..repeats)
+        .map(|_| {
+            let registry = metrics::Registry::shared();
+            let _meter = metrics::install(registry.clone());
+            match workload {
+                "exact_sparse" => run_exact(g),
+                _ => run_apsp(workload, g),
+            };
+            registry
+        })
+        .min_by_key(|r| step_nanos(&r.borrow()))
+        .expect("at least one run");
+    let registry = registry.borrow();
+    let messages = registry.counter(metrics::names::MESSAGES);
+    let spans: Vec<(&str, metrics::SpanStats)> = registry
+        .spans()
+        .iter()
+        .filter_map(|(path, &stats)| Some((path.strip_prefix("congest/")?, stats)))
+        .collect();
+    // Every stepped round records each phase once (a failed validation
+    // stops before the commit, and these runs have none).
+    let rounds = spans.iter().map(|(_, s)| s.calls).max().unwrap_or(0);
+    let per = |nanos: u64, count: u64| nanos as f64 / count.max(1) as f64;
+    println!(
+        "{:>12} {:>7} {:>8} {:>9}",
+        workload,
+        g.len(),
+        rounds,
+        messages
+    );
+    let phases = spans
+        .iter()
+        .map(|&(phase, stats)| {
+            let (round, msg) = (per(stats.nanos, rounds), per(stats.nanos, messages));
+            println!(
+                "{:>30} {:>10} {:>11.0} {:>9.2}",
+                phase, stats.nanos, round, msg
+            );
+            trace::Json::obj([
+                ("phase", trace::Json::Str(phase.into())),
+                ("nanos", trace::Json::Int(i128::from(stats.nanos))),
+                ("ns_per_round", trace::Json::Float(round)),
+                ("ns_per_msg", trace::Json::Float(msg)),
+            ])
+        })
+        .collect();
+    trace::Json::obj([
+        ("workload", trace::Json::Str(workload.into())),
+        ("n", trace::Json::Int(g.len() as i128)),
+        ("rounds", trace::Json::Int(i128::from(rounds))),
+        ("messages", trace::Json::Int(i128::from(messages))),
+        ("phases", trace::Json::Arr(phases)),
+    ])
+}
+
+/// The registry-instrumented pass behind `BENCH_phases.json`.
+fn phases_pass(max_n: usize) {
+    bench::rule("step phases: congest/<phase> spans per round and per message");
+    println!(
+        "{:>12} {:>7} {:>8} {:>9}\n{:>30} {:>10} {:>11} {:>9}",
+        "workload", "n", "rounds", "messages", "phase", "ns", "ns/round", "ns/msg"
+    );
+    let runs: Vec<(&str, usize)> = [
+        ("apsp_sparse", 512),
+        ("exact_sparse", 1024),
+        ("apsp_sparse", 8192),
+    ]
+    .into_iter()
+    .filter(|&(_, n)| n <= max_n)
+    .collect();
+    let Some(largest) = runs.iter().map(|&(_, n)| n).max() else {
+        return;
+    };
+    let points = runs
+        .into_iter()
+        .map(|(workload, n)| phase_point(workload, &graphs::generators::random_sparse(n, 8.0, 11)))
+        .collect();
+    let payload = trace::Json::obj([
+        ("experiment", trace::Json::Str("phases".into())),
+        ("max_n", trace::Json::Int(largest as i128)),
+        ("points", trace::Json::Arr(points)),
+    ]);
+    bench::write_bench_json("BENCH_phases", payload).expect("write BENCH_phases.json");
+}
+
 fn max_n() -> usize {
     std::env::var("QD_MAX_N")
         .ok()
@@ -182,4 +292,5 @@ fn main() {
         ),
     ]);
     bench::write_bench_json("BENCH_drivers", payload).expect("write BENCH_drivers.json");
+    phases_pass(max_n);
 }

@@ -37,8 +37,10 @@ impl Payload for AggMsg {
     }
 }
 
-struct AggProgram {
+struct AggProgram<'t> {
     parent: Option<NodeId>,
+    /// The node's children, borrowed from the tree the aggregate climbs.
+    children: &'t [NodeId],
     pending: usize,
     op: Op,
     acc: u64,
@@ -46,11 +48,12 @@ struct AggProgram {
     value_bits: u8,
     node_bits: u8,
     sent: bool,
-    /// Children whose report has been counted — retransmission may deliver
-    /// duplicates, which must not decrement `pending` twice or double-count
-    /// an [`Op::Sum`] contribution. Empty-cost when retransmission is off
-    /// (each child reports at most once).
-    seen: Vec<NodeId>,
+    /// Bit `k` is set once the report of `children[k]` has been counted:
+    /// retransmission may deliver duplicates, which must not decrement
+    /// `pending` twice or double-count an [`Op::Sum`] contribution. Without
+    /// retransmission each child reports at most once, so this stays empty
+    /// and unallocated.
+    counted: Vec<u64>,
     /// Extra rounds to repeat the parent report
     /// (`RecoveryPolicy::retransmit`; 0 keeps the single-shot protocol
     /// byte-identical).
@@ -59,7 +62,7 @@ struct AggProgram {
     resent: u64,
 }
 
-impl AggProgram {
+impl AggProgram<'_> {
     fn report(&self) -> AggMsg {
         AggMsg {
             value: self.acc,
@@ -67,6 +70,24 @@ impl AggProgram {
             value_bits: self.value_bits,
             node_bits: self.node_bits,
         }
+    }
+
+    /// Whether the report from `from` is the first this node counts from
+    /// that child. Only a retransmitting run can repeat one.
+    fn first_report(&mut self, from: NodeId) -> bool {
+        if self.resend == 0 {
+            return true;
+        }
+        let Some(k) = self.children.iter().position(|&c| c == from) else {
+            return false;
+        };
+        if self.counted.is_empty() {
+            self.counted = vec![0; self.children.len().div_ceil(64)];
+        }
+        let (word, bit) = (k / 64, 1u64 << (k % 64));
+        let first = self.counted[word] & bit == 0;
+        self.counted[word] |= bit;
+        first
     }
 
     fn combine(&mut self, value: u64, witness: u32) {
@@ -88,16 +109,15 @@ impl AggProgram {
     }
 }
 
-impl NodeProgram for AggProgram {
+impl NodeProgram for AggProgram<'_> {
     type Msg = AggMsg;
     type Output = ((u64, NodeId), bool, u64);
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, AggMsg>) -> Status {
-        for (from, msg) in ctx.inbox() {
-            if self.seen.contains(from) {
+        for &(from, ref msg) in ctx.inbox() {
+            if !self.first_report(from) {
                 continue;
             }
-            self.seen.push(*from);
             self.combine(msg.value, msg.witness);
             self.pending = self.pending.saturating_sub(1);
         }
@@ -168,11 +188,12 @@ fn convergecast_program<'a>(
     value_bits: u8,
     op: Op,
     config: Config,
-) -> impl Fn(NodeId) -> AggProgram + 'a {
+) -> impl Fn(NodeId) -> AggProgram<'a> + 'a {
     let resend = config.recovery().retransmit();
     let node_bits = bits::for_node(tree.len()) as u8;
     move |v| AggProgram {
         parent: tree.parent(v),
+        children: tree.children(v),
         pending: tree.children(v).len(),
         op,
         acc: values[v.index()],
@@ -180,7 +201,7 @@ fn convergecast_program<'a>(
         value_bits,
         node_bits,
         sent: false,
-        seen: Vec::new(),
+        counted: Vec::new(),
         resend,
         resends_left: 0,
         resent: 0,
@@ -284,15 +305,16 @@ impl Payload for BcastMsg {
     }
 }
 
-struct BcastProgram {
-    children: Vec<NodeId>,
+struct BcastProgram<'t> {
+    /// The node's children, borrowed from the tree the value descends.
+    children: &'t [NodeId],
     value: Option<u64>,
     value_bits: u8,
     is_root: bool,
     sent: bool,
 }
 
-impl NodeProgram for BcastProgram {
+impl NodeProgram for BcastProgram<'_> {
     type Msg = BcastMsg;
     type Output = Option<u64>;
 
@@ -303,7 +325,7 @@ impl NodeProgram for BcastProgram {
         if (self.is_root || self.value.is_some()) && !self.sent {
             self.sent = true;
             let value = self.value.expect("root starts with a value");
-            for &c in &self.children {
+            for &c in self.children {
                 ctx.send(
                     c,
                     BcastMsg {
@@ -333,14 +355,14 @@ pub struct BroadcastOutcome {
 }
 
 /// The broadcast program at each node, as [`broadcast`] starts it.
-fn broadcast_program(
-    tree: &TreeView,
+fn broadcast_program<'t>(
+    tree: &'t TreeView,
     value: u64,
     value_bits: u8,
-) -> impl Fn(NodeId) -> BcastProgram + '_ {
+) -> impl Fn(NodeId) -> BcastProgram<'t> + 't {
     let root = tree.root();
     move |v| BcastProgram {
-        children: tree.children(v).to_vec(),
+        children: tree.children(v),
         value: (v == root).then_some(value),
         value_bits,
         is_root: v == root,

@@ -33,9 +33,10 @@ impl Payload for Token {
     }
 }
 
-struct WalkProgram {
+struct WalkProgram<'t> {
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    /// The node's children, borrowed from the tree the walk follows.
+    children: &'t [NodeId],
     is_start: bool,
     steps: u64,
     t_bits: u8,
@@ -54,7 +55,7 @@ enum Arrival {
     Up(NodeId),
 }
 
-impl WalkProgram {
+impl WalkProgram<'_> {
     fn forward(&self, ctx: &mut RoundCtx<'_, Token>, t: u64, arrival: Arrival) {
         if t >= self.steps {
             return;
@@ -84,7 +85,7 @@ impl WalkProgram {
     }
 }
 
-impl NodeProgram for WalkProgram {
+impl NodeProgram for WalkProgram<'_> {
     type Msg = Token;
     type Output = (Option<u64>, u64);
 
@@ -141,12 +142,16 @@ impl DfsWalkOutcome {
 }
 
 /// The token-walk program at each node, as [`walk`] starts it.
-fn program(tree: &TreeView, start: NodeId, steps: u64) -> impl Fn(NodeId) -> WalkProgram + '_ {
+fn program<'t>(
+    tree: &'t TreeView,
+    start: NodeId,
+    steps: u64,
+) -> impl Fn(NodeId) -> WalkProgram<'t> + 't {
     // At most 64 bits, so the width fits a byte.
     let t_bits = bits::for_value(steps.max(1)) as u8;
     move |v| WalkProgram {
         parent: tree.parent(v),
-        children: tree.children(v).to_vec(),
+        children: tree.children(v),
         is_start: v == start,
         steps,
         t_bits,

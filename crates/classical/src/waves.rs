@@ -146,6 +146,7 @@ impl NodeProgram for WaveProgram {
     type Msg = WaveMsg;
     type Output = WaveNodeOutcome;
 
+    #[inline]
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, WaveMsg>) -> Status {
         let (round, node) = (ctx.round(), ctx.node());
         // Emitted before the checks below, so a violating schedule is

@@ -220,11 +220,12 @@ impl RunStats {
 ///    becomes the read-only store this round's inboxes index into. Every
 ///    inbox already sits in its node's row of the graph's CSR layout (one
 ///    entry-index slot per incident edge), written there by the commit, so
-///    sealing only swaps the staged and sealed per-node counts and zeroes
-///    the counts of last round's receivers, O(receivers). An inbox is an
-///    [`Inbox`] view of its row; no payload moves.
-/// 2. **execute** — every scheduled program runs against its inbox view
-///    and appends its sends to the round's shared send buffer: one entry
+///    sealing only resets the receiver list, O(1) (plus a per-row sort
+///    after a delayed-message merge). An inbox is an [`Inbox`] view of its
+///    row; no payload moves.
+/// 2. **execute** — every scheduled program runs against its inbox view,
+///    taken from its row (which leaves the row empty for the commit), and
+///    appends its sends to the round's shared send buffer: one entry
 ///    per `send`, and one per `broadcast`/`broadcast_except` however many
 ///    neighbours it reaches. Nodes that staged anything are collected into
 ///    a sender list with the end of their run of entries. Each vote is
@@ -243,11 +244,11 @@ impl RunStats {
 ///    delivered message is also traced and meets its fault fate; with none
 ///    of those, the entries take an out-of-line staging-only lane. Each
 ///    delivery asks the receiver's program, in its post-round state,
-///    whether it [ignores](NodeProgram::ignores) the message. A delivery
-///    writes the entry index into the next free slot of its receiver's
-///    row, but only a wanted one advances the row's count, so an ignored
-///    one is overwritten by the next and never shown; it still counts as
-///    in flight. A receiver's first wanted delivery appends it to the
+///    whether it [ignores](NodeProgram::ignores) the message. A wanted
+///    delivery writes the entry index into the next free slot of its
+///    receiver's row and advances the row's count; an ignored one writes
+///    a scratch slot instead and is never shown, but still counts as in
+///    flight. A receiver's first wanted delivery appends it to the
 ///    round's receiver list. After the commit (and the merge of due
 ///    delayed messages, phase 4b) one pass over that list queues the
 ///    receivers for the next round: a receiver whose deliveries are all
@@ -298,7 +299,7 @@ pub struct Network<'g, P: NodeProgram> {
     prev: SendBuf<P::Msg>,
     /// The sealed inboxes and the next round's staged deliveries, as entry
     /// indices in the graph's CSR rows.
-    arena: InboxArena<'g>,
+    arena: InboxArena,
     /// Nodes that staged at least one entry this round (ascending), each
     /// with the end of its run of entries in `sent` (the run starts where
     /// the previous sender's ends). The commit and validate phases walk
@@ -364,9 +365,10 @@ pub struct Network<'g, P: NodeProgram> {
     /// common unprofiled path should not pay struct size for.
     crit: Option<Box<CritState>>,
     /// High-water bytes held by the message path (capacities of both send
-    /// buffers, plus the arena's fixed one-slot-per-directed-edge index
-    /// array), refreshed at round end whenever a metrics registry or flight
-    /// recorder is installed.
+    /// buffers, plus the arena's fixed index array, one slot per directed
+    /// edge and a scratch slot, and its per-node records), refreshed at
+    /// round end whenever a metrics registry or flight recorder is
+    /// installed.
     arena_highwater: u64,
     /// The thread's flight recorder, bound once at construction (unlike
     /// the per-round `trace::current()` / `metrics::current()` fetches):
@@ -389,35 +391,35 @@ const FRONTIER_DENSITY_SHIFT: usize = 5;
 /// The index side of the message path: which staged entries each node
 /// receives, laid out in the graph's own CSR rows. CONGEST allows one
 /// message per directed edge per round, so node `t` never receives more
-/// than `deg(t)` entries, and row `t` — the slots `row[t]..row[t + 1]`, one
-/// per incident edge — holds its whole inbox. The commit writes each
-/// delivery straight into the next free slot of its receiver's row, in
-/// ascending sender order (the commit walks senders in order, and a
-/// receiver gets at most one entry per sender), so every row comes out
-/// sorted without a scatter.
+/// than `deg(t)` entries, and row `t` — one slot per incident edge — holds
+/// its whole inbox. The commit writes each delivery straight into the
+/// next free slot of its receiver's row, in ascending sender order (the
+/// commit walks senders in order, and a receiver gets at most one entry per
+/// sender), so every row comes out sorted without a scatter.
 ///
-/// A row holds this round's inbox until the commit overwrites it with the
-/// next round's: the execute phase reads the sealed counts before any
-/// commit starts. The seal only swaps the two count arrays and zeroes the
-/// counts of the receivers it retires, O(receivers).
+/// Each node's row is described by one [`Row`] record: where the row
+/// starts and how many deliveries it holds. One count serves both the
+/// sealed inbox and the staged one because the two are never live at
+/// once: the execute phase reads every inbox before any commit starts, and
+/// [`InboxArena::take`] empties each row as its inbox is handed out. Every
+/// receiver is in the next round's active set, so the execute phase empties
+/// every row that holds an inbox. A delivery reads and writes its
+/// receiver's record on one cache line, and the execute phase finds and
+/// empties an inbox on one line too.
 ///
 /// A row holds only the deliveries its receiver wants. One its program
-/// [ignores](NodeProgram::ignores) is written to the row's next free slot
-/// like any other, but the count does not advance past it, so the next
-/// delivery overwrites it and no inbox ever shows it. It still counts in
-/// `in_flight`: it was delivered, and quiescence and fast-forward wait for
-/// it like any other. A node therefore lands on the receiver list, and is
-/// woken, only by its first wanted delivery.
-struct InboxArena<'g> {
-    /// The graph's CSR row offsets (length `n + 1`).
-    row: &'g [u32],
-    /// One entry-index slot per directed edge, allocated once.
+/// [ignores](NodeProgram::ignores) writes its entry index to a scratch
+/// slot past every row instead, and the count does not advance, so no
+/// inbox ever shows it and its receiver's row is never touched. It still
+/// counts in `in_flight`: it was delivered, and quiescence and
+/// fast-forward wait for it like any other. A node therefore lands on the
+/// receiver list, and is woken, only by its first wanted delivery.
+struct InboxArena {
+    /// One record per node.
+    rows: Vec<Row>,
+    /// One entry-index slot per directed edge, allocated once, then the
+    /// scratch slot that ignored deliveries write to.
     idx: Vec<u32>,
-    /// Wanted deliveries staged in each node's row for the next round.
-    len: Vec<u32>,
-    /// This round's inbox sizes: node `t`'s inbox is the first `sealed[t]`
-    /// slots of its row, and 0 is the empty inbox.
-    sealed: Vec<u32>,
     /// The next round's distinct receivers of a wanted delivery, in
     /// first-wanted-delivery order, in the first `staged` slots. The
     /// buffer has a fixed `n + 1` slots, so the staging append can write
@@ -425,10 +427,6 @@ struct InboxArena<'g> {
     /// delivery.
     receivers: Vec<u32>,
     staged: usize,
-    /// This round's receivers (every node with `sealed[t] > 0`), in the
-    /// first `num_sealed` slots — the counts the next seal zeroes.
-    sealed_receivers: Vec<u32>,
-    num_sealed: usize,
     /// Deliveries staged for the next round, ignored ones included,
     /// counted as they are staged.
     in_flight: usize,
@@ -438,42 +436,101 @@ struct InboxArena<'g> {
     unsorted: bool,
 }
 
-impl<'g> InboxArena<'g> {
-    fn new(graph: &'g Graph) -> Self {
-        let row = graph.offsets();
+/// One node's record in the [`InboxArena`]: its row of index slots
+/// starts at `start`, and its first `len` slots are in use. Eight bytes,
+/// aligned to eight, so a record never straddles a cache line.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(8))]
+struct Row {
+    /// The row's first slot: the node's offset in the graph's CSR rows.
+    start: u32,
+    /// From the seal until the execute phase takes it, the size of this
+    /// round's inbox; from then on, the wanted deliveries staged for the
+    /// next round.
+    len: u32,
+}
+
+/// The staging side of an [`InboxArena`], borrowed for a run of
+/// deliveries with the receiver list's length in a local.
+struct Stager<'a> {
+    rows: &'a mut [Row],
+    idx: &'a mut [u32],
+    receivers: &'a mut [u32],
+    staged: usize,
+}
+
+impl Stager<'_> {
+    /// One past the last slot of node `t`'s row: the next row's start, or
+    /// the scratch slot after the last row.
+    fn row_end(&self, t: usize) -> usize {
+        self.rows
+            .get(t + 1)
+            .map_or(self.idx.len() - 1, |row| row.start as usize)
+    }
+
+    /// Stages entry `entry` of the current send buffer for node `to`'s
+    /// next inbox if `wants` (its program does not ignore the message).
+    /// Branch-free: a wanted delivery writes the next free slot of its
+    /// receiver's row and advances the row's count, an ignored one writes
+    /// the scratch slot and leaves the count; both write the receiver list,
+    /// which only advances on a receiver's first wanted delivery.
+    #[inline(always)]
+    fn stage(&mut self, to: usize, entry: u32, wants: bool) {
+        let (l, next) = {
+            let row = self.rows[to];
+            (row.len, row.start as usize + row.len as usize)
+        };
+        // Every wanted delivery crosses its own incident edge, so it lands
+        // inside the row.
+        debug_assert!(
+            !wants || next < self.row_end(to),
+            "node {to} was staged more messages than it has neighbours"
+        );
+        let scratch = self.idx.len() - 1;
+        self.idx[if wants { next } else { scratch }] = entry;
+        let w = u32::from(wants);
+        self.rows[to].len = l + w;
+        self.receivers[self.staged] = to as u32;
+        // `l < w` exactly when the row was empty and this one is wanted.
+        self.staged += usize::from(l < w);
+    }
+}
+
+impl InboxArena {
+    fn new(graph: &Graph) -> Self {
+        let offsets = graph.offsets();
         let n = graph.len();
+        let rows = offsets[..n]
+            .iter()
+            .map(|&start| Row { start, len: 0 })
+            .collect();
         InboxArena {
-            row,
-            idx: vec![0; row[n] as usize],
-            len: vec![0; n],
-            sealed: vec![0; n],
+            rows,
+            idx: vec![0; offsets[n] as usize + 1],
             receivers: vec![0; n + 1],
             staged: 0,
-            sealed_receivers: vec![0; n + 1],
-            num_sealed: 0,
             in_flight: 0,
             unsorted: false,
         }
     }
 
-    /// Stages entry `entry` of the current send buffer for node `to`'s
-    /// next inbox if `wants` (its program does not ignore the message),
-    /// and counts it in flight either way. [`commit_plain`] inlines the
-    /// same branch-free write with its counters in locals.
+    /// Borrows the staging side; the caller stores its `staged` back.
+    #[inline]
+    fn stager(&mut self) -> Stager<'_> {
+        Stager {
+            rows: &mut self.rows,
+            idx: &mut self.idx,
+            receivers: &mut self.receivers,
+            staged: self.staged,
+        }
+    }
+
+    /// Stages one delivery (see [`Stager::stage`]) and counts it in flight.
     #[inline]
     fn stage(&mut self, to: usize, entry: u32, wants: bool) {
-        let l = self.len[to];
-        let slot = self.row[to] as usize + l as usize;
-        // Every delivery, ignored ones included, crosses its own incident
-        // edge, so even the slot of an ignored one lies inside the row.
-        debug_assert!(
-            slot < self.row[to + 1] as usize,
-            "node {to} was staged more messages than it has neighbours"
-        );
-        self.idx[slot] = entry;
-        self.len[to] = l + u32::from(wants);
-        self.receivers[self.staged] = to as u32;
-        self.staged += usize::from((l == 0) & wants);
+        let mut stager = self.stager();
+        stager.stage(to, entry, wants);
+        self.staged = stager.staged;
         self.in_flight += 1;
     }
 
@@ -485,8 +542,9 @@ impl<'g> InboxArena<'g> {
     }
 
     /// Seals the staged rows as this round's inboxes over `msgs`, the send
-    /// buffer they index into: the retiring round's counts are zeroed, and
-    /// the staged counts and receivers become the sealed ones.
+    /// buffer they index into: a row holds just what was staged for it, so
+    /// only the receiver list and the in-flight count are reset, and the
+    /// rows are sorted by sender after a delayed-message merge.
     #[inline]
     fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
         debug_assert!(
@@ -494,32 +552,29 @@ impl<'g> InboxArena<'g> {
                 >= self
                     .receivers()
                     .iter()
-                    .map(|&t| self.len[t as usize] as usize)
+                    .map(|&t| self.rows[t as usize].len as usize)
                     .sum::<usize>(),
             "the arena's rows hold more deliveries than were staged"
         );
-        for &t in &self.sealed_receivers[..self.num_sealed] {
-            self.sealed[t as usize] = 0;
-        }
-        std::mem::swap(&mut self.len, &mut self.sealed);
-        std::mem::swap(&mut self.receivers, &mut self.sealed_receivers);
-        self.num_sealed = std::mem::replace(&mut self.staged, 0);
-        self.in_flight = 0;
-        if self.unsorted {
-            self.unsorted = false;
-            for &t in &self.sealed_receivers[..self.num_sealed] {
-                let lo = self.row[t as usize] as usize;
-                let hi = lo + self.sealed[t as usize] as usize;
+        if std::mem::take(&mut self.unsorted) {
+            for &t in &self.receivers[..self.staged] {
+                let Row { start, len } = self.rows[t as usize];
+                let (lo, hi) = (start as usize, (start + len) as usize);
                 self.idx[lo..hi].sort_unstable_by_key(|&k| msgs[k as usize].0);
             }
         }
+        self.staged = 0;
+        self.in_flight = 0;
     }
 
-    /// This round's inbox of node `i`, as entry indices.
+    /// This round's inbox of node `i`, as entry indices, leaving its row
+    /// empty for the commit to stage into.
     #[inline]
-    fn inbox(&self, i: usize) -> &[u32] {
-        let lo = self.row[i] as usize;
-        &self.idx[lo..lo + self.sealed[i] as usize]
+    fn take(&mut self, i: usize) -> &[u32] {
+        let row = &mut self.rows[i];
+        let start = row.start as usize;
+        let len = std::mem::take(&mut row.len) as usize;
+        &self.idx[start..start + len]
     }
 }
 
@@ -831,7 +886,8 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let (sent, prev, arena) = (&self.sent, &self.prev, &self.arena);
         let entries = (sent.msgs.capacity() + prev.msgs.capacity()) * size_of::<(NodeId, P::Msg)>()
             + (sent.dest.capacity() + prev.dest.capacity()) * size_of::<Dest>();
-        let index = arena.idx.capacity() * size_of::<u32>();
+        let index =
+            arena.idx.capacity() * size_of::<u32>() + arena.rows.capacity() * size_of::<Row>();
         self.arena_highwater = self.arena_highwater.max((entries + index) as u64);
     }
 
@@ -1067,11 +1123,14 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         self.senders.clear();
         for &i in &self.active {
             let iu = i as usize;
+            // Taken even from a crashed node, so that its row is empty for
+            // the commit too.
+            let ids = self.arena.take(iu);
             if crashed.is_some_and(|c| c[iu]) {
                 continue;
             }
             let node = NodeId::new(iu);
-            let inbox = Inbox::new(&self.prev.msgs, self.arena.inbox(iu));
+            let inbox = Inbox::new(&self.prev.msgs, ids);
             // The commit phase fills inboxes in ascending sender order with
             // at most one message per directed edge; programs rely on this
             // (see `NodeProgram::on_round`), so enforce it where a future
@@ -1092,24 +1151,29 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             self.statuses[iu] = vote;
             // Record the vote: `Active` voters and past-due sleepers run
             // again next round; future wakeups go to the heap; `Halted`
-            // voters drop out until a message arrives.
-            match vote {
-                Status::Sleep(wake) if wake > round + 1 => {
-                    if self.queued_wake[iu] != wake {
-                        self.queued_wake[iu] = wake;
-                        self.wakeups.push(Reverse((wake, i)));
-                    }
-                }
-                Status::Active | Status::Sleep(_) => {
-                    self.active_mark[iu] = round + 1;
-                    self.next_active.push(i);
-                }
-                Status::Halted => {}
+            // voters drop out until a message arrives. Worked out without
+            // branching on the vote, which programs such as the Figure 2
+            // waves cast unpredictably between `Halted` and a parked
+            // `Sleep` that is mostly queued already.
+            let (sleeps, wake) = match vote {
+                Status::Sleep(wake) => (true, wake),
+                _ => (false, 0),
+            };
+            let parks = sleeps & (wake > round + 1);
+            if parks & (self.queued_wake[iu] != wake) {
+                self.queued_wake[iu] = wake;
+                self.wakeups.push(Reverse((wake, i)));
+            }
+            if !parks & (vote != Status::Halted) {
+                self.active_mark[iu] = round + 1;
+                self.next_active.push(i);
             }
             if self.sent.len() > staged {
                 self.senders.push((i, self.sent.len() as u32));
             }
         }
+        // Every node with an inbox was scheduled, so every row is empty.
+        debug_assert!(self.arena.rows.iter().all(|row| row.len == 0));
     }
 
     /// Checks every sender's entries (neighbour, duplicate-send, bandwidth)
@@ -1138,10 +1202,10 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             let (start, end) = (first, end as usize);
             first = end;
             let node = NodeId::new(i as usize);
-            let neighbors = self.graph.neighbors(node);
             if end - start == 1 && !matches!(sent.dest[start], Dest::One(_)) {
                 let bits = sent.msgs[start].1.size_bits();
                 if bits > budget {
+                    let neighbors = self.graph.neighbors(node);
                     let (targets, skip) = sent.dest[start].targets(neighbors);
                     if let Some(&to) = targets.iter().find(|&&to| Some(to) != skip) {
                         return Err(too_wide(node, to, bits));
@@ -1149,6 +1213,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 }
                 continue;
             }
+            let neighbors = self.graph.neighbors(node);
             self.seen_epoch += 1;
             for k in start..end {
                 let bits = sent.msgs[k].1.size_bits();
@@ -1548,7 +1613,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 /// is on.
 #[inline]
 fn deliver(
-    arena: &mut InboxArena<'_>,
+    arena: &mut InboxArena,
     crit: Option<&mut CritState>,
     to: usize,
     entry: u32,
@@ -1579,17 +1644,17 @@ struct Lane<'a, P: NodeProgram> {
 ///
 /// It is the loop every plain round spends most of its commit in, so it
 /// stands out of line, over slices, with the receiver list's length, the
-/// in-flight count and the tally in locals: a delivery then writes only
-/// its row slot, its receiver's count and the receiver list, with the
-/// same branch-free write as [`InboxArena::stage`].
+/// in-flight count and the tally in locals: a delivery then reads its
+/// receiver's program and writes its record, the receiver list and one
+/// index slot, by the same [`Stager::stage`] as [`InboxArena::stage`].
 #[inline(never)]
-fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena<'_>, tally: &mut Tally) {
-    // Slicing the per-node arrays to the program count lets the program
-    // lookup's bounds check stand for theirs.
-    let n = lane.programs.len();
-    let (row, idx) = (&arena.row[..=n], &mut arena.idx[..]);
-    let (len, receivers) = (&mut arena.len[..n], &mut arena.receivers[..]);
-    let (mut staged, mut in_flight, mut charged) = (arena.staged, 0, *tally);
+fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena, tally: &mut Tally) {
+    let mut stager = arena.stager();
+    // Slicing the records to the program count lets the program lookup's
+    // bounds check stand for the record's.
+    let programs = lane.programs;
+    stager.rows = &mut stager.rows[..programs.len()];
+    let (mut in_flight, mut charged) = (0, *tally);
     let mut first = 0;
     for &(i, end) in lane.senders {
         let end = end as usize;
@@ -1602,14 +1667,7 @@ fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena<'_>, t
                 if Some(to) != skip {
                     count += 1;
                     let t = to.index();
-                    let wants = !lane.programs[t].ignores(msg);
-                    let l = len[t];
-                    let slot = row[t] as usize + l as usize;
-                    debug_assert!(slot < row[t + 1] as usize, "node {t} overfilled");
-                    idx[slot] = k as u32;
-                    len[t] = l + u32::from(wants);
-                    receivers[staged] = t as u32;
-                    staged += usize::from((l == 0) & wants);
+                    stager.stage(t, k as u32, !programs[t].ignores(msg));
                 }
             }
             if count > 0 {
@@ -1619,7 +1677,7 @@ fn commit_plain<P: NodeProgram>(lane: Lane<'_, P>, arena: &mut InboxArena<'_>, t
         }
         first = end;
     }
-    arena.staged = staged;
+    arena.staged = stager.staged;
     arena.in_flight += in_flight as usize;
     *tally = charged;
 }
@@ -2549,6 +2607,64 @@ mod tests {
         let (runs, heard) = &net.into_outputs()[1];
         assert_eq!(runs, &[0, 1, 2, 3, 4]);
         assert_eq!(heard, &[(2, vec![(0, 11)])]);
+    }
+
+    /// An ignored delivery and then a wanted one to the same receiver in
+    /// the same round: the ignored one goes to the scratch slot, the wanted
+    /// one to the first slot of the row, and only it is shown.
+    #[test]
+    fn an_ignored_then_a_wanted_delivery_to_one_receiver() {
+        let note = |tag, wanted| Note { tag, wanted };
+        let g = generators::path(3);
+        let mut net = Network::new(&g, Config::new(16), |v| {
+            Picky::new(match v.index() {
+                0 => vec![(0, note(10, false))],
+                2 => vec![(0, note(12, true))],
+                _ => Vec::new(),
+            })
+        });
+        net.step().unwrap();
+        // Node 0 staged entry 0, node 2 entry 1; the commit walks senders
+        // in id order, so the ignored delivery comes first.
+        let row = net.arena.rows[1];
+        assert_eq!(row.len, 1);
+        assert_eq!(net.arena.idx[row.start as usize], 1);
+        assert_eq!(net.arena.idx.last(), Some(&0), "the scratch slot");
+        assert_eq!(net.arena.in_flight, 2);
+        assert_eq!(net.arena.receivers(), &[1]);
+        net.run_until_quiescent(20).unwrap();
+        let (runs, heard) = &net.into_outputs()[1];
+        assert_eq!(runs, &[0, 1]);
+        assert_eq!(heard, &[(1, vec![(2, 12)])]);
+    }
+
+    /// A receiver that ignores every delivery of a round: its row and count
+    /// are untouched and it is not queued, yet the deliveries are in flight,
+    /// so the network is not quiescent until the round that hands them
+    /// out has run.
+    #[test]
+    fn a_receiver_ignoring_every_delivery_keeps_its_row() {
+        let note = |tag| Note { tag, wanted: false };
+        let g = generators::path(3);
+        let mut net = Network::new(&g, Config::new(16), |v| {
+            Picky::new(match v.index() {
+                0 => vec![(0, note(10))],
+                2 => vec![(0, note(12))],
+                _ => Vec::new(),
+            })
+        });
+        let start = net.arena.rows[1].start as usize;
+        net.arena.idx[start..start + 2].fill(u32::MAX);
+        net.step().unwrap();
+        assert_eq!(net.arena.rows[1].len, 0);
+        assert_eq!(net.arena.idx[start..start + 2], [u32::MAX; 2]);
+        assert_eq!(net.arena.in_flight, 2);
+        assert!(net.arena.receivers().is_empty());
+        assert_eq!(net.halted, 3, "every node voted Halted");
+        assert!(!net.is_quiescent());
+        let stats = net.run_until_quiescent(20).unwrap();
+        assert_eq!((stats.rounds, stats.messages), (2, 2));
+        assert_eq!(net.into_outputs()[1], (vec![0], Vec::new()));
     }
 
     /// A delayed message that lands while a fresh message from the same

@@ -6,6 +6,10 @@
 //! sleeping one before its wake round, does nothing while its inbox is
 //! empty), so active-set scheduling must agree with the reference's
 //! run-everyone rounds, and the reference must report no contract breach.
+//! They keep the [`NodeProgram::ignores`] contract too: a randomly
+//! scripted node keeps a watermark that it raises now and then, and
+//! records and acts only on the messages at or above it, so the network
+//! may leave the others out of its inbox and not wake it for them.
 //!
 //! Compared per run: every round's inbox contents and order at every node,
 //! `RunStats`, the fault counters, and the first error.
@@ -77,14 +81,17 @@ impl Draws {
 #[derive(Clone)]
 enum Script {
     /// Pseudo-random sends, broadcasts, skips and `Halted`/`Sleep`/`Active`
-    /// votes; with probability `chaos`/1000 per acting node, one
-    /// misbehaving call as well.
+    /// votes, and raises of the node's watermark; with probability
+    /// `chaos`/1000 per acting node, one misbehaving call as well.
     Random { seed: u64, chaos: u32 },
     /// Fixed calls per `(node, round)`; every node stays `Active`.
     Table(Arc<Vec<(usize, Round, Vec<Action>)>>),
 }
 
 impl Script {
+    /// The calls, the vote, and a value the node's watermark is raised to
+    /// (0 for none); `inbox` holds only the messages at or above the
+    /// watermark.
     fn act(
         &self,
         v: NodeId,
@@ -93,7 +100,7 @@ impl Script {
         inbox: &[(NodeId, Pay)],
         neighbors: &[NodeId],
         n: usize,
-    ) -> (Vec<Action>, Status) {
+    ) -> (Vec<Action>, Status, u32) {
         let (seed, chaos) = match self {
             Script::Table(table) => {
                 let acts = table
@@ -101,7 +108,7 @@ impl Script {
                     .filter(|(u, r, _)| *u == v.index() && *r == round)
                     .flat_map(|(_, _, acts)| acts.iter().copied())
                     .collect();
-                return (acts, Status::Active);
+                return (acts, Status::Active, 0);
             }
             Script::Random { seed, chaos } => (*seed, *chaos),
         };
@@ -112,7 +119,7 @@ impl Script {
             Status::Sleep(wake) => round < wake,
         };
         if idle && inbox.is_empty() {
-            return (Vec::new(), last);
+            return (Vec::new(), last, 0);
         }
         let folded = inbox.iter().fold(0u64, |acc, &(from, m)| {
             mix(acc ^ ((from.index() as u64) << 32) ^ u64::from(m.val))
@@ -200,7 +207,14 @@ impl Script {
             7..=9 => Status::Sleep(round + 1 + d.below(5) as Round),
             _ => Status::Active,
         };
-        (acts, vote)
+        // Payload values are uniform, so a watermark of w ignores a share
+        // w / 2^32 of them; raises stop at half the range.
+        let raise = if d.chance(250) {
+            d.next() as u32 >> 1
+        } else {
+            0
+        };
+        (acts, vote, raise)
     }
 }
 
@@ -211,6 +225,8 @@ type Seen = Vec<(Round, Vec<(NodeId, Pay)>)>;
 struct Scripted {
     script: Script,
     last: Status,
+    /// Messages below it are ignored.
+    watermark: u32,
     seen: Seen,
 }
 
@@ -220,15 +236,16 @@ impl NodeProgram for Scripted {
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Pay>) -> Status {
         let view = ctx.inbox();
-        let inbox: Vec<(NodeId, Pay)> = view.into_iter().copied().collect();
-        assert_eq!(view.len(), inbox.len());
-        assert_eq!(view.is_empty(), inbox.is_empty());
-        assert_eq!(view.first(), inbox.first());
-        assert!(view.iter().rev().eq(inbox.iter().rev()));
+        let all: Vec<(NodeId, Pay)> = view.into_iter().copied().collect();
+        assert_eq!(view.len(), all.len());
+        assert_eq!(view.is_empty(), all.is_empty());
+        assert_eq!(view.first(), all.first());
+        assert!(view.iter().rev().eq(all.iter().rev()));
+        let inbox: Vec<(NodeId, Pay)> = all.into_iter().filter(|(_, m)| !self.ignores(m)).collect();
         if !inbox.is_empty() {
             self.seen.push((ctx.round(), inbox.clone()));
         }
-        let (acts, vote) = self.script.act(
+        let (acts, vote, raise) = self.script.act(
             ctx.node(),
             ctx.round(),
             self.last,
@@ -236,6 +253,7 @@ impl NodeProgram for Scripted {
             ctx.neighbors(),
             ctx.num_nodes(),
         );
+        self.watermark = self.watermark.max(raise);
         for act in acts {
             match act {
                 Action::Send(to, m) => ctx.send(to, m),
@@ -245,6 +263,10 @@ impl NodeProgram for Scripted {
         }
         self.last = vote;
         vote
+    }
+
+    fn ignores(&self, msg: &Pay) -> bool {
+        msg.val < self.watermark
     }
 
     fn finish(self, _node: NodeId) -> Seen {
@@ -265,6 +287,7 @@ fn scripted(script: &Script) -> impl FnMut(NodeId) -> Scripted + '_ {
     |_| Scripted {
         script: script.clone(),
         last: Status::Active,
+        watermark: 0,
         seen: Vec::new(),
     }
 }

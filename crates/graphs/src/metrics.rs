@@ -8,9 +8,13 @@
 //! node, and advances a level by a pull over the CSR adjacency:
 //! `next[v] = seen[v] | OR_{u ∈ N(v)} seen[u]`, the sources within one
 //! more hop of `v`. A source's eccentricity is the last level that adds
-//! its bit somewhere. Nodes every source has reached are skipped. The cost
-//! is `⌈n/256⌉ · (D + 1) · (n + 2m)` four-word operations with `8n` words
-//! of scratch, against `n · (n + m)` queue operations for one BFS per node.
+//! its bit somewhere. Nodes every source has reached are skipped. A pull
+//! only adds what a neighbour gained at the previous level, so once few
+//! nodes change per level (the long tails of a path-like graph), only
+//! those and their neighbours pull. The cost is at most
+//! `⌈n/256⌉ · (D + 1) · (n + 2m)` four-word operations with `8n` words and
+//! three node lists of scratch, against `n · (n + m)` queue operations for
+//! one BFS per node.
 //!
 //! The single-source [`eccentricity`] runs the plain [`Bfs`] and shares no
 //! code with the kernel.
@@ -42,13 +46,32 @@ fn and_not(a: Lanes, b: Lanes) -> Lanes {
     Lanes(std::array::from_fn(|w| a.0[w] & !b.0[w]))
 }
 
-/// Scratch for the bit-parallel BFS: one [`Lanes`] per node and level.
+/// Below one node in this many changing per level, a level pulls only the
+/// nodes that changed at the previous one and their neighbours; above it,
+/// every node not yet complete pulls, which costs less than finding them.
+const SPARSE_LEVEL: usize = 16;
+
+/// Scratch for the bit-parallel BFS: one [`Lanes`] per node and level, and
+/// the nodes whose set changed.
 struct BitBfs<'g> {
     graph: &'g Graph,
     /// Sources within the previous level of each node.
     seen: Vec<Lanes>,
-    /// Sources within the current level of each node.
+    /// Sources within the current level of each node. At the start of a
+    /// level it holds the level before the previous one, which differs
+    /// from `seen` only at the nodes in `changed`.
     next: Vec<Lanes>,
+    /// The nodes whose set changed at the previous level, in the first
+    /// `num_changed` slots.
+    changed: Vec<u32>,
+    num_changed: usize,
+    /// The nodes whose set changes at the current level. Like the other
+    /// node lists, it has a slot for every node and one more, so appending
+    /// is a write and a conditional advance, without a branch.
+    changes: Vec<u32>,
+    /// A sparse level's pulling nodes, and their membership flags.
+    pulls: Vec<u32>,
+    pulling: Vec<bool>,
 }
 
 impl<'g> BitBfs<'g> {
@@ -58,6 +81,11 @@ impl<'g> BitBfs<'g> {
             graph,
             seen: vec![EMPTY; n],
             next: vec![EMPTY; n],
+            changed: vec![0; n + 1],
+            num_changed: 0,
+            changes: vec![0; n + 1],
+            pulls: vec![0; n + 1],
+            pulling: vec![false; n],
         }
     }
 
@@ -77,9 +105,16 @@ impl<'g> BitBfs<'g> {
     ) -> &[Lanes] {
         debug_assert!(!batch.is_empty() && batch.len() <= LANES);
         let full = lane_mask(batch.len());
+        let graph = self.graph;
+        // Level 0 changed the sources' sets, from the empty level −1.
         self.seen.fill(EMPTY);
+        self.next.fill(EMPTY);
+        self.num_changed = 0;
         for (i, v) in batch.iter().enumerate() {
-            self.seen[v.index()].0[i / 64] |= 1 << (i % 64);
+            let s = &mut self.seen[v.index()];
+            self.changed[self.num_changed] = v.index() as u32;
+            self.num_changed += usize::from(*s == EMPTY);
+            s.0[i / 64] |= 1 << (i % 64);
         }
         let n = self.seen.len();
         let mut complete = self.seen.iter().filter(|&&s| s == full).count();
@@ -88,27 +123,74 @@ impl<'g> BitBfs<'g> {
             d += 1;
             let mut reached = EMPTY;
             let seen = &self.seen[..];
-            for (v, next) in self.next.iter_mut().enumerate() {
-                let s = seen[v];
-                if s == full {
-                    *next = full;
-                    continue;
+            let next = &mut self.next[..];
+            let (changes, mut num_changes) = (&mut self.changes[..], 0);
+            // A source within d − 2 of a neighbour is within d − 1 of v, so
+            // pulling whole sets adds exactly the sources at d.
+            let pull = |v: usize, s: Lanes| {
+                let neighbors = graph.neighbors(NodeId::new(v));
+                neighbors
+                    .iter()
+                    .fold(s, |within, u| or(within, seen[u.index()]))
+            };
+            if self.num_changed * SPARSE_LEVEL >= n {
+                for (v, next) in next.iter_mut().enumerate() {
+                    let s = seen[v];
+                    if s == full {
+                        *next = full;
+                        continue;
+                    }
+                    let within = pull(v, s);
+                    *next = within;
+                    let gained = and_not(within, s);
+                    reached = or(reached, gained);
+                    complete += usize::from(within == full);
+                    num_changes += usize::from(gained != EMPTY);
                 }
-                // A source within d − 2 of a neighbour is within d − 1 of v,
-                // so pulling whole sets adds exactly the sources at d.
-                let mut within = s;
-                for u in self.graph.neighbors(NodeId::new(v)) {
-                    within = or(within, seen[u.index()]);
+                // The next level needs the list only if it is sparse.
+                if num_changes * SPARSE_LEVEL < n {
+                    num_changes = 0;
+                    for (v, (s, within)) in seen.iter().zip(next.iter()).enumerate() {
+                        changes[num_changes] = v as u32;
+                        num_changes += usize::from(within != s);
+                    }
                 }
-                *next = within;
-                reached = or(reached, and_not(within, s));
-                complete += usize::from(within == full);
+            } else {
+                // Only a node that changed, or one of whose neighbours did,
+                // can change now; every other node keeps its set, which
+                // `next` already holds once the changed ones catch up.
+                let (pulls, mut num_pulls) = (&mut self.pulls[..], 0);
+                for &v in &self.changed[..self.num_changed] {
+                    let v = NodeId::new(v as usize);
+                    next[v.index()] = seen[v.index()];
+                    for u in std::iter::once(v).chain(graph.neighbors(v).iter().copied()) {
+                        let u = u.index();
+                        pulls[num_pulls] = u as u32;
+                        num_pulls += usize::from(!std::mem::replace(&mut self.pulling[u], true));
+                    }
+                }
+                for &v in &pulls[..num_pulls] {
+                    let v = v as usize;
+                    self.pulling[v] = false;
+                    let s = seen[v];
+                    if s == full {
+                        continue;
+                    }
+                    let within = pull(v, s);
+                    next[v] = within;
+                    reached = or(reached, and_not(within, s));
+                    complete += usize::from(within == full);
+                    changes[num_changes] = v as u32;
+                    num_changes += usize::from(within != s);
+                }
             }
+            self.num_changed = num_changes;
             if reached == EMPTY {
                 break;
             }
             level(d, &self.seen, &self.next, reached);
             std::mem::swap(&mut self.seen, &mut self.next);
+            std::mem::swap(&mut self.changed, &mut self.changes);
         }
         &self.seen
     }

@@ -173,6 +173,29 @@ fn disconnected_and_empty_graphs_are_none() {
     check(&g);
 }
 
+/// Levels where fewer than one node in 16 changes pull only around the
+/// changes: the tails of long paths, the rims of grids, a hub's leaves,
+/// and the chained components of the sparse family, with one source batch
+/// and with several; split in two, each has no eccentricities.
+#[test]
+fn sparse_levels_match_reference() {
+    for g in [
+        generators::path(40),
+        generators::path(600),
+        generators::grid(5, 60),
+        generators::grid(24, 30),
+        generators::star(300),
+        generators::random_sparse(300, 1.5, 4),
+        generators::random_sparse(800, 2.0, 9),
+        generators::random_sparse(1500, 8.0, 3),
+    ] {
+        check(&g);
+        let split = union(&g, &generators::path(3));
+        assert_eq!(eccentricities(&split), None, "n = {}", g.len());
+        check(&split);
+    }
+}
+
 #[test]
 fn bipartite_delta_across_batches_and_components() {
     let g = generators::path(200);

@@ -109,8 +109,8 @@ pub mod names {
     pub const ACTIVE_FRACTION: &str = "qd_active_fraction";
     /// High-water bytes held by the simulator's message path (gauge;
     /// monotone per run): the capacity of both send buffers plus the inbox
-    /// index array, which has a fixed `u32` slot per directed edge (`2m`
-    /// slots) from round 0.
+    /// arena, which from round 0 holds a fixed `u32` slot per directed edge
+    /// and one scratch slot (`2m + 1` slots) and an 8-byte record per node.
     pub const ARENA_BYTES_HIGHWATER: &str = "qd_arena_bytes_highwater";
     /// Longest causal message chain observed by the critical-path profiler
     /// (gauge; maximum across networks run under the registry).

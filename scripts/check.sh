@@ -154,7 +154,7 @@ for f in "$sdir/BENCH_scale.json" BENCH_scale.json; do
   done
 done
 
-echo "=== driver throughput smoke (n = 1024) + BENCH_drivers.json schema ==="
+echo "=== driver throughput smoke (n = 1024) + BENCH_drivers.json, BENCH_phases.json schema ==="
 ddir=$(mktemp -d)
 QD_MAX_N=1024 QD_RESULTS_DIR="$ddir" cargo run -q --release --offline -p bench \
   --bin drivers >/dev/null || status=1
@@ -167,6 +167,19 @@ for f in "$ddir/BENCH_drivers.json" BENCH_drivers.json; do
     continue
   fi
   for key in '"experiment":"drivers"' '"points"' '"rounds_per_sec"' '"active_fraction"'; do
+    grep -qF "$key" "$f" || { echo "$f missing key $key" >&2; status=1; }
+  done
+done
+# The same run's registry-instrumented phase pass: the smoke's capped one
+# and the committed one both hold the apsp_sparse point at n = 512.
+for f in "$ddir/BENCH_phases.json" BENCH_phases.json; do
+  if ! test -s "$f"; then
+    echo "$f missing" >&2
+    status=1
+    continue
+  fi
+  for key in '"experiment":"phases"' '"workload":"apsp_sparse","n":512' '"phases"' \
+    '"phase":"commit"' '"phase":"execute"' '"ns_per_round"' '"ns_per_msg"'; do
     grep -qF "$key" "$f" || { echo "$f missing key $key" >&2; status=1; }
   done
 done
@@ -195,6 +208,10 @@ echo "=== benchdiff: committed artifacts vs fresh smoke runs ==="
 # far too noisy for anything tighter.
 scripts/benchdiff -t 75 BENCH_scale.json "$sdir/BENCH_scale.json" || status=1
 scripts/benchdiff -t 75 BENCH_drivers.json "$ddir/BENCH_drivers.json" || status=1
+# Phase costs are a few ns per message, and the smallest phases are mostly
+# the clock laps themselves, so one noisy run moves them past 75%; this
+# gate catches only a several-fold regression.
+scripts/benchdiff -t 400 BENCH_phases.json "$ddir/BENCH_phases.json" || status=1
 scripts/benchdiff -t 75 BENCH_scheduler.json "$bdir/BENCH_scheduler.json" || status=1
 rm -rf "$sdir" "$ddir" "$bdir"
 
