@@ -28,15 +28,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (0 for a single point).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Fault-injection plan read from the `QD_FAULTS` environment variable
 /// (default: none). The spec grammar is [`congest::FaultPlan::parse`]'s —
 /// e.g. `QD_FAULTS=drop=0.01,seed=7 cargo run --release --bin table1_exact`
@@ -193,8 +184,6 @@ mod tests {
     #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert!((std_dev(&[1.0, 3.0]) - std::f64::consts::SQRT_2).abs() < 1e-9);
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ struct BfsProgram {
     /// With a fault plan active, schedule violations are recorded rather
     /// than trusted away: a BFS activation adopting distance `d` must
     /// happen exactly in round `d` (the flood advances one hop per round),
-    /// so a late activation betrays dropped or delayed activate messages.
+    /// so a late activation betrays lost activate messages.
     fault_aware: bool,
     violation: Option<(u64, String)>,
     /// Extra rounds to repeat the claim send (`RecoveryPolicy::retransmit`;
@@ -98,7 +98,7 @@ impl NodeProgram for BfsProgram {
                         ctx.round(),
                         format!(
                             "BFS activation at {} adopted distance {} in round {}: \
-                             activate messages were delayed or rerouted",
+                             activate messages were lost or rerouted",
                             ctx.node(),
                             d + 1,
                             ctx.round()

@@ -67,17 +67,17 @@ impl AlgoError {
     }
 
     /// Wraps a simulator error from a fault-aware driver, reinterpreting
-    /// fault symptoms as fault degradation: injected delivery jitter can
-    /// push a protocol past its deterministic schedule (a blown round
-    /// cap), and dropped messages can desynchronize a pipelined schedule
-    /// until two logical waves land on one edge in one round (a duplicate
-    /// send). Both are consequences of injection, not caller bugs — on a
-    /// fault-free run they stay hard simulator errors.
+    /// fault symptoms as fault degradation: lost messages can push a
+    /// protocol past its deterministic schedule (a blown round cap), and
+    /// can desynchronize a pipelined schedule until two logical waves land
+    /// on one edge in one round (a duplicate send). Both are consequences
+    /// of injection, not caller bugs — on a fault-free run they stay hard
+    /// simulator errors.
     pub(crate) fn from_congest(e: CongestError, fault_aware: bool) -> Self {
         match e {
             CongestError::RoundLimitExceeded { limit } if fault_aware => AlgoError::FaultDetected {
                 round: limit,
-                detail: "round cap exceeded: injected delays stalled the protocol schedule".into(),
+                detail: "round cap exceeded: injected faults stalled the protocol schedule".into(),
             },
             CongestError::DuplicateSend { from, to, round } if fault_aware => {
                 AlgoError::FaultDetected {

@@ -30,8 +30,9 @@
 //! The wave order of Lemmas 3–4 is checked at runtime: a first arrival of
 //! a wave older than the newest one seen, or two distinct first arrivals
 //! in one round, is recorded, and [`compute`] reports the earliest as
-//! [`AlgoError::FaultDetected`] under a fault plan (delayed or dropped
-//! messages perturb the waves) and as [`AlgoError::Protocol`] otherwise.
+//! [`AlgoError::FaultDetected`] under a fault plan (messages lost to drops
+//! or failed links perturb the waves) and as [`AlgoError::Protocol`]
+//! otherwise.
 
 use congest::{bits, Config, Network, NodeProgram, Payload, Round, RoundCtx, RoundsLedger, Status};
 use graphs::{Dist, Graph, NodeId};
@@ -427,13 +428,15 @@ mod tests {
         assert_eq!(compute(&g, Config::for_graph(&g)).unwrap().girth, None);
     }
 
-    /// Delayed wave messages break the Lemma 3–4 wave order; under a
-    /// fault plan that is a typed fault, not the girth of perturbed waves
-    /// (nor, in a debug build, a panic).
+    /// A link that goes down for two rounds mid-schedule makes a wave
+    /// reach a node late, by a longer path, in the round the next wave
+    /// reaches it, breaking the Lemma 3–4 wave order; under a fault plan
+    /// that is a typed fault, not the girth of perturbed waves (nor, in a
+    /// debug build, a panic).
     #[test]
-    fn delayed_waves_are_a_detected_fault() {
+    fn a_wave_held_back_by_a_failed_link_is_a_detected_fault() {
         let g = generators::random_connected(30, 0.12, 0);
-        let plan = congest::FaultPlan::new(0).with_delay(0.003, 2);
+        let plan = congest::FaultPlan::new(0).with_link_failure(8, 28, 66..68);
         match compute(&g, Config::for_graph(&g).with_faults(plan)) {
             Err(AlgoError::FaultDetected { detail, .. }) => {
                 assert!(detail.contains("Lemma 4"), "{detail}");

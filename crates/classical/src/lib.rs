@@ -89,12 +89,13 @@ pub(crate) mod differential {
     }
 
     /// The configurations a differential covers on `g`: fault-free, under
-    /// a lossy, jittery plan with a crash-stop, and under the same plan
-    /// with retransmission.
+    /// a lossy plan with a link failure window and a crash-stop, and under
+    /// the same plan with retransmission.
     pub(crate) fn configs(g: &Graph, seed: u64) -> [Config; 3] {
+        let (u, v) = g.edges().next().expect("differential graphs have edges");
         let plan = FaultPlan::new(seed)
             .with_drop(0.05)
-            .with_delay(0.1, 2)
+            .with_link_failure(u.index(), v.index(), 1..6)
             .with_crash(g.len() - 1, 3);
         let faulty = Config::for_graph(g).with_faults(plan);
         let resend = RecoveryPolicy::new().with_retransmit(2);

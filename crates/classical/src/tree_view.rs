@@ -21,7 +21,9 @@ pub struct TreeView {
 }
 
 impl TreeView {
-    /// Builds a view from explicit per-node data.
+    /// Builds a view from explicit per-node data, sorting each children
+    /// list (the DFS walk resumes at the first child above the one it came
+    /// back from, so it needs them sorted).
     ///
     /// # Errors
     ///
@@ -31,7 +33,7 @@ impl TreeView {
     pub fn new(
         root: NodeId,
         parents: Vec<Option<NodeId>>,
-        children: Vec<Vec<NodeId>>,
+        mut children: Vec<Vec<NodeId>>,
     ) -> Result<Self, AlgoError> {
         let n = parents.len();
         if children.len() != n || root.index() >= n {
@@ -58,6 +60,9 @@ impl TreeView {
             return Err(AlgoError::Protocol {
                 reason: "root has a parent".into(),
             });
+        }
+        for kids in &mut children {
+            kids.sort_unstable();
         }
         Ok(TreeView {
             root,
@@ -138,18 +143,6 @@ impl TreeView {
             children,
         })
     }
-
-    /// Number of nodes reachable from the root through the (possibly
-    /// restricted) children lists.
-    pub fn reachable_count(&self) -> usize {
-        let mut count = 0;
-        let mut stack = vec![self.root];
-        while let Some(u) = stack.pop() {
-            count += 1;
-            stack.extend_from_slice(self.children(u));
-        }
-        count
-    }
 }
 
 impl From<&BfsOutcome> for TreeView {
@@ -181,7 +174,8 @@ mod tests {
         let (_, view) = view(30, 1);
         assert_eq!(view.root(), NodeId::new(0));
         assert_eq!(view.len(), 30);
-        assert_eq!(view.reachable_count(), 30);
+        let edges: usize = (0..30).map(|v| view.children(NodeId::new(v)).len()).sum();
+        assert_eq!(edges, 29);
         for v in 1..30 {
             let v = NodeId::new(v);
             let p = view.parent(v).unwrap();
@@ -217,13 +211,28 @@ mod tests {
         assert!(!t.is_empty());
     }
 
+    /// Children given out of order are sorted, so the DFS walk, which
+    /// resumes at the first child above the one it returned from, still
+    /// visits every leaf of a star whose hub lists them descending.
+    #[test]
+    fn new_sorts_children() {
+        let g = generators::star(2);
+        let (hub, one, two) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let parents = vec![None, Some(hub), Some(hub)];
+        let t = TreeView::new(hub, parents, vec![vec![two, one], vec![], vec![]]).unwrap();
+        assert_eq!(t.children(hub), &[one, two]);
+        let out = crate::dfs_walk::walk(&g, &t, hub, 4, Config::for_graph(&g)).unwrap();
+        assert_eq!(out.tau, vec![Some(0), Some(1), Some(3)]);
+    }
+
     #[test]
     fn restrict_filters_children() {
         let g = generators::path(6);
         let out = bfs::build(&g, NodeId::new(0), Config::for_graph(&g)).unwrap();
         let view = TreeView::from(&out);
         let small = view.restrict(|v| v.index() < 3).unwrap();
-        assert_eq!(small.reachable_count(), 3);
+        assert_eq!(small.children(NodeId::new(0)), &[NodeId::new(1)]);
+        assert_eq!(small.children(NodeId::new(1)), &[NodeId::new(2)]);
         assert!(small.children(NodeId::new(2)).is_empty());
         // Not downward closed: {0, 2} misses 1 (parent of 2).
         assert!(view.restrict(|v| v.index() != 1).is_err());

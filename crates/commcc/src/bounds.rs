@@ -12,19 +12,6 @@ pub fn bgk_qubits_lower_bound(k: u64, messages: u64) -> f64 {
     k / r + r
 }
 
-/// The message count minimizing the BGK bound for a protocol limited to
-/// `q` qubits: the smallest `r` with `k/r + r ≤ q`, or `None` if even the
-/// optimum `r = √k` exceeds the budget (i.e. `q < 2√k`).
-pub fn bgk_min_messages(k: u64, qubit_budget: f64) -> Option<u64> {
-    let k = k as f64;
-    // k/r + r ≤ q  ⟺  r² − qr + k ≤ 0  ⟺  r ∈ [ (q−√(q²−4k))/2, … ].
-    let disc = qubit_budget * qubit_budget - 4.0 * k;
-    if disc < 0.0 {
-        return None;
-    }
-    Some(((qubit_budget - disc.sqrt()) / 2.0).ceil().max(1.0) as u64)
-}
-
 /// Theorem 10: with a `(b, k, d₁, d₂)`-reduction, any quantum algorithm
 /// deciding the diameter gap needs `Ω̃(√(k/b))` rounds.
 pub fn theorem10_rounds_lower_bound(k: u64, b: u64) -> f64 {
@@ -67,17 +54,6 @@ mod tests {
             .map(|r| bgk_qubits_lower_bound(10_000, r))
             .fold(f64::MAX, f64::min);
         assert_eq!(best, 200.0);
-    }
-
-    #[test]
-    fn bgk_min_messages_inverts_the_bound() {
-        let k = 4096;
-        let q = 200.0;
-        let r = bgk_min_messages(k, q).unwrap();
-        assert!(bgk_qubits_lower_bound(k, r) <= q + 1.0);
-        assert!(bgk_qubits_lower_bound(k, r.saturating_sub(1).max(1)) > q || r == 1);
-        // Budget below 2√k is infeasible.
-        assert_eq!(bgk_min_messages(k, 100.0), None);
     }
 
     #[test]

@@ -35,12 +35,6 @@ pub fn for_dist(n: usize) -> usize {
     for_value(n.saturating_sub(1) as u64)
 }
 
-/// Bits needed for a DFS-tour position in a graph with `n` nodes (positions
-/// live in `0..2n`, see Definition 1 of the paper).
-pub fn for_tour_position(n: usize) -> usize {
-    for_value((2 * n.max(1) - 1) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,11 +55,5 @@ mod tests {
         assert_eq!(for_node(2), 1);
         assert_eq!(for_node(1024), 10);
         assert_eq!(for_dist(1025), 11); // distances up to 1024 need 11 bits
-    }
-
-    #[test]
-    fn tour_positions_need_one_extra_bit() {
-        assert_eq!(for_tour_position(1024), 11);
-        assert_eq!(for_tour_position(0), 1);
     }
 }

@@ -1,8 +1,10 @@
 //! Seeded, deterministic fault injection for the CONGEST scheduler.
 //!
-//! A [`FaultPlan`] describes *what can go wrong* in a network: per-message
-//! drop/corruption/jitter probabilities, scheduled link failures, and
-//! crash-stop nodes. Plans attach to a [`Config`](crate::Config) via
+//! A [`FaultPlan`] describes *what can go wrong* in a network: a
+//! per-message drop probability, scheduled link failures, and crash-stop
+//! nodes. All three keep the model synchronous: a message sent in round
+//! `r` either arrives at the start of round `r + 1` or never does. Plans
+//! attach to a [`Config`](crate::Config) via
 //! [`Config::with_faults`](crate::Config::with_faults) and are applied by
 //! [`Network::step`](crate::Network::step) in its sequential commit phase.
 //!
@@ -24,18 +26,11 @@
 //! * **drop** — the message is lost in transit: the sender pays for it
 //!   (stats and `Message` trace events still record the send) but it never
 //!   reaches the receiver's inbox.
-//! * **corrupt** — the message arrives garbled and the receiver's link
-//!   layer discards it. Observationally a drop, counted separately so
-//!   loss-vs-corruption experiments can distinguish the two.
 //! * **link failure** — every message crossing the (undirected) edge during
 //!   the scheduled round interval is lost.
 //! * **crash-stop** — from its scheduled round on, the node stops executing
 //!   (it votes `Halted`, sends nothing, and messages addressed to it are
 //!   discarded). Crashes are permanent.
-//! * **delay** — the message is held back `1..=max` extra rounds. If its
-//!   eventual delivery would collide with a fresh message from the same
-//!   sender (violating the one-message-per-directed-edge inbox invariant),
-//!   delivery is deterministically deferred one more round.
 
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
@@ -44,7 +39,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::Round;
 
-/// Parts-per-million denominator for the plan's probability fields.
+/// Parts-per-million denominator for the plan's drop probability.
 const PPM: u32 = 1_000_000;
 
 /// A scheduled failure of one undirected link for a half-open round
@@ -63,10 +58,10 @@ pub struct LinkFailure {
 
 /// A declarative description of the faults to inject into a run.
 ///
-/// Probabilities are stored in parts per million so plans are `Eq` (and
-/// therefore internable and comparable inside
-/// [`Config`](crate::Config)); the `with_*` builders take ordinary
-/// `f64` probabilities in `[0, 1]`.
+/// The drop probability is stored in parts per million so plans are `Eq`
+/// (and therefore internable and comparable inside
+/// [`Config`](crate::Config)); [`FaultPlan::with_drop`] takes an ordinary
+/// `f64` probability in `[0, 1]`.
 ///
 /// # Example
 ///
@@ -75,19 +70,15 @@ pub struct LinkFailure {
 ///
 /// let plan = FaultPlan::new(7)
 ///     .with_drop(0.05)
-///     .with_delay(0.1, 3)
 ///     .with_crash(4, 10)
 ///     .with_link_failure(0, 1, 5..9);
 /// assert!(!plan.is_passive());
-/// assert_eq!(plan, FaultPlan::parse("seed=7,drop=0.05,delay=0.1:3,crash=4@10,link=0-1@5..9").unwrap());
+/// assert_eq!(plan, FaultPlan::parse("seed=7,drop=0.05,crash=4@10,link=0-1@5..9").unwrap());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
     drop_ppm: u32,
-    corrupt_ppm: u32,
-    delay_ppm: u32,
-    max_delay: u64,
     links: Vec<LinkFailure>,
     crashes: Vec<(usize, Round)>,
 }
@@ -124,24 +115,9 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 ≤ p ≤ 1` (also for the other probability builders).
+    /// Panics unless `0 ≤ p ≤ 1`.
     pub fn with_drop(mut self, p: f64) -> Self {
         self.drop_ppm = ppm_of(p);
-        self
-    }
-
-    /// Corrupts each message independently with probability `p`; corrupted
-    /// messages are discarded by the receiver's link layer.
-    pub fn with_corrupt(mut self, p: f64) -> Self {
-        self.corrupt_ppm = ppm_of(p);
-        self
-    }
-
-    /// Delays each message independently with probability `p` by a uniform
-    /// `1..=max_delay` extra rounds. `max_delay` is clamped up to 1.
-    pub fn with_delay(mut self, p: f64, max_delay: u64) -> Self {
-        self.delay_ppm = ppm_of(p);
-        self.max_delay = max_delay.max(1);
         self
     }
 
@@ -164,15 +140,11 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing: no probabilistic faults, no link
-    /// failures, no crashes. [`Config::with_faults`](crate::Config::with_faults)
+    /// True when the plan injects nothing: no drops, no link failures, no
+    /// crashes. [`Config::with_faults`](crate::Config::with_faults)
     /// treats a passive plan exactly like no plan at all.
     pub fn is_passive(&self) -> bool {
-        self.drop_ppm == 0
-            && self.corrupt_ppm == 0
-            && self.delay_ppm == 0
-            && self.links.is_empty()
-            && self.crashes.is_empty()
+        self.drop_ppm == 0 && self.links.is_empty() && self.crashes.is_empty()
     }
 
     /// The scheduled crash-stops, as `(node, round)` pairs in insertion
@@ -198,22 +170,12 @@ impl FaultPlan {
         if self.link_down(round, from, to) {
             return MessageFate::LinkDropped;
         }
-        if self.drop_ppm == 0 && self.corrupt_ppm == 0 && self.delay_ppm == 0 {
+        if self.drop_ppm == 0 {
             return MessageFate::Delivered;
         }
         let mut rng = StdRng::seed_from_u64(mix(self.seed, round, from as u64, to as u64));
-        // One roll per fault class, in fixed order, whether or not the
-        // class is enabled — keeps a plan's decisions stable when an
-        // unrelated probability is tuned.
-        let drop = roll(&mut rng, self.drop_ppm);
-        let corrupt = roll(&mut rng, self.corrupt_ppm);
-        let delay = roll(&mut rng, self.delay_ppm);
-        if drop {
+        if roll(&mut rng, self.drop_ppm) {
             MessageFate::Dropped
-        } else if corrupt {
-            MessageFate::Corrupted
-        } else if delay {
-            MessageFate::Delayed(rng.random_range(1..=self.max_delay.max(1)))
         } else {
             MessageFate::Delivered
         }
@@ -224,9 +186,6 @@ impl FaultPlan {
     ///
     /// * `seed=<u64>` — RNG seed (default 0)
     /// * `drop=<p>` — per-message drop probability
-    /// * `corrupt=<p>` — per-message corruption probability
-    /// * `delay=<p>:<max>` — per-message jitter probability and maximum
-    ///   extra rounds
     /// * `link=<u>-<v>@<start>..<end>` — link `{u, v}` down for rounds
     ///   `start..end`
     /// * `crash=<node>@<round>` — crash-stop `node` at `round`
@@ -257,14 +216,6 @@ impl FaultPlan {
             match key {
                 "seed" => plan.seed = int(value)?,
                 "drop" => plan.drop_ppm = ppm_of(prob(value)?),
-                "corrupt" => plan.corrupt_ppm = ppm_of(prob(value)?),
-                "delay" => {
-                    let (p, max) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("delay clause {clause:?} is not delay=p:max"))?;
-                    plan.delay_ppm = ppm_of(prob(p)?);
-                    plan.max_delay = int(max)?.max(1);
-                }
                 "link" => {
                     let (edge, rounds) = value
                         .split_once('@')
@@ -293,7 +244,7 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The plan minus its crash-stops — the probabilistic and link faults
+    /// The plan minus its crash-stops — the drops and link failures
     /// survive untouched. Partial-network recovery uses this when re-running
     /// on the surviving component: the crashed nodes no longer exist there,
     /// but the channel noise they ran under still does.
@@ -315,7 +266,7 @@ impl FaultPlan {
     /// `map(old_id)` returns the node's id in a re-indexed subgraph, or
     /// `None` if the node is absent there. Crash-stops of absent nodes and
     /// link failures with an absent endpoint are dropped; everything
-    /// node-independent (seed, probabilities, jitter) is kept verbatim.
+    /// node-independent (seed, drop probability) is kept verbatim.
     ///
     /// ```
     /// use congest::FaultPlan;
@@ -379,12 +330,8 @@ pub enum MessageFate {
     Delivered,
     /// Lost in transit (random drop).
     Dropped,
-    /// Arrived garbled; discarded by the receiver's link layer.
-    Corrupted,
     /// Lost to a scheduled link failure.
     LinkDropped,
-    /// Delivered after this many extra rounds of jitter.
-    Delayed(u64),
 }
 
 /// A `Copy + Eq` handle to an interned [`FaultPlan`]; what
@@ -436,17 +383,10 @@ fn roll(rng: &mut StdRng, ppm: u32) -> bool {
 pub struct FaultStats {
     /// Messages lost to random drops.
     pub dropped: u64,
-    /// Messages discarded after random corruption.
-    pub corrupted: u64,
     /// Messages lost to scheduled link failures.
     pub link_dropped: u64,
     /// Messages discarded because their receiver had crash-stopped.
     pub crash_dropped: u64,
-    /// Messages that incurred delivery jitter.
-    pub delayed: u64,
-    /// Extra one-round deferrals applied to delayed messages whose
-    /// delivery collided with a fresh message from the same sender.
-    pub deferred: u64,
     /// Crash-stop events applied.
     pub crashes: u64,
 }
@@ -454,7 +394,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total messages prevented from reaching their receiver's program.
     pub fn lost(&self) -> u64 {
-        self.dropped + self.corrupted + self.link_dropped + self.crash_dropped
+        self.dropped + self.link_dropped + self.crash_dropped
     }
 }
 
@@ -466,11 +406,9 @@ mod tests {
     fn builders_round_trip_through_parse() {
         let plan = FaultPlan::new(11)
             .with_drop(0.25)
-            .with_corrupt(0.125)
-            .with_delay(0.5, 4)
             .with_link_failure(3, 1, 2..9)
             .with_crash(5, 7);
-        let spec = "seed=11, drop=0.25, corrupt=0.125, delay=0.5:4, link=3-1@2..9, crash=5@7";
+        let spec = "seed=11, drop=0.25, link=3-1@2..9, crash=5@7";
         assert_eq!(FaultPlan::parse(spec).unwrap(), plan);
         assert!(!plan.is_passive());
         assert!(FaultPlan::parse("").unwrap().is_passive());
@@ -483,7 +421,8 @@ mod tests {
             "bogus=1",
             "drop=1.5",
             "drop=x",
-            "delay=0.5",
+            "corrupt=0.1",
+            "delay=0.1:2",
             "link=0-1",
             "link=0@1..2",
             "crash=3",
@@ -505,7 +444,7 @@ mod tests {
 
     #[test]
     fn fate_is_a_pure_function_of_coordinates() {
-        let plan = FaultPlan::new(42).with_drop(0.3).with_delay(0.3, 5);
+        let plan = FaultPlan::new(42).with_drop(0.3);
         for round in 0..20 {
             for from in 0..6 {
                 for to in 0..6 {
@@ -517,9 +456,6 @@ mod tests {
         let fates: Vec<MessageFate> = (0..200).map(|r| plan.fate(r, 0, 1)).collect();
         assert!(fates.contains(&MessageFate::Dropped));
         assert!(fates.contains(&MessageFate::Delivered));
-        assert!(fates
-            .iter()
-            .any(|f| matches!(f, MessageFate::Delayed(d) if (1..=5).contains(d))));
     }
 
     #[test]
@@ -544,15 +480,20 @@ mod tests {
     }
 
     #[test]
-    fn tuning_one_probability_leaves_other_decisions_stable() {
-        // The fixed roll order means enabling corruption cannot change
-        // which messages were already dropping.
-        let base = FaultPlan::new(3).with_drop(0.15);
-        let more = base.clone().with_corrupt(0.4);
-        for r in 0..500 {
-            let was_dropped = base.fate(r, 0, 1) == MessageFate::Dropped;
-            let still_dropped = more.fate(r, 0, 1) == MessageFate::Dropped;
-            assert_eq!(was_dropped, still_dropped, "round {r}");
-        }
+    fn drop_fates_match_their_golden_rounds() {
+        // The rounds of 0..500 in which this plan drops the message 0 → 1.
+        // Every committed fault run depends on which messages drop, so the
+        // drop decision must stay the first draw of each message's RNG.
+        const GOLDEN: [u64; 69] = [
+            15, 23, 40, 42, 54, 55, 60, 63, 67, 70, 79, 96, 102, 119, 147, 148, 150, 153, 156, 161,
+            162, 165, 173, 177, 202, 203, 204, 208, 214, 217, 218, 226, 229, 234, 244, 250, 257,
+            258, 267, 282, 285, 291, 302, 311, 314, 315, 327, 330, 338, 350, 351, 352, 364, 365,
+            375, 384, 399, 404, 406, 409, 416, 427, 442, 454, 459, 460, 482, 487, 497,
+        ];
+        let plan = FaultPlan::new(3).with_drop(0.15);
+        let dropped: Vec<u64> = (0..500)
+            .filter(|&r| plan.fate(r, 0, 1) == MessageFate::Dropped)
+            .collect();
+        assert_eq!(dropped, GOLDEN);
     }
 }

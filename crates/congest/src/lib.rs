@@ -25,7 +25,7 @@
 //! * [`RoundsLedger`] — accumulates round/bit accounting across the phases of
 //!   multi-phase algorithms.
 //! * [`FaultPlan`] — seeded, deterministic fault injection (message loss,
-//!   corruption, link failures, crash-stop nodes, delivery jitter), attached
+//!   link failures, crash-stop nodes) within the synchronous model, attached
 //!   via [`Config::with_faults`] and replayable byte-identically per
 //!   `(graph, config, seed)`.
 //! * [`RecoveryPolicy`] — what drivers may do about a detected fault

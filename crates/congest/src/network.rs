@@ -65,10 +65,10 @@ impl Config {
         self.bandwidth_bits
     }
 
-    /// Attaches a [`FaultPlan`]: the scheduler will drop/corrupt/delay
-    /// messages, fail links, and crash-stop nodes exactly as the plan
-    /// dictates, deterministically per `(graph, config, seed)` and
-    /// independently of which nodes execute and of fast-forwarding.
+    /// Attaches a [`FaultPlan`]: the scheduler will drop messages, fail
+    /// links, and crash-stop nodes exactly as the plan dictates,
+    /// deterministically per `(graph, config, seed)` and independently of
+    /// which nodes execute and of fast-forwarding.
     ///
     /// A [passive](FaultPlan::is_passive) plan is equivalent to no plan at
     /// all: the resulting `Config` compares equal to one that never saw
@@ -220,9 +220,8 @@ impl RunStats {
 ///    becomes the read-only store this round's inboxes index into. Every
 ///    inbox already sits in its node's row of the graph's CSR layout (one
 ///    entry-index slot per incident edge), written there by the commit, so
-///    sealing only resets the receiver list, O(1) (plus a per-row sort
-///    after a delayed-message merge). An inbox is an [`Inbox`] view of its
-///    row; no payload moves.
+///    sealing only resets the receiver list, O(1). An inbox is an
+///    [`Inbox`] view of its row; no payload moves.
 /// 2. **execute** — every scheduled program runs against its inbox view,
 ///    taken from its row (which leaves the row empty for the commit), and
 ///    appends its sends to the round's shared send buffer: one entry
@@ -249,12 +248,11 @@ impl RunStats {
 ///    receiver's row and advances the row's count; an ignored one writes
 ///    a scratch slot instead and is never shown, but still counts as in
 ///    flight. A receiver's first wanted delivery appends it to the
-///    round's receiver list. After the commit (and the merge of due
-///    delayed messages, phase 4b) one pass over that list queues the
-///    receivers for the next round: a receiver whose deliveries are all
-///    ignored is neither on the list nor run for them. Only the sender
-///    list is walked — edge-level sparsity on top of the active set's
-///    node-level kind.
+///    round's receiver list. After the commit one pass over that list
+///    queues the receivers for the next round: a receiver whose deliveries
+///    are all ignored is neither on the list nor run for them. Only the
+///    sender list is walked — edge-level sparsity on top of the active
+///    set's node-level kind.
 ///
 /// Closing the round folds its tally into [`RunStats`], the metrics
 /// registry (one bulk charge, not one per message) and the flight recorder.
@@ -269,13 +267,12 @@ impl RunStats {
 ///
 /// When nothing is runnable and nothing is in flight, the run loops
 /// fast-forward: the round counter jumps to the next scheduled event (a
-/// timed wakeup, a crash-stop, or a delayed message's due round) instead
-/// of stepping idle rounds, and the stretch closes as one zero-traffic
-/// record. The jump is observationally identical to stepping:
-/// `RunStats.rounds`, the registry, the trace (one `RoundSkip` standing for
-/// the zero-delivery ticks), the flight recorder (one span record) and
-/// fault fates (pure functions of `(seed, round, edge)`) come out as if
-/// every round had executed.
+/// timed wakeup or a crash-stop) instead of stepping idle rounds, and the
+/// stretch closes as one zero-traffic record. The jump is observationally
+/// identical to stepping: `RunStats.rounds`, the registry, the trace (one
+/// `RoundSkip` standing for the zero-delivery ticks), the flight recorder
+/// (one span record) and fault fates (pure functions of
+/// `(seed, round, edge)`) come out as if every round had executed.
 ///
 /// See the [crate-level example](crate).
 pub struct Network<'g, P: NodeProgram> {
@@ -291,7 +288,7 @@ pub struct Network<'g, P: NodeProgram> {
     halted: usize,
     /// This round's send buffer: every executed node appends its sends
     /// here, and after commit it holds the payloads of the next round's
-    /// inboxes (plus any delayed messages merged in).
+    /// inboxes.
     sent: SendBuf<P::Msg>,
     /// Last round's send buffer, read-only this round: the store every
     /// inbox view indexes into. The two buffers swap at each seal, so no
@@ -318,8 +315,8 @@ pub struct Network<'g, P: NodeProgram> {
     /// Accumulator for the *next* round's active set: nodes that voted
     /// [`Status::Active`] (or an imminent [`Status::Sleep`]) this round,
     /// plus every node woken by a delivery it does not ignore.
-    /// Duplicate-free (guarded by `active_mark`) but unsorted until the
-    /// next round's rebuild.
+    /// Duplicate-free (guarded by `active_mark`) but in no set order until
+    /// the next round's rebuild.
     next_active: Vec<u32>,
     /// Bitmap half of the hybrid active-set representation: when an
     /// out-of-order `next_active` is dense (≥ ~n/32), assembly rebuilds the
@@ -359,7 +356,7 @@ pub struct Network<'g, P: NodeProgram> {
     tally: Tally,
     /// Runtime fault-injection state, present iff the config carries a
     /// non-passive [`FaultPlan`].
-    fault: Option<FaultState<P::Msg>>,
+    fault: Option<FaultState>,
     /// Causal-depth profiler state, present iff
     /// [`Config::with_critical_path`] enabled it. Boxed: four `Vec`s the
     /// common unprofiled path should not pay struct size for.
@@ -430,10 +427,6 @@ struct InboxArena {
     /// Deliveries staged for the next round, ignored ones included,
     /// counted as they are staged.
     in_flight: usize,
-    /// Set when a delayed-message merge staged a sender out of ascending
-    /// order (fault plans only); the next seal then sorts each row's inbox
-    /// to restore the sorted-inbox invariant.
-    unsorted: bool,
 }
 
 /// One node's record in the [`InboxArena`]: its row of index slots
@@ -510,7 +503,6 @@ impl InboxArena {
             receivers: vec![0; n + 1],
             staged: 0,
             in_flight: 0,
-            unsorted: false,
         }
     }
 
@@ -541,12 +533,11 @@ impl InboxArena {
         &self.receivers[..self.staged]
     }
 
-    /// Seals the staged rows as this round's inboxes over `msgs`, the send
-    /// buffer they index into: a row holds just what was staged for it, so
-    /// only the receiver list and the in-flight count are reset, and the
-    /// rows are sorted by sender after a delayed-message merge.
+    /// Seals the staged rows as this round's inboxes: a row holds just
+    /// what was staged for it, so only the receiver list and the in-flight
+    /// count are reset.
     #[inline]
-    fn seal<M>(&mut self, msgs: &[(NodeId, M)]) {
+    fn seal(&mut self) {
         debug_assert!(
             self.in_flight
                 >= self
@@ -556,13 +547,6 @@ impl InboxArena {
                     .sum::<usize>(),
             "the arena's rows hold more deliveries than were staged"
         );
-        if std::mem::take(&mut self.unsorted) {
-            for &t in &self.receivers[..self.staged] {
-                let Row { start, len } = self.rows[t as usize];
-                let (lo, hi) = (start as usize, (start + len) as usize);
-                self.idx[lo..hi].sort_unstable_by_key(|&k| msgs[k as usize].0);
-            }
-        }
         self.staged = 0;
         self.in_flight = 0;
     }
@@ -576,20 +560,6 @@ impl InboxArena {
         let len = std::mem::take(&mut row.len) as usize;
         &self.idx[start..start + len]
     }
-}
-
-/// One jittered message waiting in the delay queue.
-struct Delayed<M> {
-    /// Round at whose *start* the message should reach its inbox.
-    due: Round,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-    /// Causal-chain length carried by this message, captured at fate time
-    /// (the sender's depth + 1 when it sent; 0 with the profiler off) — a
-    /// delayed message's causal past is fixed at send time, not at merge
-    /// time.
-    depth: u64,
 }
 
 /// The longest causal message chain a profiled run has observed — see
@@ -663,21 +633,18 @@ impl CritState {
 }
 
 /// Mutable fault-injection state for one network run.
-struct FaultState<M> {
+struct FaultState {
     plan: FaultPlan,
     /// Per-node crash-stop flags (permanent once set).
     crashed: Vec<bool>,
-    /// Jittered messages not yet merged into an inbox.
-    queue: Vec<Delayed<M>>,
     stats: FaultStats,
 }
 
-impl<M> FaultState<M> {
+impl FaultState {
     fn new(plan: FaultPlan, n: usize) -> Self {
         FaultState {
             plan,
             crashed: vec![false; n],
-            queue: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -692,8 +659,8 @@ fn width_slot(bits: usize) -> usize {
     ceil_log2.saturating_sub(2).min(DEFAULT_BITS_BUCKETS.len())
 }
 
-/// One round's traffic, written by the crash-stop phase, the commit and
-/// the delayed-message merge. [`Network::close_round`] folds it into
+/// One round's traffic, written by the crash-stop phase and the commit.
+/// [`Network::close_round`] folds it into
 /// [`RunStats`], the metrics registry and the flight recorder, so the
 /// three channels are charged the same numbers, once per round.
 #[derive(Clone, Copy, Debug, Default)]
@@ -734,13 +701,12 @@ impl Tally {
     fn fault(&mut self, tracer: &Option<trace::SharedSink>, round: Round, event: FaultEvent) {
         self.faults += 1;
         if let Some(sink) = tracer {
-            let (kind, from, to, delay) = event;
+            let (kind, from, to) = event;
             let fault = trace::TraceEvent::Fault {
                 round,
                 kind,
                 from,
                 to,
-                delay,
             };
             sink.borrow_mut().record(&fault);
         }
@@ -758,9 +724,9 @@ impl Tally {
     }
 }
 
-/// An injected fault as `(kind, from, to, delay)`; a crash-stop has
+/// An injected fault as `(kind, from, to)`; a crash-stop has
 /// `from == to`.
-type FaultEvent = (trace::FaultKind, u64, u64, u64);
+type FaultEvent = (trace::FaultKind, u64, u64);
 
 impl<'g, P: NodeProgram> Network<'g, P> {
     /// Creates a network over `graph`, instantiating the program at every
@@ -819,8 +785,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     }
 
     /// Returns `true` if every node voted [`Status::Halted`] in the latest
-    /// round and no messages are waiting for delivery (including jittered
-    /// messages still held in the fault layer's delay queue). A
+    /// round and no messages are waiting for delivery. A
     /// [`Status::Sleep`] vote blocks quiescence — the pending wakeup is
     /// scheduled work.
     pub fn is_quiescent(&self) -> bool {
@@ -831,9 +796,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 .filter(|&&s| s == Status::Halted)
                 .count()
         );
-        self.arena.in_flight == 0
-            && self.fault.as_ref().is_none_or(|f| f.queue.is_empty())
-            && self.halted == self.statuses.len()
+        self.arena.in_flight == 0 && self.halted == self.statuses.len()
     }
 
     /// Total node-program executions scheduled so far: the active-set size
@@ -964,7 +927,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         // as this round's inboxes.
         std::mem::swap(&mut self.sent, &mut self.prev);
         self.sent.clear();
-        self.arena.seal(&self.prev.msgs);
+        self.arena.seal();
         lap(&meter, &mut clock, "congest/seal");
 
         // Phase 2: execute every runnable program, appending sends to the
@@ -993,16 +956,12 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             return Err(e);
         }
 
-        // Phase 4: commit, in node-id order, then (fault plans only) merge
-        // the delayed messages due next round, then wake the receivers
-        // that got a message they do not ignore. After an all-active round
+        // Phase 4: commit, in node-id order, then wake the receivers that
+        // got a message they do not ignore. After an all-active round
         // every node is already queued by its vote, so no receiver needs
         // waking.
         let wake = self.next_active.len() < self.programs.len();
         self.commit(round, fault.as_mut(), &tracer, meter.is_some());
-        if let Some(f) = fault.as_mut() {
-            self.merge_delayed(round, f, &tracer);
-        }
         self.fault = fault;
         if wake {
             self.wake_receivers(round);
@@ -1032,7 +991,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     fn apply_crashes(
         &mut self,
         round: Round,
-        f: &mut FaultState<P::Msg>,
+        f: &mut FaultState,
         tracer: &Option<trace::SharedSink>,
     ) {
         let n = self.programs.len();
@@ -1044,7 +1003,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 }
                 self.statuses[node] = Status::Halted;
                 f.stats.crashes += 1;
-                let crash = (trace::FaultKind::Crash, node as u64, node as u64, 0);
+                let crash = (trace::FaultKind::Crash, node as u64, node as u64);
                 self.tally.fault(tracer, round, crash);
             }
         }
@@ -1262,11 +1221,11 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     fn commit(
         &mut self,
         round: Round,
-        mut fault: Option<&mut FaultState<P::Msg>>,
+        mut fault: Option<&mut FaultState>,
         tracer: &Option<trace::SharedSink>,
         widths: bool,
     ) {
-        use trace::FaultKind::{Corrupt, Crash, Delay, Drop, LinkDown};
+        use trace::FaultKind::{Crash, Drop, LinkDown};
         let (graph, programs) = (self.graph, self.programs.as_slice());
         let (sent, arena, tally) = (&self.sent, &mut self.arena, &mut self.tally);
         if tracer.is_none() && fault.is_none() && self.crit.is_none() {
@@ -1322,28 +1281,17 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                     // A message to a crashed node is discarded; `from !=
                     // to` distinguishes this from the crash-stop event
                     // itself.
-                    let (counter, kind, delay) = match f.plan.fate(round, i, t) {
-                        _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash, 0),
+                    let (counter, kind) = match f.plan.fate(round, i, t) {
+                        _ if f.crashed[t] => (&mut f.stats.crash_dropped, Crash),
                         MessageFate::Delivered => {
                             deliver(arena, crit.as_deref_mut(), t, k as u32, wants, link_depth);
                             continue;
                         }
-                        MessageFate::Dropped => (&mut f.stats.dropped, Drop, 0),
-                        MessageFate::Corrupted => (&mut f.stats.corrupted, Corrupt, 0),
-                        MessageFate::LinkDropped => (&mut f.stats.link_dropped, LinkDown, 0),
-                        MessageFate::Delayed(extra) => {
-                            f.queue.push(Delayed {
-                                due: round + 1 + extra,
-                                from: node,
-                                to,
-                                msg: msg.clone(),
-                                depth: link_depth,
-                            });
-                            (&mut f.stats.delayed, Delay, extra)
-                        }
+                        MessageFate::Dropped => (&mut f.stats.dropped, Drop),
+                        MessageFate::LinkDropped => (&mut f.stats.link_dropped, LinkDown),
                     };
                     *counter += 1;
-                    tally.fault(tracer, round, (kind, i as u64, t as u64, delay));
+                    tally.fault(tracer, round, (kind, i as u64, t as u64));
                 }
                 if count > 0 {
                     tally.charge_entry(count, bits, widths);
@@ -1351,88 +1299,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             }
             first = end;
         }
-    }
-
-    /// Phase 4b of [`Network::step`] (fault plans only): merges the delayed
-    /// messages due next round into the send buffer. One colliding with a
-    /// message from the same sender that reaches the same receiver next
-    /// round waits one more round; one whose receiver crashed is discarded
-    /// as a crash fault. The next seal sorts the merged rows by sender.
-    ///
-    /// A row does not hold the deliveries its receiver ignores, so the
-    /// collision check does not read the rows. A fresh message collides
-    /// when the sender has an entry this round addressed to the receiver
-    /// and the plan's pure fate for that edge delivered it
-    /// ([`Network::delivers_fresh`]); a delayed one collides with one
-    /// merged before it this round on the same edge. `seen` stamps the
-    /// receivers of this round's merges, so only their merged entries are
-    /// scanned.
-    fn merge_delayed(
-        &mut self,
-        round: Round,
-        f: &mut FaultState<P::Msg>,
-        tracer: &Option<trace::SharedSink>,
-    ) {
-        let fresh = self.sent.len();
-        self.seen_epoch += 1;
-        let mut i = 0;
-        while i < f.queue.len() {
-            if f.queue[i].due > round + 1 {
-                i += 1;
-                continue;
-            }
-            let Delayed { from, to, .. } = f.queue[i];
-            if f.crashed[to.index()] {
-                f.stats.crash_dropped += 1;
-                let (from, to) = (from.index() as u64, to.index() as u64);
-                self.tally
-                    .fault(tracer, round, (trace::FaultKind::Crash, from, to, 0));
-                f.queue.remove(i);
-                continue;
-            }
-            let sent = &self.sent;
-            let collides = self.delivers_fresh(round, &f.plan, from, to)
-                || (self.seen[to.index()] == self.seen_epoch
-                    && (fresh..sent.len())
-                        .any(|k| sent.msgs[k].0 == from && sent.dest[k] == Dest::One(to)));
-            if collides {
-                f.queue[i].due = round + 2;
-                f.stats.deferred += 1;
-                i += 1;
-                continue;
-            }
-            let Delayed { msg, depth, .. } = f.queue.remove(i);
-            let entry = self.sent.len() as u32;
-            let wants = !self.programs[to.index()].ignores(&msg);
-            self.sent.push(from, msg, Dest::One(to));
-            self.seen[to.index()] = self.seen_epoch;
-            // The chain length was fixed when the message was sent; the
-            // jitter only moved its delivery round.
-            let crit = self.crit.as_deref_mut();
-            deliver(&mut self.arena, crit, to.index(), entry, wants, depth);
-            self.arena.unsorted = true;
-        }
-    }
-
-    /// Whether `from` committed a message to `to` this round that `plan`
-    /// delivers next round. `senders` is ascending, so `from`'s run of
-    /// entries is found by binary search, and validation let at most one
-    /// of them reach `to`. A delayed message crossed the edge `from → to`,
-    /// so `to` is a neighbour and every broadcast of `from` not skipping
-    /// it reaches it.
-    fn delivers_fresh(&self, round: Round, plan: &FaultPlan, from: NodeId, to: NodeId) -> bool {
-        let key = from.index() as u32;
-        let Ok(s) = self.senders.binary_search_by_key(&key, |&(i, _)| i) else {
-            return false;
-        };
-        let start = s.checked_sub(1).map_or(0, |p| self.senders[p].1 as usize);
-        let end = self.senders[s].1 as usize;
-        let addressed = self.sent.dest[start..end].iter().any(|&d| match d {
-            Dest::One(t) => t == to,
-            Dest::All => true,
-            Dest::AllBut(skip) => skip != to,
-        });
-        addressed && plan.fate(round, from.index(), to.index()) == MessageFate::Delivered
     }
 
     /// Closes the stepped round (`skipped = None`) or a fast-forward over
@@ -1564,11 +1430,9 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// advances as if every round had been stepped (skipped rounds
     /// schedule no nodes, so only `node_rounds` grows).
     ///
-    /// Events that stop the jump: the earliest live timed wakeup, the
+    /// Events that stop the jump: the earliest live timed wakeup and the
     /// earliest not-yet-applied crash-stop (its `Fault` trace event must
-    /// land in its exact round), and the earliest delayed-message due round
-    /// minus one (the merge into inboxes happens in phase 4b of the
-    /// *preceding* round).
+    /// land in its exact round).
     fn fast_forward(&mut self, cap: Round) -> bool {
         if !self.next_active.is_empty() || self.arena.in_flight != 0 {
             return false;
@@ -1580,9 +1444,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 if node < n && !f.crashed[node] {
                     target = target.min(at.max(self.round));
                 }
-            }
-            for d in &f.queue {
-                target = target.min(d.due.saturating_sub(1));
             }
         }
         // Purge stale wakeups until one is live; a live entry always exists
@@ -2197,15 +2058,13 @@ mod tests {
         (stats, faults, outputs, events)
     }
 
-    /// The determinism contract under faults: a lossy, jittery run replays
+    /// The determinism contract under faults: a lossy run replays
     /// byte-identically (stats, fault stats, outputs, trace stream).
     #[test]
     fn faulty_runs_replay_byte_identically() {
         let g = generators::random_connected(25, 0.15, 7);
         let plan = FaultPlan::new(11)
             .with_drop(0.1)
-            .with_corrupt(0.05)
-            .with_delay(0.2, 3)
             .with_crash(5, 4)
             .with_link_failure(0, 1, 2..6);
         let cfg = Config::for_graph(&g).with_faults(plan);
@@ -2231,7 +2090,6 @@ mod tests {
             kind: trace::FaultKind::Crash,
             from: 2,
             to: 2,
-            delay: 0,
         }));
     }
 
@@ -2247,24 +2105,6 @@ mod tests {
         // node 0; nodes 1 and 2 converge on 1.
         assert_eq!(outputs, vec![0, 1, 1]);
         assert_eq!(faults.link_dropped, 2, "round-0 messages 0→1 and 1→0");
-    }
-
-    /// Full jitter: every message is delayed, yet the flood still converges
-    /// (delayed messages are delivered, the sorted-inbox invariant holds —
-    /// enforced by `debug_assert!` — and quiescence waits for the queue).
-    #[test]
-    fn jitter_delays_but_does_not_lose_messages() {
-        let g = generators::random_connected(12, 0.3, 3);
-        let cfg = Config::for_graph(&g).with_faults(FaultPlan::new(5).with_delay(1.0, 4));
-        let (stats, faults, outputs, _) = min_id_fault_run(&g, cfg);
-        assert!(outputs.iter().all(|&b| b == 0), "flood failed to converge");
-        assert_eq!(faults.delayed, stats.messages, "every send was jittered");
-        assert_eq!(faults.lost(), 0);
-        let no_fault = min_id_fault_run(&g, Config::for_graph(&g));
-        assert!(
-            stats.rounds > no_fault.0.rounds,
-            "jitter should stretch the schedule"
-        );
     }
 
     /// Runs `f` with a fresh trace recorder installed and returns its
@@ -2428,19 +2268,15 @@ mod tests {
             kind: trace::FaultKind::Crash,
             from: 2,
             to: 2,
-            delay: 0,
         }));
     }
 
     /// The network against the reference simulator on a real
-    /// message-driven workload, with and without a lossy, jittery plan.
+    /// message-driven workload, with and without a lossy plan.
     #[test]
     fn min_id_flood_matches_the_reference() {
         let g = generators::random_connected(25, 0.15, 7);
-        let plan = FaultPlan::new(11)
-            .with_drop(0.1)
-            .with_delay(0.2, 3)
-            .with_crash(5, 4);
+        let plan = FaultPlan::new(11).with_drop(0.1).with_crash(5, 4);
         for cfg in [
             Config::for_graph(&g),
             Config::for_graph(&g).with_faults(plan),
@@ -2667,51 +2503,6 @@ mod tests {
         assert_eq!(net.into_outputs()[1], (vec![0], Vec::new()));
     }
 
-    /// A delayed message that lands while a fresh message from the same
-    /// sender crosses the same edge waits a round more, even when its
-    /// receiver ignores the fresh one and no row holds it: `FaultStats`
-    /// agree with the same program wanting every note and with the
-    /// reference.
-    #[test]
-    fn a_delayed_message_defers_behind_an_ignored_fresh_one() {
-        use crate::reference::Reference;
-        let note = |tag, wanted| Note { tag, wanted };
-        // A plan that delays node 0's round-0 send to node 1 by one round,
-        // onto the round its round-1 send arrives, and delivers that one.
-        let plan = (0..1000)
-            .map(|seed| FaultPlan::new(seed).with_delay(0.5, 2))
-            .find(|p| {
-                p.fate(0, 0, 1) == MessageFate::Delayed(1)
-                    && p.fate(1, 0, 1) == MessageFate::Delivered
-            })
-            .expect("about one seed in 16 has these fates");
-        let g = generators::path(2);
-        let cfg = Config::new(16).with_faults(plan);
-        let make = |eager| {
-            move |v: NodeId| Picky {
-                eager,
-                ..Picky::new(match v.index() {
-                    0 => vec![(0, note(10, true)), (1, note(11, false))],
-                    _ => Vec::new(),
-                })
-            }
-        };
-        let run = |eager| {
-            let mut net = Network::new(&g, cfg, make(eager));
-            let stats = net.run_until_quiescent(20).unwrap();
-            (stats, net.fault_stats(), net.into_outputs())
-        };
-        let (stats, faults, outputs) = run(false);
-        assert_eq!((faults.delayed, faults.deferred), (1, 1));
-        // Deferred from round 2 to round 3; the ignored note is never shown.
-        assert_eq!(outputs[1], (vec![0, 3], vec![(3, vec![(0, 10)])]));
-        let (eager_stats, eager_faults, _) = run(true);
-        assert_eq!((stats, faults), (eager_stats, eager_faults));
-        let mut reference = Reference::new(&g, cfg, make(false));
-        let expect = reference.run_until_quiescent(20).unwrap();
-        assert_eq!((stats, faults), (expect, reference.fault_stats()));
-    }
-
     /// Floods the largest value heard. A value no larger than the node's
     /// best is ignored, and such a value changes nothing, whatever else
     /// the inbox holds, so the program keeps the `ignores` contract.
@@ -2759,14 +2550,11 @@ mod tests {
     /// program woken for every delivery, and against the reference, the
     /// outputs, `RunStats` (rounds to quiescence included), `FaultStats`,
     /// trace, registry counters and flight records agree, fault-free and
-    /// under a drop/delay/crash plan, while fewer node programs run.
+    /// under a drop/crash plan, while fewer node programs run.
     #[test]
     fn ignoring_changes_only_which_nodes_run() {
         let g = generators::random_connected(25, 0.15, 7);
-        let plan = FaultPlan::new(11)
-            .with_drop(0.1)
-            .with_delay(0.2, 3)
-            .with_crash(5, 4);
+        let plan = FaultPlan::new(11).with_drop(0.1).with_crash(5, 4);
         for cfg in [
             Config::for_graph(&g),
             Config::for_graph(&g).with_faults(plan),

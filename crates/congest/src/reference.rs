@@ -12,8 +12,8 @@
 //! * a sender's messages are validated with a `HashSet` of the receivers
 //!   it has already used;
 //! * fault fates come straight from [`FaultPlan::fate`], crash-stops from
-//!   [`FaultPlan::crashes`], and each inbox is sorted by sender once the
-//!   round's deliveries (and due delayed messages) are in;
+//!   [`FaultPlan::crashes`], and each inbox fills in sender order, since
+//!   the round's messages are delivered sender by sender in node order;
 //! * every delivered message is shown to its receiver, including the ones
 //!   its program [ignores](NodeProgram::ignores), which `Network` never
 //!   puts in an inbox. A program whose `ignores` claims a message it in
@@ -52,9 +52,6 @@ use crate::{
     RunStats, Status,
 };
 
-/// A message held back by the fault plan: `(due round, from, to, payload)`.
-type Held<M> = (Round, NodeId, NodeId, M);
-
 /// The reference simulator. Its API mirrors the run loop of
 /// [`Network`](crate::Network).
 pub struct Reference<'g, P: NodeProgram> {
@@ -66,8 +63,6 @@ pub struct Reference<'g, P: NodeProgram> {
     votes: Vec<Status>,
     /// This round's inbox of each node, sorted by sender.
     inboxes: Vec<Vec<(NodeId, P::Msg)>>,
-    /// Delayed messages, in the order their fates were decided.
-    held: Vec<Held<P::Msg>>,
     crashed: Vec<bool>,
     round: Round,
     stats: RunStats,
@@ -88,7 +83,6 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
             programs,
             votes: vec![Status::Active; n],
             inboxes: (0..n).map(|_| Vec::new()).collect(),
-            held: Vec::new(),
             crashed: vec![false; n],
             round: 0,
             stats: RunStats::default(),
@@ -120,11 +114,9 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
     }
 
     /// True when every node's latest vote is `Halted` and no message is
-    /// waiting, delayed ones included.
+    /// waiting.
     pub fn is_quiescent(&self) -> bool {
-        self.votes.iter().all(|&s| s == Status::Halted)
-            && self.inboxes.iter().all(Vec::is_empty)
-            && self.held.is_empty()
+        self.votes.iter().all(|&s| s == Status::Halted) && self.inboxes.iter().all(Vec::is_empty)
     }
 
     /// Consumes the run and extracts every node's local output, in node id
@@ -185,12 +177,11 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                 sink.borrow_mut().record(&event);
             }
         };
-        let fault = |kind, from: NodeId, to: NodeId, delay| trace::TraceEvent::Fault {
+        let fault = |kind, from: NodeId, to: NodeId| trace::TraceEvent::Fault {
             round,
             kind,
             from: from.index() as u64,
             to: to.index() as u64,
-            delay,
         };
 
         if let Some(plan) = &self.plan {
@@ -200,7 +191,7 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                     self.votes[node] = Status::Halted;
                     self.faults.crashes += 1;
                     let v = NodeId::new(node);
-                    emit(fault(trace::FaultKind::Crash, v, v, 0));
+                    emit(fault(trace::FaultKind::Crash, v, v));
                 }
             }
         }
@@ -283,7 +274,7 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                 });
                 if self.crashed[to.index()] {
                     self.faults.crash_dropped += 1;
-                    emit(fault(trace::FaultKind::Crash, v, to, 0));
+                    emit(fault(trace::FaultKind::Crash, v, to));
                     continue;
                 }
                 let fate = self.plan.as_ref().map_or(MessageFate::Delivered, |p| {
@@ -293,50 +284,16 @@ impl<'g, P: NodeProgram> Reference<'g, P> {
                     MessageFate::Delivered => next[to.index()].push((v, msg)),
                     MessageFate::Dropped => {
                         self.faults.dropped += 1;
-                        emit(fault(trace::FaultKind::Drop, v, to, 0));
-                    }
-                    MessageFate::Corrupted => {
-                        self.faults.corrupted += 1;
-                        emit(fault(trace::FaultKind::Corrupt, v, to, 0));
+                        emit(fault(trace::FaultKind::Drop, v, to));
                     }
                     MessageFate::LinkDropped => {
                         self.faults.link_dropped += 1;
-                        emit(fault(trace::FaultKind::LinkDown, v, to, 0));
-                    }
-                    MessageFate::Delayed(extra) => {
-                        self.faults.delayed += 1;
-                        emit(fault(trace::FaultKind::Delay, v, to, extra));
-                        self.held.push((round + 1 + extra, v, to, msg));
+                        emit(fault(trace::FaultKind::LinkDown, v, to));
                     }
                 }
             }
         }
 
-        // Delayed messages due next round join in the order they were
-        // held. One addressed to a crashed node is discarded; one whose
-        // sender already has a message for the same receiver waits a
-        // round more.
-        let mut k = 0;
-        while k < self.held.len() {
-            let (due, from, to, _) = self.held[k];
-            if due > round + 1 {
-                k += 1;
-            } else if self.crashed[to.index()] {
-                self.faults.crash_dropped += 1;
-                emit(fault(trace::FaultKind::Crash, from, to, 0));
-                self.held.remove(k);
-            } else if next[to.index()].iter().any(|&(s, _)| s == from) {
-                self.held[k].0 = round + 2;
-                self.faults.deferred += 1;
-                k += 1;
-            } else {
-                let (_, from, to, msg) = self.held.remove(k);
-                next[to.index()].push((from, msg));
-            }
-        }
-        for inbox in &mut next {
-            inbox.sort_by_key(|&(from, _)| from);
-        }
         self.inboxes = next;
 
         self.round += 1;

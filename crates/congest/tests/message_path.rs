@@ -368,17 +368,15 @@ proptest! {
         agree(&g, &Script::Random { seed, chaos: 0 }, cfg())?;
     }
 
-    /// Drops and delays: delayed messages rejoin out of sender order and
-    /// collide with fresh ones, so segments must be re-sorted and
-    /// deferrals must match.
+    /// Drops: lost messages leave gaps in the receivers' rows, and the
+    /// fates and fault stats must match.
     #[test]
     fn faulty_traffic_matches_the_reference(
         g in arb_graph(),
         seed in any::<u64>(),
         plan_seed in any::<u64>(),
-        delay in 1u64..4,
     ) {
-        let plan = FaultPlan::new(plan_seed).with_drop(0.1).with_delay(0.3, delay);
+        let plan = FaultPlan::new(plan_seed).with_drop(0.1);
         agree(&g, &Script::Random { seed, chaos: 0 }, cfg().with_faults(plan))?;
     }
 
@@ -585,7 +583,7 @@ fn a_star_centre_hears_every_leaf_in_one_round() {
         .collect();
     table.push((0, 1, vec![Action::Broadcast(pay(9))]));
     table.extend((1..=leaves).map(|i| (i, 2, vec![Action::Broadcast(pay(i as u16 + 1))])));
-    let plan = FaultPlan::new(11).with_drop(0.1).with_delay(0.3, 2);
+    let plan = FaultPlan::new(11).with_drop(0.1);
     let (plain, _) = full_rows_run(&g, table, plan);
     assert_eq!(plain.error, None);
     assert_eq!(plain.stats.messages, 3 * leaves as u64);
@@ -597,7 +595,7 @@ fn a_star_centre_hears_every_leaf_in_one_round() {
 #[test]
 fn every_node_of_k8_broadcasting_every_round_fills_every_row() {
     let g = complete(8);
-    let plan = FaultPlan::new(12).with_drop(0.1).with_delay(0.3, 2);
+    let plan = FaultPlan::new(12).with_drop(0.1);
     let (plain, faulty) = full_rows_run(&g, broadcasts(8, 0..ROUNDS), plan);
     assert_eq!(plain.error, None);
     assert_eq!(plain.stats.messages, 8 * 7 * ROUNDS);
@@ -605,20 +603,5 @@ fn every_node_of_k8_broadcasting_every_round_fills_every_row() {
         assert_eq!(seen.len() as Round, ROUNDS - 1);
         assert!(seen.iter().all(|(_, inbox)| inbox.len() == 7));
     }
-    assert!(faulty.faults.delayed > 0 && faulty.faults.deferred > 0);
-}
-
-/// Broadcasts on even rounds only, under jitter: a delayed message that
-/// comes due in a broadcast round meets a full row and is deferred, one
-/// due in a quiet round merges, and two from the same sender due together
-/// collide with each other.
-#[test]
-fn jittered_merges_into_full_k8_rows_are_deferred() {
-    let g = complete(8);
-    let plan = FaultPlan::new(13).with_delay(0.8, 3);
-    let (plain, faulty) = full_rows_run(&g, broadcasts(8, (0..ROUNDS).step_by(2)), plan);
-    assert_eq!(plain.error, None);
-    assert_eq!(faulty.error, None);
-    assert!(faulty.faults.delayed > 100, "{:?}", faulty.faults);
-    assert!(faulty.faults.deferred > 20, "{:?}", faulty.faults);
+    assert!(faulty.faults.dropped > 0, "{:?}", faulty.faults);
 }

@@ -66,12 +66,6 @@ impl ExactParams {
         self
     }
 
-    /// Replaces the number of verified branches.
-    pub fn with_verify_branches(mut self, k: usize) -> Self {
-        self.verify_branches = k;
-        self
-    }
-
     /// The search over `f` with this seed, `δ` and verification sample.
     pub(crate) fn instance<'a>(
         &self,
@@ -325,7 +319,10 @@ mod tests {
         use std::collections::HashSet;
         let g = generators::cycle(6);
         let cfg = Config::for_graph(&g);
-        let params = ExactParams::new(3).with_verify_branches(12);
+        let params = ExactParams {
+            verify_branches: 12,
+            ..ExactParams::new(3)
+        };
         let approx = crate::approx::ApproxParams {
             verify_branches: 12,
             ..crate::approx::ApproxParams::new(3)

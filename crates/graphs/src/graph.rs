@@ -210,18 +210,6 @@ impl Graph {
                 .map(move |v| (u, v))
         })
     }
-
-    /// Maximum degree over all nodes, or 0 for the empty graph.
-    pub fn max_degree(&self) -> usize {
-        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
-    }
-
-    /// The bandwidth `⌈log₂(n+1)⌉` in bits that the CONGEST model grants per
-    /// edge per round for this graph (at least 1).
-    pub fn congest_bandwidth_bits(&self) -> usize {
-        let n = self.len().max(1) as u64;
-        (u64::BITS - n.leading_zeros()).max(1) as usize
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -248,7 +236,6 @@ mod tests {
         assert!(!g.is_empty());
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(NodeId::new(0)), 2);
-        assert_eq!(g.max_degree(), 2);
     }
 
     #[test]
@@ -305,7 +292,6 @@ mod tests {
         let g = Graph::from_edges(0, []).unwrap();
         assert!(g.is_empty());
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.max_degree(), 0);
     }
 
     /// The u32 overflow check is a typed error, not a panic. (Actually
@@ -319,13 +305,5 @@ mod tests {
             GraphError::TooLarge { entries }
         );
         assert_eq!(Graph::check_csr_size(6).unwrap(), 6);
-    }
-
-    #[test]
-    fn bandwidth_grows_logarithmically() {
-        let g = Graph::from_edges(1024, []).unwrap();
-        assert_eq!(g.congest_bandwidth_bits(), 11); // ceil(log2(1025))
-        let g1 = Graph::from_edges(1, []).unwrap();
-        assert!(g1.congest_bandwidth_bits() >= 1);
     }
 }

@@ -8,7 +8,7 @@
 //! * [`BitSet`] — a fixed-universe bitmap set for dense frontier and
 //!   active-set bookkeeping (the hybrid representation the simulator swaps
 //!   in above its density threshold).
-//! * [`traversal`] — breadth-first search (distances, trees, multi-source),
+//! * [`traversal`] — breadth-first search (distances, trees),
 //!   connectivity.
 //! * [`metrics`] — eccentricities, diameter, radius: the *ground truth*
 //!   against which every distributed algorithm in the workspace is tested.

@@ -106,67 +106,11 @@ impl Bfs {
     pub fn depth(&self) -> Option<Dist> {
         self.eccentricity()
     }
-
-    /// Reconstructs the path from the source to `v` (inclusive), or `None`
-    /// if `v` is unreachable.
-    pub fn path_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[v.index()] == INFINITY {
-            return None;
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
-    }
 }
 
 /// Distance between two nodes, or `None` if disconnected.
 pub fn distance(graph: &Graph, u: NodeId, v: NodeId) -> Option<Dist> {
     Bfs::run(graph, u).dist(v)
-}
-
-/// Multi-source BFS: for every node, the distance to the nearest source and
-/// that source's identity.
-///
-/// Ties are broken toward the smallest source id (deterministic), matching
-/// the distributed implementation in the `classical` crate.
-///
-/// Returns `(dist, nearest)` arrays; unreachable nodes get `INFINITY` /
-/// `None`.
-pub fn multi_source_bfs(graph: &Graph, sources: &[NodeId]) -> (Vec<Dist>, Vec<Option<NodeId>>) {
-    let mut dist = vec![INFINITY; graph.len()];
-    let mut nearest: Vec<Option<NodeId>> = vec![None; graph.len()];
-    let mut queue = VecDeque::new();
-    let mut sorted = sources.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    for &s in &sorted {
-        dist[s.index()] = 0;
-        nearest[s.index()] = Some(s);
-        queue.push_back(s);
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        let su = nearest[u.index()];
-        for &v in graph.neighbors(u) {
-            if dist[v.index()] == INFINITY {
-                dist[v.index()] = du + 1;
-                nearest[v.index()] = su;
-                queue.push_back(v);
-            } else if dist[v.index()] == du + 1 && nearest[v.index()] > su {
-                // Same layer, smaller source id wins; safe because BFS visits
-                // layer by layer so v has not been expanded yet... except it
-                // may already be queued — updating the label is still correct
-                // because labels only propagate forward.
-                nearest[v.index()] = su;
-            }
-        }
-    }
-    (dist, nearest)
 }
 
 /// Returns `true` if the graph is connected (the empty graph counts as
@@ -236,51 +180,18 @@ mod tests {
     }
 
     #[test]
-    fn path_reconstruction() {
-        let g = generators::cycle(7);
-        let bfs = Bfs::run(&g, NodeId::new(0));
-        let path = bfs.path_to(NodeId::new(3)).unwrap();
-        assert_eq!(path.first(), Some(&NodeId::new(0)));
-        assert_eq!(path.last(), Some(&NodeId::new(3)));
-        assert_eq!(path.len() as Dist - 1, bfs.dist(NodeId::new(3)).unwrap());
-        for w in path.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
     fn disconnected_graph() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let bfs = Bfs::run(&g, NodeId::new(0));
+        assert_eq!(bfs.dist(NodeId::new(2)), None);
         assert_eq!(bfs.dist(NodeId::new(3)), None);
         assert_eq!(bfs.eccentricity(), None);
-        assert_eq!(bfs.path_to(NodeId::new(2)), None);
         assert!(!is_connected(&g));
         let (labels, count) = connected_components(&g);
         assert_eq!(count, 2);
         assert_eq!(labels[0], labels[1]);
         assert_eq!(labels[2], labels[3]);
         assert_ne!(labels[0], labels[2]);
-    }
-
-    #[test]
-    fn multi_source_distances() {
-        let g = generators::path(10);
-        let sources = [NodeId::new(0), NodeId::new(9)];
-        let (dist, nearest) = multi_source_bfs(&g, &sources);
-        assert_eq!(dist[5], 4); // closer to node 9
-        assert_eq!(nearest[5], Some(NodeId::new(9)));
-        assert_eq!(dist[2], 2);
-        assert_eq!(nearest[2], Some(NodeId::new(0)));
-    }
-
-    #[test]
-    fn multi_source_tie_breaks_to_smaller_id() {
-        let g = generators::path(5);
-        let (dist, nearest) = multi_source_bfs(&g, &[NodeId::new(4), NodeId::new(0)]);
-        // node 2 is at distance 2 from both sources; source 0 must win.
-        assert_eq!(dist[2], 2);
-        assert_eq!(nearest[2], Some(NodeId::new(0)));
     }
 
     #[test]

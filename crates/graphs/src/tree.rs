@@ -130,11 +130,6 @@ impl RootedTree {
         &self.children[v.index()]
     }
 
-    /// Depth of `v` below the root.
-    pub fn depth_of(&self, v: NodeId) -> Dist {
-        self.depth[v.index()]
-    }
-
     /// Height of the tree: the maximum depth.
     pub fn depth(&self) -> Dist {
         self.depth.iter().copied().max().unwrap_or(0)
@@ -295,8 +290,8 @@ mod tests {
         let g = generators::path(5);
         let (tree, _) = tour_of(&g, 0);
         assert_eq!(tree.depth(), 4);
-        for v in 0..5 {
-            assert_eq!(tree.depth_of(NodeId::new(v)), v as Dist);
+        for v in 1..5 {
+            assert_eq!(tree.parent(NodeId::new(v)), Some(NodeId::new(v - 1)));
         }
         assert_eq!(tree.children(NodeId::new(2)), &[NodeId::new(3)]);
         assert_eq!(tree.parent(NodeId::new(0)), None);

@@ -30,15 +30,11 @@ impl OracleOp {
 pub enum FaultKind {
     /// A message was lost in transit (random drop).
     Drop,
-    /// A message arrived garbled and was discarded by the receiver.
-    Corrupt,
     /// A message was lost to a scheduled link failure.
     LinkDown,
     /// A node crash-stopped (`from == to`), or a message addressed to a
     /// crashed node was discarded (`from != to`).
     Crash,
-    /// A message was delayed by `delay` extra rounds of jitter.
-    Delay,
 }
 
 impl FaultKind {
@@ -46,10 +42,8 @@ impl FaultKind {
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
-            FaultKind::Corrupt => "corrupt",
             FaultKind::LinkDown => "link-down",
             FaultKind::Crash => "crash",
-            FaultKind::Delay => "delay",
         }
     }
 }
@@ -184,8 +178,6 @@ pub enum TraceEvent {
         from: u64,
         /// Receiving node id.
         to: u64,
-        /// Extra delivery rounds ([`FaultKind::Delay`] only; 0 otherwise).
-        delay: u64,
     },
     /// One recovery action taken by a driver in response to a detected
     /// fault (emitted by the recovery layer, exactly one event per action).
@@ -286,14 +278,12 @@ impl TraceEvent {
                 kind,
                 from,
                 to,
-                delay,
             } => Json::obj([
                 ("type", Json::Str("fault".into())),
                 ("round", int(*round)),
                 ("kind", Json::Str(kind.as_str().into())),
                 ("from", int(*from)),
                 ("to", int(*to)),
-                ("delay", int(*delay)),
             ]),
             TraceEvent::Recovery {
                 round,
@@ -383,15 +373,12 @@ impl TraceEvent {
                 round: u("round")?,
                 kind: match s("kind")?.as_str() {
                     "drop" => FaultKind::Drop,
-                    "corrupt" => FaultKind::Corrupt,
                     "link-down" => FaultKind::LinkDown,
                     "crash" => FaultKind::Crash,
-                    "delay" => FaultKind::Delay,
                     other => return Err(format!("unknown fault kind {other:?}")),
                 },
                 from: u("from")?,
                 to: u("to")?,
-                delay: u("delay")?,
             }),
             "recovery" => Ok(TraceEvent::Recovery {
                 round: u("round")?,
@@ -485,17 +472,15 @@ mod tests {
             },
             TraceEvent::Fault {
                 round: 6,
-                kind: FaultKind::Delay,
+                kind: FaultKind::LinkDown,
                 from: 2,
                 to: 9,
-                delay: 3,
             },
             TraceEvent::Fault {
                 round: 1,
                 kind: FaultKind::Crash,
                 from: 4,
                 to: 4,
-                delay: 0,
             },
             TraceEvent::Recovery {
                 round: 42,
@@ -585,10 +570,10 @@ mod tests {
             TraceEvent::from_json(r#"{"type":"oracle","op":"mystery","index":0,"rounds":1}"#)
                 .is_err()
         );
-        assert!(TraceEvent::from_json(
-            r#"{"type":"fault","round":1,"kind":"gremlin","from":0,"to":1,"delay":0}"#
-        )
-        .is_err());
+        for kind in ["gremlin", "corrupt", "delay"] {
+            let line = format!(r#"{{"type":"fault","round":1,"kind":"{kind}","from":0,"to":1}}"#);
+            assert!(TraceEvent::from_json(&line).is_err(), "{kind}");
+        }
         assert!(TraceEvent::from_json(
             r#"{"type":"recovery","round":1,"action":"give-up","attempt":1,"scope":"x"}"#
         )

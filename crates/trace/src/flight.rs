@@ -776,7 +776,6 @@ mod tests {
                 kind: crate::event::FaultKind::Drop,
                 from: 0,
                 to: 1,
-                delay: 0,
             },
             TraceEvent::Round {
                 round: 4,

@@ -542,28 +542,25 @@ mod tests {
                 kind: FaultKind::Drop,
                 from: 0,
                 to: 1,
-                delay: 0,
             },
             TraceEvent::Fault {
                 round: 1,
                 kind: FaultKind::Drop,
                 from: 1,
                 to: 2,
-                delay: 0,
             },
             TraceEvent::Fault {
                 round: 2,
-                kind: FaultKind::Delay,
+                kind: FaultKind::LinkDown,
                 from: 2,
                 to: 0,
-                delay: 4,
             },
         ];
         let summary = Summary::from_events(&events);
         assert_eq!(summary.faults, 3);
         assert_eq!(
             summary.fault_kinds(),
-            &[("drop".to_string(), 2), ("delay".to_string(), 1)]
+            &[("drop".to_string(), 2), ("link-down".to_string(), 1)]
         );
         let text = summary.to_string();
         assert!(text.contains("faults injected: 3"), "{text}");

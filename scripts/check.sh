@@ -95,6 +95,21 @@ echo "=== qdiam reports match their committed output ==="
 # drops by retries; see the generator script for the exact command lines.
 scripts/qdiam_reports.sh | diff - results/qdiam_reports.txt || status=1
 
+echo "=== fault grammar: only synchronous fault kinds parse ==="
+# A message either arrives the round after it is sent or never does, so
+# there is no jitter clause, and no corruption clause (a discarded message
+# is a drop). Either spec must be a usage error, not a panic.
+for spec in corrupt=0.1 delay=0.1:2; do
+  set +e
+  out=$(./target/release/qdiam classical --n 16 --faults "$spec" 2>&1)
+  code=$?
+  set -e
+  if [ "$code" -ne 2 ] || ! grep -qF 'unknown fault clause key' <<<"$out"; then
+    echo "--faults $spec: expected exit 2 and 'unknown fault clause key', got $code: $out" >&2
+    status=1
+  fi
+done
+
 echo "=== deterministic experiments match their committed output ==="
 # Each is deterministic. table1_lower_bounds and fig2_evaluation take well
 # under a second; the Theorem 1 and Theorem 4 artifacts (table1_exact,

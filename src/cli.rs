@@ -242,10 +242,10 @@ OPTIONS:
   --metrics P  export the run's metrics registry to P after the run
                (.json extension -> JSON, anything else -> Prometheus text)
   --faults S   inject deterministic message/node faults; S is a comma-
-               separated list of: seed=<u64>  drop=<p>  corrupt=<p>
-               delay=<p>:<max>  link=<u>-<v>@<start>..<end>
-               crash=<node>@<round>. Algorithms either still answer
-               correctly or fail with a typed fault-detection error.
+               separated list of: seed=<u64>  drop=<p>
+               link=<u>-<v>@<start>..<end>  crash=<node>@<round>.
+               Algorithms either still answer correctly or fail with a
+               typed fault-detection error.
   --recover [S] enable self-healing for detected faults; S is a comma-
                separated list of: retry=<n>  retransmit=<rounds>
                checkpoint=<sources>  partial[=true|false]. A bare
@@ -1651,7 +1651,7 @@ mod tests {
     fn failed_runs_still_export_their_metrics() {
         let dir = std::env::temp_dir().join(format!("qd-cli-failed-{}", std::process::id()));
         let spec = "classical --family sparse --n 256 \
-                    --faults seed=7,drop=0.01,delay=0.05:3,crash=4@10";
+                    --faults seed=7,drop=0.01,crash=4@10";
         let faults_total = |path: &std::path::Path| -> u64 {
             let text = std::fs::read_to_string(path).unwrap();
             let line = text

@@ -153,10 +153,7 @@ proptest! {
         g in arb_graph(),
         fault_seed in 0u64..1_000,
     ) {
-        let plan = FaultPlan::new(fault_seed)
-            .with_drop(0.08)
-            .with_corrupt(0.04)
-            .with_delay(0.15, 3);
+        let plan = FaultPlan::new(fault_seed).with_drop(0.08);
         let cfg = Config::for_graph(&g).with_faults(plan);
         let expect = reference_run(&g, cfg, 7);
         let run = observed_run(&g, cfg, 7);

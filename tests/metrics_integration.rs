@@ -113,7 +113,7 @@ impl NodeProgram for Chatter {
 /// The registry, charged once per round from the scheduler's round tally,
 /// holds exactly what charging every traced message and fault one by one
 /// gives: every counter, and every bucket of the width histogram. Checked
-/// fault-free and under a drop/delay/crash plan, on traffic that fills
+/// fault-free and under a drop/crash plan, on traffic that fills
 /// every width bucket under a budget as wide as its widest message; the
 /// fault-free registry is also the same with no trace sink installed,
 /// where the commit stages without per-message work.
@@ -121,10 +121,7 @@ impl NodeProgram for Chatter {
 fn per_round_registry_matches_a_per_message_oracle() {
     let g = generators::random_sparse(40, 5.0, 11);
     let wide = Config::new(700);
-    let plan = FaultPlan::new(5)
-        .with_drop(0.1)
-        .with_delay(0.2, 3)
-        .with_crash(4, 3);
+    let plan = FaultPlan::new(5).with_drop(0.1).with_crash(4, 3);
     let run = |cfg: Config, traced: bool| {
         let registry = metrics::Registry::shared();
         let recorder = trace::Recorder::shared();
