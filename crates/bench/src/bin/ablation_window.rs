@@ -54,7 +54,7 @@ fn main() {
         ds.push(d as f64);
         ratios.push(simple / windowed);
     }
-    let slope = crossover::loglog_fit(&ds, &ratios).expect("ratio fit").0;
+    let slope = crossover::loglog_fit(&ds, &ratios).expect("ratio fit");
     println!("\nfitted exponent of the simple/windowed ratio in D: {slope:.2} (paper: 0.5)");
     println!("— the window trick converts a √n·√D gap into √(n·D), i.e. wins a √D");
     println!("factor that grows with the diameter, exactly Section 3.2's point.");

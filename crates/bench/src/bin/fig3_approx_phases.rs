@@ -43,9 +43,7 @@ fn main() {
             quantum_phase.push(out.quantum_rounds.max(1) as f64);
         }
     }
-    let slope = crossover::loglog_fit(&ss, &quantum_phase)
-        .expect("quantum-phase fit")
-        .0;
+    let slope = crossover::loglog_fit(&ss, &quantum_phase).expect("quantum-phase fit");
     println!("\nfitted quantum-phase exponent in s: {slope:.2} (paper: 0.5, from √(sD)).");
     println!("the preparation cost is dominated by its Õ(D) aggregations at these n");
     println!("(the n/s term needs n ≫ s·D to dominate), so with real constants the");

@@ -52,7 +52,7 @@ fn main() {
         ks.push(k as f64);
         qubits.push(mean(&q));
     }
-    let slope = crossover::loglog_fit(&ks, &qubits).expect("qubit fit").0;
+    let slope = crossover::loglog_fit(&ks, &qubits).expect("qubit fit");
     println!("\nfitted qubit exponent in k: {slope:.2} (paper: 0.5 + log factor)");
 
     rule("correctness sweep (both DISJ values)");

@@ -22,6 +22,9 @@ pub fn scale() -> usize {
         .max(1)
 }
 
+/// Printed in place of a fit when failed points leave fewer than two.
+pub const NO_FIT: &str = "no fit: fewer than two points remain";
+
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty(), "mean of empty slice");

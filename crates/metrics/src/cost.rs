@@ -8,10 +8,13 @@
 //!
 //! * every delivered classical message its **actual payload width** plus a
 //!   fixed per-message header ([`CostModel::header_bits`]), and
-//! * every qubit communicated by a charged oracle application a
-//!   **configurable multiple** of a classical bit
-//!   ([`CostModel::qubit_factor`]), reflecting that distributed quantum
+//! * every qubit communicated by a charged oracle application a **fixed
+//!   multiple** of a classical bit ([`CostModel::qubit_factor`], 100 in
+//!   [`CostModel::default`], the one price list the registry and the
+//!   crossover engine use), reflecting that distributed quantum
 //!   communication is far more expensive per unit than classical traffic.
+//!   The crossover report's break-even qubit factor gives the price at
+//!   which each verdict would flip.
 
 /// Prices for the two kinds of traffic a run generates.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -117,7 +117,6 @@ pub struct SpanStats {
 /// paths such as `exact/quantum`.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    cost: CostModel,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
@@ -125,27 +124,14 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// An empty registry with the default [`CostModel`].
+    /// An empty registry; it charges framing under [`CostModel::default`].
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// An empty registry charging costs under `cost`.
-    pub fn with_cost(cost: CostModel) -> Self {
-        Registry {
-            cost,
-            ..Registry::default()
-        }
     }
 
     /// A registry wrapped for installation via [`crate::install`].
     pub fn shared() -> SharedRegistry {
         Rc::new(RefCell::new(Registry::new()))
-    }
-
-    /// The registry's cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Adds `delta` to the counter `name`, creating it at zero.
@@ -227,7 +213,7 @@ impl Registry {
             return;
         }
         debug_assert_eq!(widths.iter().sum::<u64>(), count);
-        let wire = payload_bits + count * self.cost.header_bits;
+        let wire = payload_bits + count * CostModel::default().header_bits;
         self.add(names::MESSAGES, count);
         self.add(names::PAYLOAD_BITS, payload_bits);
         self.add(names::WIRE_BITS, wire);
@@ -275,8 +261,7 @@ impl PartialEq for Registry {
             map.iter()
                 .filter(|(name, _)| !names::TELEMETRY.contains(&name.as_str()))
         }
-        self.cost == other.cost
-            && protocol(&self.counters).eq(protocol(&other.counters))
+        protocol(&self.counters).eq(protocol(&other.counters))
             && protocol(&self.gauges).eq(protocol(&other.gauges))
             && self.histograms == other.histograms
     }
@@ -316,7 +301,10 @@ mod tests {
         r.charge_messages(4, 552, &counts);
         assert_eq!(r.counter(names::MESSAGES), 4);
         assert_eq!(r.counter(names::PAYLOAD_BITS), 552);
-        assert_eq!(r.counter(names::WIRE_BITS), 552 + 4 * r.cost().header_bits);
+        assert_eq!(
+            r.counter(names::WIRE_BITS),
+            552 + 4 * CostModel::default().header_bits
+        );
         assert_eq!(r.histogram(names::MESSAGE_BITS), Some(&expect));
         // 515 overflows the largest bound into +Inf.
         assert_eq!(*expect.bucket_counts().last().unwrap(), 1);

@@ -110,6 +110,29 @@ for spec in corrupt=0.1 delay=0.1:2; do
   fi
 done
 
+echo "=== crossovers are measured, never projected ==="
+# Where two fitted power laws intersect moves by orders of magnitude with
+# the sweep's range, so no committed output may quote such a crossover.
+# The sweep has one price list and always runs every algorithm, so the
+# flags that once changed either must be usage errors.
+if grep -rniF -e project -e extrapolat -e 'n*' results/; then
+  echo "results/ quotes a projected or extrapolated crossover" >&2
+  status=1
+fi
+odir=$(mktemp -d)
+for flag in "--qubit-factor 10" "--header-bits 32" "--no-approx"; do
+  set +e
+  # shellcheck disable=SC2086 # the flag and its value are two words
+  out=$(./target/release/qdiam crossover --families path --ns 8 --out "$odir" $flag 2>&1)
+  code=$?
+  set -e
+  if [ "$code" -ne 2 ] || ! grep -qF 'unknown option' <<<"$out"; then
+    echo "qdiam crossover $flag: expected exit 2 and 'unknown option', got $code: $out" >&2
+    status=1
+  fi
+done
+rm -rf "$odir"
+
 echo "=== deterministic experiments match their committed output ==="
 # Each is deterministic. table1_lower_bounds and fig2_evaluation take well
 # under a second; the Theorem 1 and Theorem 4 artifacts (table1_exact,
@@ -125,6 +148,22 @@ for bin in table1_lower_bounds fig2_evaluation table1_exact table1_approx \
     | sed "s#$adir/#results/#" | diff - "results/$bin.txt" || status=1
 done
 rm -rf "$adir"
+
+echo "=== table1_approx under faults: failed rows and exit 1, not a panic ==="
+# Under 1% message loss the classical baseline fails every point; each must
+# print as a failed row, and the run must exit 1 without its JSON.
+tdir=$(mktemp -d)
+set +e
+out=$(QD_RESULTS_DIR="$tdir" QD_FAULTS=drop=0.01,seed=1 cargo run -q --release --offline \
+  -p bench --bin table1_approx 2>&1)
+code=$?
+set -e
+if [ "$code" -ne 1 ] || ! grep -qE '^ +[0-9]+ +[0-9]+ failed: ' <<<"$out" \
+  || test -e "$tdir/table1_approx.json"; then
+  echo "QD_FAULTS table1_approx: expected exit 1, failed rows and no JSON, got $code: $out" >&2
+  status=1
+fi
+rm -rf "$tdir"
 
 echo "=== crossover smoke (artifacts + schema) ==="
 xdir=$(mktemp -d)

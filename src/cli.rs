@@ -213,10 +213,7 @@ COMMANDS:
                     model; writes crossover.json + CROSSOVER.md into the
                     results directory.  Options: --families a,b (default
                     sparse,tree)  --ns 16,24,... (default 16,24,32,48,64)
-                    --seed S  --qubit-factor F (classical bits one qubit
-                    costs; default 100)  --header-bits B (per-message
-                    framing; default 64)  --no-approx  --out DIR
-                    --metrics PATH
+                    --seed S  --out DIR  --metrics PATH
   timeline          run an algorithm with the flight recorder installed and
                     print the per-round timeline (lifetime totals, window
                     percentiles, a messages-per-round sparkline, and the
@@ -396,21 +393,6 @@ fn parse_crossover(args: &[String]) -> Result<CrossoverOptions, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--qubit-factor" => {
-                let f: f64 = value("--qubit-factor")?
-                    .parse()
-                    .map_err(|e| format!("--qubit-factor: {e}"))?;
-                if !(f >= 0.0 && f.is_finite()) {
-                    return Err("--qubit-factor must be finite and >= 0".into());
-                }
-                opts.params.cost.qubit_factor = f;
-            }
-            "--header-bits" => {
-                opts.params.cost.header_bits = value("--header-bits")?
-                    .parse()
-                    .map_err(|e| format!("--header-bits: {e}"))?
-            }
-            "--no-approx" => opts.params.include_approx = false,
             "--out" => opts.out = Some(value("--out")?.clone()),
             "--metrics" => opts.metrics = Some(value("--metrics")?.clone()),
             other => return Err(format!("crossover: unknown option '{other}'")),
@@ -439,9 +421,7 @@ fn export_metrics(registry: &metrics::Registry, path: &str) -> Result<(), String
 pub fn crossover(opts: &CrossoverOptions) -> Result<String, String> {
     let report = match &opts.metrics {
         Some(mpath) => {
-            let registry = std::rc::Rc::new(std::cell::RefCell::new(metrics::Registry::with_cost(
-                opts.params.cost,
-            )));
+            let registry = metrics::Registry::shared();
             let report = {
                 let _guard = metrics::install(registry.clone());
                 crate::crossover::run(&opts.params)?
@@ -467,22 +447,12 @@ pub fn crossover(opts: &CrossoverOptions) -> Result<String, String> {
         report.params.ns
     );
     for c in report.crossings.iter().filter(|c| c.metric == "cost_units") {
-        let verdict = match (c.kind, c.n) {
-            (crate::crossover::CrossKind::Empirical, Some(n)) => {
-                format!("crossover at n = {n:.0}")
-            }
-            (crate::crossover::CrossKind::Projected, Some(n)) => {
-                format!("projected crossover at n ≈ {n:.3e}")
-            }
-            _ => match c.ratio_at_max_n {
-                Some(r) => format!("no crossover (factor {r:.2}x)"),
-                None => "no crossover (ratio undefined)".to_string(),
-            },
-        };
         let _ = writeln!(
             out,
-            "  {} / {} [cost_units]: {verdict}",
-            c.family, c.quantum_algo
+            "  {} / {} [cost_units]: {}",
+            c.family,
+            c.quantum_algo,
+            c.verdict()
         );
     }
     let _ = writeln!(out, "wrote {}", json_path.display());
@@ -1498,8 +1468,8 @@ mod tests {
     #[test]
     fn parse_command_dispatches_crossover() {
         let cmd = parse_command(&args(
-            "crossover --families path,tree --ns 8,12 --seed 5 --qubit-factor 10 \
-             --header-bits 32 --no-approx --out /tmp/x --metrics /tmp/x/m.json",
+            "crossover --families path,tree --ns 8,12 --seed 5 --out /tmp/x \
+             --metrics /tmp/x/m.json",
         ))
         .unwrap();
         let Command::Crossover(o) = cmd else {
@@ -1508,9 +1478,6 @@ mod tests {
         assert_eq!(o.params.families, vec![Family::Path, Family::Tree]);
         assert_eq!(o.params.ns, vec![8, 12]);
         assert_eq!(o.params.seed, 5);
-        assert_eq!(o.params.cost.qubit_factor, 10.0);
-        assert_eq!(o.params.cost.header_bits, 32);
-        assert!(!o.params.include_approx);
         assert_eq!(o.out.as_deref(), Some("/tmp/x"));
         assert_eq!(o.metrics.as_deref(), Some("/tmp/x/m.json"));
     }
@@ -1520,8 +1487,17 @@ mod tests {
         assert!(parse_command(&args("crossover --ns 1")).is_err());
         assert!(parse_command(&args("crossover --ns")).is_err());
         assert!(parse_command(&args("crossover --families warp")).is_err());
-        assert!(parse_command(&args("crossover --qubit-factor -3")).is_err());
-        assert!(parse_command(&args("crossover --what 1")).is_err());
+        // The cost model has one price list, and every sweep runs every
+        // algorithm: no flag overrides either.
+        for flag in [
+            "--qubit-factor 10",
+            "--header-bits 32",
+            "--no-approx",
+            "--what 1",
+        ] {
+            let err = parse_command(&args(&format!("crossover {flag}"))).unwrap_err();
+            assert!(err.contains("unknown option"), "{flag}: {err}");
+        }
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //! qubit traffic — and reports:
 //!
 //! * per-`(n, D)` cost tables (rounds, wire bits, qubit sends, cost units),
-//! * the first empirical crossover point per metric, or its demonstrated
-//!   absence together with the measured constant factor,
+//! * per metric, the first swept `n` where the quantum run was cheaper, or
+//!   that none was up to the largest swept `n`, with the measured
+//!   quantum/classical factor there and both fitted exponents,
 //! * log-log slope fits extending the paper's Table 1 with measured
-//!   exponents, and projected crossover points where the sweep is too
-//!   small to show one, and
+//!   exponents, and
 //! * the *break-even qubit factor*: the largest price per communicated
 //!   qubit (in classical wire bits) under which the quantum run still wins.
+//!
+//! Crossovers are measured, never projected: where two fitted power laws
+//! intersect moves by orders of magnitude with the sweep's range, so a
+//! sweep without a crossing says only that.
 //!
 //! Artifacts: `crossover.json` (machine-readable, schema below) and an
 //! auto-generated Markdown report `CROSSOVER.md`, both written by
@@ -42,14 +46,10 @@ use crate::cli::{build_graph, Family, Options};
 pub struct CrossoverParams {
     /// Graph families to sweep.
     pub families: Vec<Family>,
-    /// Node counts to sweep, ascending.
+    /// Node counts to sweep; [`run`] sorts and dedups them.
     pub ns: Vec<usize>,
     /// RNG seed (graph construction and quantum measurement).
     pub seed: u64,
-    /// The constant-honest price list.
-    pub cost: CostModel,
-    /// Also run the Theorem 4 `3/2`-approximation.
-    pub include_approx: bool,
 }
 
 impl Default for CrossoverParams {
@@ -58,8 +58,6 @@ impl Default for CrossoverParams {
             families: vec![Family::Sparse, Family::Tree],
             ns: vec![16, 24, 32, 48, 64],
             seed: 1,
-            cost: CostModel::default(),
-            include_approx: true,
         }
     }
 }
@@ -94,19 +92,19 @@ pub struct CostPoint {
 }
 
 impl CostPoint {
-    /// The value of a named metric, for crossover scans and fits.
-    pub fn metric(&self, metric: &str) -> f64 {
+    /// The value of one of the [`METRICS`].
+    fn metric(&self, metric: &str) -> f64 {
         match metric {
             "rounds" => self.rounds as f64,
             "wire_bits" => self.wire_bits as f64,
             "qubit_sends" => self.qubit_sends as f64,
             "cost_units" => self.cost_units,
-            other => panic!("unknown metric '{other}'"),
+            other => unreachable!("'{other}' is not one of METRICS"),
         }
     }
 }
 
-/// A least-squares power-law fit `metric ≈ e^intercept · n^slope` for one
+/// A least-squares power-law fit `metric ≈ C · n^slope` for one
 /// `(family, algo)` series.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Fit {
@@ -118,43 +116,7 @@ pub struct Fit {
     pub metric: String,
     /// Fitted exponent of `n`.
     pub slope: f64,
-    /// Fitted `ln` of the constant factor.
-    pub intercept: f64,
 }
-
-/// How (or whether) a quantum series crossed the classical baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrossKind {
-    /// Quantum beat classical at some swept `n`.
-    Empirical,
-    /// No crossover in the sweep, but the fitted quantum slope is smaller:
-    /// the fits intersect at the projected `n`.
-    Projected,
-    /// The fitted slopes differ by less than [`SLOPE_EPS`] (or so little
-    /// that the projected intersection overflows `f64`): the sweep cannot
-    /// tell the growth rates apart, so no finite crossover is projected.
-    IndistinguishableSlopes,
-    /// Quantum does not cross (steeper slope and never cheaper).
-    None,
-}
-
-impl CrossKind {
-    /// Stable identifier used in the JSON artifact.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CrossKind::Empirical => "empirical",
-            CrossKind::Projected => "projected",
-            CrossKind::IndistinguishableSlopes => "indistinguishable-slopes",
-            CrossKind::None => "none",
-        }
-    }
-}
-
-/// Slope differences at or below this are treated as *indistinguishable*:
-/// the projected-intersection formula divides by the difference, so values
-/// this small produce astronomically large (or non-finite) `n*` that say
-/// nothing beyond "the fits are parallel to within noise".
-pub const SLOPE_EPS: f64 = 1e-6;
 
 /// The crossover verdict for one `(family, quantum algo, metric)` triple.
 #[derive(Clone, Debug, PartialEq)]
@@ -165,19 +127,56 @@ pub struct Crossing {
     pub quantum_algo: String,
     /// Metric name.
     pub metric: String,
-    /// Verdict.
-    pub kind: CrossKind,
-    /// Empirical: the smallest swept `n` where quantum won. Projected: the
-    /// fitted intersection point.
-    pub n: Option<f64>,
-    /// `quantum / classical` at the largest swept `n` — the measured
-    /// constant factor (values < 1 mean quantum is already cheaper).
-    /// `None` when the classical metric is zero there (e.g. `qubit_sends`
-    /// for a purely classical run): the ratio is undefined, not infinite.
+    /// The smallest swept `n` where quantum was cheaper, if any.
+    pub first_win: Option<usize>,
+    /// The largest swept `n`, where [`Crossing::ratio_at_max_n`] was
+    /// measured.
+    pub max_n: usize,
+    /// `quantum / classical` at `max_n` — the measured constant factor
+    /// (values < 1 mean quantum is already cheaper). `None` when the
+    /// classical metric is zero there (e.g. `qubit_sends` for a purely
+    /// classical run): the ratio is undefined, not infinite.
     pub ratio_at_max_n: Option<f64>,
+    /// Fitted exponents of `n`, classical then quantum; `None` for a
+    /// series [`loglog_fit`] cannot fit (e.g. an all-zero one).
+    pub slopes: (Option<f64>, Option<f64>),
     /// For `cost_units` only: the qubit price at which the largest swept
     /// instance breaks even ([`CostModel::break_even_factor`]).
     pub break_even_qubit_factor: Option<f64>,
+}
+
+impl Crossing {
+    /// The one-line verdict `CROSSOVER.md` and `qdiam crossover` print:
+    /// the first swept `n` where quantum was cheaper, or that none was up
+    /// to `max_n`, with the factor measured at `max_n`.
+    pub fn verdict(&self) -> String {
+        let factor = match self.ratio_at_max_n {
+            Some(r) => format!("{r:.3}×"),
+            None => "undefined (classical baseline is zero)".to_string(),
+        };
+        let measured = format!("measured factor {factor} at n = {}", self.max_n);
+        let mut line = match self.first_win {
+            Some(n) => format!("crossover observed at n = {n}; {measured}"),
+            None => {
+                let exponent = |s: Option<f64>| s.map_or("unfitted".into(), |s| format!("{s:.3}"));
+                format!(
+                    "not observed up to n = {}; {measured}; fitted exponents classical {}, \
+                     quantum {}",
+                    self.max_n,
+                    exponent(self.slopes.0),
+                    exponent(self.slopes.1)
+                )
+            }
+        };
+        if let Some(be) = self.break_even_qubit_factor {
+            let _ = write!(
+                line,
+                "; break-even qubit factor {be:.2} (quantum wins iff a qubit \
+                 costs < {be:.2} classical bits)"
+            );
+        }
+        line
+    }
 }
 
 /// The full sweep result.
@@ -211,16 +210,19 @@ pub fn run(params: &CrossoverParams) -> Result<CrossoverReport, String> {
     if params.families.is_empty() {
         return Err("crossover sweep needs at least one family".into());
     }
+    let mut params = params.clone();
+    params.ns.sort_unstable();
+    params.ns.dedup();
     let mut points = Vec::new();
     for &family in &params.families {
         for &n in &params.ns {
-            points.extend(sweep_point(params, family, n)?);
+            points.extend(sweep_point(&params, family, n)?);
         }
     }
     let fits = compute_fits(&points);
-    let crossings = compute_crossings(&points, &fits, &params.cost);
+    let crossings = compute_crossings(&points);
     Ok(CrossoverReport {
-        params: params.clone(),
+        params,
         points,
         fits,
         crossings,
@@ -241,6 +243,7 @@ fn sweep_point(
     let g = build_graph(&opts)?;
     let cfg = Config::for_graph(&g);
     let fam = family.name();
+    let cost = CostModel::default();
 
     // Classical BFS-APSP baseline: everything is simulated traffic.
     let classical = classical::apsp::exact_diameter(&g, cfg)
@@ -252,8 +255,7 @@ fn sweep_point(
     let point = |algo: &str, rounds, classical: &RoundsLedger, quantum_messages, qubit_sends| {
         let classical_messages = classical.total_messages();
         let classical_bits = classical.total_bits();
-        let wire_bits =
-            classical_bits + params.cost.header_bits * (classical_messages + quantum_messages);
+        let wire_bits = classical_bits + cost.header_bits * (classical_messages + quantum_messages);
         CostPoint {
             family: fam.to_string(),
             n,
@@ -265,7 +267,7 @@ fn sweep_point(
             quantum_messages,
             qubit_sends,
             wire_bits,
-            cost_units: params.cost.cost_units(wire_bits, qubit_sends),
+            cost_units: cost.cost_units(wire_bits, qubit_sends),
         }
     };
     let mut out = vec![point(
@@ -289,17 +291,15 @@ fn sweep_point(
         run.oracle_schedule.qubits_for(&run.oracle),
     ));
 
-    if params.include_approx {
-        let run = approx::diameter(&g, ApproxParams::new(params.seed), cfg)
-            .map_err(|e| format!("quantum-approx on {fam} n={n}: {e}"))?;
-        out.push(point(
-            "quantum-approx",
-            run.rounds(),
-            &run.prep_ledger,
-            run.oracle_schedule.messages_for(&run.oracle),
-            run.oracle_schedule.qubits_for(&run.oracle),
-        ));
-    }
+    let run = approx::diameter(&g, ApproxParams::new(params.seed), cfg)
+        .map_err(|e| format!("quantum-approx on {fam} n={n}: {e}"))?;
+    out.push(point(
+        "quantum-approx",
+        run.rounds(),
+        &run.prep_ledger,
+        run.oracle_schedule.messages_for(&run.oracle),
+        run.oracle_schedule.qubits_for(&run.oracle),
+    ));
     Ok(out)
 }
 
@@ -333,10 +333,10 @@ fn families(points: &[CostPoint]) -> Vec<String> {
     v
 }
 
-/// Least squares in `ln` space: `(slope, intercept)` of
-/// `ln y = intercept + slope · ln x`. Skips non-positive values; returns
-/// `None` with fewer than two usable points.
-pub fn loglog_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
+/// Least squares in `ln` space: the slope of `ln y = c + slope · ln x`.
+/// Skips non-positive values; returns `None` with fewer than two usable
+/// points.
+pub fn loglog_fit(xs: &[f64], ys: &[f64]) -> Option<f64> {
     let pts: Vec<(f64, f64)> = xs
         .iter()
         .zip(ys)
@@ -354,8 +354,7 @@ pub fn loglog_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
         return None;
     }
     let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-    let slope = sxy / sxx;
-    Some((slope, my - slope * mx))
+    Some(sxy / sxx)
 }
 
 fn compute_fits(points: &[CostPoint]) -> Vec<Fit> {
@@ -366,13 +365,12 @@ fn compute_fits(points: &[CostPoint]) -> Vec<Fit> {
             let xs: Vec<f64> = s.iter().map(|p| p.n as f64).collect();
             for metric in METRICS {
                 let ys: Vec<f64> = s.iter().map(|p| p.metric(metric)).collect();
-                if let Some((slope, intercept)) = loglog_fit(&xs, &ys) {
+                if let Some(slope) = loglog_fit(&xs, &ys) {
                     fits.push(Fit {
                         family: family.clone(),
                         algo: algo.clone(),
                         metric: metric.to_string(),
                         slope,
-                        intercept,
                     });
                 }
             }
@@ -381,52 +379,7 @@ fn compute_fits(points: &[CostPoint]) -> Vec<Fit> {
     fits
 }
 
-fn find_fit<'a>(fits: &'a [Fit], family: &str, algo: &str, metric: &str) -> Option<&'a Fit> {
-    fits.iter()
-        .find(|f| f.family == family && f.algo == algo && f.metric == metric)
-}
-
-/// Projects where a quantum cost curve undercuts a classical one, from
-/// their [`loglog_fit`]s, each given as `(slope, intercept)`.
-///
-/// Returns [`CrossKind::Projected`] with the intersection `n*` when the
-/// quantum fit grows strictly slower. Slopes that differ by at most
-/// [`SLOPE_EPS`], and intersections that overflow `f64` (the same
-/// ill-conditioning in disguise), give [`CrossKind::IndistinguishableSlopes`]
-/// instead of a meaningless or infinite `n*`; a quantum fit that grows at
-/// least as fast (or a non-finite slope) gives [`CrossKind::None`].
-///
-/// # Example
-///
-/// ```
-/// use congest_diameter::crossover::{project_crossover, CrossKind};
-///
-/// // 100·n against 1000·√n: they meet at n* = 100.
-/// let classical = (1.0, 100f64.ln());
-/// let quantum = (0.5, 1000f64.ln());
-/// let (kind, n_star) = project_crossover(classical, quantum);
-/// assert_eq!(kind, CrossKind::Projected);
-/// assert!((n_star.unwrap() - 100.0).abs() < 1e-9);
-/// assert_eq!(project_crossover(classical, classical).0, CrossKind::IndistinguishableSlopes);
-/// ```
-pub fn project_crossover(classical: (f64, f64), quantum: (f64, f64)) -> (CrossKind, Option<f64>) {
-    let ((c_slope, c_intercept), (q_slope, q_intercept)) = (classical, quantum);
-    let diff = c_slope - q_slope;
-    if diff.abs() <= SLOPE_EPS {
-        return (CrossKind::IndistinguishableSlopes, None);
-    }
-    if !diff.is_finite() || diff < 0.0 {
-        return (CrossKind::None, None);
-    }
-    let n_star = ((q_intercept - c_intercept) / diff).exp();
-    if n_star.is_finite() {
-        (CrossKind::Projected, Some(n_star))
-    } else {
-        (CrossKind::IndistinguishableSlopes, None)
-    }
-}
-
-fn compute_crossings(points: &[CostPoint], fits: &[Fit], cost: &CostModel) -> Vec<Crossing> {
+fn compute_crossings(points: &[CostPoint]) -> Vec<Crossing> {
     let mut crossings = Vec::new();
     for family in families(points) {
         let classical = series(points, &family, "classical-apsp");
@@ -438,34 +391,26 @@ fn compute_crossings(points: &[CostPoint], fits: &[Fit], cost: &CostModel) -> Ve
                 continue;
             }
             let quantum = series(points, &family, &algo);
+            // Pair up by n (both series sweep the same ns).
+            let paired: Vec<(&CostPoint, &CostPoint)> = classical
+                .iter()
+                .filter_map(|c| quantum.iter().find(|q| q.n == c.n).map(|q| (*c, *q)))
+                .collect();
+            let Some(&(last_c, last_q)) = paired.last() else {
+                continue;
+            };
+            let xs: Vec<f64> = paired.iter().map(|(c, _)| c.n as f64).collect();
             for metric in METRICS {
-                // Pair up by n (both series sweep the same ns).
-                let paired: Vec<(&CostPoint, &CostPoint)> = classical
-                    .iter()
-                    .filter_map(|c| quantum.iter().find(|q| q.n == c.n).map(|q| (*c, *q)))
-                    .collect();
-                let Some(&(last_c, last_q)) = paired.last() else {
-                    continue;
-                };
+                let cs: Vec<f64> = paired.iter().map(|(c, _)| c.metric(metric)).collect();
+                let qs: Vec<f64> = paired.iter().map(|(_, q)| q.metric(metric)).collect();
                 // A zero classical baseline (qubit_sends on classical-apsp)
                 // leaves the ratio undefined — `None`, never ∞ or NaN.
                 let ratio = (last_c.metric(metric) > 0.0)
                     .then(|| last_q.metric(metric) / last_c.metric(metric));
-                let empirical = paired
+                let first_win = paired
                     .iter()
-                    .find(|(c, q)| q.metric(metric) < c.metric(metric));
-                let (kind, at) = if let Some((c, _)) = empirical {
-                    (CrossKind::Empirical, Some(c.n as f64))
-                } else {
-                    let pair = find_fit(fits, &family, "classical-apsp", metric)
-                        .zip(find_fit(fits, &family, &algo, metric));
-                    match pair {
-                        Some((fc, fq)) => {
-                            project_crossover((fc.slope, fc.intercept), (fq.slope, fq.intercept))
-                        }
-                        None => (CrossKind::None, None),
-                    }
-                };
+                    .find(|(c, q)| q.metric(metric) < c.metric(metric))
+                    .map(|(c, _)| c.n);
                 let break_even = (metric == "cost_units")
                     .then(|| {
                         CostModel::break_even_factor(
@@ -475,14 +420,14 @@ fn compute_crossings(points: &[CostPoint], fits: &[Fit], cost: &CostModel) -> Ve
                         )
                     })
                     .flatten();
-                let _ = cost; // the model already priced the points
                 crossings.push(Crossing {
                     family: family.clone(),
                     quantum_algo: algo.clone(),
                     metric: metric.to_string(),
-                    kind,
-                    n: at,
+                    first_win,
+                    max_n: last_c.n,
                     ratio_at_max_n: ratio,
+                    slopes: (loglog_fit(&xs, &cs), loglog_fit(&xs, &qs)),
                     break_even_qubit_factor: break_even,
                 });
             }
@@ -536,7 +481,6 @@ impl CrossoverReport {
                     ("algo", Json::Str(f.algo.clone())),
                     ("metric", Json::Str(f.metric.clone())),
                     ("slope", finite(f.slope)),
-                    ("intercept", finite(f.intercept)),
                 ])
             })
             .collect();
@@ -548,12 +492,17 @@ impl CrossoverReport {
                     ("family", Json::Str(c.family.clone())),
                     ("quantum_algo", Json::Str(c.quantum_algo.clone())),
                     ("metric", Json::Str(c.metric.clone())),
-                    ("kind", Json::Str(c.kind.as_str().into())),
-                    ("n", c.n.map(finite).unwrap_or(Json::Null)),
+                    (
+                        "first_win",
+                        c.first_win.map_or(Json::Null, |n| Json::Int(n as i128)),
+                    ),
+                    ("max_n", Json::Int(c.max_n as i128)),
                     (
                         "ratio_at_max_n",
-                        c.ratio_at_max_n.map(finite).unwrap_or(Json::Null),
+                        c.ratio_at_max_n.map_or(Json::Null, finite),
                     ),
+                    ("classical_slope", c.slopes.0.map_or(Json::Null, finite)),
+                    ("quantum_slope", c.slopes.1.map_or(Json::Null, finite)),
                     (
                         "break_even_qubit_factor",
                         c.break_even_qubit_factor.map(finite).unwrap_or(Json::Null),
@@ -561,14 +510,12 @@ impl CrossoverReport {
                 ])
             })
             .collect();
+        let cost = CostModel::default();
         Json::obj([
             ("experiment", Json::Str("crossover".into())),
             ("seed", Json::Int(self.params.seed as i128)),
-            (
-                "header_bits",
-                Json::Int(self.params.cost.header_bits as i128),
-            ),
-            ("qubit_factor", finite(self.params.cost.qubit_factor)),
+            ("header_bits", Json::Int(cost.header_bits as i128)),
+            ("qubit_factor", finite(cost.qubit_factor)),
             ("points", Json::Arr(points)),
             ("fits", Json::Arr(fits)),
             ("crossings", Json::Arr(crossings)),
@@ -577,6 +524,7 @@ impl CrossoverReport {
 
     /// Renders the auto-generated Markdown report (`CROSSOVER.md`).
     pub fn render_markdown(&self) -> String {
+        let cost = CostModel::default();
         let mut md = String::new();
         let _ = writeln!(md, "# Classical vs quantum crossover report");
         let _ = writeln!(md);
@@ -586,10 +534,7 @@ impl CrossoverReport {
              Constant-honest cost model: {} header bits per message, qubit \
              factor {} (one communicated qubit costs as much as {} classical \
              wire bits). Seed {}.",
-            self.params.cost.header_bits,
-            self.params.cost.qubit_factor,
-            self.params.cost.qubit_factor,
-            self.params.seed
+            cost.header_bits, cost.qubit_factor, cost.qubit_factor, self.params.seed
         );
         let _ = writeln!(md);
         let _ = writeln!(
@@ -640,41 +585,13 @@ impl CrossoverReport {
             // Verdicts.
             let _ = writeln!(md, "\n### Crossovers vs `classical-apsp`\n");
             for c in self.crossings.iter().filter(|c| c.family == family) {
-                let verdict = match c.kind {
-                    CrossKind::Empirical => {
-                        format!("**empirical crossover at n = {}**", c.n.unwrap_or(f64::NAN))
-                    }
-                    CrossKind::Projected => format!(
-                        "no crossover in sweep; fits project n* ≈ {:.3e}",
-                        c.n.unwrap_or(f64::NAN)
-                    ),
-                    CrossKind::IndistinguishableSlopes => {
-                        "no crossover in sweep; fitted slopes are indistinguishable \
-                         (|Δslope| ≤ 1e-6), so no finite intersection is projected"
-                            .to_string()
-                    }
-                    CrossKind::None => "no crossover (quantum never cheaper in sweep, \
-                                        steeper or unfitted slope)"
-                        .to_string(),
-                };
-                let factor = match c.ratio_at_max_n {
-                    Some(r) => format!("{r:.3}×"),
-                    None => "undefined (classical baseline is zero)".to_string(),
-                };
-                let mut line = format!(
-                    "- `{}` / `{}`: {verdict}; measured factor {factor} at n = {}",
+                let _ = writeln!(
+                    md,
+                    "- `{}` / `{}`: {}",
                     c.quantum_algo,
                     c.metric,
-                    self.params.ns.last().copied().unwrap_or(0),
+                    c.verdict()
                 );
-                if let Some(be) = c.break_even_qubit_factor {
-                    let _ = write!(
-                        line,
-                        "; break-even qubit factor {be:.2} (quantum wins iff a qubit \
-                         costs < {be:.2} classical bits)"
-                    );
-                }
-                let _ = writeln!(md, "{line}");
             }
         }
         let _ = writeln!(md, "\n## Slope fits (extending Table 1)\n");
@@ -739,8 +656,6 @@ mod tests {
             families: vec![Family::Path],
             ns: vec![8, 12, 16],
             seed: 3,
-            cost: CostModel::default(),
-            include_approx: false,
         })
         .unwrap()
     }
@@ -748,14 +663,17 @@ mod tests {
     #[test]
     fn sweep_produces_points_fits_and_crossings() {
         let report = tiny();
-        assert_eq!(report.points.len(), 3 * 2, "2 algos × 3 sizes");
+        assert_eq!(report.points.len(), 3 * 3, "3 algos × 3 sizes");
         // Every metric × quantum algo gets a verdict; fits cover every
         // series except classical `qubit_sends`, which is identically zero
         // and therefore unfittable in log-log space.
-        assert_eq!(report.crossings.len(), METRICS.len());
-        assert_eq!(report.fits.len(), 2 * METRICS.len() - 1);
+        assert_eq!(report.crossings.len(), 2 * METRICS.len());
+        assert_eq!(report.fits.len(), 3 * METRICS.len() - 1);
         assert!(
-            find_fit(&report.fits, "path", "classical-apsp", "qubit_sends").is_none(),
+            !report
+                .fits
+                .iter()
+                .any(|f| f.algo == "classical-apsp" && f.metric == "qubit_sends"),
             "an all-zero series must not get a fit"
         );
         // Path diameters are n − 1.
@@ -766,22 +684,21 @@ mod tests {
         assert!(report
             .points
             .iter()
-            .filter(|p| p.algo == "quantum-exact")
+            .filter(|p| p.algo.starts_with("quantum-"))
             .all(|p| p.qubit_sends > 0 && p.quantum_messages > 0));
     }
 
     #[test]
     fn wire_bits_charge_headers_for_every_message() {
         let report = tiny();
-        let h = report.params.cost.header_bits;
+        let cost = CostModel::default();
         for p in &report.points {
             assert_eq!(
                 p.wire_bits,
-                p.classical_bits + h * (p.classical_messages + p.quantum_messages),
+                p.classical_bits + cost.header_bits * (p.classical_messages + p.quantum_messages),
                 "{p:?}"
             );
-            let expected =
-                p.wire_bits as f64 + p.qubit_sends as f64 * report.params.cost.qubit_factor;
+            let expected = p.wire_bits as f64 + p.qubit_sends as f64 * cost.qubit_factor;
             assert!((p.cost_units - expected).abs() < 1e-6);
         }
     }
@@ -820,13 +737,9 @@ mod tests {
     fn loglog_fit_recovers_power_laws() {
         let xs: Vec<f64> = (1..=6).map(|i| (1 << i) as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 * x.sqrt()).collect();
-        let (slope, intercept) = loglog_fit(&xs, &ys).unwrap();
-        assert!((slope - 0.5).abs() < 1e-9);
-        assert!((intercept - 5.0f64.ln()).abs() < 1e-9);
+        assert!((loglog_fit(&xs, &ys).unwrap() - 0.5).abs() < 1e-9);
         let lin: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
-        let (slope, intercept) = loglog_fit(&xs, &lin).unwrap();
-        assert!((slope - 1.0).abs() < 1e-9);
-        assert!((intercept - 3.0f64.ln()).abs() < 1e-9);
+        assert!((loglog_fit(&xs, &lin).unwrap() - 1.0).abs() < 1e-9);
         assert!(loglog_fit(&[1.0], &[2.0]).is_none());
         assert!(loglog_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
     }
@@ -846,13 +759,11 @@ mod tests {
             qubit_crossing.ratio_at_max_n, None,
             "ratio against a zero baseline must be undefined, not ∞"
         );
-        assert_eq!(qubit_crossing.kind, CrossKind::None);
+        assert_eq!(qubit_crossing.first_win, None);
+        assert_eq!(qubit_crossing.slopes.0, None, "all-zero series is unfitted");
         for c in &report.crossings {
             if let Some(r) = c.ratio_at_max_n {
                 assert!(r.is_finite(), "{c:?}");
-            }
-            if let Some(n) = c.n {
-                assert!(n.is_finite(), "{c:?}");
             }
         }
         let rendered = report.to_json().render();
@@ -864,6 +775,36 @@ mod tests {
         assert!(report
             .render_markdown()
             .contains("undefined (classical baseline is zero)"));
+    }
+
+    /// An unsorted `ns` is swept in ascending order, and each verdict names
+    /// the largest swept `n` as the one its factor was measured at.
+    #[test]
+    fn unsorted_ns_are_swept_ascending_and_factors_name_their_n() {
+        let report = run(&CrossoverParams {
+            families: vec![Family::Path],
+            ns: vec![24, 16, 24],
+            seed: 3,
+        })
+        .unwrap();
+        assert_eq!(report.params.ns, [16, 24]);
+        let rounds = report
+            .crossings
+            .iter()
+            .find(|c| c.quantum_algo == "quantum-exact" && c.metric == "rounds")
+            .unwrap();
+        assert_eq!((rounds.first_win, rounds.max_n), (None, 24));
+        let rounds_at = |algo: &str| {
+            let p = report.points.iter().find(|p| p.n == 24 && p.algo == algo);
+            p.unwrap().rounds as f64
+        };
+        let factor = rounds_at("quantum-exact") / rounds_at("classical-apsp");
+        assert_eq!(rounds.ratio_at_max_n, Some(factor));
+        let verdict = rounds.verdict();
+        let expected =
+            format!("not observed up to n = 24; measured factor {factor:.3}× at n = 24;");
+        assert!(verdict.starts_with(&expected), "{verdict}");
+        assert!(verdict.contains("fitted exponents classical "), "{verdict}");
     }
 
     fn synthetic_point(algo: &str, n: usize, rounds: u64) -> CostPoint {
@@ -882,42 +823,30 @@ mod tests {
         }
     }
 
-    /// A ~0 slope difference must produce the `indistinguishable-slopes`
-    /// verdict instead of dividing by (almost) zero and projecting a
-    /// meaningless or infinite `n*`.
+    /// The crossing is the first swept `n` where quantum was cheaper, even
+    /// if a later `n` is not; the factor is still the one at the largest.
     #[test]
-    fn near_equal_slopes_are_reported_as_indistinguishable() {
+    fn the_crossing_is_the_first_swept_win() {
         let points = vec![
             synthetic_point("classical-apsp", 8, 100),
             synthetic_point("classical-apsp", 16, 200),
+            synthetic_point("classical-apsp", 32, 400),
             synthetic_point("quantum-exact", 8, 150),
-            synthetic_point("quantum-exact", 16, 300),
+            synthetic_point("quantum-exact", 16, 150),
+            synthetic_point("quantum-exact", 32, 600),
         ];
-        let mk_fit = |algo: &str, metric: &str, slope: f64, intercept: f64| Fit {
-            family: "synthetic".into(),
-            algo: algo.into(),
-            metric: metric.into(),
-            slope,
-            intercept,
-        };
-        let fits = vec![
-            mk_fit("classical-apsp", "rounds", 1.0, 2.0),
-            // Quantum's fitted slope differs by less than SLOPE_EPS and its
-            // intercept is higher: the old formula projected
-            // exp(huge) = ∞ here.
-            mk_fit("quantum-exact", "rounds", 1.0 + SLOPE_EPS / 2.0, 2.5),
-        ];
-        let crossings = compute_crossings(&points, &fits, &CostModel::default());
-        let rounds = crossings
-            .iter()
-            .find(|c| c.metric == "rounds")
-            .expect("rounds verdict");
-        assert_eq!(rounds.kind, CrossKind::IndistinguishableSlopes);
-        assert_eq!(rounds.n, None);
-        assert_eq!(rounds.ratio_at_max_n, Some(1.5));
-        // Metrics with no fits at all stay `None`, not a crash.
+        let crossings = compute_crossings(&points);
+        let rounds = crossings.iter().find(|c| c.metric == "rounds").unwrap();
+        assert_eq!(rounds.first_win, Some(16));
+        assert_eq!((rounds.max_n, rounds.ratio_at_max_n), (32, Some(1.5)));
+        assert_eq!(
+            rounds.verdict(),
+            "crossover observed at n = 16; measured factor 1.500× at n = 32"
+        );
+        // Equal costs are not a win.
         let wire = crossings.iter().find(|c| c.metric == "wire_bits").unwrap();
-        assert_eq!(wire.kind, CrossKind::None);
+        assert_eq!(wire.first_win, None);
+        assert_eq!(wire.slopes, (Some(0.0), Some(0.0)));
     }
 
     /// The classical baseline is Θ(n) rounds; the Theorem 1 algorithm is
@@ -930,17 +859,19 @@ mod tests {
             families: vec![Family::Er],
             ns: vec![24, 40, 64, 96],
             seed: 5,
-            cost: CostModel::default(),
-            include_approx: false,
         })
         .unwrap();
-        let fc = find_fit(&report.fits, "er", "classical-apsp", "rounds").unwrap();
-        let fq = find_fit(&report.fits, "er", "quantum-exact", "rounds").unwrap();
+        let rounds = report
+            .crossings
+            .iter()
+            .find(|c| c.quantum_algo == "quantum-exact" && c.metric == "rounds")
+            .unwrap();
+        let (Some(c_slope), Some(q_slope)) = rounds.slopes else {
+            panic!("both series are fitted: {rounds:?}");
+        };
         assert!(
-            fq.slope < fc.slope,
-            "quantum slope {} should be below classical {}",
-            fq.slope,
-            fc.slope
+            q_slope < c_slope,
+            "quantum slope {q_slope} should be below classical {c_slope}"
         );
     }
 }

@@ -52,7 +52,10 @@ fn cost_metrics_reconcile_with_trace_and_ledger() {
 
     // The cost model charges every message its framing, so the wire total
     // is exactly payload + framing — no rounding residue.
-    assert_eq!(wire, payload + registry.cost().header_bits * messages);
+    assert_eq!(
+        wire,
+        payload + metrics::CostModel::default().header_bits * messages
+    );
     assert!(messages > 0 && payload > 0);
 }
 
@@ -146,7 +149,7 @@ fn per_round_registry_matches_a_per_message_oracle() {
                     widths.observe(bits);
                     messages += 1;
                     payload += bits;
-                    wire += registry.cost().wire_bits(bits);
+                    wire += metrics::CostModel::default().wire_bits(bits);
                 }
                 trace::TraceEvent::Fault { .. } => faults += 1,
                 _ => {}
