@@ -28,8 +28,9 @@ use classical::bfs::{self, BfsOutcome};
 use classical::recovery::{Healed, SurvivingComponent};
 use classical::{leader, TreeView};
 use congest::{Config, RecoveryStats, RoundsLedger};
+use graphs::metrics::EccTable;
 use graphs::tree::{EulerTour, RootedTree};
-use graphs::{metrics, Dist, Graph, NodeId};
+use graphs::{Dist, Graph, NodeId};
 use quantum::{MaximizeParams, OracleCost};
 
 use crate::dfs_window::Windows;
@@ -196,6 +197,12 @@ fn attempt(graph: &Graph, params: ExactParams, config: Config) -> Result<Diamete
 /// `span/init`, the memory estimate at optimum mass `mass(d)`, then the
 /// quantum phase `search` computes from `BFS(leader)` and the closed-form
 /// eccentricities, which a single-node graph skips.
+///
+/// The eccentricity table needs only the graph, so helper threads start
+/// on its passes before leader election, and the driver's thread takes the
+/// passes still open once `BFS(leader)` returns. A failed Initialization
+/// stops the table, so an attempt that errs waits at most for the passes
+/// already taken; its error, not the table's `None`, is the one reported.
 pub(crate) fn run(
     graph: &Graph,
     config: Config,
@@ -205,13 +212,15 @@ pub(crate) fn run(
 ) -> Result<DiameterRun, QdError> {
     let n = framework::nodes(graph)?;
     let _driver_span = ::metrics::span(span);
-    let mut init_ledger = RoundsLedger::new();
-    let init_span = ::metrics::span("init");
-    let elect = leader::elect(graph, config)?;
-    init_ledger.add("leader election", elect.stats);
-    let b = bfs::build(graph, elect.leader, config)?;
-    init_ledger.add("bfs(leader) [Figure 1]", b.stats);
-    drop(init_span);
+    let table = EccTable::new(graph);
+    let init = table.share(|| {
+        let init = initialize(graph, config);
+        if init.is_err() {
+            table.stop();
+        }
+        init
+    });
+    let (leader, b, init_ledger) = init?;
     let d = b.depth;
 
     let memory = framework::memory_estimate(n, n, mass(d));
@@ -219,13 +228,14 @@ pub(crate) fn run(
     let found = if n == 1 || d == 0 {
         Found::default()
     } else {
-        let eccs = metrics::eccentricities(graph)
+        let eccs = table
+            .finish()
             .ok_or(QdError::Classical(classical::AlgoError::Disconnected))?;
         search(&b, eccs)?
     };
     Ok(DiameterRun {
         value: found.opt.value as Dist,
-        leader: elect.leader,
+        leader,
         d,
         argmax: NodeId::new(found.opt.argmax),
         init_ledger,
@@ -240,10 +250,25 @@ pub(crate) fn run(
     })
 }
 
+/// Initialization (Proposition 1) under the profiler span `init`: the
+/// elected leader, `BFS(leader)` and the ledger of both.
+fn initialize(
+    graph: &Graph,
+    config: Config,
+) -> Result<(NodeId, BfsOutcome, RoundsLedger), QdError> {
+    let _init_span = ::metrics::span("init");
+    let mut ledger = RoundsLedger::new();
+    let elect = leader::elect(graph, config)?;
+    ledger.add("leader election", elect.stats);
+    let b = bfs::build(graph, elect.leader, config)?;
+    ledger.add("bfs(leader) [Figure 1]", b.stats);
+    Ok((elect.leader, b, ledger))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphs::generators;
+    use graphs::{generators, metrics};
 
     fn check(g: &Graph, seed: u64) -> DiameterRun {
         let out = diameter(

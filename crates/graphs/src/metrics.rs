@@ -16,8 +16,17 @@
 //! three node lists of scratch, against `n · (n + m)` queue operations for
 //! one BFS per node.
 //!
+//! The eccentricity table is one kernel pass per 256 sources, and the
+//! passes are independent, so [`EccTable`] lets several threads share
+//! them; [`eccentricities`] runs it on as many threads as the host has
+//! cores and the table has passes.
+//!
 //! The single-source [`eccentricity`] runs the plain [`Bfs`] and shares no
 //! code with the kernel.
+
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 use crate::traversal::Bfs;
 use crate::{Dist, Graph, NodeId};
@@ -194,6 +203,22 @@ impl<'g> BitBfs<'g> {
         }
         &self.seen
     }
+
+    /// The eccentricities of the sources in `batch`, or `None` if one of
+    /// them does not reach every node.
+    fn eccentricities(&mut self, batch: &[NodeId]) -> Option<Vec<Dist>> {
+        let mut ecc = vec![0; batch.len()];
+        let seen = self.run(batch, |d, _, _, reached| {
+            for (w, mut bits) in reached.0.into_iter().enumerate() {
+                while bits != 0 {
+                    ecc[64 * w + bits.trailing_zeros() as usize] = d;
+                    bits &= bits - 1;
+                }
+            }
+        });
+        let full = lane_mask(batch.len());
+        seen.iter().all(|&s| s == full).then_some(ecc)
+    }
 }
 
 /// The lowest `lanes` lanes set.
@@ -218,6 +243,9 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<Dist> {
 /// Eccentricities of all nodes, or `None` if the graph is disconnected or
 /// empty.
 ///
+/// Runs the [`EccTable`] on as many threads as the host has cores and the
+/// table has passes, the calling thread included.
+///
 /// # Example
 ///
 /// ```
@@ -226,27 +254,147 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<Dist> {
 /// assert_eq!(metrics::eccentricities(&generators::path(4)), Some(vec![3, 2, 2, 3]));
 /// ```
 pub fn eccentricities(graph: &Graph) -> Option<Vec<Dist>> {
-    if graph.is_empty() {
-        return None;
-    }
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    let mut eccs = vec![0; sources.len()];
-    let mut bfs = BitBfs::new(graph);
-    for (batch, ecc) in sources.chunks(LANES).zip(eccs.chunks_mut(LANES)) {
-        let seen = bfs.run(batch, |d, _, _, reached| {
-            for (w, mut bits) in reached.0.into_iter().enumerate() {
-                while bits != 0 {
-                    ecc[64 * w + bits.trailing_zeros() as usize] = d;
-                    bits &= bits - 1;
-                }
-            }
-        });
-        let full = lane_mask(batch.len());
-        if seen.iter().any(|&s| s != full) {
-            return None;
+    let table = EccTable::new(graph);
+    table.share(|| ());
+    table.finish()
+}
+
+/// The eccentricity table as independent passes of 256 sources each, which
+/// any number of threads can work on together.
+///
+/// Each worker ([`EccTable::work`]) takes the next open pass from one
+/// counter and runs it with its own BFS buffers. A pass keeps its result
+/// under its own index, so the table comes out the same whatever the
+/// number of workers or their timing. A pass whose sources do not all reach
+/// every node stops the table, as [`EccTable::stop`] does: no worker takes
+/// a further pass, and [`EccTable::finish`] returns `None`.
+///
+/// # Example
+///
+/// ```
+/// use graphs::{generators, metrics::EccTable};
+///
+/// let g = generators::path(600);
+/// let table = EccTable::new(&g);
+/// let ran = std::thread::scope(|s| {
+///     let helper = s.spawn(|| table.work());
+///     table.work() + helper.join().unwrap()
+/// });
+/// assert_eq!(ran, 3);
+/// assert_eq!(table.finish().unwrap()[0], 599);
+/// ```
+pub struct EccTable<'g> {
+    graph: &'g Graph,
+    /// The next pass to take; those at or past `passes.len()` are no pass.
+    next: AtomicUsize,
+    /// Set by [`EccTable::stop`] and by a pass that finds the graph
+    /// disconnected.
+    stopped: AtomicBool,
+    /// Pass `p`'s eccentricities, those of nodes `256p ..`, once it ran.
+    passes: Vec<OnceLock<Vec<Dist>>>,
+}
+
+impl<'g> EccTable<'g> {
+    /// The table of `graph`, with no pass taken yet.
+    pub fn new(graph: &'g Graph) -> Self {
+        EccTable {
+            graph,
+            next: AtomicUsize::new(0),
+            stopped: AtomicBool::new(false),
+            passes: (0..graph.len().div_ceil(LANES))
+                .map(|_| OnceLock::new())
+                .collect(),
         }
     }
-    Some(eccs)
+
+    /// Takes passes until none is open or the table is stopped, and
+    /// returns how many this call ran. Its BFS buffers are allocated with
+    /// the first pass it takes.
+    ///
+    /// The counter and the flag only hand out passes and cut the work
+    /// short; the eccentricities reach [`EccTable::finish`] through each
+    /// pass's `OnceLock` and the end of the borrow of `self` (a join, for a
+    /// thread), so neither needs more than `Relaxed`.
+    pub fn work(&self) -> usize {
+        let mut bfs = None;
+        let mut ran = 0;
+        while !self.stopped.load(Relaxed) {
+            let p = self.next.fetch_add(1, Relaxed);
+            let Some(slot) = self.passes.get(p) else {
+                break;
+            };
+            let bfs = bfs.get_or_insert_with(|| BitBfs::new(self.graph));
+            let sources: Vec<NodeId> = (p * LANES..self.graph.len().min((p + 1) * LANES))
+                .map(NodeId::new)
+                .collect();
+            match bfs.eccentricities(&sources) {
+                Some(eccs) => {
+                    let first = slot.set(eccs).is_ok();
+                    debug_assert!(first, "pass {p} ran twice");
+                }
+                None => self.stop(),
+            }
+            ran += 1;
+        }
+        ran
+    }
+
+    /// Stops the table: no worker takes a further pass (one already taken
+    /// runs to its end), and [`EccTable::finish`] returns `None`.
+    pub fn stop(&self) {
+        self.stopped.store(true, Relaxed);
+    }
+
+    /// Runs `main` on the calling thread while helper threads work the
+    /// table, then has the calling thread take the passes still open, and
+    /// returns `main`'s result once every worker is done.
+    ///
+    /// With the calling thread, as many threads work as the host has cores
+    /// and the table has passes. If a helper cannot be spawned, the threads
+    /// already working take its share.
+    pub fn share<R>(&self, main: impl FnOnce() -> R) -> R {
+        let helpers = cores().min(self.passes.len()).saturating_sub(1);
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                let helper = std::thread::Builder::new().spawn_scoped(scope, || self.work());
+                if helper.is_err() {
+                    break;
+                }
+            }
+            let out = main();
+            self.work();
+            out
+        })
+    }
+
+    /// The eccentricities of all nodes, or `None` if the graph is empty or
+    /// disconnected or the table was stopped. The calling thread first runs
+    /// every pass still open.
+    pub fn finish(self) -> Option<Vec<Dist>> {
+        self.work();
+        let EccTable {
+            graph,
+            stopped,
+            passes,
+            ..
+        } = self;
+        if stopped.into_inner() || passes.is_empty() {
+            return None;
+        }
+        let mut eccs = Vec::with_capacity(graph.len());
+        for pass in passes {
+            eccs.extend(pass.into_inner()?);
+        }
+        Some(eccs)
+    }
+}
+
+/// The host's available parallelism, or 1 if it is unknown. Looked up
+/// once per process: each lookup reads the process's cgroup CPU quota from
+/// files.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Diameter: the maximum eccentricity.

@@ -1,5 +1,6 @@
 //! Differential tests for the bit-parallel all-sources BFS behind
-//! `metrics::eccentricities` and `metrics::bipartite_delta`.
+//! `metrics::eccentricities` and `metrics::bipartite_delta`, and for the
+//! `metrics::EccTable` that shares its passes among threads.
 //!
 //! Many suites take `metrics::eccentricities` as their oracle, so the
 //! reference here shares no code with it: one queue BFS per source
@@ -8,7 +9,11 @@
 //! level count exceeds the word width.
 
 use graphs::generators;
-use graphs::metrics::{bipartite_delta, diameter, eccentricities, peripheral_node, radius};
+use std::sync::Barrier;
+
+use graphs::metrics::{
+    bipartite_delta, diameter, eccentricities, peripheral_node, radius, EccTable,
+};
 use graphs::traversal::Bfs;
 use graphs::{Dist, Graph, NodeId};
 use proptest::prelude::*;
@@ -232,6 +237,106 @@ fn bipartite_delta_across_batches_and_components() {
     let right = [NodeId::new(79), NodeId::new(82)];
     assert_eq!(bipartite_delta(&g, &left, &right), None);
     assert_eq!(bipartite_delta(&g, &[], &right), None);
+}
+
+/// Works `table` from `threads` test-spawned threads that start together,
+/// and returns the passes they ran between them.
+fn work_on_threads(table: &EccTable, threads: usize) -> usize {
+    let start = Barrier::new(threads);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    table.work()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    })
+}
+
+/// One, two and three threads sharing the passes build the same table as
+/// one queue BFS per source, each pass running exactly once; on a
+/// disconnected graph the table is `None` and no thread runs a pass past
+/// the ones in flight.
+#[test]
+fn shared_table_matches_reference_on_any_thread_count() {
+    let mut graphs = Vec::new();
+    for n in [1, 2, 255, 256, 257, 513, 1100] {
+        graphs.push(generators::random_tree(n, n as u64));
+        if n >= 2 {
+            graphs.push(generators::random_sparse(n, 4.0, n as u64));
+        }
+    }
+    graphs.push(generators::path(513));
+    // Disconnected only among the sources of the last of five passes:
+    // nodes 1024 .. 1100 are a component of their own.
+    graphs.push(union(
+        &generators::random_sparse(1024, 4.0, 1),
+        &generators::path(76),
+    ));
+    // An isolated node, lane 75 of the last pass.
+    graphs.push(union(
+        &generators::path(1099),
+        &Graph::from_edges(1, []).unwrap(),
+    ));
+    for g in &graphs {
+        let expect = reference_eccentricities(g);
+        let passes = g.len().div_ceil(256);
+        for threads in 1..=3 {
+            let table = EccTable::new(g);
+            let ran = work_on_threads(&table, threads);
+            if expect.is_some() {
+                assert_eq!(ran, passes, "n = {}, {threads} threads", g.len());
+            } else {
+                assert!((1..=threads).contains(&ran), "n = {}: {ran}", g.len());
+            }
+            assert_eq!(table.finish(), expect, "n = {}, {threads} threads", g.len());
+        }
+    }
+    let empty = Graph::from_edges(0, []).unwrap();
+    let table = EccTable::new(&empty);
+    assert_eq!(work_on_threads(&table, 2), 0);
+    assert_eq!(table.finish(), None);
+}
+
+/// A stopped table takes no further pass and is `None`, whether a caller
+/// stopped it or a disconnected pass did.
+#[test]
+fn stopped_table_is_none_and_takes_no_further_pass() {
+    let g = generators::path(1100);
+    let table = EccTable::new(&g);
+    table.stop();
+    assert_eq!(table.work(), 0);
+    assert_eq!(table.finish(), None);
+
+    // Stopped after its last pass ran.
+    let table = EccTable::new(&g);
+    assert_eq!(table.work(), 5);
+    table.stop();
+    assert_eq!(table.finish(), None);
+
+    // Stopped by the calling thread's `main`: the calling thread takes no
+    // pass after it, whatever the helpers took before.
+    let table = EccTable::new(&g);
+    let main = table.share(|| {
+        table.stop();
+        7
+    });
+    assert_eq!(main, 7);
+    assert_eq!(table.work(), 0);
+    assert_eq!(table.finish(), None);
+
+    // The first pass finds the isolated node and stops the other four.
+    let split = union(&g, &Graph::from_edges(1, []).unwrap());
+    let table = EccTable::new(&split);
+    assert_eq!(table.work(), 1);
+    assert_eq!(table.work(), 0);
+    assert_eq!(table.finish(), None);
+
+    // A table nobody worked on runs its passes in `finish`.
+    assert_eq!(EccTable::new(&g).finish(), reference_eccentricities(&g));
 }
 
 proptest! {

@@ -134,8 +134,8 @@ pub struct Crossing {
     pub max_n: usize,
     /// `quantum / classical` at `max_n` — the measured constant factor
     /// (values < 1 mean quantum is already cheaper). `None` when the
-    /// classical metric is zero there (e.g. `qubit_sends` for a purely
-    /// classical run): the ratio is undefined, not infinite.
+    /// classical metric is zero there: the ratio is undefined, not
+    /// infinite.
     pub ratio_at_max_n: Option<f64>,
     /// Fitted exponents of `n`, classical then quantum; `None` for a
     /// series [`loglog_fit`] cannot fit (e.g. an all-zero one).
@@ -192,10 +192,9 @@ pub struct CrossoverReport {
     pub crossings: Vec<Crossing>,
 }
 
-/// Metrics scanned for crossovers and fitted for slopes. `qubit_sends` is
-/// identically zero for the classical baseline, so its fit is absent there
-/// and its crossover ratio is undefined — the pipeline must degrade to
-/// `null`s in the artifact, never NaN/∞ (pinned by regression test).
+/// Metrics fitted for slopes and scanned for crossovers. `qubit_sends` is
+/// identically zero for the classical baseline, so that series has no fit
+/// and the metric no crossover verdict; the quantum series keep their fits.
 pub const METRICS: [&str; 4] = ["rounds", "wire_bits", "qubit_sends", "cost_units"];
 
 /// Runs the sweep.
@@ -402,9 +401,14 @@ fn compute_crossings(points: &[CostPoint]) -> Vec<Crossing> {
             let xs: Vec<f64> = paired.iter().map(|(c, _)| c.n as f64).collect();
             for metric in METRICS {
                 let cs: Vec<f64> = paired.iter().map(|(c, _)| c.metric(metric)).collect();
+                // A baseline that never spends this metric (qubit_sends on
+                // classical-apsp) cannot be undercut: there is no verdict.
+                if cs.iter().all(|&c| c == 0.0) {
+                    continue;
+                }
                 let qs: Vec<f64> = paired.iter().map(|(_, q)| q.metric(metric)).collect();
-                // A zero classical baseline (qubit_sends on classical-apsp)
-                // leaves the ratio undefined — `None`, never ∞ or NaN.
+                // A zero classical value at the largest n leaves the ratio
+                // undefined — `None`, never ∞ or NaN.
                 let ratio = (last_c.metric(metric) > 0.0)
                     .then(|| last_q.metric(metric) / last_c.metric(metric));
                 let first_win = paired
@@ -664,10 +668,10 @@ mod tests {
     fn sweep_produces_points_fits_and_crossings() {
         let report = tiny();
         assert_eq!(report.points.len(), 3 * 3, "3 algos × 3 sizes");
-        // Every metric × quantum algo gets a verdict; fits cover every
-        // series except classical `qubit_sends`, which is identically zero
-        // and therefore unfittable in log-log space.
-        assert_eq!(report.crossings.len(), 2 * METRICS.len());
+        // Every metric × quantum algo but `qubit_sends` gets a verdict; fits
+        // cover every series except classical `qubit_sends`, which is
+        // identically zero and therefore unfittable in log-log space.
+        assert_eq!(report.crossings.len(), 2 * (METRICS.len() - 1));
         assert_eq!(report.fits.len(), 3 * METRICS.len() - 1);
         assert!(
             !report
@@ -745,22 +749,20 @@ mod tests {
     }
 
     /// Regression: a metric that is identically zero on the classical
-    /// baseline (`qubit_sends`) must not poison the artifact with NaN or
-    /// ±∞ — the ratio degrades to `null` and the verdict stays typed.
+    /// baseline (`qubit_sends`) gets no verdict, and must not poison the
+    /// artifact with NaN or ±∞ — its quantum fits stay, and every ratio
+    /// is finite.
     #[test]
     fn classical_zero_metric_never_yields_nan() {
         let report = tiny();
-        let qubit_crossing = report
-            .crossings
-            .iter()
-            .find(|c| c.metric == "qubit_sends")
-            .expect("qubit_sends is scanned");
-        assert_eq!(
-            qubit_crossing.ratio_at_max_n, None,
-            "ratio against a zero baseline must be undefined, not ∞"
+        assert!(
+            report.crossings.iter().all(|c| c.metric != "qubit_sends"),
+            "no verdict against a baseline that sends no qubits"
         );
-        assert_eq!(qubit_crossing.first_win, None);
-        assert_eq!(qubit_crossing.slopes.0, None, "all-zero series is unfitted");
+        assert!(report
+            .fits
+            .iter()
+            .any(|f| f.algo == "quantum-exact" && f.metric == "qubit_sends"));
         for c in &report.crossings {
             if let Some(r) = c.ratio_at_max_n {
                 assert!(r.is_finite(), "{c:?}");
@@ -771,10 +773,7 @@ mod tests {
             assert!(!rendered.contains(poison), "artifact contains {poison}");
         }
         Json::parse(&rendered).expect("artifact parses despite zero-valued series");
-        // The Markdown path must survive the undefined ratio too.
-        assert!(report
-            .render_markdown()
-            .contains("undefined (classical baseline is zero)"));
+        assert!(!report.render_markdown().contains("/ `qubit_sends`:"));
     }
 
     /// An unsorted `ns` is swept in ascending order, and each verdict names
